@@ -48,51 +48,6 @@ func TestPooledRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchRunZeroAlloc extends the pooled pin to the lockstep batch:
-// after the first batch attaches and the second settles lazy scratch,
-// BatchSession.Run must advance and fold all K devices without a single
-// heap allocation per call.
-func TestBatchRunZeroAlloc(t *testing.T) {
-	cfg := apps.DefaultDMAConfig()
-	cfg.Words = 100
-	const k = 4
-	for _, kind := range []experiments.RuntimeKind{
-		experiments.EaseIO, experiments.Alpaca, experiments.InK, experiments.JustDo,
-	} {
-		sessions := make([]*kernel.Session, k)
-		var name string
-		for i := range sessions {
-			bench, err := apps.NewDMAApp(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt := experiments.NewRuntime(kind)
-			name = rt.Name()
-			sessions[i] = kernel.NewSession(rt, bench.App, experiments.TimerSupply())
-		}
-		batch := kernel.NewBatchSession(sessions...)
-		seeds := make([]int64, k)
-		seed := int64(0)
-		run := func() {
-			for i := range seeds {
-				seed++
-				seeds[i] = seed
-			}
-			_, errs := batch.Run(seeds)
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		run() // attach
-		run() // settle lazily-created scratch
-		if avg := testing.AllocsPerRun(20, run); avg > 0 {
-			t.Errorf("%s: steady-state batch run allocates %.1f times, want 0", name, avg)
-		}
-	}
-}
-
 // TestCheckpointSnapshotZeroAlloc pins zero allocations per recycled
 // device checkpoint: SnapshotInto with a reused checkpoint must be pure
 // copies into existing buffers — the failure-point checker takes one

@@ -330,8 +330,8 @@ func BenchmarkAblationValuePrivatization(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput compares the sweep engine's pooled
-// device-reuse path against the lockstep-batched and legacy
-// rebuild-per-run paths on the DMA bench, reporting runs per second and
+// device-reuse path against the legacy rebuild-per-run path on the DMA
+// bench, reporting runs per second and
 // heap allocations per run. All paths run single-worker so the
 // comparison isolates per-run setup cost rather than scheduling, and the
 // copy is shortened from the default so that per-word simulation work
@@ -344,11 +344,9 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		rebuild bool
-		batch   int
-	}{{"pooled", false, 0}, {"batched", false, 8}, {"rebuild", true, 0}} {
+	}{{"pooled", false}, {"rebuild", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := experiments.Config{Runs: sweep, BaseSeed: 1, Workers: 1,
-				Rebuild: mode.rebuild, Batch: mode.batch}
+			cfg := experiments.Config{Runs: sweep, BaseSeed: 1, Workers: 1, Rebuild: mode.rebuild}
 			var ms0, ms1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms0)

@@ -14,9 +14,9 @@
 // -name defaults to host-pid and labels this worker's leases in the
 // coordinator's metrics. -smoke boots an in-process coordinator with a
 // TCP fleet listener, runs two workers against it, kills and restarts
-// one mid-sweep, and verifies both a merged sweep summary and a merged
-// nested (k=2) check report are byte-identical to the single-process
-// engines — the self-test the Makefile's fleet-smoke target runs.
+// one mid-sweep, and verifies that a merged sweep summary and merged k=1
+// and k=2 check reports are identical to the single-process engines'
+// — the self-test the Makefile's fleet-smoke target runs.
 package main
 
 import (
@@ -170,32 +170,42 @@ func runSmoke(reg *service.Registry) error {
 			res.Summary, want)
 	}
 
-	// Second leg: a subtree-sharded nested check over the same fleet.
-	// The k=2 job's level-1 frontier ships as checkpoint-bearing subtree
-	// work units, and the merged report must render byte-identically to
-	// the in-process checker.
-	cid, err := coord.Submit(fleet.Spec{
-		Mode: fleet.ModeCheck, App: "sensor", Runtime: "EaseIO",
-		Exhaustive: true, Failures: 2, Shards: 4,
-	})
-	if err != nil {
-		return err
-	}
-	cctx, ccancel := context.WithTimeout(context.Background(), time.Minute)
-	defer ccancel()
-	cres, err := coord.Wait(cctx, cid)
-	if err != nil {
-		return err
-	}
-	sensorFactory, _ := reg.LookupFactory("sensor")
-	wantRep, err := check.Run(context.Background(), sensorFactory, experiments.EaseIO,
-		check.Config{Exhaustive: true, Failures: 2, Workers: 2})
-	if err != nil {
-		return err
-	}
-	if cres.Report.Render() != wantRep.Render() {
-		return fmt.Errorf("fleet k=2 report differs from in-process checker:\n--- fleet ---\n%s--- direct ---\n%s",
-			cres.Report.Render(), wantRep.Render())
+	// Check legs over the same fleet, both through the one check work
+	// unit: a k=1 exhaustive job whose boot-rooted unit is split by cut
+	// range, and a k=2 job whose level-1 frontier ships as
+	// checkpoint-rooted units. Each merged report must equal the
+	// in-process checker's.
+	for _, leg := range []struct {
+		app      string
+		kind     experiments.RuntimeKind
+		failures int
+	}{
+		{"temp", experiments.Alpaca, 1},
+		{"sensor", experiments.EaseIO, 2},
+	} {
+		cid, err := coord.Submit(fleet.Spec{
+			Mode: fleet.ModeCheck, App: leg.app, Runtime: leg.kind.String(),
+			Exhaustive: true, Failures: leg.failures, Shards: 4,
+		})
+		if err != nil {
+			return err
+		}
+		cctx, ccancel := context.WithTimeout(context.Background(), time.Minute)
+		cres, err := coord.Wait(cctx, cid)
+		ccancel()
+		if err != nil {
+			return err
+		}
+		factory, _ := reg.LookupFactory(leg.app)
+		wantRep, err := check.Run(context.Background(), factory, leg.kind,
+			check.Config{Exhaustive: true, Failures: leg.failures, Workers: 2})
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(cres.Report, wantRep) {
+			return fmt.Errorf("fleet k=%d %s report differs from in-process checker:\n--- fleet ---\n%s--- direct ---\n%s",
+				leg.failures, leg.app, cres.Report.Render(), wantRep.Render())
+		}
 	}
 	return nil
 }

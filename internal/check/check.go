@@ -7,6 +7,13 @@
 // non-volatile memory, CheckOutput verdict and work-split ledger against
 // the golden run, reporting a minimal failing schedule on divergence.
 //
+// Every checker job runs one pipeline (see unit.go): Plan runs the golden
+// pass (and, for nested jobs, the level-1 exploration) and returns work
+// units; one exploration routine grows a unit's subtree to the configured
+// depth; Merge folds the units' results into the Report. Run is the three
+// stages in one process; the distributed checker ships the same units to
+// fleet workers.
+//
 // Exploration is adaptive (see explore.go): a coarse grid of candidates
 // is evaluated first and an interval between two explored points is
 // bisected only while their outcome hashes differ, so long stretches of
@@ -18,7 +25,6 @@
 package check
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -72,26 +78,18 @@ type Config struct {
 	// FromBoot forces every replay to re-simulate from boot instead of
 	// restoring a checkpoint of the golden prefix and simulating only
 	// the post-failure suffix. The two modes produce byte-identical
-	// reports; from-boot is the O(run) escape hatch kept for
-	// cross-validation and for runtimes that do not implement
-	// kernel.Snapshotter and kernel.Resetter (which fall back to it
-	// automatically).
+	// reports; from-boot is the O(run) test oracle that cross-validates
+	// checkpoint fidelity. It is an in-process mode only: its units carry
+	// no root checkpoints, so they cannot be shipped to fleet workers.
 	FromBoot bool
 	// Workers bounds parallel replays (defaults to GOMAXPROCS). The
 	// Report is worker-count-invariant.
 	Workers int
-	// CutLo/CutHi restrict exploration to the candidate-index range
-	// [CutLo, CutHi) — the distributed checker's shard unit. CutHi == 0
-	// means "through the last candidate"; out-of-range bounds clamp.
-	// Shard reports merged in range order reproduce the unsharded report
-	// only in Exhaustive mode: the adaptive bisection prunes against
-	// outcomes across the whole range, so adaptive jobs must stay a
-	// single shard. The bisection itself honors the range either way
-	// (midpoints of in-range intervals stay in range).
-	CutLo, CutHi int
 	// NewRuntime overrides the runtime instance factory, e.g. to check an
 	// ablated EaseIO configuration. Defaults to experiments.NewRuntime of
-	// the kind passed to Run.
+	// the kind passed to Run. Checkpointed replay needs the runtime to
+	// implement kernel.Snapshotter and kernel.Resetter; a runtime that
+	// does not is rejected unless FromBoot is set.
 	NewRuntime func() kernel.Hooks
 	// Label overrides the runtime name recorded in the Report (useful
 	// together with NewRuntime); defaults to the kind's String.
@@ -150,21 +148,15 @@ type cutRecorder struct{ cuts []time.Duration }
 // across a run, so the slice arrives sorted and duplicate-free.
 func (r *cutRecorder) NoteCut(onTime time.Duration) { r.cuts = append(r.cuts, onTime) }
 
-// planned is a completed golden pass: everything Run needs before (or
-// instead of) exploring.
-type planned struct {
-	bench *apps.Bench
-	label string
-	newRT func() kernel.Hooks
-	g     *golden
-	cuts  []time.Duration
-	dev   *kernel.Device
-	rt    kernel.Hooks
-}
-
-// goldenPass runs the continuous-power reference and enumerates the
-// candidate failure points — the planning half of Run.
-func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*planned, error) {
+// goldenPass runs the continuous-power reference, enumerates the
+// candidate failure points, and returns a plan holding the report header
+// and an explorer over those candidates — the first stage of every
+// checker entry point. cfg must be filled. This is also where the replay
+// mode is chosen: checkpointed replay records on the golden session's
+// own device, runtime and app (golden state is copied out first, so it
+// costs no extra builds); FromBoot leaves the recorder nil, which makes
+// every replayer the explorer builds re-simulate from boot.
+func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Planned, error) {
 	newRT := cfg.NewRuntime
 	if newRT == nil {
 		newRT = func() kernel.Hooks { return experiments.NewRuntime(kind) }
@@ -180,6 +172,15 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 	}
 	rec := &cutRecorder{}
 	sess := kernel.NewSession(newRT(), bench.App, power.Continuous{})
+	rt := sess.Runtime()
+	if !cfg.FromBoot {
+		_, canSnap := rt.(kernel.Snapshotter)
+		_, canReset := rt.(kernel.Resetter)
+		if !canSnap || !canReset {
+			return nil, fmt.Errorf("check: runtime %s does not implement kernel.Snapshotter and kernel.Resetter, "+
+				"which checkpointed replay needs (set FromBoot to replay from boot)", label)
+		}
+	}
 	sess.Cuts = rec
 	grun, err := sess.Run(cfg.Seed)
 	if err != nil {
@@ -194,7 +195,7 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 		hasFresh: bench.App.DeclaresFreshness(),
 		stale:    len(grun.Stale),
 	}
-	dev, rt := sess.Device(), sess.Runtime()
+	dev := sess.Device()
 	for i, v := range bench.App.Vars {
 		g.sensed[i] = v.TimeSensitive
 		words := make([]uint16, v.Words)
@@ -203,171 +204,36 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 		}
 		g.vars[i] = words
 	}
-	return &planned{bench: bench, label: label, newRT: newRT, g: g, cuts: rec.cuts, dev: dev, rt: rt}, nil
-}
 
-// noCandidatesNote explains a zero-candidate report.
-const noCandidatesNote = "no candidate failure points: the golden run never crossed a charge-slice boundary"
-
-// Plan is the result of a golden pass alone: the report header fields
-// plus the candidate count, everything a coordinator needs to shard a
-// check job and reassemble the merged report without exploring anything
-// itself.
-type Plan struct {
-	App      string
-	Runtime  string
-	Seed     int64
-	Off      time.Duration
-	Failures int
-
-	GoldenOnTime  time.Duration
-	GoldenCorrect bool
-
-	// Candidates is the number of charge-slice boundaries the golden
-	// pass enumerated; shard cut ranges partition [0, Candidates).
-	Candidates int
-
-	// Note carries the zero-candidate explanation when Candidates == 0.
-	Note string
-}
-
-// Golden runs only the planning half of a checker job: the golden
-// continuous-power pass that enumerates candidate failure points. The
-// golden pass is deterministic, so a worker exploring a cut range of the
-// same configuration reproduces exactly the candidates this plan counts.
-func Golden(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Plan, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
-		return nil, err
+	e := &explorer{cfg: cfg, newApp: newApp, newRT: newRT, golden: g, cuts: rec.cuts}
+	if !cfg.FromBoot {
+		e.rec = newRecorder(bench, rt, dev, cfg.Seed)
 	}
-	pl, err := goldenPass(newApp, kind, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{
-		App:           pl.bench.App.Name,
-		Runtime:       pl.label,
-		Seed:          cfg.Seed,
-		Off:           cfg.Off,
-		Failures:      cfg.Failures,
-		GoldenOnTime:  pl.g.onTime,
-		GoldenCorrect: pl.g.correct,
-		Candidates:    len(pl.cuts),
-	}
-	if p.Candidates == 0 {
-		p.Note = noCandidatesNote
-	}
-	return p, nil
-}
-
-// Report returns the report header this plan describes, with no explored
-// points — the skeleton a coordinator fills from merged shard results.
-func (p *Plan) Report() *Report {
-	return &Report{
-		App:           p.App,
-		Runtime:       p.Runtime,
-		Seed:          p.Seed,
-		Off:           p.Off,
-		Failures:      p.Failures,
-		GoldenOnTime:  p.GoldenOnTime,
-		GoldenCorrect: p.GoldenCorrect,
-		Candidates:    p.Candidates,
-		Note:          p.Note,
-	}
-}
-
-// Run model-checks one app×runtime blueprint: it enumerates the candidate
-// failure points with a golden pass, explores them with single-failure
-// replays (and, when Config.Failures > 1, grows a checkpoint tree of
-// failure-during-recovery schedules below every passing point), and
-// reports every divergence found. Cancelling ctx stops the exploration at
-// the next point boundary and returns the partial report alongside ctx's
-// error.
-func Run(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Report, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
-		return nil, err
-	}
-	pl, err := goldenPass(newApp, kind, cfg)
-	if err != nil {
-		return nil, err
-	}
-	g, rt, dev, bench := pl.g, pl.rt, pl.dev, pl.bench
-
-	rep := &Report{
+	p := &Planned{Header: Header{
 		App:           bench.App.Name,
-		Runtime:       pl.label,
+		Runtime:       label,
 		Seed:          cfg.Seed,
 		Off:           cfg.Off,
 		Failures:      cfg.Failures,
 		GoldenOnTime:  g.onTime,
 		GoldenCorrect: g.correct,
-		Candidates:    len(pl.cuts),
-	}
-	if rep.Candidates == 0 {
+		Candidates:    len(rec.cuts),
+	}, e: e}
+	if p.Candidates == 0 {
 		// Nothing to explore, and nothing to diverge: a run that never
 		// crossed a charge-slice boundary has no point at which a power
 		// failure could land. Say so explicitly instead of rendering a
 		// confusingly empty pass.
-		rep.Note = noCandidatesNote
-		return rep, nil
+		p.Note = "no candidate failure points: the golden run never crossed a charge-slice boundary"
 	}
-
-	// Clamp the explored candidate range (the full range by default).
-	lo, hi := clampRange(cfg, rep.Candidates)
-
-	fromBoot := cfg.FromBoot
-	var rcr *recorder
-	if !fromBoot {
-		// Checkpointed replay needs the runtime to checkpoint its hook
-		// state and to reset in place for recording passes; probe the
-		// golden session's runtime and fall back to from-boot replay when
-		// it can't. The recorder re-runs recording passes on the session's
-		// own device, runtime and app — golden state was already copied
-		// out above, so checkpointed mode costs no extra builds.
-		_, canSnap := rt.(kernel.Snapshotter)
-		_, canReset := rt.(kernel.Resetter)
-		if canSnap && canReset {
-			rcr = newRecorder(bench, rt, dev, cfg.Seed)
-		} else {
-			fromBoot = true
-		}
-	}
-
-	e := &explorer{cfg: cfg, newApp: newApp, newRT: pl.newRT, golden: g, cuts: pl.cuts,
-		lo: lo, hi: hi, fromBoot: fromBoot, rec: rcr}
-	results, err := e.explore(ctx)
-	for i, res := range results {
-		if !res.evaluated {
-			continue
-		}
-		rep.Explored++
-		if res.div != nil {
-			d := *res.div
-			d.Index = i
-			d.At = pl.cuts[i]
-			rep.Divergences = append(rep.Divergences, d)
-		}
-	}
-	// Pruned counts only within the explored range, so shard reports
-	// don't book out-of-range candidates as pruned.
-	rep.Pruned = (hi - lo) - rep.Explored
-	if cfg.Failures > 1 && err == nil {
-		nres, nerr := e.exploreNested(ctx, results)
-		rep.Depths = nres.depths
-		rep.Divergences = append(rep.Divergences, nres.divs...)
-		err = nerr
-	}
-	rep.Minimal = MinimalSchedule(rep.Divergences)
-	return rep, err
+	return p, nil
 }
 
-// MinimalSchedule picks the minimal failing schedule: fewest failures
+// minimalSchedule picks the minimal failing schedule: fewest failures
 // first, then earliest. Divergences arrive depth by depth and in
 // candidate order within a depth, so the first divergence with the
-// shortest schedule is the minimal one. The fleet merge uses it to
-// reassemble exactly the Minimal field check.Run computes in process.
-func MinimalSchedule(divs []Divergence) []time.Duration {
+// shortest schedule is the minimal one.
+func minimalSchedule(divs []Divergence) []time.Duration {
 	best := -1
 	bestLen := 0
 	for i, d := range divs {
@@ -423,22 +289,25 @@ type replayer struct {
 	rt  kernel.Hooks
 }
 
-func newReplayer(newApp experiments.AppFactory, newRT func() kernel.Hooks, g *golden, cfg Config, fromBoot bool) (*replayer, error) {
-	bench, err := newApp()
+// newReplayer builds one replayer for the explorer's job. It is where
+// the replay mode takes effect: a job without a recorder (FromBoot) gets
+// from-boot replayers, every other job checkpointed ones.
+func (e *explorer) newReplayer() (*replayer, error) {
+	bench, err := e.newApp()
 	if err != nil {
 		return nil, fmt.Errorf("check: build replay app: %w", err)
 	}
-	sch := power.NewScheduleWithOff(cfg.Off)
-	r := &replayer{bench: bench, sch: sch, golden: g, seed: cfg.Seed}
-	if fromBoot {
-		r.sess = kernel.NewSession(newRT(), bench.App, sch)
+	sch := power.NewScheduleWithOff(e.cfg.Off)
+	r := &replayer{bench: bench, sch: sch, golden: e.golden, seed: e.cfg.Seed}
+	if e.rec == nil {
+		r.sess = kernel.NewSession(e.newRT(), bench.App, sch)
 		return r, nil
 	}
 	if err := bench.App.Validate(); err != nil {
 		return nil, fmt.Errorf("check: replay app: %w", err)
 	}
-	rt := newRT()
-	dev := kernel.NewDevice(sch, cfg.Seed)
+	rt := e.newRT()
+	dev := kernel.NewDevice(sch, e.cfg.Seed)
 	if err := rt.Attach(dev, bench.App); err != nil {
 		return nil, fmt.Errorf("check: attach replay app: %w", err)
 	}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -367,23 +368,24 @@ func TestOffDurationRecorded(t *testing.T) {
 	}
 }
 
-// TestCutRangeShardsMergeExhaustive pins the distributed checker's merge
-// contract: in exhaustive mode, splitting [0, Candidates) into cut
-// ranges, running each range as its own checker job, and reassembling
-// the results onto the plan's report skeleton reproduces the unsharded
-// report byte for byte.
+// TestCutRangeShardsMergeExhaustive pins the distributed checker's k=1
+// merge contract: in exhaustive mode, splitting the boot unit's cut range
+// [0, Candidates) into pieces, running each piece on its own (with its
+// own golden pass, like a fleet worker), and merging the results onto the
+// plan's header reproduces the unsharded report exactly.
 func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
+			ctx := context.Background()
 			cfg := Config{Exhaustive: true, Workers: 2}
-			full, err := Run(context.Background(), Fig6Bench, kind, cfg)
+			full, err := Run(ctx, Fig6Bench, kind, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			plan, err := Golden(Fig6Bench, kind, cfg)
+			plan, err := Plan(ctx, Fig6Bench, kind, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,29 +394,24 @@ func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 			}
 
 			for _, nShards := range []int{2, 3} {
-				merged := plan.Report()
-				for s := 0; s < nShards; s++ {
-					scfg := cfg
-					scfg.CutLo = s * plan.Candidates / nShards
-					scfg.CutHi = (s + 1) * plan.Candidates / nShards
-					part, err := Run(context.Background(), Fig6Bench, kind, scfg)
+				groups := plan.Split(nShards)
+				if len(groups) != nShards {
+					t.Fatalf("Split(%d) made %d groups", nShards, len(groups))
+				}
+				parts := []UnitReport{plan.Level1}
+				for s, g := range groups {
+					u := g[0]
+					part, err := RunUnits(ctx, Fig6Bench, kind, cfg, g)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if part.Explored != scfg.CutHi-scfg.CutLo {
-						t.Errorf("shard %d explored %d of %d points", s, part.Explored, scfg.CutHi-scfg.CutLo)
+					if d := part.Depths[0]; d.Explored != u.CutHi-u.CutLo || d.Pruned != 0 {
+						t.Errorf("shard %d explored %d (pruned %d) of %d points",
+							s, d.Explored, d.Pruned, u.CutHi-u.CutLo)
 					}
-					if part.Pruned != 0 {
-						t.Errorf("exhaustive shard %d pruned %d points", s, part.Pruned)
-					}
-					merged.Explored += part.Explored
-					merged.Divergences = append(merged.Divergences, part.Divergences...)
+					parts = append(parts, part)
 				}
-				merged.Pruned = merged.Candidates - merged.Explored
-				if len(merged.Divergences) > 0 {
-					merged.Minimal = []time.Duration{merged.Divergences[0].At}
-				}
-				if merged.Render() != full.Render() {
+				if merged := Merge(plan.Header, parts); !reflect.DeepEqual(merged, full) {
 					t.Errorf("%d-shard merge differs from unsharded report:\n--- merged ---\n%s--- full ---\n%s",
 						nShards, merged.Render(), full.Render())
 				}

@@ -37,45 +37,34 @@ import (
 // nil in from-boot mode.
 type recordFn func(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error)
 
+// explorer is one checker job's exploration state: the golden reference
+// and candidates from the plan's golden pass, the recorder, and the
+// replayer pool every unit of the job runs on.
 type explorer struct {
-	cfg      Config
-	newApp   experiments.AppFactory
-	newRT    func() kernel.Hooks
-	golden   *golden
-	cuts     []time.Duration
-	lo, hi   int // the explored candidate-index range [lo, hi)
-	fromBoot bool
-	rec      *recorder // nil in from-boot mode
+	cfg    Config
+	newApp experiments.AppFactory
+	newRT  func() kernel.Hooks
+	golden *golden
+	cuts   []time.Duration // the golden run's cuts: the boot root's candidates
+	rec    *recorder       // nil in from-boot mode
 
 	reps    []*replayer  // worker pool, grown lazily by round demand
-	tracer  *replayer    // nested mode: suffix tracing + recording passes
+	tracer  *replayer    // suffix tracing + recording passes below level 1
 	done    atomic.Int64 // evaluated points, feeds Config.Progress
 	planned atomic.Int64 // points scheduled so far, feeds Config.Progress
 }
 
-// explore evaluates the level-1 candidate cut points until the bisection
-// converges, returning one outcome slot per candidate (unevaluated slots
-// are pruned intervals). On cancellation it returns what was evaluated so
-// far plus ctx's error.
-func (e *explorer) explore(ctx context.Context) ([]outcome, error) {
-	var record recordFn
-	var recycle func(map[int]*checkpoint)
-	if e.rec != nil {
-		record, recycle = e.rec.record, e.rec.recycle
-	}
-	return e.exploreRange(ctx, e.cuts, e.lo, e.hi, nil, record, recycle)
-}
-
-// exploreRange runs the adaptive loop over one cut list: the level-1
-// candidates or one subtree's recovery-trajectory cuts. Every evaluated
-// schedule is prefix + cuts[i]. In checkpointed mode each round is
-// recorded first: a recording pass captures one checkpoint per pending
+// exploreRange runs the adaptive loop over one node's cut list: the
+// golden candidates or one subtree's recovery-trajectory cuts. Every
+// evaluated schedule is prefix + cuts[i]. In checkpointed mode each round
+// is recorded first: a recording pass captures one checkpoint per pending
 // point (in batches of checkpointBatch to bound memory), and the workers
 // restore and resume instead of re-running from boot. The replayer pool
 // is sized lazily by actual round demand — a round with fewer points
-// than Workers never pays for app builds it cannot use.
+// than Workers never pays for app builds it cannot use. On cancellation
+// it returns what was evaluated so far plus ctx's error.
 func (e *explorer) exploreRange(ctx context.Context, cuts []time.Duration, lo, hi int,
-	prefix []time.Duration, record recordFn, recycle func(map[int]*checkpoint)) ([]outcome, error) {
+	prefix []time.Duration, record recordFn) ([]outcome, error) {
 	out := make([]outcome, len(cuts))
 
 	pending := seedPoints(e.cfg, lo, hi)
@@ -101,31 +90,29 @@ func (e *explorer) exploreRange(ctx context.Context, cuts []time.Duration, lo, h
 					return out, err
 				}
 			}
-			if err := e.grow(len(idxs)); err != nil {
+			if err := e.growPool(len(idxs)); err != nil {
 				return out, err
 			}
 			if err := e.evalRound(ctx, out, cuts, idxs, cps, prefix); err != nil {
 				return out, err
 			}
-			if recycle != nil {
-				// evalRound is a barrier: every replay of this batch has
-				// finished, so its checkpoints can back the next batch.
-				recycle(cps)
-			}
+			// evalRound is a barrier: every replay of this batch has
+			// finished, so its checkpoints can back the next batch.
+			ckptRecycle(cps)
 		}
 		pending = nextRound(out)
 	}
 	return out, nil
 }
 
-// grow ensures the pool covers min(Workers, demand) replayers.
-func (e *explorer) grow(demand int) error {
+// growPool ensures the pool covers min(Workers, demand) replayers.
+func (e *explorer) growPool(demand int) error {
 	want := e.cfg.Workers
 	if demand < want {
 		want = demand
 	}
 	for len(e.reps) < want {
-		r, err := newReplayer(e.newApp, e.newRT, e.golden, e.cfg, e.fromBoot)
+		r, err := e.newReplayer()
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,10 @@
-// Nested-failure exploration: the checkpoint tree.
+// The checkpoint tree: one exploration routine for every depth.
 //
 // A k-failure schedule is built level by level: the first failure lands
 // on a golden-run charge-slice boundary, and every further failure lands
 // on a boundary of the *previous* failure's recovery trajectory. The
-// tree's nodes are passing schedules; expanding a node means tracing its
+// tree's root is boot, whose candidates are the golden cuts; every other
+// node is a passing schedule, and expanding it means tracing its
 // recovery trajectory once to enumerate the next level's candidates,
 // then replaying each candidate from a checkpoint captured along that
 // trajectory (the node's subtree shares the trajectory the way level-1
@@ -33,6 +34,7 @@ package check
 
 import (
 	"context"
+	"fmt"
 	"time"
 )
 
@@ -77,144 +79,147 @@ func nestedPlan(out []outcome, lo, hi int) []nestedRep {
 	return reps
 }
 
-// treeNode is one schedule selected for expansion: a failure prefix
-// whose replay passed, plus (in checkpointed mode) the checkpoint at its
-// last cut — the root its subtree's recording passes resume from.
+// treeNode is a unit in explorer form: a failure prefix (empty for the
+// boot root), the checkpoint at its last cut (nil for boot and in
+// from-boot mode), how many hash-equal siblings it stands for, and the
+// candidate-index range to explore below it.
 type treeNode struct {
 	schedule  []time.Duration
-	root      *checkpoint // nil in from-boot mode
+	root      *checkpoint
 	collapsed int
+	lo, hi    int
 }
 
-// nestedResult carries everything Run folds into the report after the
-// nested exploration: per-depth accounting and the divergences found, in
-// (depth, node, candidate) order.
-type nestedResult struct {
-	depths []DepthStats
-	divs   []Divergence
-}
-
-// exploreNested grows the checkpoint tree below the level-1 outcomes up
-// to Config.Failures levels. On cancellation or a hard replay error it
-// returns what was found so far plus the error.
-func (e *explorer) exploreNested(ctx context.Context, level1 []outcome) (*nestedResult, error) {
-	frontier, err := e.level1Frontier(level1)
-	if err != nil {
-		return &nestedResult{}, err
-	}
-	return e.exploreFrontier(ctx, frontier, 2)
-}
-
-// exploreFrontier runs the breadth-first tree growth over an initial
-// frontier whose nodes sit at startDepth. It is the whole nested
-// exploration below level 1: exploreNested seeds it with the level-1
-// representatives, and the distributed checker's subtree shards seed it
-// with a contiguous group of those representatives — because the loop
-// books stats and divergences strictly in (depth, node, candidate)
-// order, a frontier split into contiguous groups explored separately
-// reproduces, per depth and in group order, exactly what the whole
-// frontier produces.
-func (e *explorer) exploreFrontier(ctx context.Context, frontier []treeNode, startDepth int) (*nestedResult, error) {
-	res := &nestedResult{}
-	if len(frontier) == 0 {
-		return res, nil
-	}
-	if e.tracer == nil {
-		t, err := newReplayer(e.newApp, e.newRT, e.golden, e.cfg, e.fromBoot)
-		if err != nil {
-			return res, err
+// nodes converts same-depth units into tree nodes. In checkpointed mode
+// every non-boot unit must carry its root checkpoint; in from-boot mode
+// roots are ignored and suffixes are traced from boot.
+func (e *explorer) nodes(units []Unit) ([]treeNode, error) {
+	out := make([]treeNode, len(units))
+	for i, u := range units {
+		if len(u.Schedule) != len(units[0].Schedule) {
+			return nil, fmt.Errorf("check: unit %d has a %d-failure prefix, unit 0 a %d-failure one; a group must share one depth",
+				i, len(u.Schedule), len(units[0].Schedule))
 		}
-		e.tracer = t
+		n := treeNode{schedule: append([]time.Duration(nil), u.Schedule...),
+			collapsed: u.Collapsed, lo: u.CutLo, hi: u.CutHi}
+		if len(u.Schedule) > 0 && e.rec != nil {
+			if u.Dev == nil {
+				return nil, fmt.Errorf("check: unit %d has a failure prefix but no root checkpoint", i)
+			}
+			n.root = &checkpoint{dev: u.Dev, rt: u.RT}
+		}
+		out[i] = n
 	}
+	return out, nil
+}
 
-	for depth := startDepth; depth <= e.cfg.Failures && len(frontier) > 0; depth++ {
+// toUnits converts tree nodes back into units, handing their root
+// checkpoints to the caller.
+func toUnits(nodes []treeNode) []Unit {
+	out := make([]Unit, len(nodes))
+	for i, n := range nodes {
+		out[i] = Unit{Schedule: n.schedule, Collapsed: n.collapsed, CutLo: n.lo, CutHi: n.hi}
+		if n.root != nil {
+			out[i].Dev, out[i].RT = n.root.dev, n.root.rt
+		}
+	}
+	return out
+}
+
+// grow explores a frontier of same-depth nodes breadth-first, level by
+// level, through depth last, and returns the results plus the frontier
+// below last (empty once last reaches Config.Failures). Because it books
+// stats and divergences strictly in (depth, node, candidate) order, a
+// frontier split into contiguous groups grown separately reproduces, per
+// depth and in group order, exactly what the whole frontier produces. On
+// cancellation or a hard replay error it returns what was found so far
+// plus the error.
+func (e *explorer) grow(ctx context.Context, frontier []treeNode, last int) (UnitReport, []treeNode, error) {
+	var res UnitReport
+	for len(frontier) > 0 {
+		depth := len(frontier[0].schedule) + 1
+		if depth > last {
+			return res, frontier, nil
+		}
+		if depth > 1 && e.tracer == nil {
+			t, err := e.newReplayer()
+			if err != nil {
+				return res, nil, err
+			}
+			e.tracer = t
+		}
 		ds := DepthStats{Depth: depth}
 		var next []treeNode
 		for _, node := range frontier {
 			if err := ctx.Err(); err != nil {
-				res.depths = append(res.depths, ds)
-				return res, err
+				res.Depths = append(res.Depths, ds)
+				return res, nil, err
 			}
 			ds.Expanded++
 			ds.Collapsed += node.collapsed
-			children, err := e.expand(ctx, node, depth, &ds, res)
+			children, err := e.expand(ctx, node, &ds, &res)
 			if err != nil {
-				res.depths = append(res.depths, ds)
-				return res, err
+				res.Depths = append(res.Depths, ds)
+				return res, nil, err
 			}
-			if depth < e.cfg.Failures {
-				next = append(next, children...)
-			}
+			next = append(next, children...)
 			if node.root != nil {
 				ckptRecycle(map[int]*checkpoint{0: node.root})
-				node.root = nil
 			}
 		}
-		res.depths = append(res.depths, ds)
+		res.Depths = append(res.Depths, ds)
 		frontier = next
 	}
-	return res, nil
+	return res, nil, nil
 }
 
-// level1Frontier selects the depth-2 expansion nodes from the level-1
-// outcomes and, in checkpointed mode, records their root checkpoints in
-// one extra golden pass.
-func (e *explorer) level1Frontier(level1 []outcome) ([]treeNode, error) {
-	reps := nestedPlan(level1, e.lo, e.hi)
-	if len(reps) == 0 {
-		return nil, nil
+// candidates enumerates the failure points below a node: the golden cuts
+// for the boot root, the recovery trajectory's cuts otherwise.
+func (e *explorer) candidates(n treeNode) ([]time.Duration, error) {
+	switch {
+	case len(n.schedule) == 0:
+		return e.cuts, nil
+	case n.root != nil:
+		return e.tracer.traceFrom(n.root, n.schedule)
+	default:
+		return e.tracer.traceBoot(n.schedule)
 	}
-	var roots map[int]*checkpoint
-	if e.rec != nil {
-		idxs := make([]int, len(reps))
-		for i, rp := range reps {
-			idxs[i] = rp.idx
-		}
-		var err error
-		if roots, err = e.rec.record(e.cuts, idxs); err != nil {
-			return nil, err
-		}
-	}
-	frontier := make([]treeNode, 0, len(reps))
-	for _, rp := range reps {
-		frontier = append(frontier, treeNode{
-			schedule:  []time.Duration{e.cuts[rp.idx]},
-			root:      roots[rp.idx], // nil in from-boot mode
-			collapsed: rp.collapsed,
-		})
-	}
-	return frontier, nil
 }
 
-// expand explores one node's subtree: it traces the node's recovery
-// trajectory to enumerate the next level's candidates, runs the adaptive
-// loop over them, books the accounting and divergences into ds/res, and
-// returns the subtree's own expansion nodes for the level below.
-func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *DepthStats, res *nestedResult) ([]treeNode, error) {
-	var suffix []time.Duration
-	var err error
-	if node.root != nil {
-		suffix, err = e.tracer.traceFrom(node.root, node.schedule)
-	} else {
-		suffix, err = e.tracer.traceBoot(node.schedule)
+// recordFor returns the recording pass for a node's candidates: along
+// the golden run for the boot root, along the recovery trajectory from
+// the node's root checkpoint otherwise, and none in from-boot mode.
+func (e *explorer) recordFor(n treeNode) recordFn {
+	switch {
+	case e.rec == nil:
+		return nil
+	case len(n.schedule) == 0:
+		return e.rec.record
+	default:
+		return func(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
+			return e.tracer.recordSuffix(n.root, n.schedule, cuts, idxs)
+		}
 	}
+}
+
+// expand explores one node: it enumerates the node's candidates, runs the
+// adaptive loop over its range, books the accounting and divergences
+// into ds/res, and returns the node's own expansion representatives for
+// the level below, rooted at checkpoints re-recorded along the same
+// trajectory (the eval rounds' checkpoints are already recycled).
+func (e *explorer) expand(ctx context.Context, node treeNode, ds *DepthStats, res *UnitReport) ([]treeNode, error) {
+	cands, err := e.candidates(node)
 	if err != nil {
 		return nil, err
 	}
-	ds.Candidates += len(suffix)
-	if len(suffix) == 0 {
+	lo, hi := clampRange(node.lo, node.hi, len(cands))
+	ds.Candidates += hi - lo
+	if hi == lo {
 		return nil, nil
 	}
 
-	var record recordFn
-	var recycle func(map[int]*checkpoint)
-	if node.root != nil {
-		record = func(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
-			return e.tracer.recordSuffix(node.root, node.schedule, cuts, idxs)
-		}
-		recycle = ckptRecycle
-	}
-	out, err := e.exploreRange(ctx, suffix, 0, len(suffix), node.schedule, record, recycle)
+	record := e.recordFor(node)
+	out, err := e.exploreRange(ctx, cands, lo, hi, node.schedule, record)
 	explored := 0
 	for i, o := range out {
 		if !o.evaluated {
@@ -224,44 +229,59 @@ func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *Dep
 		if o.div != nil {
 			d := *o.div
 			d.Index = i
-			d.At = suffix[i]
-			d.Schedule = append(append([]time.Duration(nil), node.schedule...), suffix[i])
-			res.divs = append(res.divs, d)
+			d.At = cands[i]
+			if len(node.schedule) > 0 {
+				// Single-failure divergences carry their schedule in At.
+				d.Schedule = append(append([]time.Duration(nil), node.schedule...), cands[i])
+			}
+			res.Divergences = append(res.Divergences, d)
 		}
 	}
 	ds.Explored += explored
-	ds.Pruned += len(suffix) - explored
+	ds.Pruned += (hi - lo) - explored
 	if err != nil {
 		return nil, err
 	}
-	if depth >= e.cfg.Failures {
+	if len(node.schedule)+1 >= e.cfg.Failures {
 		return nil, nil
 	}
 
-	// The level below: representatives of this subtree, rooted at
-	// checkpoints re-recorded along the same trajectory (the eval
-	// rounds' checkpoints are already recycled).
-	reps := nestedPlan(out, 0, len(suffix))
+	reps := nestedPlan(out, lo, hi)
 	if len(reps) == 0 {
 		return nil, nil
 	}
 	var roots map[int]*checkpoint
-	if node.root != nil {
+	if record != nil {
 		idxs := make([]int, len(reps))
 		for i, rp := range reps {
 			idxs[i] = rp.idx
 		}
-		if roots, err = e.tracer.recordSuffix(node.root, node.schedule, suffix, idxs); err != nil {
+		if roots, err = record(cands, idxs); err != nil {
 			return nil, err
 		}
 	}
 	children := make([]treeNode, 0, len(reps))
 	for _, rp := range reps {
 		children = append(children, treeNode{
-			schedule:  append(append([]time.Duration(nil), node.schedule...), suffix[rp.idx]),
-			root:      roots[rp.idx],
+			schedule:  append(append([]time.Duration(nil), node.schedule...), cands[rp.idx]),
+			root:      roots[rp.idx], // nil in from-boot mode
 			collapsed: rp.collapsed,
 		})
 	}
 	return children, nil
+}
+
+// clampRange clamps a unit's candidate-index range [lo, hi) against the
+// candidate count; hi <= 0 means "through the last candidate".
+func clampRange(lo, hi, candidates int) (int, int) {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi <= 0 || hi > candidates {
+		hi = candidates
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
 }

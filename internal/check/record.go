@@ -66,8 +66,8 @@ func (s *snapSink) NoteCut(onTime time.Duration) {
 // golden session's own device, runtime and app — the pass reproduces
 // the golden run exactly through the same reset path sweeps use
 // (Device.Reset + Resetter.Reset + RunAttached). The runtime must
-// implement both kernel.Resetter and kernel.Snapshotter; Run falls back
-// to from-boot replay for runtimes that don't.
+// implement both kernel.Resetter and kernel.Snapshotter; the golden pass
+// rejects runtimes that don't unless the job replays from boot.
 type recorder struct {
 	bench *apps.Bench
 	rt    kernel.Hooks
@@ -102,9 +102,6 @@ func ckptRecycle(cps map[int]*checkpoint) {
 		ckptPool.Put(cp)
 	}
 }
-
-// recycle is ckptRecycle under the recorder's historical name.
-func (r *recorder) recycle(cps map[int]*checkpoint) { ckptRecycle(cps) }
 
 // record re-runs the golden pass and returns one checkpoint per
 // requested candidate index (idxs ascending, indexing cuts).

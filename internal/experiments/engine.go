@@ -193,9 +193,6 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 		// between seeds must not clear events other runs already emitted.
 		sess.Tracer = sweepSink{cfg.TraceSink}
 	}
-	if cfg.Batch > 1 && cfg.TraceSink == nil {
-		return sweepShardBatch(ctx, cfg, newApp, kind, s, done, timing, agg, bench.App.Name, sess, buildStart)
-	}
 	timing.build.Add(int64(time.Since(buildStart)))
 	runStart := time.Now()
 	defer func() { timing.run.Add(int64(time.Since(runStart))) }()
@@ -215,64 +212,6 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 		run.Runtime = kind.String() // distinguish EaseIO/Op. in reports
 		agg.Add(run)
 		notifyProgress(cfg, done)
-	}
-	return agg, errs
-}
-
-// sweepShardBatch is sweepShard's lockstep variant (cfg.Batch > 1, no
-// trace sink): the shard's seeds run in chunks of K = min(Batch, shard
-// size) through one kernel.BatchSession whose K sessions each own their
-// own app instance (peripheral models carry per-device state) and supply.
-// Per-seed results are folded in seed order, so the aggregate is
-// byte-identical to the sequential shard; the ragged final chunk simply
-// runs narrower. Cancellation is observed between chunks — a batched
-// sweep stops within one chunk boundary per worker instead of one seed.
-func sweepShardBatch(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, s shard, done *atomic.Int64, timing *shardTimings, agg *stats.Aggregator, appName string, first *kernel.Session, buildStart time.Time) (*stats.Aggregator, []error) {
-	k := cfg.Batch
-	if n := s.hi - s.lo; k > n {
-		k = n
-	}
-	sessions := make([]*kernel.Session, k)
-	sessions[0] = first
-	for j := 1; j < k; j++ {
-		bench, err := newApp()
-		if err != nil {
-			timing.build.Add(int64(time.Since(buildStart)))
-			return agg, []error{fmt.Errorf("experiments: build app for %s runs %d-%d: %w",
-				kind, s.lo, s.hi-1, err)}
-		}
-		sessions[j] = kernel.NewSession(NewRuntime(kind), bench.App, cfg.Supply())
-	}
-	batch := kernel.NewBatchSession(sessions...)
-	seeds := make([]int64, 0, k)
-	timing.build.Add(int64(time.Since(buildStart)))
-	runStart := time.Now()
-	defer func() { timing.run.Add(int64(time.Since(runStart))) }()
-	var errs []error
-	for i := s.lo; i < s.hi; i += k {
-		if ctx.Err() != nil {
-			break
-		}
-		hi := i + k
-		if hi > s.hi {
-			hi = s.hi
-		}
-		seeds = seeds[:0]
-		for j := i; j < hi; j++ {
-			seeds = append(seeds, cfg.BaseSeed+int64(j))
-		}
-		runs, rerrs := batch.Run(seeds)
-		for j, run := range runs {
-			if rerrs[j] != nil {
-				errs = append(errs, fmt.Errorf("experiments: %s on %s (seed %d): %w",
-					appName, kind, seeds[j], rerrs[j]))
-				notifyProgress(cfg, done)
-				continue
-			}
-			run.Runtime = kind.String() // distinguish EaseIO/Op. in reports
-			agg.Add(run)
-			notifyProgress(cfg, done)
-		}
 	}
 	return agg, errs
 }

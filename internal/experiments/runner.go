@@ -137,19 +137,6 @@ type Config struct {
 	// written once per sweep after the workers join; do not share it
 	// between concurrent sweeps.
 	Timings *StageTimings
-	// Batch, when > 1, runs each worker's shard in lockstep chunks of up
-	// to Batch pooled devices stepped through the shared program and
-	// compiled kernels together (see kernel.BatchSession). Results are
-	// byte-identical to the sequential path — devices are independent and
-	// folded in seed order — so Batch only changes execution cost, never
-	// results. It is off by default: on the benchmark apps lockstep
-	// measures slower than sequential pooled runs (the interleaved device
-	// working sets evict each other from cache; see DESIGN.md). Ignored
-	// (the sequential path runs) when a TraceSink is set: the sweep-wide
-	// sink expects one run's events at a time per worker, and lockstep
-	// would interleave seeds. Cancellation granularity coarsens from one
-	// seed to one chunk per worker.
-	Batch int
 }
 
 // StageTimings breaks a sweep's host wall-clock cost into stages: where

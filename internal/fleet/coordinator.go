@@ -18,7 +18,6 @@ import (
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
-	"easeio/internal/rtbase"
 	"easeio/internal/stats"
 	"easeio/internal/wire"
 )
@@ -99,8 +98,8 @@ const (
 	shardDone
 )
 
-// shardState is one shard's live state. lo/hi is the seed-index range
-// (sweeps) or candidate cut range (checks).
+// shardState is one shard's live state. lo/hi is a sweep shard's
+// seed-index range; a check shard is its pre-encoded task.
 type shardState struct {
 	lo, hi      int
 	st          shardStatus
@@ -109,9 +108,9 @@ type shardState struct {
 	leaseExpiry time.Time
 	notBefore   time.Time // backoff gate on the next lease
 	payload     []byte    // the encoded shard result once done
-	// task is the pre-encoded task message for shards whose work unit
-	// cannot be derived from the spec at lease time (subtree shards embed
-	// root checkpoints recorded at plan time). Nil for range shards.
+	// task is a check shard's pre-encoded wire.SubtreeShard: its units
+	// cannot be derived from the spec at lease time (checkpoint roots are
+	// recorded at plan time). Nil for sweep shards.
 	task []byte
 }
 
@@ -122,11 +121,10 @@ type job struct {
 	kind experiments.RuntimeKind
 
 	planned bool
-	hasPlan bool       // check jobs: plan holds the golden header
-	plan    planHeader // valid when hasPlan
-	// level1 marks a subtree-sharded nested check and holds its
-	// coordinator-side level-1 exploration (an encoded wire.CheckResult)
-	// that the merge folds in ahead of the shards' subtree results.
+	plan    check.Header // check jobs: the golden pass's report header
+	// level1 is a check job's coordinator-side level-1 exploration (an
+	// encoded wire.SubtreeResult, empty for k=1) that the merge folds in
+	// ahead of the shards' results.
 	level1    []byte
 	shards    []*shardState
 	remaining int // shards not yet done
@@ -217,7 +215,7 @@ func (c *Coordinator) replay(r record) {
 		if j.planned {
 			return
 		}
-		c.installPlan(j, r.Shards, r.HasPlan, r.Plan, r.Level1, r.Tasks)
+		c.installPlan(j, r)
 	case recLease:
 		// Leases do not survive a restart — the shard stays pending and
 		// will be re-leased without an attempt increment. The record
@@ -328,161 +326,101 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	return id, nil
 }
 
-// planLocked computes and logs the job's shard ranges. Sweep plans are
-// pure arithmetic over the spec; check plans run the golden pass, and
-// exhaustive nested (k > 1) checks additionally run the whole level-1
-// exploration here, cutting the level-1 frontier into subtree shards.
+// planLocked computes and logs the job's shards. Sweep plans are pure
+// arithmetic over the spec; check plans run the checker's planning stage
+// (planCheck).
 func (c *Coordinator) planLocked(j *job) error {
 	parts := j.spec.Shards
 	if parts <= 0 {
 		parts = c.cfg.DefaultShards
 	}
-	var (
-		ranges  [][2]int
-		hasPlan bool
-		ph      planHeader
-		level1  []byte
-		tasks   [][]byte
-		work    int
-	)
+	rec := record{Type: recPlan, Job: j.id}
+	var work int
 	switch j.spec.Mode {
 	case ModeSweep:
-		ranges = splitRange(0, j.spec.Runs, parts)
+		rec.Shards = splitRange(0, j.spec.Runs, parts)
 		work = j.spec.Runs
 	case ModeCheck:
-		if c.cfg.Source == nil {
-			return fmt.Errorf("fleet: check job %d needs a blueprint source", j.id)
-		}
-		factory, ok := c.cfg.Source.LookupFactory(j.spec.App)
-		if !ok {
-			return fmt.Errorf("fleet: unknown app %q", j.spec.App)
-		}
-		cfg := check.Config{
-			Seed: j.spec.Seed, Off: j.spec.Off, Grid: j.spec.Grid,
-			Failures: j.spec.Failures, Exhaustive: j.spec.Exhaustive,
-		}
-		if j.spec.Exhaustive && j.spec.Failures > 1 {
-			var err error
-			ranges, ph, level1, tasks, work, err = c.planNestedLocked(j, factory, cfg, parts)
-			if err != nil {
-				return err
-			}
-			hasPlan = true
-			break
-		}
-		plan, err := check.Golden(factory, j.kind, cfg)
-		if err != nil {
-			return fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
-		}
-		hasPlan = true
-		ph = planHeader{
-			App: plan.App, Runtime: plan.Runtime, Off: plan.Off,
-			GoldenOnTime: plan.GoldenOnTime, GoldenCorrect: plan.GoldenCorrect,
-			Candidates: plan.Candidates, Note: plan.Note,
-		}
-		work = plan.Candidates
-		switch {
-		case plan.Candidates == 0:
-			ranges = nil
-		case !j.spec.Exhaustive:
-			// The adaptive bisection prunes against outcomes across the
-			// whole candidate range: one shard, or the merge would not be
-			// byte-identical to the in-process checker. (This also covers
-			// adaptive k > 1 jobs, whose level 1 is adaptive.)
-			ranges = [][2]int{{0, plan.Candidates}}
-		default:
-			ranges = splitRange(0, plan.Candidates, parts)
+		var err error
+		if work, err = c.planCheck(j, parts, &rec); err != nil {
+			return err
 		}
 	}
 	// Plan-time invariant: pending work must yield at least one shard. A
 	// job planned with work but no shards has no completion path — it
 	// would sit unfinished forever — so fail fast here instead.
-	if work > 0 && len(ranges) == 0 {
+	if work > 0 && len(rec.Shards)+len(rec.Tasks) == 0 {
 		return fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d, DefaultShards=%d)",
 			j.id, work, j.spec.Shards, c.cfg.DefaultShards)
 	}
-	if err := c.wal.append(record{Type: recPlan, Job: j.id, Shards: ranges,
-		HasPlan: hasPlan, Plan: ph, Level1: level1, Tasks: tasks}); err != nil {
+	if err := c.wal.append(rec); err != nil {
 		return err
 	}
-	c.installPlan(j, ranges, hasPlan, ph, level1, tasks)
+	c.installPlan(j, rec)
 	return nil
 }
 
-// planNestedLocked plans an exhaustive nested check: it runs the golden
-// pass plus the full level-1 exploration in the coordinator (the level-1
-// range is never sharded — representative selection is a function of
-// outcomes across the whole range), then cuts the level-1 frontier into
-// contiguous groups of root checkpoints, each pre-encoded as one subtree
-// shard task. The completed level-1 results ride along for the merge.
-// Work is counted in frontier roots: a job whose level-1 exploration
-// leaves nothing to expand legitimately plans zero shards and finishes
-// at submit.
-func (c *Coordinator) planNestedLocked(j *job, factory experiments.AppFactory, cfg check.Config, parts int) (
-	ranges [][2]int, ph planHeader, level1 []byte, tasks [][]byte, work int, err error) {
-	np, err := check.PlanNested(context.Background(), factory, j.kind, cfg)
-	if err != nil {
-		return nil, ph, nil, nil, 0, fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
+// planCheck plans a check job through the checker's own pipeline:
+// check.Plan runs the golden pass (for k > 1 also the whole level-1
+// exploration, which is never sharded — representative selection is a
+// function of outcomes across the whole golden range), and Split cuts the
+// units into at most parts groups, each pre-encoded as one subtree shard
+// task. The level-1 result (empty for k = 1) is journaled with the plan
+// for the merge. Work is counted in units: a job with none left — no
+// candidates, or a level 1 with nothing to expand — legitimately plans
+// zero shards and finishes at submit.
+func (c *Coordinator) planCheck(j *job, parts int, rec *record) (work int, err error) {
+	if c.cfg.Source == nil {
+		return 0, fmt.Errorf("fleet: check job %d needs a blueprint source", j.id)
 	}
-	ph = planHeader{
-		App: np.Plan.App, Runtime: np.Plan.Runtime, Off: np.Plan.Off,
-		GoldenOnTime: np.Plan.GoldenOnTime, GoldenCorrect: np.Plan.GoldenCorrect,
-		Candidates: np.Plan.Candidates, Note: np.Plan.Note,
+	factory, ok := c.cfg.Source.LookupFactory(j.spec.App)
+	if !ok {
+		return 0, fmt.Errorf("fleet: unknown app %q", j.spec.App)
 	}
-	if np.Plan.Candidates == 0 {
-		return nil, ph, nil, nil, 0, nil
-	}
-	if np.Fallback {
-		// The runtime cannot checkpoint: the whole job runs as one
-		// undistributed shard, exactly as before subtree sharding.
-		return [][2]int{{0, np.Plan.Candidates}}, ph, nil, nil, np.Plan.Candidates, nil
-	}
-	level1 = wire.AppendCheckResult(nil, wire.CheckResult{
-		Job: j.id, Explored: np.Explored, Pruned: np.Pruned, Divergences: np.Divergences,
+	p, err := check.Plan(context.Background(), factory, j.kind, check.Config{
+		Seed: j.spec.Seed, Off: j.spec.Off, Grid: j.spec.Grid,
+		Failures: j.spec.Failures, Exhaustive: j.spec.Exhaustive,
 	})
-	ranges = splitRange(0, len(np.Seeds), parts)
-	tasks = make([][]byte, len(ranges))
-	for i, rg := range ranges {
-		roots := make([]wire.SubtreeRoot, 0, rg[1]-rg[0])
-		for _, seed := range np.Seeds[rg[0]:rg[1]] {
-			cpb, err := wire.EncodeCheckpoint(nil, seed.Dev)
-			if err != nil {
-				return nil, ph, nil, nil, 0, fmt.Errorf("fleet: job %d: encode subtree root: %w", j.id, err)
-			}
-			st, ok := seed.RT.(*rtbase.BaseState)
-			if !ok {
-				return nil, ph, nil, nil, 0, fmt.Errorf("fleet: job %d: runtime state %T is not wire-encodable", j.id, seed.RT)
-			}
-			roots = append(roots, wire.SubtreeRoot{
-				Schedule: seed.Schedule, Collapsed: seed.Collapsed,
-				Checkpoint: cpb, RT: st.Export(),
-			})
-		}
-		tasks[i] = wire.AppendSubtreeShard(nil, wire.SubtreeShard{
-			Job: j.id, Shard: i, App: j.spec.App, Runtime: j.spec.Runtime,
-			Seed: j.spec.Seed, Off: ph.Off, Failures: j.spec.Failures,
-			Exhaustive: true, Grid: j.spec.Grid, Workers: j.spec.ShardWorkers,
-			Roots: roots,
-		})
+	if err != nil {
+		return 0, fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
 	}
-	return ranges, ph, level1, tasks, len(np.Seeds), nil
+	rec.HasPlan, rec.Plan = true, p.Header
+	rec.Level1 = wire.AppendSubtreeResult(nil, wire.SubtreeResult{
+		Job: j.id, Depths: p.Level1.Depths, Divergences: p.Level1.Divergences,
+	})
+	for i, group := range p.Split(parts) {
+		units := make([]wire.Unit, len(group))
+		for k, u := range group {
+			if units[k], err = wireUnit(u); err != nil {
+				return 0, fmt.Errorf("fleet: job %d: %w", j.id, err)
+			}
+		}
+		rec.Tasks = append(rec.Tasks, wire.AppendSubtreeShard(nil, wire.SubtreeShard{
+			Job: j.id, Shard: i, App: j.spec.App, Runtime: j.spec.Runtime,
+			Seed: j.spec.Seed, Off: p.Off, Failures: j.spec.Failures,
+			Exhaustive: j.spec.Exhaustive, Grid: j.spec.Grid, Workers: j.spec.ShardWorkers,
+			Units: units,
+		}))
+	}
+	return len(p.Units), nil
 }
 
-// installPlan applies a planned (or replayed) shard layout.
-func (c *Coordinator) installPlan(j *job, ranges [][2]int, hasPlan bool, ph planHeader, level1 []byte, tasks [][]byte) {
+// installPlan applies a planned (or replayed) plan record: one shard per
+// sweep range or check task. The journaled check header omits the fields
+// the spec determines, so they are restored from the spec here.
+func (c *Coordinator) installPlan(j *job, r record) {
 	j.planned = true
-	j.hasPlan = hasPlan
-	j.plan = ph
-	j.level1 = level1
-	j.shards = make([]*shardState, len(ranges))
-	for i, r := range ranges {
-		sh := &shardState{lo: r[0], hi: r[1]}
-		if i < len(tasks) {
-			sh.task = tasks[i]
-		}
-		j.shards[i] = sh
+	j.plan = r.Plan
+	j.plan.Seed, j.plan.Failures = j.spec.Seed, max(j.spec.Failures, 1)
+	j.level1 = r.Level1
+	j.shards = nil
+	for _, rg := range r.Shards {
+		j.shards = append(j.shards, &shardState{lo: rg[0], hi: rg[1]})
 	}
-	j.remaining = len(ranges)
+	for _, t := range r.Tasks {
+		j.shards = append(j.shards, &shardState{task: t})
+	}
+	j.remaining = len(j.shards)
 }
 
 // splitRange splits [lo, hi) into at most parts contiguous near-equal
@@ -514,10 +452,10 @@ func splitRange(lo, hi, parts int) [][2]int {
 }
 
 // Lease hands the named worker one pending shard as an encoded task
-// (wire.SweepShard, wire.CheckShard, or wire.SubtreeShard — dispatch on
-// wire.PeekKind), or ok=false when nothing is pending. Jobs are scanned in submission
-// order, shards in range order, so a single worker drains jobs in the
-// order a sequential engine would.
+// (wire.SweepShard or wire.SubtreeShard — dispatch on wire.PeekKind), or
+// ok=false when nothing is pending. Jobs are scanned in submission order,
+// shards in plan order, so a single worker drains jobs in the order a
+// sequential engine would.
 func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -552,7 +490,7 @@ func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 	return nil, false, nil
 }
 
-// encodeTask renders one shard as its wire task message. Subtree shards
+// encodeTask renders one shard as its wire task message. Check shards
 // were encoded at plan time (their root checkpoints exist only then) and
 // are handed out verbatim.
 func (c *Coordinator) encodeTask(j *job, idx int, sh *shardState) []byte {
@@ -560,17 +498,9 @@ func (c *Coordinator) encodeTask(j *job, idx int, sh *shardState) []byte {
 		return sh.task
 	}
 	s := j.spec
-	if s.Mode == ModeSweep {
-		return wire.AppendSweepShard(nil, wire.SweepShard{
-			Job: j.id, Shard: idx, App: s.App, Runtime: s.Runtime,
-			BaseSeed: s.BaseSeed, Lo: sh.lo, Hi: sh.hi, Workers: s.ShardWorkers,
-		})
-	}
-	return wire.AppendCheckShard(nil, wire.CheckShard{
+	return wire.AppendSweepShard(nil, wire.SweepShard{
 		Job: j.id, Shard: idx, App: s.App, Runtime: s.Runtime,
-		Seed: s.Seed, Off: j.plan.Off, CutLo: sh.lo, CutHi: sh.hi,
-		Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.ShardWorkers,
-		Failures: s.Failures,
+		BaseSeed: s.BaseSeed, Lo: sh.lo, Hi: sh.hi, Workers: s.ShardWorkers,
 	})
 }
 
@@ -597,7 +527,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 }
 
 // Complete accepts a worker's encoded shard result (wire.SweepResult or
-// wire.CheckResult). Duplicate or stale completions are ignored: the
+// wire.SubtreeResult). Duplicate or stale completions are ignored: the
 // first logged result for a shard is the result. Completing the job's
 // last shard merges and finishes the job.
 func (c *Coordinator) Complete(worker string, payload []byte) error {
@@ -638,12 +568,6 @@ func resultIDs(payload []byte) (uint64, int, error) {
 	switch wire.PeekKind(payload) {
 	case wire.KindSweepResult:
 		r, err := wire.DecodeSweepResult(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Job, r.Shard, nil
-	case wire.KindCheckResult:
-		r, err := wire.DecodeCheckResult(payload)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -737,36 +661,17 @@ func (c *Coordinator) mergeLocked(j *job) error {
 		}
 		res = Result{Mode: ModeSweep, Summary: agg.Summary(), Errs: errs}
 	case ModeCheck:
-		failures := j.spec.Failures
-		if failures <= 0 {
-			failures = 1
-		}
-		if j.level1 != nil {
-			rep, err := c.mergeSubtreeJob(j, failures)
+		// The coordinator's level-1 result first, then the shards in plan
+		// order: the part order check.Merge folds into check.Run's report.
+		parts := make([]check.UnitReport, 0, 1+len(j.shards))
+		for i, b := range append([][]byte{j.level1}, payloads(j.shards)...) {
+			r, err := wire.DecodeSubtreeResult(b)
 			if err != nil {
-				return err
+				return fmt.Errorf("fleet: merge job %d part %d: %w", j.id, i, err)
 			}
-			res = Result{Mode: ModeCheck, Report: rep}
-			break
+			parts = append(parts, check.UnitReport{Depths: r.Depths, Divergences: r.Divergences})
 		}
-		rep := &check.Report{
-			App: j.plan.App, Runtime: j.plan.Runtime,
-			Seed: j.spec.Seed, Off: j.plan.Off, Failures: failures,
-			GoldenOnTime: j.plan.GoldenOnTime, GoldenCorrect: j.plan.GoldenCorrect,
-			Candidates: j.plan.Candidates, Note: j.plan.Note,
-		}
-		for _, sh := range j.shards {
-			cr, err := wire.DecodeCheckResult(sh.payload)
-			if err != nil {
-				return fmt.Errorf("fleet: merge job %d: %w", j.id, err)
-			}
-			rep.Explored += cr.Explored
-			rep.Depths = append(rep.Depths, cr.Depths...)
-			rep.Divergences = append(rep.Divergences, cr.Divergences...)
-		}
-		rep.Pruned = rep.Candidates - rep.Explored
-		rep.Minimal = check.MinimalSchedule(rep.Divergences)
-		res = Result{Mode: ModeCheck, Report: rep}
+		res = Result{Mode: ModeCheck, Report: check.Merge(j.plan, parts)}
 	}
 	if err := c.wal.append(record{Type: recJobDone, Job: j.id, Payload: encodeResultPayload(res), Errs: res.Errs}); err != nil {
 		return err
@@ -778,34 +683,13 @@ func (c *Coordinator) mergeLocked(j *job) error {
 	return nil
 }
 
-// mergeSubtreeJob assembles a subtree-sharded nested check: the
-// coordinator's own level-1 results (journaled at plan time) come first,
-// then the shards' subtree reports merge in group order — the same
-// check.MergeSubtrees + NestedPlan.Report path the in-process pipeline
-// test pins, so the fleet report is deep-equal to check.Run's.
-func (c *Coordinator) mergeSubtreeJob(j *job, failures int) (*check.Report, error) {
-	l1, err := wire.DecodeCheckResult(j.level1)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: merge job %d level-1 results: %w", j.id, err)
+// payloads lists the shards' result payloads in plan order.
+func payloads(shards []*shardState) [][]byte {
+	out := make([][]byte, len(shards))
+	for i, sh := range shards {
+		out[i] = sh.payload
 	}
-	np := &check.NestedPlan{
-		Plan: &check.Plan{
-			App: j.plan.App, Runtime: j.plan.Runtime,
-			Seed: j.spec.Seed, Off: j.plan.Off, Failures: failures,
-			GoldenOnTime: j.plan.GoldenOnTime, GoldenCorrect: j.plan.GoldenCorrect,
-			Candidates: j.plan.Candidates, Note: j.plan.Note,
-		},
-		Explored: l1.Explored, Pruned: l1.Pruned, Divergences: l1.Divergences,
-	}
-	parts := make([]check.SubtreeReport, 0, len(j.shards))
-	for i, sh := range j.shards {
-		sr, err := wire.DecodeSubtreeResult(sh.payload)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: merge job %d shard %d: %w", j.id, i, err)
-		}
-		parts = append(parts, check.SubtreeReport{Depths: sr.Depths, Divergences: sr.Divergences})
-	}
-	return np.Report(check.MergeSubtrees(parts)), nil
+	return out
 }
 
 // finish applies a terminal state and wakes waiters.

@@ -1,8 +1,8 @@
 // Package fleet is the distributed sweep/check subsystem: a coordinator
 // that shards jobs across N workers — sweep jobs by contiguous seed
-// range, exhaustive check jobs by candidate cut range — and merges shard
-// results back into exactly the Summary or Report a single process would
-// have produced.
+// range, check jobs as groups of the checker's work units — and merges
+// shard results back into exactly the Summary or Report a single process
+// would have produced.
 //
 // Durability: every job state transition (submitted → planned → shard
 // leased → shard complete → merged / failed) is a record in a
@@ -16,17 +16,15 @@
 // Determinism: the merged results are byte-identical to the in-process
 // engines (experiments.RunMany, check.Run) because both engines fold
 // order-dependent state only — a sweep shard ships its raw
-// stats.AggregatorState and shards merge in seed order; an exhaustive
-// check shard ships divergences under absolute candidate indices and
-// shards concatenate in cut order onto the plan's golden header.
-// Adaptive (bisection) checks stay a single shard: their pruning
-// decisions depend on outcomes across the whole candidate range.
-// Exhaustive nested (k > 1) checks run level 1 in the coordinator —
-// representative selection is likewise a whole-range decision — then
-// shard the level-1 frontier as subtree work units (wire.SubtreeShard):
-// each carries a contiguous group of root checkpoints that a stateless
-// worker restores and grows to depth k (see DESIGN.md on the subtree
-// work-unit contract).
+// stats.AggregatorState and shards merge in seed order. A check job runs
+// the checker's own pipeline: check.Plan in the coordinator (the golden
+// pass, plus level 1 for k > 1), Planned.Split into unit groups shipped
+// as wire.SubtreeShard tasks that stateless workers grow with
+// check.RunUnits, and check.Merge over the journaled level-1 result and
+// the shard results in shard order. The split policy — an exhaustive
+// k=1 job's boot unit by cut range, an adaptive k=1 job as one unit, any
+// k > 1 job by its level-1 roots — keeps every merge exact (see DESIGN.md
+// on the check work unit).
 //
 // Transports: workers pull work — Lease/Complete/Fail — either
 // in-process (loopback workers, the testing and single-host mode) or
@@ -39,6 +37,7 @@ import (
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
+	"easeio/internal/rtbase"
 	"easeio/internal/stats"
 	"easeio/internal/wire"
 )
@@ -67,10 +66,10 @@ type Spec struct {
 	BaseSeed int64
 
 	// Check: the replayed seed and the exploration parameters. Failures
-	// is the nested-failure depth k (0 defaults to 1). Exhaustive k > 1
-	// jobs shard at the level-1 frontier (subtree work units); adaptive
-	// k > 1 jobs stay a single shard, because their level-1 pruning
-	// depends on outcomes across the whole candidate range.
+	// is the nested-failure depth k (0 defaults to 1). Every k > 1 job,
+	// exhaustive or adaptive, shards at the level-1 frontier; a k=1 job
+	// shards its cut range when exhaustive and stays one shard when
+	// adaptive, because bisection prunes across the whole range.
 	Seed       int64
 	Off        time.Duration
 	Grid       int
@@ -162,4 +161,37 @@ func decodeResultPayload(mode string, b []byte) (Result, error) {
 		return Result{Mode: mode, Report: &rep}, nil
 	}
 	return Result{}, fmt.Errorf("fleet: result of unknown mode %q", mode)
+}
+
+// wireUnit encodes a planned unit for shipping: a boot root travels
+// bare, a checkpoint root with its device checkpoint and runtime state.
+func wireUnit(u check.Unit) (wire.Unit, error) {
+	w := wire.Unit{Schedule: u.Schedule, Collapsed: u.Collapsed, CutLo: u.CutLo, CutHi: u.CutHi}
+	if u.Dev == nil {
+		return w, nil
+	}
+	cp, err := wire.EncodeCheckpoint(nil, u.Dev)
+	if err != nil {
+		return w, fmt.Errorf("encode unit root: %w", err)
+	}
+	st, ok := u.RT.(*rtbase.BaseState)
+	if !ok {
+		return w, fmt.Errorf("runtime state %T is not wire-encodable", u.RT)
+	}
+	w.Checkpoint, w.RT = cp, st.Export()
+	return w, nil
+}
+
+// checkUnit is wireUnit's inverse on the worker side.
+func checkUnit(w wire.Unit) (check.Unit, error) {
+	u := check.Unit{Schedule: w.Schedule, Collapsed: w.Collapsed, CutLo: w.CutLo, CutHi: w.CutHi}
+	if len(w.Checkpoint) == 0 {
+		return u, nil
+	}
+	cp, err := wire.DecodeCheckpoint(w.Checkpoint)
+	if err != nil {
+		return u, fmt.Errorf("decode unit root: %w", err)
+	}
+	u.Dev, u.RT = cp, rtbase.ImportBaseState(w.RT)
+	return u, nil
 }

@@ -8,7 +8,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -141,9 +143,9 @@ func TestFleetSweepByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetCheckByteIdentity pins the checker half: an exhaustive check
-// sharded by cut range (and an adaptive check, which plans as a single
-// shard) renders byte-identically to check.Run.
+// TestFleetCheckByteIdentity pins the checker half at k=1: an exhaustive
+// check, whose boot unit is split by cut range, (and an adaptive check,
+// whose boot unit stays whole) renders byte-identically to check.Run.
 func TestFleetCheckByteIdentity(t *testing.T) {
 	c := newTestCoordinator(t, nil)
 	startLoopback(t, c, 2)
@@ -212,6 +214,7 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 		{"fig6", check.Fig6Bench, experiments.EaseIO, false, 1},
 		{"sensor", testApps["sensor"], experiments.EaseIO, true, 2},
 	} {
+		tc := tc
 		spec := Spec{
 			Mode: ModeCheck, App: tc.app, Runtime: tc.kind.String(),
 			Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
@@ -248,6 +251,45 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 		if tc.app == "fig6" && tc.wantDiverg && len(res.Report.Minimal) != 1 {
 			t.Errorf("%s/%s: minimal schedule %v, want 1 failure", tc.app, tc.kind, res.Report.Minimal)
 		}
+	}
+
+	// Adaptive k=2 jobs shard at the level-1 frontier too: bisection below
+	// level 1 is local to each subtree, so the split is exact and the
+	// merged report must be deep-equal to the in-process checker's.
+	multi := false
+	for _, app := range []string{"fig6", "sensor"} {
+		for _, kind := range []experiments.RuntimeKind{experiments.Alpaca, experiments.EaseIO} {
+			spec := Spec{
+				Mode: ModeCheck, App: app, Runtime: kind.String(),
+				Grid: 16, Failures: 2, Shards: 3, ShardWorkers: 2,
+			}
+			id, err := c.Submit(spec)
+			if err != nil {
+				t.Fatalf("adaptive %s/%s: %v", app, kind, err)
+			}
+			res := waitResult(t, c, id)
+			cfg := check.Config{Grid: 16, Failures: 2, Workers: 2}
+			p, err := check.Plan(context.Background(), testApps[app], kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(p.Split(spec.Shards))
+			if _, total, ok := c.Progress(id); !ok || total != want {
+				t.Errorf("adaptive %s/%s: planned %d shards, want %d", app, kind, total, want)
+			}
+			multi = multi || want >= 2
+			ref, err := check.Run(context.Background(), testApps[app], kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Report, ref) {
+				t.Errorf("adaptive %s/%s: fleet k=2 report differs from check.Run:\n--- fleet ---\n%s--- direct ---\n%s",
+					app, kind, res.Report.Render(), ref.Render())
+			}
+		}
+	}
+	if !multi {
+		t.Error("no adaptive k=2 job planned more than one shard")
 	}
 }
 
@@ -457,17 +499,13 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			Seed: 17, Off: 3 * time.Millisecond, Grid: 64, Exhaustive: true,
 		}},
 		{Type: recPlan, Job: 3, Shards: [][2]int{{0, 20}, {20, 40}}},
-		{Type: recPlan, Job: 4, HasPlan: true, Plan: planHeader{
-			App: "fig6-app", Runtime: "Alpaca", GoldenOnTime: time.Second,
-			GoldenCorrect: true, Candidates: 12, Note: "",
-		}, Shards: [][2]int{{0, 12}}},
-		{Type: recPlan, Job: 5, HasPlan: true, Plan: planHeader{Note: "nothing to do"}},
-		{Type: recPlan, Job: 6, HasPlan: true, Plan: planHeader{
-			App: "fig6-app", Runtime: "Alpaca", GoldenOnTime: time.Second,
-			GoldenCorrect: true, Candidates: 9,
-		}, Shards: [][2]int{{0, 1}, {1, 2}},
-			Level1: []byte{0xA, 0xB, 0xC},
-			Tasks:  [][]byte{{1}, {2, 3}}},
+		{Type: recPlan, Job: 5, HasPlan: true, Plan: check.Header{Note: "nothing to do"},
+			Level1: []byte{0xD}},
+		{Type: recPlan, Job: 6, HasPlan: true, Plan: check.Header{
+			App: "fig6-app", Runtime: "Alpaca", Off: time.Millisecond,
+			GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
+		}, Level1: []byte{0xA, 0xB, 0xC},
+			Tasks: [][]byte{{1}, {2, 3}}},
 		{Type: recLease, Job: 3, Shard: 1, Worker: "w0", At: 12345},
 		{Type: recShardDone, Job: 3, Shard: 1, Payload: []byte{1, 2, 3}},
 		{Type: recShardFail, Job: 3, Shard: 0, Err: "boom", At: 987654321},
@@ -493,6 +531,90 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeRecord(append(full, 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestWALRefusesOlderWireVersion pins the decision for logs written by a
+// build with an older wire encoding: the coordinator refuses to open
+// them, with one error naming the unsupported version, rather than
+// re-running or mis-merging (or waiting forever on) their jobs. The
+// fixture is a real log — a finished k=1 check job and an unfinished
+// k=2 one — with every embedded payload's version byte patched to 2.
+func TestWALRefusesOlderWireVersion(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.wal")
+	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Submit(Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
+		Exhaustive: true, Failures: 2, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		task, ok, err := c.Lease("w0")
+		if err != nil || !ok {
+			t.Fatalf("lease: ok=%v err=%v", ok, err)
+		}
+		result, err := ExecuteShard(context.Background(), testApps, task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Complete("w0", result); err != nil {
+			t.Fatal(err)
+		}
+		if d, total, _ := c.Progress(done); d == total {
+			break
+		}
+	}
+	c.Close()
+
+	// The current build reopens its own log.
+	c, err = New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err != nil {
+		t.Fatalf("reopening a current-version WAL: %v", err)
+	}
+	c.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patched []byte
+	rd := bytes.NewReader(data)
+	for {
+		payload, err := wire.ReadFrame(rd)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range append([][]byte{r.Payload, r.Level1}, r.Tasks...) {
+			if len(b) > 2 {
+				b[2] = 2
+			}
+		}
+		patched = wire.AppendFrame(patched, r.encode())
+	}
+	if err := os.WriteFile(path, patched, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err = New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err == nil {
+		c.Close()
+		t.Fatal("a WAL of wire-version-2 payloads opened without error")
+	}
+	if !strings.Contains(err.Error(), "unsupported version 2 (have 3)") {
+		t.Errorf("error %q does not name the unsupported version", err)
 	}
 }
 

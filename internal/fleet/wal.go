@@ -21,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"easeio/internal/check"
 	"easeio/internal/wire"
 )
 
@@ -66,20 +67,19 @@ type record struct {
 
 	Spec Spec // recSubmit
 
-	// recPlan: the shard ranges, plus the check plan header when the
-	// job is a check (sweep plans are fully determined by the spec, but
-	// a check plan carries the golden pass's outputs).
+	// recPlan: a sweep plan's shard ranges (fully determined by the
+	// spec), or a check plan's golden header, level-1 result (an encoded
+	// wire.SubtreeResult, empty for k=1) and pre-encoded shard tasks (one
+	// wire.SubtreeShard per shard). The check fields must be durable —
+	// the level-1 outcomes and root checkpoints they embed are consumed
+	// state, not replayable from the spec without re-running the
+	// exploration. The header omits Seed and Failures, which the spec
+	// determines.
 	Shards  [][2]int
 	HasPlan bool
-	Plan    planHeader
-	// Level1/Tasks are set for subtree-sharded nested check plans:
-	// Level1 is the coordinator's completed level-1 exploration (an
-	// encoded wire.CheckResult) and Tasks the pre-encoded subtree shard
-	// messages, aligned with Shards. They must be durable — the level-1
-	// outcomes and root checkpoints they embed are consumed state, not
-	// replayable from the spec without re-running the exploration.
-	Level1 []byte
-	Tasks  [][]byte
+	Plan    check.Header
+	Level1  []byte
+	Tasks   [][]byte
 
 	Shard  int    // recLease, recShardDone, recShardFail
 	Worker string // recLease
@@ -88,22 +88,6 @@ type record struct {
 	Payload []byte   // recShardDone (shard result), recJobDone (merged result)
 	Errs    []string // recJobDone: flattened per-run sweep errors
 	Err     string   // recShardFail, recJobFail
-}
-
-// planHeader is the golden-pass output a check job's recPlan persists,
-// so recovery rebuilds the report skeleton without re-running golden.
-// App and Runtime are the *report* names (the blueprint's App.Name and
-// the runtime label), which need not equal the spec's registry key.
-type planHeader struct {
-	App     string
-	Runtime string
-	// Off is the checker's filled off-time (the spec may leave it zero
-	// and take check's default; the report header shows the real value).
-	Off           time.Duration
-	GoldenOnTime  time.Duration
-	GoldenCorrect bool
-	Candidates    int
-	Note          string
 }
 
 // encode renders the record as a frame payload: the type byte followed
@@ -199,7 +183,7 @@ func decodeRecord(b []byte) (record, error) {
 	case recPlan:
 		r.HasPlan = d.Bool()
 		if r.HasPlan {
-			r.Plan = planHeader{
+			r.Plan = check.Header{
 				App:           d.String(),
 				Runtime:       d.String(),
 				Off:           time.Duration(d.Varint()),
@@ -267,6 +251,27 @@ func decodeRecord(b []byte) (record, error) {
 	return r, nil
 }
 
+// checkVersion refuses records written with an older wire encoding:
+// every embedded wire payload must carry the current wire.Version, and a
+// check plan must carry its level-1 result (version-2 check plans held
+// cut ranges instead of encoded units). Resuming such a log could
+// silently re-run or mis-merge its jobs, so the coordinator refuses to
+// open it; finish or drop those jobs with the build that wrote them.
+func (r record) checkVersion() error {
+	if r.Type == recPlan && r.HasPlan && len(r.Level1) == 0 {
+		return fmt.Errorf("check plan of job %d has no level-1 result: written before wire version %d", r.Job, wire.Version)
+	}
+	for _, b := range append([][]byte{r.Payload, r.Level1}, r.Tasks...) {
+		if len(b) == 0 {
+			continue
+		}
+		if err := wire.CheckVersion(b); err != nil {
+			return fmt.Errorf("%s record of job %d: %w", r.Type, r.Job, err)
+		}
+	}
+	return nil
+}
+
 // wal is the open log. Appends serialize under mu; every append is
 // fsynced before it returns, so a record the caller saw succeed survives
 // any later crash.
@@ -311,6 +316,9 @@ func openWAL(path string, obs func(time.Duration)) (*wal, []record, error) {
 			return nil, nil, fmt.Errorf("fleet: WAL at byte %d: %w", goodEnd, err)
 		}
 		rec, err := decodeRecord(payload)
+		if err == nil {
+			err = rec.checkVersion()
+		}
 		if err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("fleet: WAL record at byte %d: %w", goodEnd, err)

@@ -14,16 +14,16 @@ import (
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
-	"easeio/internal/rtbase"
 	"easeio/internal/wire"
 )
 
-// ExecuteShard runs one shard task (a wire.SweepShard, wire.CheckShard,
-// or wire.SubtreeShard message, dispatched on wire.PeekKind) and returns
-// the encoded shard result. Per-run failures inside a sweep shard are not errors here —
-// they travel inside the SweepResult exactly as the in-process engine
-// folds them into its joined error. An error return means the shard
-// itself could not run and should be failed back to the coordinator.
+// ExecuteShard runs one shard task (a wire.SweepShard or
+// wire.SubtreeShard message, dispatched on wire.PeekKind) and returns the
+// encoded shard result. Per-run failures inside a sweep shard are not
+// errors here — they travel inside the SweepResult exactly as the
+// in-process engine folds them into its joined error. An error return
+// means the shard itself could not run and should be failed back to the
+// coordinator.
 func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte, error) {
 	switch kind := wire.PeekKind(task); kind {
 	case wire.KindSweepShard:
@@ -35,12 +35,6 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		// Shards run unbatched: lockstep width would be a purely local
-		// knob (the fold is byte-identical at any width, so the wire
-		// format deliberately carries no batch field), but measured
-		// steady-state lockstep is slower than pooled sequential runs on
-		// the benchmark apps — interleaved device working sets evict each
-		// other from cache (see DESIGN.md on batch lockstep).
 		cfg := experiments.Config{Runs: s.Hi, BaseSeed: s.BaseSeed, Workers: s.Workers}
 		agg, runErr := experiments.RunRangeAgg(ctx, cfg, factory, rt, s.Lo, s.Hi)
 		if err := ctx.Err(); err != nil {
@@ -54,28 +48,6 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		return wire.AppendSweepResult(nil, wire.SweepResult{
 			Job: s.Job, Shard: s.Shard, Agg: agg.Export(), Errs: flattenErr(runErr),
 		}), nil
-	case wire.KindCheckShard:
-		s, err := wire.DecodeCheckShard(task)
-		if err != nil {
-			return nil, err
-		}
-		factory, rt, err := resolve(src, s.App, s.Runtime)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := check.Run(ctx, factory, rt, check.Config{
-			Seed: s.Seed, Off: s.Off, Failures: s.Failures, FromBoot: s.FromBoot,
-			CutLo: s.CutLo, CutHi: s.CutHi,
-			Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendCheckResult(nil, wire.CheckResult{
-			Job: s.Job, Shard: s.Shard,
-			Explored: rep.Explored, Pruned: rep.Pruned,
-			Depths: rep.Depths, Divergences: rep.Divergences,
-		}), nil
 	case wire.KindSubtreeShard:
 		s, err := wire.DecodeSubtreeShard(task)
 		if err != nil {
@@ -85,23 +57,16 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		roots := make([]check.SubtreeSeed, len(s.Roots))
-		for i, r := range s.Roots {
-			cp, err := wire.DecodeCheckpoint(r.Checkpoint)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: subtree root %d: %w", i, err)
-			}
-			roots[i] = check.SubtreeSeed{
-				Schedule:  r.Schedule,
-				Collapsed: r.Collapsed,
-				Dev:       cp,
-				RT:        rtbase.ImportBaseState(r.RT),
+		units := make([]check.Unit, len(s.Units))
+		for i, u := range s.Units {
+			if units[i], err = checkUnit(u); err != nil {
+				return nil, fmt.Errorf("fleet: unit %d: %w", i, err)
 			}
 		}
-		rep, err := check.RunSubtree(ctx, factory, rt, check.Config{
+		rep, err := check.RunUnits(ctx, factory, rt, check.Config{
 			Seed: s.Seed, Off: s.Off, Failures: s.Failures,
 			Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.Workers,
-		}, roots)
+		}, units)
 		if err != nil {
 			return nil, err
 		}
@@ -151,12 +116,6 @@ func taskIDs(task []byte) (uint64, int, error) {
 	switch wire.PeekKind(task) {
 	case wire.KindSweepShard:
 		s, err := wire.DecodeSweepShard(task)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Job, s.Shard, nil
-	case wire.KindCheckShard:
-		s, err := wire.DecodeCheckShard(task)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -67,9 +67,8 @@ func (s *Session) Run(seed int64) (*stats.Run, error) {
 
 // prepare brings the session's device to the ready-to-run state for seed:
 // a fresh device plus attach on the first run (or for runtimes without
-// Resetter), an in-place device + runtime reset afterwards. It is the
-// shared front half of Run and of the batch scheduler (see batch.go),
-// which drives the reboot loop itself instead of calling RunAttached.
+// Resetter), an in-place device + runtime reset afterwards — Run's front
+// half, before RunAttached drives the reboot loop.
 func (s *Session) prepare(seed int64) error {
 	r, ok := s.rt.(Resetter)
 	if s.dev == nil || !ok {

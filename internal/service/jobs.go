@@ -82,19 +82,13 @@ type JobSpec struct {
 	// Workers bounds the job's parallelism (defaults to GOMAXPROCS); the
 	// result is worker-count-invariant either way.
 	Workers int `json:"workers,omitempty"`
-	// Batch, when > 1, asks a sweep job's workers to run their seeds in
-	// lockstep chunks of up to Batch pooled devices (see
-	// experiments.Config.Batch). Purely a throughput knob: the summary is
-	// byte-identical to an unbatched run. At most 1024. Check jobs and
-	// fleet-delegated jobs ignore it (fleet workers choose their own
-	// batching; the wire shard format carries no batch field).
-	Batch int `json:"batch,omitempty"`
 	// TimeoutMs, when positive, bounds the job's total lifetime (queue
 	// wait plus execution); an expired job is cancelled at the next seed
 	// or failure-point boundary. At most 24 hours.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// CheckGrid is the check-mode exploration grid (defaults to 128);
-	// CheckExhaustive replays every candidate failure point.
+	// CheckGrid is the check-mode exploration grid (0 defaults to 128;
+	// negative is rejected); CheckExhaustive replays every candidate
+	// failure point. Sweep jobs reject both.
 	CheckGrid       int  `json:"check_grid,omitempty"`
 	CheckExhaustive bool `json:"check_exhaustive,omitempty"`
 	// Failures is the check-mode nested-failure depth k: schedules
@@ -330,10 +324,6 @@ func (m *Manager) RunningJobs() int { return int(m.running.Load()) }
 // client bug, not a workload.
 const maxJobTimeout = 24 * time.Hour
 
-// maxJobBatch bounds JobSpec.Batch: each batch slot owns a full device
-// plus app instance, so an absurd width is a client bug, not a workload.
-const maxJobBatch = 1024
-
 // Submit validates and enqueues a job. It never blocks: a full queue
 // returns ErrQueueFull immediately (the HTTP layer's 429).
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
@@ -356,13 +346,19 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		if spec.Failures != 0 {
 			return nil, fmt.Errorf("service: sweep job does not take a failure depth (got %d)", spec.Failures)
 		}
+		if spec.CheckGrid != 0 {
+			return nil, fmt.Errorf("service: sweep job does not take a check grid (got %d)", spec.CheckGrid)
+		}
+		if spec.CheckExhaustive {
+			return nil, fmt.Errorf("service: sweep job does not take check_exhaustive")
+		}
 	case "check":
 		// The golden run determines the point count; Runs is meaningless.
 		if spec.Runs != 0 {
 			return nil, fmt.Errorf("service: check job does not take a run count (got %d)", spec.Runs)
 		}
-		if spec.Batch != 0 {
-			return nil, fmt.Errorf("service: check job does not take a batch width (got %d)", spec.Batch)
+		if spec.CheckGrid < 0 {
+			return nil, fmt.Errorf("service: check grid %d is negative (0 means the default)", spec.CheckGrid)
 		}
 		if spec.Failures != 0 {
 			if err := check.ValidateFailures(spec.Failures); err != nil {
@@ -374,9 +370,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	if spec.TimeoutMs < 0 || time.Duration(spec.TimeoutMs)*time.Millisecond > maxJobTimeout {
 		return nil, fmt.Errorf("service: timeout %d ms out of range (want 0 for none, at most 24h)", spec.TimeoutMs)
-	}
-	if spec.Batch < 0 || spec.Batch > maxJobBatch {
-		return nil, fmt.Errorf("service: batch width %d out of range (want 0-%d)", spec.Batch, maxJobBatch)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -570,7 +563,6 @@ func (m *Manager) runJob(j *Job) {
 		Runs:     j.Spec.Runs,
 		BaseSeed: j.Spec.BaseSeed,
 		Workers:  j.Spec.Workers,
-		Batch:    j.Spec.Batch,
 		Progress: func(done, total int) {
 			j.done.Store(int64(done))
 			m.metrics.RunsCompleted.Add(1)
@@ -630,9 +622,9 @@ func (m *Manager) observeFinished(j *Job, jl *slog.Logger) {
 // runFleetJob delegates one job to the fleet coordinator and waits for
 // the merged result — byte-identical to what the in-process path would
 // have produced, so delegation changes scheduling, never results. That
-// includes exhaustive nested (k > 1) checks, which the coordinator
-// shards at the level-1 frontier so the checkpoint tree's subtrees grow
-// on fleet workers. While waiting, a watcher mirrors shard progress
+// includes nested (k > 1) checks, which the coordinator shards at the
+// level-1 frontier so the checkpoint tree's subtrees grow on fleet
+// workers. While waiting, a watcher mirrors shard progress
 // into the job (Progress counts shards, not seeds, in fleet mode) and
 // arms the execution deadline when the first shard lease is granted.
 func (m *Manager) runFleetJob(j *Job) {

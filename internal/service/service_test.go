@@ -449,6 +449,21 @@ func TestSubmitValidation(t *testing.T) {
 			wantErr: "service: sweep job does not take a failure depth (got 2)",
 		},
 		{
+			name:    "sweep job with check grid",
+			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, CheckGrid: 32},
+			wantErr: "service: sweep job does not take a check grid (got 32)",
+		},
+		{
+			name:    "sweep job with check_exhaustive",
+			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, CheckExhaustive: true},
+			wantErr: "service: sweep job does not take check_exhaustive",
+		},
+		{
+			name:    "check job negative grid",
+			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Mode: "check", CheckGrid: -8},
+			wantErr: "service: check grid -8 is negative (0 means the default)",
+		},
+		{
 			name:    "check job failure depth too deep",
 			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Mode: "check", Failures: 5},
 			wantErr: "service: check: failure depth 5 out of range [1, 4]",
@@ -493,9 +508,15 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 
-	// A spec with an unknown JSON field dies in the decoder, also a 400.
-	if _, code := postJob(t, srv.URL, `{"app":"dma","bogus":1}`); code != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", code)
+	// A spec with an unknown JSON field dies in the decoder, also a 400 —
+	// including the retired lockstep "batch" width.
+	for _, body := range []string{
+		`{"app":"dma","bogus":1}`,
+		`{"app":"dma","runtime":"EaseIO","runs":4,"batch":8}`,
+	} {
+		if _, code := postJob(t, srv.URL, body); code != http.StatusBadRequest {
+			t.Errorf("unknown field in %s: status %d, want 400", body, code)
+		}
 	}
 	// None of the rejections may consume a queue slot.
 	if got := metrics.JobsAccepted.Load(); got != 0 {

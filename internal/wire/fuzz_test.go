@@ -65,13 +65,14 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 func FuzzDecodeShard(f *testing.F) {
 	f.Add(AppendSweepShard(nil, SweepShard{Job: 1, Shard: 0, App: "weather",
 		Runtime: "ease-io", BaseSeed: 7, Lo: 0, Hi: 100, Workers: 2}))
-	f.Add(AppendCheckShard(nil, CheckShard{Job: 2, Shard: 1, App: "dma",
-		Runtime: "alpaca", Seed: 3, Off: 3 * time.Millisecond, CutLo: 4,
-		CutHi: 32, Exhaustive: true, Grid: 33, Workers: 1}))
+	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 2, Shard: 1, App: "dma",
+		Runtime: "alpaca", Seed: 3, Off: 3 * time.Millisecond, Failures: 1,
+		Exhaustive: true, Grid: 33, Workers: 1, Units: []Unit{{CutLo: 4, CutHi: 32}}}))
 	agg := stats.AggregatorState{App: "fir", Runtime: "ink", Runs: 2,
 		Totals: []time.Duration{time.Millisecond, 2 * time.Millisecond}}
 	f.Add(AppendSweepResult(nil, SweepResult{Job: 1, Shard: 0, Agg: agg, Errs: []string{"x"}}))
-	f.Add(AppendCheckResult(nil, CheckResult{Job: 2, Shard: 1, Explored: 5,
+	f.Add(AppendSubtreeResult(nil, SubtreeResult{Job: 2, Shard: 1,
+		Depths:      []check.DepthStats{{Depth: 1, Expanded: 1, Candidates: 28, Explored: 5, Pruned: 23}},
 		Divergences: []check.Divergence{{At: time.Millisecond, Index: 1, Kind: "memory", Detail: "w"}}}))
 	f.Add(AppendSummary(nil, stats.Summary{App: "temp", Runtime: "just-do", Runs: 10}))
 	f.Add(AppendReport(nil, check.Report{App: "branch", Runtime: "ease-io",
@@ -88,9 +89,10 @@ func FuzzDecodeShard(f *testing.F) {
 				t.Fatal("sweep shard re-encoding is not a fixed point")
 			}
 		}
-		if s, err := DecodeCheckShard(b); err == nil {
-			if s2, err := DecodeCheckShard(AppendCheckShard(nil, s)); err != nil || s2 != s {
-				t.Fatal("check shard re-encoding is not a fixed point")
+		if s, err := DecodeSubtreeShard(b); err == nil {
+			b2 := AppendSubtreeShard(nil, s)
+			if s2, err := DecodeSubtreeShard(b2); err != nil || !bytes.Equal(b2, AppendSubtreeShard(nil, s2)) {
+				t.Fatalf("subtree shard re-encoding is not a fixed point: %v", err)
 			}
 		}
 		if r, err := DecodeSweepResult(b); err == nil {
@@ -99,10 +101,10 @@ func FuzzDecodeShard(f *testing.F) {
 				t.Fatalf("sweep result re-encoding is not a fixed point: %v", err)
 			}
 		}
-		if r, err := DecodeCheckResult(b); err == nil {
-			b2 := AppendCheckResult(nil, r)
-			if r2, err := DecodeCheckResult(b2); err != nil || !bytes.Equal(b2, AppendCheckResult(nil, r2)) {
-				t.Fatalf("check result re-encoding is not a fixed point: %v", err)
+		if r, err := DecodeSubtreeResult(b); err == nil {
+			b2 := AppendSubtreeResult(nil, r)
+			if r2, err := DecodeSubtreeResult(b2); err != nil || !bytes.Equal(b2, AppendSubtreeResult(nil, r2)) {
+				t.Fatalf("subtree result re-encoding is not a fixed point: %v", err)
 			}
 		}
 		if s, err := DecodeSummary(b); err == nil {
@@ -119,10 +121,11 @@ func FuzzDecodeShard(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSubtreeShard drives the subtree work-unit decoders with
-// arbitrary input: neither may panic, and any accepted input's canonical
+// FuzzDecodeSubtreeShard drives the work-unit decoders with arbitrary
+// input: neither may panic, and any accepted input's canonical
 // re-encoding must be a decode fixed point. The seed corpus embeds a
-// real encoded checkpoint, exercising the nested-message path.
+// real encoded checkpoint, exercising the nested-message path, and a
+// boot root restricted to a cut range, the k=1 unit.
 func FuzzDecodeSubtreeShard(f *testing.F) {
 	var rootCp []byte
 	if cps := captureCheckpoints(f, experiments.EaseIO, 6); len(cps) > 0 {
@@ -135,7 +138,7 @@ func FuzzDecodeSubtreeShard(f *testing.F) {
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 3, Shard: 2, App: "fig6",
 		Runtime: "ease-io", Seed: 42, Off: time.Millisecond, Failures: 2,
 		Exhaustive: true, Grid: 128, Workers: 2,
-		Roots: []SubtreeRoot{{
+		Units: []Unit{{
 			Schedule:   []time.Duration{5 * time.Millisecond},
 			Collapsed:  3,
 			Checkpoint: rootCp,
@@ -143,6 +146,9 @@ func FuzzDecodeSubtreeShard(f *testing.F) {
 				Slots:    []rtbase.IOSlotState{{TaskID: 1, TaskInst: 2, ExecCount: 3, Completed: true}},
 				TaskInst: []int32{0, 2}},
 		}}}))
+	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 4, Shard: 1, App: "fig6",
+		Runtime: "alpaca", Seed: 7, Off: time.Millisecond, Failures: 1,
+		Exhaustive: true, Workers: 1, Units: []Unit{{CutLo: 40, CutHi: 80}}}))
 	f.Add(AppendSubtreeResult(nil, SubtreeResult{Job: 3, Shard: 2,
 		Depths: []check.DepthStats{{Depth: 2, Expanded: 1, Candidates: 9, Explored: 9}},
 		Divergences: []check.Divergence{{At: time.Millisecond, Index: 1, Kind: "memory",

@@ -23,33 +23,6 @@ type SweepShard struct {
 	Workers  int // the worker's inner parallelism (0 = its default)
 }
 
-// CheckShard describes one worker's slice of a checker job: explore
-// candidate failure points CutLo … CutHi-1 against the coordinator's
-// golden plan. Only exhaustive checks shard (the adaptive bisection
-// prunes against global state, so adaptive jobs are one shard covering
-// the full range).
-type CheckShard struct {
-	Job     uint64
-	Shard   int
-	App     string
-	Runtime string
-
-	Seed       int64
-	Off        time.Duration
-	FromBoot   bool
-	CutLo      int
-	CutHi      int // candidate range [CutLo, CutHi); 0,0 = full range
-	Exhaustive bool
-	Grid       int
-	Workers    int
-	// Failures is the nested-failure depth k (0 defaults to 1). A
-	// CheckShard runs the whole check in one piece, so adaptive k > 1
-	// jobs (and runtimes that cannot checkpoint) use it as a single
-	// full-range shard; exhaustive k > 1 jobs ship SubtreeShard work
-	// units instead (subtree.go).
-	Failures int
-}
-
 // SweepResult is a worker's completed sweep shard: the aggregator fold
 // state over exactly the shard's seed range, plus any per-run errors.
 type SweepResult struct {
@@ -57,18 +30,6 @@ type SweepResult struct {
 	Shard int
 	Agg   stats.AggregatorState
 	Errs  []string
-}
-
-// CheckResult is a worker's completed check shard. Depths carries the
-// per-depth exploration stats of a nested (k > 1) check; it is empty
-// for single-failure shards.
-type CheckResult struct {
-	Job         uint64
-	Shard       int
-	Explored    int
-	Pruned      int
-	Depths      []check.DepthStats
-	Divergences []check.Divergence
 }
 
 // AppendSweepShard encodes s as a KindSweepShard message appended to dst.
@@ -103,52 +64,6 @@ func DecodeSweepShard(b []byte) (SweepShard, error) {
 	}
 	if n := d.remaining(); n != 0 {
 		return SweepShard{}, d.trailing(n)
-	}
-	return s, nil
-}
-
-// AppendCheckShard encodes s as a KindCheckShard message appended to dst.
-func AppendCheckShard(dst []byte, s CheckShard) []byte {
-	dst = appendHeader(dst, KindCheckShard)
-	dst = appendUvarint(dst, s.Job)
-	dst = appendVarint(dst, int64(s.Shard))
-	dst = appendString(dst, s.App)
-	dst = appendString(dst, s.Runtime)
-	dst = appendVarint(dst, s.Seed)
-	dst = appendVarint(dst, int64(s.Off))
-	dst = appendBool(dst, s.FromBoot)
-	dst = appendVarint(dst, int64(s.CutLo))
-	dst = appendVarint(dst, int64(s.CutHi))
-	dst = appendBool(dst, s.Exhaustive)
-	dst = appendVarint(dst, int64(s.Grid))
-	dst = appendVarint(dst, int64(s.Workers))
-	return appendVarint(dst, int64(s.Failures))
-}
-
-// DecodeCheckShard decodes a KindCheckShard message.
-func DecodeCheckShard(b []byte) (CheckShard, error) {
-	d := &dec{b: b}
-	d.header(KindCheckShard)
-	s := CheckShard{
-		Job:        d.uvarint(),
-		Shard:      int(d.varint()),
-		App:        d.string(),
-		Runtime:    d.string(),
-		Seed:       d.varint(),
-		Off:        time.Duration(d.varint()),
-		FromBoot:   d.bool(),
-		CutLo:      int(d.varint()),
-		CutHi:      int(d.varint()),
-		Exhaustive: d.bool(),
-		Grid:       int(d.varint()),
-		Workers:    int(d.varint()),
-		Failures:   int(d.varint()),
-	}
-	if d.err != nil {
-		return CheckShard{}, d.err
-	}
-	if n := d.remaining(); n != 0 {
-		return CheckShard{}, d.trailing(n)
 	}
 	return s, nil
 }
@@ -191,20 +106,8 @@ func DecodeSweepResult(b []byte) (SweepResult, error) {
 	return r, nil
 }
 
-// AppendCheckResult encodes r as a KindCheckResult message appended to
-// dst.
-func AppendCheckResult(dst []byte, r CheckResult) []byte {
-	dst = appendHeader(dst, KindCheckResult)
-	dst = appendUvarint(dst, r.Job)
-	dst = appendVarint(dst, int64(r.Shard))
-	dst = appendVarint(dst, int64(r.Explored))
-	dst = appendVarint(dst, int64(r.Pruned))
-	dst = appendDepthStats(dst, r.Depths)
-	return appendDivergences(dst, r.Divergences)
-}
-
-// appendDepthStats encodes a nested-exploration stats list (shared by
-// check results and merged reports).
+// appendDepthStats encodes a per-depth exploration stats list (shared by
+// subtree results and merged reports).
 func appendDepthStats(dst []byte, depths []check.DepthStats) []byte {
 	dst = appendUvarint(dst, uint64(len(depths)))
 	for _, ds := range depths {
@@ -238,7 +141,7 @@ func (d *dec) depthStats() []check.DepthStats {
 	return depths
 }
 
-// appendDivergences encodes a divergence list (shared by check results
+// appendDivergences encodes a divergence list (shared by subtree results
 // and merged reports).
 func appendDivergences(dst []byte, divs []check.Divergence) []byte {
 	dst = appendUvarint(dst, uint64(len(divs)))
@@ -278,27 +181,6 @@ func (d *dec) divergences() []check.Divergence {
 		}
 	}
 	return divs
-}
-
-// DecodeCheckResult decodes a KindCheckResult message.
-func DecodeCheckResult(b []byte) (CheckResult, error) {
-	d := &dec{b: b}
-	d.header(KindCheckResult)
-	r := CheckResult{
-		Job:      d.uvarint(),
-		Shard:    int(d.varint()),
-		Explored: int(d.varint()),
-		Pruned:   int(d.varint()),
-	}
-	r.Depths = d.depthStats()
-	r.Divergences = d.divergences()
-	if d.err != nil {
-		return CheckResult{}, d.err
-	}
-	if n := d.remaining(); n != 0 {
-		return CheckResult{}, d.trailing(n)
-	}
-	return r, nil
 }
 
 // Aggregator fold state (the sweep merge unit).

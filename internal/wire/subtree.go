@@ -1,13 +1,13 @@
-// The distributed nested-failure checker's work unit. A subtree shard
-// ships a contiguous group of level-1 expansion representatives — each a
-// passing failure prefix, the number of hash-equal siblings it stands
-// for, and the device+runtime checkpoint at its cut — so a stateless
-// worker can restore the roots and grow their subtrees without replaying
-// any level-1 prefix. The matching result carries the subtree
-// exploration's per-depth stats and divergences; because the in-process
-// checker's breadth-first frontier at any depth is the concatenation of
-// the root groups' own frontiers in group order, merging results per
-// depth in shard order reproduces the unsharded report byte for byte.
+// The checker's work unit on the wire. A subtree shard ships a
+// contiguous group of units (check.Unit): each a root — boot, or the
+// device+runtime checkpoint at the last cut of a passing failure prefix —
+// plus the prefix, the number of hash-equal siblings the root stands for,
+// and the candidate-index range to explore below it. A stateless worker
+// recomputes the golden run, restores the roots and grows their subtrees
+// without replaying any prefix. The matching result carries the
+// exploration's per-depth stats and divergences; merging results per
+// depth in shard order reproduces the unsharded report byte for byte
+// (see check.Merge).
 
 package wire
 
@@ -18,21 +18,23 @@ import (
 	"easeio/internal/rtbase"
 )
 
-// SubtreeRoot is one level-1 expansion representative: the schedule that
-// reached it, its collapse run-length, and the checkpoint it resumes
-// from. Checkpoint is an embedded KindCheckpoint message (the device
-// half); RT is the runtime's bookkeeping state at the same cut.
-type SubtreeRoot struct {
-	Schedule   []time.Duration
-	Collapsed  int
-	Checkpoint []byte
-	RT         rtbase.BaseWireState
+// Unit is one check work unit. An empty Checkpoint (with an empty
+// Schedule and a zero RT) is a boot root; otherwise Checkpoint is an
+// embedded KindCheckpoint message (the device half) and RT the runtime's
+// bookkeeping state at the same cut. CutLo/CutHi select the root's
+// candidate-index range; CutHi == 0 means all of them.
+type Unit struct {
+	Schedule     []time.Duration
+	Collapsed    int
+	Checkpoint   []byte
+	RT           rtbase.BaseWireState
+	CutLo, CutHi int
 }
 
-// SubtreeShard describes one worker's slice of a nested (k > 1) checker
-// job: expand the given roots' subtrees under the job's configuration.
-// The worker recomputes the golden reference locally — the golden pass
-// is deterministic, so only the roots themselves need shipping.
+// SubtreeShard describes one worker's slice of a checker job: grow the
+// given units under the job's configuration. The worker recomputes the
+// golden reference locally — the golden pass is deterministic, so only
+// the units themselves need shipping.
 type SubtreeShard struct {
 	Job     uint64
 	Shard   int
@@ -41,16 +43,17 @@ type SubtreeShard struct {
 
 	Seed       int64
 	Off        time.Duration
-	Failures   int // total exploration depth k (the roots sit at depth 2)
+	Failures   int // total exploration depth k
 	Exhaustive bool
 	Grid       int
 	Workers    int
-	Roots      []SubtreeRoot
+	Units      []Unit
 }
 
 // SubtreeResult is a worker's completed subtree shard: the per-depth
-// stats and divergences of the roots' subtrees, in the same
-// (depth, root, candidate) order the in-process checker books them.
+// stats and divergences of the units' subtrees, in the same
+// (depth, unit, candidate) order the in-process checker books them. A
+// coordinator also journals its own level-1 exploration in this form.
 type SubtreeResult struct {
 	Job         uint64
 	Shard       int
@@ -72,21 +75,23 @@ func AppendSubtreeShard(dst []byte, s SubtreeShard) []byte {
 	dst = appendBool(dst, s.Exhaustive)
 	dst = appendVarint(dst, int64(s.Grid))
 	dst = appendVarint(dst, int64(s.Workers))
-	dst = appendUvarint(dst, uint64(len(s.Roots)))
-	for _, r := range s.Roots {
-		dst = appendUvarint(dst, uint64(len(r.Schedule)))
-		for _, t := range r.Schedule {
+	dst = appendUvarint(dst, uint64(len(s.Units)))
+	for _, u := range s.Units {
+		dst = appendUvarint(dst, uint64(len(u.Schedule)))
+		for _, t := range u.Schedule {
 			dst = appendVarint(dst, int64(t))
 		}
-		dst = appendVarint(dst, int64(r.Collapsed))
-		dst = appendUvarint(dst, uint64(len(r.Checkpoint)))
-		dst = append(dst, r.Checkpoint...)
-		dst = appendBaseWireState(dst, r.RT)
+		dst = appendVarint(dst, int64(u.Collapsed))
+		dst = appendUvarint(dst, uint64(len(u.Checkpoint)))
+		dst = append(dst, u.Checkpoint...)
+		dst = appendBaseWireState(dst, u.RT)
+		dst = appendVarint(dst, int64(u.CutLo))
+		dst = appendVarint(dst, int64(u.CutHi))
 	}
 	return dst
 }
 
-// DecodeSubtreeShard decodes a KindSubtreeShard message. The roots'
+// DecodeSubtreeShard decodes a KindSubtreeShard message. The units'
 // Checkpoint slices are fresh copies — nothing aliases b.
 func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 	d := &dec{b: b}
@@ -103,25 +108,27 @@ func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 		Grid:       int(d.varint()),
 		Workers:    int(d.varint()),
 	}
-	// Each root is at least 7 bytes (empty schedule, collapsed, empty
-	// checkpoint, empty base state).
-	if n := d.count(7); d.err == nil && n > 0 {
-		s.Roots = make([]SubtreeRoot, n)
+	// Each unit is at least 8 bytes (empty schedule, collapsed, empty
+	// checkpoint, empty base state, cut range).
+	if n := d.count(8); d.err == nil && n > 0 {
+		s.Units = make([]Unit, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			r := &s.Roots[i]
+			u := &s.Units[i]
 			if m := d.count(1); d.err == nil && m > 0 {
-				r.Schedule = make([]time.Duration, m)
+				u.Schedule = make([]time.Duration, m)
 				for j := 0; j < m && d.err == nil; j++ {
-					r.Schedule[j] = time.Duration(d.varint())
+					u.Schedule[j] = time.Duration(d.varint())
 				}
 			}
-			r.Collapsed = int(d.varint())
+			u.Collapsed = int(d.varint())
 			if m := d.count(1); d.err == nil && m > 0 {
-				r.Checkpoint = make([]byte, m)
-				copy(r.Checkpoint, d.b[d.off:])
+				u.Checkpoint = make([]byte, m)
+				copy(u.Checkpoint, d.b[d.off:])
 				d.off += m
 			}
-			r.RT = d.baseWireState()
+			u.RT = d.baseWireState()
+			u.CutLo = int(d.varint())
+			u.CutHi = int(d.varint())
 		}
 	}
 	if d.err != nil {

@@ -34,8 +34,10 @@ import (
 // Version is the current encoding version, stamped into every message
 // header. Version 2 added the freshness record to run encodings and the
 // nested-failure fields (depth, per-depth stats, divergence schedules)
-// to check shard/report encodings.
-const Version = 2
+// to check shard/report encodings. Version 3 made the subtree messages
+// the only check work unit: a unit's root may be boot, every unit carries
+// a cut range, and the cut-range check shard/result kinds were retired.
+const Version = 3
 
 // Kind tags a message's type in its header.
 type Kind uint8
@@ -45,14 +47,13 @@ const (
 	KindInvalid     Kind = 0
 	KindCheckpoint  Kind = 1
 	KindSweepShard  Kind = 2
-	KindCheckShard  Kind = 3
 	KindSweepResult Kind = 4
-	KindCheckResult Kind = 5
 	KindSummary     Kind = 6
 	KindReport      Kind = 7
-	// KindSubtreeShard and KindSubtreeResult carry the distributed
-	// nested-failure checker's work unit: a group of level-1 checkpoint
-	// roots to expand, and the subtree exploration they produced.
+	// KindSubtreeShard and KindSubtreeResult carry the checker's work
+	// unit: a group of units to grow, and the exploration they produced.
+	// (Kinds 3 and 5, the version-2 cut-range check shard and result, are
+	// retired and never reused.)
 	KindSubtreeShard  Kind = 8
 	KindSubtreeResult Kind = 9
 )
@@ -64,12 +65,8 @@ func (k Kind) String() string {
 		return "checkpoint"
 	case KindSweepShard:
 		return "sweep-shard"
-	case KindCheckShard:
-		return "check-shard"
 	case KindSweepResult:
 		return "sweep-result"
-	case KindCheckResult:
-		return "check-result"
 	case KindSummary:
 		return "summary"
 	case KindReport:
@@ -104,6 +101,15 @@ func PeekKind(b []byte) Kind {
 		return KindInvalid
 	}
 	return Kind(b[3])
+}
+
+// CheckVersion reports an error unless b starts with a well-formed
+// message header of the current Version — the guard for durable payloads
+// written by an older build.
+func CheckVersion(b []byte) error {
+	d := &dec{b: b}
+	d.header(PeekKind(b))
+	return d.err
 }
 
 // dec is a bounds-checked cursor over an encoded message. The first

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,12 +165,13 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 		t.Errorf("sweep shard: got %+v, %v; want %+v", gotSS, err, ss)
 	}
 
-	cs := CheckShard{Job: 8, Shard: 0, App: "dma", Runtime: "alpaca", Seed: 99,
-		Off: 3 * time.Millisecond, FromBoot: true, CutLo: 10, CutHi: 64,
-		Exhaustive: true, Grid: 33, Workers: 2}
-	gotCS, err := DecodeCheckShard(AppendCheckShard(nil, cs))
-	if err != nil || gotCS != cs {
-		t.Errorf("check shard: got %+v, %v; want %+v", gotCS, err, cs)
+	// A k=1 check shard: one boot-rooted unit over a cut range.
+	cs := SubtreeShard{Job: 8, Shard: 0, App: "dma", Runtime: "alpaca", Seed: 99,
+		Off: 3 * time.Millisecond, Failures: 1, Exhaustive: true, Grid: 33, Workers: 2,
+		Units: []Unit{{CutLo: 10, CutHi: 64}}}
+	gotCS, err := DecodeSubtreeShard(AppendSubtreeShard(nil, cs))
+	if err != nil || !reflect.DeepEqual(gotCS, cs) {
+		t.Errorf("boot-unit shard: got %+v, %v; want %+v", gotCS, err, cs)
 	}
 
 	sr := SweepResult{Job: 7, Shard: 2, Errs: []string{"run 3: boom"}}
@@ -183,14 +185,25 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 		t.Errorf("sweep result: got %+v, %v; want %+v", gotSR, err, sr)
 	}
 
-	cr := CheckResult{Job: 8, Shard: 1, Explored: 40, Pruned: 3,
+	cr := SubtreeResult{Job: 8, Shard: 1,
+		Depths: []check.DepthStats{{Depth: 1, Expanded: 1, Candidates: 43, Explored: 40, Pruned: 3}},
 		Divergences: []check.Divergence{
 			{At: time.Millisecond, Index: 12, Kind: "memory", Detail: "word 7"},
 			{At: 2 * time.Millisecond, Index: 13, Kind: "output", Detail: "verdict"},
 		}}
-	gotCR, err := DecodeCheckResult(AppendCheckResult(nil, cr))
+	gotCR, err := DecodeSubtreeResult(AppendSubtreeResult(nil, cr))
 	if err != nil || !reflect.DeepEqual(gotCR, cr) {
-		t.Errorf("check result: got %+v, %v; want %+v", gotCR, err, cr)
+		t.Errorf("depth-1 subtree result: got %+v, %v; want %+v", gotCR, err, cr)
+	}
+
+	// CheckVersion accepts current messages and names an older version.
+	old := AppendSubtreeResult(nil, cr)
+	if err := CheckVersion(old); err != nil {
+		t.Errorf("CheckVersion rejected a current message: %v", err)
+	}
+	old[2] = Version - 1
+	if err := CheckVersion(old); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Errorf("CheckVersion of a version-2 message = %v, want the unsupported-version error", err)
 	}
 
 	// Empty-slice forms decode to nil slices, not empty non-nil ones.
