@@ -3,7 +3,9 @@
 # test order, the concurrency-sensitive packages (the sweep engine, the
 # core runtimes, the failure-point checker, the kernel's device-reuse
 # path, the sweep service and the public facade) under the race
-# detector, and a short fuzz smoke over the native fuzz targets.
+# detector, a short fuzz smoke over the native fuzz targets, and the
+# benchmark module's own tests (`make benchmark-test`: the pinned result
+# digests, fleet ≡ in-process, and the profiled stage-function names).
 # `make serve-smoke` boots the easeio-served daemon on a loopback port,
 # pushes one sweep job through the HTTP API and verifies the result and
 # the metrics endpoint. `make fleet-smoke` runs the distributed-fleet
@@ -23,7 +25,7 @@ FUZZTIME ?= 30s
 # is compiled and exercised without paying for stable numbers.
 BENCHTIME ?= 10x
 
-.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke check ci
+.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate benchmark-test fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +72,11 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThroughput/pooled' -benchtime 200x -count 3 -cpu 1 . | tee bench-gate.txt
 	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt
 
+# The benchmark harness is its own module (benchmark/go.mod), so the
+# repository's `go test ./...` does not reach its tests.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) ./internal/dma
@@ -105,7 +112,7 @@ fleet-smoke:
 	$(GO) run ./cmd/easeio-worker -smoke
 	$(GO) run ./cmd/easeio-served -smoke -fleet -wal $$(mktemp -u /tmp/easeio-fleet-smoke.XXXXXX.wal)
 
-check: build fmt-check vet test race fuzz-smoke nested-smoke serve-smoke fleet-smoke
+check: build fmt-check vet test race benchmark-test fuzz-smoke nested-smoke serve-smoke fleet-smoke
 
 ci:
 	$(MAKE) check

@@ -30,9 +30,6 @@ func TestPooledRunZeroAlloc(t *testing.T) {
 		}
 		rt := experiments.NewRuntime(kind)
 		sess := kernel.NewSession(rt, bench.App, experiments.TimerSupply())
-		if _, ok := rt.(kernel.Resetter); !ok {
-			t.Fatalf("%s: pooled path requires a Resetter runtime", rt.Name())
-		}
 		seed := int64(0)
 		run := func() {
 			seed++

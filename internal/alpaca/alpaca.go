@@ -101,39 +101,12 @@ func (r *Runtime) bumpEpoch() {
 	}
 }
 
-var _ kernel.Resetter = (*Runtime)(nil)
-
-// Reset implements kernel.Resetter. Alpaca's only nonzero durable attach
-// state is what rtbase owns; the private buffers start unwritten, and the
-// volatile privatization maps rebuild at task entry.
-func (r *Runtime) Reset(dev *kernel.Device) error {
-	r.ResetRun(dev)
-	r.bumpEpoch()
-	r.curTask = nil
-	return nil
-}
-
-var _ kernel.SnapshotterInto = (*Runtime)(nil)
-
-// SnapshotState implements kernel.Snapshotter. Alpaca's reboot-surviving
-// volatile state is exactly what rtbase tracks; the privatization maps
-// and current task are per-attempt and rebuilt by OnBoot/BeginTask.
-func (r *Runtime) SnapshotState() any { return r.SnapshotBaseInto(nil) }
-
-// SnapshotStateInto implements kernel.SnapshotterInto.
-func (r *Runtime) SnapshotStateInto(prev any) any {
-	p, _ := prev.(*rtbase.BaseState)
-	return r.SnapshotBaseInto(p)
-}
-
-// RestoreState implements kernel.Snapshotter.
-func (r *Runtime) RestoreState(dev *kernel.Device, state any) {
-	r.RestoreBase(dev, *state.(*rtbase.BaseState))
-	r.bumpEpoch()
-	r.curTask = nil
-}
-
-// OnBoot implements kernel.Hooks.
+// OnBoot implements kernel.Hooks. Reset, SnapshotState and RestoreState
+// come from rtbase.Base: Alpaca's only nonzero durable attach state is
+// what rtbase owns (the private buffers start unwritten), its
+// reboot-surviving volatile state is exactly what rtbase tracks, and the
+// epoch bump here empties the privatization maps after any reset or
+// restore.
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	r.bumpEpoch()

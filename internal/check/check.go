@@ -79,17 +79,18 @@ type Config struct {
 	// restoring a checkpoint of the golden prefix and simulating only
 	// the post-failure suffix. The two modes produce byte-identical
 	// reports; from-boot is the O(run) test oracle that cross-validates
-	// checkpoint fidelity. It is an in-process mode only: its units carry
-	// no root checkpoints, so they cannot be shipped to fleet workers.
+	// checkpoint fidelity (the Hooks snapshot/restore contract), not a
+	// fallback for runtimes. It is an in-process mode only: its units
+	// carry no root checkpoints, so they cannot be shipped to fleet
+	// workers.
 	FromBoot bool
 	// Workers bounds parallel replays (defaults to GOMAXPROCS). The
 	// Report is worker-count-invariant.
 	Workers int
 	// NewRuntime overrides the runtime instance factory, e.g. to check an
 	// ablated EaseIO configuration. Defaults to experiments.NewRuntime of
-	// the kind passed to Run. Checkpointed replay needs the runtime to
-	// implement kernel.Snapshotter and kernel.Resetter; a runtime that
-	// does not is rejected unless FromBoot is set.
+	// the kind passed to Run. Any kernel.Hooks works in either replay
+	// mode: reset, snapshot and restore are part of the interface.
 	NewRuntime func() kernel.Hooks
 	// Label overrides the runtime name recorded in the Report (useful
 	// together with NewRuntime); defaults to the kind's String.
@@ -173,14 +174,6 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 	rec := &cutRecorder{}
 	sess := kernel.NewSession(newRT(), bench.App, power.Continuous{})
 	rt := sess.Runtime()
-	if !cfg.FromBoot {
-		_, canSnap := rt.(kernel.Snapshotter)
-		_, canReset := rt.(kernel.Resetter)
-		if !canSnap || !canReset {
-			return nil, fmt.Errorf("check: runtime %s does not implement kernel.Snapshotter and kernel.Resetter, "+
-				"which checkpointed replay needs (set FromBoot to replay from boot)", label)
-		}
-	}
 	sess.Cuts = rec
 	grun, err := sess.Run(cfg.Seed)
 	if err != nil {
@@ -345,7 +338,7 @@ func (r *replayer) evalFrom(cp *checkpoint, schedule []time.Duration) outcome {
 	r.setSchedule(schedule)
 	r.sch.Reset(0)
 	r.dev.Restore(cp.dev)
-	r.rt.(kernel.Snapshotter).RestoreState(r.dev, cp.rt)
+	r.rt.RestoreState(r.dev, cp.rt)
 	if err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App); err != nil {
 		return r.classify(nil, nil, nil, err)
 	}
@@ -362,7 +355,7 @@ func (r *replayer) traceFrom(cp *checkpoint, schedule []time.Duration) ([]time.D
 	r.setSchedule(schedule)
 	r.sch.Reset(0)
 	r.dev.Restore(cp.dev)
-	r.rt.(kernel.Snapshotter).RestoreState(r.dev, cp.rt)
+	r.rt.RestoreState(r.dev, cp.rt)
 	r.dev.Cuts = rec
 	err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App)
 	r.dev.Cuts = nil
@@ -400,22 +393,11 @@ func (r *replayer) traceBoot(schedule []time.Duration) ([]time.Duration, error) 
 // does the same along the golden run. cuts is the trajectory's candidate
 // list (from traceFrom) and idxs selects ascending entries of it.
 func (r *replayer) recordSuffix(root *checkpoint, schedule []time.Duration, cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
-	sink := &snapSink{
-		targets: make([]time.Duration, len(idxs)),
-		idxs:    idxs,
-		dev:     r.dev,
-		rt:      r.rt.(kernel.Snapshotter),
-		cps:     make(map[int]*checkpoint, len(idxs)),
-	}
-	sink.rtInto, _ = r.rt.(kernel.SnapshotterInto)
-	for i, idx := range idxs {
-		sink.targets[i] = cuts[idx]
-	}
-
+	sink := newSnapSink(r.dev, r.rt, cuts, idxs)
 	r.setSchedule(schedule)
 	r.sch.Reset(0)
 	r.dev.Restore(root.dev)
-	r.rt.(kernel.Snapshotter).RestoreState(r.dev, root.rt)
+	r.rt.RestoreState(r.dev, root.rt)
 	r.dev.Cuts = sink
 	err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App)
 	r.dev.Cuts = nil

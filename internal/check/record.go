@@ -42,8 +42,7 @@ type snapSink struct {
 	idxs    []int           // candidate index per target
 	next    int
 	dev     *kernel.Device
-	rt      kernel.Snapshotter
-	rtInto  kernel.SnapshotterInto // non-nil when rt supports state reuse
+	rt      kernel.Hooks
 	cps     map[int]*checkpoint
 }
 
@@ -52,22 +51,32 @@ func (s *snapSink) NoteCut(onTime time.Duration) {
 	if s.next < len(s.targets) && onTime == s.targets[s.next] {
 		cp := ckptGet()
 		cp.dev = s.dev.SnapshotInto(cp.dev)
-		if s.rtInto != nil {
-			cp.rt = s.rtInto.SnapshotStateInto(cp.rt)
-		} else {
-			cp.rt = s.rt.SnapshotState()
-		}
+		cp.rt = s.rt.SnapshotState(cp.rt)
 		s.cps[s.idxs[s.next]] = cp
 		s.next++
 	}
 }
 
+// newSnapSink builds the sink that snapshots dev and rt at the cut
+// on-times cuts[idxs[0]], cuts[idxs[1]], … (idxs ascending).
+func newSnapSink(dev *kernel.Device, rt kernel.Hooks, cuts []time.Duration, idxs []int) *snapSink {
+	s := &snapSink{
+		targets: make([]time.Duration, len(idxs)),
+		idxs:    idxs,
+		dev:     dev,
+		rt:      rt,
+		cps:     make(map[int]*checkpoint, len(idxs)),
+	}
+	for i, idx := range idxs {
+		s.targets[i] = cuts[idx]
+	}
+	return s
+}
+
 // recorder re-runs the golden continuous pass once per batch on the
 // golden session's own device, runtime and app — the pass reproduces
 // the golden run exactly through the same reset path sweeps use
-// (Device.Reset + Resetter.Reset + RunAttached). The runtime must
-// implement both kernel.Resetter and kernel.Snapshotter; the golden pass
-// rejects runtimes that don't unless the job replays from boot.
+// (Device.Reset + Hooks.Reset + RunAttached).
 type recorder struct {
 	bench *apps.Bench
 	rt    kernel.Hooks
@@ -95,8 +104,8 @@ func ckptGet() *checkpoint {
 
 // ckptRecycle returns a batch's checkpoints to the pool once their
 // replays are done. The checkpoints must no longer be referenced. cp.rt
-// is kept: SnapshotterInto runtimes overwrite its storage in place on
-// the next recording pass instead of reallocating.
+// is kept: the next recording pass's SnapshotState overwrites its
+// storage in place instead of reallocating.
 func ckptRecycle(cps map[int]*checkpoint) {
 	for _, cp := range cps {
 		ckptPool.Put(cp)
@@ -106,20 +115,9 @@ func ckptRecycle(cps map[int]*checkpoint) {
 // record re-runs the golden pass and returns one checkpoint per
 // requested candidate index (idxs ascending, indexing cuts).
 func (r *recorder) record(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
-	sink := &snapSink{
-		targets: make([]time.Duration, len(idxs)),
-		idxs:    idxs,
-		dev:     r.dev,
-		rt:      r.rt.(kernel.Snapshotter),
-		cps:     make(map[int]*checkpoint, len(idxs)),
-	}
-	sink.rtInto, _ = r.rt.(kernel.SnapshotterInto)
-	for i, idx := range idxs {
-		sink.targets[i] = cuts[idx]
-	}
-
+	sink := newSnapSink(r.dev, r.rt, cuts, idxs)
 	r.dev.Reset(power.Continuous{}, r.seed)
-	if err := r.rt.(kernel.Resetter).Reset(r.dev); err != nil {
+	if err := r.rt.Reset(r.dev); err != nil {
 		return nil, fmt.Errorf("check: recording pass reset: %w", err)
 	}
 	r.dev.Cuts = sink

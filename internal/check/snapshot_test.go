@@ -182,7 +182,7 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 		trDev, trRT, trApp := newInstance(trSch)
 		trSch.Reset(0)
 		trDev.Restore(cp1.dev)
-		trRT.(kernel.Snapshotter).RestoreState(trDev, cp1.rt)
+		trRT.RestoreState(trDev, cp1.rt)
 		tr2 := &cutRecorder{}
 		trDev.Cuts = tr2
 		if err := kernel.ResumeWithFailure(trDev, trRT, trApp); err != nil {
@@ -206,20 +206,10 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 
 		// Re-run the same trajectory with a snapshotting sink to
 		// capture the suffix checkpoints (recordSuffix by hand).
-		sink := &snapSink{
-			targets: make([]time.Duration, len(jdx)),
-			idxs:    jdx,
-			dev:     trDev,
-			rt:      trRT.(kernel.Snapshotter),
-			cps:     make(map[int]*checkpoint, len(jdx)),
-		}
-		sink.rtInto, _ = trRT.(kernel.SnapshotterInto)
-		for i, idx := range jdx {
-			sink.targets[i] = suffix[idx]
-		}
+		sink := newSnapSink(trDev, trRT, suffix, jdx)
 		trSch.Reset(0)
 		trDev.Restore(cp1.dev)
-		trRT.(kernel.Snapshotter).RestoreState(trDev, cp1.rt)
+		trRT.RestoreState(trDev, cp1.rt)
 		trDev.Cuts = sink
 		if err := kernel.ResumeWithFailure(trDev, trRT, trApp); err != nil {
 			t.Fatalf("cut %v: suffix recording: %v", c1, err)
@@ -239,7 +229,7 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 			evDev, evRT, evApp := newInstance(evSch)
 			evSch.Reset(0)
 			evDev.Restore(sink.cps[i2].dev)
-			evRT.(kernel.Snapshotter).RestoreState(evDev, sink.cps[i2].rt)
+			evRT.RestoreState(evDev, sink.cps[i2].rt)
 			if err := kernel.ResumeWithFailure(evDev, evRT, evApp); err != nil {
 				t.Fatalf("schedule [%v %v]: resume: %v", c1, c2, err)
 			}
@@ -350,7 +340,7 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 				}
 				cp := cps[idx]
 				sufDev.Restore(cp.dev)
-				sufRT.(kernel.Snapshotter).RestoreState(sufDev, cp.rt)
+				sufRT.RestoreState(sufDev, cp.rt)
 				if err := kernel.ResumeWithFailure(sufDev, sufRT, sufBench.App); err != nil {
 					t.Fatal(err)
 				}

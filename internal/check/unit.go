@@ -69,7 +69,7 @@ type Unit struct {
 	Schedule     []time.Duration
 	Collapsed    int
 	Dev          *kernel.Checkpoint
-	RT           any // the runtime's kernel.Snapshotter state at the same cut
+	RT           any // the runtime's SnapshotState at the same cut
 	CutLo, CutHi int
 }
 

@@ -3,11 +3,9 @@ package check
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"easeio/internal/experiments"
-	"easeio/internal/kernel"
 )
 
 // TestUnitSplitInvariance pins the pipeline's split invariance at the
@@ -80,33 +78,5 @@ func TestRunUnitsEmpty(t *testing.T) {
 	}
 	if len(rep.Depths) != 0 || len(rep.Divergences) != 0 {
 		t.Fatalf("empty unit list produced a non-empty result: %+v", rep)
-	}
-}
-
-// noSnapshotHooks hides every optional runtime interface, Snapshotter and
-// Resetter included, behind the bare kernel.Hooks method set.
-type noSnapshotHooks struct{ kernel.Hooks }
-
-// TestNoSnapshotRuntimeRejected pins the explicit error that replaced the
-// silent from-boot fallback: a NewRuntime hook without snapshot support
-// cannot be checked with checkpointed replay, at any depth, and says so;
-// the from-boot oracle still checks it.
-func TestNoSnapshotRuntimeRejected(t *testing.T) {
-	newRT := func() kernel.Hooks { return noSnapshotHooks{experiments.NewRuntime(experiments.EaseIO)} }
-	for _, k := range []int{1, 2} {
-		_, err := Run(context.Background(), Fig6Bench, experiments.EaseIO,
-			Config{Failures: k, Exhaustive: true, NewRuntime: newRT, Label: "EaseIO/bare"})
-		if err == nil || !strings.Contains(err.Error(),
-			"runtime EaseIO/bare does not implement kernel.Snapshotter and kernel.Resetter") {
-			t.Errorf("k=%d: Run error = %v, want the missing-snapshot-support error", k, err)
-		}
-	}
-	rep, err := Run(context.Background(), Fig6Bench, experiments.EaseIO,
-		Config{Exhaustive: true, NewRuntime: newRT, FromBoot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed() || rep.Explored != rep.Candidates {
-		t.Errorf("from-boot check of the bare runtime:\n%s", rep.Render())
 	}
 }

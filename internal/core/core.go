@@ -281,47 +281,23 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	return nil
 }
 
-var _ kernel.Resetter = (*Runtime)(nil)
-
-// Reset implements kernel.Resetter: returns the attached runtime to its
+// Reset implements kernel.Hooks: returns the attached runtime to its
 // post-Attach state on a device whose memory Device.Reset just cleared.
 // All flag/generation/timestamp/snapshot words and the privatization bump
 // pointer are already zero; the only durable words Attach writes nonzero
-// are the instance counters (1 = "first instance"), which versioned flags
-// compare against, so rewriting those restores the exact attach state.
+// beyond rtbase's are the instance counters (1 = "first instance"), which
+// versioned flags compare against, so rewriting those restores the exact
+// attach state. SnapshotState and RestoreState come from rtbase.Base:
+// EaseIO's other durable bookkeeping lives in FRAM, and the current
+// task, region index and block skip depth are rebuilt by OnBoot.
 func (r *Runtime) Reset(dev *kernel.Device) error {
-	r.ResetRun(dev)
+	if err := r.Base.Reset(dev); err != nil {
+		return err
+	}
 	for _, a := range r.instCtr {
 		dev.Mem.Write(a, 1)
 	}
-	r.curTask = nil
-	r.regionIdx = 0
-	r.blockSkipDepth = 0
 	return nil
-}
-
-var _ kernel.SnapshotterInto = (*Runtime)(nil)
-
-// SnapshotState implements kernel.Snapshotter. All of EaseIO's durable
-// bookkeeping (flags, generations, timestamps, instance counters, the
-// privatization bump pointer) lives in FRAM and is captured by the
-// device snapshot; what remains is rtbase's measurement bookkeeping. The
-// current task, region index and block skip depth are per-attempt and
-// rebuilt by OnBoot.
-func (r *Runtime) SnapshotState() any { return r.SnapshotBaseInto(nil) }
-
-// SnapshotStateInto implements kernel.SnapshotterInto.
-func (r *Runtime) SnapshotStateInto(prev any) any {
-	p, _ := prev.(*rtbase.BaseState)
-	return r.SnapshotBaseInto(p)
-}
-
-// RestoreState implements kernel.Snapshotter.
-func (r *Runtime) RestoreState(dev *kernel.Device, state any) {
-	r.RestoreBase(dev, *state.(*rtbase.BaseState))
-	r.curTask = nil
-	r.regionIdx = 0
-	r.blockSkipDepth = 0
 }
 
 // --- helpers ---

@@ -145,6 +145,15 @@ func (r *resumedSupply) Recharge(wall time.Duration) time.Duration {
 	return r.Supply.Recharge(r.base + wall)
 }
 
+// SnapshotState implements power.Supply: the wall-time offset is
+// configuration, so the shared supply's state is the whole state.
+func (r *resumedSupply) SnapshotState(prev power.SupplyState) power.SupplyState {
+	return r.Supply.SnapshotState(prev)
+}
+
+// RestoreState implements power.Supply.
+func (r *resumedSupply) RestoreState(st power.SupplyState) { r.Supply.RestoreState(st) }
+
 // RenderDiurnal prints the day's throughput.
 func RenderDiurnal(rows []DiurnalRow) string {
 	header := []string{"Runtime", "Completions/day", "Failures/day", "On fraction"}

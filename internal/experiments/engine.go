@@ -20,10 +20,9 @@ import (
 )
 
 // RunMany executes cfg.Runs seeded runs and aggregates them. Runs are
-// sharded over cfg.Workers pooled workers unless cfg.Rebuild asks for the
-// legacy rebuild-per-run path. Failed runs do not abort the sweep: the
-// Summary covers every run that completed, and the error joins all
-// per-run failures (each carrying its app, runtime and seed).
+// sharded over cfg.Workers pooled workers. Failed runs do not abort the
+// sweep: the Summary covers every run that completed, and the error
+// joins all per-run failures (each carrying its app, runtime and seed).
 func RunMany(cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
 	return RunManyCtx(context.Background(), cfg, newApp, kind)
 }
@@ -38,10 +37,8 @@ func RunMany(cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, er
 // context.DeadlineExceeded.
 func RunManyCtx(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
 	cfg = cfg.fill()
-	if cfg.Rebuild {
-		return runManyRebuild(ctx, cfg, newApp, kind)
-	}
-	return runManyPooled(ctx, cfg, newApp, kind)
+	agg, err := RunRangeAgg(ctx, cfg, newApp, kind, 0, cfg.Runs)
+	return agg.Summary(), err
 }
 
 // PanicError wraps a panic recovered from a sweep worker goroutine, so a
@@ -83,18 +80,6 @@ func shardRange(lo, hi, workers int) []shard {
 	return out
 }
 
-// runManyPooled is the sharded worker-pool sweep. Each worker builds its
-// own app instance (peripheral models carry mutable per-run state, so
-// instances cannot be shared across goroutines) and reuses one device and
-// runtime for every seed in its shard.
-func runManyPooled(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
-	agg, errs := runRangePooled(ctx, cfg, newApp, kind, 0, cfg.Runs)
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	return agg.Summary(), errors.Join(errs...)
-}
-
 // RunRangeAgg executes the contiguous run-index slice [lo, hi) of the
 // sweep cfg describes and returns the raw aggregator fold state instead
 // of a finished Summary. This is the distributed sweep's work unit: a
@@ -121,7 +106,10 @@ func RunRangeAgg(ctx context.Context, cfg Config, newApp AppFactory, kind Runtim
 
 // runRangePooled is the sharded worker-pool engine behind both RunMany
 // (full range) and RunRangeAgg (fleet shards): split [lo, hi) over
-// cfg.Workers sessions, fold per worker, merge in shard order.
+// cfg.Workers sessions, fold per worker, merge in shard order. Each
+// worker builds its own app instance (peripheral models carry mutable
+// per-run state, so instances cannot be shared across goroutines) and
+// reuses one device and runtime for every seed in its shard.
 func runRangePooled(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, lo, hi int) (*stats.Aggregator, []error) {
 	start := time.Now()
 	sh := shardRange(lo, hi, cfg.Workers)
@@ -225,55 +213,4 @@ func notifyProgress(cfg Config, done *atomic.Int64) {
 		return
 	}
 	cfg.Progress(int(done.Add(1)), cfg.Runs)
-}
-
-// runManyRebuild is the predecessor engine: one goroutine and one freshly
-// built app, device and runtime per seed. Kept behind Config.Rebuild as
-// the baseline the sweep-throughput benchmark compares against.
-func runManyRebuild(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
-	start := time.Now()
-	if cfg.Timings != nil {
-		// The rebuild path interleaves build and run per seed; only the
-		// end-to-end wall time is attributable.
-		defer func() { cfg.Timings.Wall += time.Since(start) }()
-	}
-	runs := make([]*stats.Run, cfg.Runs)
-	errs := make([]error, cfg.Runs)
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i := 0; i < cfg.Runs; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = PanicError{Value: r, What: fmt.Sprintf("%s seed %d", kind, cfg.BaseSeed+int64(i))}
-				}
-			}()
-			runs[i], errs[i] = RunOneTraced(newApp, kind, cfg.Supply(), cfg.BaseSeed+int64(i), cfg.TraceSink)
-			notifyProgress(cfg, &done)
-		}(i)
-	}
-	wg.Wait()
-	agg := stats.NewAggregator()
-	var joined []error
-	for i, r := range runs {
-		if errs[i] != nil {
-			joined = append(joined, errs[i])
-			continue
-		}
-		if r != nil {
-			agg.Add(r)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		joined = append(joined, err)
-	}
-	return agg.Summary(), errors.Join(joined...)
 }

@@ -26,7 +26,7 @@ func firFactory() (*apps.Bench, error)  { return apps.NewFIRApp(apps.DefaultFIRC
 
 // TestRunManyDeterminism checks that identical seeds produce a
 // byte-identical Summary whether the sweep runs on one worker or many,
-// and whether workers pool their devices or rebuild per run.
+// and that the pooled sweep equals a fold of fresh-device runs.
 func TestRunManyDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,14 +54,16 @@ func TestRunManyDeterminism(t *testing.T) {
 				t.Errorf("Workers=1 vs Workers=%d summaries differ:\n%+v\nvs\n%+v",
 					par.Workers, seq, got)
 			}
-			reb := par
-			reb.Rebuild = true
-			got, err = RunMany(reb, c.new, EaseIO)
-			if err != nil {
-				t.Fatal(err)
+			fresh := stats.NewAggregator()
+			for i := 0; i < c.runs; i++ {
+				run, err := RunOne(c.new, EaseIO, TimerSupply(), base.BaseSeed+int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.Add(run)
 			}
-			if !reflect.DeepEqual(seq, got) {
-				t.Errorf("pooled vs rebuild summaries differ:\n%+v\nvs\n%+v", seq, got)
+			if got := fresh.Summary(); !reflect.DeepEqual(seq, got) {
+				t.Errorf("pooled vs fresh-device summaries differ:\n%+v\nvs\n%+v", seq, got)
 			}
 		})
 	}
@@ -170,48 +172,43 @@ func TestRunManyCtxCancelStopsAtSeedBoundary(t *testing.T) {
 }
 
 // TestRunManyCtxAlreadyCancelled checks a dead context produces an empty
-// summary, on both engine paths, without running anything.
+// summary without running anything.
 func TestRunManyCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rebuild := range []bool{false, true} {
-		cfg := Config{Runs: 8, Workers: 2, Rebuild: rebuild}
-		sum, err := RunManyCtx(ctx, cfg, dmaFactory, EaseIO)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("rebuild=%v: err = %v, want context.Canceled", rebuild, err)
-		}
-		if sum.Runs != 0 {
-			t.Errorf("rebuild=%v: %d runs executed under a cancelled context", rebuild, sum.Runs)
-		}
+	sum, err := RunManyCtx(ctx, Config{Runs: 8, Workers: 2}, dmaFactory, EaseIO)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if sum.Runs != 0 {
+		t.Errorf("%d runs executed under a cancelled context", sum.Runs)
 	}
 }
 
 // TestRunManyProgressReachesTotal checks the progress hook fires once
-// per seed and the final count equals the sweep total on both paths.
+// per seed and the final count equals the sweep total.
 func TestRunManyProgressReachesTotal(t *testing.T) {
-	for _, rebuild := range []bool{false, true} {
-		var calls atomic.Int64
-		var maxDone atomic.Int64
-		cfg := Config{Runs: 12, BaseSeed: 5, Workers: 3, Rebuild: rebuild}
-		cfg.Progress = func(done, total int) {
-			calls.Add(1)
-			// Callbacks race, so the hook records the running maximum.
-			for {
-				cur := maxDone.Load()
-				if int64(done) <= cur || maxDone.CompareAndSwap(cur, int64(done)) {
-					break
-				}
+	var calls atomic.Int64
+	var maxDone atomic.Int64
+	cfg := Config{Runs: 12, BaseSeed: 5, Workers: 3}
+	cfg.Progress = func(done, total int) {
+		calls.Add(1)
+		// Callbacks race, so the hook records the running maximum.
+		for {
+			cur := maxDone.Load()
+			if int64(done) <= cur || maxDone.CompareAndSwap(cur, int64(done)) {
+				break
 			}
 		}
-		if _, err := RunMany(cfg, tempFactory, EaseIO); err != nil {
-			t.Fatal(err)
-		}
-		if got := calls.Load(); got != 12 {
-			t.Errorf("rebuild=%v: progress fired %d times, want 12", rebuild, got)
-		}
-		if got := maxDone.Load(); got != 12 {
-			t.Errorf("rebuild=%v: max cumulative count = %d, want 12", rebuild, got)
-		}
+	}
+	if _, err := RunMany(cfg, tempFactory, EaseIO); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 12 {
+		t.Errorf("progress fired %d times, want 12", got)
+	}
+	if got := maxDone.Load(); got != 12 {
+		t.Errorf("max cumulative count = %d, want 12", got)
 	}
 }
 
@@ -219,15 +216,13 @@ func TestRunManyProgressReachesTotal(t *testing.T) {
 // shard with a typed PanicError instead of crashing the process.
 func TestRunManyRecoversWorkerPanic(t *testing.T) {
 	boom := func() (*apps.Bench, error) { panic("boom") }
-	for _, rebuild := range []bool{false, true} {
-		sum, err := RunMany(Config{Runs: 4, Workers: 2, Rebuild: rebuild}, boom, EaseIO)
-		var pe PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("rebuild=%v: err = %v, want a PanicError in the chain", rebuild, err)
-		}
-		if sum.Runs != 0 {
-			t.Errorf("rebuild=%v: summary reports %d runs", rebuild, sum.Runs)
-		}
+	sum, err := RunMany(Config{Runs: 4, Workers: 2}, boom, EaseIO)
+	var pe PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a PanicError in the chain", err)
+	}
+	if sum.Runs != 0 {
+		t.Errorf("summary reports %d runs", sum.Runs)
 	}
 }
 

@@ -85,38 +85,6 @@ func (r *Runtime) bumpEpoch() {
 	}
 }
 
-var _ kernel.Resetter = (*Runtime)(nil)
-
-// Reset implements kernel.Resetter. The zeroed index words already select
-// the master copies, which rtbase rewrites to their initial values; the
-// shadow buffers start unwritten, exactly as after Attach.
-func (r *Runtime) Reset(dev *kernel.Device) error {
-	r.ResetRun(dev)
-	r.bumpEpoch()
-	r.cur = nil
-	return nil
-}
-
-var _ kernel.SnapshotterInto = (*Runtime)(nil)
-
-// SnapshotState implements kernel.Snapshotter. InK's double-buffer index
-// words live in FRAM (captured by the device snapshot); the dirty map and
-// current task are per-attempt and rebuilt by OnBoot/BeginTask.
-func (r *Runtime) SnapshotState() any { return r.SnapshotBaseInto(nil) }
-
-// SnapshotStateInto implements kernel.SnapshotterInto.
-func (r *Runtime) SnapshotStateInto(prev any) any {
-	p, _ := prev.(*rtbase.BaseState)
-	return r.SnapshotBaseInto(p)
-}
-
-// RestoreState implements kernel.Snapshotter.
-func (r *Runtime) RestoreState(dev *kernel.Device, state any) {
-	r.RestoreBase(dev, *state.(*rtbase.BaseState))
-	r.bumpEpoch()
-	r.cur = nil
-}
-
 // activeAddr returns the committed copy's address (index word 0 = master,
 // 1 = shadow buffer).
 func (r *Runtime) activeAddr(v *task.NVVar) mem.Addr {
@@ -134,7 +102,11 @@ func (r *Runtime) inactiveAddr(v *task.NVVar) mem.Addr {
 	return r.MasterAddr(v)
 }
 
-// OnBoot implements kernel.Hooks.
+// OnBoot implements kernel.Hooks. Reset, SnapshotState and RestoreState
+// come from rtbase.Base: the zeroed index words already select the
+// master copies rtbase rewrites, the shadow buffers start unwritten, the
+// index words live in FRAM, and the epoch bump here empties the dirty
+// set after any reset or restore.
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	r.bumpEpoch()

@@ -80,37 +80,10 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	return nil
 }
 
-var _ kernel.Resetter = (*Runtime)(nil)
-
-// Reset implements kernel.Resetter. The progress counter and value log
-// start zeroed after Attach, which Device.Reset's memory clear restores.
-func (r *Runtime) Reset(dev *kernel.Device) error {
-	r.ResetRun(dev)
-	r.seq = 0
-	return nil
-}
-
-var _ kernel.SnapshotterInto = (*Runtime)(nil)
-
-// SnapshotState implements kernel.Snapshotter. JustDo's progress counter
-// and value log are durable FRAM words (captured by the device
-// snapshot); the volatile sequence counter is per-attempt and rebuilt at
-// boot.
-func (r *Runtime) SnapshotState() any { return r.SnapshotBaseInto(nil) }
-
-// SnapshotStateInto implements kernel.SnapshotterInto.
-func (r *Runtime) SnapshotStateInto(prev any) any {
-	p, _ := prev.(*rtbase.BaseState)
-	return r.SnapshotBaseInto(p)
-}
-
-// RestoreState implements kernel.Snapshotter.
-func (r *Runtime) RestoreState(dev *kernel.Device, state any) {
-	r.RestoreBase(dev, *state.(*rtbase.BaseState))
-	r.seq = 0
-}
-
-// OnBoot implements kernel.Hooks.
+// OnBoot implements kernel.Hooks. Reset, SnapshotState and RestoreState
+// come from rtbase.Base: the progress counter and value log start zeroed
+// after Attach (which Device.Reset's memory clear restores) and are
+// durable FRAM words, and the volatile sequence counter is rebuilt here.
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	c.ChargeMemAccess(mem.FRAM, false, true) // progress counter

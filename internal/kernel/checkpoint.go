@@ -98,11 +98,11 @@ func (c *countingSource) seek(seed int64, n uint64) {
 
 // Checkpoint is a full copy of a device's mid-run state: all memory
 // banks (used prefixes), the clock, the work ledger, the run statistics,
-// the peripheral randomness position, and — when the supply supports it
-// — the supply's mutable state. Observation-only state (Tracer, Cuts)
-// is deliberately excluded: sinks describe who is watching a device,
-// not what the device is, and restoring one device's observers into
-// another would cross-wire recordings.
+// the peripheral randomness position, and the supply's mutable state.
+// Observation-only state (Tracer, Cuts) is deliberately excluded: sinks
+// describe who is watching a device, not what the device is, and
+// restoring one device's observers into another would cross-wire
+// recordings.
 //
 // A checkpoint is immutable after Snapshot and safe to restore any
 // number of times, into the snapshotted device or into a different
@@ -138,31 +138,28 @@ func (d *Device) SnapshotInto(cp *Checkpoint) *Checkpoint {
 	cp.run = d.Run.CloneInto(cp.run)
 	cp.randSeed = d.randSrc.seed
 	cp.randDraws = d.randSrc.draws
-	if s, ok := d.Supply.(power.Snapshottable); ok {
-		cp.supplyName = d.Supply.Name()
-		// The Into variant reuses the previous state's box when it came
-		// from the same supply type, keeping recycled snapshots free of
-		// the per-call interface-boxing allocation.
-		cp.supply = s.SnapshotStateInto(cp.supply)
-	} else {
-		cp.supplyName, cp.supply = "", nil
-	}
+	cp.supplyName = d.Supply.Name()
+	// Reusing the previous state's box (when it came from the same supply
+	// type) keeps recycled snapshots free of the per-call interface-boxing
+	// allocation.
+	cp.supply = d.Supply.SnapshotState(cp.supply)
 	return cp
 }
 
 // Restore rewinds the device to the checkpointed state. The supply's
-// state is restored only when the device currently carries the same
-// supply (matched by Name) the checkpoint captured; otherwise the
-// current supply is left untouched for the caller to configure — this
-// is how the checker restores continuous-power checkpoints into
-// schedule-driven replay devices. Tracer and Cuts are never touched.
+// state is restored only when the checkpoint carries one (an imported
+// checkpoint may not) and the device currently carries the same supply
+// (matched by Name) the checkpoint captured; otherwise the current
+// supply is left untouched for the caller to configure — this is how the
+// checker restores continuous-power checkpoints into schedule-driven
+// replay devices. Tracer and Cuts are never touched.
 func (d *Device) Restore(cp *Checkpoint) {
 	d.Mem.RestoreAll(cp.mem)
 	d.Clock.Restore(cp.clock)
 	*d.Ledger = cp.ledger
 	d.Run = cp.run.CloneInto(d.Run)
 	d.randSrc.seek(cp.randSeed, cp.randDraws)
-	if s, ok := d.Supply.(power.Snapshottable); ok && cp.supply != nil && d.Supply.Name() == cp.supplyName {
-		s.RestoreState(cp.supply)
+	if cp.supply != nil && d.Supply.Name() == cp.supplyName {
+		d.Supply.RestoreState(cp.supply)
 	}
 }

@@ -5,11 +5,10 @@
 // internal/wire; this file defines what a checkpoint *is* on the wire
 // and validates imports so a decoder can feed it untrusted data.
 //
-// Runtime hook state (kernel.Snapshotter's opaque `any`) is deliberately
-// not part of the device checkpoint and therefore not part of this view:
-// remote suffix replay re-derives it from a local golden pass. Encoding
-// per-runtime hook state is the piece the k-failure roadmap item will
-// add runtime by runtime.
+// Runtime hook state (Hooks.SnapshotState's opaque `any`) is not part of
+// the device checkpoint and therefore not part of this view: it ships
+// alongside it as rtbase.BaseWireState (see internal/wire's subtree
+// shards).
 
 package kernel
 
@@ -24,8 +23,9 @@ import (
 )
 
 // CheckpointState is the flattened form of a Checkpoint. HasSupply
-// distinguishes "the snapshotted device's supply was not Snapshottable"
-// from a zero-valued supply state.
+// distinguishes "no supply state shipped" — which imports as a
+// checkpoint whose Restore leaves the supply untouched — from a
+// zero-valued supply state.
 type CheckpointState struct {
 	Mem mem.SnapshotState
 
@@ -44,7 +44,7 @@ type CheckpointState struct {
 	RandSeed  int64
 	RandDraws uint64
 
-	// The supply's state, when the snapshotted supply supported it.
+	// The supply's state, when shipped.
 	HasSupply  bool
 	SupplyName string
 	Supply     power.WireState

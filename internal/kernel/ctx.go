@@ -307,57 +307,23 @@ func (c *Ctx) RawDMA(src, dst mem.Addr, words int, overhead bool) {
 	// exactly the charged prefix copied and counted.
 	w := d.Mem.CopyWindowFor(src, dst, words)
 
-	// Bulk fast path: when nothing observes intermediate slice states (no
-	// cut sink) and the supply's next failure point is a known constant
-	// (continuous, timer, schedule — all pure on-time comparisons), every
-	// word that provably completes before that point can be charged and
-	// moved in one batch. Sums of identical integer charges are exact, so
-	// the clock, ledger, counters and memory land byte-identical to the
-	// per-word loop, including a failure cutting the copy mid-transfer.
-	if d.Cuts == nil && w.Bulkable() {
-		fireAt, known := time.Duration(math.MaxInt64), false
-		switch s := d.Supply.(type) {
-		case power.Continuous:
-			known = true
-		case *power.Timer:
-			fireAt, known = s.FireAt(), true
-		case *power.Schedule:
-			fireAt, known = s.FireAt(), true
-		}
-		if known {
-			var pend *stats.Totals
-			switch {
-			case c.wastedDepth > 0:
-				pend = &d.Ledger.committed[stats.Wasted]
-			case overhead:
-				pend = &d.Ledger.pending[1]
-			default:
-				pend = &d.Ledger.pending[0]
-			}
-			free := 0 // words whose slices end strictly before the failure
-			if head := fireAt - d.Clock.OnTime(); head > 0 {
-				free = words
-				if f := (head - 1) / wdt; f < time.Duration(words) {
-					free = int(f)
-				}
-			}
-			if free > 0 {
-				dt := time.Duration(free) * wdt
-				d.Clock.Run(dt)
-				pend.Add(stats.Totals{T: dt, E: units.Energy(free) * we})
-				w.MoveN(0, free)
-				if free == words {
-					return
-				}
-			}
-			// The next word's slice reaches the firing point: charge it
-			// and fail before the move, exactly as the per-word loop would.
-			d.Clock.Run(wdt)
-			pend.Add(stats.Totals{T: wdt, E: we})
-			panic(powerFailure{})
+	// Bulk fast path: every word that provably completes before the
+	// supply's next failure point (see BulkFree) is charged and moved in
+	// one batch. Sums of identical integer charges are exact, so the
+	// clock, ledger, counters and memory land byte-identical to the
+	// per-word loop. The loop then resumes at the first word whose slice
+	// may reach the failure point; supply steps of the bulkable supplies
+	// are pure on-time comparisons, so that word fails in chargeStep
+	// exactly where the per-word loop would have failed.
+	start := 0
+	if w.Bulkable() {
+		if free, ok := c.BulkFree(words, wdt); ok && free > 0 {
+			c.BulkCharge(time.Duration(free)*wdt, units.Energy(free)*we, overhead)
+			w.MoveN(0, free)
+			start = free
 		}
 	}
-	for i := 0; i < words; i++ {
+	for i := start; i < words; i++ {
 		c.chargeStep(d, wdt, we, overhead)
 		w.Move(i)
 	}

@@ -130,7 +130,7 @@ func NewDevice(supply power.Supply, seed int64) *Device {
 // allocations. Memory contents are cleared but the allocator and
 // allocation records survive, so a runtime attached to this device keeps
 // its addresses valid: re-running an app only requires the runtime to
-// rewrite its initial durable state (see Resetter).
+// rewrite its initial durable state (see Hooks.Reset).
 func (d *Device) Reset(supply power.Supply, seed int64) {
 	supply.Reset(seed)
 	d.Supply = supply
@@ -147,45 +147,6 @@ func (d *Device) Reset(supply power.Supply, seed int64) {
 	if r, ok := d.Tracer.(interface{ Reset() }); ok && r != nil {
 		r.Reset()
 	}
-}
-
-// Resetter is the optional interface a runtime implements to support
-// device reuse: Reset must return the attached runtime instance to the
-// state it had right after Attach on a device whose memory has just been
-// cleared by Device.Reset — i.e. rewrite every durable word the attach
-// path wrote (variable initial values, instance counters, the task
-// pointer) and clear all per-run volatile bookkeeping. Runtimes that do
-// not implement it are re-attached to a fresh device for every run.
-type Resetter interface {
-	Hooks
-	Reset(dev *Device) error
-}
-
-// Snapshotter is the optional interface a runtime implements to support
-// device checkpointing, mirroring Resetter for the hook struct's
-// volatile state. SnapshotState must capture exactly the volatile
-// bookkeeping that survives reboots (execution counters, completion
-// records, instance numbers — state a reboot does not clear); state that
-// every boot rebuilds (the current task, privatization buffers, dirty
-// maps) must instead be cleared by RestoreState, because a restored
-// checkpoint is always resumed through the reboot path (see
-// ResumeWithFailure). The returned state must be independent of the
-// runtime instance: restoring it into a different instance attached to
-// an equivalently laid-out device must be exact.
-type Snapshotter interface {
-	Hooks
-	SnapshotState() any
-	RestoreState(dev *Device, state any)
-}
-
-// SnapshotterInto is an optional extension of Snapshotter for callers
-// that take checkpoints in bulk: SnapshotStateInto behaves like
-// SnapshotState but may reuse the storage of prev — a state previously
-// returned by this runtime type and no longer needed — instead of
-// allocating. A nil (or foreign) prev allocates fresh.
-type SnapshotterInto interface {
-	Snapshotter
-	SnapshotStateInto(prev any) any
 }
 
 // CutSink receives the on-time of every charge-slice boundary — exactly
@@ -208,14 +169,42 @@ type powerFailure struct{}
 
 // Hooks is the interface a task-based runtime implements. The kernel
 // calls lifecycle hooks; task bodies reach the data hooks through Ctx.
+//
+// Reset, SnapshotState and RestoreState rest on one contract: every
+// reset or restore is followed by the reboot path, and OnBoot re-derives
+// all attempt-local state (the current task, privatization maps, dirty
+// sets) from durable state. So a reset must only rewrite what Attach
+// wrote, a snapshot must only capture the volatile bookkeeping a reboot
+// does not clear, and a restored checkpoint plus the reboot path is
+// equivalent to a from-boot run.
 type Hooks interface {
 	// Name identifies the runtime ("Alpaca", "InK", "EaseIO").
 	Name() string
 
 	// Attach instantiates the app on the device: allocate master copies
-	// of task-shared variables and runtime metadata. Called once per run
-	// before execution starts.
+	// of task-shared variables and runtime metadata. Called once per
+	// instance, before its first run.
 	Attach(dev *Device, app *task.App) error
+
+	// Reset returns the attached instance to its post-Attach state on a
+	// device whose memory Device.Reset just cleared: rewrite every
+	// durable word the attach path wrote (variable initial values,
+	// instance counters, the task pointer) and clear the per-run
+	// bookkeeping. Sessions call it between runs instead of re-attaching.
+	Reset(dev *Device) error
+
+	// SnapshotState captures the volatile bookkeeping that survives
+	// reboots (execution counters, completion records). It reuses the
+	// storage of prev — a state this runtime type returned earlier that
+	// is no longer needed — and allocates when prev is nil. The state is
+	// independent of the instance: restoring it into another instance
+	// attached to an equivalently laid-out device is exact.
+	SnapshotState(prev any) any
+
+	// RestoreState re-establishes a captured state on a device whose
+	// memory was restored to the matching checkpoint. The state is copied,
+	// never aliased, so one state restores any number of times.
+	RestoreState(dev *Device, state any)
 
 	// OnBoot runs the runtime's recovery path after (re)boot.
 	OnBoot(c *Ctx)

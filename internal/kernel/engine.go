@@ -5,7 +5,6 @@ package kernel
 
 import (
 	"fmt"
-	"time"
 
 	"easeio/internal/mcu"
 	"easeio/internal/power"
@@ -33,7 +32,7 @@ func RunApp(dev *Device, rt Hooks, app *task.App) error {
 
 // RunAttached executes app on a device the runtime is already attached to.
 // It is the reuse-path entry point: after Device.Reset plus a runtime
-// Reset (see Resetter), calling RunAttached reproduces exactly the run a
+// Reset (see Hooks.Reset), calling RunAttached reproduces exactly the run a
 // fresh device and attach would have produced for the same seed.
 func RunAttached(dev *Device, rt Hooks, app *task.App) error {
 	dev.Run.App = app.Name
@@ -43,7 +42,7 @@ func RunAttached(dev *Device, rt Hooks, app *task.App) error {
 
 // ResumeWithFailure continues a run from a device state restored to a
 // charge-slice boundary (Device.Restore of a Checkpoint taken by a
-// CutSink, plus the runtime's Snapshotter restore), applying the power
+// CutSink, plus the runtime's RestoreState), applying the power
 // failure that a supply firing at exactly that boundary would have
 // caused: the pending attempt is wasted, volatile memory is cleared, the
 // supply recharges, and execution proceeds through the normal reboot
@@ -199,14 +198,4 @@ func finish(dev *Device, rt Hooks, app *task.App) {
 	} else {
 		dev.Run.Correct = !dev.Run.Stuck
 	}
-}
-
-// GoldenOnTime runs app once under continuous power on a fresh device and
-// returns the pure execution time — the App bar in Figures 7 and 10.
-func GoldenOnTime(newRT func() Hooks, app *task.App, seed int64) (time.Duration, error) {
-	dev := NewDevice(power.Continuous{}, seed)
-	if err := RunApp(dev, newRT(), app); err != nil {
-		return 0, err
-	}
-	return dev.Clock.OnTime(), nil
 }

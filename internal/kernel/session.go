@@ -1,8 +1,8 @@
 // Session: the blueprint/instance split at the kernel level. An analyzed
 // app is a blueprint shared by every run; the device and the attached
 // runtime are the instance. A Session owns one device + one runtime
-// instance and replays runs across seeds, resetting in place when the
-// runtime supports it instead of rebuilding the world per run.
+// instance and replays runs across seeds, resetting both in place
+// instead of rebuilding the world per run.
 
 package kernel
 
@@ -15,10 +15,9 @@ import (
 )
 
 // Session runs one app under one runtime instance many times, reusing the
-// device between runs. If the runtime implements Resetter, subsequent
-// runs reset the device and runtime in place (no reallocation, no
-// re-attach); otherwise each run rebuilds a fresh device and re-attaches,
-// which is always correct but slower.
+// device between runs: the first run attaches the runtime to a fresh
+// device, every later run resets the device and runtime in place (no
+// reallocation, no re-attach).
 type Session struct {
 	rt     Hooks
 	app    *task.App
@@ -34,7 +33,7 @@ type Session struct {
 
 // NewSession creates a session for app under rt, powered by supply. The
 // app must validate; analysis state is the runtime's concern (Attach
-// reports un-analyzed apps exactly as it does on the rebuild path).
+// reports un-analyzed apps exactly as RunApp does).
 func NewSession(rt Hooks, app *task.App, supply power.Supply) *Session {
 	return &Session{rt: rt, app: app, supply: supply}
 }
@@ -48,12 +47,12 @@ func (s *Session) Runtime() Hooks { return s.rt }
 
 // Run executes the app once with the given seed and returns the run's
 // statistics. The first run attaches the runtime to a fresh device; later
-// runs reuse it when the runtime implements Resetter. A structural error
-// (attach failure, non-termination) discards the device so the next call
-// starts from a clean attach.
+// runs reset it in place. A structural error (attach failure,
+// non-termination) discards the device so the next call starts from a
+// clean attach.
 //
 // The returned record is the device's own, reset in place by the next
-// Run on the reuse path — read it (or Clone it) before running again.
+// Run — read it (or Clone it) before running again.
 func (s *Session) Run(seed int64) (*stats.Run, error) {
 	if err := s.prepare(seed); err != nil {
 		return nil, err
@@ -66,12 +65,11 @@ func (s *Session) Run(seed int64) (*stats.Run, error) {
 }
 
 // prepare brings the session's device to the ready-to-run state for seed:
-// a fresh device plus attach on the first run (or for runtimes without
-// Resetter), an in-place device + runtime reset afterwards — Run's front
-// half, before RunAttached drives the reboot loop.
+// a fresh device plus attach on the first run, an in-place device +
+// runtime reset afterwards — Run's front half, before RunAttached drives
+// the reboot loop.
 func (s *Session) prepare(seed int64) error {
-	r, ok := s.rt.(Resetter)
-	if s.dev == nil || !ok {
+	if s.dev == nil {
 		if err := s.app.Validate(); err != nil {
 			return err
 		}
@@ -87,7 +85,7 @@ func (s *Session) prepare(seed int64) error {
 	s.dev.Tracer = s.Tracer
 	s.dev.Cuts = s.Cuts
 	s.dev.Reset(s.supply, seed)
-	if err := r.Reset(s.dev); err != nil {
+	if err := s.rt.Reset(s.dev); err != nil {
 		s.dev = nil
 		return err
 	}

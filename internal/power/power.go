@@ -42,6 +42,15 @@ type Supply interface {
 	// Recharge is called after a failure; it returns how long the device
 	// stays off before rebooting, given the wall-clock time of the failure.
 	Recharge(wall time.Duration) time.Duration
+	// SnapshotState captures the supply's mutable state for a device
+	// checkpoint, reusing prev's storage when prev was produced by the
+	// same supply type; a nil or foreign prev allocates fresh. Bulk
+	// checkpointing recycles states through it to stay allocation-free.
+	SnapshotState(prev SupplyState) SupplyState
+	// RestoreState re-establishes previously captured state. It panics if
+	// the state was produced by a different supply type — mixing supplies
+	// across a checkpoint boundary is a harness bug.
+	RestoreState(SupplyState)
 }
 
 // Continuous is a Supply that never fails: the paper's "continuous power"

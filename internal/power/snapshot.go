@@ -1,9 +1,9 @@
 // Supply checkpointing. A device checkpoint must capture the supply's
 // mutable state alongside memory and clocks, or a restored run would see
 // a supply that has drifted ahead (a capacitor drained past the restore
-// point, a timer whose random stream has advanced). Supplies opt in via
-// Snapshottable; states are opaque values that must be handed back to a
-// supply of the same concrete type.
+// point, a timer whose random stream has advanced). Every Supply
+// implements SnapshotState/RestoreState; states are opaque values that
+// must be handed back to a supply of the same concrete type.
 
 package power
 
@@ -20,23 +20,6 @@ import (
 // produced by SnapshotState and consumed by RestoreState on a supply of
 // the same concrete type.
 type SupplyState interface{ supplyState() }
-
-// Snapshottable is a Supply whose mutable state can be captured and
-// re-established, enabling device checkpointing mid-run.
-type Snapshottable interface {
-	Supply
-	// SnapshotState captures the supply's mutable state.
-	SnapshotState() SupplyState
-	// SnapshotStateInto is SnapshotState reusing prev's storage when prev
-	// was produced by the same supply type; a nil or foreign prev
-	// allocates fresh. Bulk checkpointing (one snapshot per candidate
-	// failure point) recycles states through it to stay allocation-free.
-	SnapshotStateInto(prev SupplyState) SupplyState
-	// RestoreState re-establishes previously captured state. It panics if
-	// the state was produced by a different supply type — mixing supplies
-	// across a checkpoint boundary is a harness bug.
-	RestoreState(SupplyState)
-}
 
 // countingSource wraps a lazyrand source (bit-identical to math/rand's
 // default source, O(1) reseed) and counts draws, so a supply's position
@@ -84,19 +67,15 @@ func (c *countingSource) seek(seed int64, n uint64) {
 }
 
 // continuousState is the (empty) state of a Continuous supply. Boxing a
-// zero-size value never allocates, so Continuous needs no Into plumbing.
+// zero-size value never allocates, so Continuous ignores prev.
 type continuousState struct{}
 
 func (continuousState) supplyState() {}
 
-// SnapshotState implements Snapshottable: a Continuous supply is
-// stateless.
-func (Continuous) SnapshotState() SupplyState { return continuousState{} }
+// SnapshotState implements Supply: a Continuous supply is stateless.
+func (Continuous) SnapshotState(SupplyState) SupplyState { return continuousState{} }
 
-// SnapshotStateInto implements Snapshottable.
-func (Continuous) SnapshotStateInto(SupplyState) SupplyState { return continuousState{} }
-
-// RestoreState implements Snapshottable.
+// RestoreState implements Supply.
 func (Continuous) RestoreState(s SupplyState) {
 	if _, ok := s.(continuousState); !ok {
 		panic(fmt.Sprintf("power: continuous restore from %T", s))
@@ -109,11 +88,8 @@ type scheduleState struct{ next int }
 
 func (scheduleState) supplyState() {}
 
-// SnapshotState implements Snapshottable.
-func (s *Schedule) SnapshotState() SupplyState { return s.SnapshotStateInto(nil) }
-
-// SnapshotStateInto implements Snapshottable.
-func (s *Schedule) SnapshotStateInto(prev SupplyState) SupplyState {
+// SnapshotState implements Supply.
+func (s *Schedule) SnapshotState(prev SupplyState) SupplyState {
 	p, ok := prev.(*scheduleState)
 	if !ok {
 		p = &scheduleState{}
@@ -122,7 +98,7 @@ func (s *Schedule) SnapshotStateInto(prev SupplyState) SupplyState {
 	return p
 }
 
-// RestoreState implements Snapshottable.
+// RestoreState implements Supply.
 func (s *Schedule) RestoreState(st SupplyState) {
 	ss, ok := st.(*scheduleState)
 	if !ok {
@@ -141,11 +117,8 @@ type timerState struct {
 
 func (timerState) supplyState() {}
 
-// SnapshotState implements Snapshottable.
-func (t *Timer) SnapshotState() SupplyState { return t.SnapshotStateInto(nil) }
-
-// SnapshotStateInto implements Snapshottable.
-func (t *Timer) SnapshotStateInto(prev SupplyState) SupplyState {
+// SnapshotState implements Supply.
+func (t *Timer) SnapshotState(prev SupplyState) SupplyState {
 	p, ok := prev.(*timerState)
 	if !ok {
 		p = &timerState{}
@@ -154,7 +127,7 @@ func (t *Timer) SnapshotStateInto(prev SupplyState) SupplyState {
 	return p
 }
 
-// RestoreState implements Snapshottable.
+// RestoreState implements Supply.
 func (t *Timer) RestoreState(st SupplyState) {
 	ts, ok := st.(*timerState)
 	if !ok {
@@ -174,11 +147,8 @@ type harvestedState struct {
 
 func (harvestedState) supplyState() {}
 
-// SnapshotState implements Snapshottable.
-func (s *Harvested) SnapshotState() SupplyState { return s.SnapshotStateInto(nil) }
-
-// SnapshotStateInto implements Snapshottable.
-func (s *Harvested) SnapshotStateInto(prev SupplyState) SupplyState {
+// SnapshotState implements Supply.
+func (s *Harvested) SnapshotState(prev SupplyState) SupplyState {
 	p, ok := prev.(*harvestedState)
 	if !ok {
 		p = &harvestedState{}
@@ -187,7 +157,7 @@ func (s *Harvested) SnapshotStateInto(prev SupplyState) SupplyState {
 	return p
 }
 
-// RestoreState implements Snapshottable.
+// RestoreState implements Supply.
 func (s *Harvested) RestoreState(st SupplyState) {
 	hs, ok := st.(*harvestedState)
 	if !ok {
@@ -197,11 +167,3 @@ func (s *Harvested) RestoreState(st SupplyState) {
 	s.gain = hs.gain
 	s.dead = hs.dead
 }
-
-// The concrete supplies are all checkpointable.
-var (
-	_ Snapshottable = Continuous{}
-	_ Snapshottable = (*Schedule)(nil)
-	_ Snapshottable = (*Timer)(nil)
-	_ Snapshottable = (*Harvested)(nil)
-)

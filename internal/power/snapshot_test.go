@@ -26,7 +26,7 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	s.Reset(11)
 	mid := 60 * time.Millisecond
 	walkTimer(s, 0, mid)
-	st := s.SnapshotState()
+	st := s.SnapshotState(nil)
 
 	want := walkTimer(s, mid, 300*time.Millisecond)
 	s.RestoreState(st)
@@ -55,7 +55,7 @@ func TestScheduleSnapshotRestore(t *testing.T) {
 		t.Fatal("no failure at first point")
 	}
 	s.Recharge(0)
-	st := s.SnapshotState()
+	st := s.SnapshotState(nil)
 	s.Recharge(0)
 	s.Recharge(0)
 	if s.Remaining() != 0 {
@@ -83,7 +83,7 @@ func TestHarvestedSnapshotRestore(t *testing.T) {
 		wall += 50 * time.Microsecond
 		s.Step(wall, wall, 50*time.Microsecond, drain)
 	}
-	st := s.SnapshotState()
+	st := s.SnapshotState(nil)
 	stored, gain := s.Cap.Stored(), s.gain
 
 	for !s.Step(wall, wall, 50*time.Microsecond, drain) {
@@ -105,7 +105,7 @@ func TestHarvestedSnapshotRestore(t *testing.T) {
 
 func TestContinuousSnapshotRestore(t *testing.T) {
 	var s Continuous
-	s.RestoreState(s.SnapshotState()) // must not panic
+	s.RestoreState(s.SnapshotState(nil)) // must not panic
 }
 
 func TestRestoreStateTypeMismatchPanics(t *testing.T) {
@@ -114,7 +114,7 @@ func TestRestoreStateTypeMismatchPanics(t *testing.T) {
 			t.Error("expected panic on cross-type supply restore")
 		}
 	}()
-	NewSchedule(time.Millisecond).RestoreState(Continuous{}.SnapshotState())
+	NewSchedule(time.Millisecond).RestoreState(Continuous{}.SnapshotState(nil))
 }
 
 func TestCountingSourceSeek(t *testing.T) {

@@ -46,8 +46,10 @@ type ioSlot struct {
 
 // Base is embedded by each runtime implementation. All per-run state is
 // held in flat slices sized once at Init from the frozen program tables
-// (variable count, task count, I/O slot count); ResetRun clears those
-// prefixes in place and never reallocates.
+// (variable count, task count, I/O slot count); Reset clears those
+// prefixes in place and never reallocates. Base implements the
+// kernel.Hooks lifecycle trio — Reset, SnapshotState, RestoreState — for
+// every runtime that embeds it.
 type Base struct {
 	Dev *kernel.Device
 	App *task.App
@@ -119,16 +121,18 @@ func (b *Base) writeInitial() {
 	b.cur = entry.ID
 }
 
-// ResetRun returns the base to its post-Init state on a device whose
-// memory was just cleared by Device.Reset: the watermarked bookkeeping
-// prefixes (sized once at Init from the frozen tables) are cleared in
-// place and the initial durable words are rewritten at their existing
-// addresses. Runtimes embed this in their kernel.Resetter implementation.
-func (b *Base) ResetRun(dev *kernel.Device) {
+// Reset implements kernel.Hooks: it returns the base to its post-Init
+// state on a device whose memory was just cleared by Device.Reset. The
+// watermarked bookkeeping prefixes (sized once at Init from the frozen
+// tables) are cleared in place and the initial durable words are
+// rewritten at their existing addresses. Runtime-specific attempt state
+// needs no clearing: the run starts through OnBoot, which re-derives it.
+func (b *Base) Reset(dev *kernel.Device) error {
 	b.Dev = dev
 	clear(b.slots)
 	clear(b.taskInst)
 	b.writeInitial()
+	return nil
 }
 
 // BaseState is the checkpointable part of a Base: the task-pointer cache
@@ -138,36 +142,40 @@ func (b *Base) ResetRun(dev *kernel.Device) {
 // instance attached to an equivalently built app — attach order and slot
 // numbering are deterministic. Addresses (addrs, taskPtr) are layout,
 // not state: each instance's own attach established them identically.
+//
+// It is every shipped runtime's whole snapshot: their other durable
+// bookkeeping (flags, generations, index words, progress counters) lives
+// in FRAM and is captured by the device checkpoint, and their volatile
+// attempt state is rebuilt by OnBoot.
 type BaseState struct {
 	cur      int
 	slots    []ioSlot
 	taskInst []int32
 }
 
-// SnapshotBase deep-copies the base's checkpointable state. Runtimes
-// build their kernel.Snapshotter implementation on it.
-func (b *Base) SnapshotBase() BaseState { return *b.SnapshotBaseInto(nil) }
-
-// SnapshotBaseInto is SnapshotBase reusing prev's slices when prev is
-// non-nil (prev's previous contents are overwritten); nil allocates. A
+// SnapshotState implements kernel.Hooks: it deep-copies the base's
+// checkpointable state into a *BaseState, reusing prev's slices when
+// prev is one (its previous contents are overwritten); nil allocates. A
 // reused prev captured from the same program is a pure slice copy with
-// no allocation — the bulk-checkpointing path of the failure-point
-// checker (kernel.SnapshotterInto) takes thousands of these per run.
-func (b *Base) SnapshotBaseInto(prev *BaseState) *BaseState {
-	if prev == nil {
-		prev = &BaseState{}
+// no allocation — the failure-point checker takes thousands of these
+// per run.
+func (b *Base) SnapshotState(prev any) any {
+	p, _ := prev.(*BaseState)
+	if p == nil {
+		p = &BaseState{}
 	}
-	prev.cur = b.cur
-	prev.slots = append(prev.slots[:0], b.slots...)
-	prev.taskInst = append(prev.taskInst[:0], b.taskInst...)
-	return prev
+	p.cur = b.cur
+	p.slots = append(p.slots[:0], b.slots...)
+	p.taskInst = append(p.taskInst[:0], b.taskInst...)
+	return p
 }
 
-// RestoreBase re-establishes a previously captured state on a device
-// whose memory has been restored to the matching checkpoint. The state
-// is copied, never aliased, so one checkpoint restores any number of
-// times.
-func (b *Base) RestoreBase(dev *kernel.Device, s BaseState) {
+// RestoreState implements kernel.Hooks: it re-establishes a *BaseState
+// on a device whose memory has been restored to the matching checkpoint.
+// The state is copied, never aliased, so one checkpoint restores any
+// number of times.
+func (b *Base) RestoreState(dev *kernel.Device, state any) {
+	s := state.(*BaseState)
 	b.Dev = dev
 	b.cur = s.cur
 	b.slots = append(b.slots[:0], s.slots...)
@@ -213,7 +221,7 @@ func (s *BaseState) Export() BaseWireState {
 }
 
 // ImportBaseState rebuilds the BaseState a wire mirror describes, in the
-// form every runtime's kernel.Snapshotter RestoreState accepts.
+// form Base.RestoreState accepts.
 func ImportBaseState(w BaseWireState) *BaseState {
 	s := &BaseState{
 		cur:      w.Cur,

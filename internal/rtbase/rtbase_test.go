@@ -147,7 +147,7 @@ func TestTaskPointerPersists(t *testing.T) {
 	}
 }
 
-// TestSnapshotBaseIntoNoAlloc pins that SnapshotBaseInto with a reused
+// TestSnapshotBaseIntoNoAlloc pins that SnapshotState with a reused
 // state is a pure slice copy: the flat ID-indexed state made the
 // snapshot a fixed-shape copy, and this keeps it that way (the original
 // map-based state allocated three maps per snapshot even when prev was
@@ -159,11 +159,12 @@ func TestSnapshotBaseIntoNoAlloc(t *testing.T) {
 	if err := b.Init(dev, a, "TestRT"); err != nil {
 		t.Fatal(err)
 	}
-	prev := b.SnapshotBaseInto(nil) // sizes the slices
-	if avg := testing.AllocsPerRun(20, func() { prev = b.SnapshotBaseInto(prev) }); avg > 0 {
-		t.Errorf("reused SnapshotBaseInto allocates %.1f times, want 0", avg)
+	prev := b.SnapshotState(nil) // sizes the slices
+	if avg := testing.AllocsPerRun(20, func() { prev = b.SnapshotState(prev) }); avg > 0 {
+		t.Errorf("reused SnapshotState allocates %.1f times, want 0", avg)
 	}
-	if got := b.SnapshotBase(); got.cur != prev.cur {
-		t.Errorf("reused snapshot diverged: cur %d vs %d", prev.cur, got.cur)
+	got, reused := b.SnapshotState(nil).(*BaseState), prev.(*BaseState)
+	if got.cur != reused.cur {
+		t.Errorf("reused snapshot diverged: cur %d vs %d", reused.cur, got.cur)
 	}
 }

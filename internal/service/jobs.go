@@ -163,9 +163,18 @@ func (j *Job) Cancel() bool {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.finishedCh }
 
-// finalize records the terminal state exactly once (callers guarantee
-// the CAS into the terminal state happened before).
+// finalize records the terminal state of a job that never ran (cancelled
+// or failed over while queued) and closes Done.
 func (j *Job) finalize(s State, sum stats.Summary, errMsg string) {
+	j.settle(s, sum, errMsg)
+	close(j.finishedCh)
+}
+
+// settle records the terminal state exactly once (callers guarantee the
+// CAS into the terminal state happened before). It leaves Done open:
+// runJob closes it only after the job's metrics are observed, so a
+// client woken by Done always finds the job in /metrics.
+func (j *Job) settle(s State, sum stats.Summary, errMsg string) {
 	j.mu.Lock()
 	j.summary = sum
 	j.errMsg = errMsg
@@ -173,7 +182,6 @@ func (j *Job) finalize(s State, sum stats.Summary, errMsg string) {
 	j.mu.Unlock()
 	j.state.Store(int32(s))
 	j.cancel() // release the context's timer, if any
-	close(j.finishedCh)
 }
 
 // Status is the JSON view of a job.
@@ -525,6 +533,9 @@ func (m *Manager) runJob(j *Job) {
 	if !j.state.CompareAndSwap(int32(Queued), int32(Running)) {
 		return // cancelled while queued; already finalized
 	}
+	// Done closes last, after every deferred observation below: the
+	// histograms, the finish log and the running gauge.
+	defer close(j.finishedCh)
 	j.mu.Lock()
 	j.started = time.Now()
 	queued := j.started.Sub(j.submitted)
@@ -537,7 +548,7 @@ func (m *Manager) runJob(j *Job) {
 	m.metrics.QueueWait.Observe(mode, queued.Seconds())
 	jl.Info("job started", "app", j.Spec.App, "runtime", j.Spec.Runtime,
 		"mode", mode, "queued_ms", queued.Milliseconds())
-	// Registered before the recover barrier so it observes the finalized
+	// Registered before the recover barrier so it observes the settled
 	// job even when the job panicked.
 	defer m.observeFinished(j, jl)
 
@@ -545,7 +556,7 @@ func (m *Manager) runJob(j *Job) {
 		if r := recover(); r != nil {
 			m.metrics.JobsPanicked.Add(1)
 			m.metrics.JobsFailed.Add(1)
-			j.finalize(Failed, stats.Summary{}, fmt.Sprintf("job panicked: %v", r))
+			j.settle(Failed, stats.Summary{}, fmt.Sprintf("job panicked: %v", r))
 		}
 	}()
 
@@ -573,23 +584,24 @@ func (m *Manager) runJob(j *Job) {
 	switch {
 	case j.ctx.Err() != nil:
 		m.metrics.JobsCancelled.Add(1)
-		j.finalize(Cancelled, sum, j.ctx.Err().Error())
+		j.settle(Cancelled, sum, j.ctx.Err().Error())
 	case err != nil:
 		var pe experiments.PanicError
 		if errors.As(err, &pe) {
 			m.metrics.JobsPanicked.Add(1)
 		}
 		m.metrics.JobsFailed.Add(1)
-		j.finalize(Failed, sum, err.Error())
+		j.settle(Failed, sum, err.Error())
 	default:
 		m.metrics.JobsCompleted.Add(1)
-		j.finalize(Succeeded, sum, "")
+		j.settle(Succeeded, sum, "")
 	}
 }
 
 // observeFinished folds a finished job into the latency and throughput
-// histograms and logs its outcome. It runs after finalize (the recover
-// barrier included), so the terminal state and timestamps are set.
+// histograms and logs its outcome. It runs after settle (the recover
+// barrier included), so the terminal state and timestamps are set, and
+// before Done closes.
 func (m *Manager) observeFinished(j *Job, jl *slog.Logger) {
 	st := j.State()
 	mode := modeName(j.Spec.Mode)
@@ -645,7 +657,7 @@ func (m *Manager) runFleetJob(j *Job) {
 	fid, err := m.fleet.Submit(fspec)
 	if err != nil {
 		m.metrics.JobsFailed.Add(1)
-		j.finalize(Failed, stats.Summary{}, err.Error())
+		j.settle(Failed, stats.Summary{}, err.Error())
 		return
 	}
 
@@ -657,7 +669,7 @@ func (m *Manager) runFleetJob(j *Job) {
 	}()
 	res, err := m.fleet.Wait(j.ctx, fid)
 	close(watchDone)
-	// Join the watcher before finalizing: its exit path takes a last
+	// Join the watcher before settling: its exit path takes a last
 	// progress/lease snapshot, which must land before Done() readers see
 	// the terminal status.
 	<-watchExited
@@ -668,10 +680,10 @@ func (m *Manager) runFleetJob(j *Job) {
 		// job for whoever else may wait on it; this job just stops
 		// waiting.
 		m.metrics.JobsCancelled.Add(1)
-		j.finalize(Cancelled, stats.Summary{}, j.ctx.Err().Error())
+		j.settle(Cancelled, stats.Summary{}, j.ctx.Err().Error())
 	case err != nil:
 		m.metrics.JobsFailed.Add(1)
-		j.finalize(Failed, stats.Summary{}, err.Error())
+		j.settle(Failed, stats.Summary{}, err.Error())
 	case res.Mode == fleet.ModeCheck:
 		m.metrics.CheckPoints.Add(int64(res.Report.Explored))
 		m.metrics.CheckDivergences.Add(int64(len(res.Report.Divergences)))
@@ -680,7 +692,7 @@ func (m *Manager) runFleetJob(j *Job) {
 		j.report = res.Report
 		j.mu.Unlock()
 		m.metrics.JobsCompleted.Add(1)
-		j.finalize(Succeeded, stats.Summary{}, "")
+		j.settle(Succeeded, stats.Summary{}, "")
 	default:
 		m.metrics.NoteSummary(res.Summary)
 		m.metrics.RunsCompleted.Add(int64(res.Summary.Runs))
@@ -688,11 +700,11 @@ func (m *Manager) runFleetJob(j *Job) {
 			// Mirror the in-process contract: per-run failures fail the
 			// job but keep the partial summary.
 			m.metrics.JobsFailed.Add(1)
-			j.finalize(Failed, res.Summary, strings.Join(res.Errs, "; "))
+			j.settle(Failed, res.Summary, strings.Join(res.Errs, "; "))
 			return
 		}
 		m.metrics.JobsCompleted.Add(1)
-		j.finalize(Succeeded, res.Summary, "")
+		j.settle(Succeeded, res.Summary, "")
 	}
 }
 
@@ -774,12 +786,12 @@ func (m *Manager) runCheckJob(j *Job) {
 	switch {
 	case j.ctx.Err() != nil:
 		m.metrics.JobsCancelled.Add(1)
-		j.finalize(Cancelled, stats.Summary{}, j.ctx.Err().Error())
+		j.settle(Cancelled, stats.Summary{}, j.ctx.Err().Error())
 	case err != nil:
 		m.metrics.JobsFailed.Add(1)
-		j.finalize(Failed, stats.Summary{}, err.Error())
+		j.settle(Failed, stats.Summary{}, err.Error())
 	default:
 		m.metrics.JobsCompleted.Add(1)
-		j.finalize(Succeeded, stats.Summary{}, "")
+		j.settle(Succeeded, stats.Summary{}, "")
 	}
 }

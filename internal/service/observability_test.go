@@ -45,17 +45,7 @@ func TestMetricsHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-j.Done()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
+	text := scrapeMetrics(t, srv.URL)
 
 	for _, want := range []string{
 		"# TYPE easeio_job_duration_seconds histogram",
@@ -85,6 +75,78 @@ func TestMetricsHistograms(t *testing.T) {
 			t.Errorf("bucket count %d exceeds observation count 1: %q", n, line)
 		}
 	}
+}
+
+// TestMetricsObservedBeforeDone pins the ordering a client relies on:
+// once a job's Done channel closes, /metrics already counts the job in
+// its duration histogram. The manager's "job finished" record — logged
+// after the histograms are observed — is parked until the test has
+// checked that Done is still open, which makes the ordering
+// deterministic. Jobs run one after another, so every scrape has an
+// exact expected count.
+func TestMetricsObservedBeforeDone(t *testing.T) {
+	gate := gateHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	reg := NewRegistry()
+	if err := RegisterPaperBenches(reg); err != nil {
+		t.Fatal(err)
+	}
+	metrics := NewMetrics()
+	mgr := NewManager(reg, metrics, 4, 1, WithManagerLogger(slog.New(gate)))
+	t.Cleanup(func() { _ = mgr.Shutdown(context.Background()) })
+	srv := httptest.NewServer(NewServer(mgr, reg, metrics).Handler())
+	t.Cleanup(srv.Close)
+
+	for i := 1; i <= 5; i++ {
+		j, err := mgr.Submit(JobSpec{App: "temp", Runtime: "EaseIO", Runs: 2, BaseSeed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-gate.entered
+		select {
+		case <-j.Done():
+			t.Errorf("job %d: Done closed before its metrics were observed", i)
+		default:
+		}
+		gate.release <- struct{}{}
+		<-j.Done()
+		want := fmt.Sprintf("easeio_job_duration_seconds_count{mode=\"sweep\"} %d\n", i)
+		if text := scrapeMetrics(t, srv.URL); !strings.Contains(text, want) {
+			t.Fatalf("after job %d finished, metrics lack %q", i, strings.TrimSpace(want))
+		}
+	}
+}
+
+// gateHandler is a slog handler that parks every "job finished" record:
+// it signals entered, then waits for release.
+type gateHandler struct{ entered, release chan struct{} }
+
+func (h gateHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h gateHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "job finished" {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return nil
+}
+
+func (h gateHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+
+func (h gateHandler) WithGroup(string) slog.Handler { return h }
+
+// scrapeMetrics fetches the exposition text from the server at base.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestPprofDisabledByDefault: the profiling endpoints expose host detail
