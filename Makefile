@@ -6,12 +6,13 @@
 # detector, a short fuzz smoke over the native fuzz targets, and the
 # benchmark module's own tests (`make benchmark-test`: the pinned result
 # digests, fleet ≡ in-process, and the profiled stage-function names).
-# `make serve-smoke` boots the easeio-served daemon on a loopback port,
-# pushes one sweep job through the HTTP API and verifies the result and
-# the metrics endpoint. `make fleet-smoke` runs the distributed-fleet
-# self-tests: the easeio-worker kill/restart smoke (coordinator + TCP
-# workers, one killed mid-sweep) and the easeio-served HTTP smoke in
-# fleet delegation mode. `make fuzz` runs the fuzzers with a longer
+# `make examples-smoke` runs every facade example (a non-zero exit
+# fails). `make serve-smoke` boots the easeio-served daemon on a
+# loopback port, pushes one sweep job through the HTTP API and verifies
+# the result and the metrics endpoint. `make fleet-smoke` runs the
+# distributed-fleet self-tests: the easeio-worker kill/restart smoke
+# (coordinator + TCP workers, one killed mid-sweep) and the
+# easeio-served HTTP smoke in fleet delegation mode. `make fuzz` runs the fuzzers with a longer
 # budget for local exploration. `make ci` is the exact superset the CI
 # workflow gates merges on (check plus a one-iteration bench smoke).
 
@@ -25,7 +26,7 @@ FUZZTIME ?= 30s
 # is compiled and exercised without paying for stable numbers.
 BENCHTIME ?= 10x
 
-.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate benchmark-test fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke check ci
+.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate benchmark-test fuzz fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -105,6 +106,15 @@ nested-smoke:
 	$(GO) run ./cmd/easeio-check -k 2 -exhaustive -runtime EaseIO
 	$(GO) run ./cmd/easeio-check -k 2 -exhaustive -runtime JustDo
 
+# The library facade's runnable examples, each a short end-to-end run.
+EXAMPLES = quickstart sensorlog firfilter weather camaroptera
+
+examples-smoke:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
+
 serve-smoke:
 	$(GO) run ./cmd/easeio-served -smoke
 
@@ -112,7 +122,7 @@ fleet-smoke:
 	$(GO) run ./cmd/easeio-worker -smoke
 	$(GO) run ./cmd/easeio-served -smoke -fleet -wal $$(mktemp -u /tmp/easeio-fleet-smoke.XXXXXX.wal)
 
-check: build fmt-check vet test race benchmark-test fuzz-smoke nested-smoke serve-smoke fleet-smoke
+check: build fmt-check vet test race benchmark-test fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke
 
 ci:
 	$(MAKE) check

@@ -17,30 +17,40 @@ import (
 // TestPooledRunZeroAlloc pins zero heap allocations per steady-state
 // pooled sweep run: after the first run attaches the runtime and the
 // second settles lazily-created scratch, Session.Run must reset and
-// re-execute entirely in place for every runtime.
+// re-execute entirely in place for every runtime — on the DMA app and on
+// the freshness-bounded sensor app, whose per-attempt fresh-site list
+// and per-run sample table must keep their buffers across runs.
 func TestPooledRunZeroAlloc(t *testing.T) {
-	cfg := apps.DefaultDMAConfig()
-	cfg.Words = 100
-	for _, kind := range []experiments.RuntimeKind{
-		experiments.EaseIO, experiments.Alpaca, experiments.InK, experiments.JustDo,
+	dmaCfg := apps.DefaultDMAConfig()
+	dmaCfg.Words = 100
+	for _, app := range []struct {
+		name  string
+		build func() (*apps.Bench, error)
+	}{
+		{"dma", func() (*apps.Bench, error) { return apps.NewDMAApp(dmaCfg) }},
+		{"sensor", func() (*apps.Bench, error) { return apps.NewSensorApp(apps.DefaultSensorConfig()) }},
 	} {
-		bench, err := apps.NewDMAApp(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := experiments.NewRuntime(kind)
-		sess := kernel.NewSession(rt, bench.App, experiments.TimerSupply())
-		seed := int64(0)
-		run := func() {
-			seed++
-			if _, err := sess.Run(seed); err != nil {
+		for _, kind := range []experiments.RuntimeKind{
+			experiments.EaseIO, experiments.Alpaca, experiments.InK, experiments.JustDo,
+		} {
+			bench, err := app.build()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		run() // attach
-		run() // settle lazily-created scratch (device ctx, reader, memo)
-		if avg := testing.AllocsPerRun(20, run); avg > 0 {
-			t.Errorf("%s: steady-state pooled run allocates %.1f times, want 0", rt.Name(), avg)
+			rt := experiments.NewRuntime(kind)
+			sess := kernel.NewSession(rt, bench.App, experiments.TimerSupply())
+			seed := int64(0)
+			run := func() {
+				seed++
+				if _, err := sess.Run(seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // attach
+			run() // settle lazily-created scratch (device ctx, checker, memo)
+			if avg := testing.AllocsPerRun(20, run); avg > 0 {
+				t.Errorf("%s/%s: steady-state pooled run allocates %.1f times, want 0", app.name, rt.Name(), avg)
+			}
 		}
 	}
 }

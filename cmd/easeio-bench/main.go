@@ -41,6 +41,11 @@ func main() {
 		csvDir = flag.String("csv", "", "if set, also write <dir>/<experiment>.csv data files")
 	)
 	flag.Parse()
+	if *runs <= 0 {
+		fmt.Fprintf(os.Stderr, "easeio-bench: -runs needs a positive run count (got %d)\n", *runs)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fail(err)

@@ -61,6 +61,9 @@ func main() {
 	if err := check.ValidateFailures(*failures); err != nil {
 		usageError(err)
 	}
+	if err := validateDefaults(*grid, *off, *workers); err != nil {
+		usageError(err)
+	}
 	cfg := check.Config{
 		Seed:       *seed,
 		Failures:   *failures,
@@ -146,6 +149,21 @@ func resolveKinds(name string) ([]experiments.RuntimeKind, error) {
 		return nil, err
 	}
 	return []experiments.RuntimeKind{kind}, nil
+}
+
+// validateDefaults rejects a negative -grid, -off or -workers. Zero
+// selects each default; a negative value is a usage error, as the
+// service rejects it, rather than a silent default.
+func validateDefaults(grid int, off time.Duration, workers int) error {
+	switch {
+	case grid < 0:
+		return fmt.Errorf("-grid %d is negative (0 means the default)", grid)
+	case off < 0:
+		return fmt.Errorf("-off %v is negative (0 means the default)", off)
+	case workers < 0:
+		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", workers)
+	}
+	return nil
 }
 
 func usageError(err error) {

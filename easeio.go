@@ -79,6 +79,8 @@ type (
 	Loc = task.Loc
 	// Semantic is an I/O re-execution semantic.
 	Semantic = task.Semantic
+	// CheckMem is the final-memory read surface App.CheckOutput verifies.
+	CheckMem = task.CheckMem
 )
 
 // Re-execution semantics (§3.1 of the paper).

@@ -17,14 +17,11 @@
 package alpaca
 
 import (
-	"time"
-
 	"easeio/internal/kernel"
 	"easeio/internal/mcu"
 	"easeio/internal/mem"
 	"easeio/internal/rtbase"
 	"easeio/internal/task"
-	"easeio/internal/units"
 )
 
 // Runtime is one per-run Alpaca instance. All state is held in flat
@@ -172,27 +169,11 @@ func (r *Runtime) Load(c *kernel.Ctx, v *task.NVVar, i int) uint16 {
 	return r.Dev.Mem.Read(r.addrFor(v).Add(i))
 }
 
-// LoadRun implements kernel.BulkLoader: the sum of words [off, off+n) of
-// v, charged exactly like n successive Load calls. The privatization
-// decision (addrFor) is constant across a pure load run — loads never
-// flip a variable's active epoch — so the failure-free prefix resolves
-// the address once, bulk-charges, and reads through one view; the tail
-// falls back to per-word Load so a mid-run power failure lands on the
-// exact word the unfused loop would have failed on.
+// LoadRun implements kernel.Hooks. The privatization decision (addrFor)
+// is constant across a pure load run — loads never flip a variable's
+// active epoch — so the failure-free prefix reads through one address.
 func (r *Runtime) LoadRun(c *kernel.Ctx, v *task.NVVar, off, n int) uint16 {
-	wdt := mcu.Cycles(mcu.FRAMReadCycles)
-	free, ok := c.BulkFree(n, wdt)
-	if !ok {
-		free = 0
-	}
-	var s uint16
-	if free > 0 {
-		c.BulkCharge(time.Duration(free)*wdt, units.Energy(free)*mcu.FRAMReadEnergy, false)
-		view := r.Dev.Mem.View(r.addrFor(v).Add(off), free)
-		for j := 0; j < free; j++ {
-			s += view.At(j)
-		}
-	}
+	s, free := c.LoadPrefix(r.addrFor(v).Add(off), n, false)
 	for j := free; j < n; j++ {
 		s += r.Load(c, v, off+j)
 	}

@@ -11,6 +11,31 @@ import (
 	"easeio/internal/task"
 )
 
+// fakeCheckMem is a map-backed task.CheckMem: every variable reads as
+// its stored words, zero when unset. Checker tests plant memory in it.
+type fakeCheckMem map[*task.NVVar][]uint16
+
+func (m fakeCheckMem) words(v *task.NVVar) []uint16 {
+	w, ok := m[v]
+	if !ok {
+		w = make([]uint16, v.Words)
+		m[v] = w
+	}
+	return w
+}
+
+func (m fakeCheckMem) Read(v *task.NVVar, i int) uint16 { return m.words(v)[i] }
+
+func (m fakeCheckMem) Equal(v *task.NVVar, off int, want []uint16) bool {
+	w := m.words(v)
+	for i, x := range want {
+		if w[off+i] != x {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPatternDeterministicAndBounded(t *testing.T) {
 	a := Pattern(256, 1)
 	b := Pattern(256, 1)
@@ -130,28 +155,20 @@ func TestFIRGoldenMatchesReference(t *testing.T) {
 		for i := 0; i < 48; i++ {
 			acc += uint16(sig[i])
 		}
-		read := func(v *task.NVVar, i int) uint16 {
-			switch v {
-			case signal:
-				return uint16(sig[i])
-			case stats:
-				if i == 0 {
-					return acc
-				}
-				return acc >> 1
+		golden := func() fakeCheckMem {
+			m := fakeCheckMem{}
+			for i := range m.words(signal) {
+				m.words(signal)[i] = uint16(sig[i])
 			}
-			return 0
+			m.words(stats)[0], m.words(stats)[1] = acc, acc>>1
+			return m
 		}
-		if !b.App.CheckOutput(read) {
+		if !b.App.CheckOutput(golden()) {
 			t.Errorf("frames=%d: golden memory rejected by CheckOutput", frames)
 		}
 		// A corrupted word must be rejected.
-		bad := func(v *task.NVVar, i int) uint16 {
-			if v == signal && i == 10 {
-				return read(v, i) + 1
-			}
-			return read(v, i)
-		}
+		bad := golden()
+		bad.words(signal)[10]++
 		if b.App.CheckOutput(bad) {
 			t.Errorf("frames=%d: corrupted memory accepted", frames)
 		}

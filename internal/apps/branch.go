@@ -70,8 +70,8 @@ func NewBranchApp(cfg BranchConfig) (*Bench, error) {
 
 	// Exactly one of the two flags must be set — both set is the
 	// unsafe-execution bug.
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
-		return read(stdy, 0)+read(alarm, 0) == 1
+	a.CheckOutput = func(m task.CheckMem) bool {
+		return m.Read(stdy, 0)+m.Read(alarm, 0) == 1
 	}
 	return finalize(a, p)
 }

@@ -167,13 +167,13 @@ func NewFIRApp(cfg FIRConfig) (*Bench, error) {
 	for i := 0; i < 48; i++ {
 		wantAcc += uint16(want[i])
 	}
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
+	a.CheckOutput = func(m task.CheckMem) bool {
 		for i := 0; i < FIROut; i++ {
-			if int16(read(signal, i)) != want[i] {
+			if int16(m.Read(signal, i)) != want[i] {
 				return false
 			}
 		}
-		return read(stats, 0) == wantAcc && read(stats, 1) == wantAcc>>1
+		return m.Read(stats, 0) == wantAcc && m.Read(stats, 1) == wantAcc>>1
 	}
 	return finalize(a, p)
 }

@@ -86,9 +86,9 @@ func NewSensorApp(cfg SensorConfig) (*Bench, error) {
 
 	// Consistency invariant only: staleness is deliberately invisible
 	// here — the checker's freshness oracle is what catches it.
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
-		r := read(reading, 0)
-		return read(derived, 0) == r*9/5+32
+	a.CheckOutput = func(m task.CheckMem) bool {
+		r := m.Read(reading, 0)
+		return m.Read(derived, 0) == r*9/5+32
 	}
 	return finalize(a, p)
 }

@@ -73,13 +73,7 @@ func NewTempApp(cfg TempConfig) (*Bench, error) {
 
 	// Correctness: derived must be consistent with reading — re-executed
 	// sensing with torn stores would break the invariant.
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
-		r := read(reading, 0)
-		return read(derived, 0) == r*9/5+32
-	}
-	// CheckFast decides exactly what CheckOutput decides (apps_test pins
-	// the two against each other).
-	a.CheckFast = func(m task.CheckMem) bool {
+	a.CheckOutput = func(m task.CheckMem) bool {
 		r := m.Read(reading, 0)
 		return m.Read(derived, 0) == r*9/5+32
 	}

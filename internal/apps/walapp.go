@@ -125,14 +125,14 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 	// committed, each slot decodes as exactly one record type, the type
 	// agrees with the payload, and the recovered digest is the fold of
 	// the log.
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
-		if read(head, 0) != uint16(cfg.Records) {
+	a.CheckOutput = func(m task.CheckMem) bool {
+		if m.Read(head, 0) != uint16(cfg.Records) {
 			return false
 		}
 		var d uint16
 		for i := 0; i < cfg.Records; i++ {
-			val := read(log, i)
-			ok, alert := read(okRec, i), read(alertRec, i)
+			val := m.Read(log, i)
+			ok, alert := m.Read(okRec, i), m.Read(alertRec, i)
 			if ok+alert != 1 {
 				return false
 			}
@@ -141,7 +141,7 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 			}
 			d = d*31 + val
 		}
-		return read(digest, 0) == d
+		return m.Read(digest, 0) == d
 	}
 	return finalize(a, p)
 }

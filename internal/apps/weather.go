@@ -289,13 +289,13 @@ func NewWeatherApp(cfg WeatherConfig) (*Bench, error) {
 	})
 
 	wantScores, wantClass := WeatherGolden()
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
+	a.CheckOutput = func(m task.CheckMem) bool {
 		for k := 0; k < WeatherClasses; k++ {
-			if read(scores, k) != wantScores[k] {
+			if m.Read(scores, k) != wantScores[k] {
 				return false
 			}
 		}
-		return read(class, 0) == wantClass
+		return m.Read(class, 0) == wantClass
 	}
 	return finalize(a, p)
 }

@@ -42,9 +42,9 @@ func Fig6Bench() (*apps.Bench, error) {
 		e.Next(fin)
 	})
 	fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
-		return read(vz, 0) == 200 && read(vt, 0) == 100 &&
-			read(va, 0) == 200 && read(vb, 0) == 100
+	a.CheckOutput = func(m task.CheckMem) bool {
+		return m.Read(vz, 0) == 200 && m.Read(vt, 0) == 100 &&
+			m.Read(va, 0) == 200 && m.Read(vb, 0) == 100
 	}
 	if err := frontend.Analyze(a); err != nil {
 		return nil, err

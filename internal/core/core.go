@@ -46,7 +46,6 @@ import (
 	"easeio/internal/mem"
 	"easeio/internal/rtbase"
 	"easeio/internal/task"
-	"easeio/internal/units"
 )
 
 // Config tunes the runtime. The zero value is not valid; use
@@ -385,26 +384,9 @@ func (r *Runtime) Store(c *kernel.Ctx, v *task.NVVar, i int, val uint16) {
 	r.Dev.Mem.Write(r.MasterAddr(v).Add(i), val)
 }
 
-// LoadRun implements kernel.BulkLoader: the sum of words [off, off+n) of
-// v, charged exactly like n successive Load calls. Words that provably
-// complete before the supply's next failure point are charged in one
-// bulk add and read through a pre-validated view; the remainder goes
-// through the per-word Load so a power failure lands on the exact word
-// the unfused loop would have failed on.
+// LoadRun implements kernel.Hooks.
 func (r *Runtime) LoadRun(c *kernel.Ctx, v *task.NVVar, off, n int) uint16 {
-	wdt := mcu.Cycles(mcu.FRAMReadCycles)
-	free, ok := c.BulkFree(n, wdt)
-	if !ok {
-		free = 0
-	}
-	var s uint16
-	if free > 0 {
-		c.BulkCharge(time.Duration(free)*wdt, units.Energy(free)*mcu.FRAMReadEnergy, false)
-		view := r.Dev.Mem.View(r.MasterAddr(v).Add(off), free)
-		for j := 0; j < free; j++ {
-			s += view.At(j)
-		}
-	}
+	s, free := c.LoadPrefix(r.MasterAddr(v).Add(off), n, false)
 	for j := free; j < n; j++ {
 		s += r.Load(c, v, off+j)
 	}

@@ -23,6 +23,9 @@ import (
 func dmaFactory() (*apps.Bench, error)  { return apps.NewDMAApp(apps.DefaultDMAConfig()) }
 func tempFactory() (*apps.Bench, error) { return apps.NewTempApp(apps.DefaultTempConfig()) }
 func firFactory() (*apps.Bench, error)  { return apps.NewFIRApp(apps.DefaultFIRConfig()) }
+func sensorFactory() (*apps.Bench, error) {
+	return apps.NewSensorApp(apps.DefaultSensorConfig())
+}
 
 // TestRunManyDeterminism checks that identical seeds produce a
 // byte-identical Summary whether the sweep runs on one worker or many,
@@ -74,7 +77,9 @@ func TestRunManyDeterminism(t *testing.T) {
 // reset, produce exactly the stats.Run a fresh device and attach would
 // for the same seed.
 func TestSessionResetReproducesFreshRun(t *testing.T) {
-	factories := map[string]AppFactory{"dma": dmaFactory, "temp": tempFactory}
+	// sensor's freshness-bounded site exercises the per-run sample table
+	// a pooled record keeps across resets.
+	factories := map[string]AppFactory{"dma": dmaFactory, "temp": tempFactory, "sensor": sensorFactory}
 	for name, factory := range factories {
 		for _, kind := range []RuntimeKind{Alpaca, InK, EaseIO} {
 			t.Run(name+"/"+kind.String(), func(t *testing.T) {

@@ -79,9 +79,9 @@ func storeDenseApp() (*apps.Bench, error) {
 		want[i] = int(w)
 	}
 	sort.Ints(want)
-	a.CheckOutput = func(read func(v *task.NVVar, i int) uint16) bool {
+	a.CheckOutput = func(m task.CheckMem) bool {
 		for i := 0; i < n; i++ {
-			if int(read(buf, i)) != want[i] {
+			if int(m.Read(buf, i)) != want[i] {
 				return false
 			}
 		}

@@ -22,14 +22,11 @@
 package ink
 
 import (
-	"time"
-
 	"easeio/internal/kernel"
 	"easeio/internal/mcu"
 	"easeio/internal/mem"
 	"easeio/internal/rtbase"
 	"easeio/internal/task"
-	"easeio/internal/units"
 )
 
 // Runtime is one per-run InK instance. All state lives in flat slices
@@ -150,42 +147,24 @@ func (r *Runtime) Transition(c *kernel.Ctx, next *task.Task) {
 func (r *Runtime) Load(c *kernel.Ctx, v *task.NVVar, i int) uint16 {
 	c.ChargeMemAccess(mem.FRAM, false, true) // index word
 	c.ChargeMemAccess(mem.FRAM, false, false)
-	a := r.activeAddr(v)
-	if r.dirtyE[v.ID] == r.epoch {
-		a = r.inactiveAddr(v)
-	}
-	return r.Dev.Mem.Read(a.Add(i))
+	return r.Dev.Mem.Read(r.loadAddr(v).Add(i))
 }
 
-// LoadRun implements kernel.BulkLoader: the sum of words [off, off+n) of
-// v, charged exactly like n successive Load calls — each a two-slice
-// bundle (index-word read booked as overhead, data read as useful). The
-// working-copy decision is constant across a pure load run (loads never
-// dirty a variable), so the failure-free prefix of whole bundles is
-// charged with one bulk add per ledger bucket and read through one view;
-// the per-word tail reproduces the exact failure slice, including a
-// failure landing between a bundle's index and data charges.
+// loadAddr returns the copy loads read: the working copy if this attempt
+// wrote the variable, otherwise the committed copy.
+func (r *Runtime) loadAddr(v *task.NVVar) mem.Addr {
+	if r.dirtyE[v.ID] == r.epoch {
+		return r.inactiveAddr(v)
+	}
+	return r.activeAddr(v)
+}
+
+// LoadRun implements kernel.Hooks: each word is an indexed bundle (the
+// index-word read, then the data read). The working-copy decision is
+// constant across a pure load run — loads never dirty a variable — so
+// the failure-free prefix reads through one address.
 func (r *Runtime) LoadRun(c *kernel.Ctx, v *task.NVVar, off, n int) uint16 {
-	wdt := mcu.Cycles(mcu.FRAMReadCycles)
-	free, ok := c.BulkFree(n, 2*wdt)
-	if !ok {
-		free = 0
-	}
-	var s uint16
-	if free > 0 {
-		dt := time.Duration(free) * wdt
-		e := units.Energy(free) * mcu.FRAMReadEnergy
-		c.BulkCharge(dt, e, true)  // index-word reads
-		c.BulkCharge(dt, e, false) // data reads
-		a := r.activeAddr(v)
-		if r.dirtyE[v.ID] == r.epoch {
-			a = r.inactiveAddr(v)
-		}
-		view := r.Dev.Mem.View(a.Add(off), free)
-		for j := 0; j < free; j++ {
-			s += view.At(j)
-		}
-	}
+	s, free := c.LoadPrefix(r.loadAddr(v).Add(off), n, true)
 	for j := free; j < n; j++ {
 		s += r.Load(c, v, off+j)
 	}

@@ -176,6 +176,16 @@ func (r *Runtime) Load(c *kernel.Ctx, v *task.NVVar, i int) uint16 {
 	return val
 }
 
+// LoadRun implements kernel.Hooks as n sequenced Loads: every word is
+// its own logged step, so there is no run-wide prefix to batch.
+func (r *Runtime) LoadRun(c *kernel.Ctx, v *task.NVVar, off, n int) uint16 {
+	var s uint16
+	for j := 0; j < n; j++ {
+		s += r.Load(c, v, off+j)
+	}
+	return s
+}
+
 // Store implements kernel.Hooks: every store is sequenced and logged —
 // JustDo's defining overhead. Completed stores are skipped on replay so
 // the memory image never regresses.

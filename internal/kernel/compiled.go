@@ -2,10 +2,11 @@
 // carry a per-task kernel (task.Kernel) with every blueprint lookup
 // pre-resolved. The engine runs those kernels through the tight switch
 // loop below — direct runtime-hook calls with no task.Exec interface
-// dispatch, a stack register file, and fused bulk load runs where the
-// runtime supports them. The executor makes exactly the hook calls the
-// interpreted Body would make, so runs are byte-identical either way;
-// dev.NoCompile forces the interpreter for differential tests.
+// dispatch, a stack register file, and fused load runs through the
+// runtime's LoadRun hook. The executor makes the hook calls the
+// interpreted Body would make (a LoadRun stands for its run of Loads and
+// must behave exactly like them), so runs are byte-identical either
+// way; dev.NoCompile forces the interpreter for differential tests.
 
 package kernel
 
@@ -13,23 +14,12 @@ import (
 	"easeio/internal/task"
 )
 
-// BulkLoader is the optional Hooks extension compiled kernels use for
-// fused load runs. LoadRun must behave exactly like n successive
-// Load(c, v, off+j) calls — same charges in the same buckets, same
-// failure word if the supply gives out mid-run, same returned sum —
-// but may batch the charging and the reads when Ctx.BulkFree grants it.
-type BulkLoader interface {
-	Hooks
-	LoadRun(c *Ctx, v *task.NVVar, off, n int) uint16
-}
-
 // initCompiled installs the program's kernel table on a freshly reset
 // context. Compilation is skipped entirely when the device opts out
 // (NoCompile) or the app has no frozen program or no op-bodied tasks;
 // the engine then dispatches every task through its interpreted Body.
 func (c *Ctx) initCompiled(app *task.App) {
 	c.compiled = nil
-	c.bulk = nil
 	if c.Dev.NoCompile {
 		return
 	}
@@ -38,9 +28,6 @@ func (c *Ctx) initCompiled(app *task.App) {
 		return
 	}
 	c.compiled = p.CompiledKernels()
-	if c.compiled != nil {
-		c.bulk, _ = c.RT.(BulkLoader)
-	}
 }
 
 // kernelOf returns the compiled kernel to run for t, or nil when t must
@@ -77,16 +64,7 @@ func (c *Ctx) execKOps(ops []task.KOp, regs *[task.NumRegs]uint16) {
 		case task.OpStore:
 			rt.Store(c, op.Var, int(op.A), regs[op.R1])
 		case task.OpLoadSum:
-			if c.bulk != nil {
-				regs[op.R1] = c.bulk.LoadRun(c, op.Var, int(op.A), op.B)
-			} else {
-				var s uint16
-				off := int(op.A)
-				for j := 0; j < op.B; j++ {
-					s += rt.Load(c, op.Var, off+j)
-				}
-				regs[op.R1] = s
-			}
+			regs[op.R1] = rt.LoadRun(c, op.Var, int(op.A), op.B)
 		case task.OpMovImm:
 			regs[op.R1] = uint16(op.A)
 		case task.OpAddImm:

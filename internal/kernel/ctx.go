@@ -44,11 +44,9 @@ type Ctx struct {
 
 	// compiled is the program's per-task kernel table when the engine
 	// runs compiled dispatch (nil entries and nil table fall back to the
-	// interpreted Body; see compiled.go), and bulk the runtime's fused
-	// load-run extension if it has one. Both are set by initCompiled
-	// after the per-run context reset.
+	// interpreted Body; see compiled.go). It is set by initCompiled after
+	// the per-run context reset.
 	compiled []*task.Kernel
-	bulk     BulkLoader
 	// kregs is the compiled executor's register file (see runKernel); it
 	// lives here so a task attempt costs no allocation.
 	kregs [task.NumRegs]uint16
@@ -89,7 +87,7 @@ func (c *Ctx) Charge(dt time.Duration, e units.Energy, overhead bool) {
 	// byte-identical to the sliced loop.
 	if dt > chargeSlice && d.Cuts == nil {
 		if head, known := c.failureHead(); known && dt < head {
-			c.BulkCharge(dt, e, overhead)
+			c.bulkCharge(dt, e, overhead)
 			return
 		}
 	}
@@ -153,7 +151,7 @@ func (c *Ctx) failureHead() (head time.Duration, known bool) {
 	return 0, false
 }
 
-// BulkFree reports how many of n identical slices of cost wdt each can
+// bulkFree reports how many of n identical slices of cost wdt each can
 // be charged in one batch: free slices all complete strictly before the
 // supply's next failure point. ok is false when bulk charging is not
 // permitted at all — a cut sink observes slice boundaries, the failure
@@ -162,7 +160,7 @@ func (c *Ctx) failureHead() (head time.Duration, known bool) {
 // slice free+1 reaches the failure point: charge the free prefix in
 // bulk, then finish per-slice so the failure lands on the exact word the
 // sliced loop would have failed on.
-func (c *Ctx) BulkFree(n int, wdt time.Duration) (free int, ok bool) {
+func (c *Ctx) bulkFree(n int, wdt time.Duration) (free int, ok bool) {
 	if n <= 0 || wdt <= 0 || wdt > chargeSlice || c.Dev.Cuts != nil {
 		return 0, false
 	}
@@ -180,12 +178,12 @@ func (c *Ctx) BulkFree(n int, wdt time.Duration) (free int, ok bool) {
 	return free, true
 }
 
-// BulkCharge advances the clock and books (dt, e) in one ledger add,
+// bulkCharge advances the clock and books (dt, e) in one ledger add,
 // without stepping the supply or noting cuts. Callers must have
-// established — via failureHead or BulkFree — that no failure point lies
+// established — via failureHead or bulkFree — that no failure point lies
 // inside the span and no cut sink is attached; under those conditions
 // the result is byte-identical to the equivalent chargeStep sequence.
-func (c *Ctx) BulkCharge(dt time.Duration, e units.Energy, overhead bool) {
+func (c *Ctx) bulkCharge(dt time.Duration, e units.Energy, overhead bool) {
 	d := c.Dev
 	d.Clock.Run(dt)
 	switch {
@@ -196,6 +194,38 @@ func (c *Ctx) BulkCharge(dt time.Duration, e units.Energy, overhead bool) {
 	default:
 		d.Ledger.pending[0].Add(stats.Totals{T: dt, E: e})
 	}
+}
+
+// LoadPrefix is the fused fast path under every runtime's LoadRun. Of a
+// run of n FRAM word reads starting at a, it charges the prefix that
+// provably completes before the supply's next failure point in bulk and
+// returns that prefix's word sum and length free (zero when bulk
+// charging is not permitted; see bulkFree). The caller finishes words
+// [free, n) with per-word Load calls, so a power failure lands on the
+// exact word the unfused loop would have failed on. indexed makes each
+// word a two-slice bundle — an index-word read booked as overhead, then
+// the data read (InK's per-access lookup) — and a failure can then land
+// between a bundle's two charges, which the per-word tail reproduces.
+func (c *Ctx) LoadPrefix(a mem.Addr, n int, indexed bool) (sum uint16, free int) {
+	wdt := mcu.Cycles(mcu.FRAMReadCycles)
+	bundle := wdt
+	if indexed {
+		bundle = 2 * wdt
+	}
+	free, ok := c.bulkFree(n, bundle)
+	if !ok || free == 0 {
+		return 0, 0
+	}
+	dt, e := time.Duration(free)*wdt, units.Energy(free)*mcu.FRAMReadEnergy
+	if indexed {
+		c.bulkCharge(dt, e, true)
+	}
+	c.bulkCharge(dt, e, false)
+	view := c.Dev.Mem.View(a, free)
+	for j := 0; j < free; j++ {
+		sum += view.At(j)
+	}
+	return sum, free
 }
 
 // ChargeCycles charges n CPU cycles of useful work.
@@ -308,7 +338,7 @@ func (c *Ctx) RawDMA(src, dst mem.Addr, words int, overhead bool) {
 	w := d.Mem.CopyWindowFor(src, dst, words)
 
 	// Bulk fast path: every word that provably completes before the
-	// supply's next failure point (see BulkFree) is charged and moved in
+	// supply's next failure point (see bulkFree) is charged and moved in
 	// one batch. Sums of identical integer charges are exact, so the
 	// clock, ledger, counters and memory land byte-identical to the
 	// per-word loop. The loop then resumes at the first word whose slice
@@ -317,8 +347,8 @@ func (c *Ctx) RawDMA(src, dst mem.Addr, words int, overhead bool) {
 	// exactly where the per-word loop would have failed.
 	start := 0
 	if w.Bulkable() {
-		if free, ok := c.BulkFree(words, wdt); ok && free > 0 {
-			c.BulkCharge(time.Duration(free)*wdt, units.Energy(free)*we, overhead)
+		if free, ok := c.bulkFree(words, wdt); ok && free > 0 {
+			c.bulkCharge(time.Duration(free)*wdt, units.Energy(free)*we, overhead)
 			w.MoveN(0, free)
 			start = free
 		}

@@ -39,12 +39,11 @@ type Device struct {
 	// CutSink). Like Tracer it is observation-only state and survives
 	// Reset.
 	Cuts CutSink
-	// NoCompile forces the fully interpreted path even when the program
-	// carries compiled kernels: every task runs its interpreted Body and
-	// output checking uses the canonical per-word CheckOutput instead of
-	// CheckFast — the differential tests' handle for pinning compiled
-	// execution byte-identical to interpreted. Like Tracer and Cuts it is
-	// configuration, not per-run state, and survives Reset.
+	// NoCompile forces every task to run its interpreted Body even when
+	// the program carries compiled kernels — the differential tests'
+	// handle for pinning compiled execution byte-identical to
+	// interpreted. Like Tracer and Cuts it is configuration, not per-run
+	// state, and survives Reset.
 	NoCompile bool
 
 	// randSrc is the reseedable source behind Rand, kept so Reset can
@@ -53,22 +52,26 @@ type Device struct {
 	randSrc *countingSource
 
 	// ctx is the engine's reusable execution context (see runLoop) and
-	// reader/readerFunc the reusable CheckOutput scanner (see finish) —
-	// per-run scratch kept on the device so steady-state pooled runs
-	// allocate nothing. checker/checkerIface is the analogous reusable
-	// CheckFast scanner (the interface value is memoized so rebinding it
-	// per run does not box).
-	ctx         Ctx
-	reader      checkReader
-	readerFunc  func(v *task.NVVar, i int) uint16
-	checker     checkMem
-	checkerFace task.CheckMem
+	// checker the reusable output-check surface (see finish) — per-run
+	// scratch kept on the device so steady-state pooled runs allocate
+	// nothing.
+	ctx     Ctx
+	checker checkMem
 }
 
-// checkReader scans final memory for CheckOutput, memoizing a direct
-// read view of each variable's master words (checkers read variables
-// word by word, thousands of words per run). It lives on the Device so
-// finish can rebind it per run without allocating a fresh closure.
+// checkMem implements task.CheckMem over a run's final memory: the
+// surface finish hands to App.CheckOutput. Equal compares a whole range
+// in one call (checking is outside the simulation's cost model, so the
+// comparison itself is uncounted — like EqualRange's other harness
+// uses); Read goes through the embedded checkReader.
+type checkMem struct {
+	checkReader
+}
+
+// checkReader memoizes a direct read view of the variable last read:
+// checkers read variables word by word, thousands of words per run. The
+// repository benchmark's profile attribution (benchmark/layers.go) names
+// (*checkReader).read as an output-check stage function.
 type checkReader struct {
 	dev   *Device
 	rt    Hooks
@@ -84,26 +87,7 @@ func (r *checkReader) read(v *task.NVVar, i int) uint16 {
 	return r.view.At(i)
 }
 
-// checkMem implements task.CheckMem over a run's final memory for the
-// CheckFast path: bulk range comparison plus the same memoized per-word
-// reads checkReader uses. Reads go through the counting View like the
-// CheckOutput scanner; Equal compares a whole range in one call
-// (checking is outside the simulation's cost model, so the comparison
-// itself is uncounted — like EqualRange's other harness uses).
-type checkMem struct {
-	dev   *Device
-	rt    Hooks
-	lastV *task.NVVar
-	view  mem.ReadView
-}
-
-func (m *checkMem) Read(v *task.NVVar, i int) uint16 {
-	if v != m.lastV {
-		m.lastV = v
-		m.view = m.dev.Mem.View(m.rt.AddrOf(v), v.Words)
-	}
-	return m.view.At(i)
-}
+func (m *checkMem) Read(v *task.NVVar, i int) uint16 { return m.read(v, i) }
 
 func (m *checkMem) Equal(v *task.NVVar, off int, want []uint16) bool {
 	return m.dev.Mem.EqualRange(m.rt.AddrOf(v).Add(off), want)
@@ -229,6 +213,14 @@ type Hooks interface {
 	// runtime's consistency machinery.
 	Load(c *Ctx, v *task.NVVar, i int) uint16
 	Store(c *Ctx, v *task.NVVar, i int, val uint16)
+
+	// LoadRun returns the sum of words [off, off+n) of v — a compiled
+	// kernel's fused load run. It must behave exactly like n successive
+	// Load(c, v, off+j) calls: same charges in the same buckets, same
+	// failure word if the supply gives out mid-run, same sum. Runtimes
+	// whose Load resolves one address for the whole run build it on
+	// Ctx.LoadPrefix followed by a per-word Load tail.
+	LoadRun(c *Ctx, v *task.NVVar, off, n int) uint16
 
 	// AddrOf resolves a variable to its master (committed) non-volatile
 	// address — the address DMA transfers use, bypassing privatization.

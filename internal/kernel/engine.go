@@ -62,7 +62,7 @@ func ResumeWithFailure(dev *Device, rt Hooks, app *task.App) error {
 // already in effect at the current device state.
 func runLoop(dev *Device, rt Hooks, app *task.App, failed bool) error {
 	ctx := &dev.ctx
-	*ctx = Ctx{Dev: dev, RT: rt}
+	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0]}
 	ctx.initCompiled(app)
 	for {
 		if failed {
@@ -177,24 +177,11 @@ func finish(dev *Device, rt Hooks, app *task.App) {
 	dev.Ledger.Export(dev.Run)
 	dev.Run.WallTime = dev.Clock.Now()
 	dev.Run.OnTime = dev.Clock.OnTime()
-	if app.CheckFast != nil && !dev.NoCompile && !dev.Run.Stuck {
-		// The bulk checker twin: decides exactly what CheckOutput decides
-		// (pinned per app by tests) but scans with range comparisons. The
-		// scanner and its interface value are reused across pooled runs.
-		dev.checker = checkMem{dev: dev, rt: rt}
-		if dev.checkerFace == nil {
-			dev.checkerFace = &dev.checker
-		}
-		dev.Run.Correct = app.CheckFast(dev.checkerFace)
-	} else if app.CheckOutput != nil && !dev.Run.Stuck {
-		// Checkers scan variables word by word; the device's reusable
-		// checkReader memoizes the master-address lookup per variable and
-		// the bound method value is built once per device.
-		dev.reader = checkReader{dev: dev, rt: rt}
-		if dev.readerFunc == nil {
-			dev.readerFunc = dev.reader.read
-		}
-		dev.Run.Correct = app.CheckOutput(dev.readerFunc)
+	if app.CheckOutput != nil && !dev.Run.Stuck {
+		// The device's checker is rebound per run; handing out its
+		// address boxes nothing, so pooled runs check without allocating.
+		dev.checker = checkMem{checkReader{dev: dev, rt: rt}}
+		dev.Run.Correct = app.CheckOutput(&dev.checker)
 	} else {
 		dev.Run.Correct = !dev.Run.Stuck
 	}

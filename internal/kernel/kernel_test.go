@@ -90,6 +90,14 @@ func (r *testRT) Load(c *Ctx, v *task.NVVar, i int) uint16 {
 	return r.dev.Mem.Read(r.addrs[v].Add(i))
 }
 
+func (r *testRT) LoadRun(c *Ctx, v *task.NVVar, off, n int) uint16 {
+	s, free := c.LoadPrefix(r.addrs[v].Add(off), n, false)
+	for j := free; j < n; j++ {
+		s += r.Load(c, v, off+j)
+	}
+	return s
+}
+
 func (r *testRT) Store(c *Ctx, v *task.NVVar, i int, val uint16) {
 	c.ChargeMemAccess(mem.FRAM, true, false)
 	r.dev.Mem.Write(r.addrs[v].Add(i), val)

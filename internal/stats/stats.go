@@ -201,17 +201,21 @@ func (r *Run) CloneInto(dst *Run) *Run {
 }
 
 // ResetForRun rewinds r to the state a fresh &Run{Seed: seed} would
-// have, reusing the PerSite map (cleared in place) when one was already
-// allocated — the pooled-session path resets one Run record per device
-// instead of allocating one per run. The map stays attached only on
-// records that counted I/O before, so for any given app the record's
+// have, reusing the PerSite map (cleared in place) and the Samples array
+// (truncated) when they were already allocated — the pooled-session path
+// resets one Run record per device instead of allocating one per run.
+// Both stay attached only on records that counted I/O or sampled a
+// freshness-bounded site before, so for any given app the record's
 // shape after a run matches a freshly allocated one.
 func (r *Run) ResetForRun(seed int64) {
-	per := r.PerSite
+	per, samples := r.PerSite, r.Samples
 	*r = Run{Seed: seed}
 	if per != nil {
 		clear(per)
 		r.PerSite = per
+	}
+	if samples != nil {
+		r.Samples = samples[:0]
 	}
 }
 

@@ -57,17 +57,9 @@ type App struct {
 	DMAs  []*DMASite
 
 	// CheckOutput, if non-nil, verifies the final non-volatile memory
-	// against the result a continuous-power execution would produce.
-	// read returns word i of a variable's committed master copy.
-	CheckOutput func(read func(v *NVVar, i int) uint16) bool
-
-	// CheckFast, if non-nil, is an optional fast twin of CheckOutput
-	// over the bulk CheckMem surface. It must decide exactly what
-	// CheckOutput decides on every reachable memory state (a test pins
-	// the equivalence per app); the engine prefers it on the steady-state
-	// sweep path because range comparisons beat per-word reads through a
-	// closure.
-	CheckFast func(m CheckMem) bool
+	// against the result a continuous-power execution would produce,
+	// reading each variable's committed master copy through m.
+	CheckOutput func(m CheckMem) bool
 
 	entry *Task
 	// program is the frozen front-end output, set once by FreezeProgram.
@@ -90,9 +82,10 @@ func (a *App) AnalyzeOnce(analyze func(*App) error) error {
 	return a.analyzeErr
 }
 
-// CheckMem is the bulk read surface CheckFast verifies against. Both
-// methods see the committed master copy of each variable, exactly like
-// CheckOutput's read callback.
+// CheckMem is the read surface CheckOutput verifies against: both
+// methods see the committed master copy of each variable. Checking is
+// outside the simulation's cost model, so Equal may compare a whole
+// range in one call.
 type CheckMem interface {
 	// Read returns word i of v's committed master copy.
 	Read(v *NVVar, i int) uint16
