@@ -78,25 +78,27 @@ bench-gate:
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
+# The native fuzz targets, as name:package pairs. `make fuzz` runs each
+# for FUZZTIME; `make fuzz-smoke` is the same list at a 3s budget.
+FUZZ_TARGETS = \
+	FuzzParseRuntimeKind:. \
+	FuzzClassify:./internal/dma \
+	FuzzLint:./internal/frontend \
+	FuzzSchedule:./internal/power \
+	FuzzNestedScheduleEnumeration:./internal/check \
+	FuzzCheckpointRoundTrip:./internal/wire \
+	FuzzDecodeShard:./internal/wire \
+	FuzzDecodeSubtreeShard:./internal/wire
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) ./internal/dma
-	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./internal/frontend
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/power
-	$(GO) test -run '^$$' -fuzz '^FuzzNestedScheduleEnumeration$$' -fuzztime $(FUZZTIME) ./internal/check
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubtreeShard$$' -fuzztime $(FUZZTIME) ./internal/wire
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "== $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime 3s .
-	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime 3s ./internal/dma
-	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 3s ./internal/frontend
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 3s ./internal/power
-	$(GO) test -run '^$$' -fuzz '^FuzzNestedScheduleEnumeration$$' -fuzztime 3s ./internal/check
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRoundTrip$$' -fuzztime 3s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime 3s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubtreeShard$$' -fuzztime 3s ./internal/wire
+	$(MAKE) fuzz FUZZTIME=3s
 
 # k=2 nested-failure smoke: fig6 must stay divergence-free under
 # failure-during-recovery schedules for the runtimes the paper claims

@@ -56,7 +56,8 @@ func TestPooledRunZeroAlloc(t *testing.T) {
 }
 
 // TestCheckpointSnapshotZeroAlloc pins zero allocations per recycled
-// device checkpoint: SnapshotInto with a reused checkpoint must be pure
+// checkpoint: SnapshotInto with a reused checkpoint — device and runtime
+// halves — must be pure
 // copies into existing buffers — the failure-point checker takes one
 // per candidate failure point, thousands per checked run.
 func TestCheckpointSnapshotZeroAlloc(t *testing.T) {
@@ -70,9 +71,9 @@ func TestCheckpointSnapshotZeroAlloc(t *testing.T) {
 	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	dev := sess.Device()
-	cp := dev.Snapshot() // sizes the buffers
-	if avg := testing.AllocsPerRun(20, func() { cp = dev.SnapshotInto(cp) }); avg > 0 {
+	dev, rt := sess.Device(), sess.Runtime()
+	cp := dev.SnapshotInto(&kernel.Checkpoint{}, rt) // sizes the buffers
+	if avg := testing.AllocsPerRun(20, func() { cp = dev.SnapshotInto(cp, rt) }); avg > 0 {
 		t.Errorf("recycled SnapshotInto allocates %.1f times, want 0", avg)
 	}
 }

@@ -334,11 +334,10 @@ func (r *replayer) eval(schedule []time.Duration) outcome {
 // fired-failure cursor for checkpoints recorded under a schedule supply
 // (Reset's zero is correct for golden-prefix checkpoints, whose
 // continuous-supply state does not restore into a Schedule).
-func (r *replayer) evalFrom(cp *checkpoint, schedule []time.Duration) outcome {
+func (r *replayer) evalFrom(cp *kernel.Checkpoint, schedule []time.Duration) outcome {
 	r.setSchedule(schedule)
 	r.sch.Reset(0)
-	r.dev.Restore(cp.dev)
-	r.rt.RestoreState(r.dev, cp.rt)
+	r.dev.Restore(cp, r.rt)
 	if err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App); err != nil {
 		return r.classify(nil, nil, nil, err)
 	}
@@ -350,12 +349,11 @@ func (r *replayer) evalFrom(cp *checkpoint, schedule []time.Duration) outcome {
 // recovery trajectory after the schedule's last failure — the candidate
 // points for the next failure level. cp must be the checkpoint at the
 // schedule's last cut.
-func (r *replayer) traceFrom(cp *checkpoint, schedule []time.Duration) ([]time.Duration, error) {
+func (r *replayer) traceFrom(cp *kernel.Checkpoint, schedule []time.Duration) ([]time.Duration, error) {
 	rec := &cutRecorder{}
 	r.setSchedule(schedule)
 	r.sch.Reset(0)
-	r.dev.Restore(cp.dev)
-	r.rt.RestoreState(r.dev, cp.rt)
+	r.dev.Restore(cp, r.rt)
 	r.dev.Cuts = rec
 	err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App)
 	r.dev.Cuts = nil
@@ -392,12 +390,11 @@ func (r *replayer) traceBoot(schedule []time.Duration) ([]time.Duration, error) 
 // requested suffix-cut index — the nested twin of recorder.record, which
 // does the same along the golden run. cuts is the trajectory's candidate
 // list (from traceFrom) and idxs selects ascending entries of it.
-func (r *replayer) recordSuffix(root *checkpoint, schedule []time.Duration, cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
+func (r *replayer) recordSuffix(root *kernel.Checkpoint, schedule []time.Duration, cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
 	sink := newSnapSink(r.dev, r.rt, cuts, idxs)
 	r.setSchedule(schedule)
 	r.sch.Reset(0)
-	r.dev.Restore(root.dev)
-	r.rt.RestoreState(r.dev, root.rt)
+	r.dev.Restore(root, r.rt)
 	r.dev.Cuts = sink
 	err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App)
 	r.dev.Cuts = nil

@@ -35,7 +35,7 @@ import (
 // cut list — recorder.record along the golden run at level 1,
 // replayer.recordSuffix along a recovery trajectory deeper in the tree.
 // nil in from-boot mode.
-type recordFn func(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error)
+type recordFn func(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error)
 
 // explorer is one checker job's exploration state: the golden reference
 // and candidates from the plan's golden pass, the recorder, and the
@@ -80,7 +80,7 @@ func (e *explorer) exploreRange(ctx context.Context, cuts []time.Duration, lo, h
 				end = len(pending)
 			}
 			idxs := pending[start:end]
-			var cps map[int]*checkpoint
+			var cps map[int]*kernel.Checkpoint
 			if record != nil {
 				if err := ctx.Err(); err != nil {
 					return out, err
@@ -173,7 +173,7 @@ func nextRound(out []outcome) []int {
 // is nil in from-boot mode; in checkpointed mode it holds one checkpoint
 // per index. prefix is the failure schedule shared by every point of the
 // round (nil at level 1).
-func (e *explorer) evalRound(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps map[int]*checkpoint, prefix []time.Duration) error {
+func (e *explorer) evalRound(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps map[int]*kernel.Checkpoint, prefix []time.Duration) error {
 	evalOne := func(r *replayer, i int) outcome {
 		r.sched = append(append(r.sched[:0], prefix...), cuts[i])
 		if cps != nil {

@@ -36,6 +36,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"easeio/internal/kernel"
 )
 
 // nestedRep is one node selected for expansion: the first index of a
@@ -85,14 +87,18 @@ func nestedPlan(out []outcome, lo, hi int) []nestedRep {
 // candidate-index range to explore below it.
 type treeNode struct {
 	schedule  []time.Duration
-	root      *checkpoint
+	root      *kernel.Checkpoint
 	collapsed int
 	lo, hi    int
 }
 
 // nodes converts same-depth units into tree nodes. In checkpointed mode
-// every non-boot unit must carry its root checkpoint; in from-boot mode
-// roots are ignored and suffixes are traced from boot.
+// every non-boot unit must carry its root checkpoint, and each root is
+// checked once, against the tracer replayer's own attached device and
+// runtime (every replayer is built from the same blueprint): a root
+// taken under another blueprint fails the unit here instead of crashing
+// a restore. In from-boot mode roots are ignored and suffixes are traced
+// from boot.
 func (e *explorer) nodes(units []Unit) ([]treeNode, error) {
 	out := make([]treeNode, len(units))
 	for i, u := range units {
@@ -103,10 +109,17 @@ func (e *explorer) nodes(units []Unit) ([]treeNode, error) {
 		n := treeNode{schedule: append([]time.Duration(nil), u.Schedule...),
 			collapsed: u.Collapsed, lo: u.CutLo, hi: u.CutHi}
 		if len(u.Schedule) > 0 && e.rec != nil {
-			if u.Dev == nil {
+			if u.Root == nil {
 				return nil, fmt.Errorf("check: unit %d has a failure prefix but no root checkpoint", i)
 			}
-			n.root = &checkpoint{dev: u.Dev, rt: u.RT}
+			t, err := e.tracerReplayer()
+			if err != nil {
+				return nil, err
+			}
+			if err := u.Root.Fits(t.dev, t.rt); err != nil {
+				return nil, fmt.Errorf("check: unit %d: %w", i, err)
+			}
+			n.root = u.Root
 		}
 		out[i] = n
 	}
@@ -118,12 +131,22 @@ func (e *explorer) nodes(units []Unit) ([]treeNode, error) {
 func toUnits(nodes []treeNode) []Unit {
 	out := make([]Unit, len(nodes))
 	for i, n := range nodes {
-		out[i] = Unit{Schedule: n.schedule, Collapsed: n.collapsed, CutLo: n.lo, CutHi: n.hi}
-		if n.root != nil {
-			out[i].Dev, out[i].RT = n.root.dev, n.root.rt
-		}
+		out[i] = Unit{Schedule: n.schedule, Collapsed: n.collapsed, Root: n.root, CutLo: n.lo, CutHi: n.hi}
 	}
 	return out
+}
+
+// tracerReplayer returns the replayer that traces and records suffixes
+// below level 1, building it on first use.
+func (e *explorer) tracerReplayer() (*replayer, error) {
+	if e.tracer == nil {
+		t, err := e.newReplayer()
+		if err != nil {
+			return nil, err
+		}
+		e.tracer = t
+	}
+	return e.tracer, nil
 }
 
 // grow explores a frontier of same-depth nodes breadth-first, level by
@@ -141,12 +164,10 @@ func (e *explorer) grow(ctx context.Context, frontier []treeNode, last int) (Uni
 		if depth > last {
 			return res, frontier, nil
 		}
-		if depth > 1 && e.tracer == nil {
-			t, err := e.newReplayer()
-			if err != nil {
+		if depth > 1 {
+			if _, err := e.tracerReplayer(); err != nil {
 				return res, nil, err
 			}
-			e.tracer = t
 		}
 		ds := DepthStats{Depth: depth}
 		var next []treeNode
@@ -164,7 +185,7 @@ func (e *explorer) grow(ctx context.Context, frontier []treeNode, last int) (Uni
 			}
 			next = append(next, children...)
 			if node.root != nil {
-				ckptRecycle(map[int]*checkpoint{0: node.root})
+				ckptPool.Put(node.root)
 			}
 		}
 		res.Depths = append(res.Depths, ds)
@@ -196,7 +217,7 @@ func (e *explorer) recordFor(n treeNode) recordFn {
 	case len(n.schedule) == 0:
 		return e.rec.record
 	default:
-		return func(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
+		return func(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
 			return e.tracer.recordSuffix(n.root, n.schedule, cuts, idxs)
 		}
 	}
@@ -250,7 +271,7 @@ func (e *explorer) expand(ctx context.Context, node treeNode, ds *DepthStats, re
 	if len(reps) == 0 {
 		return nil, nil
 	}
-	var roots map[int]*checkpoint
+	var roots map[int]*kernel.Checkpoint
 	if record != nil {
 		idxs := make([]int, len(reps))
 		for i, rp := range reps {

@@ -2,12 +2,13 @@
 // point from boot costs the whole prefix again even though every replay
 // shares it with the golden run; instead, the recorder re-runs the
 // golden continuous pass with a snapshotting CutSink and captures one
-// device+runtime checkpoint per pending cut point, which a replayer then
-// restores and resumes with the injected failure (kernel.Snapshot /
-// kernel.ResumeWithFailure). Rounds are recorded in bounded batches so a
-// large exhaustive round holds at most checkpointBatch checkpoints in
-// memory at once, and a batch's checkpoints are recycled once its
-// replays finish — recording is allocation-free at steady state.
+// checkpoint (device and runtime halves) per pending cut point, which a
+// replayer then restores and resumes with the injected failure
+// (kernel.Device.SnapshotInto / kernel.ResumeWithFailure). Rounds are
+// recorded in bounded batches so a large exhaustive round holds at most
+// checkpointBatch checkpoints in memory at once, and a batch's
+// checkpoints are recycled once its replays finish — recording is
+// allocation-free at steady state.
 
 package check
 
@@ -27,13 +28,6 @@ import (
 // proportional to the batch, not the round.
 const checkpointBatch = 256
 
-// checkpoint pairs a device checkpoint with the runtime's volatile
-// state, both captured at the same charge-slice boundary.
-type checkpoint struct {
-	dev *kernel.Checkpoint
-	rt  any
-}
-
 // snapSink is the CutSink of a recording pass: at each targeted cut
 // on-time it snapshots the device and the runtime. Targets must be
 // ascending (cut on-times strictly increase within a run).
@@ -43,16 +37,13 @@ type snapSink struct {
 	next    int
 	dev     *kernel.Device
 	rt      kernel.Hooks
-	cps     map[int]*checkpoint
+	cps     map[int]*kernel.Checkpoint
 }
 
 // NoteCut implements kernel.CutSink.
 func (s *snapSink) NoteCut(onTime time.Duration) {
 	if s.next < len(s.targets) && onTime == s.targets[s.next] {
-		cp := ckptGet()
-		cp.dev = s.dev.SnapshotInto(cp.dev)
-		cp.rt = s.rt.SnapshotState(cp.rt)
-		s.cps[s.idxs[s.next]] = cp
+		s.cps[s.idxs[s.next]] = s.dev.SnapshotInto(ckptGet(), s.rt)
 		s.next++
 	}
 }
@@ -65,7 +56,7 @@ func newSnapSink(dev *kernel.Device, rt kernel.Hooks, cuts []time.Duration, idxs
 		idxs:    idxs,
 		dev:     dev,
 		rt:      rt,
-		cps:     make(map[int]*checkpoint, len(idxs)),
+		cps:     make(map[int]*kernel.Checkpoint, len(idxs)),
 	}
 	for i, idx := range idxs {
 		s.targets[i] = cuts[idx]
@@ -84,12 +75,13 @@ type recorder struct {
 	seed  int64
 }
 
-// ckptPool recycles checkpoints (and, through SnapshotInto, their memory
-// and stats buffers) across batches and across Run calls. An exhaustive
-// round on a small app fits one batch, so a per-recorder free list would
-// never see a recycled checkpoint; the process-wide pool is what makes
-// recording allocation-free at steady state.
-var ckptPool = sync.Pool{New: func() any { return &checkpoint{} }}
+// ckptPool recycles checkpoints (and, through SnapshotInto, their
+// memory, stats and runtime buffers) across batches and across Run
+// calls. An exhaustive round on a small app fits one batch, so a
+// per-recorder free list would never see a recycled checkpoint; the
+// process-wide pool is what makes recording allocation-free at steady
+// state.
+var ckptPool = sync.Pool{New: func() any { return &kernel.Checkpoint{} }}
 
 // newRecorder wraps the golden pass's already-run device, runtime and
 // app for checkpoint-recording re-runs.
@@ -98,15 +90,15 @@ func newRecorder(bench *apps.Bench, rt kernel.Hooks, dev *kernel.Device, seed in
 }
 
 // ckptGet pops a recycled checkpoint, or allocates a fresh one.
-func ckptGet() *checkpoint {
-	return ckptPool.Get().(*checkpoint)
+func ckptGet() *kernel.Checkpoint {
+	return ckptPool.Get().(*kernel.Checkpoint)
 }
 
 // ckptRecycle returns a batch's checkpoints to the pool once their
-// replays are done. The checkpoints must no longer be referenced. cp.rt
-// is kept: the next recording pass's SnapshotState overwrites its
-// storage in place instead of reallocating.
-func ckptRecycle(cps map[int]*checkpoint) {
+// replays are done. The checkpoints must no longer be referenced; the
+// next recording pass's SnapshotInto overwrites their storage in place
+// instead of reallocating.
+func ckptRecycle(cps map[int]*kernel.Checkpoint) {
 	for _, cp := range cps {
 		ckptPool.Put(cp)
 	}
@@ -114,7 +106,7 @@ func ckptRecycle(cps map[int]*checkpoint) {
 
 // record re-runs the golden pass and returns one checkpoint per
 // requested candidate index (idxs ascending, indexing cuts).
-func (r *recorder) record(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
+func (r *recorder) record(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
 	sink := newSnapSink(r.dev, r.rt, cuts, idxs)
 	r.dev.Reset(power.Continuous{}, r.seed)
 	if err := r.rt.Reset(r.dev); err != nil {

@@ -60,16 +60,15 @@ type Header struct {
 }
 
 // Unit is one checker work unit. A boot unit has an empty Schedule and a
-// nil Dev; a checkpoint unit's Dev and RT are the device and runtime
-// checkpoint at the last cut of Schedule. CutLo/CutHi select the root's
-// candidate-index range [CutLo, CutHi); CutHi == 0 means "through the
-// last candidate", and out-of-range bounds clamp. Running a unit consumes
-// its checkpoint (it is recycled into the recording pool).
+// nil Root; a checkpoint unit's Root is the checkpoint (device and
+// runtime halves) at the last cut of Schedule. CutLo/CutHi select the
+// root's candidate-index range [CutLo, CutHi); CutHi == 0 means "through
+// the last candidate", and out-of-range bounds clamp. Running a unit
+// consumes its checkpoint (it is recycled into the recording pool).
 type Unit struct {
 	Schedule     []time.Duration
 	Collapsed    int
-	Dev          *kernel.Checkpoint
-	RT           any // the runtime's SnapshotState at the same cut
+	Root         *kernel.Checkpoint
 	CutLo, CutHi int
 }
 

@@ -147,12 +147,10 @@ func (r *resumedSupply) Recharge(wall time.Duration) time.Duration {
 
 // SnapshotState implements power.Supply: the wall-time offset is
 // configuration, so the shared supply's state is the whole state.
-func (r *resumedSupply) SnapshotState(prev power.SupplyState) power.SupplyState {
-	return r.Supply.SnapshotState(prev)
-}
+func (r *resumedSupply) SnapshotState() power.State { return r.Supply.SnapshotState() }
 
 // RestoreState implements power.Supply.
-func (r *resumedSupply) RestoreState(st power.SupplyState) { r.Supply.RestoreState(st) }
+func (r *resumedSupply) RestoreState(st power.State) { r.Supply.RestoreState(st) }
 
 // RenderDiurnal prints the day's throughput.
 func RenderDiurnal(rows []DiurnalRow) string {

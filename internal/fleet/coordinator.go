@@ -388,13 +388,7 @@ func (c *Coordinator) planCheck(j *job, parts int, rec *record) (work int, err e
 	rec.Level1 = wire.AppendSubtreeResult(nil, wire.SubtreeResult{
 		Job: j.id, Depths: p.Level1.Depths, Divergences: p.Level1.Divergences,
 	})
-	for i, group := range p.Split(parts) {
-		units := make([]wire.Unit, len(group))
-		for k, u := range group {
-			if units[k], err = wireUnit(u); err != nil {
-				return 0, fmt.Errorf("fleet: job %d: %w", j.id, err)
-			}
-		}
+	for i, units := range p.Split(parts) {
 		rec.Tasks = append(rec.Tasks, wire.AppendSubtreeShard(nil, wire.SubtreeShard{
 			Job: j.id, Shard: i, App: j.spec.App, Runtime: j.spec.Runtime,
 			Seed: j.spec.Seed, Off: p.Off, Failures: j.spec.Failures,

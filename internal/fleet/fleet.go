@@ -37,7 +37,6 @@ import (
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
-	"easeio/internal/rtbase"
 	"easeio/internal/stats"
 	"easeio/internal/wire"
 )
@@ -161,37 +160,4 @@ func decodeResultPayload(mode string, b []byte) (Result, error) {
 		return Result{Mode: mode, Report: &rep}, nil
 	}
 	return Result{}, fmt.Errorf("fleet: result of unknown mode %q", mode)
-}
-
-// wireUnit encodes a planned unit for shipping: a boot root travels
-// bare, a checkpoint root with its device checkpoint and runtime state.
-func wireUnit(u check.Unit) (wire.Unit, error) {
-	w := wire.Unit{Schedule: u.Schedule, Collapsed: u.Collapsed, CutLo: u.CutLo, CutHi: u.CutHi}
-	if u.Dev == nil {
-		return w, nil
-	}
-	cp, err := wire.EncodeCheckpoint(nil, u.Dev)
-	if err != nil {
-		return w, fmt.Errorf("encode unit root: %w", err)
-	}
-	st, ok := u.RT.(*rtbase.BaseState)
-	if !ok {
-		return w, fmt.Errorf("runtime state %T is not wire-encodable", u.RT)
-	}
-	w.Checkpoint, w.RT = cp, st.Export()
-	return w, nil
-}
-
-// checkUnit is wireUnit's inverse on the worker side.
-func checkUnit(w wire.Unit) (check.Unit, error) {
-	u := check.Unit{Schedule: w.Schedule, Collapsed: w.Collapsed, CutLo: w.CutLo, CutHi: w.CutHi}
-	if len(w.Checkpoint) == 0 {
-		return u, nil
-	}
-	cp, err := wire.DecodeCheckpoint(w.Checkpoint)
-	if err != nil {
-		return u, fmt.Errorf("decode unit root: %w", err)
-	}
-	u.Dev, u.RT = cp, rtbase.ImportBaseState(w.RT)
-	return u, nil
 }

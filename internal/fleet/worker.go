@@ -57,16 +57,10 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		units := make([]check.Unit, len(s.Units))
-		for i, u := range s.Units {
-			if units[i], err = checkUnit(u); err != nil {
-				return nil, fmt.Errorf("fleet: unit %d: %w", i, err)
-			}
-		}
 		rep, err := check.RunUnits(ctx, factory, rt, check.Config{
 			Seed: s.Seed, Off: s.Off, Failures: s.Failures,
 			Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.Workers,
-		}, units)
+		}, s.Units)
 		if err != nil {
 			return nil, err
 		}

@@ -188,11 +188,11 @@ func (c *Ctx) bulkCharge(dt time.Duration, e units.Energy, overhead bool) {
 	d.Clock.Run(dt)
 	switch {
 	case c.wastedDepth > 0:
-		d.Ledger.committed[stats.Wasted].Add(stats.Totals{T: dt, E: e})
+		d.Ledger.Committed[stats.Wasted].Add(stats.Totals{T: dt, E: e})
 	case overhead:
-		d.Ledger.pending[1].Add(stats.Totals{T: dt, E: e})
+		d.Ledger.Pending[1].Add(stats.Totals{T: dt, E: e})
 	default:
-		d.Ledger.pending[0].Add(stats.Totals{T: dt, E: e})
+		d.Ledger.Pending[0].Add(stats.Totals{T: dt, E: e})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"time"
 
+	"easeio/internal/lazyrand"
 	"easeio/internal/mem"
 	"easeio/internal/power"
 	"easeio/internal/stats"
@@ -48,8 +49,8 @@ type Device struct {
 
 	// randSrc is the reseedable source behind Rand, kept so Reset can
 	// rewind the peripheral randomness without reallocating it and so
-	// Snapshot can record the stream position (see checkpoint.go).
-	randSrc *countingSource
+	// SnapshotInto can record the stream position (see checkpoint.go).
+	randSrc *lazyrand.Counting
 
 	// ctx is the engine's reusable execution context (see runLoop) and
 	// checker the reusable output-check surface (see finish) — per-run
@@ -97,7 +98,7 @@ func (m *checkMem) Equal(v *task.NVVar, off int, want []uint16) bool {
 // the supply and the peripheral randomness.
 func NewDevice(supply power.Supply, seed int64) *Device {
 	supply.Reset(seed)
-	src := newCountingSource(seed ^ 0x5ea10)
+	src := lazyrand.NewCounting(seed ^ 0x5ea10)
 	return &Device{
 		Mem:     mem.New(),
 		Clock:   timekeeper.New(),
@@ -142,7 +143,7 @@ func (d *Device) Reset(supply power.Supply, seed int64) {
 // have been charged but before the supply is stepped, so the device
 // state it observes is byte-identical to the state a replay sees at the
 // instant a failure fires at that boundary — which is what lets a sink
-// take checkpoints (Device.Snapshot) that a suffix replay can restore.
+// take checkpoints (Device.SnapshotInto) that a suffix replay can restore.
 // Implementations must be cheap and must not mutate the device.
 type CutSink interface {
 	NoteCut(onTime time.Duration)
@@ -178,17 +179,16 @@ type Hooks interface {
 	Reset(dev *Device) error
 
 	// SnapshotState captures the volatile bookkeeping that survives
-	// reboots (execution counters, completion records). It reuses the
-	// storage of prev — a state this runtime type returned earlier that
-	// is no longer needed — and allocates when prev is nil. The state is
-	// independent of the instance: restoring it into another instance
-	// attached to an equivalently laid-out device is exact.
-	SnapshotState(prev any) any
+	// reboots (execution counters, completion records) into into,
+	// reusing its slices' storage. The state is independent of the
+	// instance: restoring it into another instance attached to an
+	// equivalently laid-out device is exact.
+	SnapshotState(into *RuntimeState)
 
 	// RestoreState re-establishes a captured state on a device whose
 	// memory was restored to the matching checkpoint. The state is copied,
 	// never aliased, so one state restores any number of times.
-	RestoreState(dev *Device, state any)
+	RestoreState(dev *Device, s *RuntimeState)
 
 	// OnBoot runs the runtime's recovery path after (re)boot.
 	OnBoot(c *Ctx)

@@ -42,7 +42,7 @@ func RunAttached(dev *Device, rt Hooks, app *task.App) error {
 
 // ResumeWithFailure continues a run from a device state restored to a
 // charge-slice boundary (Device.Restore of a Checkpoint taken by a
-// CutSink, plus the runtime's RestoreState), applying the power
+// CutSink, runtime half included), applying the power
 // failure that a supply firing at exactly that boundary would have
 // caused: the pending attempt is wasted, volatile memory is cleared, the
 // supply recharges, and execution proceeds through the normal reboot

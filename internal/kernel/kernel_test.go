@@ -54,9 +54,9 @@ func (r *testRT) Reset(dev *Device) error {
 
 // SnapshotState has nothing to capture: every reboot-surviving word of
 // testRT is durable memory, which the device checkpoint holds.
-func (r *testRT) SnapshotState(any) any { return nil }
+func (r *testRT) SnapshotState(*RuntimeState) {}
 
-func (r *testRT) RestoreState(dev *Device, _ any) { r.dev = dev }
+func (r *testRT) RestoreState(dev *Device, _ *RuntimeState) { r.dev = dev }
 
 func (r *testRT) OnBoot(c *Ctx) {
 	r.boots++
@@ -326,7 +326,7 @@ func TestWastedModeRouting(t *testing.T) {
 	ctx.PushWasted()
 	ctx.ChargeCycles(1000)
 	ctx.PopWasted()
-	if got := dev.Ledger.Committed(stats.Wasted); got.T != time.Millisecond {
+	if got := dev.Ledger.Committed[stats.Wasted]; got.T != time.Millisecond {
 		t.Errorf("wasted = %v", got.T)
 	}
 	defer func() {

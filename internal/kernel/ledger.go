@@ -19,9 +19,12 @@ import (
 // additionally commits completed I/O operations mid-task (their lock flag
 // is durable, so their work is never redone even if the surrounding
 // attempt fails); it does so through spans.
+//
+// The fields are exported so a device checkpoint carries the ledger as
+// is.
 type Ledger struct {
-	committed [stats.NumBuckets]stats.Totals
-	pending   [2]stats.Totals // index 0 = useful, 1 = overhead
+	Committed [stats.NumBuckets]stats.Totals
+	Pending   [2]stats.Totals // index 0 = useful, 1 = overhead
 }
 
 // Reset zeroes all committed and pending work, for device reuse across
@@ -39,7 +42,7 @@ func (l *Ledger) Charge(overhead bool, dt time.Duration, e units.Energy) {
 	if overhead {
 		i = 1
 	}
-	l.pending[i].Add(stats.Totals{T: dt, E: e})
+	l.Pending[i].Add(stats.Totals{T: dt, E: e})
 }
 
 // ChargeWasted commits work directly to the Wasted bucket. Redundant
@@ -47,45 +50,45 @@ func (l *Ledger) Charge(overhead bool, dt time.Duration, e units.Energy) {
 // surrounding attempt eventually commits, that work would not exist under
 // continuous power.
 func (l *Ledger) ChargeWasted(dt time.Duration, e units.Energy) {
-	l.committed[stats.Wasted].Add(stats.Totals{T: dt, E: e})
+	l.Committed[stats.Wasted].Add(stats.Totals{T: dt, E: e})
 }
 
 // Mark opens a span over subsequently charged work.
 func (l *Ledger) Mark() SpanMark {
-	return SpanMark{useful: l.pending[0], overhead: l.pending[1]}
+	return SpanMark{useful: l.Pending[0], overhead: l.Pending[1]}
 }
 
 // CommitSince commits all work charged after m: useful work moves to App,
 // overhead to Overhead. Work already committed by nested spans is not
 // double-counted because committing removes it from the pending pool.
 func (l *Ledger) CommitSince(m SpanMark) {
-	du := l.pending[0].Sub(m.useful)
-	do := l.pending[1].Sub(m.overhead)
+	du := l.Pending[0].Sub(m.useful)
+	do := l.Pending[1].Sub(m.overhead)
 	if du.T < 0 || do.T < 0 {
 		// A span must not straddle a power failure; marks are only valid
 		// within one attempt.
 		panic("kernel: ledger span crossed an attempt boundary")
 	}
-	l.committed[stats.App].Add(du)
-	l.committed[stats.Overhead].Add(do)
-	l.pending[0] = m.useful
-	l.pending[1] = m.overhead
+	l.Committed[stats.App].Add(du)
+	l.Committed[stats.Overhead].Add(do)
+	l.Pending[0] = m.useful
+	l.Pending[1] = m.overhead
 }
 
 // CommitAttempt commits everything pending: called when a task reaches its
 // transition.
 func (l *Ledger) CommitAttempt() {
-	l.committed[stats.App].Add(l.pending[0])
-	l.committed[stats.Overhead].Add(l.pending[1])
-	l.pending[0], l.pending[1] = stats.Totals{}, stats.Totals{}
+	l.Committed[stats.App].Add(l.Pending[0])
+	l.Committed[stats.Overhead].Add(l.Pending[1])
+	l.Pending[0], l.Pending[1] = stats.Totals{}, stats.Totals{}
 }
 
 // FailAttempt moves everything pending into Wasted: called when a power
 // failure interrupts an attempt.
 func (l *Ledger) FailAttempt() {
-	l.committed[stats.Wasted].Add(l.pending[0])
-	l.committed[stats.Wasted].Add(l.pending[1])
-	l.pending[0], l.pending[1] = stats.Totals{}, stats.Totals{}
+	l.Committed[stats.Wasted].Add(l.Pending[0])
+	l.Committed[stats.Wasted].Add(l.Pending[1])
+	l.Pending[0], l.Pending[1] = stats.Totals{}, stats.Totals{}
 }
 
 // TotalCommitted sums the three committed buckets. With nothing pending
@@ -94,34 +97,14 @@ func (l *Ledger) FailAttempt() {
 func (l *Ledger) TotalCommitted() stats.Totals {
 	var t stats.Totals
 	for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
-		t.Add(l.committed[b])
+		t.Add(l.Committed[b])
 	}
 	return t
-}
-
-// Committed returns the committed totals for bucket b.
-func (l *Ledger) Committed(b stats.Bucket) stats.Totals { return l.committed[b] }
-
-// Pending returns the (useful, overhead) work charged in the current
-// attempt that has not committed yet.
-func (l *Ledger) Pending() (useful, overhead stats.Totals) {
-	return l.pending[0], l.pending[1]
 }
 
 // Export copies the committed buckets into a run record.
 func (l *Ledger) Export(r *stats.Run) {
 	for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
-		r.Work[b] = l.committed[b]
+		r.Work[b] = l.Committed[b]
 	}
-}
-
-// Parts returns the ledger's full state — committed buckets plus the
-// pending attempt pools — for serialization layers.
-func (l *Ledger) Parts() (committed [stats.NumBuckets]stats.Totals, pending [2]stats.Totals) {
-	return l.committed, l.pending
-}
-
-// MakeLedger reassembles a Ledger from its Parts.
-func MakeLedger(committed [stats.NumBuckets]stats.Totals, pending [2]stats.Totals) Ledger {
-	return Ledger{committed: committed, pending: pending}
 }

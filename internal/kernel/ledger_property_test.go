@@ -51,9 +51,9 @@ func TestLedgerConservationProperty(t *testing.T) {
 		}
 		var total stats.Totals
 		for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
-			total.Add(l.Committed(b))
+			total.Add(l.Committed[b])
 		}
-		u, o := l.Pending()
+		u, o := l.Pending[0], l.Pending[1]
 		total.Add(u)
 		total.Add(o)
 		return total == charged

@@ -258,3 +258,101 @@ func (s *Source) Int63() int64 {
 // Derived reports whether the fast path is active (the generator
 // constants were recovered and verified at init). Exposed for tests.
 func Derived() bool { return derived }
+
+// Counting wraps a Source and counts draws, so a position in the stream
+// can be checkpointed as (seed, draws) and re-established by SetPos.
+// Every rand.Rand method maps to one or more Int63/Uint64 draws, each
+// advancing the underlying generator by exactly one step, so the count
+// pins the position exactly. The device's peripheral randomness and the
+// Timer supply both draw through one.
+//
+// Draws of the current seed are memoized, which makes a same-seed seek
+// O(1) instead of a reseed plus a replay of the prefix — the checker
+// restores thousands of checkpoints into the same device, all on one
+// seed, and the reseed would otherwise dominate suffix replay (it
+// profiled at over half the checker's total time). The memo is bounded
+// by the longest run's draw count and is dropped on a real reseed.
+type Counting struct {
+	// src is created on the first unmemoized draw: many simulated runs
+	// never sample peripheral randomness at all. src == nil implies the
+	// memo is empty (entries only ever come from src), so a fresh
+	// counter is at the right position; once created, src always sits
+	// at len(hist) draws past seed.
+	src   *Source
+	seed  int64
+	draws uint64   // position in the stream
+	hist  []uint64 // memoized raw draws for seed
+}
+
+// MaxDraws bounds the stream position a decoded checkpoint may carry
+// (kernel.Checkpoint.Validate, power.State.Validate): SetPos memoizes
+// every draw up to the target, so an unbounded shipped position would
+// allocate without limit — 2^40 draws is 8 TiB.
+//
+// Measured with a counting hook on every draw over the full test suite:
+// the largest position in the checker's test matrix (internal/check,
+// fleet check jobs, the wire captures) is 49 draws, and the largest in
+// any terminating run is 83 (power's timer tests). The ceiling a run can
+// reach at all is 400 003 — one Timer draw at Reset plus two per
+// recharge, cut off by the kernel's 200 000-boot non-termination guard,
+// which the kernel's own non-termination tests hit. 2^20 leaves a 2.6×
+// margin above that ceiling and caps a restore's memo at 8 MiB.
+const MaxDraws = 1 << 20
+
+// NewCounting returns a counter at the start of seed's stream.
+func NewCounting(seed int64) *Counting { return &Counting{seed: seed} }
+
+// next returns the draw at the current position, from the memo when the
+// position has been visited before.
+func (c *Counting) next() uint64 {
+	if c.draws < uint64(len(c.hist)) {
+		v := c.hist[c.draws]
+		c.draws++
+		return v
+	}
+	if c.src == nil {
+		c.src = New(c.seed)
+	}
+	v := c.src.Uint64()
+	c.hist = append(c.hist, v)
+	c.draws++
+	return v
+}
+
+// Int63 derives the signed draw exactly like math/rand's source does
+// (mask the top bit of the same raw uint64), so the stream is identical
+// to calling Source.Int63 directly.
+func (c *Counting) Int63() int64 { return int64(c.next() & rngMask) }
+
+// Uint64 implements rand.Source64.
+func (c *Counting) Uint64() uint64 { return c.next() }
+
+// Seed rewinds to the start of seed's stream; the memo survives when the
+// seed is unchanged.
+func (c *Counting) Seed(seed int64) {
+	if seed == c.seed {
+		c.draws = 0
+		return
+	}
+	c.seed, c.draws, c.hist = seed, 0, c.hist[:0]
+	if c.src != nil {
+		c.src.Seed(seed)
+	}
+}
+
+// Pos returns the current position: the seed and the draws taken since.
+func (c *Counting) Pos() (seed int64, draws uint64) { return c.seed, c.draws }
+
+// SetPos positions the counter exactly n draws past seed, the inverse
+// of Pos. Callers bound n
+// (see MaxDraws): the memo grows to n entries.
+func (c *Counting) SetPos(seed int64, n uint64) {
+	c.Seed(seed)
+	if uint64(len(c.hist)) < n && c.src == nil {
+		c.src = New(c.seed)
+	}
+	for uint64(len(c.hist)) < n {
+		c.hist = append(c.hist, c.src.Uint64())
+	}
+	c.draws = n
+}

@@ -73,6 +73,35 @@ func TestRandNewCompatible(t *testing.T) {
 	}
 }
 
+// TestCountingSetPos pins that a Counting stream is the plain Source
+// stream, that SetPos lands exactly n draws past the seed — from a fresh
+// counter, within the memoized stream, and after a reseed — and that Pos
+// reports the position back.
+func TestCountingSetPos(t *testing.T) {
+	ref := New(123)
+	var want []uint64
+	for i := 0; i < 50; i++ {
+		want = append(want, ref.Uint64())
+	}
+	c := NewCounting(0)
+	for _, n := range []uint64{20, 5, 40, 0} {
+		c.SetPos(123, n)
+		if seed, draws := c.Pos(); seed != 123 || draws != n {
+			t.Fatalf("Pos = (%d, %d) after SetPos(123, %d)", seed, draws, n)
+		}
+		for i := n; i < 50; i++ {
+			if got := c.Uint64(); got != want[i] {
+				t.Fatalf("SetPos(123, %d): draw %d = %d, want %d", n, i, got, want[i])
+			}
+		}
+		c.Seed(7) // a real reseed drops the memo
+	}
+	c.Seed(123)
+	if got := c.Int63(); got != int64(want[0]&rngMask) {
+		t.Fatalf("Int63 = %d, want the masked raw draw %d", got, want[0]&rngMask)
+	}
+}
+
 // BenchmarkReseedAndDraw models the per-run pattern: reseed, draw a
 // handful of values. This is the sweep hot path lazyrand exists for.
 func BenchmarkReseedAndDraw(b *testing.B) {

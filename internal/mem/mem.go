@@ -344,51 +344,24 @@ func (m *Memory) PowerFailure() {
 	}
 }
 
-// Snapshot captures the full contents of one bank.
-type Snapshot struct {
-	Bank  Bank
-	Words []uint16
-}
-
-// Snapshot returns a copy of the current contents of bank b.
-func (m *Memory) Snapshot(b Bank) Snapshot {
-	words := make([]uint16, len(m.banks[b]))
-	copy(words, m.banks[b])
-	return Snapshot{Bank: b, Words: words}
-}
-
-// Restore overwrites bank contents from a snapshot taken earlier. It
-// raises the bank's high-water mark over any restored nonzero word, so
-// the invariant that words above the used prefix are zero (which
-// PowerFailure and Reset rely on to clear only that prefix) survives
-// restoring a snapshot with a larger footprint.
-func (m *Memory) Restore(s Snapshot) {
-	if len(s.Words) != len(m.banks[s.Bank]) {
-		panic(fmt.Sprintf("mem: restore size mismatch for %s: %d vs %d",
-			s.Bank, len(s.Words), len(m.banks[s.Bank])))
-	}
-	copy(m.banks[s.Bank], s.Words)
-	for i := len(s.Words) - 1; i >= m.usedWords(s.Bank); i-- {
-		if s.Words[i] != 0 {
-			m.highWater[s.Bank] = i + 1
-			break
-		}
-	}
-}
-
 // DeviceSnapshot captures the full mid-run state of a Memory: every
 // bank's used prefix plus the access counters and high-water marks. The
-// allocator state (watermarks and region records) is deliberately not
-// copied — a snapshot may only be restored into a memory with the same
-// allocation layout, which RestoreAll verifies. Copying just the used
-// prefix (everything at or below max(alloc, highWater) per bank, the
-// same bound Reset clears) keeps snapshots proportional to the app's
-// footprint instead of the 256 KB FRAM bank.
+// allocator watermarks are recorded but never restored — a snapshot may
+// only be restored into a memory with the same allocation layout, which
+// RestoreAll verifies — and region records are not copied. Copying just
+// the used prefix (everything at or below max(alloc, highWater) per
+// bank, the same bound Reset clears) keeps snapshots proportional to the
+// app's footprint instead of the 256 KB FRAM bank.
+//
+// Every field is indexed by Bank. Used holds each bank's used word
+// prefix, Alloc the allocator watermarks, Counts the access counters and
+// HighWater the high-water marks. internal/wire encodes the value as is;
+// Validate is the check a decoder runs on untrusted state.
 type DeviceSnapshot struct {
-	used      [numBanks][]uint16
-	alloc     [numBanks]int
-	counts    [numBanks]Counters
-	highWater [numBanks]int
+	Used      [NumBanks][]uint16
+	Alloc     [NumBanks]int
+	Counts    [NumBanks]Counters
+	HighWater [NumBanks]int
 }
 
 // usedWords returns how many words of bank b can differ from zero: the
@@ -414,12 +387,12 @@ func (m *Memory) SnapshotAllInto(s *DeviceSnapshot) *DeviceSnapshot {
 	if s == nil {
 		s = &DeviceSnapshot{}
 	}
-	s.alloc = m.alloc
-	s.counts = m.counts
-	s.highWater = m.highWater
+	s.Alloc = m.alloc
+	s.Counts = m.counts
+	s.HighWater = m.highWater
 	for b := Bank(0); b < numBanks; b++ {
 		n := m.usedWords(b)
-		s.used[b] = append(s.used[b][:0], m.banks[b][:n]...)
+		s.Used[b] = append(s.Used[b][:0], m.banks[b][:n]...)
 	}
 	return s
 }
@@ -432,36 +405,20 @@ func (m *Memory) SnapshotAllInto(s *DeviceSnapshot) *DeviceSnapshot {
 // target's own used prefix are provably zero in both memories, so only
 // the prefixes are touched.
 func (m *Memory) RestoreAll(s *DeviceSnapshot) {
-	if m.alloc != s.alloc {
+	if m.alloc != s.Alloc {
 		panic(fmt.Sprintf("mem: restore-all layout mismatch: alloc %v vs %v",
-			m.alloc, s.alloc))
+			m.alloc, s.Alloc))
 	}
 	for b := Bank(0); b < numBanks; b++ {
 		// The copy overwrites the snapshot's prefix; only the tail the
 		// current memory used beyond it needs explicit clearing.
-		if n, k := m.usedWords(b), len(s.used[b]); n > k {
+		if n, k := m.usedWords(b), len(s.Used[b]); n > k {
 			clear(m.banks[b][k:n])
 		}
-		copy(m.banks[b], s.used[b])
+		copy(m.banks[b], s.Used[b])
 	}
-	m.counts = s.counts
-	m.highWater = s.highWater
-}
-
-// Diff reports the word offsets (up to max) at which the snapshot and the
-// current bank contents differ. A nil result means the bank matches the
-// snapshot exactly.
-func (m *Memory) Diff(s Snapshot, max int) []int {
-	var diffs []int
-	for i, w := range m.banks[s.Bank] {
-		if w != s.Words[i] {
-			diffs = append(diffs, i)
-			if len(diffs) >= max {
-				break
-			}
-		}
-	}
-	return diffs
+	m.counts = s.Counts
+	m.highWater = s.HighWater
 }
 
 // EqualRange reports whether the n words starting at a equal want.
@@ -496,71 +453,28 @@ func bankWords(b Bank) int {
 	}
 }
 
-// SnapshotState is the exported, serializable view of a DeviceSnapshot:
-// one entry per bank (index = Bank value, NumBanks entries each) for the
-// used word prefix, the allocator watermark, the access counters and the
-// high-water mark. internal/wire flattens it to bytes; this package only
-// defines what the state is and validates it on import.
-type SnapshotState struct {
-	Used      [][]uint16
-	Alloc     []int
-	Counts    []Counters
-	HighWater []int
-}
-
-// Export returns the snapshot's components for serialization. The
-// returned slices alias the snapshot's storage — treat them as
-// read-only, and do not retain them past the snapshot's next reuse.
-func (s *DeviceSnapshot) Export() SnapshotState {
-	st := SnapshotState{
-		Used:      make([][]uint16, NumBanks),
-		Alloc:     make([]int, NumBanks),
-		Counts:    make([]Counters, NumBanks),
-		HighWater: make([]int, NumBanks),
-	}
-	for b := Bank(0); b < numBanks; b++ {
-		st.Used[b] = s.used[b]
-		st.Alloc[b] = s.alloc[b]
-		st.Counts[b] = s.counts[b]
-		st.HighWater[b] = s.highWater[b]
-	}
-	return st
-}
-
-// ImportSnapshot rebuilds a DeviceSnapshot from its exported view,
-// taking ownership of the Used slices. It rejects states whose shape
-// cannot have come from a real snapshot (wrong bank count, a prefix
-// longer than the bank, counters or watermarks out of range), so a
-// decoder can feed it untrusted bytes without tripping RestoreAll's
-// panics later.
-func ImportSnapshot(st SnapshotState) (*DeviceSnapshot, error) {
-	if len(st.Used) != NumBanks || len(st.Alloc) != NumBanks ||
-		len(st.Counts) != NumBanks || len(st.HighWater) != NumBanks {
-		return nil, fmt.Errorf("mem: snapshot state wants %d banks, got %d/%d/%d/%d",
-			NumBanks, len(st.Used), len(st.Alloc), len(st.Counts), len(st.HighWater))
-	}
-	s := &DeviceSnapshot{}
+// Validate rejects a snapshot that cannot have come from a real memory:
+// a prefix longer than its bank, watermarks out of range or negative
+// counters. A decoder runs it on untrusted state, so RestoreAll's own
+// panics are left for harness bugs.
+func (s *DeviceSnapshot) Validate() error {
 	for b := Bank(0); b < numBanks; b++ {
 		cap := bankWords(b)
-		if len(st.Used[b]) > cap {
-			return nil, fmt.Errorf("mem: %s snapshot prefix %d words exceeds bank size %d",
-				b, len(st.Used[b]), cap)
+		if len(s.Used[b]) > cap {
+			return fmt.Errorf("mem: %s snapshot prefix %d words exceeds bank size %d",
+				b, len(s.Used[b]), cap)
 		}
-		if st.Alloc[b] < 0 || st.Alloc[b] > cap {
-			return nil, fmt.Errorf("mem: %s snapshot watermark %d out of range [0,%d]",
-				b, st.Alloc[b], cap)
+		if s.Alloc[b] < 0 || s.Alloc[b] > cap {
+			return fmt.Errorf("mem: %s snapshot watermark %d out of range [0,%d]",
+				b, s.Alloc[b], cap)
 		}
-		if st.HighWater[b] < 0 || st.HighWater[b] > cap {
-			return nil, fmt.Errorf("mem: %s snapshot high-water %d out of range [0,%d]",
-				b, st.HighWater[b], cap)
+		if s.HighWater[b] < 0 || s.HighWater[b] > cap {
+			return fmt.Errorf("mem: %s snapshot high-water %d out of range [0,%d]",
+				b, s.HighWater[b], cap)
 		}
-		if st.Counts[b].Reads < 0 || st.Counts[b].Writes < 0 {
-			return nil, fmt.Errorf("mem: %s snapshot counters negative: %+v", b, st.Counts[b])
+		if s.Counts[b].Reads < 0 || s.Counts[b].Writes < 0 {
+			return fmt.Errorf("mem: %s snapshot counters negative: %+v", b, s.Counts[b])
 		}
-		s.used[b] = st.Used[b]
-		s.alloc[b] = st.Alloc[b]
-		s.counts[b] = st.Counts[b]
-		s.highWater[b] = st.HighWater[b]
 	}
-	return s, nil
+	return nil
 }

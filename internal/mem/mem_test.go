@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -135,25 +136,40 @@ func TestBlockTransfer(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreDiff(t *testing.T) {
+// TestSnapshotAllRestoreAll pins the device snapshot: RestoreAll
+// rewinds contents, counters and high-water marks to the snapshot —
+// clearing words written above its prefix — and Validate rejects shapes
+// no memory can have.
+func TestSnapshotAllRestoreAll(t *testing.T) {
 	m := New()
+	m.Alloc(FRAM, "app", "x", 8)
 	m.Write(Addr{FRAM, 1}, 10)
-	snap := m.Snapshot(FRAM)
+	snap := m.SnapshotAll()
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("real snapshot rejected: %v", err)
+	}
 	m.Write(Addr{FRAM, 1}, 20)
-	m.Write(Addr{FRAM, 7}, 30)
-	diffs := m.Diff(snap, 10)
-	if len(diffs) != 2 || diffs[0] != 1 || diffs[1] != 7 {
-		t.Errorf("diffs = %v", diffs)
-	}
-	if got := m.Diff(snap, 1); len(got) != 1 {
-		t.Errorf("diff cap ignored: %v", got)
-	}
-	m.Restore(snap)
-	if m.Diff(snap, 10) != nil {
-		t.Error("restore did not reproduce snapshot")
-	}
+	m.Write(Addr{FRAM, 30}, 30)
+	m.Write(Addr{LEARAM, 5}, 40)
+	m.RestoreAll(snap)
 	if got := m.Read(Addr{FRAM, 1}); got != 10 {
-		t.Errorf("restored value = %d", got)
+		t.Errorf("restored value = %d, want 10", got)
+	}
+	m.RestoreAll(snap) // undo the Read's counter tick
+	if got := m.SnapshotAll(); !reflect.DeepEqual(got, snap) {
+		t.Errorf("restored memory snapshots as %+v, want %+v", got, snap)
+	}
+	for i, bad := range []func(s *DeviceSnapshot){
+		func(s *DeviceSnapshot) { s.Used[SRAM] = make([]uint16, SRAMWords+1) },
+		func(s *DeviceSnapshot) { s.Alloc[FRAM] = -1 },
+		func(s *DeviceSnapshot) { s.HighWater[LEARAM] = LEARAMWords + 1 },
+		func(s *DeviceSnapshot) { s.Counts[FRAM].Writes = -1 },
+	} {
+		s := *snap
+		bad(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("malformed snapshot %d accepted", i)
+		}
 	}
 }
 

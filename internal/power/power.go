@@ -43,14 +43,12 @@ type Supply interface {
 	// stays off before rebooting, given the wall-clock time of the failure.
 	Recharge(wall time.Duration) time.Duration
 	// SnapshotState captures the supply's mutable state for a device
-	// checkpoint, reusing prev's storage when prev was produced by the
-	// same supply type; a nil or foreign prev allocates fresh. Bulk
-	// checkpointing recycles states through it to stay allocation-free.
-	SnapshotState(prev SupplyState) SupplyState
+	// checkpoint.
+	SnapshotState() State
 	// RestoreState re-establishes previously captured state. It panics if
 	// the state was produced by a different supply type — mixing supplies
 	// across a checkpoint boundary is a harness bug.
-	RestoreState(SupplyState)
+	RestoreState(State)
 }
 
 // Continuous is a Supply that never fails: the paper's "continuous power"
@@ -97,8 +95,8 @@ func DefaultTimerConfig() TimerConfig {
 // Timer is the timer-driven Supply.
 type Timer struct {
 	cfg  TimerConfig
-	name string          // formatted once; cfg is fixed after NewTimer
-	src  *countingSource // reseeded in place across runs; counts draws for checkpointing
+	name string             // formatted once; cfg is fixed after NewTimer
+	src  *lazyrand.Counting // reseeded in place across runs; counts draws for checkpointing
 	rng  *rand.Rand
 	next time.Duration // onTime at which the next failure fires
 }
@@ -123,7 +121,7 @@ func (t *Timer) Name() string { return t.name }
 // rand.New(rand.NewSource(seed)) would have.
 func (t *Timer) Reset(seed int64) {
 	if t.src == nil {
-		t.src = newCountingSource(seed)
+		t.src = lazyrand.NewCounting(seed)
 		t.rng = rand.New(t.src)
 	} else {
 		t.src.Seed(seed)

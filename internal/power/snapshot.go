@@ -2,168 +2,114 @@
 // mutable state alongside memory and clocks, or a restored run would see
 // a supply that has drifted ahead (a capacitor drained past the restore
 // point, a timer whose random stream has advanced). Every Supply
-// implements SnapshotState/RestoreState; states are opaque values that
-// must be handed back to a supply of the same concrete type.
+// implements SnapshotState/RestoreState over one State value, which a
+// checkpoint stores inline and internal/wire ships as is.
 
 package power
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"easeio/internal/lazyrand"
 	"easeio/internal/units"
 )
 
-// SupplyState is an opaque snapshot of a supply's mutable state,
-// produced by SnapshotState and consumed by RestoreState on a supply of
-// the same concrete type.
-type SupplyState interface{ supplyState() }
+// Kind names of the concrete supplies' states. They are part of the wire
+// format: renaming one breaks decoding of previously encoded
+// checkpoints.
+const (
+	KindContinuous = "continuous"
+	KindSchedule   = "schedule"
+	KindTimer      = "timer"
+	KindHarvested  = "harvested"
+)
 
-// countingSource wraps a lazyrand source (bit-identical to math/rand's
-// default source, O(1) reseed) and counts draws, so a supply's position
-// in its random stream can be checkpointed as (seed, draws) and
-// re-established by reseeding and discarding the same number of draws.
-// Every top-level rand.Rand call maps to one or more Int63/Uint64
-// draws, and each draw advances the underlying generator by exactly one
-// step, so the count pins the stream position exactly. The O(1) reseed
-// matters because Timer.Reset reseeds once per simulated run: with
-// math/rand's eager ~µs seeding it profiled at a third of pooled sweep
-// CPU.
-type countingSource struct {
-	src   rand.Source64
-	seed  int64
-	draws uint64
+// State is a supply's mutable state. Kind names the supply type that
+// produced it; only that type's fields are meaningful, the rest stay
+// zero. The zero State (empty Kind) is "no supply state".
+type State struct {
+	Kind string
+	// Schedule: how many configured failures have fired.
+	Fired int
+	// Timer: the next firing point and the random stream position.
+	NextAt time.Duration
+	Seed   int64
+	Draws  uint64
+	// Harvested: stored energy, per-run channel gain, and the dead flag.
+	Stored units.Energy
+	Gain   float64
+	Dead   bool
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: lazyrand.New(seed), seed: seed}
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.seed, c.draws = seed, 0
-}
-
-// seek reseeds and discards n draws, leaving the source exactly n draws
-// past the seed.
-func (c *countingSource) seek(seed int64, n uint64) {
-	c.Seed(seed)
-	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
+// Validate rejects a state no supply can have produced: an unknown kind,
+// negative schedule progress, or a timer stream position beyond
+// lazyrand.MaxDraws (restoring it would replay that many draws).
+func (s State) Validate() error {
+	switch s.Kind {
+	case KindContinuous, KindHarvested:
+	case KindSchedule:
+		if s.Fired < 0 {
+			return fmt.Errorf("power: negative schedule progress %d", s.Fired)
+		}
+	case KindTimer:
+		if s.Draws > lazyrand.MaxDraws {
+			return fmt.Errorf("power: timer stream position %d exceeds %d draws", s.Draws, lazyrand.MaxDraws)
+		}
+	default:
+		return fmt.Errorf("power: unknown supply state kind %q", s.Kind)
 	}
-	c.draws = n
+	return nil
 }
 
-// continuousState is the (empty) state of a Continuous supply. Boxing a
-// zero-size value never allocates, so Continuous ignores prev.
-type continuousState struct{}
-
-func (continuousState) supplyState() {}
+// want panics unless s was produced by a supply of the given kind —
+// mixing supplies across a checkpoint boundary is a harness bug.
+func (s State) want(kind string) {
+	if s.Kind != kind {
+		panic(fmt.Sprintf("power: %s restore from a %q state", kind, s.Kind))
+	}
+}
 
 // SnapshotState implements Supply: a Continuous supply is stateless.
-func (Continuous) SnapshotState(SupplyState) SupplyState { return continuousState{} }
+func (Continuous) SnapshotState() State { return State{Kind: KindContinuous} }
 
 // RestoreState implements Supply.
-func (Continuous) RestoreState(s SupplyState) {
-	if _, ok := s.(continuousState); !ok {
-		panic(fmt.Sprintf("power: continuous restore from %T", s))
-	}
+func (Continuous) RestoreState(s State) { s.want(KindContinuous) }
+
+// SnapshotState implements Supply: how many failures have fired. FailAt
+// and Off are caller-owned configuration, not state.
+func (s *Schedule) SnapshotState() State { return State{Kind: KindSchedule, Fired: s.next} }
+
+// RestoreState implements Supply.
+func (s *Schedule) RestoreState(st State) {
+	st.want(KindSchedule)
+	s.next = st.Fired
 }
 
-// scheduleState is the mutable state of a Schedule: how many failures
-// have fired. FailAt and Off are caller-owned configuration, not state.
-type scheduleState struct{ next int }
-
-func (scheduleState) supplyState() {}
-
-// SnapshotState implements Supply.
-func (s *Schedule) SnapshotState(prev SupplyState) SupplyState {
-	p, ok := prev.(*scheduleState)
-	if !ok {
-		p = &scheduleState{}
-	}
-	p.next = s.next
-	return p
+// SnapshotState implements Supply: the next firing point and the random
+// stream position.
+func (t *Timer) SnapshotState() State {
+	seed, draws := t.src.Pos()
+	return State{Kind: KindTimer, NextAt: t.next, Seed: seed, Draws: draws}
 }
 
 // RestoreState implements Supply.
-func (s *Schedule) RestoreState(st SupplyState) {
-	ss, ok := st.(*scheduleState)
-	if !ok {
-		panic(fmt.Sprintf("power: schedule restore from %T", st))
-	}
-	s.next = ss.next
+func (t *Timer) RestoreState(st State) {
+	st.want(KindTimer)
+	t.src.SetPos(st.Seed, st.Draws)
+	t.next = st.NextAt
 }
 
-// timerState is the mutable state of a Timer: the next firing point and
-// the random stream position.
-type timerState struct {
-	next  time.Duration
-	seed  int64
-	draws uint64
-}
-
-func (timerState) supplyState() {}
-
-// SnapshotState implements Supply.
-func (t *Timer) SnapshotState(prev SupplyState) SupplyState {
-	p, ok := prev.(*timerState)
-	if !ok {
-		p = &timerState{}
-	}
-	*p = timerState{next: t.next, seed: t.src.seed, draws: t.src.draws}
-	return p
+// SnapshotState implements Supply: the stored energy, the per-run
+// channel gain, and the dead flag.
+func (s *Harvested) SnapshotState() State {
+	return State{Kind: KindHarvested, Stored: s.Cap.Stored(), Gain: s.gain, Dead: s.dead}
 }
 
 // RestoreState implements Supply.
-func (t *Timer) RestoreState(st SupplyState) {
-	ts, ok := st.(*timerState)
-	if !ok {
-		panic(fmt.Sprintf("power: timer restore from %T", st))
-	}
-	t.src.seek(ts.seed, ts.draws)
-	t.next = ts.next
-}
-
-// harvestedState is the mutable state of a Harvested supply: the stored
-// energy, the per-run channel gain, and the dead flag.
-type harvestedState struct {
-	stored units.Energy
-	gain   float64
-	dead   bool
-}
-
-func (harvestedState) supplyState() {}
-
-// SnapshotState implements Supply.
-func (s *Harvested) SnapshotState(prev SupplyState) SupplyState {
-	p, ok := prev.(*harvestedState)
-	if !ok {
-		p = &harvestedState{}
-	}
-	*p = harvestedState{stored: s.Cap.Stored(), gain: s.gain, dead: s.dead}
-	return p
-}
-
-// RestoreState implements Supply.
-func (s *Harvested) RestoreState(st SupplyState) {
-	hs, ok := st.(*harvestedState)
-	if !ok {
-		panic(fmt.Sprintf("power: harvested restore from %T", st))
-	}
-	s.Cap.SetStored(hs.stored)
-	s.gain = hs.gain
-	s.dead = hs.dead
+func (s *Harvested) RestoreState(st State) {
+	st.want(KindHarvested)
+	s.Cap.SetStored(st.Stored)
+	s.gain = st.Gain
+	s.dead = st.Dead
 }

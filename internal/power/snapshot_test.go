@@ -26,7 +26,7 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	s.Reset(11)
 	mid := 60 * time.Millisecond
 	walkTimer(s, 0, mid)
-	st := s.SnapshotState(nil)
+	st := s.SnapshotState()
 
 	want := walkTimer(s, mid, 300*time.Millisecond)
 	s.RestoreState(st)
@@ -55,7 +55,7 @@ func TestScheduleSnapshotRestore(t *testing.T) {
 		t.Fatal("no failure at first point")
 	}
 	s.Recharge(0)
-	st := s.SnapshotState(nil)
+	st := s.SnapshotState()
 	s.Recharge(0)
 	s.Recharge(0)
 	if s.Remaining() != 0 {
@@ -83,7 +83,7 @@ func TestHarvestedSnapshotRestore(t *testing.T) {
 		wall += 50 * time.Microsecond
 		s.Step(wall, wall, 50*time.Microsecond, drain)
 	}
-	st := s.SnapshotState(nil)
+	st := s.SnapshotState()
 	stored, gain := s.Cap.Stored(), s.gain
 
 	for !s.Step(wall, wall, 50*time.Microsecond, drain) {
@@ -105,7 +105,7 @@ func TestHarvestedSnapshotRestore(t *testing.T) {
 
 func TestContinuousSnapshotRestore(t *testing.T) {
 	var s Continuous
-	s.RestoreState(s.SnapshotState(nil)) // must not panic
+	s.RestoreState(s.SnapshotState()) // must not panic
 }
 
 func TestRestoreStateTypeMismatchPanics(t *testing.T) {
@@ -114,24 +114,5 @@ func TestRestoreStateTypeMismatchPanics(t *testing.T) {
 			t.Error("expected panic on cross-type supply restore")
 		}
 	}()
-	NewSchedule(time.Millisecond).RestoreState(Continuous{}.SnapshotState(nil))
-}
-
-func TestCountingSourceSeek(t *testing.T) {
-	a := newCountingSource(123)
-	var want []uint64
-	for i := 0; i < 50; i++ {
-		want = append(want, a.Uint64())
-	}
-
-	b := newCountingSource(0)
-	b.seek(123, 20)
-	if b.draws != 20 {
-		t.Fatalf("draws = %d after seek, want 20", b.draws)
-	}
-	for i := 20; i < 50; i++ {
-		if got := b.Uint64(); got != want[i] {
-			t.Fatalf("draw %d = %d after seek, want %d", i, got, want[i])
-		}
-	}
+	NewSchedule(time.Millisecond).RestoreState(Continuous{}.SnapshotState())
 }

@@ -21,29 +21,6 @@ import (
 	"easeio/internal/task"
 )
 
-// doneSentinel is the task-pointer value meaning "application finished".
-const doneSentinel = 0xFFFF
-
-// ioSlot is the per-run bookkeeping of one dynamic I/O or DMA site
-// instance, held in a flat array indexed by the program's frozen slot
-// numbering (task.Program.IOSlots). taskID/taskInst version the slot:
-// bookkeeping is only ever consulted for the currently running task
-// instance, and a task must commit (bumping its instance counter) before
-// any other task can run, so a slot whose version tag is stale can never
-// be read again — it is reset in place on the next touch. This makes the
-// fixed-size array observationally equivalent to the unbounded
-// (site, idx, task, instance)-keyed map it replaced.
-type ioSlot struct {
-	taskID   int32
-	taskInst int32
-	// execCount counts execution attempts of this instance (Table 4's
-	// "Re-exe." counts every re-execution, completed or not).
-	execCount int32
-	// completed marks instances whose operation finished at least once
-	// (re-executing those is truly redundant work, charged to Wasted).
-	completed bool
-}
-
 // Base is embedded by each runtime implementation. All per-run state is
 // held in flat slices sized once at Init from the frozen program tables
 // (variable count, task count, I/O slot count); Reset clears those
@@ -63,12 +40,16 @@ type Base struct {
 
 	addrs   []mem.Addr // master copy addresses, by variable ID
 	taskPtr mem.Addr
-	cur     int // volatile cache of the task pointer
 
-	// Measurement-world bookkeeping (never charged), by program slot
-	// resp. task ID.
-	slots    []ioSlot
-	taskInst []int32
+	// st is the checkpointable bookkeeping: the volatile cache of the
+	// task pointer and the measurement-world records (never charged).
+	// Slots are held in a flat array indexed by the program's frozen slot
+	// numbering; a task must commit (bumping its instance counter) before
+	// any other task can run, so a slot whose version tag is stale can
+	// never be read again — it is reset in place on the next touch. This
+	// makes the fixed-size array observationally equivalent to an
+	// unbounded (site, idx, task, instance)-keyed map.
+	st kernel.RuntimeState
 }
 
 // Device returns the device the runtime is attached to, or nil before
@@ -95,8 +76,8 @@ func (b *Base) Init(dev *kernel.Device, app *task.App, rtName string) error {
 	b.Prog = prog
 	b.RTName = rtName
 	b.addrs = make([]mem.Addr, len(app.Vars))
-	b.slots = make([]ioSlot, prog.IOSlots())
-	b.taskInst = make([]int32, len(app.Tasks))
+	b.st.Slots = make([]kernel.IOSlot, prog.IOSlots())
+	b.st.TaskInst = make([]int32, len(app.Tasks))
 	for i, v := range app.Vars {
 		b.addrs[i] = dev.Mem.Alloc(mem.FRAM, "app", v.Name, v.Words)
 	}
@@ -118,7 +99,7 @@ func (b *Base) writeInitial() {
 	}
 	entry := b.App.Entry()
 	b.Dev.Mem.Write(b.taskPtr, uint16(entry.ID))
-	b.cur = entry.ID
+	b.st.Cur = entry.ID
 }
 
 // Reset implements kernel.Hooks: it returns the base to its post-Init
@@ -129,112 +110,33 @@ func (b *Base) writeInitial() {
 // needs no clearing: the run starts through OnBoot, which re-derives it.
 func (b *Base) Reset(dev *kernel.Device) error {
 	b.Dev = dev
-	clear(b.slots)
-	clear(b.taskInst)
+	clear(b.st.Slots)
+	clear(b.st.TaskInst)
 	b.writeInitial()
 	return nil
 }
 
-// BaseState is the checkpointable part of a Base: the task-pointer cache
-// and the measurement-side bookkeeping that survives reboots. Everything
-// is indexed by value types (program slot numbers, task IDs), so a state
-// captured from one runtime instance restores exactly into another
-// instance attached to an equivalently built app — attach order and slot
-// numbering are deterministic. Addresses (addrs, taskPtr) are layout,
-// not state: each instance's own attach established them identically.
-//
-// It is every shipped runtime's whole snapshot: their other durable
-// bookkeeping (flags, generations, index words, progress counters) lives
-// in FRAM and is captured by the device checkpoint, and their volatile
-// attempt state is rebuilt by OnBoot.
-type BaseState struct {
-	cur      int
-	slots    []ioSlot
-	taskInst []int32
+// SnapshotState implements kernel.Hooks: it copies the base's
+// bookkeeping into into, reusing its slices — a reused state captured
+// from the same program is a pure slice copy with no allocation (the
+// failure-point checker takes thousands of these per run). Addresses
+// (addrs, taskPtr) are layout, not state: each instance's own attach
+// established them identically.
+func (b *Base) SnapshotState(into *kernel.RuntimeState) {
+	into.Cur = b.st.Cur
+	into.Slots = append(into.Slots[:0], b.st.Slots...)
+	into.TaskInst = append(into.TaskInst[:0], b.st.TaskInst...)
 }
 
-// SnapshotState implements kernel.Hooks: it deep-copies the base's
-// checkpointable state into a *BaseState, reusing prev's slices when
-// prev is one (its previous contents are overwritten); nil allocates. A
-// reused prev captured from the same program is a pure slice copy with
-// no allocation — the failure-point checker takes thousands of these
-// per run.
-func (b *Base) SnapshotState(prev any) any {
-	p, _ := prev.(*BaseState)
-	if p == nil {
-		p = &BaseState{}
-	}
-	p.cur = b.cur
-	p.slots = append(p.slots[:0], b.slots...)
-	p.taskInst = append(p.taskInst[:0], b.taskInst...)
-	return p
-}
-
-// RestoreState implements kernel.Hooks: it re-establishes a *BaseState
-// on a device whose memory has been restored to the matching checkpoint.
-// The state is copied, never aliased, so one checkpoint restores any
-// number of times.
-func (b *Base) RestoreState(dev *kernel.Device, state any) {
-	s := state.(*BaseState)
+// RestoreState implements kernel.Hooks: it re-establishes a captured
+// state on a device whose memory has been restored to the matching
+// checkpoint. The state is copied, never aliased, so one checkpoint
+// restores any number of times.
+func (b *Base) RestoreState(dev *kernel.Device, s *kernel.RuntimeState) {
 	b.Dev = dev
-	b.cur = s.cur
-	b.slots = append(b.slots[:0], s.slots...)
-	b.taskInst = append(b.taskInst[:0], s.taskInst...)
-}
-
-// IOSlotState is the exported mirror of one ioSlot, the unit of
-// BaseWireState. See ioSlot for field semantics.
-type IOSlotState struct {
-	TaskID    int32
-	TaskInst  int32
-	ExecCount int32
-	Completed bool
-}
-
-// BaseWireState is the exported, serializable mirror of BaseState: what
-// a fleet subtree shard ships so a remote worker can restore a runtime
-// into the exact bookkeeping state a checkpoint was taken at. The
-// indices are value types (program slot numbers, task IDs) — the same
-// property that lets BaseState restore across instances makes it safe
-// to restore across processes, as long as both sides built the app from
-// the same blueprint.
-type BaseWireState struct {
-	Cur      int
-	Slots    []IOSlotState
-	TaskInst []int32
-}
-
-// Export deep-copies a BaseState into its wire mirror.
-func (s *BaseState) Export() BaseWireState {
-	w := BaseWireState{
-		Cur:      s.cur,
-		Slots:    make([]IOSlotState, len(s.slots)),
-		TaskInst: append([]int32(nil), s.taskInst...),
-	}
-	for i, sl := range s.slots {
-		w.Slots[i] = IOSlotState{
-			TaskID: sl.taskID, TaskInst: sl.taskInst,
-			ExecCount: sl.execCount, Completed: sl.completed,
-		}
-	}
-	return w
-}
-
-// ImportBaseState rebuilds the BaseState a wire mirror describes, in the
-// form Base.RestoreState accepts.
-func ImportBaseState(w BaseWireState) *BaseState {
-	s := &BaseState{
-		cur:      w.Cur,
-		slots:    make([]ioSlot, len(w.Slots)),
-		taskInst: append([]int32(nil), w.TaskInst...),
-	}
-	for i, sl := range w.Slots {
-		s.slots[i] = ioSlot{
-			taskID: sl.TaskID, taskInst: sl.TaskInst,
-			execCount: sl.ExecCount, completed: sl.Completed,
-		}
-	}
-	return s
+	b.st.Cur = s.Cur
+	b.st.Slots = append(b.st.Slots[:0], s.Slots...)
+	b.st.TaskInst = append(b.st.TaskInst[:0], s.TaskInst...)
 }
 
 // Compute charges application CPU work straight through — the default
@@ -254,19 +156,19 @@ func (b *Base) MasterAddr(v *task.NVVar) mem.Addr {
 // LoadBoot re-reads the persistent task pointer after a (re)boot.
 func (b *Base) LoadBoot(c *kernel.Ctx) {
 	c.ChargeMemAccess(mem.FRAM, false, true)
-	b.cur = int(b.Dev.Mem.Read(b.taskPtr))
+	b.st.Cur = int(b.Dev.Mem.Read(b.taskPtr))
 }
 
 // Current returns the task the pointer designates, or nil when done.
 func (b *Base) Current() *task.Task {
-	if b.cur == doneSentinel {
+	if b.st.Cur == kernel.TaskDone {
 		return nil
 	}
-	return b.App.Tasks[b.cur]
+	return b.App.Tasks[b.st.Cur]
 }
 
 // CurrentID returns the raw task pointer value.
-func (b *Base) CurrentID() int { return b.cur }
+func (b *Base) CurrentID() int { return b.st.Cur }
 
 // CommitTransition finalizes the running task: extra carries the runtime's
 // own commit writes (applied pseudo-atomically with the pointer update).
@@ -277,13 +179,13 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 	if extra != nil {
 		extra()
 	}
-	b.taskInst[b.cur]++
-	id := doneSentinel
+	b.st.TaskInst[b.st.Cur]++
+	id := kernel.TaskDone
 	if next != nil {
 		id = next.ID
 	}
 	b.Dev.Mem.Write(b.taskPtr, uint16(id))
-	b.cur = id
+	b.st.Cur = id
 	b.Dev.Ledger.CommitAttempt()
 }
 
@@ -294,18 +196,18 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 // statistic.
 func (b *Base) noteIO(s *task.IOSite, idx int) (slot int, redundant bool) {
 	slot = b.Prog.SiteSlot(s, idx)
-	sl := &b.slots[slot]
-	cur, inst := int32(b.cur), b.taskInst[b.cur]
-	if sl.taskID != cur || sl.taskInst != inst {
-		*sl = ioSlot{taskID: cur, taskInst: inst}
+	sl := &b.st.Slots[slot]
+	cur, inst := int32(b.st.Cur), b.st.TaskInst[b.st.Cur]
+	if sl.TaskID != cur || sl.TaskInst != inst {
+		*sl = kernel.IOSlot{TaskID: cur, TaskInst: inst}
 	}
-	sl.execCount++
+	sl.ExecCount++
 	b.Dev.Run.IOExecs++
 	b.Dev.Run.CountIO(s.Name)
-	if sl.execCount > 1 {
+	if sl.ExecCount > 1 {
 		b.Dev.Run.IORepeats++
 	}
-	return slot, sl.completed
+	return slot, sl.Completed
 }
 
 // NoteIOSkip records that the runtime avoided re-executing site s.
@@ -319,17 +221,17 @@ func (b *Base) NoteIOSkip(s *task.IOSite) {
 // noteDMA records a DMA execution attempt (see noteIO).
 func (b *Base) noteDMA(d *task.DMASite) (slot int, redundant bool) {
 	slot = b.Prog.DMASlot(d)
-	sl := &b.slots[slot]
-	cur, inst := int32(b.cur), b.taskInst[b.cur]
-	if sl.taskID != cur || sl.taskInst != inst {
-		*sl = ioSlot{taskID: cur, taskInst: inst}
+	sl := &b.st.Slots[slot]
+	cur, inst := int32(b.st.Cur), b.st.TaskInst[b.st.Cur]
+	if sl.TaskID != cur || sl.TaskInst != inst {
+		*sl = kernel.IOSlot{TaskID: cur, TaskInst: inst}
 	}
-	sl.execCount++
+	sl.ExecCount++
 	b.Dev.Run.DMAExecs++
-	if sl.execCount > 1 {
+	if sl.ExecCount > 1 {
 		b.Dev.Run.DMARepeats++
 	}
-	return slot, sl.completed
+	return slot, sl.Completed
 }
 
 // NoteDMASkip records an avoided DMA re-execution.
@@ -353,7 +255,7 @@ func (b *Base) ExecIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 		b.Dev.Trace(kernel.EvIOExec, "%s[%d] sem=%s (redundant=%v)", s.Name, idx, s.Sem, redundant)
 	}
 	v := s.Exec(c, idx)
-	b.slots[slot].completed = true
+	b.st.Slots[slot].Completed = true
 	// A physical execution refreshes the site's sample clock; skipped
 	// re-executions (which never reach ExecIO) keep the old timestamp —
 	// exactly the staleness the freshness oracle measures.
@@ -374,5 +276,5 @@ func (b *Base) ExecDMA(c *kernel.Ctx, d *task.DMASite, src, dst mem.Addr, words 
 		b.Dev.Trace(kernel.EvDMAExec, "%s %v->%v %dw (redundant=%v)", d.Name, src, dst, words, redundant)
 	}
 	c.RawDMA(src, dst, words, false)
-	b.slots[slot].completed = true
+	b.st.Slots[slot].Completed = true
 }

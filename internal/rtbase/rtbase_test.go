@@ -1,6 +1,7 @@
 package rtbase
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,12 +160,13 @@ func TestSnapshotBaseIntoNoAlloc(t *testing.T) {
 	if err := b.Init(dev, a, "TestRT"); err != nil {
 		t.Fatal(err)
 	}
-	prev := b.SnapshotState(nil) // sizes the slices
-	if avg := testing.AllocsPerRun(20, func() { prev = b.SnapshotState(prev) }); avg > 0 {
+	var reused, got kernel.RuntimeState
+	b.SnapshotState(&reused) // sizes the slices
+	if avg := testing.AllocsPerRun(20, func() { b.SnapshotState(&reused) }); avg > 0 {
 		t.Errorf("reused SnapshotState allocates %.1f times, want 0", avg)
 	}
-	got, reused := b.SnapshotState(nil).(*BaseState), prev.(*BaseState)
-	if got.cur != reused.cur {
-		t.Errorf("reused snapshot diverged: cur %d vs %d", reused.cur, got.cur)
+	b.SnapshotState(&got)
+	if !reflect.DeepEqual(got, reused) {
+		t.Errorf("reused snapshot diverged: %+v vs %+v", reused, got)
 	}
 }

@@ -28,34 +28,24 @@ func New() *Clock { return &Clock{} }
 func (c *Clock) Reset() { *c = Clock{} }
 
 // State is a copyable snapshot of a clock's position, for device
-// checkpointing.
+// checkpointing: the Clock's fields, exported so a checkpoint can ship
+// them.
 type State struct {
-	wall   time.Duration
-	uptime time.Duration
-	onTime time.Duration
-	boots  int
+	Wall   time.Duration
+	Uptime time.Duration
+	OnTime time.Duration
+	Boots  int
 }
 
 // State captures the clock's current position.
 func (c *Clock) State() State {
-	return State{wall: c.wall, uptime: c.uptime, onTime: c.onTime, boots: c.boots}
+	return State{Wall: c.wall, Uptime: c.uptime, OnTime: c.onTime, Boots: c.boots}
 }
 
 // Restore rewinds (or advances) the clock to a previously captured
 // position.
 func (c *Clock) Restore(s State) {
-	c.wall, c.uptime, c.onTime, c.boots = s.wall, s.uptime, s.onTime, s.boots
-}
-
-// Parts returns the state's components for serialization layers.
-func (s State) Parts() (wall, uptime, onTime time.Duration, boots int) {
-	return s.wall, s.uptime, s.onTime, s.boots
-}
-
-// MakeState reassembles a State from its components — the decoding
-// counterpart of Parts.
-func MakeState(wall, uptime, onTime time.Duration, boots int) State {
-	return State{wall: wall, uptime: uptime, onTime: onTime, boots: boots}
+	c.wall, c.uptime, c.onTime, c.boots = s.Wall, s.Uptime, s.OnTime, s.Boots
 }
 
 // Run advances the clock by d of powered-on execution.

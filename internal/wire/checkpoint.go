@@ -11,125 +11,106 @@ import (
 	"easeio/internal/units"
 )
 
-// AppendCheckpointState encodes a flattened checkpoint as a
-// KindCheckpoint message appended to dst.
-func AppendCheckpointState(dst []byte, st kernel.CheckpointState) []byte {
+// AppendCheckpoint encodes the device half of cp as a KindCheckpoint
+// message appended to dst. The runtime half is not part of the message:
+// a subtree shard unit writes it right after its embedded checkpoint.
+func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	dst = appendHeader(dst, KindCheckpoint)
 
 	// Memory snapshot: per-bank used prefix, allocator watermark,
-	// access counters, high-water mark. Parallel slices share one
-	// length prefix.
-	dst = appendUvarint(dst, uint64(len(st.Mem.Used)))
-	for i := range st.Mem.Used {
-		dst = appendWords(dst, st.Mem.Used[i])
-		dst = appendVarint(dst, int64(st.Mem.Alloc[i]))
-		dst = appendVarint(dst, st.Mem.Counts[i].Reads)
-		dst = appendVarint(dst, st.Mem.Counts[i].Writes)
-		dst = appendVarint(dst, int64(st.Mem.HighWater[i]))
+	// access counters, high-water mark, under one bank-count prefix.
+	m := &cp.Mem
+	dst = appendUvarint(dst, uint64(len(m.Used)))
+	for i := range m.Used {
+		dst = appendWords(dst, m.Used[i])
+		dst = appendVarint(dst, int64(m.Alloc[i]))
+		dst = appendVarint(dst, m.Counts[i].Reads)
+		dst = appendVarint(dst, m.Counts[i].Writes)
+		dst = appendVarint(dst, int64(m.HighWater[i]))
 	}
 
 	// Clock.
-	dst = appendVarint(dst, int64(st.Wall))
-	dst = appendVarint(dst, int64(st.Uptime))
-	dst = appendVarint(dst, int64(st.OnTime))
-	dst = appendVarint(dst, int64(st.Boots))
+	dst = appendVarint(dst, int64(cp.Clock.Wall))
+	dst = appendVarint(dst, int64(cp.Clock.Uptime))
+	dst = appendVarint(dst, int64(cp.Clock.OnTime))
+	dst = appendVarint(dst, int64(cp.Clock.Boots))
 
 	// Ledger.
-	for _, t := range st.Committed {
+	for _, t := range cp.Ledger.Committed {
 		dst = appendTotals(dst, t)
 	}
-	for _, t := range st.Pending {
+	for _, t := range cp.Ledger.Pending {
 		dst = appendTotals(dst, t)
 	}
 
 	// Run record and randomness position.
-	dst = appendRun(dst, st.Run)
-	dst = appendVarint(dst, st.RandSeed)
-	dst = appendUvarint(dst, st.RandDraws)
+	dst = appendRun(dst, cp.Run)
+	dst = appendVarint(dst, cp.RandSeed)
+	dst = appendUvarint(dst, cp.RandDraws)
 
-	// Supply state.
-	dst = appendBool(dst, st.HasSupply)
-	if st.HasSupply {
-		dst = appendString(dst, st.SupplyName)
-		dst = appendSupply(dst, st.Supply)
+	// Supply state, when the checkpoint carries one.
+	dst = appendBool(dst, cp.Supply.Kind != "")
+	if cp.Supply.Kind != "" {
+		dst = appendString(dst, cp.SupplyName)
+		dst = appendSupply(dst, cp.Supply)
 	}
 	return dst
 }
 
-// DecodeCheckpointState decodes a KindCheckpoint message. The result's
-// slices are fresh copies — nothing aliases b.
-func DecodeCheckpointState(b []byte) (kernel.CheckpointState, error) {
+// DecodeCheckpoint decodes a KindCheckpoint message into a restorable
+// checkpoint with an empty runtime half, and validates it
+// (kernel.Checkpoint.Validate). Nothing in the result aliases b.
+func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 	d := &dec{b: b}
 	d.header(KindCheckpoint)
 
-	var st kernel.CheckpointState
+	cp := &kernel.Checkpoint{}
 	// Each bank contributes at least 5 bytes (empty words + 4 ints).
-	banks := d.count(5)
-	if d.err == nil {
-		st.Mem = mem.SnapshotState{
-			Used:      make([][]uint16, banks),
-			Alloc:     make([]int, banks),
-			Counts:    make([]mem.Counters, banks),
-			HighWater: make([]int, banks),
+	if banks := d.count(5); d.err == nil && banks != mem.NumBanks {
+		d.fail("checkpoint has %d memory banks, want %d", banks, mem.NumBanks)
+	}
+	m := &cp.Mem
+	for i := 0; i < mem.NumBanks && d.err == nil; i++ {
+		m.Used[i] = d.words()
+		m.Alloc[i] = int(d.varint())
+		m.Counts[i].Reads = d.varint()
+		m.Counts[i].Writes = d.varint()
+		m.HighWater[i] = int(d.varint())
+	}
+
+	cp.Clock.Wall = time.Duration(d.varint())
+	cp.Clock.Uptime = time.Duration(d.varint())
+	cp.Clock.OnTime = time.Duration(d.varint())
+	cp.Clock.Boots = int(d.varint())
+
+	for i := range cp.Ledger.Committed {
+		cp.Ledger.Committed[i] = d.totals()
+	}
+	for i := range cp.Ledger.Pending {
+		cp.Ledger.Pending[i] = d.totals()
+	}
+
+	cp.Run = d.run()
+	cp.RandSeed = d.varint()
+	cp.RandDraws = d.uvarint()
+
+	if d.bool() {
+		cp.SupplyName = d.string()
+		cp.Supply = d.supply()
+		if d.err == nil && cp.Supply.Kind == "" {
+			d.fail("checkpoint supply state has no kind")
 		}
-		for i := 0; i < banks && d.err == nil; i++ {
-			st.Mem.Used[i] = d.words()
-			st.Mem.Alloc[i] = int(d.varint())
-			st.Mem.Counts[i].Reads = d.varint()
-			st.Mem.Counts[i].Writes = d.varint()
-			st.Mem.HighWater[i] = int(d.varint())
-		}
-	}
-
-	st.Wall = time.Duration(d.varint())
-	st.Uptime = time.Duration(d.varint())
-	st.OnTime = time.Duration(d.varint())
-	st.Boots = int(d.varint())
-
-	for i := range st.Committed {
-		st.Committed[i] = d.totals()
-	}
-	for i := range st.Pending {
-		st.Pending[i] = d.totals()
-	}
-
-	st.Run = d.run()
-	st.RandSeed = d.varint()
-	st.RandDraws = d.uvarint()
-
-	st.HasSupply = d.bool()
-	if st.HasSupply {
-		st.SupplyName = d.string()
-		st.Supply = d.supply()
 	}
 	if d.err != nil {
-		return kernel.CheckpointState{}, d.err
+		return nil, d.err
 	}
 	if n := d.remaining(); n != 0 {
-		return kernel.CheckpointState{}, d.trailing(n)
+		return nil, d.trailing(n)
 	}
-	return st, nil
-}
-
-// EncodeCheckpoint flattens and encodes a live checkpoint. It fails only
-// when the checkpoint holds a supply state the power package cannot
-// serialize.
-func EncodeCheckpoint(dst []byte, cp *kernel.Checkpoint) ([]byte, error) {
-	st, err := cp.ExportState()
-	if err != nil {
+	if err := cp.Validate(); err != nil {
 		return nil, err
 	}
-	return AppendCheckpointState(dst, st), nil
-}
-
-// DecodeCheckpoint decodes and validates a checkpoint message into a
-// restorable kernel.Checkpoint.
-func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
-	st, err := DecodeCheckpointState(b)
-	if err != nil {
-		return nil, err
-	}
-	return kernel.ImportCheckpoint(st)
+	return cp, nil
 }
 
 // Shared sub-encodings.
@@ -249,7 +230,7 @@ func (d *dec) run() *stats.Run {
 	return r
 }
 
-func appendSupply(b []byte, w power.WireState) []byte {
+func appendSupply(b []byte, w power.State) []byte {
 	b = appendString(b, w.Kind)
 	b = appendVarint(b, int64(w.Fired))
 	b = appendVarint(b, int64(w.NextAt))
@@ -260,8 +241,8 @@ func appendSupply(b []byte, w power.WireState) []byte {
 	return appendBool(b, w.Dead)
 }
 
-func (d *dec) supply() power.WireState {
-	return power.WireState{
+func (d *dec) supply() power.State {
+	return power.State{
 		Kind:   d.string(),
 		Fired:  int(d.varint()),
 		NextAt: time.Duration(d.varint()),

@@ -8,25 +8,20 @@ import (
 	"easeio/internal/check"
 	"easeio/internal/experiments"
 	"easeio/internal/kernel"
-	"easeio/internal/rtbase"
 	"easeio/internal/stats"
 )
 
 // FuzzCheckpointRoundTrip drives the checkpoint decoder with arbitrary
-// bytes. The decoder must never panic; whenever it accepts an input, the
-// canonical re-encoding must be a fixed point (encode∘decode∘encode =
-// encode) and the kernel-level import must fail cleanly or succeed —
-// never crash on decoder-approved state.
+// bytes. The decoder — which also validates the checkpoint's semantic
+// invariants (bank layout, ranges, draw bounds) — must never panic, and
+// whenever it accepts an input the canonical re-encoding must be a fixed
+// point (encode∘decode∘encode = encode).
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	// Seed corpus: real encoded checkpoints (mid-run and end-of-run,
 	// two runtimes for hook-free state variety), plus degenerate inputs.
 	for _, kind := range []experiments.RuntimeKind{experiments.EaseIO, experiments.Alpaca} {
 		for _, cp := range captureCheckpoints(f, kind, 4) {
-			b, err := EncodeCheckpoint(nil, cp)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(b)
+			f.Add(AppendCheckpoint(nil, cp))
 		}
 	}
 	f.Add([]byte{})
@@ -34,27 +29,17 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add([]byte("EW garbage that is not a checkpoint at all"))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		st, err := DecodeCheckpointState(b)
+		cp, err := DecodeCheckpoint(b)
 		if err != nil {
 			return
 		}
-		b2 := AppendCheckpointState(nil, st)
-		st2, err := DecodeCheckpointState(b2)
+		b2 := AppendCheckpoint(nil, cp)
+		cp2, err := DecodeCheckpoint(b2)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
-		if b3 := AppendCheckpointState(nil, st2); !bytes.Equal(b2, b3) {
+		if b3 := AppendCheckpoint(nil, cp2); !bytes.Equal(b2, b3) {
 			t.Fatalf("canonical encoding is not a fixed point (%d vs %d bytes)", len(b2), len(b3))
-		}
-		// Import validates semantic invariants (bank layout, ranges); it
-		// may reject, but it must not panic, and what it accepts must
-		// re-export.
-		cp, err := kernel.ImportCheckpoint(st)
-		if err != nil {
-			return
-		}
-		if _, err := cp.ExportState(); err != nil {
-			t.Fatalf("imported checkpoint failed to re-export: %v", err)
 		}
 	})
 }
@@ -67,7 +52,7 @@ func FuzzDecodeShard(f *testing.F) {
 		Runtime: "ease-io", BaseSeed: 7, Lo: 0, Hi: 100, Workers: 2}))
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 2, Shard: 1, App: "dma",
 		Runtime: "alpaca", Seed: 3, Off: 3 * time.Millisecond, Failures: 1,
-		Exhaustive: true, Grid: 33, Workers: 1, Units: []Unit{{CutLo: 4, CutHi: 32}}}))
+		Exhaustive: true, Grid: 33, Workers: 1, Units: []check.Unit{{CutLo: 4, CutHi: 32}}}))
 	agg := stats.AggregatorState{App: "fir", Runtime: "ink", Runs: 2,
 		Totals: []time.Duration{time.Millisecond, 2 * time.Millisecond}}
 	f.Add(AppendSweepResult(nil, SweepResult{Job: 1, Shard: 0, Agg: agg, Errs: []string{"x"}}))
@@ -127,28 +112,21 @@ func FuzzDecodeShard(f *testing.F) {
 // real encoded checkpoint, exercising the nested-message path, and a
 // boot root restricted to a cut range, the k=1 unit.
 func FuzzDecodeSubtreeShard(f *testing.F) {
-	var rootCp []byte
-	if cps := captureCheckpoints(f, experiments.EaseIO, 6); len(cps) > 0 {
-		b, err := EncodeCheckpoint(nil, cps[0])
-		if err != nil {
-			f.Fatal(err)
-		}
-		rootCp = b
-	}
+	root := captureCheckpoints(f, experiments.EaseIO, 6)[0]
+	root.Runtime = kernel.RuntimeState{Cur: 1,
+		Slots:    []kernel.IOSlot{{TaskID: 1, TaskInst: 2, ExecCount: 3, Completed: true}},
+		TaskInst: []int32{0, 2}}
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 3, Shard: 2, App: "fig6",
 		Runtime: "ease-io", Seed: 42, Off: time.Millisecond, Failures: 2,
 		Exhaustive: true, Grid: 128, Workers: 2,
-		Units: []Unit{{
-			Schedule:   []time.Duration{5 * time.Millisecond},
-			Collapsed:  3,
-			Checkpoint: rootCp,
-			RT: rtbase.BaseWireState{Cur: 1,
-				Slots:    []rtbase.IOSlotState{{TaskID: 1, TaskInst: 2, ExecCount: 3, Completed: true}},
-				TaskInst: []int32{0, 2}},
+		Units: []check.Unit{{
+			Schedule:  []time.Duration{5 * time.Millisecond},
+			Collapsed: 3,
+			Root:      root,
 		}}}))
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 4, Shard: 1, App: "fig6",
 		Runtime: "alpaca", Seed: 7, Off: time.Millisecond, Failures: 1,
-		Exhaustive: true, Workers: 1, Units: []Unit{{CutLo: 40, CutHi: 80}}}))
+		Exhaustive: true, Workers: 1, Units: []check.Unit{{CutLo: 40, CutHi: 80}}}))
 	f.Add(AppendSubtreeResult(nil, SubtreeResult{Job: 3, Shard: 2,
 		Depths: []check.DepthStats{{Depth: 2, Expanded: 1, Candidates: 9, Explored: 9}},
 		Divergences: []check.Divergence{{At: time.Millisecond, Index: 1, Kind: "memory",

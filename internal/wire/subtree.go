@@ -1,13 +1,13 @@
 // The checker's work unit on the wire. A subtree shard ships a
 // contiguous group of units (check.Unit): each a root — boot, or the
-// device+runtime checkpoint at the last cut of a passing failure prefix —
-// plus the prefix, the number of hash-equal siblings the root stands for,
-// and the candidate-index range to explore below it. A stateless worker
-// recomputes the golden run, restores the roots and grows their subtrees
-// without replaying any prefix. The matching result carries the
-// exploration's per-depth stats and divergences; merging results per
-// depth in shard order reproduces the unsharded report byte for byte
-// (see check.Merge).
+// checkpoint (device and runtime halves) at the last cut of a passing
+// failure prefix — plus the prefix, the number of hash-equal siblings
+// the root stands for, and the candidate-index range to explore below
+// it. A stateless worker recomputes the golden run, restores the roots
+// and grows their subtrees without replaying any prefix. The matching
+// result carries the exploration's per-depth stats and divergences;
+// merging results per depth in shard order reproduces the unsharded
+// report byte for byte (see check.Merge).
 
 package wire
 
@@ -15,21 +15,8 @@ import (
 	"time"
 
 	"easeio/internal/check"
-	"easeio/internal/rtbase"
+	"easeio/internal/kernel"
 )
-
-// Unit is one check work unit. An empty Checkpoint (with an empty
-// Schedule and a zero RT) is a boot root; otherwise Checkpoint is an
-// embedded KindCheckpoint message (the device half) and RT the runtime's
-// bookkeeping state at the same cut. CutLo/CutHi select the root's
-// candidate-index range; CutHi == 0 means all of them.
-type Unit struct {
-	Schedule     []time.Duration
-	Collapsed    int
-	Checkpoint   []byte
-	RT           rtbase.BaseWireState
-	CutLo, CutHi int
-}
 
 // SubtreeShard describes one worker's slice of a checker job: grow the
 // given units under the job's configuration. The worker recomputes the
@@ -47,7 +34,7 @@ type SubtreeShard struct {
 	Exhaustive bool
 	Grid       int
 	Workers    int
-	Units      []Unit
+	Units      []check.Unit
 }
 
 // SubtreeResult is a worker's completed subtree shard: the per-depth
@@ -82,17 +69,15 @@ func AppendSubtreeShard(dst []byte, s SubtreeShard) []byte {
 			dst = appendVarint(dst, int64(t))
 		}
 		dst = appendVarint(dst, int64(u.Collapsed))
-		dst = appendUvarint(dst, uint64(len(u.Checkpoint)))
-		dst = append(dst, u.Checkpoint...)
-		dst = appendBaseWireState(dst, u.RT)
+		dst = appendRoot(dst, u.Root)
 		dst = appendVarint(dst, int64(u.CutLo))
 		dst = appendVarint(dst, int64(u.CutHi))
 	}
 	return dst
 }
 
-// DecodeSubtreeShard decodes a KindSubtreeShard message. The units'
-// Checkpoint slices are fresh copies — nothing aliases b.
+// DecodeSubtreeShard decodes a KindSubtreeShard message, validating
+// every unit's root checkpoint. Nothing in the result aliases b.
 func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 	d := &dec{b: b}
 	d.header(KindSubtreeShard)
@@ -109,9 +94,9 @@ func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 		Workers:    int(d.varint()),
 	}
 	// Each unit is at least 8 bytes (empty schedule, collapsed, empty
-	// checkpoint, empty base state, cut range).
+	// checkpoint, empty runtime state, cut range).
 	if n := d.count(8); d.err == nil && n > 0 {
-		s.Units = make([]Unit, n)
+		s.Units = make([]check.Unit, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			u := &s.Units[i]
 			if m := d.count(1); d.err == nil && m > 0 {
@@ -121,12 +106,7 @@ func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 				}
 			}
 			u.Collapsed = int(d.varint())
-			if m := d.count(1); d.err == nil && m > 0 {
-				u.Checkpoint = make([]byte, m)
-				copy(u.Checkpoint, d.b[d.off:])
-				d.off += m
-			}
-			u.RT = d.baseWireState()
+			u.Root = d.root()
 			u.CutLo = int(d.varint())
 			u.CutHi = int(d.varint())
 		}
@@ -169,30 +149,74 @@ func DecodeSubtreeResult(b []byte) (SubtreeResult, error) {
 	return r, nil
 }
 
-// appendBaseWireState encodes a runtime bookkeeping snapshot.
-func appendBaseWireState(dst []byte, w rtbase.BaseWireState) []byte {
-	dst = appendVarint(dst, int64(w.Cur))
-	dst = appendUvarint(dst, uint64(len(w.Slots)))
-	for _, sl := range w.Slots {
+// appendRoot encodes a unit's root: the device half as an embedded,
+// length-prefixed KindCheckpoint message (empty for a boot root), then
+// the runtime half (zero for a boot root).
+func appendRoot(dst []byte, cp *kernel.Checkpoint) []byte {
+	if cp == nil {
+		dst = appendUvarint(dst, 0)
+		return appendRuntime(dst, &kernel.RuntimeState{})
+	}
+	msg := AppendCheckpoint(nil, cp)
+	dst = appendUvarint(dst, uint64(len(msg)))
+	dst = append(dst, msg...)
+	return appendRuntime(dst, &cp.Runtime)
+}
+
+// root decodes appendRoot's encoding. A boot root whose runtime half is
+// not zero is rejected: nothing could restore it, and accepting it would
+// make the decoder lossy.
+func (d *dec) root() *kernel.Checkpoint {
+	m := d.count(1)
+	if d.err != nil {
+		return nil
+	}
+	var cp *kernel.Checkpoint
+	if m > 0 {
+		var err error
+		if cp, err = DecodeCheckpoint(d.b[d.off : d.off+m]); err != nil {
+			d.fail("unit root: %v", err)
+			return nil
+		}
+		d.off += m
+	}
+	rs := d.runtime()
+	switch {
+	case d.err != nil:
+		return nil
+	case cp == nil && (rs.Cur != 0 || rs.Slots != nil || rs.TaskInst != nil):
+		d.fail("boot unit carries runtime state")
+		return nil
+	case cp != nil:
+		cp.Runtime = rs
+	}
+	return cp
+}
+
+// appendRuntime encodes a checkpoint's runtime half.
+func appendRuntime(dst []byte, rs *kernel.RuntimeState) []byte {
+	dst = appendVarint(dst, int64(rs.Cur))
+	dst = appendUvarint(dst, uint64(len(rs.Slots)))
+	for _, sl := range rs.Slots {
 		dst = appendVarint(dst, int64(sl.TaskID))
 		dst = appendVarint(dst, int64(sl.TaskInst))
 		dst = appendVarint(dst, int64(sl.ExecCount))
 		dst = appendBool(dst, sl.Completed)
 	}
-	dst = appendUvarint(dst, uint64(len(w.TaskInst)))
-	for _, ti := range w.TaskInst {
+	dst = appendUvarint(dst, uint64(len(rs.TaskInst)))
+	for _, ti := range rs.TaskInst {
 		dst = appendVarint(dst, int64(ti))
 	}
 	return dst
 }
 
-func (d *dec) baseWireState() rtbase.BaseWireState {
-	w := rtbase.BaseWireState{Cur: int(d.varint())}
+func (d *dec) runtime() kernel.RuntimeState {
+	rs := kernel.RuntimeState{Cur: int(d.varint())}
 	// Each slot is at least 4 bytes (three varints and a bool).
 	if n := d.count(4); d.err == nil && n > 0 {
-		w.Slots = make([]rtbase.IOSlotState, n)
+		rs.Slots = make([]kernel.IOSlot, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			w.Slots[i] = rtbase.IOSlotState{
+			rs.Slots[i] = kernel.IOSlot{
 				TaskID:    int32(d.varint()),
 				TaskInst:  int32(d.varint()),
 				ExecCount: int32(d.varint()),
@@ -201,10 +225,10 @@ func (d *dec) baseWireState() rtbase.BaseWireState {
 		}
 	}
 	if n := d.count(1); d.err == nil && n > 0 {
-		w.TaskInst = make([]int32, n)
+		rs.TaskInst = make([]int32, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			w.TaskInst[i] = int32(d.varint())
+			rs.TaskInst[i] = int32(d.varint())
 		}
 	}
-	return w
+	return rs
 }

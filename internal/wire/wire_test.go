@@ -12,6 +12,7 @@ import (
 	"easeio/internal/check"
 	"easeio/internal/experiments"
 	"easeio/internal/kernel"
+	"easeio/internal/lazyrand"
 	"easeio/internal/power"
 	"easeio/internal/stats"
 )
@@ -20,22 +21,28 @@ import (
 // and returns mid-run checkpoints (every strideth charge-slice cut) plus
 // the end-of-run state.
 func captureCheckpoints(t testing.TB, kind experiments.RuntimeKind, stride int) []*kernel.Checkpoint {
+	return captureOn(t, experiments.TimerSupply(), 42, kind, stride)
+}
+
+// captureOn is captureCheckpoints on the given supply and seed.
+func captureOn(t testing.TB, supply power.Supply, seed int64, kind experiments.RuntimeKind, stride int) []*kernel.Checkpoint {
 	t.Helper()
 	bench, err := check.Fig6Bench()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(experiments.TimerSupply(), 42)
-	sink := &snapSink{dev: dev, stride: stride}
+	dev := kernel.NewDevice(supply, seed)
+	sink := &snapSink{dev: dev, rt: experiments.NewRuntime(kind), stride: stride}
 	dev.Cuts = sink
-	if err := kernel.RunApp(dev, experiments.NewRuntime(kind), bench.App); err != nil {
+	if err := kernel.RunApp(dev, sink.rt, bench.App); err != nil {
 		t.Fatal(err)
 	}
-	return append(sink.cps, dev.Snapshot())
+	return append(sink.cps, dev.SnapshotInto(&kernel.Checkpoint{}, sink.rt))
 }
 
 type snapSink struct {
 	dev    *kernel.Device
+	rt     kernel.Hooks
 	stride int
 	n      int
 	cps    []*kernel.Checkpoint
@@ -43,18 +50,18 @@ type snapSink struct {
 
 func (s *snapSink) NoteCut(time.Duration) {
 	if s.n++; s.n%s.stride == 0 {
-		s.cps = append(s.cps, s.dev.Snapshot())
+		s.cps = append(s.cps, s.dev.SnapshotInto(&kernel.Checkpoint{}, s.rt))
 	}
 }
 
 // reEncode decodes an encoded checkpoint and encodes the result again.
 func reEncode(t *testing.T, b []byte) []byte {
 	t.Helper()
-	st, err := DecodeCheckpointState(b)
+	cp, err := DecodeCheckpoint(b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	return AppendCheckpointState(nil, st)
+	return AppendCheckpoint(nil, cp)
 }
 
 // TestCheckpointRoundTrip pins that a live checkpoint survives the wire:
@@ -73,10 +80,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("only %d checkpoints captured", len(cps))
 			}
 			for i, cp := range cps {
-				b, err := EncodeCheckpoint(nil, cp)
-				if err != nil {
-					t.Fatalf("checkpoint %d: encode: %v", i, err)
-				}
+				b := AppendCheckpoint(nil, cp)
 				if got := PeekKind(b); got != KindCheckpoint {
 					t.Fatalf("checkpoint %d: PeekKind = %v", i, got)
 				}
@@ -90,16 +94,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointRestoreFidelity pins that a checkpoint shipped through
 // the wire restores a device to exactly the state the original
-// checkpoint restores: decode+import on the far side, restore into a
+// checkpoint restores: decode on the far side, restore into a
 // fresh device, and the device's own re-snapshot encodes byte-identically
 // to a restore of the in-process original.
 func TestCheckpointRestoreFidelity(t *testing.T) {
 	for _, cp := range captureCheckpoints(t, experiments.EaseIO, 2) {
-		b, err := EncodeCheckpoint(nil, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote, err := DecodeCheckpoint(b)
+		remote, err := DecodeCheckpoint(AppendCheckpoint(nil, cp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,12 +114,8 @@ func TestCheckpointRestoreFidelity(t *testing.T) {
 			if err := rt.Attach(dev, bench.App); err != nil {
 				t.Fatal(err)
 			}
-			dev.Restore(from)
-			out, err := EncodeCheckpoint(nil, dev.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
+			dev.Restore(from, rt)
+			return AppendCheckpoint(nil, dev.SnapshotInto(&kernel.Checkpoint{}, rt))
 		}
 
 		if local, far := restoreState(cp), restoreState(remote); !bytes.Equal(local, far) {
@@ -132,25 +128,21 @@ func TestCheckpointRestoreFidelity(t *testing.T) {
 // kind, truncation anywhere, and trailing garbage all error out (never
 // panic — the fuzz target widens this).
 func TestCheckpointDecodeErrors(t *testing.T) {
-	cp := captureCheckpoints(t, experiments.EaseIO, 8)[0]
-	b, err := EncodeCheckpoint(nil, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := AppendCheckpoint(nil, captureCheckpoints(t, experiments.EaseIO, 8)[0])
 	if _, err := DecodeSweepShard(b); err == nil {
 		t.Error("decoding a checkpoint as a sweep shard succeeded")
 	}
 	for _, cut := range []int{0, 1, 3, len(b) / 2, len(b) - 1} {
-		if _, err := DecodeCheckpointState(b[:cut]); err == nil {
+		if _, err := DecodeCheckpoint(b[:cut]); err == nil {
 			t.Errorf("decoding %d-byte prefix succeeded", cut)
 		}
 	}
-	if _, err := DecodeCheckpointState(append(bytes.Clone(b), 0)); err == nil {
+	if _, err := DecodeCheckpoint(append(bytes.Clone(b), 0)); err == nil {
 		t.Error("decoding with a trailing byte succeeded")
 	}
 	bad := bytes.Clone(b)
 	bad[2] = Version + 1
-	if _, err := DecodeCheckpointState(bad); err == nil {
+	if _, err := DecodeCheckpoint(bad); err == nil {
 		t.Error("decoding an unknown version succeeded")
 	}
 }
@@ -168,7 +160,7 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	// A k=1 check shard: one boot-rooted unit over a cut range.
 	cs := SubtreeShard{Job: 8, Shard: 0, App: "dma", Runtime: "alpaca", Seed: 99,
 		Off: 3 * time.Millisecond, Failures: 1, Exhaustive: true, Grid: 33, Workers: 2,
-		Units: []Unit{{CutLo: 10, CutHi: 64}}}
+		Units: []check.Unit{{CutLo: 10, CutHi: 64}}}
 	gotCS, err := DecodeSubtreeShard(AppendSubtreeShard(nil, cs))
 	if err != nil || !reflect.DeepEqual(gotCS, cs) {
 		t.Errorf("boot-unit shard: got %+v, %v; want %+v", gotCS, err, cs)
@@ -306,32 +298,56 @@ func TestWriteFrame(t *testing.T) {
 	}
 }
 
-// TestSupplyStateVariety pins that every serializable supply kind
+// TestSupplyKindsRoundTrip pins that every serializable supply kind
 // survives the checkpoint encoding, including the harvested supply's
 // float gain.
-func TestSupplyStateVariety(t *testing.T) {
+func TestSupplyKindsRoundTrip(t *testing.T) {
 	cp := captureCheckpoints(t, experiments.EaseIO, 8)[0]
-	st, err := cp.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ws := range []power.WireState{
-		{Kind: power.WireContinuous},
-		{Kind: power.WireSchedule, Fired: 3},
-		{Kind: power.WireTimer, NextAt: 7 * time.Millisecond, Seed: -4, Draws: 19},
-		{Kind: power.WireHarvested, Stored: 123456, Gain: 0.8125, Dead: true},
-	} {
-		st.HasSupply, st.SupplyName, st.Supply = true, ws.Kind, ws
-		b := AppendCheckpointState(nil, st)
-		got, err := DecodeCheckpointState(b)
+	for _, ws := range supplyStates {
+		cp.SupplyName, cp.Supply = ws.Kind, ws
+		got, err := DecodeCheckpoint(AppendCheckpoint(nil, cp))
 		if err != nil {
 			t.Fatalf("%s: %v", ws.Kind, err)
 		}
 		if got.Supply != ws {
 			t.Errorf("%s: got %+v, want %+v", ws.Kind, got.Supply, ws)
 		}
-		if _, err := kernel.ImportCheckpoint(got); err != nil {
-			t.Errorf("%s: import: %v", ws.Kind, err)
+	}
+}
+
+// supplyStates has one state of every supply kind.
+var supplyStates = []power.State{
+	{Kind: power.KindContinuous},
+	{Kind: power.KindSchedule, Fired: 3},
+	{Kind: power.KindTimer, NextAt: 7 * time.Millisecond, Seed: -4, Draws: 19},
+	{Kind: power.KindHarvested, Stored: 123456, Gain: 0.8125, Dead: true},
+}
+
+// TestCheckpointDrawBound pins that a decoded checkpoint cannot carry a
+// randomness position past lazyrand.MaxDraws — for the peripheral stream
+// or a timer supply's — since restoring it would memoize or replay that
+// many draws. The bound itself is accepted.
+func TestCheckpointDrawBound(t *testing.T) {
+	cp := captureCheckpoints(t, experiments.EaseIO, 8)[0]
+	timer := power.State{Kind: power.KindTimer, Seed: 3}
+	for _, tc := range []struct {
+		name       string
+		rand, tick uint64
+		ok         bool
+	}{
+		{"peripheral-at-bound", lazyrand.MaxDraws, 0, true},
+		{"timer-at-bound", 0, lazyrand.MaxDraws, true},
+		{"peripheral-past-bound", lazyrand.MaxDraws + 1, 0, false},
+		{"timer-past-bound", 0, lazyrand.MaxDraws + 1, false},
+		{"peripheral-2^40", 1 << 40, 0, false},
+		{"timer-2^40", 0, 1 << 40, false},
+	} {
+		cp.RandDraws = tc.rand
+		timer.Draws = tc.tick
+		cp.SupplyName, cp.Supply = "timer", timer
+		_, err := DecodeCheckpoint(AppendCheckpoint(nil, cp))
+		if got := err == nil; got != tc.ok {
+			t.Errorf("%s: decode error %v, want accepted=%v", tc.name, err, tc.ok)
 		}
 	}
 }
