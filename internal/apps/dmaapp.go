@@ -49,24 +49,21 @@ func NewDMAApp(cfg DMAConfig) (*Bench, error) {
 
 	copyOp := a.DMA("copy")
 
-	// Declarative op bodies: the same Exec calls the closures used to
-	// make, but expressed as data so the frozen program compiles them to
-	// execution kernels (and the finish checksum to one fused bulk load).
-	tInit := a.AddTask("init", nil)
-	tDMA := a.AddTask("dma", nil)
-	tFin := a.AddTask("finish", nil)
-	a.SetOps(tInit,
-		task.ComputeOp(cfg.InitCycles),
-		task.NextOp(tDMA))
-	a.SetOps(tDMA,
-		task.ComputeOp(cfg.PreCycles),
-		task.DMACopyOp(copyOp, task.VarLoc(src, 0), task.VarLoc(dst, 0), cfg.Words),
-		task.ComputeOp(cfg.PostCycles),
-		task.NextOp(tFin))
-	a.SetOps(tFin,
-		task.LoadSumOp(0, dst, 0, cfg.FinishReads),
-		task.StoreOp(sum, 0, 0),
-		task.DoneOp())
+	var tDMA, tFin *task.Task
+	a.AddTask("init", func(e task.Exec) {
+		e.Compute(cfg.InitCycles)
+		e.Next(tDMA)
+	})
+	tDMA = a.AddTask("dma", func(e task.Exec) {
+		e.Compute(cfg.PreCycles)
+		e.DMACopy(copyOp, task.VarLoc(src, 0), task.VarLoc(dst, 0), cfg.Words)
+		e.Compute(cfg.PostCycles)
+		e.Next(tFin)
+	})
+	tFin = a.AddTask("finish", func(e task.Exec) {
+		e.Store(sum, e.LoadSum(dst, 0, cfg.FinishReads))
+		e.Done()
+	})
 
 	var want uint16
 	for i := 0; i < cfg.FinishReads; i++ {

@@ -131,10 +131,7 @@ func NewFIRApp(cfg FIRConfig) (*Bench, error) {
 		}
 		e.DMACopy(dOut, task.RawLoc(uint8(mem.LEARAM), firLEAOut), task.VarLoc(signal, 0), FIROut)
 		// Post-processing over the freshly written output.
-		var acc uint16
-		for i := 0; i < 48; i++ {
-			acc += e.LoadAt(signal, i)
-		}
+		acc := e.LoadSum(signal, 0, 48)
 		e.Store(stats, acc)
 		e.StoreAt(stats, 1, acc>>1)
 		e.Compute(cfg.StatsCycles)

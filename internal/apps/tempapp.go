@@ -46,30 +46,22 @@ func NewTempApp(cfg TempConfig) (*Bench, error) {
 		return p.Temp.Sample(e)
 	})
 
-	// Declarative op bodies: the same Exec calls the closures used to
-	// make, expressed as data so the frozen program compiles them to
-	// execution kernels. The Fahrenheit conversion becomes a small ALU
-	// chain on the volatile register file (uint16 wraparound, exactly like
-	// the Go expression it replaces).
-	tInit := a.AddTask("init", nil)
-	tSense := a.AddTask("sense", nil)
-	tFin := a.AddTask("finish", nil)
-	a.SetOps(tInit,
-		task.ComputeOp(cfg.InitCycles),
-		task.NextOp(tSense))
-	a.SetOps(tSense,
-		task.CallIOOp(0, tempSite),
-		task.ComputeOp(cfg.ProcessCycles),
-		task.StoreOp(reading, 0, 0),
-		task.MovRegOp(1, 0), // derived = reading*9/5+32
-		task.MulImmOp(1, 9),
-		task.DivImmOp(1, 5),
-		task.AddImmOp(1, 32),
-		task.StoreOp(derived, 0, 1),
-		task.NextOp(tFin))
-	a.SetOps(tFin,
-		task.ComputeOp(cfg.FinishCycles),
-		task.DoneOp())
+	var tSense, tFin *task.Task
+	a.AddTask("init", func(e task.Exec) {
+		e.Compute(cfg.InitCycles)
+		e.Next(tSense)
+	})
+	tSense = a.AddTask("sense", func(e task.Exec) {
+		v := e.CallIO(tempSite)
+		e.Compute(cfg.ProcessCycles)
+		e.Store(reading, v)
+		e.Store(derived, v*9/5+32) // Fahrenheit conversion as "processing"
+		e.Next(tFin)
+	})
+	tFin = a.AddTask("finish", func(e task.Exec) {
+		e.Compute(cfg.FinishCycles)
+		e.Done()
+	})
 
 	// Correctness: derived must be consistent with reading — re-executed
 	// sensing with torn stores would break the invariant.

@@ -7,8 +7,32 @@ import (
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
+	"easeio/internal/kernel"
+	"easeio/internal/mem"
+	"easeio/internal/power"
 	"easeio/internal/wire"
 )
+
+// taskPtrWord returns the FRAM word of app's persistent task pointer
+// under EaseIO, found through the attached device's allocation records.
+func taskPtrWord(t *testing.T, app string) int {
+	t.Helper()
+	bench, err := testApps[app]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := kernel.NewDevice(power.Continuous{}, 1)
+	if err := experiments.NewRuntime(experiments.EaseIO).Attach(dev, bench.App); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range dev.Mem.Regions() {
+		if r.Name == "taskptr" && r.Addr.Bank == mem.FRAM {
+			return r.Addr.Word
+		}
+	}
+	t.Fatalf("%s: no taskptr region", app)
+	return 0
+}
 
 // malformedShard plans a k=2 check of app under EaseIO, lets mutate
 // damage the first unit's root, and encodes that unit as a fig6 subtree
@@ -33,9 +57,11 @@ func malformedShard(t *testing.T, app string, cfg check.Config, mutate func(*che
 // TestMalformedUnitFailsShard pins that a unit whose root cannot belong
 // to the shard's app fails the shard with an error instead of crashing
 // the worker: a runtime state with its slot and task tables emptied or
-// its task pointer out of range, and a root checkpoint recorded on a
-// different app's memory layout.
+// its task pointer out of range, a FRAM task-pointer word that names no
+// task, and a root checkpoint recorded on a different app's memory
+// layout.
 func TestMalformedUnitFailsShard(t *testing.T) {
+	ptr := taskPtrWord(t, "fig6")
 	for _, tc := range []struct {
 		name, app string
 		cfg       check.Config
@@ -46,6 +72,8 @@ func TestMalformedUnitFailsShard(t *testing.T) {
 			func(u *check.Unit) { u.Root.Runtime.Slots, u.Root.Runtime.TaskInst = nil, nil }, "slots"},
 		{"task-pointer-out-of-range", "fig6", check.Config{Exhaustive: true},
 			func(u *check.Unit) { u.Root.Runtime.Cur = 99 }, "task pointer"},
+		{"fram-task-pointer", "fig6", check.Config{Exhaustive: true},
+			func(u *check.Unit) { u.Root.Mem.Used[mem.FRAM][ptr] = 99 }, "task pointer"},
 		{"foreign-layout", "fir", check.Config{Grid: 4},
 			func(*check.Unit) {}, "watermark"},
 	} {

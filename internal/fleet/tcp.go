@@ -204,46 +204,9 @@ func RunTCPWorker(ctx context.Context, addr, name string, src BlueprintSource, p
 			}
 			continue
 		}
-		workConn(ctx, cl, src, poll)
+		// A broken connection or a refused report ends only this
+		// connection's loop: close it and redial.
+		_ = workLoop(ctx, cl, src, poll)
 		cl.close()
-	}
-}
-
-// workConn runs the lease loop over one connection until it breaks or
-// ctx ends.
-func workConn(ctx context.Context, cl *tcpClient, src BlueprintSource, poll time.Duration) {
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		task, ok, err := cl.lease()
-		if err != nil {
-			return
-		}
-		if !ok {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(poll):
-			}
-			continue
-		}
-		result, execErr := ExecuteShard(ctx, src, task)
-		if execErr != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			job, shard, idErr := taskIDs(task)
-			if idErr != nil {
-				return
-			}
-			if err := cl.fail(job, shard, execErr.Error()); err != nil {
-				return
-			}
-			continue
-		}
-		if err := cl.complete(result); err != nil {
-			return
-		}
 	}
 }

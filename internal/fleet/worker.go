@@ -132,11 +132,38 @@ func RunLoopback(ctx context.Context, c *Coordinator, name string, src Blueprint
 	if poll <= 0 {
 		poll = 20 * time.Millisecond
 	}
+	return workLoop(ctx, loopback{c, name}, src, poll)
+}
+
+// leaser is the coordinator surface a worker's lease loop drives: the
+// in-process Coordinator under one worker name, or one TCP connection.
+type leaser interface {
+	lease() (task []byte, ok bool, err error)
+	complete(result []byte) error
+	fail(job uint64, shard int, msg string) error
+}
+
+// loopback is the in-process leaser.
+type loopback struct {
+	c    *Coordinator
+	name string
+}
+
+func (l loopback) lease() ([]byte, bool, error) { return l.c.Lease(l.name) }
+func (l loopback) complete(result []byte) error { return l.c.Complete(l.name, result) }
+func (l loopback) fail(job uint64, shard int, msg string) error {
+	return l.c.FailShard(l.name, job, shard, msg)
+}
+
+// workLoop leases shards from l, executes them and reports each result
+// or shard failure, polling every poll while there is no work. It
+// returns nil once ctx is cancelled and the first error of l otherwise.
+func workLoop(ctx context.Context, l leaser, src BlueprintSource, poll time.Duration) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
-		task, ok, err := c.Lease(name)
+		task, ok, err := l.lease()
 		if err != nil {
 			return err
 		}
@@ -149,22 +176,21 @@ func RunLoopback(ctx context.Context, c *Coordinator, name string, src Blueprint
 			continue
 		}
 		result, execErr := ExecuteShard(ctx, src, task)
-		if execErr != nil {
-			if ctx.Err() != nil {
-				// A cancellation mid-shard is not a shard failure: drop the
-				// lease and let the TTL recycle it.
-				return nil
-			}
+		switch {
+		case execErr == nil:
+			err = l.complete(result)
+		case ctx.Err() != nil:
+			// A cancellation mid-shard is not a shard failure: drop the
+			// lease and let the TTL recycle it.
+			return nil
+		default:
 			job, shard, idErr := taskIDs(task)
 			if idErr != nil {
 				return idErr
 			}
-			if err := c.FailShard(name, job, shard, execErr.Error()); err != nil {
-				return err
-			}
-			continue
+			err = l.fail(job, shard, execErr.Error())
 		}
-		if err := c.Complete(name, result); err != nil {
+		if err != nil {
 			return err
 		}
 	}

@@ -221,6 +221,16 @@ func (r *recorder) LoadAt(v *task.NVVar, i int) uint16 {
 	return 0
 }
 
+// LoadSum implements task.Exec as a per-word LoadAt loop, so a fused
+// run records exactly the accesses of its unfused twin.
+func (r *recorder) LoadSum(v *task.NVVar, off, n int) uint16 {
+	var sum uint16
+	for j := 0; j < n; j++ {
+		sum += r.LoadAt(v, off+j)
+	}
+	return sum
+}
+
 // StoreAt implements task.Exec.
 func (r *recorder) StoreAt(v *task.NVVar, i int, val uint16) {
 	_ = val

@@ -153,8 +153,10 @@ func (cp *Checkpoint) Validate() error {
 // Fits reports whether cp can be restored into dev with rt attached: the
 // allocation watermarks must match dev's memory, the runtime tables must
 // have rt's own lengths, and the task pointer must name one of its tasks
-// (or TaskDone). A mismatch means the checkpoint was taken under a
-// different blueprint; Restore would panic or index out of range.
+// (or TaskDone) — both the cached Cur and the FRAM word the next boot
+// re-reads, which agree at every charge-slice boundary. A mismatch means
+// the checkpoint was not taken under this blueprint; Restore or the
+// first reboot would panic or index out of range.
 func (cp *Checkpoint) Fits(dev *Device, rt Hooks) error {
 	for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
 		if got, want := cp.Mem.Alloc[b], dev.Mem.Allocated(b); got != want {
@@ -170,6 +172,15 @@ func (cp *Checkpoint) Fits(dev *Device, rt Hooks) error {
 	}
 	if rs.Cur != TaskDone && (rs.Cur < 0 || rs.Cur >= len(rs.TaskInst)) {
 		return fmt.Errorf("kernel: checkpoint task pointer %d out of range [0,%d)", rs.Cur, len(rs.TaskInst))
+	}
+	// Words past the snapshot's prefix restore as zero.
+	ptr, word := rt.TaskPointer(), 0
+	if used := cp.Mem.Used[ptr.Bank]; ptr.Word < len(used) {
+		word = int(used[ptr.Word])
+	}
+	if word != rs.Cur {
+		return fmt.Errorf("kernel: checkpoint FRAM task pointer %d disagrees with the runtime's task pointer %d",
+			word, rs.Cur)
 	}
 	return nil
 }

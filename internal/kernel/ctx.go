@@ -41,15 +41,6 @@ type Ctx struct {
 	// task commits and clears the list; aborted attempts clear it on the
 	// next BeginTask.
 	fresh []*task.IOSite
-
-	// compiled is the program's per-task kernel table when the engine
-	// runs compiled dispatch (nil entries and nil table fall back to the
-	// interpreted Body; see compiled.go). It is set by initCompiled after
-	// the per-run context reset.
-	compiled []*task.Kernel
-	// kregs is the compiled executor's register file (see runKernel); it
-	// lives here so a task attempt costs no allocation.
-	kregs [task.NumRegs]uint16
 }
 
 // PushWasted enters wasted-charging mode (see Ledger.ChargeWasted).
@@ -269,6 +260,9 @@ func (c *Ctx) LoadAt(v *task.NVVar, i int) uint16 { return c.RT.Load(c, v, i) }
 
 // StoreAt implements task.Exec.
 func (c *Ctx) StoreAt(v *task.NVVar, i int, val uint16) { c.RT.Store(c, v, i, val) }
+
+// LoadSum implements task.Exec through the runtime's fused load run.
+func (c *Ctx) LoadSum(v *task.NVVar, off, n int) uint16 { return c.RT.LoadRun(c, v, off, n) }
 
 // --- task.Exec: I/O ---
 

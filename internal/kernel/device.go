@@ -40,12 +40,6 @@ type Device struct {
 	// CutSink). Like Tracer it is observation-only state and survives
 	// Reset.
 	Cuts CutSink
-	// NoCompile forces every task to run its interpreted Body even when
-	// the program carries compiled kernels — the differential tests'
-	// handle for pinning compiled execution byte-identical to
-	// interpreted. Like Tracer and Cuts it is configuration, not per-run
-	// state, and survives Reset.
-	NoCompile bool
 
 	// randSrc is the reseedable source behind Rand, kept so Reset can
 	// rewind the peripheral randomness without reallocating it and so
@@ -214,17 +208,24 @@ type Hooks interface {
 	Load(c *Ctx, v *task.NVVar, i int) uint16
 	Store(c *Ctx, v *task.NVVar, i int, val uint16)
 
-	// LoadRun returns the sum of words [off, off+n) of v — a compiled
-	// kernel's fused load run. It must behave exactly like n successive
-	// Load(c, v, off+j) calls: same charges in the same buckets, same
-	// failure word if the supply gives out mid-run, same sum. Runtimes
-	// whose Load resolves one address for the whole run build it on
-	// Ctx.LoadPrefix followed by a per-word Load tail.
+	// LoadRun returns the sum of words [off, off+n) of v — the fused
+	// load run a task body reaches through Exec.LoadSum. It must behave
+	// exactly like n successive Load(c, v, off+j) calls: same charges in
+	// the same buckets, same failure word if the supply gives out
+	// mid-run, same sum. Runtimes whose Load resolves one address for
+	// the whole run build it on Ctx.LoadPrefix followed by a per-word
+	// Load tail.
 	LoadRun(c *Ctx, v *task.NVVar, off, n int) uint16
 
 	// AddrOf resolves a variable to its master (committed) non-volatile
 	// address — the address DMA transfers use, bypassing privatization.
 	AddrOf(v *task.NVVar) mem.Addr
+
+	// TaskPointer returns the FRAM address of the persistent task
+	// pointer that OnBoot re-reads. At every charge-slice boundary its
+	// word equals the RuntimeState.Cur a snapshot captures, which is
+	// what Checkpoint.Fits checks before a root is adopted.
+	TaskPointer() mem.Addr
 
 	// CallIO executes or skips the I/O site instance idx.
 	CallIO(c *Ctx, s *task.IOSite, idx int) uint16

@@ -63,7 +63,6 @@ func ResumeWithFailure(dev *Device, rt Hooks, app *task.App) error {
 func runLoop(dev *Device, rt Hooks, app *task.App, failed bool) error {
 	ctx := &dev.ctx
 	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0]}
-	ctx.initCompiled(app)
 	for {
 		if failed {
 			dev.Run.PowerFailures++
@@ -140,11 +139,7 @@ func bootAndRun(ctx *Ctx) (failed bool, err error) {
 		}
 		attempt = t
 		ctx.RT.BeginTask(ctx, t)
-		if k := ctx.kernelOf(t); k != nil {
-			ctx.runKernel(k)
-		} else {
-			t.Body(ctx)
-		}
+		t.Body(ctx)
 		if !ctx.transitioned {
 			return false, fmt.Errorf("kernel: task %q returned without Next/Done", t.Name)
 		}

@@ -105,6 +105,8 @@ func (r *testRT) Store(c *Ctx, v *task.NVVar, i int, val uint16) {
 
 func (r *testRT) AddrOf(v *task.NVVar) mem.Addr { return r.addrs[v] }
 
+func (r *testRT) TaskPointer() mem.Addr { return r.ptr }
+
 func (r *testRT) CallIO(c *Ctx, s *task.IOSite, idx int) uint16 { return s.Exec(c, idx) }
 
 func (r *testRT) IOBlock(c *Ctx, b *task.IOBlock, body func()) { body() }

@@ -153,6 +153,9 @@ func (b *Base) MasterAddr(v *task.NVVar) mem.Addr {
 	return b.addrs[v.ID]
 }
 
+// TaskPointer implements kernel.Hooks.
+func (b *Base) TaskPointer() mem.Addr { return b.taskPtr }
+
 // LoadBoot re-reads the persistent task pointer after a (re)boot.
 func (b *Base) LoadBoot(c *kernel.Ctx) {
 	c.ChargeMemAccess(mem.FRAM, false, true)

@@ -89,9 +89,6 @@ type Program struct {
 	dmas    []DMAInfo
 	tasks   []TaskInfo
 	ioSlots int
-	// kernels holds the compiled kernel of each op-bodied task, indexed
-	// by task ID (nil when no task is op-bodied; see compile.go).
-	kernels []*Kernel
 }
 
 // App returns the blueprint this program was compiled from.
@@ -243,8 +240,6 @@ func (p *Program) buildTables() {
 			WAR:    idsOfVars(m.WAR),
 		}
 	}
-
-	p.compileKernels()
 }
 
 // Program returns the frozen analysis attached by the front-end, or nil

@@ -64,6 +64,15 @@ func (s *ExecStub) LoadAt(v *NVVar, i int) uint16 { return s.slot(v)[i] }
 // StoreAt implements Exec.
 func (s *ExecStub) StoreAt(v *NVVar, i int, val uint16) { s.slot(v)[i] = val }
 
+// LoadSum implements Exec as a per-word LoadAt loop.
+func (s *ExecStub) LoadSum(v *NVVar, off, n int) uint16 {
+	var sum uint16
+	for j := 0; j < n; j++ {
+		sum += s.LoadAt(v, off+j)
+	}
+	return sum
+}
+
 // CallIO implements Exec by running the site directly.
 func (s *ExecStub) CallIO(site *IOSite) uint16 { return site.Exec(s, 0) }
 

@@ -115,11 +115,6 @@ type Task struct {
 	// find these conservatively; the trace-based front-end needs the
 	// declaration.
 	Hints []*NVVar
-	// Ops, when non-empty, is the declarative op list this task's Body
-	// was generated from (see SetOps). The frozen program compiles it
-	// into a per-task execution kernel; tasks with closure bodies have
-	// no Ops and always run interpreted.
-	Ops []Op
 }
 
 // Touches declares front-end hint variables for the task (see Hints).
@@ -146,6 +141,11 @@ type Exec interface {
 	// LoadAt/StoreAt access word i of a task-shared variable.
 	LoadAt(v *NVVar, i int) uint16
 	StoreAt(v *NVVar, i int, val uint16)
+	// LoadSum returns the uint16 sum of words [off, off+n) of v. It
+	// behaves exactly as n successive LoadAt(v, off+j) calls — same
+	// charges, same failure word if power gives out mid-run, same
+	// analysis record — but lets the engine charge the run in bulk.
+	LoadSum(v *NVVar, off, n int) uint16
 	// CallIO executes (or skips) an I/O site and returns its value. For
 	// void sites the value is meaningless.
 	CallIO(s *IOSite) uint16
