@@ -65,13 +65,19 @@ bench-all:
 # The failing bench-regression gate: measure the pooled sweep rate with
 # enough iterations for a stable-ish number (200 sweeps ≈ tens of ms of
 # measured work — cheap, but far less noisy than the 1x compile smoke)
-# and compare against the latest BENCH_sweep.json datapoint. Fails below
-# 0.75x the tracked runs/s or above +2 allocs/run. A PR that changes
-# sweep performance on purpose must refresh BENCH_sweep.json in the same
-# PR (see the refresh command in its description).
+# and compare against the latest BENCH_sweep.json datapoint, then the
+# checkpointed exhaustive weather check (3 × 5 checks, about a second)
+# against the latest BENCH_check.json datapoint. Fails below 0.75x the
+# tracked runs/s or points/s, or above +2 allocs/run (the checker ledger
+# tracks no allocations). A PR that changes sweep or checker performance
+# on purpose must refresh the ledger in the same PR (see the refresh
+# command in its description).
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThroughput/pooled' -benchtime 200x -count 3 -cpu 1 . | tee bench-gate.txt
 	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckThroughput/weather/checkpointed' -benchtime 5x -count 3 -cpu 1 . | tee -a bench-gate.txt
+	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt -baseline BENCH_check.json \
+		-name BenchmarkCheckThroughput/weather/checkpointed -key weather/checkpointed -unit points/s
 
 # The benchmark harness is its own module (benchmark/go.mod), so the
 # repository's `go test ./...` does not reach its tests.

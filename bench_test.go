@@ -369,40 +369,45 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // the checkpointed win is bounded by the prefix skipped (~1.5×
 // asymptotically). weather is a multi-task pipeline whose committed
 // prefix stays committed, where suffix replay pays only the interrupted
-// task and the gap widens with app length. Single-worker so the ratio
+// task and the gap widens with app length. weather/k2 is the nested
+// (failure-during-recovery) check at depth 2, checkpointed, counting
+// the points replayed at every depth. Single-worker so the ratio
 // isolates per-point replay cost rather than scheduling; both paths
 // render byte-identical reports.
 func BenchmarkCheckThroughput(b *testing.B) {
+	weather := func() (*apps.Bench, error) { return apps.NewWeatherApp(apps.DefaultWeatherConfig()) }
 	cases := []struct {
-		app    string
-		newApp experiments.AppFactory
+		name     string
+		newApp   experiments.AppFactory
+		failures int
+		fromBoot bool
 	}{
-		{"fig6", check.Fig6Bench},
-		{"weather", func() (*apps.Bench, error) { return apps.NewWeatherApp(apps.DefaultWeatherConfig()) }},
+		{"fig6/checkpointed", check.Fig6Bench, 1, false},
+		{"fig6/fromboot", check.Fig6Bench, 1, true},
+		{"weather/checkpointed", weather, 1, false},
+		{"weather/fromboot", weather, 1, true},
+		{"weather/k2/checkpointed", weather, 2, false},
 	}
 	for _, tc := range cases {
-		for _, fromBoot := range []bool{false, true} {
-			name := tc.app + "/checkpointed"
-			if fromBoot {
-				name = tc.app + "/fromboot"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := check.Config{Exhaustive: true, Workers: 1, FromBoot: fromBoot}
-				points := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep, err := check.Run(context.Background(), tc.newApp, experiments.EaseIO, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !rep.Passed() {
-						b.Fatalf("%s diverged:\n%s", tc.app, rep.Render())
-					}
-					points += rep.Explored
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := check.Config{Exhaustive: true, Workers: 1, FromBoot: tc.fromBoot, Failures: tc.failures}
+			points := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := check.Run(context.Background(), tc.newApp, experiments.EaseIO, cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
-			})
-		}
+				if !rep.Passed() {
+					b.Fatalf("%s diverged:\n%s", tc.name, rep.Render())
+				}
+				points += rep.Explored
+				for _, d := range rep.Depths {
+					points += d.Explored
+				}
+			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+		})
 	}
 }
 

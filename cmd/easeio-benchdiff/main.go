@@ -1,43 +1,49 @@
 // Command easeio-benchdiff is the CI bench-regression gate: it parses
 // `go test -bench` output for the gated benchmark, compares the measured
-// rate and allocation count against the latest tracked datapoint in the
-// repository's benchmark ledger (BENCH_sweep.json), and exits non-zero
-// when the measurement regresses past the tolerances.
+// rate (and, where the ledger tracks it, the allocation count) against
+// the latest tracked datapoint in one of the repository's benchmark
+// ledgers (BENCH_sweep.json, BENCH_check.json), and exits non-zero when
+// the measurement regresses past the tolerances.
 //
 // Usage:
 //
-//	easeio-benchdiff [-bench FILE] [-baseline FILE] [-name SUBSTRING]
-//	                 [-key NAME] [-min-ratio R] [-alloc-slack N]
+//	easeio-benchdiff [-bench FILE] [-baseline FILE] [-name NAME]
+//	                 [-key NAME] [-unit UNIT] [-min-ratio R] [-alloc-slack N]
 //
 // -bench reads the benchmark output ("-" or empty reads stdin). Lines
-// whose first field is exactly -name are parsed for the custom metrics
-// "runs/s" and "allocs/run" (the value is the field preceding the unit).
-// With -count > 1 several lines match; the gate scores the best of them
-// — max runs/s, min allocs/run — because the gate asks "can this commit
-// still reach the tracked rate", and the minimum over repetitions is
-// noise, not capability. A matched line missing either metric is a parse
-// error, not a skip: a gate that silently scores half a line (or passes
-// on none) hides a broken bench invocation. So is a line whose name
-// carries the testing package's -N GOMAXPROCS suffix ("…/pooled-8"):
-// the ledger is recorded at -cpu 1, so a suffixed name means the bench
-// ran without it and the numbers are not comparable.
+// whose first field is exactly -name are parsed for the rate metric -unit
+// (default "runs/s"; the checker bench reports "points/s") and for
+// "allocs/run" (the value is the field preceding the unit). With
+// -count > 1 several lines match; the gate scores the best of them — max
+// rate, min allocs/run — because the gate asks "can this commit still
+// reach the tracked rate", and the minimum over repetitions is noise, not
+// capability. A matched line missing a gated metric is a parse error,
+// not a skip: a gate that silently scores half a line (or passes on
+// none) hides a broken bench invocation. So is a line whose name carries
+// the testing package's -N GOMAXPROCS suffix ("…/pooled-8"): the ledgers
+// are recorded at -cpu 1, so a suffixed name means the bench ran without
+// it and the numbers are not comparable.
 //
 // The baseline is datapoints[-1].results[key] of -baseline: the ledger
 // appends a datapoint whenever performance changes materially, so the
-// latest entry is the current expectation.
+// latest entry is the current expectation. The rate is read from the
+// field named after -unit with "/" spelled "_per_" ("runs/s" reads
+// runs_per_s, "points/s" reads points_per_s). allocs/run is gated only
+// when the tracked result has an allocs_per_run field; the checker
+// ledger has none, so its bench lines need not carry the metric.
 //
-// Tolerances: the run fails when measured runs/s drops below -min-ratio
-// times the tracked rate (default 0.75 — CI runners are slower and
-// noisier than the machine that recorded the ledger), or when measured
-// allocs/run exceeds the tracked count by more than -alloc-slack
-// (default 2 — allocation counts are nearly deterministic, so even a
-// small rise means a new allocation on a per-run path).
+// Tolerances: the run fails when the measured rate drops below
+// -min-ratio times the tracked rate (default 0.75 — CI runners are
+// slower and noisier than the machine that recorded the ledger), or when
+// measured allocs/run exceeds the tracked count by more than
+// -alloc-slack (default 2 — allocation counts are nearly deterministic,
+// so even a small rise means a new allocation on a per-run path).
 //
-// Escape hatch: a PR that intentionally changes sweep performance (a
+// Escape hatch: a PR that intentionally changes the gated performance (a
 // slower-but-correct fix, or a speedup worth re-anchoring on) must
-// refresh the ledger in the same PR — run the refresh command in
-// BENCH_sweep.json's description and append the new datapoint with a
-// note. The gate then compares future PRs against the new expectation.
+// refresh the ledger in the same PR — run the refresh command in the
+// ledger's description and append the new datapoint with a note. The
+// gate then compares future PRs against the new expectation.
 //
 // Exit status: 0 within tolerance, 1 on regression, 2 on usage or parse
 // errors.
@@ -55,7 +61,7 @@ import (
 )
 
 type metrics struct {
-	runsPerS     float64
+	rate         float64
 	allocsPerRun float64
 	hasRate      bool
 	hasAllocs    bool
@@ -65,12 +71,18 @@ func main() {
 	var (
 		benchPath  = flag.String("bench", "-", "benchmark output file (\"-\" = stdin)")
 		basePath   = flag.String("baseline", "BENCH_sweep.json", "benchmark ledger with tracked datapoints")
-		name       = flag.String("name", "BenchmarkSweepThroughput/pooled", "benchmark name substring to gate on")
+		name       = flag.String("name", "BenchmarkSweepThroughput/pooled", "exact benchmark name to gate on")
 		key        = flag.String("key", "pooled", "results key of the tracked datapoint")
-		minRatio   = flag.Float64("min-ratio", 0.75, "minimum measured/tracked runs/s ratio")
+		unit       = flag.String("unit", "runs/s", "rate metric to gate (ledger field: unit with \"/\" as \"_per_\")")
+		minRatio   = flag.Float64("min-ratio", 0.75, "minimum measured/tracked rate ratio")
 		allocSlack = flag.Float64("alloc-slack", 2, "maximum allocs/run increase over tracked")
 	)
 	flag.Parse()
+
+	tracked, commit, err := readBaseline(*basePath, *key, *unit)
+	if err != nil {
+		fatalf(2, "benchdiff: %v", err)
+	}
 
 	in := io.Reader(os.Stdin)
 	if *benchPath != "" && *benchPath != "-" {
@@ -81,53 +93,57 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	got, lines, err := parseBench(in, *name)
+	got, lines, err := parseBench(in, *name, *unit, tracked.hasAllocs)
 	if err != nil {
 		fatalf(2, "benchdiff: %v", err)
 	}
 	if lines == 0 {
 		fatalf(2, "benchdiff: no %q lines in benchmark output", *name)
 	}
-	if !got.hasRate || !got.hasAllocs {
-		fatalf(2, "benchdiff: %q lines carry no runs/s + allocs/run metrics", *name)
-	}
 
-	tracked, commit, err := readBaseline(*basePath, *key)
-	if err != nil {
-		fatalf(2, "benchdiff: %v", err)
-	}
-
-	fmt.Printf("benchdiff: %s over %d line(s): measured %.0f runs/s, %.2f allocs/run\n",
-		*name, lines, got.runsPerS, got.allocsPerRun)
-	fmt.Printf("benchdiff: tracked (%s, %q): %.0f runs/s, %.2f allocs/run\n",
-		*basePath, commit, tracked.runsPerS, tracked.allocsPerRun)
+	fmt.Printf("benchdiff: %s over %d line(s): measured %.0f %s%s\n",
+		*name, lines, got.rate, *unit, allocsNote(got))
+	fmt.Printf("benchdiff: tracked (%s, %q): %.0f %s%s\n",
+		*basePath, commit, tracked.rate, *unit, allocsNote(tracked))
 
 	failed := false
-	if floor := *minRatio * tracked.runsPerS; got.runsPerS < floor {
-		fmt.Printf("benchdiff: FAIL: %.0f runs/s is below %.2fx the tracked rate (floor %.0f)\n",
-			got.runsPerS, *minRatio, floor)
+	if floor := *minRatio * tracked.rate; got.rate < floor {
+		fmt.Printf("benchdiff: FAIL: %.0f %s is below %.2fx the tracked rate (floor %.0f)\n",
+			got.rate, *unit, *minRatio, floor)
 		failed = true
 	}
-	if ceil := tracked.allocsPerRun + *allocSlack; got.allocsPerRun > ceil {
+	if ceil := tracked.allocsPerRun + *allocSlack; tracked.hasAllocs && got.allocsPerRun > ceil {
 		fmt.Printf("benchdiff: FAIL: %.2f allocs/run exceeds tracked %.2f + %.0f slack\n",
 			got.allocsPerRun, tracked.allocsPerRun, *allocSlack)
 		failed = true
 	}
 	if failed {
-		fmt.Println("benchdiff: if this change is intentional, refresh BENCH_sweep.json in the same PR (see its description for the refresh command) and document why in the datapoint note")
+		fmt.Printf("benchdiff: if this change is intentional, refresh %s in the same PR (see its description for the refresh command) and document why in the datapoint note\n", *basePath)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: OK (rate %.2fx tracked, allocs %+.2f)\n",
-		got.runsPerS/tracked.runsPerS, got.allocsPerRun-tracked.allocsPerRun)
+	fmt.Printf("benchdiff: OK (rate %.2fx tracked", got.rate/tracked.rate)
+	if tracked.hasAllocs {
+		fmt.Printf(", allocs %+.2f", got.allocsPerRun-tracked.allocsPerRun)
+	}
+	fmt.Println(")")
+}
+
+// allocsNote formats m's allocs/run for the report lines, when it has one.
+func allocsNote(m metrics) string {
+	if !m.hasAllocs {
+		return ""
+	}
+	return fmt.Sprintf(", %.2f allocs/run", m.allocsPerRun)
 }
 
 // parseBench scans benchmark output for lines of the gated benchmark and
 // returns the best measurement across them plus the matched line count.
 // Only lines whose first field is exactly name count; a matched line
-// that does not carry both metrics, or a name wearing the testing
-// package's -N GOMAXPROCS suffix, is an error — the gate must refuse to
-// score output it cannot compare against the ledger.
-func parseBench(r io.Reader, name string) (metrics, int, error) {
+// that does not carry the unit rate (and allocs/run, when needAllocs),
+// or a name wearing the testing package's -N GOMAXPROCS suffix, is an
+// error — the gate must refuse to score output it cannot compare
+// against the ledger.
+func parseBench(r io.Reader, name, unit string, needAllocs bool) (metrics, int, error) {
 	var best metrics
 	lines := 0
 	sc := bufio.NewScanner(r)
@@ -151,25 +167,25 @@ func parseBench(r io.Reader, name string) (metrics, int, error) {
 				continue
 			}
 			switch fields[i+1] {
-			case "runs/s":
-				m.runsPerS, m.hasRate = v, true
+			case unit:
+				m.rate, m.hasRate = v, true
 			case "allocs/run":
 				m.allocsPerRun, m.hasAllocs = v, true
 			}
 		}
-		if !m.hasRate || !m.hasAllocs {
-			missing := "runs/s"
-			if m.hasRate {
-				missing = "allocs/run"
-			}
+		switch {
+		case !m.hasRate:
 			return best, lines, fmt.Errorf(
-				"benchmark line %q has no %s metric; the gate needs both runs/s and allocs/run on every %q line", line, missing, name)
+				"benchmark line %q has no %s metric; the gate needs it on every %q line", line, unit, name)
+		case needAllocs && !m.hasAllocs:
+			return best, lines, fmt.Errorf(
+				"benchmark line %q has no allocs/run metric; the ledger tracks it, so the gate needs it on every %q line", line, name)
 		}
 		lines++
-		if !best.hasRate || m.runsPerS > best.runsPerS {
-			best.runsPerS, best.hasRate = m.runsPerS, true
+		if !best.hasRate || m.rate > best.rate {
+			best.rate, best.hasRate = m.rate, true
 		}
-		if !best.hasAllocs || m.allocsPerRun < best.allocsPerRun {
+		if needAllocs && (!best.hasAllocs || m.allocsPerRun < best.allocsPerRun) {
 			best.allocsPerRun, best.hasAllocs = m.allocsPerRun, true
 		}
 	}
@@ -192,19 +208,17 @@ func isCPUSuffixed(got, name string) bool {
 	return true
 }
 
-// readBaseline extracts the latest tracked datapoint's results[key].
-func readBaseline(path, key string) (metrics, string, error) {
+// readBaseline extracts the latest tracked datapoint's results[key]: the
+// rate stored under unit's ledger field and, when present, allocs_per_run.
+func readBaseline(path, key, unit string) (metrics, string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return metrics{}, "", err
 	}
 	var ledger struct {
 		Datapoints []struct {
-			Commit  string `json:"commit"`
-			Results map[string]struct {
-				RunsPerS     float64 `json:"runs_per_s"`
-				AllocsPerRun float64 `json:"allocs_per_run"`
-			} `json:"results"`
+			Commit  string                        `json:"commit"`
+			Results map[string]map[string]float64 `json:"results"`
 		} `json:"datapoints"`
 	}
 	if err := json.Unmarshal(raw, &ledger); err != nil {
@@ -218,11 +232,13 @@ func readBaseline(path, key string) (metrics, string, error) {
 	if !ok {
 		return metrics{}, "", fmt.Errorf("%s: latest datapoint has no %q results", path, key)
 	}
-	if res.RunsPerS <= 0 {
-		return metrics{}, "", fmt.Errorf("%s: tracked runs_per_s must be positive", path)
+	field := strings.ReplaceAll(unit, "/", "_per_")
+	if res[field] <= 0 {
+		return metrics{}, "", fmt.Errorf("%s: tracked %s must be positive", path, field)
 	}
-	return metrics{runsPerS: res.RunsPerS, allocsPerRun: res.AllocsPerRun, hasRate: true, hasAllocs: true},
-		last.Commit, nil
+	m := metrics{rate: res[field], hasRate: true}
+	m.allocsPerRun, m.hasAllocs = res["allocs_per_run"]
+	return m, last.Commit, nil
 }
 
 func fatalf(code int, format string, args ...any) {

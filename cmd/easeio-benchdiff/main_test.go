@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
-const gateName = "BenchmarkSweepThroughput/pooled"
+const (
+	gateName  = "BenchmarkSweepThroughput/pooled"
+	checkName = "BenchmarkCheckThroughput/weather/checkpointed"
+)
 
-// TestParseBench pins the parser's contract: exact-name lines with both
-// metrics score best-of; a GOMAXPROCS-suffixed name or a matched line
-// missing a metric is a hard parse error (the gate must never pass on
-// output it cannot compare against the ledger); everything else is
-// skipped silently.
+// TestParseBench pins the parser's contract for the sweep gate, whose
+// ledger tracks allocs/run: exact-name lines with both metrics score
+// best-of; a GOMAXPROCS-suffixed name or a matched line missing a metric
+// is a hard parse error (the gate must never pass on output it cannot
+// compare against the ledger); everything else is skipped silently.
 func TestParseBench(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -82,7 +85,7 @@ func TestParseBench(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			got, lines, err := parseBench(strings.NewReader(tc.input), gateName)
+			got, lines, err := parseBench(strings.NewReader(tc.input), gateName, "runs/s", true)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
@@ -98,14 +101,63 @@ func TestParseBench(t *testing.T) {
 			if tc.wantLines == 0 {
 				return
 			}
-			if got.runsPerS != tc.wantRate || got.allocsPerRun != tc.wantAllocs {
+			if got.rate != tc.wantRate || got.allocsPerRun != tc.wantAllocs {
 				t.Fatalf("best = %.0f runs/s, %.2f allocs/run; want %.0f, %.2f",
-					got.runsPerS, got.allocsPerRun, tc.wantRate, tc.wantAllocs)
+					got.rate, got.allocsPerRun, tc.wantRate, tc.wantAllocs)
 			}
 			if !got.hasRate || !got.hasAllocs {
 				t.Fatalf("metrics incomplete: %+v", got)
 			}
 		})
+	}
+}
+
+// TestParseCheckBench pins the checker gate: its lines carry points/s
+// and no allocs/run, which is fine because its ledger tracks none, while
+// a line without the rate or with a GOMAXPROCS suffix still fails.
+func TestParseCheckBench(t *testing.T) {
+	in := "BenchmarkCheckThroughput/fig6/checkpointed 100 1000 ns/op 120000 points/s\n" +
+		checkName + " 10 127000000 ns/op 45020 points/s\n" +
+		checkName + " 10 126000000 ns/op 45500 points/s\n" +
+		"BenchmarkCheckThroughput/weather/k2/checkpointed 5 251000000 ns/op 45748 points/s\n"
+	got, lines, err := parseBench(strings.NewReader(in), checkName, "points/s", false)
+	if err != nil || lines != 2 || got.rate != 45500 || got.hasAllocs {
+		t.Fatalf("parseBench = %+v over %d lines, %v; want 45500 points/s over 2 lines", got, lines, err)
+	}
+	for bad, want := range map[string]string{
+		checkName + " 10 127000000 ns/op\n":                  "no points/s metric",
+		checkName + " 10 127000000 ns/op 45020 runs/s\n":     "no points/s metric",
+		checkName + "-2 10 127000000 ns/op 45020 points/s\n": "GOMAXPROCS suffix",
+	} {
+		if _, _, err := parseBench(strings.NewReader(bad), checkName, "points/s", false); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			t.Errorf("parseBench(%q) error = %v, want one containing %q", bad, err, want)
+		}
+	}
+}
+
+// TestLedgersReadable reads the tracked datapoints the make bench-gate
+// invocations gate on: the sweep ledger tracks runs/s and allocs/run,
+// the checker ledger points/s alone.
+func TestLedgersReadable(t *testing.T) {
+	for _, tc := range []struct {
+		path, key, unit string
+		allocs          bool
+	}{
+		{"../../BENCH_sweep.json", "pooled", "runs/s", true},
+		{"../../BENCH_check.json", "weather/checkpointed", "points/s", false},
+	} {
+		m, _, err := readBaseline(tc.path, tc.key, tc.unit)
+		if err != nil {
+			t.Errorf("%s: %v", tc.path, err)
+			continue
+		}
+		if !m.hasRate || m.rate <= 0 || m.hasAllocs != tc.allocs {
+			t.Errorf("%s[%s] = %+v, want a positive %s and allocs tracked=%v", tc.path, tc.key, m, tc.unit, tc.allocs)
+		}
+	}
+	if _, _, err := readBaseline("../../BENCH_check.json", "weather/checkpointed", "runs/s"); err == nil {
+		t.Error("a unit the ledger does not track was accepted")
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"time"
 
 	"easeio/internal/apps"
@@ -458,14 +459,16 @@ func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run,
 		if r.golden.sensed[i] {
 			continue
 		}
-		a := rt.AddrOf(v) // hoisted out of kernel.ReadVar's per-word path
-		for w := 0; w < v.Words; w++ {
-			got := dev.Mem.Read(a.Add(w))
-			put(got)
-			if want := r.golden.vars[i][w]; got != want && div == nil {
-				div = &Divergence{Kind: "memory", Detail: fmt.Sprintf(
-					"%s[%d] = %d, want %d", v.Name, w, got, want)}
-			}
+		// One span per variable, booked as v.Words reads — what reading
+		// it word by word through Memory.Read would count.
+		a := rt.AddrOf(v)
+		words := dev.Mem.Span(a, v.Words)
+		dev.Mem.Book(a.Bank, int64(v.Words), 0, 0)
+		for _, w := range words {
+			put(w)
+		}
+		if div == nil && !slices.Equal(words, r.golden.vars[i]) {
+			div = memoryDivergence(v.Name, words, r.golden.vars[i])
 		}
 	}
 	switch {
@@ -494,6 +497,17 @@ func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run,
 		}
 	}
 	return outcome{evaluated: true, hash: h, div: div}
+}
+
+// memoryDivergence reports the first word where a variable's final
+// words got differ from golden's want.
+func memoryDivergence(name string, got, want []uint16) *Divergence {
+	w := 0
+	for got[w] == want[w] {
+		w++
+	}
+	return &Divergence{Kind: "memory", Detail: fmt.Sprintf(
+		"%s[%d] = %d, want %d", name, w, got[w], want[w])}
 }
 
 // sumWork totals the run's committed work buckets; with nothing pending

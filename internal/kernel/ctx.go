@@ -212,10 +212,10 @@ func (c *Ctx) LoadPrefix(a mem.Addr, n int, indexed bool) (sum uint16, free int)
 		c.bulkCharge(dt, e, true)
 	}
 	c.bulkCharge(dt, e, false)
-	view := c.Dev.Mem.View(a, free)
-	for j := 0; j < free; j++ {
-		sum += view.At(j)
+	for _, w := range c.Dev.Mem.Span(a, free) {
+		sum += w
 	}
+	c.Dev.Mem.Book(a.Bank, int64(free), 0, 0)
 	return sum, free
 }
 

@@ -8,17 +8,23 @@
 // run; a power failure therefore aborts a vector command before it
 // touches LEA-RAM, matching the command-granularity behaviour of the real
 // accelerator.
+//
+// Because a command runs whole, nothing can observe LEA-RAM between its
+// words. So each kernel validates its ranges once (mem.Span), works on
+// the bank's live words, and books its accesses once per command
+// (mem.Book): the same read and write counts and high-water mark its
+// per-word Read/Write sequence would leave. It reads and writes the
+// live words in that per-word order, so in-place and overlapping ranges
+// give the same results too. A range out of bounds panics before any
+// word changes.
 package lea
 
 import "easeio/internal/mem"
 
-func leaAddr(off int) mem.Addr { return mem.Addr{Bank: mem.LEARAM, Word: off} }
-
-// readS16 reads an int16 sample from LEA-RAM.
-func readS16(m *mem.Memory, off int) int16 { return int16(m.Read(leaAddr(off))) }
-
-// writeS16 writes an int16 sample to LEA-RAM.
-func writeS16(m *mem.Memory, off int, v int16) { m.Write(leaAddr(off), uint16(v)) }
+// span returns the live LEA-RAM words [off, off+n).
+func span(m *mem.Memory, off, n int) []uint16 {
+	return m.Span(mem.Addr{Bank: mem.LEARAM, Word: off}, n)
+}
 
 // sat16 saturates an accumulator to int16, as the LEA's fixed-point
 // pipeline does.
@@ -49,18 +55,25 @@ func sat32(v int64) int32 {
 //
 //	out[i] = sat( Σ_{j<taps} coef[j]·in[i+j] >> 15 )  for i ≤ inLen−taps
 //
-// using Q15 fixed-point coefficients, mirroring the LEA's FIR command.
+// using Q15 fixed-point coefficients, mirroring the LEA's FIR command. It
+// books 2·taps reads and one write per output sample.
 func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
-	if taps <= 0 || inLen < taps {
+	outLen := FirOutLen(inLen, taps)
+	if outLen == 0 {
 		return
 	}
-	for i := 0; i <= inLen-taps; i++ {
+	in := span(m, inOff, inLen)
+	coef := span(m, coefOff, taps)
+	out := span(m, outOff, outLen)
+	for i := range out {
+		x := in[i : i+len(coef)]
 		var acc int64
-		for j := 0; j < taps; j++ {
-			acc += int64(readS16(m, inOff+i+j)) * int64(readS16(m, coefOff+j))
+		for j, c := range coef {
+			acc += int64(int16(x[j])) * int64(int16(c))
 		}
-		writeS16(m, outOff+i, sat16(acc>>15))
+		out[i] = uint16(sat16(acc >> 15))
 	}
+	m.Book(mem.LEARAM, 2*int64(taps)*int64(outLen), int64(outLen), outOff+outLen)
 }
 
 // FirOutLen returns the number of output samples Fir produces.
@@ -72,21 +85,31 @@ func FirOutLen(inLen, taps int) int {
 }
 
 // Relu clamps n int16 samples at LEA-RAM offset off to be non-negative.
+// It books n reads and one write per negative sample cleared.
 func Relu(m *mem.Memory, off, n int) {
-	for i := 0; i < n; i++ {
-		if readS16(m, off+i) < 0 {
-			writeS16(m, off+i, 0)
+	s := span(m, off, n)
+	var writes int64
+	end := 0
+	for i, v := range s {
+		if int16(v) < 0 {
+			s[i] = 0
+			writes++
+			end = off + i + 1
 		}
 	}
+	m.Book(mem.LEARAM, int64(n), writes, end)
 }
 
 // Dot returns the int32 dot product of two n-sample int16 vectors in
-// LEA-RAM.
+// LEA-RAM. It books 2n reads.
 func Dot(m *mem.Memory, aOff, bOff, n int) int32 {
+	a := span(m, aOff, n)
+	b := span(m, bOff, n)[:len(a)]
 	var acc int64
-	for i := 0; i < n; i++ {
-		acc += int64(readS16(m, aOff+i)) * int64(readS16(m, bOff+i))
+	for i, x := range a {
+		acc += int64(int16(x)) * int64(int16(b[i]))
 	}
+	m.Book(mem.LEARAM, 2*int64(n), 0, 0)
 	return sat32(acc)
 }
 

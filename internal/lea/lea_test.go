@@ -2,6 +2,7 @@ package lea
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,5 +148,177 @@ func TestDotMatchesReference(t *testing.T) {
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// Per-word references: each kernel as a sequence of counted
+// Memory.Read/Write calls, one per access in command order. The span
+// kernels must leave exactly the words, counters and high-water mark
+// these leave.
+
+func refRead(m *mem.Memory, off int) int16 {
+	return int16(m.Read(mem.Addr{Bank: mem.LEARAM, Word: off}))
+}
+
+func refWrite(m *mem.Memory, off int, v int16) {
+	m.Write(mem.Addr{Bank: mem.LEARAM, Word: off}, uint16(v))
+}
+
+func refFir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
+	if taps <= 0 || inLen < taps {
+		return
+	}
+	for i := 0; i <= inLen-taps; i++ {
+		var acc int64
+		for j := 0; j < taps; j++ {
+			acc += int64(refRead(m, inOff+i+j)) * int64(refRead(m, coefOff+j))
+		}
+		refWrite(m, outOff+i, sat16(acc>>15))
+	}
+}
+
+func refRelu(m *mem.Memory, off, n int) {
+	for i := 0; i < n; i++ {
+		if refRead(m, off+i) < 0 {
+			refWrite(m, off+i, 0)
+		}
+	}
+}
+
+func refDot(m *mem.Memory, aOff, bOff, n int) int32 {
+	var acc int64
+	for i := 0; i < n; i++ {
+		acc += int64(refRead(m, aOff+i)) * int64(refRead(m, bOff+i))
+	}
+	return sat32(acc)
+}
+
+// plant stores samples at LEA-RAM offset off without booking them, so
+// the high-water mark stays where the kernel under test can move it.
+func plant(m *mem.Memory, off int, data []int16) {
+	words := m.Span(mem.Addr{Bank: mem.LEARAM, Word: off}, len(data))
+	for i, v := range data {
+		words[i] = uint16(v)
+	}
+}
+
+// twinMems returns two memories whose first 1024 LEA-RAM words hold the
+// same random samples, with zero counters and high-water marks.
+func twinMems(rng *rand.Rand) (*mem.Memory, *mem.Memory) {
+	data := make([]int16, 1024)
+	for i := range data {
+		data[i] = int16(rng.Intn(16000) - 8000)
+	}
+	a, b := mem.New(), mem.New()
+	plant(a, 0, data)
+	plant(b, 0, data)
+	return a, b
+}
+
+func sameLEA(t *testing.T, what string, got, want *mem.Memory) {
+	t.Helper()
+	whole := mem.Addr{Bank: mem.LEARAM}
+	if !slices.Equal(got.Span(whole, mem.LEARAMWords), want.Span(whole, mem.LEARAMWords)) {
+		t.Errorf("%s: LEA-RAM words differ from the per-word reference", what)
+	}
+	if g, w := got.Counts(mem.LEARAM), want.Counts(mem.LEARAM); g != w {
+		t.Errorf("%s: counters %+v, per-word %+v", what, g, w)
+	}
+	if g, w := got.HighWater(mem.LEARAM), want.HighWater(mem.LEARAM); g != w {
+		t.Errorf("%s: high water %d, per-word %d", what, g, w)
+	}
+}
+
+// TestKernelsMatchPerWord is the span ≡ per-word oracle for the LEA
+// kernels: random ranges (freely overlapping, in-place included) plus
+// the edge cases that decide the booked writes and high-water mark.
+func TestKernelsMatchPerWord(t *testing.T) {
+	type cmd struct {
+		name                            string
+		inOff, coefOff, outOff, n, taps int
+	}
+	firs := []cmd{
+		{"fir in place", 100, 400, 100, 64, 8},
+		{"fir out overlaps coef", 0, 300, 296, 40, 12},
+		{"fir out overlaps in tail", 200, 50, 230, 48, 5},
+		{"fir single output", 10, 20, 30, 7, 7},
+	}
+	for i := 0; i < 40; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		taps := 1 + rng.Intn(16)
+		firs = append(firs, cmd{"fir random", rng.Intn(512), rng.Intn(512), rng.Intn(512), taps + rng.Intn(200), taps})
+	}
+	for i, c := range firs {
+		got, want := twinMems(rand.New(rand.NewSource(int64(1000 + i))))
+		Fir(got, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+		refFir(want, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+		sameLEA(t, c.name, got, want)
+	}
+
+	relus := []struct {
+		name string
+		prep func(m *mem.Memory)
+		off  int
+		n    int
+	}{
+		{"relu no negatives", func(m *mem.Memory) { plant(m, 1500, []int16{0, 1, 2, 32767}) }, 1500, 4},
+		{"relu negative at head only", func(m *mem.Memory) { plant(m, 1500, []int16{-1, 0, 3, 4}) }, 1500, 4},
+		{"relu random", nil, 7, 900},
+		{"relu empty", nil, 1100, 0},
+	}
+	for i, c := range relus {
+		got, want := twinMems(rand.New(rand.NewSource(int64(2000 + i))))
+		if c.prep != nil {
+			c.prep(got)
+			c.prep(want)
+		}
+		Relu(got, c.off, c.n)
+		refRelu(want, c.off, c.n)
+		sameLEA(t, c.name, got, want)
+	}
+
+	for i := 0; i < 20; i++ {
+		rng := rand.New(rand.NewSource(int64(3000 + i)))
+		aOff, bOff, n := rng.Intn(512), rng.Intn(512), rng.Intn(512)
+		got, want := twinMems(rng)
+		if g, w := Dot(got, aOff, bOff, n), refDot(want, aOff, bOff, n); g != w {
+			t.Errorf("dot(%d, %d, %d) = %d, per-word %d", aOff, bOff, n, g, w)
+		}
+		sameLEA(t, "dot random", got, want)
+	}
+}
+
+// TestKernelOutOfRangePanicsFirst pins that a command whose ranges leave
+// LEA-RAM panics before it changes any word or counter (the per-word
+// loop would have written the in-range prefix first).
+func TestKernelOutOfRangePanicsFirst(t *testing.T) {
+	end := mem.LEARAMWords
+	for _, c := range []struct {
+		name string
+		run  func(m *mem.Memory)
+	}{
+		{"fir out past end", func(m *mem.Memory) { Fir(m, 0, 100, end-4, 40, 4) }},
+		{"fir in past end", func(m *mem.Memory) { Fir(m, end-10, 100, 0, 40, 4) }},
+		{"relu past end", func(m *mem.Memory) { Relu(m, end-2, 5) }},
+		{"dot past end", func(m *mem.Memory) { Dot(m, 0, end-1, 3) }},
+	} {
+		m, _ := twinMems(rand.New(rand.NewSource(7)))
+		plant(m, end-10, []int16{-1, -2, -3, -4, -5, -6, -7, -8, -9, -10})
+		counts, hw := m.Counts(mem.LEARAM), m.HighWater(mem.LEARAM)
+		before := slices.Clone(m.Span(mem.Addr{Bank: mem.LEARAM}, end))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.run(m)
+		}()
+		if !slices.Equal(m.Span(mem.Addr{Bank: mem.LEARAM}, end), before) {
+			t.Errorf("%s: words changed before the panic", c.name)
+		}
+		if m.Counts(mem.LEARAM) != counts || m.HighWater(mem.LEARAM) != hw {
+			t.Errorf("%s: accesses booked before the panic", c.name)
+		}
 	}
 }

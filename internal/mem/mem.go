@@ -8,6 +8,15 @@
 // belongs to the execution kernel, which charges costs *before* touching
 // memory so that a power failure can cut an operation between the charge
 // and the state change — the property idempotence bugs depend on.
+//
+// Read and Write check bounds and count one access per word. The bulk
+// users — the LEA kernels, the checker's classify pass and the fused
+// load prefix — instead validate a whole range once with Span and book
+// their accesses once per command with Book (DMA copy windows and read
+// views validate through Span too, but still count per word). The
+// counters and high-water marks come out exactly as the per-word calls
+// would leave them, because no power failure and no other reader can
+// fall between the words of one such command.
 package mem
 
 import (
@@ -197,25 +206,53 @@ func (m *Memory) Write(a Addr, v uint16) {
 // volatile banks, which have no allocator).
 func (m *Memory) HighWater(b Bank) int { return m.highWater[b] }
 
-// ReadBlock copies n words starting at a into dst (which must have length
-// ≥ n). It counts n reads.
-func (m *Memory) ReadBlock(a Addr, dst []uint16, n int) {
-	m.check(a, "block read")
-	m.check(a.Add(n-1), "block read end")
-	m.counts[a.Bank].Reads += int64(n)
-	copy(dst[:n], m.banks[a.Bank][a.Word:a.Word+n])
+// WriteBlock stores the first n words of src starting at a and counts
+// n writes. A zero-length write validates a (any word up to the bank's
+// end) and books nothing.
+func (m *Memory) WriteBlock(a Addr, src []uint16, n int) {
+	copy(m.Span(a, n), src[:n])
+	if n > 0 {
+		m.Book(a.Bank, 0, int64(n), a.Word+n)
+	}
 }
 
-// WriteBlock stores the first n words of src starting at a and counts
-// n writes.
-func (m *Memory) WriteBlock(a Addr, src []uint16, n int) {
-	m.check(a, "block write")
-	m.check(a.Add(n-1), "block write end")
-	m.counts[a.Bank].Writes += int64(n)
-	if a.Word+n > m.highWater[a.Bank] {
-		m.highWater[a.Bank] = a.Word + n
+// Span validates the n-word range starting at a and returns the bank's
+// live words for it — the pre-validated primitive under every bulk
+// accessor. Span itself counts nothing: a caller that reads or writes
+// through the slice books those accesses with Book, once per command,
+// so the counters and high-water mark end exactly where the same
+// accesses made one Read/Write at a time would leave them. That is
+// exact whenever nothing can observe the memory between the words of
+// one command: a LEA command (a power failure aborts it before it
+// touches LEA-RAM), the checker's classify pass and the bulk-charged
+// prefix of a fused load all qualify. The slice's capacity ends with
+// the range, so an append cannot spill into the neighbouring words. A
+// zero-length span is valid anywhere from word 0 up to the bank's end.
+func (m *Memory) Span(a Addr, n int) []uint16 {
+	if uint(a.Bank) >= uint(numBanks) || uint(a.Word) > uint(len(m.banks[a.Bank])) ||
+		uint(n) > uint(len(m.banks[a.Bank])-a.Word) {
+		m.spanFail(a, n)
 	}
-	copy(m.banks[a.Bank][a.Word:a.Word+n], src[:n])
+	return m.banks[a.Bank][a.Word : a.Word+n : a.Word+n]
+}
+
+func (m *Memory) spanFail(a Addr, n int) {
+	if a.Bank >= numBanks {
+		panic(fmt.Sprintf("mem: span of invalid bank %d", a.Bank))
+	}
+	panic(fmt.Sprintf("mem: %d-word span out of range: %s", n, a))
+}
+
+// Book counts reads and writes against bank b and raises its high-water
+// mark to end (1 + the highest word written; pass 0 when nothing was
+// written). It is the accounting half of Span.
+func (m *Memory) Book(b Bank, reads, writes int64, end int) {
+	c := &m.counts[b]
+	c.Reads += reads
+	c.Writes += writes
+	if end > m.highWater[b] {
+		m.highWater[b] = end
+	}
 }
 
 // Counts returns the access counters of bank b.
@@ -239,13 +276,9 @@ type CopyWindow struct {
 // CopyWindowFor validates the n-word source and destination ranges and
 // returns a window over them. n must be positive.
 func (m *Memory) CopyWindowFor(src, dst Addr, n int) CopyWindow {
-	m.check(src, "read")
-	m.check(src.Add(n-1), "read")
-	m.check(dst, "write")
-	m.check(dst.Add(n-1), "write")
 	return CopyWindow{
-		src:     m.banks[src.Bank][src.Word : src.Word+n],
-		dst:     m.banks[dst.Bank][dst.Word : dst.Word+n],
+		src:     m.Span(src, n),
+		dst:     m.Span(dst, n),
 		reads:   &m.counts[src.Bank].Reads,
 		writes:  &m.counts[dst.Bank].Writes,
 		hw:      &m.highWater[dst.Bank],
@@ -296,11 +329,7 @@ type ReadView struct {
 
 // View validates the n-word range at a and returns a read view of it.
 func (m *Memory) View(a Addr, n int) ReadView {
-	m.check(a, "read")
-	if n > 0 {
-		m.check(a.Add(n-1), "read")
-	}
-	return ReadView{words: m.banks[a.Bank][a.Word : a.Word+n], reads: &m.counts[a.Bank].Reads}
+	return ReadView{words: m.Span(a, n), reads: &m.counts[a.Bank].Reads}
 }
 
 // At returns word i of the view and counts the read.

@@ -123,16 +123,75 @@ func TestBlockTransfer(t *testing.T) {
 	m := New()
 	src := []uint16{1, 2, 3, 4, 5}
 	m.WriteBlock(Addr{FRAM, 50}, src, 5)
-	dst := make([]uint16, 5)
-	m.ReadBlock(Addr{FRAM, 50}, dst, 5)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], src[i])
-		}
+	if got := m.Span(Addr{FRAM, 50}, 5); !reflect.DeepEqual(got, src) {
+		t.Fatalf("span = %v, want %v", got, src)
 	}
 	c := m.Counts(FRAM)
-	if c.Reads != 5 || c.Writes != 5 {
-		t.Errorf("block counters = %+v", c)
+	if c.Reads != 0 || c.Writes != 5 || m.HighWater(FRAM) != 55 {
+		t.Errorf("block counters = %+v, high water %d", c, m.HighWater(FRAM))
+	}
+}
+
+// TestWriteBlockZeroLength pins that an empty write is valid at every
+// word from 0 to the bank's end and books nothing: no counter tick and
+// no high-water move.
+func TestWriteBlockZeroLength(t *testing.T) {
+	m := New()
+	for _, w := range []int{0, 1, m.Size(SRAM)} {
+		m.WriteBlock(Addr{SRAM, w}, nil, 0)
+	}
+	if c := m.Counts(SRAM); c != (Counters{}) || m.HighWater(SRAM) != 0 {
+		t.Errorf("zero-length writes booked %+v, high water %d", c, m.HighWater(SRAM))
+	}
+}
+
+// TestSpanBounds pins Span's range check: it accepts exactly the ranges
+// inside the bank (empty ones up to the bank's end) and panics on the
+// rest, and the slice it returns cannot grow past its range.
+func TestSpanBounds(t *testing.T) {
+	m := New()
+	n := m.Size(LEARAM)
+	for _, r := range []struct{ word, n int }{{0, 0}, {0, n}, {n - 1, 1}, {n, 0}} {
+		if got := m.Span(Addr{LEARAM, r.word}, r.n); len(got) != r.n || cap(got) != r.n {
+			t.Errorf("Span(%d, %d) has len %d cap %d", r.word, r.n, len(got), cap(got))
+		}
+	}
+	for _, r := range []struct {
+		a Addr
+		n int
+	}{
+		{Addr{LEARAM, -1}, 1},
+		{Addr{LEARAM, 0}, -1},
+		{Addr{LEARAM, n}, 1},
+		{Addr{LEARAM, n + 1}, 0},
+		{Addr{LEARAM, 1}, n},
+		{Addr{Bank(9), 0}, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Span(%v, %d) did not panic", r.a, r.n)
+				}
+			}()
+			m.Span(r.a, r.n)
+		}()
+	}
+}
+
+// TestBookMatchesPerWord pins Book against the per-word path: booking a
+// command's accesses leaves the same counters and high-water mark as
+// making them one Read/Write at a time, and end 0 leaves the mark.
+func TestBookMatchesPerWord(t *testing.T) {
+	perWord, booked := New(), New()
+	for w := 10; w < 20; w++ {
+		perWord.Read(Addr{SRAM, w})
+		perWord.Write(Addr{SRAM, w}, 1)
+	}
+	booked.Book(SRAM, 10, 10, 20)
+	booked.Book(SRAM, 0, 0, 0)
+	if perWord.Counts(SRAM) != booked.Counts(SRAM) || perWord.HighWater(SRAM) != booked.HighWater(SRAM) {
+		t.Errorf("booked %+v hw %d, per-word %+v hw %d", booked.Counts(SRAM), booked.HighWater(SRAM),
+			perWord.Counts(SRAM), perWord.HighWater(SRAM))
 	}
 }
 

@@ -93,9 +93,7 @@ func (b *Base) Meta(t *task.Task) *task.TaskMeta { return b.Prog.MetaOf(t) }
 // initial values and the task pointer at the entry task.
 func (b *Base) writeInitial() {
 	for i, v := range b.App.Vars {
-		if len(v.Init) > 0 {
-			b.Dev.Mem.WriteBlock(b.addrs[i], v.Init, len(v.Init))
-		}
+		b.Dev.Mem.WriteBlock(b.addrs[i], v.Init, len(v.Init))
 	}
 	entry := b.App.Entry()
 	b.Dev.Mem.Write(b.taskPtr, uint16(entry.ID))
