@@ -69,15 +69,20 @@ bench-all:
 # checkpointed exhaustive weather check (3 × 5 checks, about a second)
 # against the latest BENCH_check.json datapoint. Fails below 0.75x the
 # tracked runs/s or points/s, or above +2 allocs/run (the checker ledger
-# tracks no allocations). A PR that changes sweep or checker performance
-# on purpose must refresh the ledger in the same PR (see the refresh
-# command in its description).
+# tracks no allocations). Both gates always run, so a failing sweep gate
+# does not hide the checker gate; the target reports each gate's exit
+# status and fails at the end if either failed. A PR that changes sweep
+# or checker performance on purpose must refresh the ledger in the same
+# PR (see the refresh command in its description).
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweepThroughput/pooled' -benchtime 200x -count 3 -cpu 1 . | tee bench-gate.txt
-	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckThroughput/weather/checkpointed' -benchtime 5x -count 3 -cpu 1 . | tee -a bench-gate.txt
+	sweep=0; check=0; \
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepThroughput/pooled' -benchtime 200x -count 3 -cpu 1 . | tee bench-gate.txt; \
+	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt || sweep=$$?; \
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckThroughput/weather/checkpointed' -benchtime 5x -count 3 -cpu 1 . | tee -a bench-gate.txt; \
 	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt -baseline BENCH_check.json \
-		-name BenchmarkCheckThroughput/weather/checkpointed -key weather/checkpointed -unit points/s
+		-name BenchmarkCheckThroughput/weather/checkpointed -key weather/checkpointed -unit points/s || check=$$?; \
+	echo "bench-gate: sweep gate exit $$sweep, check gate exit $$check"; \
+	[ $$sweep -eq 0 ] && [ $$check -eq 0 ]
 
 # The benchmark harness is its own module (benchmark/go.mod), so the
 # repository's `go test ./...` does not reach its tests.

@@ -1,6 +1,6 @@
-// Steady-state allocation pins for the pooled hot paths. The dense-ID
-// refactor sized every per-run structure once at attach from the frozen
-// program tables; these tests keep the per-run paths allocation-free so
+// Steady-state allocation pins for the pooled hot paths. Every per-run
+// structure is sized once at attach from the blueprint's dense-ID
+// counts; these tests keep the per-run paths allocation-free so
 // a regression (a map sneaking back in, an unguarded trace call boxing
 // its varargs, a snapshot dropping its buffer reuse) fails loudly
 // instead of shaving sweep throughput quietly.

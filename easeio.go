@@ -146,8 +146,10 @@ type Energy = units.Energy
 
 // Analyze runs the compiler front-end over the application, computing the
 // per-task metadata (I/O sites, WAR sets, DMA regions) the runtimes
-// consume. Run calls it automatically; call it directly to inspect the
-// metadata.
+// consume. It runs at most once per app, however many goroutines call it,
+// Run, NewSession or Lint concurrently; an app whose tasks already carry
+// metadata is left as is. Run calls it automatically; call it directly to
+// inspect the metadata.
 func Analyze(app *App) error { return frontend.Analyze(app) }
 
 // Options configures a simulation run.
@@ -197,7 +199,7 @@ func Run(app *App, rt Runtime, opts ...Option) (*Result, error) {
 	if o.supply == nil {
 		o.supply = power.NewTimer(power.DefaultTimerConfig())
 	}
-	if err := ensureAnalyzed(app); err != nil {
+	if err := frontend.Analyze(app); err != nil {
 		return nil, err
 	}
 	dev := kernel.NewDevice(o.supply, o.seed)
@@ -206,25 +208,6 @@ func Run(app *App, rt Runtime, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	return dev.Run, nil
-}
-
-// ensureAnalyzed runs the front-end unless the app already carries a
-// frozen program or hand-set analysis metadata. The whole check-then-
-// analyze sequence runs under the app's single-flight gate: concurrent
-// NewSession/Run calls on the same unanalyzed app must not both enter
-// frontend.Analyze, which mutates the shared blueprint.
-func ensureAnalyzed(app *App) error {
-	return app.AnalyzeOnce(func(a *App) error {
-		if a.Program() != nil {
-			return nil
-		}
-		for _, t := range a.Tasks {
-			if !t.Meta.Analyzed {
-				return frontend.Analyze(a)
-			}
-		}
-		return nil
-	})
 }
 
 // Session runs one application under one runtime instance many times,
@@ -249,7 +232,7 @@ func NewSession(app *App, rt Runtime, opts ...Option) (*Session, error) {
 	if o.supply == nil {
 		o.supply = power.NewTimer(power.DefaultTimerConfig())
 	}
-	if err := ensureAnalyzed(app); err != nil {
+	if err := frontend.Analyze(app); err != nil {
 		return nil, err
 	}
 	s := kernel.NewSession(rt, app, o.supply)

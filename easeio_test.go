@@ -136,39 +136,100 @@ func TestReadVarThroughPublicAPI(t *testing.T) {
 	_ = v
 }
 
+// singleFlightApp builds a fresh, unanalyzed app with an I/O block, a
+// looped site, a dependent DMA and a WAR variable, so every part of the
+// front-end's output is written on the shared blueprint when it is
+// analyzed. Its I/O functions are pure, so concurrent runs share nothing
+// but the blueprint.
+func singleFlightApp() *App {
+	app := NewApp("single-flight")
+	src := app.NVBuf("src", 8).WithInit([]uint16{1, 2, 3, 4, 5, 6, 7, 8})
+	dst := app.NVBuf("dst", 8)
+	acc := app.NVInt("acc")
+	probe := app.IO("probe", Single, true, func(e Exec, idx int) uint16 {
+		e.Compute(500)
+		return uint16(7 + idx)
+	}).Loop(3)
+	ping := app.IO("ping", Always, false, func(e Exec, _ int) uint16 { e.Compute(200); return 0 })
+	blk := app.Block("sense", Single)
+	cp := app.DMA("copy").AfterIO(probe)
+	var fin *Task
+	app.AddTask("main", func(e Exec) {
+		e.IOBlock(blk, func() {
+			for i := 0; i < 3; i++ {
+				e.Store(acc, e.Load(acc)+e.CallIOAt(probe, i))
+			}
+		})
+		e.CallIO(ping)
+		e.DMACopy(cp, VarLoc(src, 0), VarLoc(dst, 0), 8)
+		e.Compute(3000)
+		e.Next(fin)
+	})
+	fin = app.AddTask("fin", func(e Exec) { e.Done() })
+	return app
+}
+
 // TestConcurrentSessionsSingleFlight is the -race regression for the
-// analysis gate: many goroutines opening sessions on the same unanalyzed
-// app must funnel through exactly one frontend.Analyze (which mutates
-// the shared blueprint) and then run concurrently on private devices.
+// analysis gate: goroutines opening sessions, calling Analyze and calling
+// Lint on the same unanalyzed app must funnel through exactly one
+// front-end pass (which mutates the shared blueprint), then run
+// concurrently on private devices with identical results.
 func TestConcurrentSessionsSingleFlight(t *testing.T) {
-	bench, err := NewDMABench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	results := make([]*Result, goroutines)
-	errs := make([]error, goroutines)
+	app := singleFlightApp()
+	const sessions, analyzers, linters = 8, 2, 2
+	results := make([]*Result, sessions)
+	findings := make([][]LintFinding, linters)
+	errs := make(chan error, sessions+analyzers+linters)
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < sessions; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sess, err := NewSession(bench.App, NewEaseIO())
-			if err != nil {
-				errs[g] = err
-				return
+			sess, err := NewSession(app, NewEaseIO())
+			if err == nil {
+				results[g], err = sess.Run(42)
 			}
-			results[g], errs[g] = sess.Run(42)
+			errs <- err
+		}(g)
+	}
+	for g := 0; g < analyzers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- Analyze(app)
+		}()
+	}
+	for g := 0; g < linters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var err error
+			findings[g], err = Lint(app, DefaultLintConfig())
+			errs <- err
 		}(g)
 	}
 	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
+	}
+	for g := 1; g < sessions; g++ {
 		if !reflect.DeepEqual(results[g], results[0]) {
-			t.Errorf("goroutine %d diverged from goroutine 0 on the same seed", g)
+			t.Errorf("session %d diverged from session 0 on the same seed", g)
 		}
+	}
+	if !reflect.DeepEqual(findings[1], findings[0]) {
+		t.Errorf("Lint findings differ between goroutines: %v vs %v", findings[0], findings[1])
+	}
+	// The serial result on a separately built app is the reference.
+	want, err := Run(singleFlightApp(), NewEaseIO(), WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(results[0], want) {
+		t.Error("concurrent session result differs from a serial run on a fresh app")
 	}
 }
 

@@ -74,7 +74,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	r.dirtyE = make([]uint32, len(app.Vars))
 	r.epoch = 1 // zero stamps in the fresh slices never match
 	for _, t := range app.Tasks {
-		war := r.Meta(t).WAR
+		war := t.Meta.WAR
 		if len(war) == 0 {
 			continue
 		}
@@ -119,7 +119,7 @@ func (r *Runtime) CurrentTask() *task.Task { return r.Current() }
 func (r *Runtime) BeginTask(c *kernel.Ctx, t *task.Task) {
 	r.bumpEpoch()
 	r.curTask = t
-	for wi, v := range r.Meta(t).WAR {
+	for wi, v := range t.Meta.WAR {
 		p := r.priv[t.ID][wi]
 		c.ChargeOverheadCycles(int64(v.Words) * mcu.PrivatizeWordCycles)
 		master := r.MasterAddr(v)
@@ -137,7 +137,7 @@ func (r *Runtime) BeginTask(c *kernel.Ctx, t *task.Task) {
 func (r *Runtime) Transition(c *kernel.Ctx, next *task.Task) {
 	r.commits = r.commits[:0]
 	if r.curTask != nil {
-		for _, v := range r.Meta(r.curTask).WAR {
+		for _, v := range r.curTask.Meta.WAR {
 			if r.activeE[v.ID] != r.epoch || r.dirtyE[v.ID] != r.epoch {
 				continue
 			}

@@ -74,7 +74,7 @@ func DefaultConfig() Config {
 }
 
 // Runtime is one per-run EaseIO instance. All attach-time metadata lives
-// in flat slices indexed by the program's dense IDs (site, block, DMA,
+// in flat slices indexed by the blueprint's dense IDs (site, block, DMA,
 // task), so the per-I/O hot paths never hash pointers.
 type Runtime struct {
 	rtbase.Base
@@ -100,32 +100,34 @@ type Runtime struct {
 
 // siteMeta holds the FRAM metadata of one I/O site: per-instance flag,
 // value and timestamp slots, plus a site-wide generation counter and
-// per-instance dependence snapshots. info points at the frozen program
-// table record (semantic, window, instance count, dependence IDs) and ok
-// marks sites the analysis attached; owner is the owning task's ID
-// (flags are versioned against that task's instance counter).
+// per-instance dependence snapshots. site points at the analyzed
+// blueprint site (semantic, window, instance count, dependences) and is
+// nil for sites the analysis did not attach to a task; owner is the
+// owning task's ID (flags are versioned against that task's instance
+// counter).
 type siteMeta struct {
-	info  *task.SiteInfo
-	ok    bool
+	site  *task.IOSite
 	owner int32
 	flags mem.Addr // Instances words
 	gen   mem.Addr // 1 word
 	vals  mem.Addr // Instances words (if Returns)
 	ts    mem.Addr // Instances × 4 words (if Timely)
-	snaps mem.Addr // Instances × len(Deps) words
+	snaps mem.Addr // Instances × len(DependsOn) words
 }
 
+// blockMeta holds the FRAM metadata of one I/O block; blk is nil for
+// blocks the analysis did not attach.
 type blockMeta struct {
-	info  *task.BlockInfo
-	ok    bool
+	blk   *task.IOBlock
 	owner int32
 	flag  mem.Addr // 1 word
 	ts    mem.Addr // 4 words (if Timely)
 }
 
+// dmaMeta holds the FRAM metadata of one DMA site; site is nil for DMA
+// sites the analysis did not attach.
 type dmaMeta struct {
-	info *task.DMAInfo
-	ok   bool
+	site *task.DMASite
 	// privFlag marks a valid snapshot in the privatization buffer.
 	privFlag mem.Addr
 	// claimFlag marks a claimed buffer chunk (separately from the
@@ -189,7 +191,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	// Ownership: each site/block/DMA must belong to exactly one task, so
 	// that flag versioning against the task instance counter is sound.
 	for _, t := range app.Tasks {
-		m := r.Meta(t)
+		m := t.Meta
 		for _, s := range m.Sites {
 			sm := &r.sites[s.ID]
 			if sm.owner >= 0 && int(sm.owner) != t.ID {
@@ -205,11 +207,10 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	}
 
 	for _, t := range app.Tasks {
-		m := r.Meta(t)
+		m := t.Meta
 		for _, s := range m.Sites {
 			sm := &r.sites[s.ID]
-			sm.info = r.Prog.SiteInfo(s.ID)
-			sm.ok = true
+			sm.site = s
 			n := s.Instances
 			sm.flags = dev.Mem.Alloc(mem.FRAM, rtName, "lock:"+s.Name, n)
 			sm.gen = dev.Mem.Alloc(mem.FRAM, rtName, "gen:"+s.Name, 1)
@@ -225,8 +226,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 		}
 		for _, b := range m.Blocks {
 			bm := &r.blocks[b.ID]
-			bm.info = r.Prog.BlockInfo(b.ID)
-			bm.ok = true
+			bm.blk = b
 			bm.flag = dev.Mem.Alloc(mem.FRAM, rtName, "blk:"+b.Name, 1)
 			if b.Sem == task.Timely {
 				bm.ts = dev.Mem.Alloc(mem.FRAM, rtName, "blkts:"+b.Name, 4)
@@ -247,8 +247,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 		}
 		for _, d := range m.DMAs {
 			dm := &r.dmas[d.ID]
-			dm.info = r.Prog.DMAInfo(d.ID)
-			dm.ok = true
+			dm.site = d
 			dm.taskID = t.ID
 			dm.privFlag = dev.Mem.Alloc(mem.FRAM, rtName, "dmaflag:"+d.Name, 1)
 			dm.claimFlag = dev.Mem.Alloc(mem.FRAM, rtName, "dmaclaim:"+d.Name, 1)
@@ -351,7 +350,7 @@ func (r *Runtime) BeginTask(c *kernel.Ctx, t *task.Task) {
 // instance counter, invalidating all of its flags at once.
 func (r *Runtime) Transition(c *kernel.Ctx, next *task.Task) {
 	t := r.curTask
-	hasDMAs := len(r.Meta(t).DMAs) > 0
+	hasDMAs := len(t.Meta.DMAs) > 0
 	c.ChargeMemAccess(mem.FRAM, true, true) // instance counter bump
 	if hasDMAs {
 		c.ChargeMemAccess(mem.FRAM, true, true) // privatization-buffer bump pointer reset
@@ -399,15 +398,14 @@ func (r *Runtime) AddrOf(v *task.NVVar) mem.Addr { return r.MasterAddr(v) }
 // --- I/O sites ---
 
 // CallIO implements kernel.Hooks. Semantic, window, instance count and
-// dependence list all come from the frozen program tables through the
-// site's flat metadata record.
+// dependence list all come from the analyzed site the flat metadata
+// record points at.
 func (r *Runtime) CallIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
-	if uint(s.ID) >= uint(len(r.sites)) || !r.sites[s.ID].ok {
+	if uint(s.ID) >= uint(len(r.sites)) || r.sites[s.ID].site != s {
 		panic(fmt.Sprintf("core: I/O site %q not attached (missing from analysis?)", s.Name))
 	}
 	sm := &r.sites[s.ID]
-	info := sm.info
-	if idx < 0 || idx >= info.Instances {
+	if idx < 0 || idx >= s.Instances {
 		panic(fmt.Sprintf("core: site %q instance %d out of range (declare .Loop(n))", s.Name, idx))
 	}
 	taskID := int(sm.owner)
@@ -418,16 +416,16 @@ func (r *Runtime) CallIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 		return r.restoreValue(c, s, sm, idx)
 	}
 
-	if info.Sem != task.Always {
+	if s.Sem != task.Always {
 		c.ChargeOverheadCycles(mcu.FlagCheckCycles)
 		done := r.flagSet(sm.flags.Add(idx), taskID)
 		if done && r.depsChanged(c, sm, idx) {
 			done = false
 		}
-		if done && info.Sem == task.Timely {
+		if done && s.Sem == task.Timely {
 			c.ChargeOverheadCycles(mcu.TimeCompareCycles)
 			last := r.readTime(sm.ts.Add(4 * idx))
-			if c.Now()-last > info.Window {
+			if c.Now()-last > s.Window {
 				done = false
 			}
 		}
@@ -441,7 +439,7 @@ func (r *Runtime) CallIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 // restoreValue skips a completed operation, restoring its private value.
 func (r *Runtime) restoreValue(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx int) uint16 {
 	r.NoteIOSkip(s)
-	if !sm.info.Returns {
+	if !s.Returns {
 		return 0
 	}
 	if !r.cfg.ValuePrivatization {
@@ -455,12 +453,12 @@ func (r *Runtime) restoreValue(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx 
 // depsChanged compares stored dependence snapshots against the current
 // generation counters.
 func (r *Runtime) depsChanged(c *kernel.Ctx, sm *siteMeta, idx int) bool {
-	deps := sm.info.Deps
+	deps := sm.site.DependsOn
 	changed := false
 	for di, dep := range deps {
 		c.ChargeOverheadCycles(mcu.FlagCheckCycles)
-		dm := &r.sites[dep]
-		if !dm.ok {
+		dm := &r.sites[dep.ID]
+		if dm.site == nil {
 			continue
 		}
 		snap := r.Dev.Mem.Read(sm.snaps.Add(idx*len(deps) + di))
@@ -477,37 +475,36 @@ func (r *Runtime) depsChanged(c *kernel.Ctx, sm *siteMeta, idx int) bool {
 // committed in the ledger (its durable flag means no future attempt will
 // redo it).
 func (r *Runtime) executeSite(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx, taskID int) uint16 {
-	info := sm.info
 	mark := r.Dev.Ledger.Mark()
 	val := r.ExecIO(c, s, idx)
 
-	if info.Returns && r.cfg.ValuePrivatization {
+	if s.Returns && r.cfg.ValuePrivatization {
 		c.ChargeMemAccess(mem.FRAM, true, true)
 	}
-	if info.Sem == task.Timely {
+	if s.Sem == task.Timely {
 		c.ChargeOverheadCycles(mcu.TimestampCycles)
 	}
 	c.ChargeOverheadCycles(mcu.FlagSetCycles) // lock flag
 	c.ChargeOverheadCycles(mcu.FlagSetCycles) // generation bump
-	c.ChargeOverheadCycles(int64(len(info.Deps)) * mcu.FlagSetCycles)
+	c.ChargeOverheadCycles(int64(len(s.DependsOn)) * mcu.FlagSetCycles)
 
 	// Apply the durable state after the charges survived.
-	if info.Returns && r.cfg.ValuePrivatization {
+	if s.Returns && r.cfg.ValuePrivatization {
 		r.Dev.Mem.Write(sm.vals.Add(idx), val)
 	}
-	if info.Sem == task.Timely {
+	if s.Sem == task.Timely {
 		r.writeTime(sm.ts.Add(4*idx), c.Now())
 	}
-	if info.Sem != task.Always {
+	if s.Sem != task.Always {
 		r.setFlag(sm.flags.Add(idx), taskID)
 	}
 	r.Dev.Mem.Write(sm.gen, r.Dev.Mem.Read(sm.gen)+1)
-	for di, dep := range info.Deps {
-		if dm := &r.sites[dep]; dm.ok {
-			r.Dev.Mem.Write(sm.snaps.Add(idx*len(info.Deps)+di), r.Dev.Mem.Read(dm.gen))
+	for di, dep := range s.DependsOn {
+		if dm := &r.sites[dep.ID]; dm.site != nil {
+			r.Dev.Mem.Write(sm.snaps.Add(idx*len(s.DependsOn)+di), r.Dev.Mem.Read(dm.gen))
 		}
 	}
-	if info.Sem != task.Always {
+	if s.Sem != task.Always {
 		r.Dev.Ledger.CommitSince(mark)
 	}
 	return val
@@ -517,11 +514,10 @@ func (r *Runtime) executeSite(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx, 
 
 // IOBlock implements kernel.Hooks.
 func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) {
-	if uint(b.ID) >= uint(len(r.blocks)) || !r.blocks[b.ID].ok {
+	if uint(b.ID) >= uint(len(r.blocks)) || r.blocks[b.ID].blk != b {
 		panic(fmt.Sprintf("core: I/O block %q not attached", b.Name))
 	}
 	bm := &r.blocks[b.ID]
-	info := bm.info
 	if r.blockSkipDepth > 0 {
 		// An outer completed block dominates: skip this block too.
 		r.blockSkipDepth++
@@ -534,11 +530,11 @@ func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) {
 	c.ChargeOverheadCycles(mcu.FlagCheckCycles)
 	done := r.flagSet(bm.flag, taskID)
 	valid := true
-	if done && info.Sem == task.Timely {
+	if done && b.Sem == task.Timely {
 		c.ChargeOverheadCycles(mcu.TimeCompareCycles)
-		valid = c.Now()-r.readTime(bm.ts) <= info.Window
+		valid = c.Now()-r.readTime(bm.ts) <= b.Window
 	}
-	if done && valid && info.Sem != task.Always {
+	if done && valid && b.Sem != task.Always {
 		// Completed and still valid: members restore their outputs.
 		if r.Dev.TraceOn() {
 			r.Dev.Trace(kernel.EvBlockSkip, "%s", b.Name)
@@ -554,20 +550,20 @@ func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) {
 		if r.Dev.TraceOn() {
 			r.Dev.Trace(kernel.EvBlockViolation, "%s", b.Name)
 		}
-		r.invalidateBlock(c, info)
+		r.invalidateBlock(c, b)
 	}
 
 	mark := r.Dev.Ledger.Mark()
 	body()
 
-	if info.Sem == task.Timely {
+	if b.Sem == task.Timely {
 		c.ChargeOverheadCycles(mcu.TimestampCycles)
 	}
 	c.ChargeOverheadCycles(mcu.FlagSetCycles)
-	if info.Sem == task.Timely {
+	if b.Sem == task.Timely {
 		r.writeTime(bm.ts, c.Now())
 	}
-	if info.Sem != task.Always {
+	if b.Sem != task.Always {
 		r.setFlag(bm.flag, taskID)
 		r.Dev.Ledger.CommitSince(mark)
 	}
@@ -575,23 +571,23 @@ func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) {
 
 // invalidateBlock clears the lock flags of every member site and nested
 // block, forcing re-execution under the block's semantics.
-func (r *Runtime) invalidateBlock(c *kernel.Ctx, info *task.BlockInfo) {
-	for _, s := range info.Members {
-		sm := &r.sites[s]
-		if !sm.ok {
+func (r *Runtime) invalidateBlock(c *kernel.Ctx, b *task.IOBlock) {
+	for _, s := range b.Members {
+		sm := &r.sites[s.ID]
+		if sm.site == nil {
 			continue
 		}
 		c.ChargeOverheadCycles(mcu.FlagSetCycles)
-		for i := 0; i < sm.info.Instances; i++ {
+		for i := 0; i < s.Instances; i++ {
 			r.clearFlag(sm.flags.Add(i))
 		}
 	}
-	for _, sub := range info.SubBlocks {
-		if bm := &r.blocks[sub]; bm.ok {
+	for _, sub := range b.SubBlocks {
+		if bm := &r.blocks[sub.ID]; bm.blk != nil {
 			c.ChargeOverheadCycles(mcu.FlagSetCycles)
 			r.clearFlag(bm.flag)
 		}
-		r.invalidateBlock(c, r.Prog.BlockInfo(int(sub)))
+		r.invalidateBlock(c, sub)
 	}
 }
 
@@ -600,7 +596,7 @@ func (r *Runtime) invalidateBlock(c *kernel.Ctx, info *task.BlockInfo) {
 // DMACopy implements kernel.Hooks: classify, apply the matching
 // re-execution semantic, then cross into the next privatization region.
 func (r *Runtime) DMACopy(c *kernel.Ctx, d *task.DMASite, src, dst task.Loc, words int) {
-	if uint(d.ID) >= uint(len(r.dmas)) || !r.dmas[d.ID].ok {
+	if uint(d.ID) >= uint(len(r.dmas)) || r.dmas[d.ID].site != d {
 		panic(fmt.Sprintf("core: DMA site %q not attached", d.Name))
 	}
 	dm := &r.dmas[d.ID]
@@ -609,7 +605,7 @@ func (r *Runtime) DMACopy(c *kernel.Ctx, d *task.DMASite, src, dst task.Loc, wor
 		panic(err)
 	}
 	kind := dma.Classify(srcA.Bank, dstA.Bank)
-	if dm.info.Exclude {
+	if d.Exclude {
 		// Programmer-excluded: handled as Always at compile time (§4.3);
 		// no classification or privatization work at run time.
 		kind = task.DMAVolatileToVolatile
@@ -617,7 +613,7 @@ func (r *Runtime) DMACopy(c *kernel.Ctx, d *task.DMASite, src, dst task.Loc, wor
 		c.ChargeOverheadCycles(mcu.FlagCheckCycles) // runtime classification
 	}
 	if r.Dev.TraceOn() {
-		r.Dev.Trace(kernel.EvDMAClass, "%s kind=%v exclude=%v", d.Name, kind, dm.info.Exclude)
+		r.Dev.Trace(kernel.EvDMAClass, "%s kind=%v exclude=%v", d.Name, kind, d.Exclude)
 	}
 
 	depsChanged := r.dmaDepsChanged(c, dm)
@@ -679,10 +675,10 @@ func (r *Runtime) DMACopy(c *kernel.Ctx, d *task.DMASite, src, dst task.Loc, wor
 
 func (r *Runtime) dmaDepsChanged(c *kernel.Ctx, dm *dmaMeta) bool {
 	changed := false
-	for di, dep := range dm.info.Deps {
+	for di, dep := range dm.site.DependsOn {
 		c.ChargeOverheadCycles(mcu.FlagCheckCycles)
-		sm := &r.sites[dep]
-		if !sm.ok {
+		sm := &r.sites[dep.ID]
+		if sm.site == nil {
 			continue
 		}
 		if r.Dev.Mem.Read(dm.snaps.Add(di)) != r.Dev.Mem.Read(sm.gen) {
@@ -693,9 +689,9 @@ func (r *Runtime) dmaDepsChanged(c *kernel.Ctx, dm *dmaMeta) bool {
 }
 
 func (r *Runtime) snapDMADeps(c *kernel.Ctx, dm *dmaMeta) {
-	for di, dep := range dm.info.Deps {
-		sm := &r.sites[dep]
-		if !sm.ok {
+	for di, dep := range dm.site.DependsOn {
+		sm := &r.sites[dep.ID]
+		if sm.site == nil {
 			continue
 		}
 		c.ChargeOverheadCycles(mcu.FlagSetCycles)

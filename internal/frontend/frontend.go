@@ -27,12 +27,17 @@ import (
 )
 
 // Analyze runs the compiler front-end over the app exactly once: it
-// computes per-task metadata, fills in I/O block membership, and freezes
-// the result onto the app as a task.Program. A second call on an analyzed
-// app returns immediately — the frozen program is the cache — so building
-// many runtime instances from one blueprint pays the analysis cost once.
-func Analyze(app *task.App) error {
-	if app.Program() != nil {
+// computes each task's metadata, fills in I/O block membership and closes
+// the I/O dependence sets, all on the blueprint itself — the annotated
+// App is the whole result, and runtimes read it directly. The pass runs
+// under the app's single-flight gate (task.App.AnalyzeOnce), so every
+// caller — sessions, Lint, the facade — may race to analyze one shared
+// app; later calls return the first call's error without re-running it.
+// An app whose tasks already carry metadata (App.Analyzed) is left as is.
+func Analyze(app *task.App) error { return app.AnalyzeOnce(analyze) }
+
+func analyze(app *task.App) error {
+	if app.Analyzed() {
 		return nil
 	}
 	if err := app.Validate(); err != nil {
@@ -52,8 +57,10 @@ func Analyze(app *task.App) error {
 		metas[i] = m
 	}
 	completeDependencies(app)
-	_, err := task.FreezeProgram(app, metas)
-	return err
+	for i, t := range app.Tasks {
+		t.Meta = metas[i]
+	}
+	return nil
 }
 
 // newAnalysisRand seeds the deterministic randomness analysis runs hand

@@ -58,15 +58,10 @@ type LintConfig struct {
 
 // Lint runs the static checks over an analyzed application. It records
 // each task's DMA endpoints with a dedicated analysis pass, so the app
-// must be analyzable (Analyze is invoked if needed).
+// must be analyzable (Analyze, a no-op on an analyzed app, runs first).
 func Lint(app *task.App, cfg LintConfig) ([]Finding, error) {
-	for _, t := range app.Tasks {
-		if !t.Meta.Analyzed {
-			if err := Analyze(app); err != nil {
-				return nil, err
-			}
-			break
-		}
+	if err := Analyze(app); err != nil {
+		return nil, err
 	}
 	var out []Finding
 	transfers, err := collectTransfers(app)

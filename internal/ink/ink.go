@@ -125,7 +125,7 @@ func (r *Runtime) BeginTask(c *kernel.Ctx, t *task.Task) {
 func (r *Runtime) Transition(c *kernel.Ctx, next *task.Task) {
 	r.flips = r.flips[:0]
 	if r.cur != nil {
-		for _, v := range r.Meta(r.cur).Writes {
+		for _, v := range r.cur.Meta.Writes {
 			if r.dirtyE[v.ID] == r.epoch {
 				c.ChargeMemAccess(mem.FRAM, true, true)
 				r.flips = append(r.flips, v)

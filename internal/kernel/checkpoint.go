@@ -23,7 +23,9 @@ import (
 const TaskDone = 0xFFFF
 
 // IOSlot is the bookkeeping of one dynamic I/O or DMA site instance, by
-// the program's frozen slot numbering (task.Program.IOSlots). TaskID and
+// the slot numbering rtbase.Base.Init computes from the blueprint's
+// declaration order (I/O site instances first, then one slot per DMA
+// site). TaskID and
 // TaskInst version the slot: it describes the current task instance only
 // when both match, and is reset in place on the next touch otherwise.
 type IOSlot struct {
@@ -40,7 +42,7 @@ type IOSlot struct {
 // RuntimeState is the runtime half of a checkpoint: the volatile
 // bookkeeping that survives reboots. Cur caches the task pointer (a task
 // ID, or TaskDone); Slots and TaskInst are the measurement-side I/O
-// records by program slot and the instance counters by task ID. Every
+// records by I/O slot and the instance counters by task ID. Every
 // index is a value type, so a state captured from one runtime instance
 // restores exactly into another attached to an equivalently built app —
 // across processes too, which is how fleet workers receive it.

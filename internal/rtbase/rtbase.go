@@ -2,6 +2,10 @@
 // repository shares: master copies of task-shared variables in FRAM, the
 // persistent task pointer, pseudo-atomic commit application, and the
 // measurement-side bookkeeping of I/O executions, repeats and skips.
+// Runtimes read the compiler front-end's output where frontend.Analyze
+// left it, on the blueprint (Task.Meta, IOSite.DependsOn, IOBlock.Members,
+// DMASite.Exclude). The only layout Base derives from the blueprint is
+// the I/O slot numbering Init computes.
 //
 // Commit protocol note: real runtimes make their commit step
 // failure-atomic with redo logs (Alpaca) or buffer-index flips (InK). We
@@ -21,30 +25,32 @@ import (
 	"easeio/internal/task"
 )
 
-// Base is embedded by each runtime implementation. All per-run state is
-// held in flat slices sized once at Init from the frozen program tables
-// (variable count, task count, I/O slot count); Reset clears those
-// prefixes in place and never reallocates. Base implements the
+// Base is embedded by each runtime implementation. It reads the
+// front-end's output straight off the analyzed blueprint (Task.Meta and
+// the sites' annotations); all per-run state is held in flat slices
+// indexed by the dense IDs the builder assigned at declaration and sized
+// once at Init (variable count, task count, I/O slot count). Reset clears
+// those prefixes in place and never reallocates. Base implements the
 // kernel.Hooks lifecycle trio — Reset, SnapshotState, RestoreState — for
 // every runtime that embeds it.
 type Base struct {
 	Dev *kernel.Device
 	App *task.App
 
-	// Prog is the frozen front-end output the runtime reads task metadata
-	// through; it never changes after Init.
-	Prog *task.Program
-
 	// RTName attributes metadata allocations in the memory report.
 	RTName string
 
 	addrs   []mem.Addr // master copy addresses, by variable ID
 	taskPtr mem.Addr
+	// siteSlot maps an I/O site ID to its first bookkeeping slot; dmaSlot
+	// is the slot of DMA site 0 (see Init for the numbering).
+	siteSlot []int
+	dmaSlot  int
 
 	// st is the checkpointable bookkeeping: the volatile cache of the
 	// task pointer and the measurement-world records (never charged).
-	// Slots are held in a flat array indexed by the program's frozen slot
-	// numbering; a task must commit (bumping its instance counter) before
+	// Slots are held in a flat array indexed by the slot numbering Init
+	// computes; a task must commit (bumping its instance counter) before
 	// any other task can run, so a slot whose version tag is stale can
 	// never be read again — it is reset in place on the next touch. This
 	// makes the fixed-size array observationally equivalent to an
@@ -57,26 +63,32 @@ type Base struct {
 // DeviceHolder interface for post-run memory inspection.
 func (b *Base) Device() *kernel.Device { return b.Dev }
 
-// Init allocates the master copies and the persistent task pointer.
+// Init allocates the master copies and the persistent task pointer, and
+// numbers the I/O bookkeeping slots: dynamic instance idx of a site uses
+// slot base+idx, where a site's base is the running total of Instances
+// over the sites declared before it, and the DMA sites (one slot each)
+// follow all I/O slots in declaration order. The numbering depends only
+// on the blueprint, so a kernel.RuntimeState captured from one instance
+// restores into any instance of an equivalently built app.
 func (b *Base) Init(dev *kernel.Device, app *task.App, rtName string) error {
 	if err := app.Validate(); err != nil {
 		return err
 	}
-	prog := app.Program()
-	if prog == nil {
-		// Apps whose metadata was set up by hand (tests) rather than by
-		// frontend.Analyze get a read-only view over their Task.Meta.
-		var err error
-		if prog, err = task.ViewProgram(app); err != nil {
-			return fmt.Errorf("rtbase: %w", err)
-		}
+	if !app.Analyzed() {
+		return fmt.Errorf("rtbase: app %q not analyzed; run frontend.Analyze first", app.Name)
 	}
 	b.Dev = dev
 	b.App = app
-	b.Prog = prog
 	b.RTName = rtName
 	b.addrs = make([]mem.Addr, len(app.Vars))
-	b.st.Slots = make([]kernel.IOSlot, prog.IOSlots())
+	b.siteSlot = make([]int, len(app.Sites))
+	slots := 0
+	for i, s := range app.Sites {
+		b.siteSlot[i] = slots
+		slots += s.Instances
+	}
+	b.dmaSlot = slots
+	b.st.Slots = make([]kernel.IOSlot, slots+len(app.DMAs))
 	b.st.TaskInst = make([]int32, len(app.Tasks))
 	for i, v := range app.Vars {
 		b.addrs[i] = dev.Mem.Alloc(mem.FRAM, "app", v.Name, v.Words)
@@ -85,9 +97,6 @@ func (b *Base) Init(dev *kernel.Device, app *task.App, rtName string) error {
 	b.writeInitial()
 	return nil
 }
-
-// Meta returns the frozen front-end metadata of t.
-func (b *Base) Meta(t *task.Task) *task.TaskMeta { return b.Prog.MetaOf(t) }
 
 // writeInitial writes the durable words the attach path owns: variable
 // initial values and the task pointer at the entry task.
@@ -102,10 +111,10 @@ func (b *Base) writeInitial() {
 
 // Reset implements kernel.Hooks: it returns the base to its post-Init
 // state on a device whose memory was just cleared by Device.Reset. The
-// watermarked bookkeeping prefixes (sized once at Init from the frozen
-// tables) are cleared in place and the initial durable words are
-// rewritten at their existing addresses. Runtime-specific attempt state
-// needs no clearing: the run starts through OnBoot, which re-derives it.
+// watermarked bookkeeping prefixes (sized once at Init) are cleared in
+// place and the initial durable words are rewritten at their existing
+// addresses. Runtime-specific attempt state needs no clearing: the run
+// starts through OnBoot, which re-derives it.
 func (b *Base) Reset(dev *kernel.Device) error {
 	b.Dev = dev
 	clear(b.st.Slots)
@@ -116,7 +125,7 @@ func (b *Base) Reset(dev *kernel.Device) error {
 
 // SnapshotState implements kernel.Hooks: it copies the base's
 // bookkeeping into into, reusing its slices — a reused state captured
-// from the same program is a pure slice copy with no allocation (the
+// from the same app is a pure slice copy with no allocation (the
 // failure-point checker takes thousands of these per run). Addresses
 // (addrs, taskPtr) are layout, not state: each instance's own attach
 // established them identically.
@@ -196,7 +205,7 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 // re-execution (completed or not) counts toward the Table 4 "Re-exe."
 // statistic.
 func (b *Base) noteIO(s *task.IOSite, idx int) (slot int, redundant bool) {
-	slot = b.Prog.SiteSlot(s, idx)
+	slot = b.siteSlot[s.ID] + idx
 	sl := &b.st.Slots[slot]
 	cur, inst := int32(b.st.Cur), b.st.TaskInst[b.st.Cur]
 	if sl.TaskID != cur || sl.TaskInst != inst {
@@ -221,7 +230,7 @@ func (b *Base) NoteIOSkip(s *task.IOSite) {
 
 // noteDMA records a DMA execution attempt (see noteIO).
 func (b *Base) noteDMA(d *task.DMASite) (slot int, redundant bool) {
-	slot = b.Prog.DMASlot(d)
+	slot = b.dmaSlot + d.ID
 	sl := &b.st.Slots[slot]
 	cur, inst := int32(b.st.Cur), b.st.TaskInst[b.st.Cur]
 	if sl.TaskID != cur || sl.TaskInst != inst {

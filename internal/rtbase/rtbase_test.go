@@ -1,6 +1,7 @@
 package rtbase
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,11 +57,109 @@ func TestInitAllocatesMasters(t *testing.T) {
 func TestInitRejectsUnanalyzedApp(t *testing.T) {
 	a := task.NewApp("raw")
 	a.AddTask("t", func(e task.Exec) { e.Done() })
+
+	// Only some tasks analyzed (metadata set by hand on the first).
+	partial := task.NewApp("partial")
+	var fin *task.Task
+	partial.AddTask("main", func(e task.Exec) { e.Next(fin) }).Meta.Analyzed = true
+	fin = partial.AddTask("fin", func(e task.Exec) { e.Done() })
+
+	for _, app := range []*task.App{a, partial} {
+		if app.Analyzed() {
+			t.Fatalf("%s: App.Analyzed() = true", app.Name)
+		}
+		dev := kernel.NewDevice(power.Continuous{}, 1)
+		var b Base
+		err := b.Init(dev, app, "X")
+		if err == nil || !strings.Contains(err.Error(), "not analyzed") {
+			t.Errorf("%s: err = %v", app.Name, err)
+		}
+	}
+}
+
+// slotApp builds an analyzed app whose I/O slot numbering is non-trivial:
+// a looped site (3 instances) declared before a plain site, then two DMA
+// sites. The task body is straight-line so any runtime can run it.
+func slotApp(t *testing.T) *task.App {
+	t.Helper()
+	a := task.NewApp("slots")
+	src := a.NVBuf("src", 4).WithInit([]uint16{5, 6, 7, 8})
+	mid := a.NVBuf("mid", 4)
+	dst := a.NVBuf("dst", 4)
+	sum := a.NVInt("sum")
+	loop := a.IO("loop", task.Single, true, func(e task.Exec, idx int) uint16 {
+		e.Compute(400)
+		return uint16(idx + 1)
+	}).Loop(3)
+	plain := a.IO("plain", task.Single, true, func(e task.Exec, _ int) uint16 {
+		e.Compute(400)
+		return 9
+	})
+	first := a.DMA("first")
+	second := a.DMA("second").AfterIO(plain)
+	var fin *task.Task
+	a.AddTask("main", func(e task.Exec) {
+		for i := 0; i < 3; i++ {
+			e.Store(sum, e.Load(sum)+e.CallIOAt(loop, i))
+		}
+		e.Store(sum, e.Load(sum)+e.CallIO(plain))
+		e.DMACopy(first, task.VarLoc(src, 0), task.VarLoc(mid, 0), 4)
+		e.Compute(5000)
+		e.DMACopy(second, task.VarLoc(mid, 0), task.VarLoc(dst, 0), 4)
+		e.Compute(5000)
+		e.Next(fin)
+	})
+	fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
+	a.CheckOutput = func(m task.CheckMem) bool {
+		return m.Read(sum, 0) == 1+2+3+9 && m.Equal(dst, 0, []uint16{5, 6, 7, 8})
+	}
+	if err := frontend.Analyze(a); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestSlotNumbering pins the I/O slot numbering Init computes — the
+// layout kernel.RuntimeState and its wire encoding are indexed by: a
+// site's instances start at the running total of Instances over the
+// sites declared before it, and the DMA sites follow all I/O slots in
+// declaration order.
+func TestSlotNumbering(t *testing.T) {
+	a := slotApp(t)
+	loop, plain := a.Sites[0], a.Sites[1]
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	err := b.Init(dev, a, "X")
-	if err == nil || !strings.Contains(err.Error(), "not analyzed") {
-		t.Errorf("err = %v", err)
+	if err := b.Init(dev, a, "X"); err != nil {
+		t.Fatal(err)
+	}
+	type inst struct {
+		name string
+		slot int
+	}
+	var got []inst
+	for idx := 0; idx < loop.Instances; idx++ {
+		slot, _ := b.noteIO(loop, idx)
+		got = append(got, inst{fmt.Sprintf("loop[%d]", idx), slot})
+	}
+	slot, _ := b.noteIO(plain, 0)
+	got = append(got, inst{"plain", slot})
+	for _, d := range a.DMAs {
+		slot, _ := b.noteDMA(d)
+		got = append(got, inst{d.Name, slot})
+	}
+	want := []inst{{"loop[0]", 0}, {"loop[1]", 1}, {"loop[2]", 2}, {"plain", 3}, {"first", 4}, {"second", 5}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("slots = %v, want %v", got, want)
+	}
+	var st kernel.RuntimeState
+	b.SnapshotState(&st)
+	if len(st.Slots) != len(want) {
+		t.Fatalf("RuntimeState has %d slots, want %d", len(st.Slots), len(want))
+	}
+	for i, sl := range st.Slots {
+		if sl.ExecCount != 1 {
+			t.Errorf("slot %d (%s) ExecCount = %d, want 1", i, want[i].name, sl.ExecCount)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ type Blueprint struct {
 // on first use. Concurrent first calls are single-flight: the factory —
 // and therefore frontend.Analyze, which mutates the app it analyzes —
 // runs exactly once per blueprint, and every caller observes the same
-// frozen result.
+// analyzed app.
 func (b *Blueprint) Prototype() (*apps.Bench, error) {
 	b.once.Do(func() { b.proto, b.err = b.Factory() })
 	return b.proto, b.err

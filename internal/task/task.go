@@ -62,8 +62,6 @@ type App struct {
 	CheckOutput func(m CheckMem) bool
 
 	entry *Task
-	// program is the frozen front-end output, set once by FreezeProgram.
-	program *Program
 	// analyzeOnce serializes the front-end's single analysis pass across
 	// concurrent sessions (see AnalyzeOnce).
 	analyzeOnce sync.Once
@@ -80,6 +78,19 @@ type App struct {
 func (a *App) AnalyzeOnce(analyze func(*App) error) error {
 	a.analyzeOnce.Do(func() { a.analyzeErr = analyze(a) })
 	return a.analyzeErr
+}
+
+// Analyzed reports whether every task carries front-end metadata
+// (TaskMeta.Analyzed) — set by the front-end, or by hand in tests. It is
+// the one "is this app analyzed" test; runtimes refuse to attach to an
+// app that fails it.
+func (a *App) Analyzed() bool {
+	for _, t := range a.Tasks {
+		if t.Meta == nil || !t.Meta.Analyzed {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckMem is the read surface CheckOutput verifies against: both
