@@ -99,7 +99,8 @@ FUZZ_TARGETS = \
 	FuzzNestedScheduleEnumeration:./internal/check \
 	FuzzCheckpointRoundTrip:./internal/wire \
 	FuzzDecodeShard:./internal/wire \
-	FuzzDecodeSubtreeShard:./internal/wire
+	FuzzDecodeSubtreeShard:./internal/wire \
+	FuzzComplete:./internal/fleet
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

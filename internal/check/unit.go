@@ -148,38 +148,16 @@ func (p *Planned) Split(n int) [][]Unit {
 			return [][]Unit{p.Units}
 		}
 		var groups [][]Unit
-		for _, r := range splitRange(p.Candidates, n) {
+		for _, r := range experiments.SplitRange(0, p.Candidates, n) {
 			groups = append(groups, []Unit{{CutLo: r[0], CutHi: r[1]}})
 		}
 		return groups
 	}
 	var groups [][]Unit
-	for _, r := range splitRange(len(p.Units), n) {
+	for _, r := range experiments.SplitRange(0, len(p.Units), n) {
 		groups = append(groups, p.Units[r[0]:r[1]])
 	}
 	return groups
-}
-
-// splitRange splits [0, n) into at most parts contiguous near-equal
-// pieces (one piece when parts < 1).
-func splitRange(n, parts int) [][2]int {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	cur := 0
-	for i := 0; i < parts; i++ {
-		size := n / parts
-		if i < n%parts {
-			size++
-		}
-		out = append(out, [2]int{cur, cur + size})
-		cur += size
-	}
-	return out
 }
 
 // RunUnits is the worker half of a distributed check: it recomputes the

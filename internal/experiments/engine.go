@@ -57,24 +57,27 @@ func (e PanicError) Error() string {
 	return fmt.Sprintf("experiments: %s panicked: %v", e.What, e.Value)
 }
 
-// shard is a contiguous range of run indices, [lo, hi).
-type shard struct{ lo, hi int }
-
-// shardRange splits the run-index range [lo, hi) into at most workers
-// contiguous shards of near-equal size.
-func shardRange(lo, hi, workers int) []shard {
+// SplitRange splits [lo, hi) into at most parts contiguous near-equal
+// pieces, the larger pieces first. It is the one range splitter: the
+// sweep engine's worker shards, the fleet's sweep shards and the
+// checker's unit groups all cut with it. parts < 1 with work remaining
+// degrades to one piece covering everything (an empty split would leave
+// a fleet job with no shards and no completion path); an empty range
+// splits into no pieces.
+func SplitRange(lo, hi, parts int) [][2]int {
 	n := hi - lo
-	if workers > n {
-		workers = n
+	if n <= 0 {
+		return nil
 	}
-	out := make([]shard, 0, workers)
+	parts = min(max(parts, 1), n)
+	out := make([][2]int, 0, parts)
 	cur := lo
-	for w := 0; w < workers; w++ {
-		size := n / workers
-		if w < n%workers {
+	for p := 0; p < parts; p++ {
+		size := n / parts
+		if p < n%parts {
 			size++
 		}
-		out = append(out, shard{cur, cur + size})
+		out = append(out, [2]int{cur, cur + size})
 		cur += size
 	}
 	return out
@@ -112,7 +115,7 @@ func RunRangeAgg(ctx context.Context, cfg Config, newApp AppFactory, kind Runtim
 // reuses one device and runtime for every seed in its shard.
 func runRangePooled(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, lo, hi int) (*stats.Aggregator, []error) {
 	start := time.Now()
-	sh := shardRange(lo, hi, cfg.Workers)
+	sh := SplitRange(lo, hi, cfg.Workers)
 	aggs := make([]*stats.Aggregator, len(sh))
 	errss := make([][]error, len(sh))
 	var done atomic.Int64
@@ -120,14 +123,14 @@ func runRangePooled(ctx context.Context, cfg Config, newApp AppFactory, kind Run
 	var wg sync.WaitGroup
 	for w, s := range sh {
 		wg.Add(1)
-		go func(w int, s shard) {
+		go func(w int, s [2]int) {
 			defer wg.Done()
 			// A panicking app or runtime fails its shard, not the process:
 			// sweeps run inside long-lived servers (internal/service).
 			defer func() {
 				if r := recover(); r != nil {
 					errss[w] = append(errss[w], PanicError{Value: r,
-						What: fmt.Sprintf("%s runs %d-%d", kind, s.lo, s.hi-1)})
+						What: fmt.Sprintf("%s runs %d-%d", kind, s[0], s[1]-1)})
 				}
 			}()
 			aggs[w], errss[w] = sweepShard(ctx, cfg, newApp, kind, s, &done, &timing)
@@ -164,7 +167,7 @@ type sweepSink struct{ kernel.Tracer }
 
 // sweepShard runs one worker's contiguous seed range on a single session.
 // done is the sweep-wide finished-run counter feeding cfg.Progress.
-func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, s shard, done *atomic.Int64, timing *shardTimings) (*stats.Aggregator, []error) {
+func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, s [2]int, done *atomic.Int64, timing *shardTimings) (*stats.Aggregator, []error) {
 	agg := stats.NewAggregator()
 	if ctx.Err() != nil {
 		return agg, nil
@@ -173,7 +176,7 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 	bench, err := newApp()
 	if err != nil {
 		return agg, []error{fmt.Errorf("experiments: build app for %s runs %d-%d: %w",
-			kind, s.lo, s.hi-1, err)}
+			kind, s[0], s[1]-1, err)}
 	}
 	sess := kernel.NewSession(NewRuntime(kind), bench.App, cfg.Supply())
 	if cfg.TraceSink != nil {
@@ -185,7 +188,7 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 	runStart := time.Now()
 	defer func() { timing.run.Add(int64(time.Since(runStart))) }()
 	var errs []error
-	for i := s.lo; i < s.hi; i++ {
+	for i := s[0]; i < s[1]; i++ {
 		if ctx.Err() != nil {
 			break
 		}

@@ -303,7 +303,8 @@ func TestAggregatorMergeMatchesSequential(t *testing.T) {
 // contract: splitting [0, Runs) into contiguous ranges, executing each
 // with RunRangeAgg (with varying inner worker counts), and merging the
 // fold states in range order must reproduce RunMany's Summary exactly —
-// including the export/import round-trip a remote shard goes through.
+// including merging a copy of each shard's Aggregator value, the form a
+// remote shard ships.
 func TestRunRangeAggMatchesRunMany(t *testing.T) {
 	cfg := Config{Runs: 18, BaseSeed: 11, Workers: 2}
 	want, err := RunMany(cfg, dmaFactory, EaseIO)
@@ -320,7 +321,8 @@ func TestRunRangeAggMatchesRunMany(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg.Merge(stats.ImportAggregator(sh.Export()))
+			shipped := *sh
+			agg.Merge(&shipped)
 		}
 		if got := agg.Summary(); !reflect.DeepEqual(got, want) {
 			t.Errorf("cuts %v: merged summary differs:\n%+v\nvs\n%+v", cuts, got, want)
@@ -329,5 +331,29 @@ func TestRunRangeAggMatchesRunMany(t *testing.T) {
 
 	if _, err := RunRangeAgg(context.Background(), cfg, dmaFactory, EaseIO, 5, 3); err == nil {
 		t.Error("inverted range did not error")
+	}
+}
+
+// TestSplitRangeDegenerateParts pins the splitter's low-level guard:
+// parts < 1 with work remaining must degrade to one covering piece, not
+// an empty split (a fleet job planned with no shards has no completion
+// path).
+func TestSplitRangeDegenerateParts(t *testing.T) {
+	cases := []struct {
+		lo, hi, parts int
+		want          [][2]int
+	}{
+		{0, 5, 0, [][2]int{{0, 5}}},
+		{0, 5, -3, [][2]int{{0, 5}}},
+		{2, 7, 0, [][2]int{{2, 7}}},
+		{0, 5, 2, [][2]int{{0, 3}, {3, 5}}},
+		{3, 3, 4, nil},
+		{5, 3, 2, nil},
+	}
+	for _, tc := range cases {
+		got := SplitRange(tc.lo, tc.hi, tc.parts)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("SplitRange(%d, %d, %d) = %v, want %v", tc.lo, tc.hi, tc.parts, got, tc.want)
+		}
 	}
 }

@@ -22,6 +22,17 @@ import (
 	"easeio/internal/wire"
 )
 
+// The coordinator's fixed scheduling policy.
+const (
+	// defaultShards is the shard count for specs that leave Shards zero.
+	defaultShards = 4
+	// maxAttempts failed attempts of any single shard fail the whole job.
+	maxAttempts = 3
+	// retryBackoff delays a failed shard's next lease, doubling per
+	// attempt up to 8x.
+	retryBackoff = 250 * time.Millisecond
+)
+
 // CoordinatorConfig configures New. Zero values take the defaults noted
 // on each field.
 type CoordinatorConfig struct {
@@ -32,15 +43,6 @@ type CoordinatorConfig struct {
 	Source BlueprintSource
 	// LeaseTTL revokes a shard lease not completed in time (default 1m).
 	LeaseTTL time.Duration
-	// MaxAttempts fails the whole job after this many failed attempts of
-	// any single shard (default 3).
-	MaxAttempts int
-	// RetryBackoff delays a failed shard's next lease, doubling per
-	// attempt up to 8x (default 250ms).
-	RetryBackoff time.Duration
-	// DefaultShards is the shard count for specs that leave Shards zero
-	// (default 4).
-	DefaultShards int
 	// Metrics, when non-nil, collects the fleet metric set.
 	Metrics *Metrics
 	// Now overrides the coordinator clock (lease expiry, backoff) for
@@ -50,21 +52,12 @@ type CoordinatorConfig struct {
 }
 
 // validate rejects config values that are not just "use the default":
-// a negative knob is a caller bug (a miscomputed worker count, a bad
-// flag parse), and silently coercing it to the default would hide that
-// until a job hangs with no shards. Zero still means "default".
+// a negative LeaseTTL is a caller bug (a bad flag parse), and silently
+// coercing it to the default would hide that. Zero still means
+// "default".
 func (c CoordinatorConfig) validate() error {
-	if c.DefaultShards < 0 {
-		return fmt.Errorf("fleet: DefaultShards %d is negative (0 means default)", c.DefaultShards)
-	}
-	if c.MaxAttempts < 0 {
-		return fmt.Errorf("fleet: MaxAttempts %d is negative (0 means default)", c.MaxAttempts)
-	}
 	if c.LeaseTTL < 0 {
 		return fmt.Errorf("fleet: LeaseTTL %v is negative (0 means default)", c.LeaseTTL)
-	}
-	if c.RetryBackoff < 0 {
-		return fmt.Errorf("fleet: RetryBackoff %v is negative (0 means default)", c.RetryBackoff)
 	}
 	return nil
 }
@@ -73,15 +66,6 @@ func (c CoordinatorConfig) fill() CoordinatorConfig {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = time.Minute
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
-	}
-	if c.DefaultShards <= 0 {
-		c.DefaultShards = 4
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -89,7 +73,7 @@ func (c CoordinatorConfig) fill() CoordinatorConfig {
 }
 
 // Shard lifecycle. A failed attempt returns the shard to shardPending
-// (with backoff) until MaxAttempts, which fails the job.
+// (with backoff) until maxAttempts, which fails the job.
 type shardStatus int
 
 const (
@@ -98,20 +82,18 @@ const (
 	shardDone
 )
 
-// shardState is one shard's live state. lo/hi is a sweep shard's
-// seed-index range; a check shard is its pre-encoded task.
+// shardState is one shard's live state.
 type shardState struct {
-	lo, hi      int
+	// task is the shard's encoded task (wire.SweepShard or
+	// wire.SubtreeShard), fixed at plan time and handed out verbatim on
+	// every lease.
+	task        []byte
 	st          shardStatus
 	attempts    int // failed attempts so far
 	worker      string
 	leaseExpiry time.Time
 	notBefore   time.Time // backoff gate on the next lease
 	payload     []byte    // the encoded shard result once done
-	// task is a check shard's pre-encoded wire.SubtreeShard: its units
-	// cannot be derived from the spec at lease time (checkpoint roots are
-	// recorded at plan time). Nil for sweep shards.
-	task []byte
 }
 
 // job is one submitted job's live state.
@@ -248,7 +230,7 @@ func (c *Coordinator) replay(r record) {
 		// failure time was journaled (At == 0) decode to an epoch-based
 		// gate in the past — an immediate re-lease, exactly the old
 		// behavior.
-		sh.notBefore = time.Unix(0, r.At).Add(c.retryBackoff(sh.attempts))
+		sh.notBefore = time.Unix(0, r.At).Add(backoff(sh.attempts))
 	case recJobDone:
 		res, err := decodeResultPayload(j.spec.Mode, r.Payload)
 		if err != nil {
@@ -326,20 +308,26 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	return id, nil
 }
 
-// planLocked computes and logs the job's shards. Sweep plans are pure
-// arithmetic over the spec; check plans run the checker's planning stage
-// (planCheck).
+// planLocked computes and logs the job's shards, each as the encoded
+// task every lease of it hands out. A sweep shard is a contiguous seed
+// range, pure arithmetic over the spec; check plans run the checker's
+// planning stage (planCheck).
 func (c *Coordinator) planLocked(j *job) error {
 	parts := j.spec.Shards
 	if parts <= 0 {
-		parts = c.cfg.DefaultShards
+		parts = defaultShards
 	}
 	rec := record{Type: recPlan, Job: j.id}
 	var work int
-	switch j.spec.Mode {
+	switch s := j.spec; s.Mode {
 	case ModeSweep:
-		rec.Shards = splitRange(0, j.spec.Runs, parts)
-		work = j.spec.Runs
+		for i, r := range experiments.SplitRange(0, s.Runs, parts) {
+			rec.Tasks = append(rec.Tasks, wire.AppendSweepShard(nil, wire.SweepShard{
+				Job: j.id, Shard: i, App: s.App, Runtime: s.Runtime,
+				BaseSeed: s.BaseSeed, Lo: r[0], Hi: r[1], Workers: s.ShardWorkers,
+			}))
+		}
+		work = s.Runs
 	case ModeCheck:
 		var err error
 		if work, err = c.planCheck(j, parts, &rec); err != nil {
@@ -349,9 +337,9 @@ func (c *Coordinator) planLocked(j *job) error {
 	// Plan-time invariant: pending work must yield at least one shard. A
 	// job planned with work but no shards has no completion path — it
 	// would sit unfinished forever — so fail fast here instead.
-	if work > 0 && len(rec.Shards)+len(rec.Tasks) == 0 {
-		return fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d, DefaultShards=%d)",
-			j.id, work, j.spec.Shards, c.cfg.DefaultShards)
+	if work > 0 && len(rec.Tasks) == 0 {
+		return fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d)",
+			j.id, work, j.spec.Shards)
 	}
 	if err := c.wal.append(rec); err != nil {
 		return err
@@ -400,49 +388,18 @@ func (c *Coordinator) planCheck(j *job, parts int, rec *record) (work int, err e
 }
 
 // installPlan applies a planned (or replayed) plan record: one shard per
-// sweep range or check task. The journaled check header omits the fields
-// the spec determines, so they are restored from the spec here.
+// task. The journaled check header omits the fields the spec determines,
+// so they are restored from the spec here.
 func (c *Coordinator) installPlan(j *job, r record) {
 	j.planned = true
 	j.plan = r.Plan
 	j.plan.Seed, j.plan.Failures = j.spec.Seed, max(j.spec.Failures, 1)
 	j.level1 = r.Level1
 	j.shards = nil
-	for _, rg := range r.Shards {
-		j.shards = append(j.shards, &shardState{lo: rg[0], hi: rg[1]})
-	}
 	for _, t := range r.Tasks {
 		j.shards = append(j.shards, &shardState{task: t})
 	}
 	j.remaining = len(j.shards)
-}
-
-// splitRange splits [lo, hi) into at most parts contiguous near-equal
-// pieces, mirroring the sweep engine's internal sharding. parts < 1 with
-// work remaining degrades to one shard covering everything: returning an
-// empty split would plan a job with no shards and no completion path.
-func splitRange(lo, hi, parts int) [][2]int {
-	n := hi - lo
-	if n <= 0 {
-		return nil
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	cur := lo
-	for p := 0; p < parts; p++ {
-		size := n / parts
-		if p < n%parts {
-			size++
-		}
-		out = append(out, [2]int{cur, cur + size})
-		cur += size
-	}
-	return out
 }
 
 // Lease hands the named worker one pending shard as an encoded task
@@ -478,24 +435,10 @@ func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 			if m := c.cfg.Metrics; m != nil {
 				m.Leases.Inc(worker)
 			}
-			return c.encodeTask(j, idx, sh), true, nil
+			return sh.task, true, nil
 		}
 	}
 	return nil, false, nil
-}
-
-// encodeTask renders one shard as its wire task message. Check shards
-// were encoded at plan time (their root checkpoints exist only then) and
-// are handed out verbatim.
-func (c *Coordinator) encodeTask(j *job, idx int, sh *shardState) []byte {
-	if sh.task != nil {
-		return sh.task
-	}
-	s := j.spec
-	return wire.AppendSweepShard(nil, wire.SweepShard{
-		Job: j.id, Shard: idx, App: s.App, Runtime: s.Runtime,
-		BaseSeed: s.BaseSeed, Lo: sh.lo, Hi: sh.hi, Workers: s.ShardWorkers,
-	})
 }
 
 // expireLocked revokes overdue leases. No WAL record: a revoked lease
@@ -522,13 +465,17 @@ func (c *Coordinator) expireLocked(now time.Time) {
 
 // Complete accepts a worker's encoded shard result (wire.SweepResult or
 // wire.SubtreeResult). Duplicate or stale completions are ignored: the
-// first logged result for a shard is the result. Completing the job's
-// last shard merges and finishes the job.
+// first logged result for a shard is the result. A result that does not
+// fit its shard's task (checkResult) is never journaled: it counts as a
+// failed attempt carrying the validation message, and Complete reports
+// the rejection. Completing the job's last shard merges and finishes the
+// job.
 func (c *Coordinator) Complete(worker string, payload []byte) error {
-	jobID, shard, err := resultIDs(payload)
+	jobID, shard, err := wire.PeekShard(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("fleet: completion: %w", err)
 	}
+	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[jobID]
@@ -541,6 +488,13 @@ func (c *Coordinator) Complete(worker string, payload []byte) error {
 	sh := j.shards[shard]
 	if sh.st == shardDone {
 		return nil
+	}
+	if err := checkResult(j, sh.task, payload); err != nil {
+		msg := "rejected result: " + err.Error()
+		if ferr := c.failShardLocked(worker, j, shard, msg, now); ferr != nil {
+			return ferr
+		}
+		return fmt.Errorf("fleet: job %d shard %d: %s", jobID, shard, msg)
 	}
 	if err := c.wal.append(record{Type: recShardDone, Job: jobID, Shard: shard, Payload: payload}); err != nil {
 		return err
@@ -557,27 +511,62 @@ func (c *Coordinator) Complete(worker string, payload []byte) error {
 	return nil
 }
 
-// resultIDs peeks a shard result's job and shard without a full decode.
-func resultIDs(payload []byte) (uint64, int, error) {
-	switch wire.PeekKind(payload) {
-	case wire.KindSweepResult:
+// checkResult checks a shard result against the shard's task before it
+// is journaled, so no worker — a remote one speaking the TCP protocol
+// included — can make the merge panic, loop without bound or silently
+// fold a result of the wrong size. A sweep result covers at most the
+// task's seeds (failed seeds travel in Errs, and a panicking shard stops
+// early), one run total and one outcome per run, under the job's
+// runtime. A check result's depths lie in [1, k], its counts are
+// non-negative and no divergence schedule is deeper than k.
+func checkResult(j *job, task, payload []byte) error {
+	switch j.spec.Mode {
+	case ModeSweep:
 		r, err := wire.DecodeSweepResult(payload)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
-		return r.Job, r.Shard, nil
-	case wire.KindSubtreeResult:
+		t, err := wire.DecodeSweepShard(task)
+		if err != nil {
+			return err
+		}
+		a := r.Agg
+		switch {
+		case a.Runs < 0 || a.Runs > t.Hi-t.Lo:
+			return fmt.Errorf("%d runs for a shard of %d seeds", a.Runs, t.Hi-t.Lo)
+		case len(a.Totals) != a.Runs:
+			return fmt.Errorf("%d run totals for %d runs", len(a.Totals), a.Runs)
+		case min(a.Correct, a.Incorrect, a.Stuck) < 0 || a.Correct+a.Incorrect+a.Stuck != a.Runs:
+			return fmt.Errorf("outcomes %d correct, %d incorrect, %d stuck for %d runs",
+				a.Correct, a.Incorrect, a.Stuck, a.Runs)
+		case a.Runs > 0 && a.Runtime != j.kind.String():
+			return fmt.Errorf("runtime %q, want %q", a.Runtime, j.kind.String())
+		}
+	case ModeCheck:
 		r, err := wire.DecodeSubtreeResult(payload)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
-		return r.Job, r.Shard, nil
+		k := max(j.spec.Failures, 1)
+		for _, ds := range r.Depths {
+			if ds.Depth < 1 || ds.Depth > k {
+				return fmt.Errorf("depth %d outside [1, %d]", ds.Depth, k)
+			}
+			if min(ds.Expanded, ds.Collapsed, ds.Candidates, ds.Explored, ds.Pruned) < 0 {
+				return fmt.Errorf("negative count at depth %d", ds.Depth)
+			}
+		}
+		for _, dv := range r.Divergences {
+			if len(dv.Schedule) > k {
+				return fmt.Errorf("divergence schedule of %d failures exceeds depth %d", len(dv.Schedule), k)
+			}
+		}
 	}
-	return 0, 0, fmt.Errorf("fleet: completion payload is %v, want a shard result", wire.PeekKind(payload))
+	return nil
 }
 
-// FailShard records one failed shard attempt. Under MaxAttempts the
-// shard returns to the queue after a doubling backoff; at MaxAttempts
+// FailShard records one failed shard attempt. Under maxAttempts the
+// shard returns to the queue after a doubling backoff; at maxAttempts
 // the whole job fails (a shard that cannot run will not merge, and a
 // partial merge would silently change the result).
 func (c *Coordinator) FailShard(worker string, jobID uint64, shard int, msg string) error {
@@ -588,41 +577,37 @@ func (c *Coordinator) FailShard(worker string, jobID uint64, shard int, msg stri
 	if !ok {
 		return fmt.Errorf("fleet: failure for unknown job %d", jobID)
 	}
-	if j.finished || shard < 0 || shard >= len(j.shards) {
+	if j.finished || shard < 0 || shard >= len(j.shards) || j.shards[shard].st == shardDone {
 		return nil
 	}
-	sh := j.shards[shard]
-	if sh.st == shardDone {
-		return nil
-	}
-	if err := c.wal.append(record{Type: recShardFail, Job: jobID, Shard: shard, Err: msg, At: now.UnixNano()}); err != nil {
+	return c.failShardLocked(worker, j, shard, msg, now)
+}
+
+// failShardLocked logs and applies one failed attempt of a shard that is
+// not done: a worker-reported failure or a rejected result.
+func (c *Coordinator) failShardLocked(worker string, j *job, shard int, msg string, now time.Time) error {
+	if err := c.wal.append(record{Type: recShardFail, Job: j.id, Shard: shard, Err: msg, At: now.UnixNano()}); err != nil {
 		return err
 	}
+	sh := j.shards[shard]
 	sh.attempts++
 	if m := c.cfg.Metrics; m != nil {
 		m.Retries.Inc(worker)
 	}
-	if sh.attempts >= c.cfg.MaxAttempts {
+	if sh.attempts >= maxAttempts {
 		return c.failJobLocked(j, fmt.Sprintf("shard %d failed %d times, last: %s", shard, sh.attempts, msg))
 	}
 	sh.st = shardPending
-	sh.notBefore = now.Add(c.retryBackoff(sh.attempts))
+	sh.notBefore = now.Add(backoff(sh.attempts))
 	return nil
 }
 
-// retryBackoff is the delay before a shard's next lease after its
-// attempts-th failure: RetryBackoff doubling per attempt, capped at 8x.
-// Shared by FailShard and WAL replay so a restart reproduces the same
-// gate the live coordinator set.
-func (c *Coordinator) retryBackoff(attempts int) time.Duration {
-	shift := attempts - 1
-	if shift > 3 {
-		shift = 3
-	}
-	if shift < 0 {
-		shift = 0
-	}
-	return c.cfg.RetryBackoff << shift
+// backoff is the delay before a shard's next lease after its
+// attempts-th failure: retryBackoff doubling per attempt, capped at 8x.
+// Shared by failShardLocked and WAL replay so a restart reproduces the
+// same gate the live coordinator set.
+func backoff(attempts int) time.Duration {
+	return retryBackoff << min(max(attempts-1, 0), 3)
 }
 
 // failJobLocked logs and applies a terminal job failure.
@@ -637,7 +622,8 @@ func (c *Coordinator) failJobLocked(j *job, msg string) error {
 // mergeLocked folds the job's shard results, in shard order, into the
 // final Result, logs it, and finishes the job. The fold mirrors the
 // in-process engines exactly — this is where the byte-identity contract
-// is discharged.
+// is discharged. Shard results that cannot merge (undecodable, or sweep
+// shards that ran different apps) fail the job instead.
 func (c *Coordinator) mergeLocked(j *job) error {
 	start := time.Now()
 	var res Result
@@ -645,12 +631,17 @@ func (c *Coordinator) mergeLocked(j *job) error {
 	case ModeSweep:
 		agg := stats.NewAggregator()
 		var errs []string
-		for _, sh := range j.shards {
+		for i, sh := range j.shards {
 			sr, err := wire.DecodeSweepResult(sh.payload)
-			if err != nil {
-				return fmt.Errorf("fleet: merge job %d: %w", j.id, err)
+			if err == nil && sr.Agg.Runs > 0 && agg.Runs > 0 &&
+				(sr.Agg.App != agg.App || sr.Agg.Runtime != agg.Runtime) {
+				err = fmt.Errorf("shard ran %s/%s, earlier shards %s/%s",
+					sr.Agg.App, sr.Agg.Runtime, agg.App, agg.Runtime)
 			}
-			agg.Merge(stats.ImportAggregator(sr.Agg))
+			if err != nil {
+				return c.failJobLocked(j, fmt.Sprintf("merge shard %d: %v", i, err))
+			}
+			agg.Merge(&sr.Agg)
 			errs = append(errs, sr.Errs...)
 		}
 		res = Result{Mode: ModeSweep, Summary: agg.Summary(), Errs: errs}
@@ -661,7 +652,7 @@ func (c *Coordinator) mergeLocked(j *job) error {
 		for i, b := range append([][]byte{j.level1}, payloads(j.shards)...) {
 			r, err := wire.DecodeSubtreeResult(b)
 			if err != nil {
-				return fmt.Errorf("fleet: merge job %d part %d: %w", j.id, i, err)
+				return c.failJobLocked(j, fmt.Sprintf("merge part %d: %v", i, err))
 			}
 			parts = append(parts, check.UnitReport{Depths: r.Depths, Divergences: r.Divergences})
 		}
@@ -686,7 +677,9 @@ func payloads(shards []*shardState) [][]byte {
 	return out
 }
 
-// finish applies a terminal state and wakes waiters.
+// finish applies a terminal state and wakes waiters. A finished job
+// releases its tasks, shard results and level-1 result: nothing reads
+// them again, and the WAL keeps them for recovery.
 func (c *Coordinator) finish(j *job, res Result, err error) {
 	if j.finished {
 		return
@@ -695,6 +688,10 @@ func (c *Coordinator) finish(j *job, res Result, err error) {
 	j.result = res
 	j.err = err
 	j.remaining = 0
+	j.level1 = nil
+	for _, sh := range j.shards {
+		sh.task, sh.payload = nil, nil
+	}
 	close(j.done)
 }
 

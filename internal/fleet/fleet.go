@@ -2,7 +2,12 @@
 // that shards jobs across N workers — sweep jobs by contiguous seed
 // range, check jobs as groups of the checker's work units — and merges
 // shard results back into exactly the Summary or Report a single process
-// would have produced.
+// would have produced. Every shard has one shape: an encoded task
+// (wire.SweepShard or wire.SubtreeShard) fixed at plan time, journaled in
+// the plan record and handed out verbatim on every lease. Every result
+// is checked against its task before it is journaled, so a malformed
+// result from a remote worker is a failed attempt, never a coordinator
+// panic or a skewed merge.
 //
 // Durability: every job state transition (submitted → planned → shard
 // leased → shard complete → merged / failed) is a record in a
@@ -15,8 +20,8 @@
 //
 // Determinism: the merged results are byte-identical to the in-process
 // engines (experiments.RunMany, check.Run) because both engines fold
-// order-dependent state only — a sweep shard ships its raw
-// stats.AggregatorState and shards merge in seed order. A check job runs
+// order-dependent state only — a sweep shard ships its
+// stats.Aggregator as-is and shards merge in seed order. A check job runs
 // the checker's own pipeline: check.Plan in the coordinator (the golden
 // pass, plus level 1 for k > 1), Planned.Split into unit groups shipped
 // as wire.SubtreeShard tasks that stateless workers grow with
@@ -75,8 +80,8 @@ type Spec struct {
 	Exhaustive bool
 	Failures   int
 
-	// Shards is the desired shard count (defaults to the coordinator's
-	// configured default; clamped to the available work).
+	// Shards is the desired shard count (0 means 4; clamped to the
+	// available work).
 	Shards int
 
 	// ShardWorkers bounds each worker's inner parallelism per shard

@@ -337,29 +337,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestSplitRangeDegenerateParts pins the planner's low-level guard:
-// parts < 1 with work remaining must degrade to one covering shard, not
-// an empty plan (which would leave the job with no completion path).
-func TestSplitRangeDegenerateParts(t *testing.T) {
-	cases := []struct {
-		lo, hi, parts int
-		want          [][2]int
-	}{
-		{0, 5, 0, [][2]int{{0, 5}}},
-		{0, 5, -3, [][2]int{{0, 5}}},
-		{2, 7, 0, [][2]int{{2, 7}}},
-		{0, 5, 2, [][2]int{{0, 3}, {3, 5}}},
-		{3, 3, 4, nil},
-		{5, 3, 2, nil},
-	}
-	for _, tc := range cases {
-		got := splitRange(tc.lo, tc.hi, tc.parts)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("splitRange(%d, %d, %d) = %v, want %v", tc.lo, tc.hi, tc.parts, got, tc.want)
-		}
-	}
-}
-
 // TestCoordinatorConfigRejectsNegatives pins the config-time guard: a
 // negative knob is a caller bug and must fail New with a clear error
 // naming the field, not be silently coerced to the default.
@@ -368,10 +345,7 @@ func TestCoordinatorConfigRejectsNegatives(t *testing.T) {
 		name   string
 		mutate func(*CoordinatorConfig)
 	}{
-		{"DefaultShards", func(c *CoordinatorConfig) { c.DefaultShards = -1 }},
-		{"MaxAttempts", func(c *CoordinatorConfig) { c.MaxAttempts = -2 }},
 		{"LeaseTTL", func(c *CoordinatorConfig) { c.LeaseTTL = -time.Second }},
-		{"RetryBackoff", func(c *CoordinatorConfig) { c.RetryBackoff = -time.Millisecond }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -498,7 +472,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
 			Seed: 17, Off: 3 * time.Millisecond, Grid: 64, Exhaustive: true,
 		}},
-		{Type: recPlan, Job: 3, Shards: [][2]int{{0, 20}, {20, 40}}},
+		{Type: recPlan, Job: 3, Tasks: [][]byte{{4}, {5, 6}}},
 		{Type: recPlan, Job: 5, HasPlan: true, Plan: check.Header{Note: "nothing to do"},
 			Level1: []byte{0xD}},
 		{Type: recPlan, Job: 6, HasPlan: true, Plan: check.Header{
@@ -781,7 +755,7 @@ func TestRecoveryReplansMissingPlan(t *testing.T) {
 
 // TestLeaseExpiryAndRetry drives the failure paths on a fake clock: an
 // expired lease re-leases to another worker without burning an attempt,
-// failed attempts back off, and MaxAttempts fails the job.
+// failed attempts back off, and maxAttempts fails the job.
 func TestLeaseExpiryAndRetry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	var mu sync.Mutex
@@ -792,8 +766,6 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	c := newTestCoordinator(t, func(cfg *CoordinatorConfig) {
 		cfg.Now = clock
 		cfg.LeaseTTL = 10 * time.Second
-		cfg.MaxAttempts = 2
-		cfg.RetryBackoff = time.Second
 		cfg.Metrics = m
 	})
 	id, err := c.Submit(Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, Shards: 1})
@@ -821,7 +793,7 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	}
 
 	// First failure: backoff gates the next lease, then it reopens.
-	job, shard, err := taskIDs(task2)
+	job, shard, err := wire.PeekShard(task2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -831,7 +803,7 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	if _, ok, _ := c.Lease("w-live"); ok {
 		t.Fatal("lease granted inside the retry backoff")
 	}
-	advance(2 * time.Second)
+	advance(2 * retryBackoff)
 	task3, ok, err := c.Lease("w-live")
 	if err != nil || !ok {
 		t.Fatalf("post-backoff lease: ok=%v err=%v", ok, err)
@@ -859,18 +831,18 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second job exhausting MaxAttempts fails terminally.
+	// A second job exhausting maxAttempts fails terminally.
 	id2, err := c.Submit(Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxAttempts; i++ {
 		advance(time.Minute)
 		task, ok, err := c.Lease("w-flaky")
 		if err != nil || !ok {
 			t.Fatalf("attempt %d lease: ok=%v err=%v", i, ok, err)
 		}
-		job, shard, _ := taskIDs(task)
+		job, shard, _ := wire.PeekShard(task)
 		if err := c.FailShard("w-flaky", job, shard, "persistent"); err != nil {
 			t.Fatal(err)
 		}
@@ -880,8 +852,8 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	if _, err := c.Wait(ctx, id2); err == nil || !strings.Contains(err.Error(), "persistent") {
 		t.Errorf("exhausted job returned %v, want the terminal shard failure", err)
 	}
-	if m.Retries.Value("w-flaky") != 2 {
-		t.Errorf("retries(w-flaky) = %d, want 2", m.Retries.Value("w-flaky"))
+	if m.Retries.Value("w-flaky") != maxAttempts {
+		t.Errorf("retries(w-flaky) = %d, want %d", m.Retries.Value("w-flaky"), maxAttempts)
 	}
 }
 
@@ -902,7 +874,7 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 	mkCfg := func() CoordinatorConfig {
 		return CoordinatorConfig{
 			WALPath: path, Source: testApps, Now: clock,
-			LeaseTTL: time.Minute, RetryBackoff: 10 * time.Second, MaxAttempts: 3,
+			LeaseTTL: time.Minute,
 		}
 	}
 	c1, err := New(mkCfg())
@@ -917,7 +889,7 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	job, shard, err := taskIDs(task)
+	job, shard, err := wire.PeekShard(task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -935,7 +907,7 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 	if _, ok, _ := c2.Lease("w0"); ok {
 		t.Fatal("lease granted inside the retry backoff after a restart")
 	}
-	advance(11 * time.Second)
+	advance(retryBackoff + time.Millisecond)
 	task2, ok, err := c2.Lease("w0")
 	if err != nil || !ok {
 		t.Fatalf("post-backoff lease after restart: ok=%v err=%v", ok, err)

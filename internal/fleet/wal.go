@@ -67,15 +67,13 @@ type record struct {
 
 	Spec Spec // recSubmit
 
-	// recPlan: a sweep plan's shard ranges (fully determined by the
-	// spec), or a check plan's golden header, level-1 result (an encoded
-	// wire.SubtreeResult, empty for k=1) and pre-encoded shard tasks (one
-	// wire.SubtreeShard per shard). The check fields must be durable —
-	// the level-1 outcomes and root checkpoints they embed are consumed
-	// state, not replayable from the spec without re-running the
-	// exploration. The header omits Seed and Failures, which the spec
-	// determines.
-	Shards  [][2]int
+	// recPlan: every shard's encoded task (a wire.SweepShard or
+	// wire.SubtreeShard per shard), plus a check plan's golden header and
+	// level-1 result (an encoded wire.SubtreeResult, empty for k=1). The
+	// check fields must be durable — the level-1 outcomes and root
+	// checkpoints they embed are consumed state, not replayable from the
+	// spec without re-running the exploration. The header omits Seed and
+	// Failures, which the spec determines.
 	HasPlan bool
 	Plan    check.Header
 	Level1  []byte
@@ -121,11 +119,9 @@ func (r record) encode() []byte {
 			b = wire.AppendVarint(b, int64(r.Plan.Candidates))
 			b = wire.AppendString(b, r.Plan.Note)
 		}
-		b = wire.AppendUvarint(b, uint64(len(r.Shards)))
-		for _, sh := range r.Shards {
-			b = wire.AppendVarint(b, int64(sh[0]))
-			b = wire.AppendVarint(b, int64(sh[1]))
-		}
+		// The retired seed-range count, always zero: plans that listed
+		// sweep shards as seed ranges are refused on decode.
+		b = wire.AppendUvarint(b, 0)
 		b = wire.AppendBytes(b, r.Level1)
 		b = wire.AppendUvarint(b, uint64(len(r.Tasks)))
 		for _, t := range r.Tasks {
@@ -193,18 +189,13 @@ func decodeRecord(b []byte) (record, error) {
 				Note:          d.String(),
 			}
 		}
-		n := d.Uvarint()
-		if d.Err() == nil && n > uint64(d.Remaining()) {
-			d.Fail("fleet: plan record claims %d shards with %d bytes left", n, d.Remaining())
-		}
-		if d.Err() == nil && n > 0 {
-			r.Shards = make([][2]int, n)
-			for i := range r.Shards {
-				r.Shards[i] = [2]int{int(d.Varint()), int(d.Varint())}
-			}
+		if n := d.Uvarint(); d.Err() == nil && n != 0 {
+			return record{}, fmt.Errorf("plan record of job %d lists %d seed ranges: "+
+				"the log predates plans that hold every shard as a task; "+
+				"finish or drop its jobs with the build that wrote it", r.Job, n)
 		}
 		r.Level1 = d.Bytes()
-		n = d.Uvarint()
+		n := d.Uvarint()
 		if d.Err() == nil && n > uint64(d.Remaining()) {
 			d.Fail("fleet: plan record claims %d tasks with %d bytes left", n, d.Remaining())
 		}

@@ -46,7 +46,7 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 			return nil, runErr
 		}
 		return wire.AppendSweepResult(nil, wire.SweepResult{
-			Job: s.Job, Shard: s.Shard, Agg: agg.Export(), Errs: flattenErr(runErr),
+			Job: s.Job, Shard: s.Shard, Agg: *agg, Errs: flattenErr(runErr),
 		}), nil
 	case wire.KindSubtreeShard:
 		s, err := wire.DecodeSubtreeShard(task)
@@ -105,29 +105,10 @@ func flattenErr(err error) []string {
 	return []string{err.Error()}
 }
 
-// taskIDs peeks a task's job and shard, for failure reporting.
-func taskIDs(task []byte) (uint64, int, error) {
-	switch wire.PeekKind(task) {
-	case wire.KindSweepShard:
-		s, err := wire.DecodeSweepShard(task)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Job, s.Shard, nil
-	case wire.KindSubtreeShard:
-		s, err := wire.DecodeSubtreeShard(task)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Job, s.Shard, nil
-	}
-	return 0, 0, fmt.Errorf("fleet: task is %v, want a shard", wire.PeekKind(task))
-}
-
 // RunLoopback polls the coordinator for shards, executes them, and
 // reports results until ctx is cancelled. It returns nil on
 // cancellation; any other return is a coordinator-side failure (WAL
-// write errors surface here).
+// write errors and the rejection of a result surface here).
 func RunLoopback(ctx context.Context, c *Coordinator, name string, src BlueprintSource, poll time.Duration) error {
 	if poll <= 0 {
 		poll = 20 * time.Millisecond
@@ -184,7 +165,7 @@ func workLoop(ctx context.Context, l leaser, src BlueprintSource, poll time.Dura
 			// lease and let the TTL recycle it.
 			return nil
 		default:
-			job, shard, idErr := taskIDs(task)
+			job, shard, idErr := wire.PeekShard(task)
 			if idErr != nil {
 				return idErr
 			}

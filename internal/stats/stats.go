@@ -280,150 +280,17 @@ type Summary struct {
 // survive each Add. Aggregators merge, which lets sharded sweeps fold
 // per-worker and combine at the end.
 //
+// The exported fields are the whole fold state: a fleet sweep shard
+// ships its Aggregator as-is (wire.SweepResult) and the coordinator
+// merges the shards in shard order, reproducing a single-process sweep
+// over the same seeds byte for byte.
+//
 // All added runs must share the same app and runtime (adopted from the
 // first run); Add panics otherwise, since mixing configurations is a
 // harness bug. Every fold — Add and Merge alike — is a sum or an append,
 // so the final Summary depends only on the order totals are appended in,
 // not on how the runs were partitioned across aggregators.
 type Aggregator struct {
-	app     string
-	runtime string
-	n       int
-
-	work             [NumBuckets]Totals
-	energy           units.Energy
-	onTime, wallTime time.Duration
-
-	powerFailures int
-	ioExecs       int
-	ioRepeats     int
-	ioSkips       int
-	dmaExecs      int
-	dmaRepeats    int
-	dmaSkips      int
-
-	correct   int
-	incorrect int
-	stuck     int
-
-	// totals holds each run's committed total time, in Add order.
-	totals []time.Duration
-}
-
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator { return &Aggregator{} }
-
-// Runs returns how many runs have been folded in.
-func (a *Aggregator) Runs() int { return a.n }
-
-// Add folds one run into the aggregate.
-func (a *Aggregator) Add(r *Run) {
-	if a.n == 0 {
-		a.app, a.runtime = r.App, r.Runtime
-	} else if r.App != a.app || r.Runtime != a.runtime {
-		panic(fmt.Sprintf("stats: mixed aggregate: %s/%s vs %s/%s",
-			r.App, r.Runtime, a.app, a.runtime))
-	}
-	a.n++
-	for b := Bucket(0); b < NumBuckets; b++ {
-		a.work[b].Add(r.Work[b])
-	}
-	a.energy += r.TotalEnergy()
-	a.onTime += r.OnTime
-	a.wallTime += r.WallTime
-	a.powerFailures += r.PowerFailures
-	a.ioExecs += r.IOExecs
-	a.ioRepeats += r.IORepeats
-	a.ioSkips += r.IOSkips
-	a.dmaExecs += r.DMAExecs
-	a.dmaRepeats += r.DMARepeats
-	a.dmaSkips += r.DMASkips
-	if r.Stuck {
-		a.stuck++
-	} else if r.Correct {
-		a.correct++
-	} else {
-		a.incorrect++
-	}
-	a.totals = append(a.totals, r.Work[App].T+r.Work[Overhead].T+r.Work[Wasted].T)
-}
-
-// Merge folds aggregator o into a, as if o's runs had been added to a in
-// their original order. Merging shard aggregators in shard order therefore
-// reproduces the sequential fold exactly.
-func (a *Aggregator) Merge(o *Aggregator) {
-	if o.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		a.app, a.runtime = o.app, o.runtime
-	} else if o.app != a.app || o.runtime != a.runtime {
-		panic(fmt.Sprintf("stats: mixed aggregate: %s/%s vs %s/%s",
-			o.app, o.runtime, a.app, a.runtime))
-	}
-	a.n += o.n
-	for b := Bucket(0); b < NumBuckets; b++ {
-		a.work[b].Add(o.work[b])
-	}
-	a.energy += o.energy
-	a.onTime += o.onTime
-	a.wallTime += o.wallTime
-	a.powerFailures += o.powerFailures
-	a.ioExecs += o.ioExecs
-	a.ioRepeats += o.ioRepeats
-	a.ioSkips += o.ioSkips
-	a.dmaExecs += o.dmaExecs
-	a.dmaRepeats += o.dmaRepeats
-	a.dmaSkips += o.dmaSkips
-	a.correct += o.correct
-	a.incorrect += o.incorrect
-	a.stuck += o.stuck
-	a.totals = append(a.totals, o.totals...)
-}
-
-// Summary finalizes the aggregate. The aggregator stays usable: more runs
-// can be added and Summary called again.
-func (a *Aggregator) Summary() Summary {
-	if a.n == 0 {
-		return Summary{}
-	}
-	s := Summary{
-		App:           a.app,
-		Runtime:       a.runtime,
-		Runs:          a.n,
-		PowerFailures: a.powerFailures,
-		IOExecs:       a.ioExecs,
-		IORepeats:     a.ioRepeats,
-		IOSkips:       a.ioSkips,
-		DMAExecs:      a.dmaExecs,
-		DMARepeats:    a.dmaRepeats,
-		DMASkips:      a.dmaSkips,
-		CorrectRuns:   a.correct,
-		IncorrectRuns: a.incorrect,
-		StuckRuns:     a.stuck,
-	}
-	n := int64(a.n)
-	for b := Bucket(0); b < NumBuckets; b++ {
-		s.Work[b] = Totals{a.work[b].T / time.Duration(n), a.work[b].E / units.Energy(n)}
-	}
-	s.MeanEnergy = a.energy / units.Energy(n)
-	s.MeanOnTime = a.onTime / time.Duration(n)
-	s.MeanWallTime = a.wallTime / time.Duration(n)
-
-	totals := make([]time.Duration, len(a.totals))
-	copy(totals, a.totals)
-	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
-	s.P50TotalTime = percentile(totals, 50)
-	s.P95TotalTime = percentile(totals, 95)
-	return s
-}
-
-// AggregatorState is the exported, serializable fold state of an
-// Aggregator. A sharded sweep running across processes ships each
-// shard's state and merges them in shard order — folding states
-// reproduces folding the runs, so the final Summary is byte-identical
-// to a single-process sweep over the same seeds.
-type AggregatorState struct {
 	App     string
 	Runtime string
 	Runs    int
@@ -444,61 +311,114 @@ type AggregatorState struct {
 	Incorrect int
 	Stuck     int
 
-	// Totals holds each folded run's committed total time, in Add order
-	// (the percentile inputs).
+	// Totals holds each run's committed total time, in Add order (the
+	// percentile inputs).
 	Totals []time.Duration
 }
 
-// Export returns the aggregator's fold state. The Totals slice aliases
-// the aggregator's storage — treat it as read-only while the aggregator
-// keeps folding.
-func (a *Aggregator) Export() AggregatorState {
-	return AggregatorState{
-		App:           a.app,
-		Runtime:       a.runtime,
-		Runs:          a.n,
-		Work:          a.work,
-		Energy:        a.energy,
-		OnTime:        a.onTime,
-		WallTime:      a.wallTime,
-		PowerFailures: a.powerFailures,
-		IOExecs:       a.ioExecs,
-		IORepeats:     a.ioRepeats,
-		IOSkips:       a.ioSkips,
-		DMAExecs:      a.dmaExecs,
-		DMARepeats:    a.dmaRepeats,
-		DMASkips:      a.dmaSkips,
-		Correct:       a.correct,
-		Incorrect:     a.incorrect,
-		Stuck:         a.stuck,
-		Totals:        a.totals,
+// NewAggregator returns an empty aggregator.
+func NewAggregator() *Aggregator { return &Aggregator{} }
+
+// Add folds one run into the aggregate.
+func (a *Aggregator) Add(r *Run) {
+	if a.Runs == 0 {
+		a.App, a.Runtime = r.App, r.Runtime
+	} else if r.App != a.App || r.Runtime != a.Runtime {
+		panic(fmt.Sprintf("stats: mixed aggregate: %s/%s vs %s/%s",
+			r.App, r.Runtime, a.App, a.Runtime))
 	}
+	a.Runs++
+	for b := Bucket(0); b < NumBuckets; b++ {
+		a.Work[b].Add(r.Work[b])
+	}
+	a.Energy += r.TotalEnergy()
+	a.OnTime += r.OnTime
+	a.WallTime += r.WallTime
+	a.PowerFailures += r.PowerFailures
+	a.IOExecs += r.IOExecs
+	a.IORepeats += r.IORepeats
+	a.IOSkips += r.IOSkips
+	a.DMAExecs += r.DMAExecs
+	a.DMARepeats += r.DMARepeats
+	a.DMASkips += r.DMASkips
+	if r.Stuck {
+		a.Stuck++
+	} else if r.Correct {
+		a.Correct++
+	} else {
+		a.Incorrect++
+	}
+	a.Totals = append(a.Totals, r.Work[App].T+r.Work[Overhead].T+r.Work[Wasted].T)
 }
 
-// ImportAggregator rebuilds an Aggregator from an exported state, taking
-// ownership of the Totals slice. Merging imported aggregators in shard
-// order is exactly merging the original shard aggregators.
-func ImportAggregator(st AggregatorState) *Aggregator {
-	return &Aggregator{
-		app:           st.App,
-		runtime:       st.Runtime,
-		n:             st.Runs,
-		work:          st.Work,
-		energy:        st.Energy,
-		onTime:        st.OnTime,
-		wallTime:      st.WallTime,
-		powerFailures: st.PowerFailures,
-		ioExecs:       st.IOExecs,
-		ioRepeats:     st.IORepeats,
-		ioSkips:       st.IOSkips,
-		dmaExecs:      st.DMAExecs,
-		dmaRepeats:    st.DMARepeats,
-		dmaSkips:      st.DMASkips,
-		correct:       st.Correct,
-		incorrect:     st.Incorrect,
-		stuck:         st.Stuck,
-		totals:        st.Totals,
+// Merge folds aggregator o into a, as if o's runs had been added to a in
+// their original order. Merging shard aggregators in shard order therefore
+// reproduces the sequential fold exactly.
+func (a *Aggregator) Merge(o *Aggregator) {
+	if o.Runs == 0 {
+		return
 	}
+	if a.Runs == 0 {
+		a.App, a.Runtime = o.App, o.Runtime
+	} else if o.App != a.App || o.Runtime != a.Runtime {
+		panic(fmt.Sprintf("stats: mixed aggregate: %s/%s vs %s/%s",
+			o.App, o.Runtime, a.App, a.Runtime))
+	}
+	a.Runs += o.Runs
+	for b := Bucket(0); b < NumBuckets; b++ {
+		a.Work[b].Add(o.Work[b])
+	}
+	a.Energy += o.Energy
+	a.OnTime += o.OnTime
+	a.WallTime += o.WallTime
+	a.PowerFailures += o.PowerFailures
+	a.IOExecs += o.IOExecs
+	a.IORepeats += o.IORepeats
+	a.IOSkips += o.IOSkips
+	a.DMAExecs += o.DMAExecs
+	a.DMARepeats += o.DMARepeats
+	a.DMASkips += o.DMASkips
+	a.Correct += o.Correct
+	a.Incorrect += o.Incorrect
+	a.Stuck += o.Stuck
+	a.Totals = append(a.Totals, o.Totals...)
+}
+
+// Summary finalizes the aggregate. The aggregator stays usable: more runs
+// can be added and Summary called again.
+func (a *Aggregator) Summary() Summary {
+	if a.Runs == 0 {
+		return Summary{}
+	}
+	s := Summary{
+		App:           a.App,
+		Runtime:       a.Runtime,
+		Runs:          a.Runs,
+		PowerFailures: a.PowerFailures,
+		IOExecs:       a.IOExecs,
+		IORepeats:     a.IORepeats,
+		IOSkips:       a.IOSkips,
+		DMAExecs:      a.DMAExecs,
+		DMARepeats:    a.DMARepeats,
+		DMASkips:      a.DMASkips,
+		CorrectRuns:   a.Correct,
+		IncorrectRuns: a.Incorrect,
+		StuckRuns:     a.Stuck,
+	}
+	n := int64(a.Runs)
+	for b := Bucket(0); b < NumBuckets; b++ {
+		s.Work[b] = Totals{a.Work[b].T / time.Duration(n), a.Work[b].E / units.Energy(n)}
+	}
+	s.MeanEnergy = a.Energy / units.Energy(n)
+	s.MeanOnTime = a.OnTime / time.Duration(n)
+	s.MeanWallTime = a.WallTime / time.Duration(n)
+
+	totals := make([]time.Duration, len(a.Totals))
+	copy(totals, a.Totals)
+	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
+	s.P50TotalTime = percentile(totals, 50)
+	s.P95TotalTime = percentile(totals, 95)
+	return s
 }
 
 // Aggregate folds a set of runs into a Summary. All runs must share the

@@ -53,7 +53,7 @@ func FuzzDecodeShard(f *testing.F) {
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 2, Shard: 1, App: "dma",
 		Runtime: "alpaca", Seed: 3, Off: 3 * time.Millisecond, Failures: 1,
 		Exhaustive: true, Grid: 33, Workers: 1, Units: []check.Unit{{CutLo: 4, CutHi: 32}}}))
-	agg := stats.AggregatorState{App: "fir", Runtime: "ink", Runs: 2,
+	agg := stats.Aggregator{App: "fir", Runtime: "ink", Runs: 2,
 		Totals: []time.Duration{time.Millisecond, 2 * time.Millisecond}}
 	f.Add(AppendSweepResult(nil, SweepResult{Job: 1, Shard: 0, Agg: agg, Errs: []string{"x"}}))
 	f.Add(AppendSubtreeResult(nil, SubtreeResult{Job: 2, Shard: 1,
@@ -66,7 +66,15 @@ func FuzzDecodeShard(f *testing.F) {
 	f.Add([]byte{magic0, magic1, Version, byte(KindSweepShard), 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		// Whatever a full decoder accepts, PeekShard reads the same IDs.
+		job, shard, peekErr := PeekShard(b)
+		peekAgrees := func(wantJob uint64, wantShard int) {
+			if peekErr != nil || job != wantJob || shard != wantShard {
+				t.Fatalf("PeekShard = %d, %d, %v; the decoder read %d, %d", job, shard, peekErr, wantJob, wantShard)
+			}
+		}
 		if s, err := DecodeSweepShard(b); err == nil {
+			peekAgrees(s.Job, s.Shard)
 			if b2 := AppendSweepShard(nil, s); func() bool {
 				s2, err := DecodeSweepShard(b2)
 				return err != nil || s2 != s
@@ -75,18 +83,21 @@ func FuzzDecodeShard(f *testing.F) {
 			}
 		}
 		if s, err := DecodeSubtreeShard(b); err == nil {
+			peekAgrees(s.Job, s.Shard)
 			b2 := AppendSubtreeShard(nil, s)
 			if s2, err := DecodeSubtreeShard(b2); err != nil || !bytes.Equal(b2, AppendSubtreeShard(nil, s2)) {
 				t.Fatalf("subtree shard re-encoding is not a fixed point: %v", err)
 			}
 		}
 		if r, err := DecodeSweepResult(b); err == nil {
+			peekAgrees(r.Job, r.Shard)
 			b2 := AppendSweepResult(nil, r)
 			if b3, err := reencodeSweepResult(b2); err != nil || !bytes.Equal(b2, b3) {
 				t.Fatalf("sweep result re-encoding is not a fixed point: %v", err)
 			}
 		}
 		if r, err := DecodeSubtreeResult(b); err == nil {
+			peekAgrees(r.Job, r.Shard)
 			b2 := AppendSubtreeResult(nil, r)
 			if r2, err := DecodeSubtreeResult(b2); err != nil || !bytes.Equal(b2, AppendSubtreeResult(nil, r2)) {
 				t.Fatalf("subtree result re-encoding is not a fixed point: %v", err)

@@ -10,8 +10,8 @@ import (
 
 // SweepShard describes one worker's slice of a sweep job: run seeds
 // BaseSeed+Lo … BaseSeed+Hi-1 of App under Runtime. Shards partition
-// [0, Runs) contiguously; merging shard aggregator states in Shard
-// order reproduces the sequential fold byte for byte.
+// [0, Runs) contiguously; merging the shards' aggregators in Shard order
+// reproduces the sequential fold byte for byte.
 type SweepShard struct {
 	Job     uint64
 	Shard   int
@@ -23,12 +23,12 @@ type SweepShard struct {
 	Workers  int // the worker's inner parallelism (0 = its default)
 }
 
-// SweepResult is a worker's completed sweep shard: the aggregator fold
-// state over exactly the shard's seed range, plus any per-run errors.
+// SweepResult is a worker's completed sweep shard: the aggregator over
+// exactly the shard's seed range, plus any per-run errors.
 type SweepResult struct {
 	Job   uint64
 	Shard int
-	Agg   stats.AggregatorState
+	Agg   stats.Aggregator
 	Errs  []string
 }
 
@@ -74,7 +74,7 @@ func AppendSweepResult(dst []byte, r SweepResult) []byte {
 	dst = appendHeader(dst, KindSweepResult)
 	dst = appendUvarint(dst, r.Job)
 	dst = appendVarint(dst, int64(r.Shard))
-	dst = appendAggregatorState(dst, r.Agg)
+	dst = appendAggregator(dst, r.Agg)
 	dst = appendUvarint(dst, uint64(len(r.Errs)))
 	for _, e := range r.Errs {
 		dst = appendString(dst, e)
@@ -89,7 +89,7 @@ func DecodeSweepResult(b []byte) (SweepResult, error) {
 	r := SweepResult{
 		Job:   d.uvarint(),
 		Shard: int(d.varint()),
-		Agg:   d.aggregatorState(),
+		Agg:   d.aggregator(),
 	}
 	if n := d.count(1); d.err == nil && n > 0 {
 		r.Errs = make([]string, n)
@@ -183,9 +183,10 @@ func (d *dec) divergences() []check.Divergence {
 	return divs
 }
 
-// Aggregator fold state (the sweep merge unit).
+// Aggregator fold state (the sweep merge unit), field by field in
+// declaration order.
 
-func appendAggregatorState(b []byte, a stats.AggregatorState) []byte {
+func appendAggregator(b []byte, a stats.Aggregator) []byte {
 	b = appendString(b, a.App)
 	b = appendString(b, a.Runtime)
 	b = appendVarint(b, int64(a.Runs))
@@ -212,8 +213,8 @@ func appendAggregatorState(b []byte, a stats.AggregatorState) []byte {
 	return b
 }
 
-func (d *dec) aggregatorState() stats.AggregatorState {
-	var a stats.AggregatorState
+func (d *dec) aggregator() stats.Aggregator {
+	var a stats.Aggregator
 	a.App = d.string()
 	a.Runtime = d.string()
 	a.Runs = int(d.varint())

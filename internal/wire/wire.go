@@ -9,6 +9,10 @@
 //   - Every message starts with the 4-byte header 'E' 'W' version kind.
 //     Version bumps whenever any message layout changes; decoders reject
 //     versions they do not know instead of guessing.
+//   - Every shard task and shard result (sweep and subtree, kinds 2, 4,
+//     8 and 9) opens its body with the same prefix: the job as a uvarint,
+//     then the shard as a varint. PeekShard relies on it, so a new shard
+//     or result kind must keep it.
 //   - Integers are varints (zigzag for signed), strings and word slices
 //     are length-prefixed, floats are IEEE-754 bits — no reflection, no
 //     struct tags, no JSON. Encoders are append-based (zero-alloc when
@@ -101,6 +105,22 @@ func PeekKind(b []byte) Kind {
 		return KindInvalid
 	}
 	return Kind(b[3])
+}
+
+// PeekShard returns the job and shard IDs of a shard task or result
+// (KindSweepShard, KindSweepResult, KindSubtreeShard, KindSubtreeResult)
+// without decoding the rest of the message: all four kinds open their
+// body with the job as a uvarint and the shard as a varint.
+func PeekShard(b []byte) (job uint64, shard int, err error) {
+	d := &dec{b: b}
+	switch k := PeekKind(b); k {
+	case KindSweepShard, KindSweepResult, KindSubtreeShard, KindSubtreeResult:
+		d.header(k)
+	default:
+		return 0, 0, fmt.Errorf("wire: message is %v, want a shard task or result", k)
+	}
+	job, shard = d.uvarint(), int(d.varint())
+	return job, shard, d.err
 }
 
 // CheckVersion reports an error unless b starts with a well-formed

@@ -167,7 +167,7 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	}
 
 	sr := SweepResult{Job: 7, Shard: 2, Errs: []string{"run 3: boom"}}
-	sr.Agg = stats.AggregatorState{App: "fir", Runtime: "ink", Runs: 3,
+	sr.Agg = stats.Aggregator{App: "fir", Runtime: "ink", Runs: 3,
 		Energy: 1234, OnTime: time.Second, WallTime: 2 * time.Second,
 		PowerFailures: 17, IOExecs: 41, Correct: 2, Incorrect: 1,
 		Totals: []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}}
@@ -186,6 +186,26 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	gotCR, err := DecodeSubtreeResult(AppendSubtreeResult(nil, cr))
 	if err != nil || !reflect.DeepEqual(gotCR, cr) {
 		t.Errorf("depth-1 subtree result: got %+v, %v; want %+v", gotCR, err, cr)
+	}
+
+	// PeekShard reads the shared job/shard prefix of all four shard kinds
+	// and refuses every other kind.
+	for _, m := range []struct {
+		b     []byte
+		job   uint64
+		shard int
+	}{
+		{AppendSweepShard(nil, ss), 7, 2},
+		{AppendSubtreeShard(nil, cs), 8, 0},
+		{AppendSweepResult(nil, sr), 7, 2},
+		{AppendSubtreeResult(nil, cr), 8, 1},
+	} {
+		if job, shard, err := PeekShard(m.b); err != nil || job != m.job || shard != m.shard {
+			t.Errorf("PeekShard(%v) = %d, %d, %v; want %d, %d", PeekKind(m.b), job, shard, err, m.job, m.shard)
+		}
+	}
+	if _, _, err := PeekShard(AppendSummary(nil, stats.Summary{})); err == nil {
+		t.Error("PeekShard accepted a summary")
 	}
 
 	// CheckVersion accepts current messages and names an older version.
