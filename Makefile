@@ -116,9 +116,19 @@ fuzz-smoke:
 # failure-during-recovery schedules for the runtimes the paper claims
 # are crash-consistent (the Alpaca/InK baselines are expected to fail
 # at depth 2 — CI captures their full report as an artifact instead).
+# Then the two replay modes must render the whole app × runtime k=2
+# matrix byte-identically. Alpaca and InK diverge by design, so each
+# run's exit status is ignored; an empty output fails the comparison.
 nested-smoke:
 	$(GO) run ./cmd/easeio-check -k 2 -exhaustive -runtime EaseIO
 	$(GO) run ./cmd/easeio-check -k 2 -exhaustive -runtime JustDo
+	@dir=$$(mktemp -d) && $(GO) build -o $$dir/easeio-check ./cmd/easeio-check && \
+	{ $$dir/easeio-check -app all -runtime all -k 2 -exhaustive > $$dir/ckpt.txt; \
+	  $$dir/easeio-check -app all -runtime all -k 2 -exhaustive -fromboot > $$dir/boot.txt; \
+	  test -s $$dir/ckpt.txt && cmp $$dir/ckpt.txt $$dir/boot.txt; }; \
+	status=$$?; rm -rf $$dir; \
+	if [ $$status -eq 0 ]; then echo "nested-smoke: both replay modes render the k=2 matrix byte-identically"; fi; \
+	exit $$status
 
 # The library facade's runnable examples, each a short end-to-end run.
 EXAMPLES = quickstart sensorlog firfilter weather camaroptera

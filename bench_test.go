@@ -241,10 +241,11 @@ func BenchmarkAblationRegionalPrivatization(b *testing.B) {
 					}
 					cfg := core.DefaultConfig()
 					cfg.RegionalPrivatization = on
-					dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-					if err := kernel.RunApp(dev, core.NewWithConfig(cfg), bench.App); err != nil {
+					sess := kernel.NewSession(core.NewWithConfig(cfg), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+					if _, err := sess.Run(seed); err != nil {
 						b.Fatal(err)
 					}
+					dev := sess.Device()
 					if !dev.Run.Correct {
 						incorrect++
 					}
@@ -277,10 +278,11 @@ func BenchmarkAblationExclude(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-					if err := kernel.RunApp(dev, core.New(), bench.App); err != nil {
+					sess := kernel.NewSession(core.New(), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+					if _, err := sess.Run(seed); err != nil {
 						b.Fatal(err)
 					}
+					dev := sess.Device()
 					overhead += dev.Run.Work[stats.Overhead].T
 					total += dev.Run.OnTime
 				}
@@ -313,10 +315,11 @@ func BenchmarkAblationValuePrivatization(b *testing.B) {
 					cfg := core.DefaultConfig()
 					cfg.ValuePrivatization = on
 					cfg.RegionalPrivatization = false // isolate the value mechanism
-					dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-					if err := kernel.RunApp(dev, core.NewWithConfig(cfg), bench.App); err != nil {
+					sess := kernel.NewSession(core.NewWithConfig(cfg), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+					if _, err := sess.Run(seed); err != nil {
 						b.Fatal(err)
 					}
+					dev := sess.Device()
 					if !dev.Run.Correct {
 						unsafeRuns++
 					}
@@ -419,8 +422,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), int64(i)+1)
-		if err := kernel.RunApp(dev, core.New(), bench.App); err != nil {
+		sess := kernel.NewSession(core.New(), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+		if _, err := sess.Run(int64(i) + 1); err != nil {
 			b.Fatal(err)
 		}
 	}

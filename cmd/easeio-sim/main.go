@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	easeio-sim [-app dma|temp|lea|fir|weather|branch] [-rt easeio|alpaca|ink]
-//	           [-seed N] [-continuous] [-distance INCHES]
-//	           [-trace out.json] [-timeline] [-gantt]
+//	easeio-sim [-app NAME] [-rt NAME] [-seed N] [-continuous]
+//	           [-distance INCHES] [-trace out.json] [-timeline] [-gantt] [-lint]
+//
+// -app accepts the registered blueprint names (easeio-served's registry:
+// dma, temp, sensor, lea, fir, fir-op, weather, weather-db, branch) plus
+// "fig6", the paper's Figure 6 WAR-via-DMA scenario. -rt accepts Alpaca,
+// InK, EaseIO, EaseIO/Op. (or easeio-op) and JustDo, case-insensitively.
 //
 // -trace writes the run as Chrome trace_event JSON — open the file in
 // chrome://tracing or https://ui.perfetto.dev to see power spans, task
@@ -19,15 +23,19 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"easeio"
+	"easeio/internal/check"
+	"easeio/internal/experiments"
+	"easeio/internal/service"
 	"easeio/internal/stats"
 )
 
 func main() {
 	var (
-		appName    = flag.String("app", "weather", "application: dma, temp, lea, fir, weather, branch")
-		rtName     = flag.String("rt", "easeio", "runtime: easeio, alpaca, ink, justdo")
+		appName    = flag.String("app", "weather", "application: a registered blueprint name or \"fig6\"")
+		rtName     = flag.String("rt", "easeio", "runtime: Alpaca, InK, EaseIO, EaseIO/Op. or JustDo (any case)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		continuous = flag.Bool("continuous", false, "disable power failures")
 		distance   = flag.Float64("distance", 0, "if > 0, use the RF harvester at this distance (inches)")
@@ -38,9 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	bench, err := buildApp(*appName)
-	fail(err)
-	rt, err := buildRuntime(*rtName)
+	bench, rt, err := resolve(*appName, *rtName)
 	fail(err)
 
 	opts := []easeio.Option{easeio.WithSeed(*seed)}
@@ -130,38 +136,31 @@ func writeTrace(path string, buf *easeio.TraceBuffer) error {
 	return nil
 }
 
-func buildApp(name string) (*easeio.Bench, error) {
-	switch name {
-	case "dma":
-		return easeio.NewDMABench()
-	case "temp":
-		return easeio.NewTempBench()
-	case "lea":
-		return easeio.NewLEABench()
-	case "fir":
-		return easeio.NewFIRBench(false)
-	case "weather":
-		return easeio.NewWeatherBench(false)
-	case "branch":
-		return easeio.NewBranchBench()
-	default:
-		return nil, fmt.Errorf("unknown app %q", name)
+// resolve builds the named app through the same registry easeio-served
+// and easeio-check use (plus the checker's fig6 scenario) and the named
+// runtime through the experiment harness's runtime table.
+func resolve(appName, rtName string) (*easeio.Bench, easeio.Runtime, error) {
+	newApp := check.Fig6Bench
+	if appName != "fig6" {
+		reg := service.NewRegistry()
+		if err := service.RegisterPaperBenches(reg); err != nil {
+			return nil, nil, err
+		}
+		var ok bool
+		if newApp, ok = reg.LookupFactory(appName); !ok {
+			return nil, nil, fmt.Errorf("unknown app %q (want fig6 or one of %s)",
+				appName, strings.Join(reg.Names(), ", "))
+		}
 	}
-}
-
-func buildRuntime(name string) (easeio.Runtime, error) {
-	switch name {
-	case "easeio":
-		return easeio.NewEaseIO(), nil
-	case "alpaca":
-		return easeio.NewAlpaca(), nil
-	case "ink":
-		return easeio.NewInK(), nil
-	case "justdo":
-		return easeio.NewJustDo(), nil
-	default:
-		return nil, fmt.Errorf("unknown runtime %q", name)
+	kind, err := experiments.ParseRuntimeKind(rtName)
+	if err != nil {
+		return nil, nil, err
 	}
+	bench, err := newApp()
+	if err != nil {
+		return nil, nil, err
+	}
+	return bench, experiments.NewRuntime(kind), nil
 }
 
 func fail(err error) {

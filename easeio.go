@@ -188,26 +188,17 @@ func WithRFHarvester(distanceInches float64) Option {
 }
 
 // Run executes the application under the runtime on a fresh simulated
-// device. Without options it uses the paper's timer-driven power-failure
-// emulation and seed 0. The application is analyzed by the compiler
-// front-end if it has not been already.
+// device — a new session's first run. Without options it uses the
+// paper's timer-driven power-failure emulation and seed 0. The
+// application is analyzed by the compiler front-end if it has not been
+// already.
 func Run(app *App, rt Runtime, opts ...Option) (*Result, error) {
-	o := Options{}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.supply == nil {
-		o.supply = power.NewTimer(power.DefaultTimerConfig())
-	}
-	if err := frontend.Analyze(app); err != nil {
+	o := newOptions(opts)
+	s, err := newSession(app, rt, o)
+	if err != nil {
 		return nil, err
 	}
-	dev := kernel.NewDevice(o.supply, o.seed)
-	dev.Tracer = o.tracer
-	if err := kernel.RunApp(dev, rt, app); err != nil {
-		return nil, err
-	}
-	return dev.Run, nil
+	return s.Run(o.seed)
 }
 
 // Session runs one application under one runtime instance many times,
@@ -225,6 +216,12 @@ type Session struct {
 // options (supply, tracer) apply to every run; WithSeed is ignored — the
 // seed is per-run, passed to Session.Run.
 func NewSession(app *App, rt Runtime, opts ...Option) (*Session, error) {
+	return newSession(app, rt, newOptions(opts))
+}
+
+// newOptions applies opts over the defaults: the paper's timer-driven
+// emulation and seed 0.
+func newOptions(opts []Option) Options {
 	o := Options{}
 	for _, opt := range opts {
 		opt(&o)
@@ -232,6 +229,12 @@ func NewSession(app *App, rt Runtime, opts ...Option) (*Session, error) {
 	if o.supply == nil {
 		o.supply = power.NewTimer(power.DefaultTimerConfig())
 	}
+	return o
+}
+
+// newSession analyzes app and builds its session under o's supply and
+// tracer.
+func newSession(app *App, rt Runtime, o Options) (*Session, error) {
 	if err := frontend.Analyze(app); err != nil {
 		return nil, err
 	}

@@ -20,12 +20,12 @@ func analyzed(t *testing.T, a *task.App) *task.App {
 
 func run(t *testing.T, a *task.App, supply power.Supply, seed int64) (*kernel.Device, *Runtime) {
 	t.Helper()
-	dev := kernel.NewDevice(supply, seed)
 	rt := New()
-	if err := kernel.RunApp(dev, rt, a); err != nil {
+	sess := kernel.NewSession(rt, a, supply)
+	if _, err := sess.Run(seed); err != nil {
 		t.Fatal(err)
 	}
-	return dev, rt
+	return sess.Device(), rt
 }
 
 // TestWARPrivatization: a task that reads then writes a variable must see

@@ -279,10 +279,11 @@ func TestFIRVariantsCorrectUnderEaseIO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-			if err := kernel.RunApp(dev, core.New(), b.App); err != nil {
+			sess := kernel.NewSession(core.New(), b.App, power.NewTimer(power.DefaultTimerConfig()))
+			if _, err := sess.Run(seed); err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
+			dev := sess.Device()
 			if !dev.Run.Correct {
 				t.Fatalf("%s seed %d: incorrect output", name, seed)
 			}
@@ -301,10 +302,11 @@ func TestWeatherExcludeVariantCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-		if err := kernel.RunApp(dev, core.New(), b.App); err != nil {
+		sess := kernel.NewSession(core.New(), b.App, power.NewTimer(power.DefaultTimerConfig()))
+		if _, err := sess.Run(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		dev := sess.Device()
 		if !dev.Run.Correct {
 			t.Fatalf("seed %d: incorrect output", seed)
 		}

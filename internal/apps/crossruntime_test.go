@@ -37,11 +37,12 @@ func TestCrossRuntimeGoldenEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dev := kernel.NewDevice(power.Continuous{}, 1)
 				rt := newRT()
-				if err := kernel.RunApp(dev, rt, bench.App); err != nil {
+				sess := kernel.NewSession(rt, bench.App, power.Continuous{})
+				if _, err := sess.Run(1); err != nil {
 					t.Fatalf("%s: %v", rtName, err)
 				}
+				dev := sess.Device()
 				got := map[string][]uint16{}
 				for _, v := range bench.App.Vars {
 					words := make([]uint16, v.Words)

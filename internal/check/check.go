@@ -154,10 +154,10 @@ func (r *cutRecorder) NoteCut(onTime time.Duration) { r.cuts = append(r.cuts, on
 // candidate failure points, and returns a plan holding the report header
 // and an explorer over those candidates — the first stage of every
 // checker entry point. cfg must be filled. This is also where the replay
-// mode is chosen: checkpointed replay records on the golden session's
-// own device, runtime and app (golden state is copied out first, so it
-// costs no extra builds); FromBoot leaves the recorder nil, which makes
-// every replayer the explorer builds re-simulate from boot.
+// mode is chosen: checkpointed replay records by re-running the golden
+// session itself (golden state is copied out first, so it costs no extra
+// builds); FromBoot leaves the recorder nil, which makes every replayer
+// the explorer builds re-simulate from boot.
 func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Planned, error) {
 	newRT := cfg.NewRuntime
 	if newRT == nil {
@@ -201,7 +201,7 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 
 	e := &explorer{cfg: cfg, newApp: newApp, newRT: newRT, golden: g, cuts: rec.cuts}
 	if !cfg.FromBoot {
-		e.rec = newRecorder(bench, rt, dev, cfg.Seed)
+		e.rec = &recorder{sess: sess, seed: cfg.Seed}
 	}
 	p := &Planned{Header: Header{
 		App:           bench.App.Name,
@@ -255,15 +255,15 @@ type outcome struct {
 	div       *Divergence // nil when the replay matched golden
 }
 
-// replayer owns one worker's app instance and schedule. In from-boot
-// mode it re-simulates the whole run per point through a session (the
-// same blueprint/instance reuse path sweeps take); in checkpointed mode
-// it restores a golden-prefix checkpoint into its own attached device
-// and simulates only the post-failure suffix (kernel.ResumeWithFailure).
-// Both modes classify identically, so the Report is byte-identical
-// either way.
+// replayer owns one worker's app instance, schedule and session. In
+// from-boot mode it re-simulates the whole run per point (Session.Run,
+// the same reset path sweeps take); in checkpointed mode it restores a
+// golden-prefix checkpoint into the session's device and simulates only
+// the post-failure suffix (Session.Resume). Both modes classify
+// identically, so the Report is byte-identical either way.
 type replayer struct {
 	bench  *apps.Bench
+	sess   *kernel.Session
 	sch    *power.Schedule
 	golden *golden
 	seed   int64
@@ -273,39 +273,24 @@ type replayer struct {
 	want int
 	// sched is the scratch schedule buffer reused across evals.
 	sched []time.Duration
-
-	// from-boot mode
-	sess *kernel.Session
-
-	// checkpointed mode: a device with the blueprint attached, overwritten
-	// by every restore.
-	dev *kernel.Device
-	rt  kernel.Hooks
 }
 
-// newReplayer builds one replayer for the explorer's job. It is where
-// the replay mode takes effect: a job without a recorder (FromBoot) gets
-// from-boot replayers, every other job checkpointed ones.
+// newReplayer builds one replayer for the explorer's job. A checkpointed
+// job's replayer attaches its session up front, so roots can be checked
+// against the device (Checkpoint.Fits) before the first restore.
 func (e *explorer) newReplayer() (*replayer, error) {
 	bench, err := e.newApp()
 	if err != nil {
 		return nil, fmt.Errorf("check: build replay app: %w", err)
 	}
 	sch := power.NewScheduleWithOff(e.cfg.Off)
-	r := &replayer{bench: bench, sch: sch, golden: e.golden, seed: e.cfg.Seed}
-	if e.rec == nil {
-		r.sess = kernel.NewSession(e.newRT(), bench.App, sch)
-		return r, nil
+	r := &replayer{bench: bench, sess: kernel.NewSession(e.newRT(), bench.App, sch),
+		sch: sch, golden: e.golden, seed: e.cfg.Seed}
+	if e.rec != nil {
+		if err := r.sess.Attach(r.seed); err != nil {
+			return nil, fmt.Errorf("check: replay app: %w", err)
+		}
 	}
-	if err := bench.App.Validate(); err != nil {
-		return nil, fmt.Errorf("check: replay app: %w", err)
-	}
-	rt := e.newRT()
-	dev := kernel.NewDevice(sch, e.cfg.Seed)
-	if err := rt.Attach(dev, bench.App); err != nil {
-		return nil, fmt.Errorf("check: attach replay app: %w", err)
-	}
-	r.dev, r.rt = dev, rt
 	return r, nil
 }
 
@@ -317,32 +302,40 @@ func (r *replayer) setSchedule(schedule []time.Duration) {
 	r.want = len(schedule)
 }
 
+// resume loads the schedule and resumes the session from cp, the
+// checkpoint at the schedule's last cut, through its final injected
+// failure, with sink (nil for none) receiving the suffix's cuts. The
+// supply's fired-failure cursor restarts at zero, which is right for
+// golden-prefix checkpoints (whose continuous-supply state does not
+// restore into a Schedule); Restore re-establishes it for checkpoints
+// recorded under a schedule supply. A replay that errored left the
+// session without a device, so resume re-attaches first.
+func (r *replayer) resume(cp *kernel.Checkpoint, schedule []time.Duration, sink kernel.CutSink) (*stats.Run, error) {
+	r.setSchedule(schedule)
+	r.sch.Reset(0)
+	if err := r.sess.Attach(r.seed); err != nil {
+		return nil, err
+	}
+	r.sess.Cuts = sink
+	run, err := r.sess.Resume(cp)
+	r.sess.Cuts = nil
+	return run, err
+}
+
 // eval replays the run from boot with the given failure schedule and
 // classifies the result against golden.
 func (r *replayer) eval(schedule []time.Duration) outcome {
 	r.setSchedule(schedule)
 	run, err := r.sess.Run(r.seed)
-	if err != nil {
-		return r.classify(nil, nil, nil, err)
-	}
-	return r.classify(r.sess.Device(), r.sess.Runtime(), run, nil)
+	return r.classify(run, err)
 }
 
 // evalFrom restores the checkpoint taken at the schedule's last cut —
 // a golden-prefix checkpoint for single failures, a recovery-trajectory
 // checkpoint deeper in the tree — applies the final injected failure,
-// and simulates only the suffix. Restore re-establishes the schedule's
-// fired-failure cursor for checkpoints recorded under a schedule supply
-// (Reset's zero is correct for golden-prefix checkpoints, whose
-// continuous-supply state does not restore into a Schedule).
+// and simulates only the suffix.
 func (r *replayer) evalFrom(cp *kernel.Checkpoint, schedule []time.Duration) outcome {
-	r.setSchedule(schedule)
-	r.sch.Reset(0)
-	r.dev.Restore(cp, r.rt)
-	if err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App); err != nil {
-		return r.classify(nil, nil, nil, err)
-	}
-	return r.classify(r.dev, r.rt, r.dev.Run, nil)
+	return r.classify(r.resume(cp, schedule, nil))
 }
 
 // traceFrom replays a passing schedule's suffix like evalFrom, but with
@@ -352,13 +345,7 @@ func (r *replayer) evalFrom(cp *kernel.Checkpoint, schedule []time.Duration) out
 // schedule's last cut.
 func (r *replayer) traceFrom(cp *kernel.Checkpoint, schedule []time.Duration) ([]time.Duration, error) {
 	rec := &cutRecorder{}
-	r.setSchedule(schedule)
-	r.sch.Reset(0)
-	r.dev.Restore(cp, r.rt)
-	r.dev.Cuts = rec
-	err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App)
-	r.dev.Cuts = nil
-	if err != nil {
+	if _, err := r.resume(cp, schedule, rec); err != nil {
 		return nil, fmt.Errorf("check: suffix trace of schedule %v: %w", schedule, err)
 	}
 	return rec.cuts, nil
@@ -392,32 +379,23 @@ func (r *replayer) traceBoot(schedule []time.Duration) ([]time.Duration, error) 
 // does the same along the golden run. cuts is the trajectory's candidate
 // list (from traceFrom) and idxs selects ascending entries of it.
 func (r *replayer) recordSuffix(root *kernel.Checkpoint, schedule []time.Duration, cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
-	sink := newSnapSink(r.dev, r.rt, cuts, idxs)
-	r.setSchedule(schedule)
-	r.sch.Reset(0)
-	r.dev.Restore(root, r.rt)
-	r.dev.Cuts = sink
-	err := kernel.ResumeWithFailure(r.dev, r.rt, r.bench.App)
-	r.dev.Cuts = nil
-	if err != nil {
+	sink := newSnapSink(r.sess, cuts, idxs)
+	if _, err := r.resume(root, schedule, sink); err != nil {
 		return nil, fmt.Errorf("check: suffix recording pass of schedule %v: %w", schedule, err)
 	}
-	if sink.next != len(sink.targets) {
-		return nil, fmt.Errorf("check: suffix recording pass hit %d of %d cut points — recovery trajectory not reproducible",
-			sink.next, len(sink.targets))
-	}
-	return sink.cps, nil
+	return sink.finish("suffix recording pass", "recovery trajectory")
 }
 
 // classify compares one replay's final state against golden. The outcome
 // hash covers the correctness verdict, the failure count, every
 // non-time-sensitive memory word and the divergence kind — the
 // equivalence the pruning relies on.
-func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run, err error) outcome {
+func (r *replayer) classify(run *stats.Run, err error) outcome {
 	if err != nil {
 		return outcome{evaluated: true, hash: hashString("error:" + err.Error()),
 			div: &Divergence{Kind: "error", Detail: err.Error()}}
 	}
+	dev, rt := r.sess.Device(), r.sess.Runtime()
 
 	// Manual FNV-1a over the words' little-endian bytes — identical to
 	// feeding hash/fnv two bytes per word, without the per-word interface

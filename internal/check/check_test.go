@@ -194,11 +194,12 @@ func TestSeededBugDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(power.NewSchedule(rep.Minimal...), 0)
 	rt := broken()
-	if err := kernel.RunApp(dev, rt, bench.App); err != nil {
+	sess := kernel.NewSession(rt, bench.App, power.NewSchedule(rep.Minimal...))
+	if _, err := sess.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	if dev.Run.Correct {
 		t.Error("replaying the minimal schedule did not reproduce the divergence")
 	}

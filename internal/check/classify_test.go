@@ -127,7 +127,7 @@ func TestClassifyMatchesPerWord(t *testing.T) {
 			}
 			dev, rt := r.sess.Device(), r.sess.Runtime()
 			c0 := bankCounts(dev.Mem)
-			got := r.classify(dev, rt, run, nil)
+			got := r.classify(run, nil)
 			c1 := bankCounts(dev.Mem)
 			want := r.classifyPerWord(dev, rt, run)
 			c2 := bankCounts(dev.Mem)

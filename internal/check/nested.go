@@ -81,34 +81,23 @@ func nestedPlan(out []outcome, lo, hi int) []nestedRep {
 	return reps
 }
 
-// treeNode is a unit in explorer form: a failure prefix (empty for the
-// boot root), the checkpoint at its last cut (nil for boot and in
-// from-boot mode), how many hash-equal siblings it stands for, and the
-// candidate-index range to explore below it.
-type treeNode struct {
-	schedule  []time.Duration
-	root      *kernel.Checkpoint
-	collapsed int
-	lo, hi    int
-}
-
-// nodes converts same-depth units into tree nodes. In checkpointed mode
-// every non-boot unit must carry its root checkpoint, and each root is
-// checked once, against the tracer replayer's own attached device and
-// runtime (every replayer is built from the same blueprint): a root
-// taken under another blueprint fails the unit here instead of crashing
-// a restore. In from-boot mode roots are ignored and suffixes are traced
-// from boot.
-func (e *explorer) nodes(units []Unit) ([]treeNode, error) {
-	out := make([]treeNode, len(units))
+// checkUnits validates same-depth units before they are grown and
+// returns the units the explorer grows. In checkpointed mode every
+// non-boot unit must carry its root checkpoint, and each root is checked
+// once, against the tracer replayer's own attached device and runtime
+// (every replayer is built from the same blueprint): a root taken under
+// another blueprint fails the unit here instead of crashing a restore.
+// In from-boot mode roots are dropped and suffixes are traced from boot.
+func (e *explorer) checkUnits(units []Unit) ([]Unit, error) {
+	out := make([]Unit, len(units))
 	for i, u := range units {
 		if len(u.Schedule) != len(units[0].Schedule) {
 			return nil, fmt.Errorf("check: unit %d has a %d-failure prefix, unit 0 a %d-failure one; a group must share one depth",
 				i, len(u.Schedule), len(units[0].Schedule))
 		}
-		n := treeNode{schedule: append([]time.Duration(nil), u.Schedule...),
-			collapsed: u.Collapsed, lo: u.CutLo, hi: u.CutHi}
-		if len(u.Schedule) > 0 && e.rec != nil {
+		if len(u.Schedule) == 0 || e.rec == nil {
+			u.Root = nil
+		} else {
 			if u.Root == nil {
 				return nil, fmt.Errorf("check: unit %d has a failure prefix but no root checkpoint", i)
 			}
@@ -116,24 +105,16 @@ func (e *explorer) nodes(units []Unit) ([]treeNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := u.Root.Fits(t.dev, t.rt); err != nil {
+			if err := t.sess.Attach(t.seed); err != nil {
+				return nil, err
+			}
+			if err := u.Root.Fits(t.sess.Device(), t.sess.Runtime()); err != nil {
 				return nil, fmt.Errorf("check: unit %d: %w", i, err)
 			}
-			n.root = u.Root
 		}
-		out[i] = n
+		out[i] = u
 	}
 	return out, nil
-}
-
-// toUnits converts tree nodes back into units, handing their root
-// checkpoints to the caller.
-func toUnits(nodes []treeNode) []Unit {
-	out := make([]Unit, len(nodes))
-	for i, n := range nodes {
-		out[i] = Unit{Schedule: n.schedule, Collapsed: n.collapsed, Root: n.root, CutLo: n.lo, CutHi: n.hi}
-	}
-	return out
 }
 
 // tracerReplayer returns the replayer that traces and records suffixes
@@ -157,10 +138,10 @@ func (e *explorer) tracerReplayer() (*replayer, error) {
 // depth and in group order, exactly what the whole frontier produces. On
 // cancellation or a hard replay error it returns what was found so far
 // plus the error.
-func (e *explorer) grow(ctx context.Context, frontier []treeNode, last int) (UnitReport, []treeNode, error) {
+func (e *explorer) grow(ctx context.Context, frontier []Unit, last int) (UnitReport, []Unit, error) {
 	var res UnitReport
 	for len(frontier) > 0 {
-		depth := len(frontier[0].schedule) + 1
+		depth := len(frontier[0].Schedule) + 1
 		if depth > last {
 			return res, frontier, nil
 		}
@@ -170,22 +151,22 @@ func (e *explorer) grow(ctx context.Context, frontier []treeNode, last int) (Uni
 			}
 		}
 		ds := DepthStats{Depth: depth}
-		var next []treeNode
+		var next []Unit
 		for _, node := range frontier {
 			if err := ctx.Err(); err != nil {
 				res.Depths = append(res.Depths, ds)
 				return res, nil, err
 			}
 			ds.Expanded++
-			ds.Collapsed += node.collapsed
+			ds.Collapsed += node.Collapsed
 			children, err := e.expand(ctx, node, &ds, &res)
 			if err != nil {
 				res.Depths = append(res.Depths, ds)
 				return res, nil, err
 			}
 			next = append(next, children...)
-			if node.root != nil {
-				ckptPool.Put(node.root)
+			if node.Root != nil {
+				ckptPool.Put(node.Root)
 			}
 		}
 		res.Depths = append(res.Depths, ds)
@@ -196,29 +177,29 @@ func (e *explorer) grow(ctx context.Context, frontier []treeNode, last int) (Uni
 
 // candidates enumerates the failure points below a node: the golden cuts
 // for the boot root, the recovery trajectory's cuts otherwise.
-func (e *explorer) candidates(n treeNode) ([]time.Duration, error) {
+func (e *explorer) candidates(n Unit) ([]time.Duration, error) {
 	switch {
-	case len(n.schedule) == 0:
+	case len(n.Schedule) == 0:
 		return e.cuts, nil
-	case n.root != nil:
-		return e.tracer.traceFrom(n.root, n.schedule)
+	case n.Root != nil:
+		return e.tracer.traceFrom(n.Root, n.Schedule)
 	default:
-		return e.tracer.traceBoot(n.schedule)
+		return e.tracer.traceBoot(n.Schedule)
 	}
 }
 
 // recordFor returns the recording pass for a node's candidates: along
 // the golden run for the boot root, along the recovery trajectory from
 // the node's root checkpoint otherwise, and none in from-boot mode.
-func (e *explorer) recordFor(n treeNode) recordFn {
+func (e *explorer) recordFor(n Unit) recordFn {
 	switch {
 	case e.rec == nil:
 		return nil
-	case len(n.schedule) == 0:
+	case len(n.Schedule) == 0:
 		return e.rec.record
 	default:
 		return func(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
-			return e.tracer.recordSuffix(n.root, n.schedule, cuts, idxs)
+			return e.tracer.recordSuffix(n.Root, n.Schedule, cuts, idxs)
 		}
 	}
 }
@@ -228,19 +209,19 @@ func (e *explorer) recordFor(n treeNode) recordFn {
 // into ds/res, and returns the node's own expansion representatives for
 // the level below, rooted at checkpoints re-recorded along the same
 // trajectory (the eval rounds' checkpoints are already recycled).
-func (e *explorer) expand(ctx context.Context, node treeNode, ds *DepthStats, res *UnitReport) ([]treeNode, error) {
+func (e *explorer) expand(ctx context.Context, node Unit, ds *DepthStats, res *UnitReport) ([]Unit, error) {
 	cands, err := e.candidates(node)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := clampRange(node.lo, node.hi, len(cands))
+	lo, hi := clampRange(node.CutLo, node.CutHi, len(cands))
 	ds.Candidates += hi - lo
 	if hi == lo {
 		return nil, nil
 	}
 
 	record := e.recordFor(node)
-	out, err := e.exploreRange(ctx, cands, lo, hi, node.schedule, record)
+	out, err := e.exploreRange(ctx, cands, lo, hi, node.Schedule, record)
 	explored := 0
 	for i, o := range out {
 		if !o.evaluated {
@@ -251,9 +232,9 @@ func (e *explorer) expand(ctx context.Context, node treeNode, ds *DepthStats, re
 			d := *o.div
 			d.Index = i
 			d.At = cands[i]
-			if len(node.schedule) > 0 {
+			if len(node.Schedule) > 0 {
 				// Single-failure divergences carry their schedule in At.
-				d.Schedule = append(append([]time.Duration(nil), node.schedule...), cands[i])
+				d.Schedule = append(append([]time.Duration(nil), node.Schedule...), cands[i])
 			}
 			res.Divergences = append(res.Divergences, d)
 		}
@@ -263,7 +244,7 @@ func (e *explorer) expand(ctx context.Context, node treeNode, ds *DepthStats, re
 	if err != nil {
 		return nil, err
 	}
-	if len(node.schedule)+1 >= e.cfg.Failures {
+	if len(node.Schedule)+1 >= e.cfg.Failures {
 		return nil, nil
 	}
 
@@ -281,12 +262,12 @@ func (e *explorer) expand(ctx context.Context, node treeNode, ds *DepthStats, re
 			return nil, err
 		}
 	}
-	children := make([]treeNode, 0, len(reps))
+	children := make([]Unit, 0, len(reps))
 	for _, rp := range reps {
-		children = append(children, treeNode{
-			schedule:  append(append([]time.Duration(nil), node.schedule...), cands[rp.idx]),
-			root:      roots[rp.idx], // nil in from-boot mode
-			collapsed: rp.collapsed,
+		children = append(children, Unit{
+			Schedule:  append(append([]time.Duration(nil), node.Schedule...), cands[rp.idx]),
+			Root:      roots[rp.idx], // nil in from-boot mode
+			Collapsed: rp.collapsed,
 		})
 	}
 	return children, nil

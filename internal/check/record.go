@@ -4,7 +4,7 @@
 // golden continuous pass with a snapshotting CutSink and captures one
 // checkpoint (device and runtime halves) per pending cut point, which a
 // replayer then restores and resumes with the injected failure
-// (kernel.Device.SnapshotInto / kernel.ResumeWithFailure). Rounds are
+// (kernel.Device.SnapshotInto / kernel.Session.Resume). Rounds are
 // recorded in bounded batches so a large exhaustive round holds at most
 // checkpointBatch checkpoints in memory at once, and a batch's
 // checkpoints are recycled once its replays finish — recording is
@@ -17,9 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"easeio/internal/apps"
 	"easeio/internal/kernel"
-	"easeio/internal/power"
 )
 
 // checkpointBatch bounds how many checkpoints one recording pass
@@ -29,33 +27,31 @@ import (
 const checkpointBatch = 256
 
 // snapSink is the CutSink of a recording pass: at each targeted cut
-// on-time it snapshots the device and the runtime. Targets must be
+// on-time it snapshots the session's device and runtime. Targets must be
 // ascending (cut on-times strictly increase within a run).
 type snapSink struct {
 	targets []time.Duration // cut on-times to snapshot, ascending
 	idxs    []int           // candidate index per target
 	next    int
-	dev     *kernel.Device
-	rt      kernel.Hooks
+	sess    *kernel.Session
 	cps     map[int]*kernel.Checkpoint
 }
 
 // NoteCut implements kernel.CutSink.
 func (s *snapSink) NoteCut(onTime time.Duration) {
 	if s.next < len(s.targets) && onTime == s.targets[s.next] {
-		s.cps[s.idxs[s.next]] = s.dev.SnapshotInto(ckptGet(), s.rt)
+		s.cps[s.idxs[s.next]] = s.sess.Device().SnapshotInto(ckptGet(), s.sess.Runtime())
 		s.next++
 	}
 }
 
-// newSnapSink builds the sink that snapshots dev and rt at the cut
-// on-times cuts[idxs[0]], cuts[idxs[1]], … (idxs ascending).
-func newSnapSink(dev *kernel.Device, rt kernel.Hooks, cuts []time.Duration, idxs []int) *snapSink {
+// newSnapSink builds the sink that snapshots sess at the cut on-times
+// cuts[idxs[0]], cuts[idxs[1]], … (idxs ascending).
+func newSnapSink(sess *kernel.Session, cuts []time.Duration, idxs []int) *snapSink {
 	s := &snapSink{
 		targets: make([]time.Duration, len(idxs)),
 		idxs:    idxs,
-		dev:     dev,
-		rt:      rt,
+		sess:    sess,
 		cps:     make(map[int]*kernel.Checkpoint, len(idxs)),
 	}
 	for i, idx := range idxs {
@@ -64,15 +60,23 @@ func newSnapSink(dev *kernel.Device, rt kernel.Hooks, cuts []time.Duration, idxs
 	return s
 }
 
+// finish checks that a recording pass hit every target — a miss means
+// the recorded trajectory did not reproduce — and hands over its
+// checkpoints.
+func (s *snapSink) finish(pass, trajectory string) (map[int]*kernel.Checkpoint, error) {
+	if s.next != len(s.targets) {
+		return nil, fmt.Errorf("check: %s hit %d of %d cut points — %s not reproducible",
+			pass, s.next, len(s.targets), trajectory)
+	}
+	return s.cps, nil
+}
+
 // recorder re-runs the golden continuous pass once per batch on the
-// golden session's own device, runtime and app — the pass reproduces
-// the golden run exactly through the same reset path sweeps use
-// (Device.Reset + Hooks.Reset + RunAttached).
+// golden session itself — Session.Run's in-place reset reproduces the
+// golden run exactly, as it does every sweep seed.
 type recorder struct {
-	bench *apps.Bench
-	rt    kernel.Hooks
-	dev   *kernel.Device
-	seed  int64
+	sess *kernel.Session
+	seed int64
 }
 
 // ckptPool recycles checkpoints (and, through SnapshotInto, their
@@ -82,12 +86,6 @@ type recorder struct {
 // process-wide pool is what makes recording allocation-free at steady
 // state.
 var ckptPool = sync.Pool{New: func() any { return &kernel.Checkpoint{} }}
-
-// newRecorder wraps the golden pass's already-run device, runtime and
-// app for checkpoint-recording re-runs.
-func newRecorder(bench *apps.Bench, rt kernel.Hooks, dev *kernel.Device, seed int64) *recorder {
-	return &recorder{bench: bench, rt: rt, dev: dev, seed: seed}
-}
 
 // ckptGet pops a recycled checkpoint, or allocates a fresh one.
 func ckptGet() *kernel.Checkpoint {
@@ -107,18 +105,12 @@ func ckptRecycle(cps map[int]*kernel.Checkpoint) {
 // record re-runs the golden pass and returns one checkpoint per
 // requested candidate index (idxs ascending, indexing cuts).
 func (r *recorder) record(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
-	sink := newSnapSink(r.dev, r.rt, cuts, idxs)
-	r.dev.Reset(power.Continuous{}, r.seed)
-	if err := r.rt.Reset(r.dev); err != nil {
-		return nil, fmt.Errorf("check: recording pass reset: %w", err)
-	}
-	r.dev.Cuts = sink
-	if err := kernel.RunAttached(r.dev, r.rt, r.bench.App); err != nil {
+	sink := newSnapSink(r.sess, cuts, idxs)
+	r.sess.Cuts = sink
+	_, err := r.sess.Run(r.seed)
+	r.sess.Cuts = nil
+	if err != nil {
 		return nil, fmt.Errorf("check: recording pass: %w", err)
 	}
-	if sink.next != len(sink.targets) {
-		return nil, fmt.Errorf("check: recording pass hit %d of %d cut points — golden run not reproducible",
-			sink.next, len(sink.targets))
-	}
-	return sink.cps, nil
+	return sink.finish("recording pass", "golden run")
 }

@@ -12,7 +12,6 @@ import (
 	"easeio/internal/kernel"
 	"easeio/internal/mem"
 	"easeio/internal/power"
-	"easeio/internal/task"
 )
 
 var allKinds = []experiments.RuntimeKind{
@@ -148,28 +147,24 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 	}
 	sort.Ints(idxs)
 
-	rcr := newRecorder(bench, sess.Runtime(), sess.Device(), seed)
+	rcr := &recorder{sess: sess, seed: seed}
 	cps, err := rcr.record(level1, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One attached instance per role, reused across pairs the way
-	// the checker's own replayers are.
-	newInstance := func(sch *power.Schedule) (*kernel.Device, kernel.Hooks, *task.App) {
+	// One attached session per role, resumed the way the checker's own
+	// replayers are.
+	newInstance := func(sch *power.Schedule) *kernel.Session {
 		b, err := factory()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.App.Validate(); err != nil {
+		s := kernel.NewSession(experiments.NewRuntime(kind), b.App, sch)
+		if err := s.Attach(seed); err != nil {
 			t.Fatal(err)
 		}
-		dev := kernel.NewDevice(sch, seed)
-		rt := experiments.NewRuntime(kind)
-		if err := rt.Attach(dev, b.App); err != nil {
-			t.Fatal(err)
-		}
-		return dev, rt, b.App
+		return s
 	}
 
 	pairs := 0
@@ -179,15 +174,14 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 
 		// Trace the recovery trajectory after the first failure.
 		trSch := power.NewSchedule(c1)
-		trDev, trRT, trApp := newInstance(trSch)
+		tr := newInstance(trSch)
 		trSch.Reset(0)
-		trDev.Restore(cp1, trRT)
 		tr2 := &cutRecorder{}
-		trDev.Cuts = tr2
-		if err := kernel.ResumeWithFailure(trDev, trRT, trApp); err != nil {
+		tr.Cuts = tr2
+		if _, err := tr.Resume(cp1); err != nil {
 			t.Fatalf("cut %v: trace: %v", c1, err)
 		}
-		trDev.Cuts = nil
+		tr.Cuts = nil
 		suffix := tr2.cuts
 		if len(suffix) == 0 {
 			continue
@@ -205,14 +199,13 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 
 		// Re-run the same trajectory with a snapshotting sink to
 		// capture the suffix checkpoints (recordSuffix by hand).
-		sink := newSnapSink(trDev, trRT, suffix, jdx)
+		sink := newSnapSink(tr, suffix, jdx)
 		trSch.Reset(0)
-		trDev.Restore(cp1, trRT)
-		trDev.Cuts = sink
-		if err := kernel.ResumeWithFailure(trDev, trRT, trApp); err != nil {
+		tr.Cuts = sink
+		if _, err := tr.Resume(cp1); err != nil {
 			t.Fatalf("cut %v: suffix recording: %v", c1, err)
 		}
-		trDev.Cuts = nil
+		tr.Cuts = nil
 		if sink.next != len(sink.targets) {
 			t.Fatalf("cut %v: recorded %d of %d suffix checkpoints", c1, sink.next, len(sink.targets))
 		}
@@ -224,23 +217,24 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 			// Tree path: restore the suffix checkpoint and resume
 			// with the second failure.
 			evSch := power.NewSchedule(c1, c2)
-			evDev, evRT, evApp := newInstance(evSch)
+			ev := newInstance(evSch)
 			evSch.Reset(0)
-			evDev.Restore(sink.cps[i2], evRT)
-			if err := kernel.ResumeWithFailure(evDev, evRT, evApp); err != nil {
+			if _, err := ev.Resume(sink.cps[i2]); err != nil {
 				t.Fatalf("schedule [%v %v]: resume: %v", c1, c2, err)
 			}
+			evDev := ev.Device()
 
-			// From-boot reference with both failures scheduled.
+			// From-boot reference with both failures scheduled: a new
+			// session's first run.
 			refBench, err := factory()
 			if err != nil {
 				t.Fatal(err)
 			}
-			refDev := kernel.NewDevice(power.NewSchedule(c1, c2), seed)
-			refRT := experiments.NewRuntime(kind)
-			if err := kernel.RunApp(refDev, refRT, refBench.App); err != nil {
+			ref := kernel.NewSession(experiments.NewRuntime(kind), refBench.App, power.NewSchedule(c1, c2))
+			if _, err := ref.Run(seed); err != nil {
 				t.Fatalf("schedule [%v %v]: from boot: %v", c1, c2, err)
 			}
+			refDev := ref.Device()
 
 			if diffs := framDiff(evDev.Mem, refDev.Mem, 4); diffs != nil {
 				t.Errorf("schedule [%v %v]: final FRAM differs at words %v", c1, c2, diffs)
@@ -300,7 +294,7 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 			}
 			sort.Ints(idxs)
 
-			rcr := newRecorder(bench, sess.Runtime(), sess.Device(), seed)
+			rcr := &recorder{sess: sess, seed: seed}
 			cps, err := rcr.record(rec.cuts, idxs)
 			if err != nil {
 				t.Fatal(err)
@@ -315,11 +309,11 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refDev := kernel.NewDevice(power.NewSchedule(cut), seed)
-				refRT := experiments.NewRuntime(kind)
-				if err := kernel.RunApp(refDev, refRT, refBench.App); err != nil {
+				ref := kernel.NewSession(experiments.NewRuntime(kind), refBench.App, power.NewSchedule(cut))
+				if _, err := ref.Run(seed); err != nil {
 					t.Fatal(err)
 				}
+				refDev := ref.Device()
 
 				// Checkpointed path: restore the golden-prefix snapshot into
 				// a second instance and simulate only the suffix.
@@ -327,19 +321,14 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sufBench.App.Validate(); err != nil {
+				suf := kernel.NewSession(experiments.NewRuntime(kind), sufBench.App, power.NewSchedule(cut))
+				if err := suf.Attach(seed); err != nil {
 					t.Fatal(err)
 				}
-				sufDev := kernel.NewDevice(power.NewSchedule(cut), seed)
-				sufRT := experiments.NewRuntime(kind)
-				if err := sufRT.Attach(sufDev, sufBench.App); err != nil {
+				if _, err := suf.Resume(cps[idx]); err != nil {
 					t.Fatal(err)
 				}
-				cp := cps[idx]
-				sufDev.Restore(cp, sufRT)
-				if err := kernel.ResumeWithFailure(sufDev, sufRT, sufBench.App); err != nil {
-					t.Fatal(err)
-				}
+				sufDev := suf.Device()
 
 				if diffs := framDiff(sufDev.Mem, refDev.Mem, 4); diffs != nil {
 					t.Errorf("cut %v: final FRAM differs at words %v", cut, diffs)

@@ -113,16 +113,13 @@ func Plan(ctx context.Context, newApp experiments.AppFactory, kind experiments.R
 	if p.Candidates == 0 {
 		return p, nil
 	}
-	boot := []treeNode{{}}
+	p.Units = []Unit{{}}
 	if cfg.Failures == 1 {
-		p.Units = toUnits(boot)
 		return p, nil
 	}
 	// The level-2 roots leave the recording pool for good: they belong to
 	// the caller until their subtrees are grown.
-	var next []treeNode
-	p.Level1, next, err = p.e.grow(ctx, boot, 1)
-	p.Units = toUnits(next)
+	p.Level1, p.Units, err = p.e.grow(ctx, p.Units, 1)
 	return p, err
 }
 
@@ -130,11 +127,11 @@ func Plan(ctx context.Context, newApp experiments.AppFactory, kind experiments.R
 // pass or app build. The units must be same-depth units of this plan (or
 // of a plan with the same configuration).
 func (p *Planned) run(ctx context.Context, units []Unit) (UnitReport, error) {
-	nodes, err := p.e.nodes(units)
+	units, err := p.e.checkUnits(units)
 	if err != nil {
 		return UnitReport{}, err
 	}
-	res, _, err := p.e.grow(ctx, nodes, p.Failures)
+	res, _, err := p.e.grow(ctx, units, p.Failures)
 	return res, err
 }
 

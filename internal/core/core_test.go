@@ -21,11 +21,11 @@ func analyzed(t *testing.T, a *task.App) *task.App {
 
 func runWith(t *testing.T, a *task.App, supply power.Supply, rt *Runtime) (*kernel.Device, *Runtime) {
 	t.Helper()
-	dev := kernel.NewDevice(supply, 1)
-	if err := kernel.RunApp(dev, rt, a); err != nil {
+	sess := kernel.NewSession(rt, a, supply)
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	return dev, rt
+	return sess.Device(), rt
 }
 
 func run(t *testing.T, a *task.App, supply power.Supply) (*kernel.Device, *Runtime) {

@@ -178,11 +178,12 @@ func TestFigure6Scenario(t *testing.T) {
 		})
 		fin = app.AddTask("fin", func(e task.Exec) { e.Done() })
 		analyzed(t, app)
-		dev := kernel.NewDevice(power.NewSchedule(failAt), 1)
 		rt := NewWithConfig(cfg)
-		if err := kernel.RunApp(dev, rt, app); err != nil {
+		sess := kernel.NewSession(rt, app, power.NewSchedule(failAt))
+		if _, err := sess.Run(1); err != nil {
 			t.Fatal(err)
 		}
+		dev := sess.Device()
 		return kernel.ReadVar(dev, rt, vz, 0), kernel.ReadVar(dev, rt, vt, 0),
 			kernel.ReadVar(dev, rt, va, 0), kernel.ReadVar(dev, rt, vb, 0)
 	}
@@ -221,11 +222,12 @@ func TestFigure6AblationShowsBug(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.RegionalPrivatization = false
-	dev := kernel.NewDevice(power.NewSchedule(3*time.Millisecond), 1)
 	rt := NewWithConfig(cfg)
-	if err := kernel.RunApp(dev, rt, app); err != nil {
+	sess := kernel.NewSession(rt, app, power.NewSchedule(3*time.Millisecond))
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	// Without regions: after the failure, a[0] = z (=200) persists, the
 	// Single DMA is skipped... but nothing restores b or replays the
 	// read-consistency, so the re-executed z = b[0] reads 100 (the DMA's
@@ -255,15 +257,14 @@ func TestPrivBufferExhaustionPanics(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.PrivBufWords = 100
-	rt := NewWithConfig(cfg)
-	dev := kernel.NewDevice(power.Continuous{}, 1)
+	sess := kernel.NewSession(NewWithConfig(cfg), a, power.Continuous{})
 	defer func() {
 		r := recover()
 		if r == nil || !strings.Contains(r.(string), "privatization buffer") {
 			t.Errorf("recover = %v", r)
 		}
 	}()
-	_ = kernel.RunApp(dev, rt, a)
+	_, _ = sess.Run(1)
 }
 
 // TestPrivBufferSharing: two Private DMAs in one task claim disjoint
@@ -293,10 +294,11 @@ func TestPrivBufferSharing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PrivBufWords = 100 // fits 40+50 once, but not twice without reset
 	rt := NewWithConfig(cfg)
-	dev := kernel.NewDevice(power.Continuous{}, 1)
-	if err := kernel.RunApp(dev, rt, a); err != nil {
+	sess := kernel.NewSession(rt, a, power.Continuous{})
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err) // exhaustion would panic instead
 	}
+	dev := sess.Device()
 	if dev.Run.DMAExecs != 8 {
 		t.Errorf("DMA executions = %d, want 8", dev.Run.DMAExecs)
 	}
@@ -374,10 +376,11 @@ func TestNonTerminationAvoidance(t *testing.T) {
 
 	// EaseIO: completes (I/O committed in cycle 1, compute fits cycle 2).
 	app := analyzed(t, build())
-	dev := kernel.NewDevice(power.NewTimer(cfg), 1)
-	if err := kernel.RunApp(dev, New(), app); err != nil {
+	sess := kernel.NewSession(New(), app, power.NewTimer(cfg))
+	if _, err := sess.Run(1); err != nil {
 		t.Fatalf("EaseIO must terminate: %v", err)
 	}
+	dev := sess.Device()
 	if dev.Run.PowerFailures == 0 {
 		t.Error("scenario should involve at least one failure")
 	}
@@ -454,10 +457,11 @@ func TestPrivBufferClaimIdempotentAcrossRetries(t *testing.T) {
 	rt := NewWithConfig(cfg)
 	sch := power.NewSchedule(760*time.Microsecond, 1520*time.Microsecond,
 		2280*time.Microsecond, 3040*time.Microsecond)
-	dev := kernel.NewDevice(sch, 1)
-	if err := kernel.RunApp(dev, rt, a); err != nil {
+	sess := kernel.NewSession(rt, a, sch)
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	if dev.Run.PowerFailures != 4 {
 		t.Fatalf("failures = %d, want 4", dev.Run.PowerFailures)
 	}

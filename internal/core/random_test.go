@@ -220,11 +220,12 @@ func TestRandomizedDifferentialConsistency(t *testing.T) {
 			if err := frontend.Analyze(golden); err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
-			gdev := kernel.NewDevice(power.Continuous{}, 1)
 			grt := New()
-			if err := kernel.RunApp(gdev, grt, golden); err != nil {
+			gsess := kernel.NewSession(grt, golden, power.Continuous{})
+			if _, err := gsess.Run(1); err != nil {
 				t.Fatalf("golden run: %v", err)
 			}
+			gdev := gsess.Device()
 			want := snapshotVars(gdev, grt, golden)
 			total := gdev.Clock.OnTime()
 
@@ -247,11 +248,12 @@ func TestRandomizedDifferentialConsistency(t *testing.T) {
 						if err := frontend.Analyze(app); err != nil {
 							t.Fatal(err)
 						}
-						dev := kernel.NewDevice(power.NewSchedule(schedule...), 1)
 						rt := newRT()
-						if err := kernel.RunApp(dev, rt, app); err != nil {
+						sess := kernel.NewSession(rt, app, power.NewSchedule(schedule...))
+						if _, err := sess.Run(1); err != nil {
 							t.Fatalf("%s schedule %v: %v", rtName, schedule, err)
 						}
+						dev := sess.Device()
 						got := snapshotVars(dev, rt, app)
 						for name, w := range want {
 							for i := range w {
@@ -276,10 +278,11 @@ func TestRandomizedTimeAccounting(t *testing.T) {
 		if err := frontend.Analyze(app); err != nil {
 			t.Fatal(err)
 		}
-		dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), appSeed)
-		if err := kernel.RunApp(dev, New(), app); err != nil {
+		sess := kernel.NewSession(New(), app, power.NewTimer(power.DefaultTimerConfig()))
+		if _, err := sess.Run(appSeed); err != nil {
 			t.Fatal(err)
 		}
+		dev := sess.Device()
 		var sum time.Duration
 		for _, w := range dev.Run.Work {
 			sum += w.T

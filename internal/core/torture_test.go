@@ -33,10 +33,11 @@ func TestBenchmarkTortureSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-				if err := kernel.RunApp(dev, New(), bench.App); err != nil {
+				sess := kernel.NewSession(New(), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+				if _, err := sess.Run(seed); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
+				dev := sess.Device()
 				if !dev.Run.Correct {
 					t.Fatalf("seed %d: EaseIO produced an incorrect result", seed)
 				}
@@ -77,10 +78,11 @@ func TestInstanceCounterWraparound(t *testing.T) {
 	if err := frontend.Analyze(a); err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(power.Continuous{}, 1)
-	if err := kernel.RunApp(dev, New(), a); err != nil {
+	sess := kernel.NewSession(New(), a, power.Continuous{})
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	// Exactly one execution per instance: a stale flag surviving the wrap
 	// would cause a skip; a corrupted counter would cause a re-execution
 	// miscount.
@@ -127,8 +129,8 @@ func TestTimelyWindowBoundary(t *testing.T) {
 		app := a
 		sch := power.NewSchedule(5 * time.Millisecond)
 		sch.Off = tc.off
-		dev := kernel.NewDevice(sch, 1)
-		if err := kernel.RunApp(dev, New(), app); err != nil {
+		sess := kernel.NewSession(New(), app, sch)
+		if _, err := sess.Run(1); err != nil {
 			t.Fatal(err)
 		}
 		if execs != tc.wantExecs {
@@ -183,10 +185,11 @@ func TestDeeplyNestedBlocks(t *testing.T) {
 	}
 	sch := power.NewSchedule(4 * time.Millisecond)
 	sch.Off = 20 * time.Millisecond // mid's window long expired
-	dev := kernel.NewDevice(sch, 1)
-	if err := kernel.RunApp(dev, New(), a); err != nil {
+	sess := kernel.NewSession(New(), a, sch)
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	// One execution each: the completed outer Single block shields even
 	// the Always member and the expired Timely machinery beneath it.
 	for i, c := range counts {
@@ -222,10 +225,11 @@ func TestGenerationCounterOverflow(t *testing.T) {
 	if err := frontend.Analyze(a); err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(power.Continuous{}, 1)
-	if err := kernel.RunApp(dev, New(), a); err != nil {
+	sess := kernel.NewSession(New(), a, power.Continuous{})
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	if dev.Run.IOExecs != 2 {
 		t.Errorf("executions = %d", dev.Run.IOExecs)
 	}

@@ -103,16 +103,17 @@ func dayRun(cfg DiurnalConfig, scfg energy.SolarConfig, k RuntimeKind) (completi
 		if berr != nil {
 			return 0, 0, 0, berr
 		}
-		dev := kernel.NewDevice(&resumedSupply{Supply: supply, base: wall}, int64(completions)+1)
-		if rerr := kernel.RunApp(dev, NewRuntime(k), bench.App); rerr != nil {
+		sess := kernel.NewSession(NewRuntime(k), bench.App, &resumedSupply{Supply: supply, base: wall})
+		run, rerr := sess.Run(int64(completions) + 1)
+		if rerr != nil {
 			return 0, 0, 0, rerr
 		}
-		if dev.Run.Stuck {
+		if run.Stuck {
 			break
 		}
-		wall += dev.Run.WallTime
-		on += dev.Run.OnTime
-		failures += dev.Run.PowerFailures
+		wall += run.WallTime
+		on += run.OnTime
+		failures += run.PowerFailures
 		if wall <= cfg.Budget {
 			completions++
 		}

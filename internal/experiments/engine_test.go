@@ -27,6 +27,23 @@ func sensorFactory() (*apps.Bench, error) {
 	return apps.NewSensorApp(apps.DefaultSensorConfig())
 }
 
+// freshRun executes one seeded run of the app under the runtime kind as
+// a new session's first run — the fresh device and attach the reuse
+// paths are checked against. Like the sweep engine, it labels the run
+// with the kind's name (EaseIO/Op. included).
+func freshRun(newApp AppFactory, kind RuntimeKind, supply power.Supply, seed int64) (*stats.Run, error) {
+	bench, err := newApp()
+	if err != nil {
+		return nil, err
+	}
+	run, err := kernel.NewSession(NewRuntime(kind), bench.App, supply).Run(seed)
+	if err != nil {
+		return nil, err
+	}
+	run.Runtime = kind.String()
+	return run, nil
+}
+
 // TestRunManyDeterminism checks that identical seeds produce a
 // byte-identical Summary whether the sweep runs on one worker or many,
 // and that the pooled sweep equals a fold of fresh-device runs.
@@ -59,7 +76,7 @@ func TestRunManyDeterminism(t *testing.T) {
 			}
 			fresh := stats.NewAggregator()
 			for i := 0; i < c.runs; i++ {
-				run, err := RunOne(c.new, EaseIO, TimerSupply(), base.BaseSeed+int64(i))
+				run, err := freshRun(c.new, EaseIO, TimerSupply(), base.BaseSeed+int64(i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,11 +112,11 @@ func TestSessionResetReproducesFreshRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := RunOne(factory, kind, TimerSupply(), 9)
+				fresh, err := freshRun(factory, kind, TimerSupply(), 9)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// RunOne relabels the runtime for EaseIO/Op. reporting; the
+				// freshRun relabels the runtime for EaseIO/Op. reporting; the
 				// raw session does not. Normalize before comparing.
 				fresh.Runtime = reused.Runtime
 				if !reflect.DeepEqual(reused, fresh) {
@@ -131,13 +148,13 @@ func TestSessionResetJustDo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(power.NewTimer(power.DefaultTimerConfig()), 9)
-	if err := kernel.RunApp(dev, justdo.New(), bench2.App); err != nil {
+	fresh, err := kernel.NewSession(justdo.New(), bench2.App, power.NewTimer(power.DefaultTimerConfig())).Run(9)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(reused, dev.Run) {
+	if !reflect.DeepEqual(reused, fresh) {
 		t.Errorf("reused JustDo device diverged from fresh device:\n%+v\nvs\n%+v",
-			reused, dev.Run)
+			reused, fresh)
 	}
 }
 
@@ -274,7 +291,7 @@ func (*stubError) Error() string { return "stub app failure" }
 func TestAggregatorMergeMatchesSequential(t *testing.T) {
 	runs := make([]*stats.Run, 0, 10)
 	for i := 0; i < 10; i++ {
-		r, err := RunOne(tempFactory, EaseIO, TimerSupply(), int64(100+i))
+		r, err := freshRun(tempFactory, EaseIO, TimerSupply(), int64(100+i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,11 +90,11 @@ func runPerWord(t *testing.T, kind RuntimeKind, supply power.Supply, seed int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(supply, seed)
-	if err := kernel.RunApp(dev, NewRuntime(kind), bench.App); err != nil {
+	run, err := kernel.NewSession(NewRuntime(kind), bench.App, supply).Run(seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return dev.Run
+	return run
 }
 
 // TestLoadSumMatchesPerWord pins byte-identity between the fused app
@@ -169,14 +169,15 @@ func TestCutSinkForcesSliceIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			perWordCuts := &cutRecorder{}
-			dev := kernel.NewDevice(TimerSupply(), 4)
-			dev.Cuts = perWordCuts
-			if err := kernel.RunApp(dev, NewRuntime(kind), twin.App); err != nil {
+			twinSess := kernel.NewSession(NewRuntime(kind), twin.App, TimerSupply())
+			twinSess.Cuts = perWordCuts
+			perWord, err := twinSess.Run(4)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(fused, dev.Run) {
+			if !reflect.DeepEqual(fused, perWord) {
 				t.Errorf("fused run under CutSink diverged from per-word:\n%+v\nvs\n%+v",
-					fused, dev.Run)
+					fused, perWord)
 			}
 			if !reflect.DeepEqual(fusedCuts.cuts, perWordCuts.cuts) {
 				t.Errorf("cut sequences differ: fused %d cuts, per-word %d cuts",

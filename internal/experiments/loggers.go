@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,9 +19,6 @@ import (
 
 	"easeio/internal/apps"
 	"easeio/internal/frontend"
-	"easeio/internal/justdo"
-	"easeio/internal/kernel"
-	"easeio/internal/power"
 	"easeio/internal/stats"
 	"easeio/internal/task"
 )
@@ -97,43 +93,23 @@ func storeDenseApp() (*apps.Bench, error) {
 // store-dense microbenchmark.
 func Loggers(cfg Config) ([]LoggerRow, error) {
 	cfg = cfg.fill()
-	kinds := []struct {
-		label string
-		newRT func() kernel.Hooks
-		kind  RuntimeKind
-	}{
-		{"Alpaca", nil, Alpaca},
-		{"EaseIO", nil, EaseIO},
-		{"JustDo", func() kernel.Hooks { return justdo.New() }, -1},
-	}
+	kinds := []RuntimeKind{Alpaca, EaseIO, JustDo}
 	cases := UniTaskCases()
 	cases = append(cases, UniTaskCase{Label: "Store-dense", New: storeDenseApp})
 	var out []LoggerRow
 	for _, c := range cases {
 		for _, k := range kinds {
-			var cont time.Duration
-			var sum stats.Summary
-			if k.newRT == nil {
-				g, err := GoldenTime(c.New, k.kind)
-				if err != nil {
-					return nil, err
-				}
-				cont = g.MeanOnTime
-				s, err := RunMany(cfg, c.New, k.kind)
-				if err != nil {
-					return nil, err
-				}
-				sum = s
-			} else {
-				var err error
-				cont, sum, err = runCustom(cfg, c.New, k.newRT)
-				if err != nil {
-					return nil, err
-				}
+			g, err := GoldenTime(c.New, k)
+			if err != nil {
+				return nil, err
+			}
+			sum, err := RunMany(cfg, c.New, k)
+			if err != nil {
+				return nil, err
 			}
 			out = append(out, LoggerRow{
-				App: c.Label, Runtime: k.label,
-				Cont: cont, Int: sum.MeanTotalTime(),
+				App: c.Label, Runtime: k.String(),
+				Cont: g.MeanOnTime, Int: sum.MeanTotalTime(),
 				Overhead: sum.Work[stats.Overhead].T,
 				Wasted:   sum.Work[stats.Wasted].T,
 				Repeats:  sum.IORepeats + sum.DMARepeats,
@@ -141,41 +117,6 @@ func Loggers(cfg Config) ([]LoggerRow, error) {
 		}
 	}
 	return out, nil
-}
-
-// runCustom sweeps a runtime outside the RuntimeKind registry, reusing
-// one session (device + runtime instance) across the seeds.
-func runCustom(cfg Config, newApp AppFactory, newRT func() kernel.Hooks) (time.Duration, stats.Summary, error) {
-	// Continuous baseline on its own runtime instance.
-	bench, err := newApp()
-	if err != nil {
-		return 0, stats.Summary{}, err
-	}
-	gdev := kernel.NewDevice(power.Continuous{}, 0)
-	if err := kernel.RunApp(gdev, newRT(), bench.App); err != nil {
-		return 0, stats.Summary{}, err
-	}
-	cont := gdev.Clock.OnTime()
-
-	bench, err = newApp()
-	if err != nil {
-		return 0, stats.Summary{}, err
-	}
-	rt := newRT()
-	sess := kernel.NewSession(rt, bench.App, cfg.Supply())
-	agg := stats.NewAggregator()
-	var errs []error
-	for i := 0; i < cfg.Runs; i++ {
-		seed := cfg.BaseSeed + int64(i)
-		run, err := sess.Run(seed)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("experiments: %s on %s (seed %d): %w",
-				bench.App.Name, rt.Name(), seed, err))
-			continue
-		}
-		agg.Add(run)
-	}
-	return cont, agg.Summary(), errors.Join(errs...)
 }
 
 // RenderLoggers prints the comparison.

@@ -170,27 +170,10 @@ func (c Config) fill() Config {
 	return c
 }
 
-// RunOne executes one seeded run of the app under the runtime kind.
-func RunOne(newApp AppFactory, kind RuntimeKind, supply power.Supply, seed int64) (*stats.Run, error) {
-	bench, err := newApp()
-	if err != nil {
-		return nil, err
-	}
-	dev := kernel.NewDevice(supply, seed)
-	if err := kernel.RunApp(dev, NewRuntime(kind), bench.App); err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s (seed %d): %w",
-			bench.App.Name, kind, seed, err)
-	}
-	dev.Run.Runtime = kind.String() // distinguish EaseIO/Op. in reports
-	return dev.Run, nil
-}
-
 // GoldenTime returns the continuous-power execution time of the app under
-// the runtime — the pure application + overhead baseline.
+// the runtime — the pure application + overhead baseline: a one-run,
+// seed-0 sweep.
 func GoldenTime(newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
-	run, err := RunOne(newApp, kind, power.Continuous{}, 0)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	return stats.Aggregate([]*stats.Run{run}), nil
+	return RunMany(Config{Runs: 1, Supply: func() power.Supply { return power.Continuous{} }, Workers: 1},
+		newApp, kind)
 }

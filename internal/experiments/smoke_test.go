@@ -23,7 +23,7 @@ func TestSmokeAllAppsAllRuntimes(t *testing.T) {
 		for _, kind := range []RuntimeKind{Alpaca, InK, EaseIO} {
 			// Continuous power: must run with zero failures and correct
 			// output under every runtime.
-			run, err := RunOne(f, kind, power.Continuous{}, 1)
+			run, err := freshRun(f, kind, power.Continuous{}, 1)
 			if err != nil {
 				t.Fatalf("%s/%s continuous: %v", name, kind, err)
 			}
@@ -41,7 +41,7 @@ func TestSmokeAllAppsAllRuntimes(t *testing.T) {
 				run.OnTime, run.IOExecs)
 
 			// Intermittent power: must terminate.
-			irun, err := RunOne(f, kind, TimerSupply(), 42)
+			irun, err := freshRun(f, kind, TimerSupply(), 42)
 			if err != nil {
 				t.Fatalf("%s/%s intermittent: %v", name, kind, err)
 			}

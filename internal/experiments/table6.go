@@ -72,11 +72,11 @@ func Table6() (*Table6Data, error) {
 			if err != nil {
 				return nil, err
 			}
-			dev := kernel.NewDevice(power.Continuous{}, 0)
-			rt := NewRuntime(k)
-			if err := kernel.RunApp(dev, rt, bench.App); err != nil {
+			sess := kernel.NewSession(NewRuntime(k), bench.App, power.Continuous{})
+			if _, err := sess.Run(0); err != nil {
 				return nil, fmt.Errorf("table6 %s/%s: %w", c.label, k, err)
 			}
+			dev := sess.Device()
 			cell := Table6Cell{
 				Text: codeSize(k, bench.App),
 				RAM: 2*(dev.Mem.HighWater(mem.SRAM)+dev.Mem.HighWater(mem.LEARAM)) +

@@ -389,6 +389,100 @@ func TestFinishedJobReleasesBytes(t *testing.T) {
 	}
 }
 
+// scanLen is the length of the coordinator's lease scan order.
+func scanLen(c *Coordinator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.order)
+}
+
+// TestFinishedJobsLeaveLeaseScan checks that Lease and lease expiry stay
+// bounded by the unfinished jobs: succeeded jobs and a job failed at
+// submit leave the scan order, a later job still leases and merges
+// byte-identically to RunMany, and a coordinator reopened from the WAL
+// scans only the job it left unfinished.
+func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
+	cfg := CoordinatorConfig{WALPath: filepath.Join(t.TempDir(), "fleet.wal"), Source: testApps}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []Spec{{Mode: ModeCheck, App: "nope", Runtime: "EaseIO"}} // fails at submit
+	for i := 0; i < 20; i++ {
+		specs = append(specs, Spec{Mode: ModeSweep, App: "temp", Runtime: "EaseIO", Runs: 2, BaseSeed: int64(i), Shards: 2})
+	}
+	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Shards: 2})
+	var ids []uint64
+	for _, s := range specs {
+		id, err := c.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	stop := startLoopback(t, c, 2)
+	if _, err := c.Wait(context.Background(), ids[0]); err == nil {
+		t.Fatal("a check of an unknown app succeeded")
+	}
+	live := map[uint64]Result{}
+	for _, id := range ids[1:] {
+		live[id] = waitResult(t, c, id)
+	}
+	stop()
+	if n := scanLen(c); n != 0 {
+		t.Errorf("%d finished jobs still in the lease scan order", n)
+	}
+
+	want, err := experiments.RunMany(experiments.Config{Runs: 6, BaseSeed: 30, Workers: 1}, testApps["fir"], experiments.InK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := Spec{Mode: ModeSweep, App: "fir", Runtime: "InK", Runs: 6, BaseSeed: 30, Shards: 3}
+	id, err := c.Submit(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := scanLen(c); n != 1 {
+		t.Errorf("scan order holds %d jobs, want the 1 unfinished", n)
+	}
+	stop = startLoopback(t, c, 2)
+	live[id] = waitResult(t, c, id)
+	stop()
+	if !reflect.DeepEqual(live[id].Summary, want) {
+		t.Errorf("later job differs from RunMany:\n%+v\nvs\n%+v", live[id].Summary, want)
+	}
+
+	pending, err := c.Submit(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n := scanLen(c); n != 1 {
+		t.Errorf("reopened scan order holds %d jobs, want the 1 unfinished", n)
+	}
+	if _, err := c.Wait(context.Background(), ids[0]); err == nil {
+		t.Error("the failed job recovered as a success")
+	}
+	for id, res := range live {
+		if got := waitResult(t, c, id); !reflect.DeepEqual(got, res) {
+			t.Errorf("job %d recovered result differs from the live one:\n%+v\nvs\n%+v", id, got, res)
+		}
+	}
+	startLoopback(t, c, 2)
+	if got := waitResult(t, c, pending); !reflect.DeepEqual(got.Summary, want) {
+		t.Errorf("resumed job differs from RunMany:\n%+v\nvs\n%+v", got.Summary, want)
+	}
+	if n := scanLen(c); n != 0 {
+		t.Errorf("%d finished jobs still in the reopened scan order", n)
+	}
+}
+
 // preTaskPlan encodes a plan record in the layout written before every
 // shard was a task: no check header, the sweep's seed ranges, an empty
 // level-1 result and no tasks.

@@ -13,6 +13,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,7 +129,7 @@ type Coordinator struct {
 	mu    sync.Mutex
 	wal   *wal
 	jobs  map[uint64]*job
-	order []uint64 // submission order, the lease scan order
+	order []uint64 // unfinished jobs in submission order, the lease scan order
 	next  uint64
 }
 
@@ -252,11 +253,9 @@ func (c *Coordinator) replay(r record) {
 func (c *Coordinator) recover() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.order {
+	// A copy: jobs that finish here leave c.order.
+	for _, id := range slices.Clone(c.order) {
 		j := c.jobs[id]
-		if j.finished {
-			continue
-		}
 		if !j.planned {
 			if err := c.planLocked(j); err != nil {
 				if ferr := c.failJobLocked(j, err.Error()); ferr != nil {
@@ -414,7 +413,7 @@ func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 	c.expireLocked(now)
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if j.finished || !j.planned {
+		if !j.planned {
 			continue
 		}
 		for idx, sh := range j.shards {
@@ -448,11 +447,7 @@ func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 // byte-identical anyway.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.finished {
-			continue
-		}
-		for _, sh := range j.shards {
+		for _, sh := range c.jobs[id].shards {
 			if sh.st == shardLeased && now.After(sh.leaseExpiry) {
 				sh.st = shardPending
 				if m := c.cfg.Metrics; m != nil {
@@ -678,11 +673,16 @@ func payloads(shards []*shardState) [][]byte {
 }
 
 // finish applies a terminal state and wakes waiters. A finished job
-// releases its tasks, shard results and level-1 result: nothing reads
-// them again, and the WAL keeps them for recovery.
+// leaves the lease scan order, so Lease and lease expiry walk unfinished
+// jobs only, and releases its tasks, shard results and level-1 result:
+// nothing reads them again, and the WAL keeps them for recovery. Wait,
+// Progress and LeaseInfo still find it in c.jobs.
 func (c *Coordinator) finish(j *job, res Result, err error) {
 	if j.finished {
 		return
+	}
+	if i := slices.Index(c.order, j.id); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
 	}
 	j.finished = true
 	j.result = res

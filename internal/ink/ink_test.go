@@ -21,12 +21,12 @@ func analyzed(t *testing.T, a *task.App) *task.App {
 
 func run(t *testing.T, a *task.App, supply power.Supply) (*kernel.Device, *Runtime) {
 	t.Helper()
-	dev := kernel.NewDevice(supply, 1)
 	rt := New()
-	if err := kernel.RunApp(dev, rt, a); err != nil {
+	sess := kernel.NewSession(rt, a, supply)
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	return dev, rt
+	return sess.Device(), rt
 }
 
 // TestDoubleBufferIsolation: an interrupted task must leave committed

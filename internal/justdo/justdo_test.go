@@ -22,12 +22,12 @@ func analyzed(t *testing.T, a *task.App) *task.App {
 
 func run(t *testing.T, a *task.App, supply power.Supply) (*kernel.Device, *Runtime) {
 	t.Helper()
-	dev := kernel.NewDevice(supply, 1)
 	rt := New()
-	if err := kernel.RunApp(dev, rt, a); err != nil {
+	sess := kernel.NewSession(rt, a, supply)
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	return dev, rt
+	return sess.Device(), rt
 }
 
 // TestResumeSkipsCompletedWork: after a failure, completed compute and
@@ -179,11 +179,11 @@ func TestSteadyStateOverhead(t *testing.T) {
 	jd := dev.Run.Work[stats.Overhead].T
 
 	app2 := analyzed(t, build())
-	dev2 := kernel.NewDevice(power.Continuous{}, 1)
-	if err := kernel.RunApp(dev2, alpaca.New(), app2); err != nil {
+	run2, err := kernel.NewSession(alpaca.New(), app2, power.Continuous{}).Run(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := dev2.Run.Work[stats.Overhead].T
+	base := run2.Work[stats.Overhead].T
 	if jd <= base {
 		t.Errorf("JustDo overhead %v must exceed task-based overhead %v", jd, base)
 	}
@@ -231,6 +231,5 @@ func TestValueLogOverflowPanics(t *testing.T) {
 			t.Error("expected log-overflow panic")
 		}
 	}()
-	dev := kernel.NewDevice(power.Continuous{}, 1)
-	_ = kernel.RunApp(dev, New(), a)
+	_, _ = kernel.NewSession(New(), a, power.Continuous{}).Run(1)
 }

@@ -29,10 +29,10 @@ func TestChromeTraceExport(t *testing.T) {
 		e.Compute(8000)
 		e.Done()
 	})
-	dev := NewDevice(power.NewSchedule(3*time.Millisecond), 1)
 	buf := &TraceBuffer{}
-	dev.Tracer = buf
-	if err := RunApp(dev, &testRT{}, a); err != nil {
+	sess := NewSession(&testRT{}, a, power.NewSchedule(3*time.Millisecond))
+	sess.Tracer = buf
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
 

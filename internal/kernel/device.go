@@ -8,6 +8,10 @@
 // therefore land between the energy being spent and the effect becoming
 // durable — the window in which all of the paper's problems (wasted I/O,
 // idempotence bugs, unsafe execution) live.
+//
+// Session is the engine's only entry point: it builds the device,
+// attaches the runtime, resets both between runs and resumes restored
+// checkpoints.
 package kernel
 
 import (

@@ -1,5 +1,6 @@
 // The engine: boots the device, runs task attempts, turns power failures
 // into reboots, and finishes when the runtime reports the app done.
+// Session is its only entry point.
 
 package kernel
 
@@ -16,50 +17,12 @@ import (
 // bug") surfaces as an error instead of an infinite loop.
 const maxBoots = 200_000
 
-// RunApp executes app on dev under runtime rt until completion. It
-// returns an error for structural failures (attach errors, tasks that do
-// not transition, non-termination); power failures are not errors — they
-// are the phenomenon under study.
-func RunApp(dev *Device, rt Hooks, app *task.App) error {
-	if err := app.Validate(); err != nil {
-		return err
-	}
-	if err := rt.Attach(dev, app); err != nil {
-		return fmt.Errorf("kernel: attach %s to %s: %w", app.Name, rt.Name(), err)
-	}
-	return RunAttached(dev, rt, app)
-}
-
-// RunAttached executes app on a device the runtime is already attached to.
-// It is the reuse-path entry point: after Device.Reset plus a runtime
-// Reset (see Hooks.Reset), calling RunAttached reproduces exactly the run a
-// fresh device and attach would have produced for the same seed.
-func RunAttached(dev *Device, rt Hooks, app *task.App) error {
-	dev.Run.App = app.Name
-	dev.Run.Runtime = rt.Name()
-	return runLoop(dev, rt, app, false)
-}
-
-// ResumeWithFailure continues a run from a device state restored to a
-// charge-slice boundary (Device.Restore of a Checkpoint taken by a
-// CutSink, runtime half included), applying the power
-// failure that a supply firing at exactly that boundary would have
-// caused: the pending attempt is wasted, volatile memory is cleared, the
-// supply recharges, and execution proceeds through the normal reboot
-// loop to completion. The checker's checkpointed replay path is built on
-// this: golden-prefix state + ResumeWithFailure is byte-equivalent to a
-// full from-boot run with one scheduled failure at the same cut, except
-// that no task-abort trace event is emitted for the interrupted attempt
-// (the unwind happened in the pass that took the checkpoint).
-// dev.Run.App and dev.Run.Runtime are restored from the checkpoint and
-// left untouched.
-func ResumeWithFailure(dev *Device, rt Hooks, app *task.App) error {
-	return runLoop(dev, rt, app, true)
-}
-
-// runLoop is the engine's reboot loop. With failed=false it starts with
-// a clean boot; with failed=true it first handles a power failure
-// already in effect at the current device state.
+// runLoop is the engine's reboot loop, behind Session.Run and
+// Session.Resume. With failed=false it starts with a clean boot; with
+// failed=true it first handles a power failure already in effect at the
+// current device state. It returns an error for structural failures
+// (tasks that do not transition, non-termination); power failures are
+// not errors — they are the phenomenon under study.
 func runLoop(dev *Device, rt Hooks, app *task.App, failed bool) error {
 	ctx := &dev.ctx
 	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0]}

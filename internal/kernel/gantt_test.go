@@ -16,10 +16,10 @@ func TestRenderGantt(t *testing.T) {
 		e.Compute(8000)
 		e.Done()
 	})
-	dev := NewDevice(power.NewSchedule(3*time.Millisecond), 1)
 	buf := &TraceBuffer{}
-	dev.Tracer = buf
-	if err := RunApp(dev, &testRT{}, a); err != nil {
+	sess := NewSession(&testRT{}, a, power.NewSchedule(3*time.Millisecond))
+	sess.Tracer = buf
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -50,10 +50,11 @@ func TestStuckHarvestedRun(t *testing.T) {
 	h.MaxOff = 50 * time.Millisecond
 	h.Cap.C = 1000 * units.Nanofarad // tiny: drains mid-task
 	h.StartAtVon = true
-	dev := NewDevice(h, 1)
-	if err := RunApp(dev, &testRT{}, a); err != nil {
+	sess := NewSession(&testRT{}, a, h)
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	if !dev.Run.Stuck {
 		t.Fatal("run should be stuck")
 	}

@@ -145,11 +145,12 @@ func TestRunAppContinuous(t *testing.T) {
 		tk.Meta.Analyzed = true
 	}
 
-	dev := NewDevice(power.Continuous{}, 1)
 	rt := &testRT{}
-	if err := RunApp(dev, rt, a); err != nil {
+	sess := NewSession(rt, a, power.Continuous{})
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	if dev.Run.PowerFailures != 0 {
 		t.Errorf("failures = %d", dev.Run.PowerFailures)
 	}
@@ -192,11 +193,12 @@ func TestRunAppWithFailures(t *testing.T) {
 	for _, tk := range a.Tasks {
 		tk.Meta.Analyzed = true
 	}
-	dev := NewDevice(power.NewTimer(cfg), 3)
 	rt := &testRT{}
-	if err := RunApp(dev, rt, a); err != nil {
+	sess := NewSession(rt, a, power.NewTimer(cfg))
+	if _, err := sess.Run(3); err != nil {
 		t.Fatal(err)
 	}
+	dev := sess.Device()
 	if dev.Run.PowerFailures == 0 {
 		t.Fatal("expected at least one failure")
 	}
@@ -221,8 +223,7 @@ func TestRunAppNonTermination(t *testing.T) {
 		e.Compute(25_000)
 		e.Done()
 	})
-	dev := NewDevice(power.NewTimer(power.DefaultTimerConfig()), 1)
-	err := RunApp(dev, &testRT{}, a)
+	_, err := NewSession(&testRT{}, a, power.NewTimer(power.DefaultTimerConfig())).Run(1)
 	if err == nil || !strings.Contains(err.Error(), "non-termination") {
 		t.Fatalf("err = %v, want non-termination diagnosis", err)
 	}
@@ -233,8 +234,7 @@ func TestRunAppMissingTransition(t *testing.T) {
 		e.Compute(10)
 		// falls off the end without Next/Done
 	})
-	dev := NewDevice(power.Continuous{}, 1)
-	err := RunApp(dev, &testRT{}, a)
+	_, err := NewSession(&testRT{}, a, power.Continuous{}).Run(1)
 	if err == nil || !strings.Contains(err.Error(), "without Next/Done") {
 		t.Fatalf("err = %v", err)
 	}
@@ -253,11 +253,12 @@ func TestChargeSlicing(t *testing.T) {
 		executed = true
 		e.Done()
 	})
-	dev := NewDevice(power.NewTimer(cfg), 1)
-	err := RunApp(dev, &testRT{}, a)
+	rt := &testRT{}
+	_, err := NewSession(rt, a, power.NewTimer(cfg)).Run(1)
 	if err == nil {
 		t.Fatal("an 8 ms atomic op cannot complete in 5 ms cycles; expected non-termination")
 	}
+	dev := rt.dev // the session drops a device whose run errored
 	if executed {
 		t.Error("operation body observed completion despite mid-op failures")
 	}
@@ -295,11 +296,12 @@ func TestRawDMAPartialTransfer(t *testing.T) {
 	sawFailure := false
 	for seed := int64(1); seed <= 20; seed++ {
 		a, dst := build()
-		dev := NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
 		rt := &testRT{}
-		if err := RunApp(dev, rt, a); err != nil {
+		sess := NewSession(rt, a, power.NewTimer(power.DefaultTimerConfig()))
+		if _, err := sess.Run(seed); err != nil {
 			t.Fatal(err)
 		}
+		dev := sess.Device()
 		if dev.Run.PowerFailures > 0 {
 			sawFailure = true
 		}

@@ -72,10 +72,11 @@ func TestEngineConservation(t *testing.T) {
 			e.Compute(9000)
 			e.Done()
 		})
-		dev := NewDevice(power.NewTimer(power.DefaultTimerConfig()), seed)
-		if err := RunApp(dev, &testRT{}, a); err != nil {
+		sess := NewSession(&testRT{}, a, power.NewTimer(power.DefaultTimerConfig()))
+		if _, err := sess.Run(seed); err != nil {
 			t.Fatal(err)
 		}
+		dev := sess.Device()
 		var sum time.Duration
 		for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
 			sum += dev.Run.Work[b].T

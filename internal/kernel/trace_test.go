@@ -14,10 +14,10 @@ func TestTraceBufferRecordsLifecycle(t *testing.T) {
 		e.Compute(8000)
 		e.Done()
 	})
-	dev := NewDevice(power.NewSchedule(3*time.Millisecond), 1)
 	buf := &TraceBuffer{}
-	dev.Tracer = buf
-	if err := RunApp(dev, &testRT{}, a); err != nil {
+	sess := NewSession(&testRT{}, a, power.NewSchedule(3*time.Millisecond))
+	sess.Tracer = buf
+	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Count(EvBoot) != 2 {
@@ -55,14 +55,14 @@ func TestTraceCostsNothing(t *testing.T) {
 			e.Compute(5000)
 			e.Done()
 		})
-		dev := NewDevice(power.Continuous{}, 1)
+		sess := NewSession(&testRT{}, a, power.Continuous{})
 		if traced {
-			dev.Tracer = &TraceBuffer{}
+			sess.Tracer = &TraceBuffer{}
 		}
-		if err := RunApp(dev, &testRT{}, a); err != nil {
+		if _, err := sess.Run(1); err != nil {
 			t.Fatal(err)
 		}
-		return dev.Clock.OnTime()
+		return sess.Device().Clock.OnTime()
 	}
 	if runOnce(false) != runOnce(true) {
 		t.Error("tracing changed simulated time")
@@ -109,12 +109,12 @@ func BenchmarkRunTraced(b *testing.B) {
 					e.Compute(5000)
 					e.Done()
 				})
-				dev := NewDevice(power.Continuous{}, 1)
+				sess := NewSession(&testRT{}, a, power.Continuous{})
 				if traced {
-					dev.Tracer = &TraceBuffer{}
+					sess.Tracer = &TraceBuffer{}
 				}
 				b.StartTimer()
-				if err := RunApp(dev, &testRT{}, a); err != nil {
+				if _, err := sess.Run(1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,10 +12,10 @@ import (
 	"easeio/internal/task"
 )
 
-// cutSnapshot checkpoints the device at its n-th charge-slice boundary.
+// cutSnapshot checkpoints the session's device at its n-th charge-slice
+// boundary.
 type cutSnapshot struct {
-	dev   *kernel.Device
-	rt    kernel.Hooks
+	sess  *kernel.Session
 	n     int
 	seen  int
 	cp    kernel.Checkpoint
@@ -25,7 +25,7 @@ type cutSnapshot struct {
 func (c *cutSnapshot) NoteCut(time.Duration) {
 	c.seen++
 	if c.seen == c.n {
-		c.dev.SnapshotInto(&c.cp, c.rt)
+		c.sess.Device().SnapshotInto(&c.cp, c.sess.Runtime())
 		c.taken = true
 	}
 }
@@ -34,19 +34,17 @@ func (c *cutSnapshot) NoteCut(time.Duration) {
 // runs the remaining suffix after a power failure at the checkpoint.
 func resume(t *testing.T, app *task.App, cp *kernel.Checkpoint) (*kernel.Device, kernel.Hooks) {
 	t.Helper()
-	dev := kernel.NewDevice(power.Continuous{}, 7)
-	rt := core.New()
-	if err := rt.Attach(dev, app); err != nil {
+	sess := kernel.NewSession(core.New(), app, power.Continuous{})
+	if err := sess.Attach(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Fits(dev, rt); err != nil {
+	if err := cp.Fits(sess.Device(), sess.Runtime()); err != nil {
 		t.Fatal(err)
 	}
-	dev.Restore(cp, rt)
-	if err := kernel.ResumeWithFailure(dev, rt, app); err != nil {
+	if _, err := sess.Resume(cp); err != nil {
 		t.Fatal(err)
 	}
-	return dev, rt
+	return sess.Device(), sess.Runtime()
 }
 
 // TestRuntimeStateRestoresIntoRebuiltApp checks that the I/O slot
@@ -56,22 +54,20 @@ func resume(t *testing.T, app *task.App, cp *kernel.Checkpoint) (*kernel.Device,
 // same run as in an instance of the original app.
 func TestRuntimeStateRestoresIntoRebuiltApp(t *testing.T) {
 	app := rtbase.SlotApp(t)
-	dev := kernel.NewDevice(power.Continuous{}, 7)
-	rt := core.New()
 	counter := &cutSnapshot{n: -1} // counts the run's cuts, snapshots none
-	dev.Cuts = counter
-	if err := kernel.RunApp(dev, rt, app); err != nil {
+	sess := kernel.NewSession(core.New(), app, power.Continuous{})
+	sess.Cuts = counter
+	if _, err := sess.Run(7); err != nil {
 		t.Fatal(err)
 	}
 
 	// Checkpoint two thirds of the way in: inside the first task's
 	// second compute phase, after every I/O site and the first DMA.
 	snap := &cutSnapshot{n: 2 * counter.seen / 3}
-	dev = kernel.NewDevice(power.Continuous{}, 7)
-	rt = core.New()
-	snap.dev, snap.rt = dev, rt
-	dev.Cuts = snap
-	if err := kernel.RunApp(dev, rt, app); err != nil {
+	sess = kernel.NewSession(core.New(), app, power.Continuous{})
+	snap.sess = sess
+	sess.Cuts = snap
+	if _, err := sess.Run(7); err != nil {
 		t.Fatal(err)
 	}
 	if !snap.taken {

@@ -176,26 +176,19 @@ func (m *Metrics) writeDepthCounters(w io.Writer) {
 // queueDepth and running are point-in-time gauges owned by the manager,
 // passed in so Metrics stays a pure accumulator.
 func (m *Metrics) WriteTo(w io.Writer, queueDepth, running int) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	counter("easeio_jobs_accepted_total", "Sweep jobs accepted into the queue.", m.JobsAccepted.Load())
-	counter("easeio_jobs_rejected_total", "Sweep jobs rejected by backpressure (full queue).", m.JobsRejected.Load())
-	counter("easeio_jobs_completed_total", "Sweep jobs that succeeded.", m.JobsCompleted.Load())
-	counter("easeio_jobs_failed_total", "Sweep jobs that failed (including panics).", m.JobsFailed.Load())
-	counter("easeio_jobs_cancelled_total", "Sweep jobs cancelled before completion.", m.JobsCancelled.Load())
-	counter("easeio_jobs_panicked_total", "Sweep jobs terminated by a recovered panic.", m.JobsPanicked.Load())
-	counter("easeio_runs_completed_total", "Seeded simulation runs finished across all jobs.", m.RunsCompleted.Load())
-	counter("easeio_check_points_total", "Failure points explored by check-mode jobs.", m.CheckPoints.Load())
-	counter("easeio_check_divergences_total", "Explored failure points that diverged from the golden run.", m.CheckDivergences.Load())
+	obs.WriteCounter(w, "easeio_jobs_accepted_total", "Sweep jobs accepted into the queue.", m.JobsAccepted.Load())
+	obs.WriteCounter(w, "easeio_jobs_rejected_total", "Sweep jobs rejected by backpressure (full queue).", m.JobsRejected.Load())
+	obs.WriteCounter(w, "easeio_jobs_completed_total", "Sweep jobs that succeeded.", m.JobsCompleted.Load())
+	obs.WriteCounter(w, "easeio_jobs_failed_total", "Sweep jobs that failed (including panics).", m.JobsFailed.Load())
+	obs.WriteCounter(w, "easeio_jobs_cancelled_total", "Sweep jobs cancelled before completion.", m.JobsCancelled.Load())
+	obs.WriteCounter(w, "easeio_jobs_panicked_total", "Sweep jobs terminated by a recovered panic.", m.JobsPanicked.Load())
+	obs.WriteCounter(w, "easeio_runs_completed_total", "Seeded simulation runs finished across all jobs.", m.RunsCompleted.Load())
+	obs.WriteCounter(w, "easeio_check_points_total", "Failure points explored by check-mode jobs.", m.CheckPoints.Load())
+	obs.WriteCounter(w, "easeio_check_divergences_total", "Explored failure points that diverged from the golden run.", m.CheckDivergences.Load())
 	m.writeDepthCounters(w)
 
-	gauge("easeio_queue_depth", "Jobs waiting in the bounded queue.", float64(queueDepth))
-	gauge("easeio_running_jobs", "Jobs currently executing.", float64(running))
+	obs.WriteGauge(w, "easeio_queue_depth", "Jobs waiting in the bounded queue.", float64(queueDepth))
+	obs.WriteGauge(w, "easeio_running_jobs", "Jobs currently executing.", float64(running))
 
 	m.JobDuration.Expose(w)
 	m.QueueWait.Expose(w)
@@ -204,9 +197,9 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth, running int) {
 	m.LeaseWait.Expose(w)
 
 	uptime := time.Since(m.start).Seconds()
-	gauge("easeio_uptime_seconds", "Seconds since the service started.", uptime)
+	obs.WriteGauge(w, "easeio_uptime_seconds", "Seconds since the service started.", uptime)
 	if uptime > 0 {
-		gauge("easeio_runs_per_second", "Lifetime average simulation runs per second.",
+		obs.WriteGauge(w, "easeio_runs_per_second", "Lifetime average simulation runs per second.",
 			float64(m.RunsCompleted.Load())/uptime)
 	}
 
@@ -214,18 +207,18 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth, running int) {
 	appT, overT, wastedT := m.appT, m.overT, m.wastedT
 	sumRuns, correct, bad, stuck, failures := m.sumRuns, m.correct, m.badRuns, m.stuck, m.failures
 	m.mu.Unlock()
-	counter("easeio_summarized_runs_total", "Runs folded into completed job summaries.", sumRuns)
-	counter("easeio_correct_runs_total", "Runs whose output matched the golden result.", correct)
-	counter("easeio_incorrect_runs_total", "Runs whose output diverged from the golden result.", bad)
-	counter("easeio_stuck_runs_total", "Runs abandoned because the harvester could not recharge.", stuck)
-	counter("easeio_power_failures_total", "Simulated power failures across all summarized runs.", failures)
-	gauge("easeio_app_work_seconds_total", "Cumulative committed application work time.", appT.Seconds())
-	gauge("easeio_overhead_work_seconds_total", "Cumulative committed runtime-overhead time.", overT.Seconds())
-	gauge("easeio_wasted_work_seconds_total", "Cumulative work lost to power failures.", wastedT.Seconds())
+	obs.WriteCounter(w, "easeio_summarized_runs_total", "Runs folded into completed job summaries.", sumRuns)
+	obs.WriteCounter(w, "easeio_correct_runs_total", "Runs whose output matched the golden result.", correct)
+	obs.WriteCounter(w, "easeio_incorrect_runs_total", "Runs whose output diverged from the golden result.", bad)
+	obs.WriteCounter(w, "easeio_stuck_runs_total", "Runs abandoned because the harvester could not recharge.", stuck)
+	obs.WriteCounter(w, "easeio_power_failures_total", "Simulated power failures across all summarized runs.", failures)
+	obs.WriteGauge(w, "easeio_app_work_seconds_total", "Cumulative committed application work time.", appT.Seconds())
+	obs.WriteGauge(w, "easeio_overhead_work_seconds_total", "Cumulative committed runtime-overhead time.", overT.Seconds())
+	obs.WriteGauge(w, "easeio_wasted_work_seconds_total", "Cumulative work lost to power failures.", wastedT.Seconds())
 	if appT > 0 {
-		gauge("easeio_wasted_work_ratio", "Wasted work time over useful app work time.",
+		obs.WriteGauge(w, "easeio_wasted_work_ratio", "Wasted work time over useful app work time.",
 			float64(wastedT)/float64(appT))
-		gauge("easeio_overhead_work_ratio", "Runtime overhead time over useful app work time.",
+		obs.WriteGauge(w, "easeio_overhead_work_ratio", "Runtime overhead time over useful app work time.",
 			float64(overT)/float64(appT))
 	}
 }

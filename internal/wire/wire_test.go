@@ -31,18 +31,17 @@ func captureOn(t testing.TB, supply power.Supply, seed int64, kind experiments.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := kernel.NewDevice(supply, seed)
-	sink := &snapSink{dev: dev, rt: experiments.NewRuntime(kind), stride: stride}
-	dev.Cuts = sink
-	if err := kernel.RunApp(dev, sink.rt, bench.App); err != nil {
+	sess := kernel.NewSession(experiments.NewRuntime(kind), bench.App, supply)
+	sink := &snapSink{sess: sess, stride: stride}
+	sess.Cuts = sink
+	if _, err := sess.Run(seed); err != nil {
 		t.Fatal(err)
 	}
-	return append(sink.cps, dev.SnapshotInto(&kernel.Checkpoint{}, sink.rt))
+	return append(sink.cps, sess.Device().SnapshotInto(&kernel.Checkpoint{}, sess.Runtime()))
 }
 
 type snapSink struct {
-	dev    *kernel.Device
-	rt     kernel.Hooks
+	sess   *kernel.Session
 	stride int
 	n      int
 	cps    []*kernel.Checkpoint
@@ -50,7 +49,7 @@ type snapSink struct {
 
 func (s *snapSink) NoteCut(time.Duration) {
 	if s.n++; s.n%s.stride == 0 {
-		s.cps = append(s.cps, s.dev.SnapshotInto(&kernel.Checkpoint{}, s.rt))
+		s.cps = append(s.cps, s.sess.Device().SnapshotInto(&kernel.Checkpoint{}, s.sess.Runtime()))
 	}
 }
 
@@ -109,11 +108,11 @@ func TestCheckpointRestoreFidelity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev := kernel.NewDevice(experiments.TimerSupply(), 42)
-			rt := experiments.NewRuntime(experiments.EaseIO)
-			if err := rt.Attach(dev, bench.App); err != nil {
+			sess := kernel.NewSession(experiments.NewRuntime(experiments.EaseIO), bench.App, experiments.TimerSupply())
+			if err := sess.Attach(42); err != nil {
 				t.Fatal(err)
 			}
+			dev, rt := sess.Device(), sess.Runtime()
 			dev.Restore(from, rt)
 			return AppendCheckpoint(nil, dev.SnapshotInto(&kernel.Checkpoint{}, rt))
 		}
