@@ -34,8 +34,11 @@ build:
 test:
 	$(GO) test -short -shuffle=on ./...
 
+# The benchmark harness is its own module (benchmark/go.mod) and compiles
+# against internal APIs, so it is vetted separately.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 fmt:
 	gofmt -w .

@@ -116,7 +116,8 @@ func BenchmarkFigure10(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			// Weather app: [EaseIOOp, EaseIO, InK, Alpaca].
+			// Weather app, indexed like experiments.OpConfigs:
+			// [EaseIO/Op., EaseIO, InK, Alpaca].
 			w := data.Summaries[1]
 			b.ReportMetric(ms(w[3].MeanTotalTime()), "weather-alpaca-ms")
 			b.ReportMetric(ms(w[1].MeanTotalTime()), "weather-easeio-ms")

@@ -18,8 +18,9 @@
 // previous failure's recovery trajectory (see the checkpoint tree in
 // internal/check). The default k=1 is the single-failure checker.
 //
-// -app accepts the registered blueprint names (easeio-served's registry)
-// plus "fig6", the paper's Figure 6 WAR-via-DMA scenario. -broken checks
+// -app accepts the registered blueprint names (easeio-served's registry,
+// which includes "fig6", the paper's Figure 6 WAR-via-DMA scenario), or
+// "all" for every one of them, fig6 first. -broken checks
 // fig6 under EaseIO with regional privatization disabled — the seeded-bug
 // demonstration: the checker must report a minimal failing schedule.
 //
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -112,30 +114,28 @@ func main() {
 	}
 }
 
-// resolveTargets maps -app to check targets through the same registry the
-// service uses, plus the checker's built-in fig6 scenario.
+// resolveTargets maps -app to check targets through the same registry
+// easeio-served uses. "all" is every registered app, fig6 first.
 func resolveTargets(name string) ([]check.Target, error) {
 	reg := service.NewRegistry()
-	if err := service.RegisterPaperBenches(reg); err != nil {
+	if err := service.RegisterBenches(reg); err != nil {
 		return nil, err
 	}
+	names := []string{name}
 	if name == "all" {
-		targets := []check.Target{{Name: "fig6", New: check.Fig6Bench}}
-		for _, n := range reg.Names() {
-			bp, _ := reg.Lookup(n)
-			targets = append(targets, check.Target{Name: n, New: bp.Factory})
+		rest := slices.DeleteFunc(reg.Names(), func(n string) bool { return n == "fig6" })
+		names = append([]string{"fig6"}, rest...)
+	}
+	var targets []check.Target
+	for _, n := range names {
+		f, ok := reg.LookupFactory(n)
+		if !ok {
+			return nil, fmt.Errorf("unknown app %q (want all or one of %s)",
+				n, strings.Join(reg.Names(), ", "))
 		}
-		return targets, nil
+		targets = append(targets, check.Target{Name: n, New: f})
 	}
-	if name == "fig6" {
-		return []check.Target{{Name: "fig6", New: check.Fig6Bench}}, nil
-	}
-	bp, ok := reg.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown app %q (want fig6, all, or one of %s)",
-			name, strings.Join(reg.Names(), ", "))
-	}
-	return []check.Target{{Name: name, New: bp.Factory}}, nil
+	return targets, nil
 }
 
 func resolveKinds(name string) ([]experiments.RuntimeKind, error) {

@@ -78,7 +78,7 @@ func main() {
 
 	reg := service.NewRegistry()
 	reg.SetLogger(logger)
-	if err := service.RegisterPaperBenches(reg); err != nil {
+	if err := service.RegisterBenches(reg); err != nil {
 		log.Fatal(err)
 	}
 	metrics := service.NewMetrics()

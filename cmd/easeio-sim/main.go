@@ -8,9 +8,10 @@
 //	           [-distance INCHES] [-trace out.json] [-timeline] [-gantt] [-lint]
 //
 // -app accepts the registered blueprint names (easeio-served's registry:
-// dma, temp, sensor, lea, fir, fir-op, weather, weather-db, branch) plus
-// "fig6", the paper's Figure 6 WAR-via-DMA scenario. -rt accepts Alpaca,
-// InK, EaseIO, EaseIO/Op. (or easeio-op) and JustDo, case-insensitively.
+// dma, temp, sensor, lea, fir, fir-op, weather, weather-db, branch and
+// fig6, the paper's Figure 6 WAR-via-DMA scenario). -rt accepts Alpaca,
+// InK, EaseIO and JustDo, case-insensitively (the paper's "EaseIO/Op." is
+// -app fir-op -rt easeio).
 //
 // -trace writes the run as Chrome trace_event JSON — open the file in
 // chrome://tracing or https://ui.perfetto.dev to see power spans, task
@@ -22,11 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"easeio"
-	"easeio/internal/check"
 	"easeio/internal/experiments"
 	"easeio/internal/service"
 	"easeio/internal/stats"
@@ -34,8 +33,8 @@ import (
 
 func main() {
 	var (
-		appName    = flag.String("app", "weather", "application: a registered blueprint name or \"fig6\"")
-		rtName     = flag.String("rt", "easeio", "runtime: Alpaca, InK, EaseIO, EaseIO/Op. or JustDo (any case)")
+		appName    = flag.String("app", "weather", "application: a registered blueprint name")
+		rtName     = flag.String("rt", "easeio", "runtime: Alpaca, InK, EaseIO or JustDo (any case)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		continuous = flag.Bool("continuous", false, "disable power failures")
 		distance   = flag.Float64("distance", 0, "if > 0, use the RF harvester at this distance (inches)")
@@ -86,18 +85,6 @@ func main() {
 		res.IOExecs, res.IORepeats, res.IOSkips)
 	fmt.Printf("DMA            : %d executed, %d redundant, %d skipped\n",
 		res.DMAExecs, res.DMARepeats, res.DMASkips)
-	if len(res.PerSite) > 0 {
-		names := make([]string, 0, len(res.PerSite))
-		for n := range res.PerSite {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Printf("per-site execs :")
-		for _, n := range names {
-			fmt.Printf(" %s=%d", n, res.PerSite[n])
-		}
-		fmt.Println()
-	}
 	fmt.Printf("output correct : %v\n", res.Correct)
 	if *timeline && buf != nil {
 		fmt.Println()
@@ -137,20 +124,17 @@ func writeTrace(path string, buf *easeio.TraceBuffer) error {
 }
 
 // resolve builds the named app through the same registry easeio-served
-// and easeio-check use (plus the checker's fig6 scenario) and the named
-// runtime through the experiment harness's runtime table.
+// and easeio-check use and the named runtime through the experiment
+// harness's runtime table.
 func resolve(appName, rtName string) (*easeio.Bench, easeio.Runtime, error) {
-	newApp := check.Fig6Bench
-	if appName != "fig6" {
-		reg := service.NewRegistry()
-		if err := service.RegisterPaperBenches(reg); err != nil {
-			return nil, nil, err
-		}
-		var ok bool
-		if newApp, ok = reg.LookupFactory(appName); !ok {
-			return nil, nil, fmt.Errorf("unknown app %q (want fig6 or one of %s)",
-				appName, strings.Join(reg.Names(), ", "))
-		}
+	reg := service.NewRegistry()
+	if err := service.RegisterBenches(reg); err != nil {
+		return nil, nil, err
+	}
+	newApp, ok := reg.LookupFactory(appName)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown app %q (want one of %s)",
+			appName, strings.Join(reg.Names(), ", "))
 	}
 	kind, err := experiments.ParseRuntimeKind(rtName)
 	if err != nil {

@@ -18,8 +18,7 @@ func TestResolveRunsEveryApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := []experiments.RuntimeKind{
-		experiments.Alpaca, experiments.InK, experiments.EaseIO,
-		experiments.EaseIOOp, experiments.JustDo,
+		experiments.Alpaca, experiments.InK, experiments.EaseIO, experiments.JustDo,
 	}
 	for _, app := range append([]string{"fig6"}, reg.Names()...) {
 		for _, kind := range kinds {

@@ -15,8 +15,9 @@
 // coordinator's metrics. -smoke boots an in-process coordinator with a
 // TCP fleet listener, runs two workers against it, kills and restarts
 // one mid-sweep, and verifies that a merged sweep summary and merged k=1
-// and k=2 check reports are identical to the single-process engines'
-// — the self-test the Makefile's fleet-smoke target runs.
+// and k=2 check reports (one of them fig6's divergent report) are
+// identical to the single-process engines' — the self-test the
+// Makefile's fleet-smoke target runs.
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 	flag.Parse()
 
 	reg := service.NewRegistry()
-	if err := service.RegisterPaperBenches(reg); err != nil {
+	if err := service.RegisterBenches(reg); err != nil {
 		log.Fatal(err)
 	}
 
@@ -173,15 +174,18 @@ func runSmoke(reg *service.Registry) error {
 	// Check legs over the same fleet, both through the one check work
 	// unit: a k=1 exhaustive job whose boot-rooted unit is split by cut
 	// range, and a k=2 job whose level-1 frontier ships as
-	// checkpoint-rooted units. Each merged report must equal the
-	// in-process checker's.
+	// checkpoint-rooted units. The fig6 leg's report diverges (Alpaca's
+	// WAR bug), so divergence merging crosses the wire too. Each merged
+	// report must equal the in-process checker's.
 	for _, leg := range []struct {
 		app      string
 		kind     experiments.RuntimeKind
 		failures int
+		diverges bool // the report must hold divergences
 	}{
-		{"temp", experiments.Alpaca, 1},
-		{"sensor", experiments.EaseIO, 2},
+		{"temp", experiments.Alpaca, 1, false},
+		{"sensor", experiments.EaseIO, 2, false},
+		{"fig6", experiments.Alpaca, 1, true},
 	} {
 		cid, err := coord.Submit(fleet.Spec{
 			Mode: fleet.ModeCheck, App: leg.app, Runtime: leg.kind.String(),
@@ -201,6 +205,10 @@ func runSmoke(reg *service.Registry) error {
 			check.Config{Exhaustive: true, Failures: leg.failures, Workers: 2})
 		if err != nil {
 			return err
+		}
+		if leg.diverges && wantRep.Passed() {
+			return fmt.Errorf("k=%d %s under %v passed; want a divergent report",
+				leg.failures, leg.app, leg.kind)
 		}
 		if !reflect.DeepEqual(cres.Report, wantRep) {
 			return fmt.Errorf("fleet k=%d %s report differs from in-process checker:\n--- fleet ---\n%s--- direct ---\n%s",

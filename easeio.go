@@ -417,19 +417,18 @@ type Summary = stats.Summary
 // RuntimeKind names one of the compared runtimes for a sweep.
 type RuntimeKind = experiments.RuntimeKind
 
-// The sweep runtimes. EaseIOOpKind is EaseIO with the application's
-// Exclude annotations enabled ("EaseIO/Op." in the paper's figures);
-// JustDoKind is the checkpointing-family logging comparator.
+// The sweep runtimes. JustDoKind is the checkpointing-family logging
+// comparator. The paper's "EaseIO/Op." is EaseIOKind on an app built
+// with its Exclude annotations enabled.
 const (
-	AlpacaKind   = experiments.Alpaca
-	InKKind      = experiments.InK
-	EaseIOKind   = experiments.EaseIO
-	EaseIOOpKind = experiments.EaseIOOp
-	JustDoKind   = experiments.JustDo
+	AlpacaKind = experiments.Alpaca
+	InKKind    = experiments.InK
+	EaseIOKind = experiments.EaseIO
+	JustDoKind = experiments.JustDo
 )
 
 // ParseRuntimeKind maps a runtime name ("Alpaca", "InK", "EaseIO",
-// "EaseIO/Op.", "JustDo") to its kind, case-insensitively.
+// "JustDo") to its kind, case-insensitively.
 func ParseRuntimeKind(s string) (RuntimeKind, error) {
 	return experiments.ParseRuntimeKind(s)
 }

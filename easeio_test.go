@@ -309,7 +309,7 @@ func TestSweepFacade(t *testing.T) {
 		t.Errorf("cancelled sweep ran %d seeds, want exactly 2", part.Runs)
 	}
 
-	if k, err := ParseRuntimeKind("easeio/op."); err != nil || k != EaseIOOpKind {
+	if k, err := ParseRuntimeKind("justdo"); err != nil || k != JustDoKind {
 		t.Errorf("ParseRuntimeKind = %v, %v", k, err)
 	}
 }

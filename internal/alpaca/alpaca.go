@@ -65,7 +65,7 @@ func (r *Runtime) Name() string { return "Alpaca" }
 // Attach implements kernel.Hooks: allocates master copies plus one private
 // buffer per (task, WAR variable) pair.
 func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
-	if err := r.Init(dev, app, "Alpaca"); err != nil {
+	if err := r.Init(dev, app); err != nil {
 		return err
 	}
 	r.priv = make([][]mem.Addr, len(app.Tasks))
@@ -80,7 +80,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 		}
 		r.priv[t.ID] = make([]mem.Addr, len(war))
 		for i, v := range war {
-			r.priv[t.ID][i] = dev.Mem.Alloc(mem.FRAM, "Alpaca", "priv:"+t.Name+":"+v.Name, v.Words)
+			r.priv[t.ID][i] = dev.Mem.Alloc(mem.FRAM, v.Words)
 		}
 	}
 	return nil

@@ -437,11 +437,7 @@ func (r *replayer) classify(run *stats.Run, err error) outcome {
 		if r.golden.sensed[i] {
 			continue
 		}
-		// One span per variable, booked as v.Words reads — what reading
-		// it word by word through Memory.Read would count.
-		a := rt.AddrOf(v)
-		words := dev.Mem.Span(a, v.Words)
-		dev.Mem.Book(a.Bank, int64(v.Words), 0, 0)
+		words := dev.Mem.Span(rt.AddrOf(v), v.Words)
 		for _, w := range words {
 			put(w)
 		}

@@ -162,13 +162,11 @@ var _ kernel.Hooks = (*Runtime)(nil)
 // Name implements kernel.Hooks.
 func (r *Runtime) Name() string { return "EaseIO" }
 
-const rtName = "EaseIO"
-
 // Attach implements kernel.Hooks: allocates lock flags, value privates,
 // timestamps, generation counters, dependence snapshots, region private
 // copies and the DMA privatization buffer.
 func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
-	if err := r.Init(dev, app, rtName); err != nil {
+	if err := r.Init(dev, app); err != nil {
 		return err
 	}
 	r.sites = make([]siteMeta, len(app.Sites))
@@ -184,7 +182,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	r.instCtr = make([]mem.Addr, len(app.Tasks))
 
 	for _, t := range app.Tasks {
-		r.instCtr[t.ID] = dev.Mem.Alloc(mem.FRAM, rtName, "inst:"+t.Name, 1)
+		r.instCtr[t.ID] = dev.Mem.Alloc(mem.FRAM, 1)
 		dev.Mem.Write(r.instCtr[t.ID], 1)
 	}
 
@@ -212,36 +210,34 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 			sm := &r.sites[s.ID]
 			sm.site = s
 			n := s.Instances
-			sm.flags = dev.Mem.Alloc(mem.FRAM, rtName, "lock:"+s.Name, n)
-			sm.gen = dev.Mem.Alloc(mem.FRAM, rtName, "gen:"+s.Name, 1)
+			sm.flags = dev.Mem.Alloc(mem.FRAM, n)
+			sm.gen = dev.Mem.Alloc(mem.FRAM, 1)
 			if s.Returns {
-				sm.vals = dev.Mem.Alloc(mem.FRAM, rtName, "priv:"+s.Name, n)
+				sm.vals = dev.Mem.Alloc(mem.FRAM, n)
 			}
 			if s.Sem == task.Timely {
-				sm.ts = dev.Mem.Alloc(mem.FRAM, rtName, "ts:"+s.Name, 4*n)
+				sm.ts = dev.Mem.Alloc(mem.FRAM, 4*n)
 			}
 			if len(s.DependsOn) > 0 {
-				sm.snaps = dev.Mem.Alloc(mem.FRAM, rtName, "dep:"+s.Name, n*len(s.DependsOn))
+				sm.snaps = dev.Mem.Alloc(mem.FRAM, n*len(s.DependsOn))
 			}
 		}
 		for _, b := range m.Blocks {
 			bm := &r.blocks[b.ID]
 			bm.blk = b
-			bm.flag = dev.Mem.Alloc(mem.FRAM, rtName, "blk:"+b.Name, 1)
+			bm.flag = dev.Mem.Alloc(mem.FRAM, 1)
 			if b.Sem == task.Timely {
-				bm.ts = dev.Mem.Alloc(mem.FRAM, rtName, "blkts:"+b.Name, 4)
+				bm.ts = dev.Mem.Alloc(mem.FRAM, 4)
 			}
 		}
 		r.regions[t.ID] = make([]regionMeta, len(m.Regions))
 		for i, reg := range m.Regions {
 			rm := &r.regions[t.ID][i]
-			rm.flag = dev.Mem.Alloc(mem.FRAM, rtName, fmt.Sprintf("reg:%s:%d", t.Name, i), 1)
+			rm.flag = dev.Mem.Alloc(mem.FRAM, 1)
 			if r.cfg.RegionalPrivatization {
 				for _, rv := range reg.Vars {
 					rm.vars = append(rm.vars, rv)
-					rm.copies = append(rm.copies,
-						dev.Mem.Alloc(mem.FRAM, rtName,
-							fmt.Sprintf("regpriv:%s:%d:%s", t.Name, i, rv.Var.Name), rv.Words()))
+					rm.copies = append(rm.copies, dev.Mem.Alloc(mem.FRAM, rv.Words()))
 				}
 			}
 		}
@@ -249,11 +245,11 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 			dm := &r.dmas[d.ID]
 			dm.site = d
 			dm.taskID = t.ID
-			dm.privFlag = dev.Mem.Alloc(mem.FRAM, rtName, "dmaflag:"+d.Name, 1)
-			dm.claimFlag = dev.Mem.Alloc(mem.FRAM, rtName, "dmaclaim:"+d.Name, 1)
-			dm.privOff = dev.Mem.Alloc(mem.FRAM, rtName, "dmaoff:"+d.Name, 1)
+			dm.privFlag = dev.Mem.Alloc(mem.FRAM, 1)
+			dm.claimFlag = dev.Mem.Alloc(mem.FRAM, 1)
+			dm.privOff = dev.Mem.Alloc(mem.FRAM, 1)
 			if len(d.DependsOn) > 0 {
-				dm.snaps = dev.Mem.Alloc(mem.FRAM, rtName, "dmadep:"+d.Name, len(d.DependsOn))
+				dm.snaps = dev.Mem.Alloc(mem.FRAM, len(d.DependsOn))
 			}
 			for i, reg := range m.Regions {
 				if reg.EndDMA == d {
@@ -271,10 +267,10 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	// (§5.4.5: "the temperature sensing application ... has no DMA
 	// privatization buffer").
 	if r.cfg.PrivBufWords > 0 && len(app.DMAs) > 0 {
-		r.privBuf = dev.Mem.Alloc(mem.FRAM, rtName, "dmaprivbuf", r.cfg.PrivBufWords)
+		r.privBuf = dev.Mem.Alloc(mem.FRAM, r.cfg.PrivBufWords)
 	}
 	if len(app.DMAs) > 0 {
-		r.privBufNext = dev.Mem.Alloc(mem.FRAM, rtName, "dmaprivnext", 1)
+		r.privBufNext = dev.Mem.Alloc(mem.FRAM, 1)
 	}
 	return nil
 }

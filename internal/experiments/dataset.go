@@ -89,8 +89,8 @@ func (d *MultiTaskData) Dataset() Dataset {
 		Header: workHeader,
 	}
 	for ci, c := range d.Cases {
-		for ki, k := range MultiTaskKinds {
-			ds.Rows = append(ds.Rows, workRow(c.Label+"/"+k.String(), d.Summaries[ci][ki]))
+		for ki, oc := range OpConfigs {
+			ds.Rows = append(ds.Rows, workRow(c.Label+"/"+oc.Label, d.Summaries[ci][ki]))
 		}
 	}
 	return ds
@@ -148,10 +148,10 @@ func (d *Fig13Data) Dataset() Dataset {
 	}
 	for di, times := range d.Times {
 		ref := times[0]
-		for ki, k := range Fig13Kinds {
+		for ki, oc := range OpConfigs {
 			ds.Rows = append(ds.Rows, []string{
 				fmt.Sprintf("%.0f", d.Cfg.DistancesInches[di]),
-				k.String(), fmtMS(times[ki]), fmtMS(times[ki] - ref),
+				oc.Label, fmtMS(times[ki]), fmtMS(times[ki] - ref),
 				fmt.Sprintf("%.2f", d.Failures[di][ki]),
 			})
 		}

@@ -200,7 +200,6 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 			notifyProgress(cfg, done)
 			continue
 		}
-		run.Runtime = kind.String() // distinguish EaseIO/Op. in reports
 		agg.Add(run)
 		notifyProgress(cfg, done)
 	}

@@ -29,19 +29,13 @@ func sensorFactory() (*apps.Bench, error) {
 
 // freshRun executes one seeded run of the app under the runtime kind as
 // a new session's first run — the fresh device and attach the reuse
-// paths are checked against. Like the sweep engine, it labels the run
-// with the kind's name (EaseIO/Op. included).
+// paths are checked against.
 func freshRun(newApp AppFactory, kind RuntimeKind, supply power.Supply, seed int64) (*stats.Run, error) {
 	bench, err := newApp()
 	if err != nil {
 		return nil, err
 	}
-	run, err := kernel.NewSession(NewRuntime(kind), bench.App, supply).Run(seed)
-	if err != nil {
-		return nil, err
-	}
-	run.Runtime = kind.String()
-	return run, nil
+	return kernel.NewSession(NewRuntime(kind), bench.App, supply).Run(seed)
 }
 
 // TestRunManyDeterminism checks that identical seeds produce a
@@ -116,9 +110,6 @@ func TestSessionResetReproducesFreshRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// freshRun relabels the runtime for EaseIO/Op. reporting; the
-				// raw session does not. Normalize before comparing.
-				fresh.Runtime = reused.Runtime
 				if !reflect.DeepEqual(reused, fresh) {
 					t.Errorf("reused device diverged from fresh device:\n%+v\nvs\n%+v",
 						reused, fresh)
@@ -253,7 +244,6 @@ func TestParseRuntimeKind(t *testing.T) {
 	for in, want := range map[string]RuntimeKind{
 		"alpaca": Alpaca, "Alpaca": Alpaca, "InK": InK, "ink": InK,
 		"EaseIO": EaseIO, "easeio": EaseIO,
-		"EaseIO/Op.": EaseIOOp, "easeio-op": EaseIOOp,
 		"JustDo": JustDo, "justdo": JustDo,
 	} {
 		got, err := ParseRuntimeKind(in)
@@ -261,8 +251,10 @@ func TestParseRuntimeKind(t *testing.T) {
 			t.Errorf("ParseRuntimeKind(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseRuntimeKind("quickrecall"); err == nil {
-		t.Error("unregistered runtime name must not parse")
+	for _, in := range []string{"quickrecall", "EaseIO/Op.", "easeio-op"} {
+		if _, err := ParseRuntimeKind(in); err == nil {
+			t.Errorf("%q parsed; only runtimes are kinds", in)
+		}
 	}
 }
 

@@ -55,10 +55,8 @@ func DefaultFig13Config() Fig13Config {
 	}
 }
 
-// Fig13Kinds are the plotted configurations.
-var Fig13Kinds = []RuntimeKind{EaseIOOp, EaseIO, InK, Alpaca}
-
-// Fig13Data holds mean execution times: [distance][kind].
+// Fig13Data holds mean execution times: [distance][config], indexed like
+// OpConfigs.
 type Fig13Data struct {
 	Cfg   Fig13Config
 	Times [][]time.Duration
@@ -78,9 +76,9 @@ func Fig13(cfg Fig13Config) (*Fig13Data, error) {
 	}
 	out := &Fig13Data{Cfg: cfg}
 	for _, d := range cfg.DistancesInches {
-		times := make([]time.Duration, len(Fig13Kinds))
-		fails := make([]float64, len(Fig13Kinds))
-		for ki, k := range Fig13Kinds {
+		times := make([]time.Duration, len(OpConfigs))
+		fails := make([]float64, len(OpConfigs))
+		for ki, oc := range OpConfigs {
 			rc := Config{
 				Runs:     cfg.Runs,
 				BaseSeed: cfg.BaseSeed,
@@ -97,13 +95,13 @@ func Fig13(cfg Fig13Config) (*Fig13Data, error) {
 			}
 			factory := func() (*apps.Bench, error) {
 				wc := apps.DefaultWeatherConfig()
-				wc.ExcludeWeights = k == EaseIOOp
+				wc.ExcludeWeights = oc.Exclude
 				wc.DelayLoopSend = true
 				return apps.NewWeatherApp(wc)
 			}
-			sum, err := RunMany(rc, factory, k)
+			sum, err := RunMany(rc, factory, oc.Kind)
 			if err != nil {
-				return nil, fmt.Errorf("fig13 d=%.0f %s: %w", d, k, err)
+				return nil, fmt.Errorf("fig13 d=%.0f %s: %w", d, oc.Label, err)
 			}
 			times[ki] = sum.MeanWallTime
 			fails[ki] = float64(sum.PowerFailures) / float64(sum.Runs)
@@ -119,8 +117,8 @@ func Fig13(cfg Fig13Config) (*Fig13Data, error) {
 // recharge periods: that is what a harvested deployment observes.
 func (d *Fig13Data) Render() string {
 	header := []string{"Distance (in)"}
-	for _, k := range Fig13Kinds {
-		header = append(header, "Δt "+k.String()+" (ms)")
+	for _, oc := range OpConfigs {
+		header = append(header, "Δt "+oc.Label+" (ms)")
 	}
 	header = append(header, "PF/run (Alpaca)")
 	rows := make([][]string, len(d.Times))
@@ -130,7 +128,7 @@ func (d *Fig13Data) Render() string {
 		for _, t := range times {
 			row = append(row, fmtMS(t-ref))
 		}
-		row = append(row, fmt.Sprintf("%.2f", d.Failures[di][len(Fig13Kinds)-1]))
+		row = append(row, fmt.Sprintf("%.2f", d.Failures[di][len(OpConfigs)-1]))
 		rows[di] = row
 	}
 	return "Figure 13 — execution time difference vs EaseIO/Op. under the RF harvester\n" +

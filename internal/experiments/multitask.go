@@ -13,15 +13,29 @@ import (
 	"easeio/internal/stats"
 )
 
-// MultiTaskKinds are the configurations compared in phase 2, in the
-// paper's legend order.
-var MultiTaskKinds = []RuntimeKind{EaseIOOp, EaseIO, InK, Alpaca}
+// OpConfig is one configuration compared in phase 2 and Figure 13: a
+// runtime plus whether the app is built with its Exclude annotations
+// enabled. Label is the paper's legend entry.
+type OpConfig struct {
+	Label   string
+	Kind    RuntimeKind
+	Exclude bool
+}
+
+// OpConfigs are the configurations of Figures 10–13, in the paper's
+// legend order. "EaseIO/Op." is EaseIO on the Exclude-annotated app.
+var OpConfigs = []OpConfig{
+	{"EaseIO/Op.", EaseIO, true},
+	{"EaseIO", EaseIO, false},
+	{"InK", InK, false},
+	{"Alpaca", Alpaca, false},
+}
 
 // MultiTaskCase is one phase-2 benchmark.
 type MultiTaskCase struct {
 	Label string
 	// New builds the app; excludeOps enables the application's Exclude
-	// annotations (used only for the EaseIOOp configuration).
+	// annotations (the "EaseIO/Op." configuration).
 	New func(excludeOps bool) (*apps.Bench, error)
 }
 
@@ -41,7 +55,8 @@ func MultiTaskCases() []MultiTaskCase {
 	}
 }
 
-// MultiTaskData is the phase-2 sweep result: [case][kind] summaries.
+// MultiTaskData is the phase-2 sweep result: [case][config] summaries,
+// indexed like OpConfigs.
 type MultiTaskData struct {
 	Cases     []MultiTaskCase
 	Summaries [][]stats.Summary
@@ -52,12 +67,12 @@ func MultiTask(cfg Config) (*MultiTaskData, error) {
 	cases := MultiTaskCases()
 	out := &MultiTaskData{Cases: cases, Summaries: make([][]stats.Summary, len(cases))}
 	for ci, c := range cases {
-		out.Summaries[ci] = make([]stats.Summary, len(MultiTaskKinds))
-		for ki, k := range MultiTaskKinds {
-			factory := func() (*apps.Bench, error) { return c.New(k == EaseIOOp) }
-			s, err := RunMany(cfg, factory, k)
+		out.Summaries[ci] = make([]stats.Summary, len(OpConfigs))
+		for ki, oc := range OpConfigs {
+			factory := func() (*apps.Bench, error) { return c.New(oc.Exclude) }
+			s, err := RunMany(cfg, factory, oc.Kind)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", c.Label, k, err)
+				return nil, fmt.Errorf("%s/%s: %w", c.Label, oc.Label, err)
 			}
 			out.Summaries[ci][ki] = s
 		}
@@ -72,8 +87,8 @@ func (d *MultiTaskData) RenderFigure10() string {
 	for ci, c := range d.Cases {
 		fmt.Fprintf(&b, "%s:\n", c.Label)
 		scale := BarScale(d.Summaries[ci])
-		for ki, k := range MultiTaskKinds {
-			b.WriteString(StackedBar(k.String(), d.Summaries[ci][ki].Work, scale, 48))
+		for ki, oc := range OpConfigs {
+			b.WriteString(StackedBar(oc.Label, d.Summaries[ci][ki].Work, scale, 48))
 			b.WriteByte('\n')
 		}
 		b.WriteByte('\n')
@@ -84,13 +99,13 @@ func (d *MultiTaskData) RenderFigure10() string {
 // RenderFigure11 prints average energy for the multi-task apps.
 func (d *MultiTaskData) RenderFigure11() string {
 	header := []string{"App"}
-	for _, k := range MultiTaskKinds {
-		header = append(header, k.String()+" (µJ)")
+	for _, oc := range OpConfigs {
+		header = append(header, oc.Label+" (µJ)")
 	}
 	rows := make([][]string, len(d.Cases))
 	for ci, c := range d.Cases {
 		row := []string{c.Label}
-		for ki := range MultiTaskKinds {
+		for ki := range OpConfigs {
 			row = append(row, fmtUJ(d.Summaries[ci][ki].MeanEnergy))
 		}
 		rows[ci] = row
@@ -104,13 +119,13 @@ func (d *MultiTaskData) RenderFigure12() string {
 	header := []string{"Runtime", "Correct", "Incorrect", "Incorrect %"}
 	// The paper's Figure 12 compares EaseIO, InK and Alpaca.
 	rows := [][]string{}
-	for ki, k := range MultiTaskKinds {
-		if k == EaseIOOp {
+	for ki, oc := range OpConfigs {
+		if oc.Exclude {
 			continue
 		}
 		s := fir[ki]
 		rows = append(rows, []string{
-			k.String(),
+			oc.Label,
 			fmt.Sprintf("%d", s.CorrectRuns),
 			fmt.Sprintf("%d", s.IncorrectRuns),
 			pct(s.IncorrectRuns, s.Runs),

@@ -68,7 +68,7 @@ func TestReproductionHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MultiTaskKinds order: EaseIOOp, EaseIO, InK, Alpaca.
+	// OpConfigs order: EaseIO/Op., EaseIO, InK, Alpaca.
 	fir, weather := multi.Summaries[0], multi.Summaries[1]
 
 	// Figure 12: EaseIO zero incorrect; baselines 10–35 % incorrect.
@@ -79,7 +79,7 @@ func TestReproductionHeadlines(t *testing.T) {
 		frac := float64(fir[ki].IncorrectRuns) / float64(fir[ki].Runs)
 		if frac < 0.10 || frac > 0.35 {
 			t.Errorf("fig12: %s incorrect fraction = %.2f, want ≈ 0.16-0.22",
-				MultiTaskKinds[ki], frac)
+				OpConfigs[ki].Label, frac)
 		}
 	}
 
@@ -158,9 +158,9 @@ func TestReproductionFig13Shape(t *testing.T) {
 			d.Times[last][3], d.Times[last][0])
 	}
 	// Failure counts grow with distance for every runtime.
-	for ki := range Fig13Kinds {
+	for ki, oc := range OpConfigs {
 		if d.Failures[0][ki] > d.Failures[last][ki] {
-			t.Errorf("%s: failures decrease with distance", Fig13Kinds[ki])
+			t.Errorf("%s: failures decrease with distance", oc.Label)
 		}
 	}
 }

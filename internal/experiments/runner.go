@@ -28,16 +28,14 @@ import (
 // RuntimeKind selects one of the compared runtimes.
 type RuntimeKind int
 
-// The compared runtimes. EaseIOOp is EaseIO with the application's
-// Exclude annotations enabled ("EaseIO/Op." in Figures 10, 11 and 13);
-// the runtime itself is identical. JustDo is the checkpointing-family
-// comparator (§2, §7.2) used by the loggers experiment and the
-// failure-point checker.
+// The compared runtimes. JustDo is the checkpointing-family comparator
+// (§2, §7.2) used by the loggers experiment and the failure-point
+// checker. The paper's "EaseIO/Op." is not a runtime: it is EaseIO on an
+// app built with its Exclude annotations enabled (see OpConfig).
 const (
 	Alpaca RuntimeKind = iota
 	InK
 	EaseIO
-	EaseIOOp
 	JustDo
 )
 
@@ -50,8 +48,6 @@ func (k RuntimeKind) String() string {
 		return "InK"
 	case EaseIO:
 		return "EaseIO"
-	case EaseIOOp:
-		return "EaseIO/Op."
 	case JustDo:
 		return "JustDo"
 	default:
@@ -59,10 +55,8 @@ func (k RuntimeKind) String() string {
 	}
 }
 
-// ParseRuntimeKind maps a runtime name to its RuntimeKind. It accepts
-// the paper's figure labels ("Alpaca", "InK", "EaseIO", "EaseIO/Op.")
-// case-insensitively, plus "easeio-op" as a URL-friendly spelling of the
-// last one.
+// ParseRuntimeKind maps a runtime name ("Alpaca", "InK", "EaseIO",
+// "JustDo") to its RuntimeKind, case-insensitively.
 func ParseRuntimeKind(s string) (RuntimeKind, error) {
 	switch strings.ToLower(s) {
 	case "alpaca":
@@ -71,12 +65,10 @@ func ParseRuntimeKind(s string) (RuntimeKind, error) {
 		return InK, nil
 	case "easeio":
 		return EaseIO, nil
-	case "easeio/op.", "easeio/op", "easeio-op":
-		return EaseIOOp, nil
 	case "justdo":
 		return JustDo, nil
 	default:
-		return 0, fmt.Errorf("experiments: unknown runtime %q (want Alpaca, InK, EaseIO, EaseIO/Op. or JustDo)", s)
+		return 0, fmt.Errorf("experiments: unknown runtime %q (want Alpaca, InK, EaseIO or JustDo)", s)
 	}
 }
 
@@ -87,7 +79,7 @@ func NewRuntime(k RuntimeKind) kernel.Hooks {
 		return alpaca.New()
 	case InK:
 		return ink.New()
-	case EaseIO, EaseIOOp:
+	case EaseIO:
 		return core.New()
 	case JustDo:
 		return justdo.New()

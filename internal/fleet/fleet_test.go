@@ -10,6 +10,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -43,14 +44,9 @@ var testApps = mapSource{
 	"sensor": func() (*apps.Bench, error) { return apps.NewSensorApp(apps.DefaultSensorConfig()) },
 }
 
-// sweepKinds is the full runtime matrix sweeps are pinned across.
-var sweepKinds = []experiments.RuntimeKind{
-	experiments.Alpaca, experiments.InK, experiments.EaseIO,
-	experiments.EaseIOOp, experiments.JustDo,
-}
-
-// checkKinds matches the checker's own test matrix.
-var checkKinds = []experiments.RuntimeKind{
+// kinds is the full runtime matrix sweeps and checks are pinned across
+// (the checker's own test matrix).
+var kinds = []experiments.RuntimeKind{
 	experiments.Alpaca, experiments.InK, experiments.EaseIO, experiments.JustDo,
 }
 
@@ -114,7 +110,7 @@ func TestFleetSweepByteIdentity(t *testing.T) {
 	startLoopback(t, c, 2)
 
 	for _, app := range []string{"dma", "temp", "fir", "branch"} {
-		for _, kind := range sweepKinds {
+		for _, kind := range kinds {
 			spec := Spec{
 				Mode: ModeSweep, App: app, Runtime: kind.String(),
 				Runs: 10, BaseSeed: 7, Shards: 3, ShardWorkers: 1 + len(app)%2,
@@ -150,7 +146,7 @@ func TestFleetCheckByteIdentity(t *testing.T) {
 	c := newTestCoordinator(t, nil)
 	startLoopback(t, c, 2)
 
-	for _, kind := range checkKinds {
+	for _, kind := range kinds {
 		spec := Spec{
 			Mode: ModeCheck, App: "fig6", Runtime: kind.String(),
 			Exhaustive: true, Shards: 2,
@@ -574,7 +570,7 @@ func TestWALRefusesOlderWireVersion(t *testing.T) {
 		}
 		for _, b := range append([][]byte{r.Payload, r.Level1}, r.Tasks...) {
 			if len(b) > 2 {
-				b[2] = 2
+				b[2] = wire.Version - 1
 			}
 		}
 		patched = wire.AppendFrame(patched, r.encode())
@@ -585,9 +581,9 @@ func TestWALRefusesOlderWireVersion(t *testing.T) {
 	c, err = New(CoordinatorConfig{WALPath: path, Source: testApps})
 	if err == nil {
 		c.Close()
-		t.Fatal("a WAL of wire-version-2 payloads opened without error")
+		t.Fatal("a WAL of previous-wire-version payloads opened without error")
 	}
-	if !strings.Contains(err.Error(), "unsupported version 2 (have 3)") {
+	if want := fmt.Sprintf("unsupported version %d (have %d)", wire.Version-1, wire.Version); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not name the unsupported version", err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // taskPtrWord returns the FRAM word of app's persistent task pointer
-// under EaseIO, found through the attached device's allocation records.
+// under EaseIO, as the attached runtime reports it.
 func taskPtrWord(t *testing.T, app string) int {
 	t.Helper()
 	bench, err := testApps[app]()
@@ -22,16 +22,15 @@ func taskPtrWord(t *testing.T, app string) int {
 		t.Fatal(err)
 	}
 	dev := kernel.NewDevice(power.Continuous{}, 1)
-	if err := experiments.NewRuntime(experiments.EaseIO).Attach(dev, bench.App); err != nil {
+	rt := experiments.NewRuntime(experiments.EaseIO)
+	if err := rt.Attach(dev, bench.App); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range dev.Mem.Regions() {
-		if r.Name == "taskptr" && r.Addr.Bank == mem.FRAM {
-			return r.Addr.Word
-		}
+	a := rt.TaskPointer()
+	if a.Bank != mem.FRAM {
+		t.Fatalf("%s: task pointer in %v", app, a.Bank)
 	}
-	t.Fatalf("%s: no taskptr region", app)
-	return 0
+	return a.Word
 }
 
 // malformedShard plans a k=2 check of app under EaseIO, lets mutate

@@ -28,7 +28,7 @@ func TestFleetNestedCheckK3ByteIdentity(t *testing.T) {
 	c := newTestCoordinator(t, nil)
 	startLoopback(t, c, 3)
 
-	for _, kind := range checkKinds {
+	for _, kind := range kinds {
 		spec := Spec{
 			Mode: ModeCheck, App: "fig6", Runtime: kind.String(),
 			Exhaustive: true, Failures: 3, Shards: 4, ShardWorkers: 2,

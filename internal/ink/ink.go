@@ -58,7 +58,7 @@ func (r *Runtime) Name() string { return "InK" }
 // buffer and an index word — the double-buffer footprint that makes InK's
 // FRAM usage the largest in Table 6.
 func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
-	if err := r.Init(dev, app, "InK"); err != nil {
+	if err := r.Init(dev, app); err != nil {
 		return err
 	}
 	r.shadow = make([]mem.Addr, len(app.Vars))
@@ -66,8 +66,8 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	r.dirtyE = make([]uint32, len(app.Vars))
 	r.epoch = 1 // zero stamps in the fresh slice never match
 	for i, v := range app.Vars {
-		r.shadow[i] = dev.Mem.Alloc(mem.FRAM, "InK", "shadow:"+v.Name, v.Words)
-		r.index[i] = dev.Mem.Alloc(mem.FRAM, "InK", "index:"+v.Name, 1)
+		r.shadow[i] = dev.Mem.Alloc(mem.FRAM, v.Words)
+		r.index[i] = dev.Mem.Alloc(mem.FRAM, 1)
 	}
 	return nil
 }

@@ -72,11 +72,11 @@ func (r *Runtime) Name() string { return "JustDo" }
 
 // Attach implements kernel.Hooks.
 func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
-	if err := r.Init(dev, app, "JustDo"); err != nil {
+	if err := r.Init(dev, app); err != nil {
 		return err
 	}
-	r.progress = dev.Mem.Alloc(mem.FRAM, "JustDo", "progress", 1)
-	r.valueLog = dev.Mem.Alloc(mem.FRAM, "JustDo", "valuelog", logSlots)
+	r.progress = dev.Mem.Alloc(mem.FRAM, 1)
+	r.valueLog = dev.Mem.Alloc(mem.FRAM, logSlots)
 	return nil
 }
 

@@ -215,7 +215,6 @@ func (c *Ctx) LoadPrefix(a mem.Addr, n int, indexed bool) (sum uint16, free int)
 	for _, w := range c.Dev.Mem.Span(a, free) {
 		sum += w
 	}
-	c.Dev.Mem.Book(a.Bank, int64(free), 0, 0)
 	return sum, free
 }
 
@@ -328,14 +327,14 @@ func (c *Ctx) RawDMA(src, dst mem.Addr, words int, overhead bool) {
 	}
 	// The window bounds-checks the whole transfer up front and makes the
 	// per-word move inlinable; a power failure mid-loop still leaves
-	// exactly the charged prefix copied and counted.
+	// exactly the charged prefix copied.
 	w := d.Mem.CopyWindowFor(src, dst, words)
 
 	// Bulk fast path: every word that provably completes before the
 	// supply's next failure point (see bulkFree) is charged and moved in
 	// one batch. Sums of identical integer charges are exact, so the
-	// clock, ledger, counters and memory land byte-identical to the
-	// per-word loop. The loop then resumes at the first word whose slice
+	// clock, ledger, high-water mark and memory land byte-identical to
+	// the per-word loop. The loop then resumes at the first word whose slice
 	// may reach the failure point; supply steps of the bulkable supplies
 	// are pure on-time comparisons, so that word fails in chargeStep
 	// exactly where the per-word loop would have failed.

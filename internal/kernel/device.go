@@ -61,13 +61,13 @@ type Device struct {
 // checkMem implements task.CheckMem over a run's final memory: the
 // surface finish hands to App.CheckOutput. Equal compares a whole range
 // in one call (checking is outside the simulation's cost model, so the
-// comparison itself is uncounted — like EqualRange's other harness
-// uses); Read goes through the embedded checkReader.
+// comparison charges nothing); Read goes through the embedded
+// checkReader.
 type checkMem struct {
 	checkReader
 }
 
-// checkReader memoizes a direct read view of the variable last read:
+// checkReader memoizes the live words of the variable last read:
 // checkers read variables word by word, thousands of words per run. The
 // repository benchmark's profile attribution (benchmark/layers.go) names
 // (*checkReader).read as an output-check stage function.
@@ -75,15 +75,15 @@ type checkReader struct {
 	dev   *Device
 	rt    Hooks
 	lastV *task.NVVar
-	view  mem.ReadView
+	words []uint16
 }
 
 func (r *checkReader) read(v *task.NVVar, i int) uint16 {
 	if v != r.lastV {
 		r.lastV = v
-		r.view = r.dev.Mem.View(r.rt.AddrOf(v), v.Words)
+		r.words = r.dev.Mem.Span(r.rt.AddrOf(v), v.Words)
 	}
-	return r.view.At(i)
+	return r.words[i]
 }
 
 func (m *checkMem) Read(v *task.NVVar, i int) uint16 { return m.read(v, i) }
@@ -110,10 +110,10 @@ func NewDevice(supply power.Supply, seed int64) *Device {
 
 // Reset rewinds the device to the state NewDevice(supply, seed) would
 // produce, reusing the existing memory, clock, ledger and randomness
-// allocations. Memory contents are cleared but the allocator and
-// allocation records survive, so a runtime attached to this device keeps
-// its addresses valid: re-running an app only requires the runtime to
-// rewrite its initial durable state (see Hooks.Reset).
+// allocations. Memory contents are cleared but the allocator watermarks
+// survive, so a runtime attached to this device keeps its addresses
+// valid: re-running an app only requires the runtime to rewrite its
+// initial durable state (see Hooks.Reset).
 func (d *Device) Reset(supply power.Supply, seed int64) {
 	supply.Reset(seed)
 	d.Supply = supply

@@ -7,7 +7,6 @@ package kernel
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 )
 
@@ -80,16 +79,10 @@ func RenderGantt(buf *TraceBuffer, width int, w io.Writer) {
 			delete(open, name)
 		}
 	}
-	taskName := func(detail string) string {
-		if i := strings.IndexByte(detail, ' '); i > 0 {
-			return detail[:i]
-		}
-		return detail
-	}
 	for _, e := range buf.Events {
 		switch e.Kind {
 		case EvTaskBegin:
-			name := taskName(e.Detail)
+			name := taskOf(e.Detail)
 			if _, seen := lanes[name]; !seen {
 				lanes[name] = nil
 				order = append(order, name)
@@ -97,7 +90,7 @@ func RenderGantt(buf *TraceBuffer, width int, w io.Writer) {
 			closeOpen(e.Wall, 'X') // a new begin implies the old attempt died
 			open[name] = e.Wall
 		case EvTaskCommit:
-			name := taskName(e.Detail)
+			name := taskOf(e.Detail)
 			if from, ok := open[name]; ok {
 				lanes[name] = append(lanes[name], span{from, e.Wall, 'C'})
 				delete(open, name)

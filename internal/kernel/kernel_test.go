@@ -33,9 +33,9 @@ func (r *testRT) Attach(dev *Device, app *task.App) error {
 	r.dev, r.app = dev, app
 	r.addrs = map[*task.NVVar]mem.Addr{}
 	for _, v := range app.Vars {
-		r.addrs[v] = dev.Mem.Alloc(mem.FRAM, "app", v.Name, v.Words)
+		r.addrs[v] = dev.Mem.Alloc(mem.FRAM, v.Words)
 	}
-	r.ptr = dev.Mem.Alloc(mem.FRAM, "test", "ptr", 1)
+	r.ptr = dev.Mem.Alloc(mem.FRAM, 1)
 	return r.Reset(dev)
 }
 

@@ -11,12 +11,11 @@
 //
 // Because a command runs whole, nothing can observe LEA-RAM between its
 // words. So each kernel validates its ranges once (mem.Span), works on
-// the bank's live words, and books its accesses once per command
-// (mem.Book): the same read and write counts and high-water mark its
-// per-word Read/Write sequence would leave. It reads and writes the
-// live words in that per-word order, so in-place and overlapping ranges
-// give the same results too. A range out of bounds panics before any
-// word changes.
+// the bank's live words, and a writing kernel raises the high-water mark
+// once per command (mem.Wrote) to where its per-word Write sequence
+// would leave it. It reads and writes the live words in that per-word
+// order, so in-place and overlapping ranges give the same results too. A
+// range out of bounds panics before any word changes.
 package lea
 
 import "easeio/internal/mem"
@@ -55,8 +54,7 @@ func sat32(v int64) int32 {
 //
 //	out[i] = sat( Σ_{j<taps} coef[j]·in[i+j] >> 15 )  for i ≤ inLen−taps
 //
-// using Q15 fixed-point coefficients, mirroring the LEA's FIR command. It
-// books 2·taps reads and one write per output sample.
+// using Q15 fixed-point coefficients, mirroring the LEA's FIR command.
 func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 	outLen := FirOutLen(inLen, taps)
 	if outLen == 0 {
@@ -73,7 +71,7 @@ func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 		}
 		out[i] = uint16(sat16(acc >> 15))
 	}
-	m.Book(mem.LEARAM, 2*int64(taps)*int64(outLen), int64(outLen), outOff+outLen)
+	m.Wrote(mem.LEARAM, outOff+outLen)
 }
 
 // FirOutLen returns the number of output samples Fir produces.
@@ -85,23 +83,21 @@ func FirOutLen(inLen, taps int) int {
 }
 
 // Relu clamps n int16 samples at LEA-RAM offset off to be non-negative.
-// It books n reads and one write per negative sample cleared.
+// Only a cleared negative sample counts as written.
 func Relu(m *mem.Memory, off, n int) {
 	s := span(m, off, n)
-	var writes int64
 	end := 0
 	for i, v := range s {
 		if int16(v) < 0 {
 			s[i] = 0
-			writes++
 			end = off + i + 1
 		}
 	}
-	m.Book(mem.LEARAM, int64(n), writes, end)
+	m.Wrote(mem.LEARAM, end)
 }
 
 // Dot returns the int32 dot product of two n-sample int16 vectors in
-// LEA-RAM. It books 2n reads.
+// LEA-RAM.
 func Dot(m *mem.Memory, aOff, bOff, n int) int32 {
 	a := span(m, aOff, n)
 	b := span(m, bOff, n)[:len(a)]
@@ -109,7 +105,6 @@ func Dot(m *mem.Memory, aOff, bOff, n int) int32 {
 	for i, x := range a {
 		acc += int64(int16(x)) * int64(int16(b[i]))
 	}
-	m.Book(mem.LEARAM, 2*int64(n), 0, 0)
 	return sat32(acc)
 }
 

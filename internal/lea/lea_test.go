@@ -151,10 +151,9 @@ func TestDotMatchesReference(t *testing.T) {
 	}
 }
 
-// Per-word references: each kernel as a sequence of counted
+// Per-word references: each kernel as a sequence of
 // Memory.Read/Write calls, one per access in command order. The span
-// kernels must leave exactly the words, counters and high-water mark
-// these leave.
+// kernels must leave exactly the words and high-water mark these leave.
 
 func refRead(m *mem.Memory, off int) int16 {
 	return int16(m.Read(mem.Addr{Bank: mem.LEARAM, Word: off}))
@@ -193,7 +192,7 @@ func refDot(m *mem.Memory, aOff, bOff, n int) int32 {
 	return sat32(acc)
 }
 
-// plant stores samples at LEA-RAM offset off without booking them, so
+// plant stores samples at LEA-RAM offset off through a raw span, so
 // the high-water mark stays where the kernel under test can move it.
 func plant(m *mem.Memory, off int, data []int16) {
 	words := m.Span(mem.Addr{Bank: mem.LEARAM, Word: off}, len(data))
@@ -203,7 +202,7 @@ func plant(m *mem.Memory, off int, data []int16) {
 }
 
 // twinMems returns two memories whose first 1024 LEA-RAM words hold the
-// same random samples, with zero counters and high-water marks.
+// same random samples, with zero high-water marks.
 func twinMems(rng *rand.Rand) (*mem.Memory, *mem.Memory) {
 	data := make([]int16, 1024)
 	for i := range data {
@@ -221,9 +220,6 @@ func sameLEA(t *testing.T, what string, got, want *mem.Memory) {
 	if !slices.Equal(got.Span(whole, mem.LEARAMWords), want.Span(whole, mem.LEARAMWords)) {
 		t.Errorf("%s: LEA-RAM words differ from the per-word reference", what)
 	}
-	if g, w := got.Counts(mem.LEARAM), want.Counts(mem.LEARAM); g != w {
-		t.Errorf("%s: counters %+v, per-word %+v", what, g, w)
-	}
 	if g, w := got.HighWater(mem.LEARAM), want.HighWater(mem.LEARAM); g != w {
 		t.Errorf("%s: high water %d, per-word %d", what, g, w)
 	}
@@ -231,7 +227,7 @@ func sameLEA(t *testing.T, what string, got, want *mem.Memory) {
 
 // TestKernelsMatchPerWord is the span ≡ per-word oracle for the LEA
 // kernels: random ranges (freely overlapping, in-place included) plus
-// the edge cases that decide the booked writes and high-water mark.
+// the edge cases that decide the high-water mark.
 func TestKernelsMatchPerWord(t *testing.T) {
 	type cmd struct {
 		name                            string
@@ -289,7 +285,7 @@ func TestKernelsMatchPerWord(t *testing.T) {
 }
 
 // TestKernelOutOfRangePanicsFirst pins that a command whose ranges leave
-// LEA-RAM panics before it changes any word or counter (the per-word
+// LEA-RAM panics before it changes any word or the high-water mark (the per-word
 // loop would have written the in-range prefix first).
 func TestKernelOutOfRangePanicsFirst(t *testing.T) {
 	end := mem.LEARAMWords
@@ -304,7 +300,7 @@ func TestKernelOutOfRangePanicsFirst(t *testing.T) {
 	} {
 		m, _ := twinMems(rand.New(rand.NewSource(7)))
 		plant(m, end-10, []int16{-1, -2, -3, -4, -5, -6, -7, -8, -9, -10})
-		counts, hw := m.Counts(mem.LEARAM), m.HighWater(mem.LEARAM)
+		hw := m.HighWater(mem.LEARAM)
 		before := slices.Clone(m.Span(mem.Addr{Bank: mem.LEARAM}, end))
 		func() {
 			defer func() {
@@ -317,8 +313,8 @@ func TestKernelOutOfRangePanicsFirst(t *testing.T) {
 		if !slices.Equal(m.Span(mem.Addr{Bank: mem.LEARAM}, end), before) {
 			t.Errorf("%s: words changed before the panic", c.name)
 		}
-		if m.Counts(mem.LEARAM) != counts || m.HighWater(mem.LEARAM) != hw {
-			t.Errorf("%s: accesses booked before the panic", c.name)
+		if m.HighWater(mem.LEARAM) != hw {
+			t.Errorf("%s: high water moved before the panic", c.name)
 		}
 	}
 }

@@ -32,10 +32,10 @@ func TestBankSizes(t *testing.T) {
 	}
 }
 
-func TestAllocAndRegions(t *testing.T) {
+func TestAlloc(t *testing.T) {
 	m := New()
-	a := m.Alloc(FRAM, "app", "buf", 10)
-	b := m.Alloc(FRAM, "rt", "flags", 2)
+	a := m.Alloc(FRAM, 10)
+	b := m.Alloc(FRAM, 2)
 	if a.Bank != FRAM || a.Word != 0 {
 		t.Errorf("first alloc at %v", a)
 	}
@@ -44,20 +44,6 @@ func TestAllocAndRegions(t *testing.T) {
 	}
 	if m.Allocated(FRAM) != 12 {
 		t.Errorf("allocated = %d, want 12", m.Allocated(FRAM))
-	}
-	if got := m.OwnerWords(FRAM, "app"); got != 10 {
-		t.Errorf("app words = %d", got)
-	}
-	if got := m.OwnerWords(FRAM, "rt"); got != 2 {
-		t.Errorf("rt words = %d", got)
-	}
-	owners := m.Owners()
-	if len(owners) != 2 || owners[0] != "app" || owners[1] != "rt" {
-		t.Errorf("owners = %v", owners)
-	}
-	regions := m.Regions()
-	if len(regions) != 2 || regions[0].Name != "buf" || regions[1].Words != 2 {
-		t.Errorf("regions = %+v", regions)
 	}
 }
 
@@ -68,19 +54,15 @@ func TestAllocExhaustionPanics(t *testing.T) {
 			t.Error("expected panic on exhaustion")
 		}
 	}()
-	m.Alloc(SRAM, "app", "too-big", m.Size(SRAM)+1)
+	m.Alloc(SRAM, m.Size(SRAM)+1)
 }
 
-func TestReadWriteAndCounters(t *testing.T) {
+func TestReadWrite(t *testing.T) {
 	m := New()
 	a := Addr{FRAM, 100}
 	m.Write(a, 0xBEEF)
 	if got := m.Read(a); got != 0xBEEF {
 		t.Errorf("read back %#x", got)
-	}
-	c := m.Counts(FRAM)
-	if c.Reads != 1 || c.Writes != 1 {
-		t.Errorf("counters = %+v", c)
 	}
 }
 
@@ -126,22 +108,20 @@ func TestBlockTransfer(t *testing.T) {
 	if got := m.Span(Addr{FRAM, 50}, 5); !reflect.DeepEqual(got, src) {
 		t.Fatalf("span = %v, want %v", got, src)
 	}
-	c := m.Counts(FRAM)
-	if c.Reads != 0 || c.Writes != 5 || m.HighWater(FRAM) != 55 {
-		t.Errorf("block counters = %+v, high water %d", c, m.HighWater(FRAM))
+	if m.HighWater(FRAM) != 55 {
+		t.Errorf("block high water %d, want 55", m.HighWater(FRAM))
 	}
 }
 
 // TestWriteBlockZeroLength pins that an empty write is valid at every
-// word from 0 to the bank's end and books nothing: no counter tick and
-// no high-water move.
+// word from 0 to the bank's end and leaves the high-water mark alone.
 func TestWriteBlockZeroLength(t *testing.T) {
 	m := New()
 	for _, w := range []int{0, 1, m.Size(SRAM)} {
 		m.WriteBlock(Addr{SRAM, w}, nil, 0)
 	}
-	if c := m.Counts(SRAM); c != (Counters{}) || m.HighWater(SRAM) != 0 {
-		t.Errorf("zero-length writes booked %+v, high water %d", c, m.HighWater(SRAM))
+	if m.HighWater(SRAM) != 0 {
+		t.Errorf("zero-length writes moved the high water to %d", m.HighWater(SRAM))
 	}
 }
 
@@ -178,30 +158,28 @@ func TestSpanBounds(t *testing.T) {
 	}
 }
 
-// TestBookMatchesPerWord pins Book against the per-word path: booking a
-// command's accesses leaves the same counters and high-water mark as
-// making them one Read/Write at a time, and end 0 leaves the mark.
-func TestBookMatchesPerWord(t *testing.T) {
-	perWord, booked := New(), New()
+// TestWroteMatchesPerWord pins Wrote against the per-word path: raising
+// the mark once for a command's writes leaves the same high-water mark
+// as making them one Write at a time, and a lower end leaves the mark.
+func TestWroteMatchesPerWord(t *testing.T) {
+	perWord, bulk := New(), New()
 	for w := 10; w < 20; w++ {
-		perWord.Read(Addr{SRAM, w})
 		perWord.Write(Addr{SRAM, w}, 1)
 	}
-	booked.Book(SRAM, 10, 10, 20)
-	booked.Book(SRAM, 0, 0, 0)
-	if perWord.Counts(SRAM) != booked.Counts(SRAM) || perWord.HighWater(SRAM) != booked.HighWater(SRAM) {
-		t.Errorf("booked %+v hw %d, per-word %+v hw %d", booked.Counts(SRAM), booked.HighWater(SRAM),
-			perWord.Counts(SRAM), perWord.HighWater(SRAM))
+	bulk.Wrote(SRAM, 20)
+	bulk.Wrote(SRAM, 0)
+	if perWord.HighWater(SRAM) != bulk.HighWater(SRAM) {
+		t.Errorf("bulk hw %d, per-word hw %d", bulk.HighWater(SRAM), perWord.HighWater(SRAM))
 	}
 }
 
 // TestSnapshotAllRestoreAll pins the device snapshot: RestoreAll
-// rewinds contents, counters and high-water marks to the snapshot —
+// rewinds contents and high-water marks to the snapshot —
 // clearing words written above its prefix — and Validate rejects shapes
 // no memory can have.
 func TestSnapshotAllRestoreAll(t *testing.T) {
 	m := New()
-	m.Alloc(FRAM, "app", "x", 8)
+	m.Alloc(FRAM, 8)
 	m.Write(Addr{FRAM, 1}, 10)
 	snap := m.SnapshotAll()
 	if err := snap.Validate(); err != nil {
@@ -214,7 +192,6 @@ func TestSnapshotAllRestoreAll(t *testing.T) {
 	if got := m.Read(Addr{FRAM, 1}); got != 10 {
 		t.Errorf("restored value = %d, want 10", got)
 	}
-	m.RestoreAll(snap) // undo the Read's counter tick
 	if got := m.SnapshotAll(); !reflect.DeepEqual(got, snap) {
 		t.Errorf("restored memory snapshots as %+v, want %+v", got, snap)
 	}
@@ -222,7 +199,7 @@ func TestSnapshotAllRestoreAll(t *testing.T) {
 		func(s *DeviceSnapshot) { s.Used[SRAM] = make([]uint16, SRAMWords+1) },
 		func(s *DeviceSnapshot) { s.Alloc[FRAM] = -1 },
 		func(s *DeviceSnapshot) { s.HighWater[LEARAM] = LEARAMWords + 1 },
-		func(s *DeviceSnapshot) { s.Counts[FRAM].Writes = -1 },
+		func(s *DeviceSnapshot) { s.HighWater[SRAM] = -1 },
 	} {
 		s := *snap
 		bad(&s)

@@ -37,9 +37,6 @@ type Base struct {
 	Dev *kernel.Device
 	App *task.App
 
-	// RTName attributes metadata allocations in the memory report.
-	RTName string
-
 	addrs   []mem.Addr // master copy addresses, by variable ID
 	taskPtr mem.Addr
 	// siteSlot maps an I/O site ID to its first bookkeeping slot; dmaSlot
@@ -70,7 +67,7 @@ func (b *Base) Device() *kernel.Device { return b.Dev }
 // follow all I/O slots in declaration order. The numbering depends only
 // on the blueprint, so a kernel.RuntimeState captured from one instance
 // restores into any instance of an equivalently built app.
-func (b *Base) Init(dev *kernel.Device, app *task.App, rtName string) error {
+func (b *Base) Init(dev *kernel.Device, app *task.App) error {
 	if err := app.Validate(); err != nil {
 		return err
 	}
@@ -79,7 +76,6 @@ func (b *Base) Init(dev *kernel.Device, app *task.App, rtName string) error {
 	}
 	b.Dev = dev
 	b.App = app
-	b.RTName = rtName
 	b.addrs = make([]mem.Addr, len(app.Vars))
 	b.siteSlot = make([]int, len(app.Sites))
 	slots := 0
@@ -91,9 +87,9 @@ func (b *Base) Init(dev *kernel.Device, app *task.App, rtName string) error {
 	b.st.Slots = make([]kernel.IOSlot, slots+len(app.DMAs))
 	b.st.TaskInst = make([]int32, len(app.Tasks))
 	for i, v := range app.Vars {
-		b.addrs[i] = dev.Mem.Alloc(mem.FRAM, "app", v.Name, v.Words)
+		b.addrs[i] = dev.Mem.Alloc(mem.FRAM, v.Words)
 	}
-	b.taskPtr = dev.Mem.Alloc(mem.FRAM, rtName, "taskptr", 1)
+	b.taskPtr = dev.Mem.Alloc(mem.FRAM, 1)
 	b.writeInitial()
 	return nil
 }
@@ -213,7 +209,6 @@ func (b *Base) noteIO(s *task.IOSite, idx int) (slot int, redundant bool) {
 	}
 	sl.ExecCount++
 	b.Dev.Run.IOExecs++
-	b.Dev.Run.CountIO(s.Name)
 	if sl.ExecCount > 1 {
 		b.Dev.Run.IORepeats++
 	}

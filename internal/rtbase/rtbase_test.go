@@ -30,7 +30,7 @@ func TestInitAllocatesMasters(t *testing.T) {
 	a := twoTaskApp(t)
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	if err := b.Init(dev, a, "TestRT"); err != nil {
+	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
 	v := a.Vars[0]
@@ -43,11 +43,8 @@ func TestInitAllocatesMasters(t *testing.T) {
 			t.Errorf("init[%d] = %d", i, got)
 		}
 	}
-	if dev.Mem.OwnerWords(mem.FRAM, "app") != 4 {
-		t.Error("master attributed to app owner")
-	}
-	if dev.Mem.OwnerWords(mem.FRAM, "TestRT") != 1 {
-		t.Error("task pointer attributed to runtime owner")
+	if got := dev.Mem.Allocated(mem.FRAM); got != 5 {
+		t.Errorf("allocated %d FRAM words, want 4 master words and the task pointer", got)
 	}
 	if b.Current() != a.Entry() {
 		t.Error("initial task must be the entry")
@@ -70,7 +67,7 @@ func TestInitRejectsUnanalyzedApp(t *testing.T) {
 		}
 		dev := kernel.NewDevice(power.Continuous{}, 1)
 		var b Base
-		err := b.Init(dev, app, "X")
+		err := b.Init(dev, app)
 		if err == nil || !strings.Contains(err.Error(), "not analyzed") {
 			t.Errorf("%s: err = %v", app.Name, err)
 		}
@@ -129,7 +126,7 @@ func TestSlotNumbering(t *testing.T) {
 	loop, plain := a.Sites[0], a.Sites[1]
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	if err := b.Init(dev, a, "X"); err != nil {
+	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
 	type inst struct {
@@ -167,7 +164,7 @@ func TestMasterAddrUnknownVarPanics(t *testing.T) {
 	a := twoTaskApp(t)
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	if err := b.Init(dev, a, "X"); err != nil {
+	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -196,7 +193,7 @@ func TestRedundancyAccounting(t *testing.T) {
 	}
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	if err := b.Init(dev, a, "X"); err != nil {
+	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
 	ctx := &kernel.Ctx{Dev: dev} // RT unused by ExecIO itself
@@ -211,9 +208,6 @@ func TestRedundancyAccounting(t *testing.T) {
 	if dev.Run.IOExecs != 2 || dev.Run.IORepeats != 1 {
 		t.Errorf("after repeat: %d/%d", dev.Run.IOExecs, dev.Run.IORepeats)
 	}
-	if dev.Run.PerSite["op"] != 2 {
-		t.Errorf("per-site = %v", dev.Run.PerSite)
-	}
 	// A new task instance resets the dynamic key.
 	b.CommitTransition(ctx, a.Tasks[0], nil)
 	b.ExecIO(ctx, s, 0)
@@ -226,7 +220,7 @@ func TestTaskPointerPersists(t *testing.T) {
 	a := twoTaskApp(t)
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	if err := b.Init(dev, a, "X"); err != nil {
+	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
 	ctx := &kernel.Ctx{Dev: dev}
@@ -256,7 +250,7 @@ func TestSnapshotBaseIntoNoAlloc(t *testing.T) {
 	a := twoTaskApp(t)
 	dev := kernel.NewDevice(power.Continuous{}, 1)
 	var b Base
-	if err := b.Init(dev, a, "TestRT"); err != nil {
+	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
 	var reused, got kernel.RuntimeState

@@ -68,7 +68,8 @@ type JobSpec struct {
 	// App names a registered blueprint.
 	App string `json:"app"`
 	// Runtime names the runtime kind ("Alpaca", "InK", "EaseIO",
-	// "EaseIO/Op.", "JustDo").
+	// "JustDo"). The paper's "EaseIO/Op." is an Exclude-annotated
+	// blueprint (fir-op) under "EaseIO".
 	Runtime string `json:"runtime"`
 	// Mode selects the engine: "" or "sweep" runs a multi-seed sweep;
 	// "check" runs the failure-point model checker over the blueprint.

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"easeio/internal/apps"
+	"easeio/internal/check"
 	"easeio/internal/experiments"
 )
 
@@ -178,4 +179,14 @@ func RegisterPaperBenches(r *Registry) error {
 		}
 	}
 	return nil
+}
+
+// RegisterBenches registers the paper benches (RegisterPaperBenches)
+// plus the checker's Figure 6 WAR-via-DMA scenario as "fig6": the app
+// set the command-line tools and the fleet resolve names against.
+func RegisterBenches(r *Registry) error {
+	if err := RegisterPaperBenches(r); err != nil {
+		return err
+	}
+	return r.Register("fig6", check.Fig6Bench)
 }

@@ -28,7 +28,7 @@ import (
 func newTestStack(t *testing.T, queueSize, workers int) (*Manager, *Registry, *Metrics, *httptest.Server) {
 	t.Helper()
 	reg := NewRegistry()
-	if err := RegisterPaperBenches(reg); err != nil {
+	if err := RegisterBenches(reg); err != nil {
 		t.Fatal(err)
 	}
 	metrics := NewMetrics()
@@ -406,12 +406,20 @@ func TestSubmitValidation(t *testing.T) {
 		{
 			name:    "unknown blueprint",
 			spec:    JobSpec{App: "nosuch", Runtime: "EaseIO", Runs: 4},
-			wantErr: `service: unknown blueprint "nosuch" (registered: [branch dma fir fir-op lea sensor temp weather weather-db])`,
+			wantErr: `service: unknown blueprint "nosuch" (registered: [branch dma fig6 fir fir-op lea sensor temp weather weather-db])`,
 		},
 		{
 			name:    "bad runtime",
 			spec:    JobSpec{App: "dma", Runtime: "quickrecall", Runs: 4},
-			wantErr: `experiments: unknown runtime "quickrecall" (want Alpaca, InK, EaseIO, EaseIO/Op. or JustDo)`,
+			wantErr: `experiments: unknown runtime "quickrecall" (want Alpaca, InK, EaseIO or JustDo)`,
+		},
+		{
+			// The paper's "EaseIO/Op." is an Exclude-annotated blueprint
+			// (fir-op) under EaseIO, not a runtime: accepting it would run
+			// plain EaseIO under that label.
+			name:    "exclude configuration as runtime",
+			spec:    JobSpec{App: "fir", Runtime: "EaseIO/Op.", Runs: 4},
+			wantErr: `experiments: unknown runtime "EaseIO/Op." (want Alpaca, InK, EaseIO or JustDo)`,
 		},
 		{
 			name:    "zero runs",
@@ -587,3 +595,32 @@ func TestCheckJobOverHTTP(t *testing.T) {
 }
 
 func tempBenchFactory() (*apps.Bench, error) { return apps.NewTempApp(apps.DefaultTempConfig()) }
+
+// TestFig6CheckOverHTTP pins that the served app set includes the
+// checker's Figure 6 scenario: an exhaustive fig6 check under Alpaca,
+// posted over HTTP, returns exactly the divergent report check.Run
+// computes in process.
+func TestFig6CheckOverHTTP(t *testing.T) {
+	_, _, _, srv := newTestStack(t, 4, 1)
+	st, code := postJob(t, srv.URL,
+		`{"app":"fig6","runtime":"Alpaca","mode":"check","check_exhaustive":true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	final := waitTerminal(t, srv.URL, st.ID)
+	if final.State != "succeeded" || final.Check == nil {
+		t.Fatalf("job finished %s without a check report: %s", final.State, final.Error)
+	}
+	direct, err := check.Run(context.Background(), check.Fig6Bench, experiments.Alpaca,
+		check.Config{Exhaustive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Passed() {
+		t.Fatal("fig6 under Alpaca passed; the comparison needs a divergent report")
+	}
+	if !reflect.DeepEqual(final.Check, direct) {
+		t.Errorf("HTTP report differs from in-process checker:\n%s\nvs\n%s",
+			final.Check.Render(), direct.Render())
+	}
+}

@@ -91,9 +91,6 @@ type Run struct {
 	DMARepeats int
 	DMASkips   int
 
-	// PerSite maps I/O site names to execution counts.
-	PerSite map[string]int
-
 	// Samples records, per freshness-bounded I/O site ID, the wall-clock
 	// time the site's value was last physically sampled (NoSample before
 	// the first execution). The slice is grown lazily, so apps without
@@ -159,37 +156,23 @@ func (r *Run) NoteStale(site string, age, bound, at time.Duration) {
 	r.Stale = append(r.Stale, StaleEvent{Site: site, Age: age, Bound: bound, At: at})
 }
 
-// Clone returns an independent deep copy of the run (PerSite, Samples
-// and Stale are the reference fields). Device checkpoints hold clones so
+// Clone returns an independent deep copy of the run (Samples and Stale
+// are the reference fields). Device checkpoints hold clones so
 // that restoring the same checkpoint twice never aliases counters
 // between replays.
 func (r *Run) Clone() *Run { return r.CloneInto(nil) }
 
-// CloneInto deep-copies r into dst, reusing dst's PerSite map and slice
-// storage when possible; a nil dst allocates. It returns the copy.
+// CloneInto deep-copies r into dst, reusing dst's slice storage when
+// possible; a nil dst allocates. It returns the copy. A nil slice stays
+// nil, so a cloned record's shape matches a freshly allocated one
+// regardless of what the reused storage held before.
 func (r *Run) CloneInto(dst *Run) *Run {
 	if dst == nil {
 		dst = &Run{}
 	}
-	per := dst.PerSite
 	samples := dst.Samples
 	stale := dst.Stale
 	*dst = *r
-	dst.PerSite = nil
-	if r.PerSite != nil {
-		if per == nil {
-			per = make(map[string]int, len(r.PerSite))
-		} else {
-			clear(per)
-		}
-		for k, v := range r.PerSite {
-			per[k] = v
-		}
-		dst.PerSite = per
-	}
-	// Mirror the PerSite rule for the slices: nil stays nil, so a cloned
-	// record's shape matches a freshly allocated one regardless of what
-	// the reused storage held before.
 	dst.Samples, dst.Stale = nil, nil
 	if r.Samples != nil {
 		dst.Samples = append(samples[:0], r.Samples...)
@@ -201,19 +184,14 @@ func (r *Run) CloneInto(dst *Run) *Run {
 }
 
 // ResetForRun rewinds r to the state a fresh &Run{Seed: seed} would
-// have, reusing the PerSite map (cleared in place) and the Samples array
-// (truncated) when they were already allocated — the pooled-session path
-// resets one Run record per device instead of allocating one per run.
-// Both stay attached only on records that counted I/O or sampled a
-// freshness-bounded site before, so for any given app the record's
-// shape after a run matches a freshly allocated one.
+// have, reusing the Samples array (truncated) when it was already
+// allocated — the pooled-session path resets one Run record per device
+// instead of allocating one per run. It stays attached only on records
+// that sampled a freshness-bounded site before, so for any given app the
+// record's shape after a run matches a freshly allocated one.
 func (r *Run) ResetForRun(seed int64) {
-	per, samples := r.PerSite, r.Samples
+	samples := r.Samples
 	*r = Run{Seed: seed}
-	if per != nil {
-		clear(per)
-		r.PerSite = per
-	}
 	if samples != nil {
 		r.Samples = samples[:0]
 	}
@@ -226,14 +204,6 @@ func (r *Run) TotalEnergy() units.Energy {
 		e += w.E
 	}
 	return e
-}
-
-// CountIO increments the per-site execution counter.
-func (r *Run) CountIO(site string) {
-	if r.PerSite == nil {
-		r.PerSite = make(map[string]int)
-	}
-	r.PerSite[site]++
 }
 
 // Summary is the aggregate of many runs (the paper averages 1000 seeded
@@ -419,17 +389,6 @@ func (a *Aggregator) Summary() Summary {
 	s.P50TotalTime = percentile(totals, 50)
 	s.P95TotalTime = percentile(totals, 95)
 	return s
-}
-
-// Aggregate folds a set of runs into a Summary. All runs must share the
-// same app and runtime; it panics otherwise, since mixing configurations
-// is a harness bug.
-func Aggregate(runs []*Run) Summary {
-	a := NewAggregator()
-	for _, r := range runs {
-		a.Add(r)
-	}
-	return a.Summary()
 }
 
 // MeanTotalTime returns the mean committed time across buckets — the total

@@ -20,6 +20,15 @@ func mkRun(app, rt string, seed int64) *Run {
 	return r
 }
 
+// summarize folds runs through an Aggregator, the way a sweep does.
+func summarize(runs []*Run) Summary {
+	a := NewAggregator()
+	for _, r := range runs {
+		a.Add(r)
+	}
+	return a.Summary()
+}
+
 func TestBucketStrings(t *testing.T) {
 	if App.String() != "App" || Overhead.String() != "Overhead" || Wasted.String() != "Wasted" {
 		t.Error("bucket names")
@@ -47,18 +56,13 @@ func TestRunHelpers(t *testing.T) {
 	if got := r.TotalEnergy(); got != 16*units.Microjoule {
 		t.Errorf("TotalEnergy = %v", got)
 	}
-	r.CountIO("Temp")
-	r.CountIO("Temp")
-	if r.PerSite["Temp"] != 2 {
-		t.Errorf("PerSite = %v", r.PerSite)
-	}
 }
 
 func TestAggregate(t *testing.T) {
 	runs := []*Run{mkRun("a", "rt", 1), mkRun("a", "rt", 2)}
 	runs[1].Correct = false
 	runs[1].Work[Wasted].T = 8 * time.Millisecond
-	s := Aggregate(runs)
+	s := summarize(runs)
 	if s.Runs != 2 || s.App != "a" || s.Runtime != "rt" {
 		t.Errorf("summary header: %+v", s)
 	}
@@ -82,14 +86,14 @@ func TestAggregate(t *testing.T) {
 func TestAggregateStuck(t *testing.T) {
 	r := mkRun("a", "rt", 1)
 	r.Stuck = true
-	s := Aggregate([]*Run{r})
+	s := summarize([]*Run{r})
 	if s.StuckRuns != 1 || s.CorrectRuns != 0 {
 		t.Errorf("stuck handling: %+v", s)
 	}
 }
 
 func TestAggregateEmptyAndMixed(t *testing.T) {
-	if s := Aggregate(nil); s.Runs != 0 {
+	if s := summarize(nil); s.Runs != 0 {
 		t.Error("empty aggregate")
 	}
 	defer func() {
@@ -97,11 +101,11 @@ func TestAggregateEmptyAndMixed(t *testing.T) {
 			t.Error("mixed aggregate must panic")
 		}
 	}()
-	Aggregate([]*Run{mkRun("a", "rt", 1), mkRun("b", "rt", 2)})
+	summarize([]*Run{mkRun("a", "rt", 1), mkRun("b", "rt", 2)})
 }
 
 func TestSummaryRatios(t *testing.T) {
-	s := Aggregate([]*Run{mkRun("a", "rt", 1)})
+	s := summarize([]*Run{mkRun("a", "rt", 1)})
 	if got := s.WastedRatio(); got != 0.4 { // 4 ms wasted over 10 ms of app work
 		t.Errorf("WastedRatio = %v", got)
 	}
@@ -121,14 +125,14 @@ func TestAggregatePercentiles(t *testing.T) {
 		r.Work[App] = Totals{T: time.Duration(i) * time.Millisecond}
 		runs = append(runs, r)
 	}
-	s := Aggregate(runs)
+	s := summarize(runs)
 	if s.P50TotalTime != 50*time.Millisecond {
 		t.Errorf("p50 = %v", s.P50TotalTime)
 	}
 	if s.P95TotalTime != 95*time.Millisecond {
 		t.Errorf("p95 = %v", s.P95TotalTime)
 	}
-	one := Aggregate(runs[:1])
+	one := summarize(runs[:1])
 	if one.P50TotalTime != time.Millisecond || one.P95TotalTime != time.Millisecond {
 		t.Errorf("single-run percentiles: %v %v", one.P50TotalTime, one.P95TotalTime)
 	}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"sort"
 	"time"
 
 	"easeio/internal/kernel"
@@ -17,15 +16,13 @@ import (
 func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	dst = appendHeader(dst, KindCheckpoint)
 
-	// Memory snapshot: per-bank used prefix, allocator watermark,
-	// access counters, high-water mark, under one bank-count prefix.
+	// Memory snapshot: per-bank used prefix, allocator watermark and
+	// high-water mark, under one bank-count prefix.
 	m := &cp.Mem
 	dst = appendUvarint(dst, uint64(len(m.Used)))
 	for i := range m.Used {
 		dst = appendWords(dst, m.Used[i])
 		dst = appendVarint(dst, int64(m.Alloc[i]))
-		dst = appendVarint(dst, m.Counts[i].Reads)
-		dst = appendVarint(dst, m.Counts[i].Writes)
 		dst = appendVarint(dst, int64(m.HighWater[i]))
 	}
 
@@ -65,16 +62,14 @@ func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 	d.header(KindCheckpoint)
 
 	cp := &kernel.Checkpoint{}
-	// Each bank contributes at least 5 bytes (empty words + 4 ints).
-	if banks := d.count(5); d.err == nil && banks != mem.NumBanks {
+	// Each bank contributes at least 3 bytes (empty words + 2 ints).
+	if banks := d.count(3); d.err == nil && banks != mem.NumBanks {
 		d.fail("checkpoint has %d memory banks, want %d", banks, mem.NumBanks)
 	}
 	m := &cp.Mem
 	for i := 0; i < mem.NumBanks && d.err == nil; i++ {
 		m.Used[i] = d.words()
 		m.Alloc[i] = int(d.varint())
-		m.Counts[i].Reads = d.varint()
-		m.Counts[i].Writes = d.varint()
 		m.HighWater[i] = int(d.varint())
 	}
 
@@ -129,8 +124,7 @@ func (d *dec) trailing(n int) error {
 	return d.err
 }
 
-// appendRun encodes a run record. PerSite is a map: its entries are
-// written in sorted key order so the encoding is deterministic.
+// appendRun encodes a run record.
 func appendRun(b []byte, r *stats.Run) []byte {
 	b = appendString(b, r.App)
 	b = appendString(b, r.Runtime)
@@ -147,16 +141,6 @@ func appendRun(b []byte, r *stats.Run) []byte {
 	b = appendVarint(b, int64(r.DMAExecs))
 	b = appendVarint(b, int64(r.DMARepeats))
 	b = appendVarint(b, int64(r.DMASkips))
-	keys := make([]string, 0, len(r.PerSite))
-	for k := range r.PerSite {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = appendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = appendString(b, k)
-		b = appendVarint(b, int64(r.PerSite[k]))
-	}
 	b = appendVarint(b, int64(r.WallTime))
 	b = appendVarint(b, int64(r.OnTime))
 	// Freshness record: per-site sample clocks (NoSample encodes like any
@@ -193,14 +177,6 @@ func (d *dec) run() *stats.Run {
 	r.DMAExecs = int(d.varint())
 	r.DMARepeats = int(d.varint())
 	r.DMASkips = int(d.varint())
-	// Each PerSite entry is at least 2 bytes (empty key + count).
-	if n := d.count(2); d.err == nil && n > 0 {
-		r.PerSite = make(map[string]int, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			k := d.string()
-			r.PerSite[k] = int(d.varint())
-		}
-	}
 	r.WallTime = time.Duration(d.varint())
 	r.OnTime = time.Duration(d.varint())
 	// Each sample clock is at least 1 byte.

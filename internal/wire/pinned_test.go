@@ -12,7 +12,7 @@ import (
 	"easeio/internal/power"
 )
 
-// TestWireBytesPinned pins the v3 byte layout of the messages that carry
+// TestWireBytesPinned pins the v4 byte layout of the messages that carry
 // checkpoints: the subtree shards of a fig6 k=2 plan under every
 // runtime, device checkpoints captured under the timer supply and under
 // continuous power, and one checkpoint per supply-state kind. Each
@@ -21,16 +21,16 @@ import (
 // worker or a write-ahead log reads without a version bump.
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"shard/Alpaca":      "9adccfee2fd671a81b302c1eb29ed38cc9cab579e9152c5a11326d3a4ddf335e",
-		"shard/InK":         "42d8ad0a6a1d6a87ecd27de63ac72a306489fd09087ecd3e1dfa46975be57f04",
-		"shard/EaseIO":      "bbbcf626bc0294316d1076bc7f5cb25d64527d635aaf7822f5b233cf51f33c6f",
-		"shard/JustDo":      "f1cbaa2f8fde5765e4b8f753376268c1b89c2ada92ddf7f0da40d8d4dda31ec6",
-		"checkpoint/timer":  "a30df291ff5f0b493fc4ae6f70f7ff3445c1bcdcbbc1900fe5a9acffcc9727c1",
-		"checkpoint/contin": "42d50883ccd9c635aa3efeb9811cc11457dd6d73635e619cf6ac302e3e7f6ff9",
-		"supply/continuous": "e06a55cf566ee80212043abcab4c677672f78773583b636e942d556756091f3e",
-		"supply/schedule":   "db13eacf5937b1c4570ea686c39e6ecf89f8513dceef9c2c3bd4d9973729c4a7",
-		"supply/timer":      "4498558c72b3f2c8f52428278d3f16a802ce7b61592b640c53e849dd4af09eb3",
-		"supply/harvested":  "dded6ae1964aa22be05b75e8a06632e1dec0fdbdf1b8736e5f7136af77a775ab",
+		"shard/Alpaca":      "39e4a971b5c913e5565d461aac92095cad17720f363d03ac813d76843140f334",
+		"shard/InK":         "2a261d63fc78a06ea6b8f1188673a15de0dee8c8868ef0d2a4d5b7d54305ea58",
+		"shard/EaseIO":      "c686c2a54df545ee17ac8295f1c42cd2be791f242d6258e9cd4048b81b9fa3c4",
+		"shard/JustDo":      "05afc30b74ada1766d7f43f0c8506eb5dd8f5a7fc91b7024124030f5b8e7a64d",
+		"checkpoint/timer":  "6f3ca6cd7723a318fea3d030e1bccaa6be52a5d3eeb8527ba1ad96d605e96af6",
+		"checkpoint/contin": "989d1621a6313c75ada3373273228a851a832a502c08398c403091e18d348c1e",
+		"supply/continuous": "ef14f78336328f8951e11d5380f6bebdd32909be31d95225c0ec077bb97793fc",
+		"supply/schedule":   "d09fdadc2a5c1271c73aa6e8d48a7739dedd6c2564fb45c390a4ea280a732ef3",
+		"supply/timer":      "ad3cc803135b49b052bcc7f6010f3df5541dcd0b5fbf7d9b2ebec1ff5fda2277",
+		"supply/harvested":  "b6f146cdb73ce4d71233d2153f08e7ca7dacf9ba1078a966b14702a42db104a2",
 	}
 	got := map[string][]byte{}
 	for _, kind := range []experiments.RuntimeKind{

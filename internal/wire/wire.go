@@ -41,7 +41,9 @@ import (
 // to check shard/report encodings. Version 3 made the subtree messages
 // the only check work unit: a unit's root may be boot, every unit carries
 // a cut range, and the cut-range check shard/result kinds were retired.
-const Version = 3
+// Version 4 dropped the memory access counters from each checkpoint bank
+// and the per-site I/O counts from run encodings.
+const Version = 4
 
 // Kind tags a message's type in its header.
 type Kind uint8

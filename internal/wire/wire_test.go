@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -213,8 +214,9 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 		t.Errorf("CheckVersion rejected a current message: %v", err)
 	}
 	old[2] = Version - 1
-	if err := CheckVersion(old); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Errorf("CheckVersion of a version-2 message = %v, want the unsupported-version error", err)
+	want := fmt.Sprintf("unsupported version %d", Version-1)
+	if err := CheckVersion(old); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CheckVersion of a version-%d message = %v, want the unsupported-version error", Version-1, err)
 	}
 
 	// Empty-slice forms decode to nil slices, not empty non-nil ones.
