@@ -103,7 +103,8 @@ FUZZ_TARGETS = \
 	FuzzCheckpointRoundTrip:./internal/wire \
 	FuzzDecodeShard:./internal/wire \
 	FuzzDecodeSubtreeShard:./internal/wire \
-	FuzzComplete:./internal/fleet
+	FuzzComplete:./internal/fleet \
+	FuzzDecodeRecord:./internal/fleet
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

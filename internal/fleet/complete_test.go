@@ -8,7 +8,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -400,7 +402,9 @@ func scanLen(c *Coordinator) int {
 // bounded by the unfinished jobs: succeeded jobs and a job failed at
 // submit leave the scan order, a later job still leases and merges
 // byte-identically to RunMany, and a coordinator reopened from the WAL
-// scans only the job it left unfinished.
+// scans only the job it left unfinished. The log holds no merged result,
+// so the reopened coordinator rebuilds every finished job, the divergent
+// fig6 k=2 check among them, by merging its journaled shard results.
 func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 	cfg := CoordinatorConfig{WALPath: filepath.Join(t.TempDir(), "fleet.wal"), Source: testApps}
 	c, err := New(cfg)
@@ -412,6 +416,8 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 		specs = append(specs, Spec{Mode: ModeSweep, App: "temp", Runtime: "EaseIO", Runs: 2, BaseSeed: int64(i), Shards: 2})
 	}
 	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Shards: 2})
+	nested := len(specs)
+	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Failures: 2, Shards: 2})
 	var ids []uint64
 	for _, s := range specs {
 		id, err := c.Submit(s)
@@ -457,6 +463,9 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+	if n := countRecords(t, cfg.WALPath, recMerged); n != 0 {
+		t.Fatalf("the log holds %d merged-result records", n)
+	}
 
 	c, err = New(cfg)
 	if err != nil {
@@ -473,6 +482,15 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 		if got := waitResult(t, c, id); !reflect.DeepEqual(got, res) {
 			t.Errorf("job %d recovered result differs from the live one:\n%+v\nvs\n%+v", id, got, res)
 		}
+	}
+	wantRep, err := check.Run(context.Background(), check.Fig6Bench, experiments.Alpaca,
+		check.Config{Exhaustive: true, Failures: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitResult(t, c, ids[nested]).Report; len(got.Divergences) == 0 || !reflect.DeepEqual(got, wantRep) {
+		t.Errorf("recovered fig6 k=2 report differs from check.Run or passed:\n%s--- check.Run ---\n%s",
+			got.Render(), wantRep.Render())
 	}
 	startLoopback(t, c, 2)
 	if got := waitResult(t, c, pending); !reflect.DeepEqual(got.Summary, want) {
@@ -542,7 +560,6 @@ func TestWALRefusesPreTaskPlans(t *testing.T) {
 		add(plan(0))
 		add(record{Type: recShardDone, Job: 0, Shard: 0, Payload: done[0]}.encode())
 		add(record{Type: recShardDone, Job: 0, Shard: 1, Payload: done[1]}.encode())
-		add(record{Type: recJobDone, Job: 0, Payload: wire.AppendSummary(nil, want)}.encode())
 		add(record{Type: recSubmit, Job: 1, Spec: spec}.encode())
 		add(plan(1))
 		add(record{Type: recShardDone, Job: 1, Shard: 1, Payload: open[1]}.encode())
@@ -582,6 +599,109 @@ func TestWALRefusesPreTaskPlans(t *testing.T) {
 	startLoopback(t, c, 1)
 	if got := waitResult(t, c, 1); !reflect.DeepEqual(got.Summary, want) {
 		t.Errorf("resumed job merged to %+v, want %+v", got.Summary, want)
+	}
+}
+
+// walFrames returns the frame payloads of the log at path, in order.
+func walFrames(tb testing.TB, path string) [][]byte {
+	tb.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for rd := bytes.NewReader(data); ; {
+		payload, err := wire.ReadFrame(rd)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, payload)
+	}
+}
+
+// countRecords counts the records of type typ in the log at path.
+func countRecords(t *testing.T, path string, typ recType) int {
+	t.Helper()
+	n := 0
+	for _, payload := range walFrames(t, path) {
+		if len(payload) > 0 && recType(payload[0]) == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWALSkipsMergedResultRecords opens testdata/merged-results.wal, a
+// log written by the build that journaled each finished job's merged
+// result as a type-6 record. It holds a finished dma sweep, finished
+// fig6 Alpaca checks at k=1 and k=2 (both divergent), a check of an
+// unknown app that failed at submit, and a temp sweep and a fig6 EaseIO
+// check each stopped with one of two shards done. New skips the three
+// type-6 records; every finished job merges again to exactly the
+// in-process result, the failed job stays failed, and the unfinished
+// jobs resume.
+func TestWALSkipsMergedResultRecords(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "merged-results.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := countRecords(t, path, recMerged); n != 3 {
+		t.Fatalf("fixture holds %d merged-result records, want 3", n)
+	}
+	sweep := func(app string, kind experiments.RuntimeKind, runs int, seed int64) Result {
+		sum, err := experiments.RunMany(experiments.Config{Runs: runs, BaseSeed: seed}, testApps[app], kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Result{Mode: ModeSweep, Summary: sum}
+	}
+	report := func(kind experiments.RuntimeKind, k int) Result {
+		rep, err := check.Run(context.Background(), check.Fig6Bench, kind, check.Config{Exhaustive: true, Failures: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Result{Mode: ModeCheck, Report: rep}
+	}
+	finished := map[uint64]Result{
+		0: sweep("dma", experiments.EaseIO, 4, 2),
+		1: report(experiments.Alpaca, 1),
+		2: report(experiments.Alpaca, 2),
+	}
+	unfinished := map[uint64]Result{
+		4: sweep("temp", experiments.InK, 4, 5),
+		5: report(experiments.EaseIO, 1),
+	}
+
+	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err != nil {
+		t.Fatalf("opening a log with merged-result records: %v", err)
+	}
+	defer c.Close()
+	for id, want := range finished {
+		if got := waitResult(t, c, id); !reflect.DeepEqual(got, want) {
+			t.Errorf("finished job %d recovered as\n%+v\nwant\n%+v", id, got, want)
+		}
+	}
+	if _, err := c.Wait(context.Background(), 3); err == nil || !strings.Contains(err.Error(), `unknown app "nope"`) {
+		t.Errorf("failed job 3 recovered with err = %v", err)
+	}
+	for id := range unfinished {
+		if d, total, _ := c.Progress(id); d != 1 || total != 2 {
+			t.Errorf("unfinished job %d recovered at %d/%d shards, want 1/2", id, d, total)
+		}
+	}
+	startLoopback(t, c, 2)
+	for id, want := range unfinished {
+		if got := waitResult(t, c, id); !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed job %d merged to\n%+v\nwant\n%+v", id, got, want)
+		}
 	}
 }
 

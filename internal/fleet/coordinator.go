@@ -232,24 +232,15 @@ func (c *Coordinator) replay(r record) {
 		// gate in the past — an immediate re-lease, exactly the old
 		// behavior.
 		sh.notBefore = time.Unix(0, r.At).Add(backoff(sh.attempts))
-	case recJobDone:
-		res, err := decodeResultPayload(j.spec.Mode, r.Payload)
-		if err != nil {
-			// The payload was CRC-checked and decoded at merge time; a
-			// failure here means the format changed underneath the log.
-			c.finish(j, Result{}, fmt.Errorf("fleet: recovering job %d result: %w", r.Job, err))
-			return
-		}
-		res.Errs = r.Errs
-		c.finish(j, res, nil)
 	case recJobFail:
 		c.finish(j, Result{}, fmt.Errorf("fleet: job %d: %s", r.Job, r.Err))
 	}
 }
 
 // recover completes the replay fold: jobs that crashed before their plan
-// record re-plan now, and jobs whose last shard completed but whose
-// merge record was lost re-merge (same inputs, same bytes).
+// record re-plan now, and every job whose shards all completed merges
+// (same inputs, same bytes). The log journals no merged result, so this
+// is the only way a finished job is rebuilt.
 func (c *Coordinator) recover() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,9 +256,7 @@ func (c *Coordinator) recover() error {
 			}
 		}
 		if j.planned && j.remaining == 0 && !j.finished {
-			if err := c.mergeLocked(j); err != nil {
-				return err
-			}
+			c.mergeLocked(j)
 		}
 	}
 	return nil
@@ -300,9 +289,7 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	if j.remaining == 0 {
 		// A plan with no shards (a check whose golden run never crossed a
 		// charge-slice boundary) finishes at submit.
-		if err := c.mergeLocked(j); err != nil {
-			return 0, err
-		}
+		c.mergeLocked(j)
 	}
 	return id, nil
 }
@@ -365,7 +352,7 @@ func (c *Coordinator) planCheck(j *job, parts int, rec *record) (work int, err e
 		return 0, fmt.Errorf("fleet: unknown app %q", j.spec.App)
 	}
 	p, err := check.Plan(context.Background(), factory, j.kind, check.Config{
-		Seed: j.spec.Seed, Off: j.spec.Off, Grid: j.spec.Grid,
+		Seed: j.spec.Seed, Grid: j.spec.Grid,
 		Failures: j.spec.Failures, Exhaustive: j.spec.Exhaustive,
 	})
 	if err != nil {
@@ -501,7 +488,7 @@ func (c *Coordinator) Complete(worker string, payload []byte) error {
 		m.ShardsDone.Inc(worker)
 	}
 	if j.remaining == 0 {
-		return c.mergeLocked(j)
+		c.mergeLocked(j)
 	}
 	return nil
 }
@@ -615,11 +602,13 @@ func (c *Coordinator) failJobLocked(j *job, msg string) error {
 }
 
 // mergeLocked folds the job's shard results, in shard order, into the
-// final Result, logs it, and finishes the job. The fold mirrors the
-// in-process engines exactly — this is where the byte-identity contract
-// is discharged. Shard results that cannot merge (undecodable, or sweep
-// shards that ran different apps) fail the job instead.
-func (c *Coordinator) mergeLocked(j *job) error {
+// final Result and finishes the job. The fold mirrors the in-process
+// engines exactly — this is where the byte-identity contract is
+// discharged. Shard results that cannot merge (undecodable, or sweep
+// shards that ran different apps) fail the job instead. Either way it
+// logs nothing: the outcome is a function of the journaled results, and
+// recover merges them again after a restart.
+func (c *Coordinator) mergeLocked(j *job) {
 	start := time.Now()
 	var res Result
 	switch j.spec.Mode {
@@ -634,7 +623,8 @@ func (c *Coordinator) mergeLocked(j *job) error {
 					sr.Agg.App, sr.Agg.Runtime, agg.App, agg.Runtime)
 			}
 			if err != nil {
-				return c.failJobLocked(j, fmt.Sprintf("merge shard %d: %v", i, err))
+				c.finish(j, Result{}, fmt.Errorf("fleet: job %d: merge shard %d: %v", j.id, i, err))
+				return
 			}
 			agg.Merge(&sr.Agg)
 			errs = append(errs, sr.Errs...)
@@ -647,20 +637,17 @@ func (c *Coordinator) mergeLocked(j *job) error {
 		for i, b := range append([][]byte{j.level1}, payloads(j.shards)...) {
 			r, err := wire.DecodeSubtreeResult(b)
 			if err != nil {
-				return c.failJobLocked(j, fmt.Sprintf("merge part %d: %v", i, err))
+				c.finish(j, Result{}, fmt.Errorf("fleet: job %d: merge part %d: %v", j.id, i, err))
+				return
 			}
 			parts = append(parts, check.UnitReport{Depths: r.Depths, Divergences: r.Divergences})
 		}
 		res = Result{Mode: ModeCheck, Report: check.Merge(j.plan, parts)}
 	}
-	if err := c.wal.append(record{Type: recJobDone, Job: j.id, Payload: encodeResultPayload(res), Errs: res.Errs}); err != nil {
-		return err
-	}
 	if m := c.cfg.Metrics; m != nil {
 		m.MergeTime.Observe(j.spec.Mode, time.Since(start).Seconds())
 	}
 	c.finish(j, res, nil)
-	return nil
 }
 
 // payloads lists the shards' result payloads in plan order.

@@ -10,13 +10,15 @@
 // panic or a skewed merge.
 //
 // Durability: every job state transition (submitted → planned → shard
-// leased → shard complete → merged / failed) is a record in a
-// crash-consistent write-ahead log (wal.go): appended, CRC-framed and
-// fsynced before the transition takes effect. A coordinator that dies
+// leased → shard complete, or failed) is a record in a crash-consistent
+// write-ahead log (wal.go): appended, CRC-framed and fsynced before the
+// transition takes effect. A job commits with its last shard result; its
+// merged Summary or Report is never journaled. A coordinator that dies
 // mid-job replays the WAL on restart: completed shards keep their
-// results, leased-but-unfinished shards revert to pending, and the job
-// resumes where it stopped. Replay is a pure fold over the records, so
-// replaying a prefix twice is idempotent.
+// results, leased-but-unfinished shards revert to pending, the job
+// resumes where it stopped, and a job whose shards all completed merges
+// again. Replay is a pure fold over the records, so replaying a prefix
+// twice is idempotent.
 //
 // Determinism: the merged results are byte-identical to the in-process
 // engines (experiments.RunMany, check.Run) because both engines fold
@@ -38,12 +40,10 @@ package fleet
 
 import (
 	"fmt"
-	"time"
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
 	"easeio/internal/stats"
-	"easeio/internal/wire"
 )
 
 // BlueprintSource resolves app names to factories. service.Registry
@@ -75,7 +75,6 @@ type Spec struct {
 	// shards its cut range when exhaustive and stays one shard when
 	// adaptive, because bisection prunes across the whole range.
 	Seed       int64
-	Off        time.Duration
 	Grid       int
 	Exhaustive bool
 	Failures   int
@@ -135,34 +134,4 @@ type Result struct {
 	// Errs carries per-run failures from sweep shards (the flattened
 	// form of the error experiments.RunMany would have joined).
 	Errs []string
-}
-
-// encodeResultPayload encodes the outcome as the WAL's job-done payload.
-func encodeResultPayload(r Result) []byte {
-	switch r.Mode {
-	case ModeSweep:
-		return wire.AppendSummary(nil, r.Summary)
-	case ModeCheck:
-		return wire.AppendReport(nil, *r.Report)
-	}
-	panic("fleet: encoding result of unknown mode " + r.Mode)
-}
-
-// decodeResultPayload is the inverse of encodeResultPayload.
-func decodeResultPayload(mode string, b []byte) (Result, error) {
-	switch mode {
-	case ModeSweep:
-		sum, err := wire.DecodeSummary(b)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Mode: mode, Summary: sum}, nil
-	case ModeCheck:
-		rep, err := wire.DecodeReport(b)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Mode: mode, Report: &rep}, nil
-	}
-	return Result{}, fmt.Errorf("fleet: result of unknown mode %q", mode)
 }

@@ -457,32 +457,33 @@ func TestFleetTCPByteIdentity(t *testing.T) {
 	}
 }
 
+// walSamples holds records of every live type.
+var walSamples = []record{
+	{Type: recSubmit, Job: 3, Spec: Spec{
+		Mode: ModeSweep, App: "dma", Runtime: "EaseIO",
+		Runs: 40, BaseSeed: -9, Shards: 4, ShardWorkers: 2,
+	}},
+	{Type: recSubmit, Job: 4, Spec: Spec{
+		Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
+		Seed: 17, Grid: 64, Exhaustive: true,
+	}},
+	{Type: recPlan, Job: 3, Tasks: [][]byte{{4}, {5, 6}}},
+	{Type: recPlan, Job: 5, HasPlan: true, Plan: check.Header{Note: "nothing to do"},
+		Level1: []byte{0xD}},
+	{Type: recPlan, Job: 6, HasPlan: true, Plan: check.Header{
+		App: "fig6-app", Runtime: "Alpaca", Off: time.Millisecond,
+		GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
+	}, Level1: []byte{0xA, 0xB, 0xC},
+		Tasks: [][]byte{{1}, {2, 3}}},
+	{Type: recLease, Job: 3, Shard: 1, Worker: "w0", At: 12345},
+	{Type: recShardDone, Job: 3, Shard: 1, Payload: []byte{1, 2, 3}},
+	{Type: recShardFail, Job: 3, Shard: 0, Err: "boom", At: 987654321},
+	{Type: recJobFail, Job: 4, Err: "gave up"},
+}
+
 // TestWALRecordRoundTrip covers every record type's encode/decode pair.
 func TestWALRecordRoundTrip(t *testing.T) {
-	recs := []record{
-		{Type: recSubmit, Job: 3, Spec: Spec{
-			Mode: ModeSweep, App: "dma", Runtime: "EaseIO",
-			Runs: 40, BaseSeed: -9, Shards: 4, ShardWorkers: 2,
-		}},
-		{Type: recSubmit, Job: 4, Spec: Spec{
-			Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-			Seed: 17, Off: 3 * time.Millisecond, Grid: 64, Exhaustive: true,
-		}},
-		{Type: recPlan, Job: 3, Tasks: [][]byte{{4}, {5, 6}}},
-		{Type: recPlan, Job: 5, HasPlan: true, Plan: check.Header{Note: "nothing to do"},
-			Level1: []byte{0xD}},
-		{Type: recPlan, Job: 6, HasPlan: true, Plan: check.Header{
-			App: "fig6-app", Runtime: "Alpaca", Off: time.Millisecond,
-			GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
-		}, Level1: []byte{0xA, 0xB, 0xC},
-			Tasks: [][]byte{{1}, {2, 3}}},
-		{Type: recLease, Job: 3, Shard: 1, Worker: "w0", At: 12345},
-		{Type: recShardDone, Job: 3, Shard: 1, Payload: []byte{1, 2, 3}},
-		{Type: recShardFail, Job: 3, Shard: 0, Err: "boom", At: 987654321},
-		{Type: recJobDone, Job: 3, Payload: []byte{9}, Errs: []string{"run 4: x"}},
-		{Type: recJobFail, Job: 4, Err: "gave up"},
-	}
-	for _, want := range recs {
+	for _, want := range walSamples {
 		got, err := decodeRecord(want.encode())
 		if err != nil {
 			t.Fatalf("%s: %v", want.Type, err)
@@ -493,7 +494,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 
 	// Truncations must fail cleanly, never panic.
-	full := recs[1].encode()
+	full := walSamples[1].encode()
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := decodeRecord(full[:cut]); err == nil {
 			t.Errorf("truncated record (%d of %d bytes) decoded without error", cut, len(full))
@@ -502,6 +503,54 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if _, err := decodeRecord(append(full, 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
+
+	// A submit record that sets the retired replay off-duration is
+	// refused, never read as a check under the default.
+	s := walSamples[1].Spec
+	old := wire.AppendUvarint([]byte{byte(recSubmit)}, 4)
+	for _, str := range []string{s.Mode, s.App, s.Runtime} {
+		old = wire.AppendString(old, str)
+	}
+	for _, v := range []int64{int64(s.Runs), s.BaseSeed, s.Seed, int64(3 * time.Millisecond), int64(s.Grid)} {
+		old = wire.AppendVarint(old, v)
+	}
+	old = wire.AppendBool(old, s.Exhaustive)
+	for _, v := range []int{s.Failures, s.Shards, s.ShardWorkers} {
+		old = wire.AppendVarint(old, int64(v))
+	}
+	if _, err := decodeRecord(old); err == nil || !strings.Contains(err.Error(), "off-duration of 3ms: the field is retired") {
+		t.Errorf("submit record with a replay off-duration: err = %v, want the retired-field refusal", err)
+	}
+
+	// The retired merged-result record is not a live type: openWAL skips
+	// it before decoding.
+	if _, err := decodeRecord([]byte{byte(recMerged), 3}); err == nil {
+		t.Error("a merged-result record decoded")
+	}
+}
+
+// FuzzDecodeRecord drives the WAL record decoder, which New runs over
+// every frame of the log on disk: no input panics, and every input it
+// accepts is exactly the encoding of the record it decodes to. The seeds
+// are records of every live type and every frame of
+// testdata/merged-results.wal, whose type-6 merged-result frames are
+// retired.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, r := range walSamples {
+		f.Add(r.encode())
+	}
+	for _, payload := range walFrames(f, filepath.Join("testdata", "merged-results.wal")) {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := decodeRecord(b)
+		if err != nil {
+			return
+		}
+		if got := r.encode(); !bytes.Equal(got, b) {
+			t.Fatalf("%s record re-encodes to %x, decoded from %x", r.Type, got, b)
+		}
+	})
 }
 
 // TestWALRefusesOlderWireVersion pins the decision for logs written by a

@@ -30,14 +30,16 @@ import (
 type recType byte
 
 const (
-	recInvalid   recType = 0
 	recSubmit    recType = 1 // a job was accepted
 	recPlan      recType = 2 // its shards were planned
 	recLease     recType = 3 // a shard was leased to a worker
 	recShardDone recType = 4 // a shard completed with a result payload
 	recShardFail recType = 5 // a shard attempt failed
-	recJobDone   recType = 6 // the job merged into a final result
-	recJobFail   recType = 7 // the job failed terminally
+	// recMerged, the job's merged result, is retired and never reused: a
+	// job commits with its last recShardDone and New merges it again, so
+	// openWAL skips the type-6 records older logs hold.
+	recMerged  recType = 6
+	recJobFail recType = 7 // the job failed terminally
 )
 
 func (t recType) String() string {
@@ -52,8 +54,6 @@ func (t recType) String() string {
 		return "shard-done"
 	case recShardFail:
 		return "shard-fail"
-	case recJobDone:
-		return "job-done"
 	case recJobFail:
 		return "job-fail"
 	}
@@ -83,9 +83,8 @@ type record struct {
 	Worker string // recLease
 	At     int64  // recLease, recShardFail: coordinator clock, unix nanos
 
-	Payload []byte   // recShardDone (shard result), recJobDone (merged result)
-	Errs    []string // recJobDone: flattened per-run sweep errors
-	Err     string   // recShardFail, recJobFail
+	Payload []byte // recShardDone: the shard result
+	Err     string // recShardFail, recJobFail
 }
 
 // encode renders the record as a frame payload: the type byte followed
@@ -102,7 +101,9 @@ func (r record) encode() []byte {
 		b = wire.AppendVarint(b, int64(s.Runs))
 		b = wire.AppendVarint(b, s.BaseSeed)
 		b = wire.AppendVarint(b, s.Seed)
-		b = wire.AppendVarint(b, int64(s.Off))
+		// The retired replay off-duration, always zero: a log that set it
+		// is refused on decode.
+		b = wire.AppendVarint(b, 0)
 		b = wire.AppendVarint(b, int64(s.Grid))
 		b = wire.AppendBool(b, s.Exhaustive)
 		b = wire.AppendVarint(b, int64(s.Failures))
@@ -142,12 +143,6 @@ func (r record) encode() []byte {
 		// re-leased shard would skip the backoff the live coordinator had
 		// imposed.
 		b = wire.AppendVarint(b, r.At)
-	case recJobDone:
-		b = wire.AppendBytes(b, r.Payload)
-		b = wire.AppendUvarint(b, uint64(len(r.Errs)))
-		for _, e := range r.Errs {
-			b = wire.AppendString(b, e)
-		}
 	case recJobFail:
 		b = wire.AppendString(b, r.Err)
 	default:
@@ -163,19 +158,23 @@ func decodeRecord(b []byte) (record, error) {
 	switch r.Type {
 	case recSubmit:
 		r.Spec = Spec{
-			Mode:         d.String(),
-			App:          d.String(),
-			Runtime:      d.String(),
-			Runs:         int(d.Varint()),
-			BaseSeed:     d.Varint(),
-			Seed:         d.Varint(),
-			Off:          time.Duration(d.Varint()),
-			Grid:         int(d.Varint()),
-			Exhaustive:   d.Bool(),
-			Failures:     int(d.Varint()),
-			Shards:       int(d.Varint()),
-			ShardWorkers: int(d.Varint()),
+			Mode:     d.String(),
+			App:      d.String(),
+			Runtime:  d.String(),
+			Runs:     int(d.Varint()),
+			BaseSeed: d.Varint(),
+			Seed:     d.Varint(),
 		}
+		if off := d.Varint(); d.Err() == nil && off != 0 {
+			return record{}, fmt.Errorf("submit record of job %d sets a replay off-duration of %v: "+
+				"the field is retired, every fleet check runs with the checker's default; "+
+				"finish or drop its jobs with the build that wrote it", r.Job, time.Duration(off))
+		}
+		r.Spec.Grid = int(d.Varint())
+		r.Spec.Exhaustive = d.Bool()
+		r.Spec.Failures = int(d.Varint())
+		r.Spec.Shards = int(d.Varint())
+		r.Spec.ShardWorkers = int(d.Varint())
 	case recPlan:
 		r.HasPlan = d.Bool()
 		if r.HasPlan {
@@ -216,18 +215,6 @@ func decodeRecord(b []byte) (record, error) {
 		r.Shard = int(d.Uvarint())
 		r.Err = d.String()
 		r.At = d.Varint()
-	case recJobDone:
-		r.Payload = d.Bytes()
-		n := d.Uvarint()
-		if d.Err() == nil && n > uint64(d.Remaining()) {
-			d.Fail("fleet: job-done record claims %d errors with %d bytes left", n, d.Remaining())
-		}
-		if d.Err() == nil && n > 0 {
-			r.Errs = make([]string, n)
-			for i := range r.Errs {
-				r.Errs[i] = d.String()
-			}
-		}
 	case recJobFail:
 		r.Err = d.String()
 	default:
@@ -238,6 +225,10 @@ func decodeRecord(b []byte) (record, error) {
 	}
 	if n := d.Remaining(); n != 0 {
 		return record{}, fmt.Errorf("fleet: %s record has %d trailing bytes", r.Type, n)
+	}
+	// The log holds only what encode wrote: anything else is foreign.
+	if !bytes.Equal(r.encode(), b) {
+		return record{}, fmt.Errorf("fleet: %s record of job %d is not in canonical form", r.Type, r.Job)
 	}
 	return r, nil
 }
@@ -306,15 +297,17 @@ func openWAL(path string, obs func(time.Duration)) (*wal, []record, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("fleet: WAL at byte %d: %w", goodEnd, err)
 		}
-		rec, err := decodeRecord(payload)
-		if err == nil {
-			err = rec.checkVersion()
+		if len(payload) == 0 || recType(payload[0]) != recMerged {
+			rec, err := decodeRecord(payload)
+			if err == nil {
+				err = rec.checkVersion()
+			}
+			if err != nil {
+				f.Close()
+				return nil, nil, fmt.Errorf("fleet: WAL record at byte %d: %w", goodEnd, err)
+			}
+			recs = append(recs, rec)
 		}
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: WAL record at byte %d: %w", goodEnd, err)
-		}
-		recs = append(recs, rec)
 		goodEnd = len(data) - rd.Len()
 	}
 	if _, err := f.Seek(int64(goodEnd), io.SeekStart); err != nil {

@@ -3,7 +3,8 @@
 //	GET    /healthz        liveness + queue/worker snapshot
 //	GET    /metrics        Prometheus text exposition
 //	GET    /blueprints     registered apps (analyzed descriptions)
-//	POST   /jobs           submit a sweep or check job (202, or 429 under backpressure)
+//	POST   /jobs           submit a sweep or check job (202, or 429 under backpressure;
+//	                       413 for a body over 4 KiB)
 //	GET    /jobs           list all jobs
 //	GET    /jobs/{id}      one job's status, progress and summary
 //	DELETE /jobs/{id}      cancel a job
@@ -13,9 +14,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -182,12 +185,29 @@ func (s *Server) handleBlueprints(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
+// maxSubmitBody bounds a POST /jobs body. A JobSpec encodes in under
+// 1 KiB; the bound keeps a client from making the server buffer more.
+const maxSubmitBody = 4 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
+		return
+	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if len(bytes.TrimSpace(body[dec.InputOffset():])) != 0 {
+		writeError(w, http.StatusBadRequest, errors.New("service: request body holds data after the job spec"))
 		return
 	}
 	j, err := s.mgr.Submit(spec)

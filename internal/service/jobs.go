@@ -377,6 +377,9 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	default:
 		return nil, fmt.Errorf("service: unknown mode %q (want \"sweep\" or \"check\")", spec.Mode)
 	}
+	if spec.Workers < 0 {
+		return nil, fmt.Errorf("service: workers %d is negative (0 means the default)", spec.Workers)
+	}
 	if spec.TimeoutMs < 0 || time.Duration(spec.TimeoutMs)*time.Millisecond > maxJobTimeout {
 		return nil, fmt.Errorf("service: timeout %d ms out of range (want 0 for none, at most 24h)", spec.TimeoutMs)
 	}

@@ -442,6 +442,13 @@ func TestSubmitValidation(t *testing.T) {
 			wantErr: "service: timeout 90000000 ms out of range (want 0 for none, at most 24h)",
 		},
 		{
+			// In-process a negative count would run at GOMAXPROCS, while the
+			// fleet fails the job: both paths refuse it here instead.
+			name:    "negative workers",
+			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, Workers: -2},
+			wantErr: "service: workers -2 is negative (0 means the default)",
+		},
+		{
 			name:    "unknown mode",
 			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, Mode: "fuzz"},
 			wantErr: `service: unknown mode "fuzz" (want "sweep" or "check")`,
@@ -517,13 +524,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 
 	// A spec with an unknown JSON field dies in the decoder, also a 400 —
-	// including the retired lockstep "batch" width.
-	for _, body := range []string{
-		`{"app":"dma","bogus":1}`,
-		`{"app":"dma","runtime":"EaseIO","runs":4,"batch":8}`,
+	// including the retired lockstep "batch" width. So does data after the
+	// spec, and a body over the 4 KiB bound is a 413, even when it is one
+	// valid spec padded with white space.
+	valid := `{"app":"dma","runtime":"EaseIO","runs":4}`
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"app":"dma","bogus":1}`, http.StatusBadRequest},
+		{`{"app":"dma","runtime":"EaseIO","runs":4,"batch":8}`, http.StatusBadRequest},
+		{valid + `garbage`, http.StatusBadRequest},
+		{valid + `}`, http.StatusBadRequest},
+		{valid + valid, http.StatusBadRequest},
+		{valid + strings.Repeat(" ", 4<<10), http.StatusRequestEntityTooLarge},
 	} {
-		if _, code := postJob(t, srv.URL, body); code != http.StatusBadRequest {
-			t.Errorf("unknown field in %s: status %d, want 400", body, code)
+		if _, code := postJob(t, srv.URL, c.body); code != c.code {
+			t.Errorf("body %.60q: status %d, want %d", c.body, code, c.code)
 		}
 	}
 	// None of the rejections may consume a queue slot.

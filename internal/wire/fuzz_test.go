@@ -44,8 +44,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeShard drives every control-plane decoder (shards, results,
-// summaries, reports) with the same arbitrary input: none may panic, and
+// FuzzDecodeShard drives every control-plane decoder (shards and
+// results) with the same arbitrary input: none may panic, and
 // any accepted input's re-encoding must be a decode fixed point.
 func FuzzDecodeShard(f *testing.F) {
 	f.Add(AppendSweepShard(nil, SweepShard{Job: 1, Shard: 0, App: "weather",
@@ -59,9 +59,9 @@ func FuzzDecodeShard(f *testing.F) {
 	f.Add(AppendSubtreeResult(nil, SubtreeResult{Job: 2, Shard: 1,
 		Depths:      []check.DepthStats{{Depth: 1, Expanded: 1, Candidates: 28, Explored: 5, Pruned: 23}},
 		Divergences: []check.Divergence{{At: time.Millisecond, Index: 1, Kind: "memory", Detail: "w"}}}))
-	f.Add(AppendSummary(nil, stats.Summary{App: "temp", Runtime: "just-do", Runs: 10}))
-	f.Add(AppendReport(nil, check.Report{App: "branch", Runtime: "ease-io",
-		Minimal: []time.Duration{time.Millisecond}}))
+	// The retired merged summary and report kinds, which no decoder takes.
+	f.Add([]byte{magic0, magic1, Version, 6, 4, 't', 'e', 'm', 'p'})
+	f.Add([]byte{magic0, magic1, Version, 7, 6, 'b', 'r', 'a', 'n', 'c', 'h'})
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, Version, byte(KindSweepShard), 0xff, 0xff})
 
@@ -101,17 +101,6 @@ func FuzzDecodeShard(f *testing.F) {
 			b2 := AppendSubtreeResult(nil, r)
 			if r2, err := DecodeSubtreeResult(b2); err != nil || !bytes.Equal(b2, AppendSubtreeResult(nil, r2)) {
 				t.Fatalf("subtree result re-encoding is not a fixed point: %v", err)
-			}
-		}
-		if s, err := DecodeSummary(b); err == nil {
-			if s2, err := DecodeSummary(AppendSummary(nil, s)); err != nil || s2 != s {
-				t.Fatal("summary re-encoding is not a fixed point")
-			}
-		}
-		if r, err := DecodeReport(b); err == nil {
-			b2 := AppendReport(nil, r)
-			if r2, err := DecodeReport(b2); err != nil || !bytes.Equal(b2, AppendReport(nil, r2)) {
-				t.Fatalf("report re-encoding is not a fixed point: %v", err)
 			}
 		}
 	})

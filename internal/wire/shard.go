@@ -242,124 +242,3 @@ func (d *dec) aggregator() stats.Aggregator {
 	}
 	return a
 }
-
-// Merged job outcomes (the WAL's job-done payloads).
-
-// AppendSummary encodes a merged sweep summary as a KindSummary message
-// appended to dst.
-func AppendSummary(dst []byte, s stats.Summary) []byte {
-	dst = appendHeader(dst, KindSummary)
-	dst = appendString(dst, s.App)
-	dst = appendString(dst, s.Runtime)
-	dst = appendVarint(dst, int64(s.Runs))
-	for _, t := range s.Work {
-		dst = appendTotals(dst, t)
-	}
-	dst = appendVarint(dst, int64(s.PowerFailures))
-	dst = appendVarint(dst, int64(s.IOExecs))
-	dst = appendVarint(dst, int64(s.IORepeats))
-	dst = appendVarint(dst, int64(s.IOSkips))
-	dst = appendVarint(dst, int64(s.DMAExecs))
-	dst = appendVarint(dst, int64(s.DMARepeats))
-	dst = appendVarint(dst, int64(s.DMASkips))
-	dst = appendVarint(dst, int64(s.MeanEnergy))
-	dst = appendVarint(dst, int64(s.MeanOnTime))
-	dst = appendVarint(dst, int64(s.MeanWallTime))
-	dst = appendVarint(dst, int64(s.P50TotalTime))
-	dst = appendVarint(dst, int64(s.P95TotalTime))
-	dst = appendVarint(dst, int64(s.CorrectRuns))
-	dst = appendVarint(dst, int64(s.IncorrectRuns))
-	return appendVarint(dst, int64(s.StuckRuns))
-}
-
-// DecodeSummary decodes a KindSummary message.
-func DecodeSummary(b []byte) (stats.Summary, error) {
-	d := &dec{b: b}
-	d.header(KindSummary)
-	var s stats.Summary
-	s.App = d.string()
-	s.Runtime = d.string()
-	s.Runs = int(d.varint())
-	for i := range s.Work {
-		s.Work[i] = d.totals()
-	}
-	s.PowerFailures = int(d.varint())
-	s.IOExecs = int(d.varint())
-	s.IORepeats = int(d.varint())
-	s.IOSkips = int(d.varint())
-	s.DMAExecs = int(d.varint())
-	s.DMARepeats = int(d.varint())
-	s.DMASkips = int(d.varint())
-	s.MeanEnergy = units.Energy(d.varint())
-	s.MeanOnTime = time.Duration(d.varint())
-	s.MeanWallTime = time.Duration(d.varint())
-	s.P50TotalTime = time.Duration(d.varint())
-	s.P95TotalTime = time.Duration(d.varint())
-	s.CorrectRuns = int(d.varint())
-	s.IncorrectRuns = int(d.varint())
-	s.StuckRuns = int(d.varint())
-	if d.err != nil {
-		return stats.Summary{}, d.err
-	}
-	if n := d.remaining(); n != 0 {
-		return stats.Summary{}, d.trailing(n)
-	}
-	return s, nil
-}
-
-// AppendReport encodes a merged check report as a KindReport message
-// appended to dst.
-func AppendReport(dst []byte, r check.Report) []byte {
-	dst = appendHeader(dst, KindReport)
-	dst = appendString(dst, r.App)
-	dst = appendString(dst, r.Runtime)
-	dst = appendVarint(dst, r.Seed)
-	dst = appendVarint(dst, int64(r.Off))
-	dst = appendVarint(dst, int64(r.GoldenOnTime))
-	dst = appendBool(dst, r.GoldenCorrect)
-	dst = appendVarint(dst, int64(r.Failures))
-	dst = appendVarint(dst, int64(r.Candidates))
-	dst = appendVarint(dst, int64(r.Explored))
-	dst = appendVarint(dst, int64(r.Pruned))
-	dst = appendString(dst, r.Note)
-	dst = appendDepthStats(dst, r.Depths)
-	dst = appendDivergences(dst, r.Divergences)
-	dst = appendUvarint(dst, uint64(len(r.Minimal)))
-	for _, m := range r.Minimal {
-		dst = appendVarint(dst, int64(m))
-	}
-	return dst
-}
-
-// DecodeReport decodes a KindReport message.
-func DecodeReport(b []byte) (check.Report, error) {
-	d := &dec{b: b}
-	d.header(KindReport)
-	var r check.Report
-	r.App = d.string()
-	r.Runtime = d.string()
-	r.Seed = d.varint()
-	r.Off = time.Duration(d.varint())
-	r.GoldenOnTime = time.Duration(d.varint())
-	r.GoldenCorrect = d.bool()
-	r.Failures = int(d.varint())
-	r.Candidates = int(d.varint())
-	r.Explored = int(d.varint())
-	r.Pruned = int(d.varint())
-	r.Note = d.string()
-	r.Depths = d.depthStats()
-	r.Divergences = d.divergences()
-	if n := d.count(1); d.err == nil && n > 0 {
-		r.Minimal = make([]time.Duration, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Minimal[i] = time.Duration(d.varint())
-		}
-	}
-	if d.err != nil {
-		return check.Report{}, d.err
-	}
-	if n := d.remaining(); n != 0 {
-		return check.Report{}, d.trailing(n)
-	}
-	return r, nil
-}

@@ -1,8 +1,8 @@
 // Package wire is the versioned binary encoding for everything the
 // distributed sweep fleet ships between processes and commits to its
 // write-ahead log: device checkpoints (kernel.Checkpoint), shard
-// descriptors, shard results (aggregator fold states, check outcomes)
-// and merged result summaries/reports.
+// descriptors and shard results (aggregator fold states, check
+// outcomes).
 //
 // Design rules:
 //
@@ -42,7 +42,8 @@ import (
 // the only check work unit: a unit's root may be boot, every unit carries
 // a cut range, and the cut-range check shard/result kinds were retired.
 // Version 4 dropped the memory access counters from each checkpoint bank
-// and the per-site I/O counts from run encodings.
+// and the per-site I/O counts from run encodings. Retiring kinds 6 and 7
+// changed no remaining message, so it kept version 4.
 const Version = 4
 
 // Kind tags a message's type in its header.
@@ -54,12 +55,11 @@ const (
 	KindCheckpoint  Kind = 1
 	KindSweepShard  Kind = 2
 	KindSweepResult Kind = 4
-	KindSummary     Kind = 6
-	KindReport      Kind = 7
 	// KindSubtreeShard and KindSubtreeResult carry the checker's work
 	// unit: a group of units to grow, and the exploration they produced.
-	// (Kinds 3 and 5, the version-2 cut-range check shard and result, are
-	// retired and never reused.)
+	// (Kinds 3 and 5, the version-2 cut-range check shard and result, and
+	// kinds 6 and 7, the merged summary and report, are retired and never
+	// reused.)
 	KindSubtreeShard  Kind = 8
 	KindSubtreeResult Kind = 9
 )
@@ -73,10 +73,6 @@ func (k Kind) String() string {
 		return "sweep-shard"
 	case KindSweepResult:
 		return "sweep-result"
-	case KindSummary:
-		return "summary"
-	case KindReport:
-		return "report"
 	case KindSubtreeShard:
 		return "subtree-shard"
 	case KindSubtreeResult:

@@ -204,8 +204,8 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 			t.Errorf("PeekShard(%v) = %d, %d, %v; want %d, %d", PeekKind(m.b), job, shard, err, m.job, m.shard)
 		}
 	}
-	if _, _, err := PeekShard(AppendSummary(nil, stats.Summary{})); err == nil {
-		t.Error("PeekShard accepted a summary")
+	if _, _, err := PeekShard(appendHeader(nil, KindCheckpoint)); err == nil {
+		t.Error("PeekShard accepted a checkpoint")
 	}
 
 	// CheckVersion accepts current messages and names an older version.
@@ -224,30 +224,6 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	gotEmpty, err := DecodeSweepResult(AppendSweepResult(nil, empty))
 	if err != nil || !reflect.DeepEqual(gotEmpty, empty) {
 		t.Errorf("empty sweep result: got %+v, %v", gotEmpty, err)
-	}
-}
-
-// TestSummaryReportRoundTrip covers the WAL's merged-outcome payloads.
-func TestSummaryReportRoundTrip(t *testing.T) {
-	sum := stats.Summary{App: "temp", Runtime: "just-do", Runs: 100,
-		PowerFailures: 900, IOExecs: 5000, IORepeats: 70, IOSkips: 30,
-		DMAExecs: 12, MeanEnergy: 777, MeanOnTime: time.Second,
-		MeanWallTime: 3 * time.Second, P50TotalTime: 900 * time.Millisecond,
-		P95TotalTime: 2 * time.Second, CorrectRuns: 99, IncorrectRuns: 1}
-	sum.Work[1] = stats.Totals{T: time.Minute, E: 42}
-	gotSum, err := DecodeSummary(AppendSummary(nil, sum))
-	if err != nil || gotSum != sum {
-		t.Errorf("summary: got %+v, %v; want %+v", gotSum, err, sum)
-	}
-
-	rep := check.Report{App: "branch", Runtime: "ease-io", Seed: 5,
-		Off: 3 * time.Millisecond, GoldenOnTime: 80 * time.Millisecond,
-		GoldenCorrect: true, Candidates: 64, Explored: 64, Note: "",
-		Divergences: []check.Divergence{{At: time.Millisecond, Index: 3, Kind: "ledger", Detail: "pending"}},
-		Minimal:     []time.Duration{time.Millisecond}}
-	gotRep, err := DecodeReport(AppendReport(nil, rep))
-	if err != nil || !reflect.DeepEqual(gotRep, rep) {
-		t.Errorf("report: got %+v, %v; want %+v", gotRep, err, rep)
 	}
 }
 
