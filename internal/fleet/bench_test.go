@@ -1,8 +1,9 @@
 // Fleet overhead benchmark: the same sweep executed in-process
 // (experiments.RunMany) and through a WAL-backed coordinator with 1, 2
-// and 4 loopback workers. The interesting quantities are the fixed cost
-// of journaling + shard dispatch (visible at 1 worker vs in-process)
-// and the scaling from adding workers. BENCH_fleet.json tracks the
+// and 4 loopback workers, each leg running the engine's default inner
+// parallelism. The interesting quantities are the fixed cost of
+// journaling + shard dispatch (visible at 1 worker vs in-process) and
+// the scaling from adding workers. BENCH_fleet.json tracks the
 // datapoints.
 
 package fleet
@@ -26,7 +27,9 @@ var benchSpec = Spec{
 
 func BenchmarkFleetSweep(b *testing.B) {
 	b.Run("inprocess", func(b *testing.B) {
-		cfg := experiments.Config{Runs: benchSpec.Runs, BaseSeed: benchSpec.BaseSeed, Workers: 1}
+		// The engine's default worker count, as every fleet shard runs
+		// (benchSpec leaves ShardWorkers zero).
+		cfg := experiments.Config{Runs: benchSpec.Runs, BaseSeed: benchSpec.BaseSeed}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.RunMany(cfg, testApps[benchSpec.App], experiments.EaseIO); err != nil {

@@ -63,10 +63,7 @@ func leaseAll(t *testing.T, c *Coordinator) [][]byte {
 	t.Helper()
 	var results [][]byte
 	for {
-		task, ok, err := c.Lease("w0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		task, ok := c.Lease("w0")
 		if !ok {
 			return results
 		}
@@ -402,9 +399,10 @@ func scanLen(c *Coordinator) int {
 // bounded by the unfinished jobs: succeeded jobs and a job failed at
 // submit leave the scan order, a later job still leases and merges
 // byte-identically to RunMany, and a coordinator reopened from the WAL
-// scans only the job it left unfinished. The log holds no merged result,
-// so the reopened coordinator rebuilds every finished job, the divergent
-// fig6 k=2 check among them, by merging its journaled shard results.
+// scans only the job it left unfinished. The log holds no lease, merged
+// result or job failure, so the reopened coordinator rebuilds every
+// finished job, the divergent fig6 k=2 check among them, by merging its
+// journaled shard results, and fails the unknown-app job by re-planning.
 func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 	cfg := CoordinatorConfig{WALPath: filepath.Join(t.TempDir(), "fleet.wal"), Source: testApps}
 	c, err := New(cfg)
@@ -463,8 +461,10 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if n := countRecords(t, cfg.WALPath, recMerged); n != 0 {
-		t.Fatalf("the log holds %d merged-result records", n)
+	for _, typ := range []recType{recLease, recMerged, recJobFail} {
+		if n := countRecords(t, cfg.WALPath, typ); n != 0 {
+			t.Fatalf("the log holds %d retired type-%d records", n, typ)
+		}
 	}
 
 	c, err = New(cfg)
@@ -634,16 +634,16 @@ func countRecords(t *testing.T, path string, typ recType) int {
 	return n
 }
 
-// TestWALSkipsMergedResultRecords opens testdata/merged-results.wal, a
-// log written by the build that journaled each finished job's merged
-// result as a type-6 record. It holds a finished dma sweep, finished
-// fig6 Alpaca checks at k=1 and k=2 (both divergent), a check of an
-// unknown app that failed at submit, and a temp sweep and a fig6 EaseIO
-// check each stopped with one of two shards done. New skips the three
-// type-6 records; every finished job merges again to exactly the
-// in-process result, the failed job stays failed, and the unfinished
-// jobs resume.
-func TestWALSkipsMergedResultRecords(t *testing.T) {
+// TestWALSkipsRetiredRecords opens testdata/merged-results.wal, a log
+// written by a build that journaled leases (type 3), each finished job's
+// merged result (type 6) and job failures (type 7). It holds a finished
+// dma sweep, finished fig6 Alpaca checks at k=1 and k=2 (both
+// divergent), a check of an unknown app that failed at submit, and a
+// temp sweep and a fig6 EaseIO check each stopped with one of two shards
+// done. New skips every retired record; every finished job merges again
+// to exactly the in-process result, the failed job fails again when its
+// submit record re-plans, and the unfinished jobs resume.
+func TestWALSkipsRetiredRecords(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "merged-results.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -652,8 +652,10 @@ func TestWALSkipsMergedResultRecords(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n := countRecords(t, path, recMerged); n != 3 {
-		t.Fatalf("fixture holds %d merged-result records, want 3", n)
+	for typ, want := range map[recType]int{recLease: 9, recMerged: 3, recJobFail: 1} {
+		if n := countRecords(t, path, typ); n != want {
+			t.Fatalf("fixture holds %d type-%d records, want %d", n, typ, want)
+		}
 	}
 	sweep := func(app string, kind experiments.RuntimeKind, runs int, seed int64) Result {
 		sum, err := experiments.RunMany(experiments.Config{Runs: runs, BaseSeed: seed}, testApps[app], kind)
@@ -681,7 +683,7 @@ func TestWALSkipsMergedResultRecords(t *testing.T) {
 
 	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
 	if err != nil {
-		t.Fatalf("opening a log with merged-result records: %v", err)
+		t.Fatalf("opening a log with retired records: %v", err)
 	}
 	defer c.Close()
 	for id, want := range finished {
@@ -689,7 +691,7 @@ func TestWALSkipsMergedResultRecords(t *testing.T) {
 			t.Errorf("finished job %d recovered as\n%+v\nwant\n%+v", id, got, want)
 		}
 	}
-	if _, err := c.Wait(context.Background(), 3); err == nil || !strings.Contains(err.Error(), `unknown app "nope"`) {
+	if _, err := c.Wait(context.Background(), 3); err == nil || err.Error() != `fleet: job 3: fleet: unknown app "nope"` {
 		t.Errorf("failed job 3 recovered with err = %v", err)
 	}
 	for id := range unfinished {
@@ -721,8 +723,8 @@ func templateWAL(dir string, spec Spec) ([]byte, error) {
 
 // FuzzComplete feeds arbitrary bytes to Complete as the completion of a
 // leased shard, of a planned sweep or of a planned fig6 k=2 check. The
-// property: Complete returns without panicking, and the coordinator
-// still leases afterwards. Every input starts from a copy of the same
+// property: Complete returns without panicking, and neither does a Lease
+// over the state it left. Every input starts from a copy of the same
 // planned log.
 func FuzzComplete(f *testing.F) {
 	templates := map[bool][]byte{}
@@ -762,9 +764,7 @@ func FuzzComplete(f *testing.F) {
 		c, _ := fuzzCoordinator(t, templates[isCheck])
 		defer c.Close()
 		_ = c.Complete("w-fuzz", payload)
-		if _, _, err := c.Lease("w1"); err != nil {
-			t.Fatalf("lease after completion: %v", err)
-		}
+		c.Lease("w1")
 	})
 }
 
@@ -780,10 +780,10 @@ func fuzzCoordinator(t testing.TB, tmpl []byte) (*Coordinator, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, ok, err := c.Lease("w0")
-	if err != nil || !ok {
+	task, ok := c.Lease("w0")
+	if !ok {
 		c.Close()
-		t.Fatalf("template lease: ok=%v err=%v", ok, err)
+		t.Fatal("template lease: nothing leased")
 	}
 	return c, task
 }

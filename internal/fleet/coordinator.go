@@ -1,12 +1,13 @@
 // The coordinator: plans submitted jobs into shards, leases shards to
 // pulling workers, retries failures with backoff, revokes expired
 // leases, and merges completed shards into the job's final result. Every
-// state transition is WAL-logged before it takes effect (wal.go), and
-// New replays the log so a restarted coordinator resumes mid-job: done
-// shards stay done, leased-but-unfinished shards return to the pending
-// queue (a lease is a hint, not a commitment — losing one costs only
-// recomputation), and jobs whose shards all finished re-merge
-// deterministically.
+// input a restart cannot reproduce — the submitted spec, the plan, each
+// shard result and each failed attempt — is WAL-logged before it takes
+// effect (wal.go), and New replays the log so a restarted coordinator
+// resumes mid-job: done shards stay done, leased-but-unfinished shards
+// return to the pending queue (a lease is scheduling state, never
+// journaled — losing one costs only recomputation), and every job
+// outcome, success or failure, is derived again from the records.
 
 package fleet
 
@@ -113,7 +114,7 @@ type job struct {
 	remaining int // shards not yet done
 
 	submitted  time.Time
-	firstLease time.Time // zero until the first shard lease
+	firstLease time.Time // zero until the first shard lease of this process
 
 	finished bool
 	result   Result
@@ -199,14 +200,6 @@ func (c *Coordinator) replay(r record) {
 			return
 		}
 		c.installPlan(j, r)
-	case recLease:
-		// Leases do not survive a restart — the shard stays pending and
-		// will be re-leased without an attempt increment. The record
-		// still matters: the job's first-lease time is durable, so the
-		// execution-deadline clock does not restart with the coordinator.
-		if j.firstLease.IsZero() {
-			j.firstLease = time.Unix(0, r.At)
-		}
 	case recShardDone:
 		if r.Shard < 0 || r.Shard >= len(j.shards) {
 			return
@@ -219,28 +212,22 @@ func (c *Coordinator) replay(r record) {
 		sh.payload = r.Payload
 		j.remaining--
 	case recShardFail:
-		if r.Shard < 0 || r.Shard >= len(j.shards) {
+		if r.Shard < 0 || r.Shard >= len(j.shards) || j.shards[r.Shard].st == shardDone {
 			return
 		}
-		sh := j.shards[r.Shard]
-		sh.attempts++
 		// The backoff gate survives the restart: it is derived from the
 		// journaled failure time, not the replay clock, so a coordinator
 		// that restarts immediately after a failure does not hand the
-		// still-broken shard straight back out. Records written before the
-		// failure time was journaled (At == 0) decode to an epoch-based
-		// gate in the past — an immediate re-lease, exactly the old
-		// behavior.
-		sh.notBefore = time.Unix(0, r.At).Add(backoff(sh.attempts))
-	case recJobFail:
-		c.finish(j, Result{}, fmt.Errorf("fleet: job %d: %s", r.Job, r.Err))
+		// still-broken shard straight back out.
+		c.shardFailed(j, r.Shard, r.Err, time.Unix(0, r.At))
 	}
 }
 
-// recover completes the replay fold: jobs that crashed before their plan
-// record re-plan now, and every job whose shards all completed merges
-// (same inputs, same bytes). The log journals no merged result, so this
-// is the only way a finished job is rebuilt.
+// recover completes the replay fold: jobs without a plan record re-plan
+// now — a job that could not be planned fails again with the same
+// message — and every job whose shards all completed merges (same
+// inputs, same bytes). The log journals no merged result and no job
+// failure, so this is the only way a finished job is rebuilt.
 func (c *Coordinator) recover() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,13 +236,10 @@ func (c *Coordinator) recover() error {
 		j := c.jobs[id]
 		if !j.planned {
 			if err := c.planLocked(j); err != nil {
-				if ferr := c.failJobLocked(j, err.Error()); ferr != nil {
-					return ferr
-				}
-				continue
+				return err
 			}
 		}
-		if j.planned && j.remaining == 0 && !j.finished {
+		if !j.finished && j.remaining == 0 {
 			c.mergeLocked(j)
 		}
 	}
@@ -264,7 +248,9 @@ func (c *Coordinator) recover() error {
 
 // Submit accepts a job, plans its shards (for check jobs this runs the
 // golden continuous-power pass synchronously — one uninterrupted run),
-// logs both transitions, and returns the job id.
+// logs both transitions, and returns the job id. A job that cannot be
+// planned is accepted and finishes failed; only a WAL error is a Submit
+// error.
 func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	if err := spec.validate(); err != nil {
 		return 0, err
@@ -281,12 +267,9 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	c.jobs[id] = j
 	c.order = append(c.order, id)
 	if err := c.planLocked(j); err != nil {
-		if ferr := c.failJobLocked(j, err.Error()); ferr != nil {
-			return 0, ferr
-		}
-		return id, nil
+		return 0, err
 	}
-	if j.remaining == 0 {
+	if !j.finished && j.remaining == 0 {
 		// A plan with no shards (a check whose golden run never crossed a
 		// charge-slice boundary) finishes at submit.
 		c.mergeLocked(j)
@@ -297,7 +280,10 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 // planLocked computes and logs the job's shards, each as the encoded
 // task every lease of it hands out. A sweep shard is a contiguous seed
 // range, pure arithmetic over the spec; check plans run the checker's
-// planning stage (planCheck).
+// planning stage (planCheck). A job that cannot be planned finishes
+// failed without a record: planning is deterministic, so re-planning its
+// submit record after a restart fails it again with the same message.
+// The error return is the WAL's alone.
 func (c *Coordinator) planLocked(j *job) error {
 	parts := j.spec.Shards
 	if parts <= 0 {
@@ -305,6 +291,7 @@ func (c *Coordinator) planLocked(j *job) error {
 	}
 	rec := record{Type: recPlan, Job: j.id}
 	var work int
+	var err error
 	switch s := j.spec; s.Mode {
 	case ModeSweep:
 		for i, r := range experiments.SplitRange(0, s.Runs, parts) {
@@ -315,17 +302,18 @@ func (c *Coordinator) planLocked(j *job) error {
 		}
 		work = s.Runs
 	case ModeCheck:
-		var err error
-		if work, err = c.planCheck(j, parts, &rec); err != nil {
-			return err
-		}
+		work, err = c.planCheck(j, parts, &rec)
 	}
 	// Plan-time invariant: pending work must yield at least one shard. A
 	// job planned with work but no shards has no completion path — it
 	// would sit unfinished forever — so fail fast here instead.
-	if work > 0 && len(rec.Tasks) == 0 {
-		return fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d)",
+	if err == nil && work > 0 && len(rec.Tasks) == 0 {
+		err = fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d)",
 			j.id, work, j.spec.Shards)
+	}
+	if err != nil {
+		c.finish(j, Result{}, fmt.Errorf("fleet: job %d: %v", j.id, err))
+		return nil
 	}
 	if err := c.wal.append(rec); err != nil {
 		return err
@@ -392,25 +380,18 @@ func (c *Coordinator) installPlan(j *job, r record) {
 // (wire.SweepShard or wire.SubtreeShard — dispatch on wire.PeekKind), or
 // ok=false when nothing is pending. Jobs are scanned in submission order,
 // shards in plan order, so a single worker drains jobs in the order a
-// sequential engine would.
-func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
+// sequential engine would. A lease is scheduling state and never touches
+// the WAL: a restart returns every leased shard to the queue.
+func (c *Coordinator) Lease(worker string) (task []byte, ok bool) {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if !j.planned {
-			continue
-		}
-		for idx, sh := range j.shards {
+		for _, sh := range j.shards {
 			if sh.st != shardPending || now.Before(sh.notBefore) {
 				continue
-			}
-			if err := c.wal.append(record{
-				Type: recLease, Job: j.id, Shard: idx, Worker: worker, At: now.UnixNano(),
-			}); err != nil {
-				return nil, false, err
 			}
 			sh.st = shardLeased
 			sh.worker = worker
@@ -421,10 +402,10 @@ func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 			if m := c.cfg.Metrics; m != nil {
 				m.Leases.Inc(worker)
 			}
-			return sh.task, true, nil
+			return sh.task, true
 		}
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // expireLocked revokes overdue leases. No WAL record: a revoked lease
@@ -571,34 +552,36 @@ func (c *Coordinator) failShardLocked(worker string, j *job, shard int, msg stri
 	if err := c.wal.append(record{Type: recShardFail, Job: j.id, Shard: shard, Err: msg, At: now.UnixNano()}); err != nil {
 		return err
 	}
-	sh := j.shards[shard]
-	sh.attempts++
 	if m := c.cfg.Metrics; m != nil {
 		m.Retries.Inc(worker)
 	}
+	c.shardFailed(j, shard, msg, now)
+	return nil
+}
+
+// shardFailed applies one journaled failed attempt, live or replayed:
+// under maxAttempts the shard returns to the queue behind a backoff gate
+// counted from the failure time at, and the maxAttempts-th failure fails
+// the job. The rule is the same on both paths, so the failure a record
+// commits is exactly the failure a restart derives from it.
+func (c *Coordinator) shardFailed(j *job, shard int, msg string, at time.Time) {
+	sh := j.shards[shard]
+	sh.attempts++
 	if sh.attempts >= maxAttempts {
-		return c.failJobLocked(j, fmt.Sprintf("shard %d failed %d times, last: %s", shard, sh.attempts, msg))
+		c.finish(j, Result{}, fmt.Errorf("fleet: job %d: shard %d failed %d times, last: %s",
+			j.id, shard, sh.attempts, msg))
+		return
 	}
 	sh.st = shardPending
-	sh.notBefore = now.Add(backoff(sh.attempts))
-	return nil
+	sh.notBefore = at.Add(backoff(sh.attempts))
 }
 
 // backoff is the delay before a shard's next lease after its
 // attempts-th failure: retryBackoff doubling per attempt, capped at 8x.
-// Shared by failShardLocked and WAL replay so a restart reproduces the
-// same gate the live coordinator set.
+// Shared by the live path and WAL replay through shardFailed, so a
+// restart reproduces the same gate the live coordinator set.
 func backoff(attempts int) time.Duration {
 	return retryBackoff << min(max(attempts-1, 0), 3)
-}
-
-// failJobLocked logs and applies a terminal job failure.
-func (c *Coordinator) failJobLocked(j *job, msg string) error {
-	if err := c.wal.append(record{Type: recJobFail, Job: j.id, Err: msg}); err != nil {
-		return err
-	}
-	c.finish(j, Result{}, fmt.Errorf("fleet: job %d: %s", j.id, msg))
-	return nil
 }
 
 // mergeLocked folds the job's shard results, in shard order, into the
@@ -682,9 +665,9 @@ func (c *Coordinator) finish(j *job, res Result, err error) {
 	close(j.done)
 }
 
-// Wait blocks until the job finishes or ctx is done. While waiting it
-// ticks the lease-expiry clock, so a dead worker's shards return to the
-// queue even when no other worker is polling Lease.
+// Wait blocks until the job finishes or ctx is done. It expires no
+// leases: only the next Lease can hand out an expired shard, and Lease
+// expires overdue leases itself.
 func (c *Coordinator) Wait(ctx context.Context, id uint64) (Result, error) {
 	c.mu.Lock()
 	j, ok := c.jobs[id]
@@ -692,26 +675,12 @@ func (c *Coordinator) Wait(ctx context.Context, id uint64) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("fleet: wait on unknown job %d", id)
 	}
-	tick := c.cfg.LeaseTTL / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.done:
-			c.mu.Lock()
-			res, err := j.result, j.err
-			c.mu.Unlock()
-			return res, err
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		case <-t.C:
-			c.mu.Lock()
-			c.expireLocked(c.cfg.Now())
-			c.mu.Unlock()
-		}
+	select {
+	case <-j.done:
+		// finish sets the outcome once, before it closes done.
+		return j.result, j.err
+	case <-ctx.Done():
+		return Result{}, ctx.Err()
 	}
 }
 
@@ -728,7 +697,8 @@ func (c *Coordinator) Progress(id uint64) (done, total int, ok bool) {
 
 // LeaseInfo reports when the job was submitted and when its first shard
 // lease was granted (zero until then). The gap is queue wait, not
-// execution — the delay an execution deadline should not charge.
+// execution — the delay an execution deadline should not charge. Neither
+// is journaled: a job replayed from the WAL counts both from the restart.
 func (c *Coordinator) LeaseInfo(id uint64) (submitted, firstLease time.Time, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

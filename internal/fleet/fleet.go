@@ -9,16 +9,18 @@
 // result from a remote worker is a failed attempt, never a coordinator
 // panic or a skewed merge.
 //
-// Durability: every job state transition (submitted → planned → shard
-// leased → shard complete, or failed) is a record in a crash-consistent
-// write-ahead log (wal.go): appended, CRC-framed and fsynced before the
-// transition takes effect. A job commits with its last shard result; its
-// merged Summary or Report is never journaled. A coordinator that dies
-// mid-job replays the WAL on restart: completed shards keep their
-// results, leased-but-unfinished shards revert to pending, the job
-// resumes where it stopped, and a job whose shards all completed merges
-// again. Replay is a pure fold over the records, so replaying a prefix
-// twice is idempotent.
+// Durability: every input a restart cannot reproduce (submitted →
+// planned → shard complete or shard failed) is a record in a
+// crash-consistent write-ahead log (wal.go): appended, CRC-framed and
+// fsynced before the transition takes effect. A job commits with its
+// last shard result; a lease, the merged Summary or Report and a job
+// failure are never journaled. A coordinator that dies mid-job replays
+// the WAL on restart: completed shards keep their results,
+// leased-but-unfinished shards revert to pending, the job resumes where
+// it stopped, a job whose shards all completed merges again, and a job
+// whose plan failed or whose shard failed three times fails again.
+// Replay is a pure fold over the records, so replaying a prefix twice is
+// idempotent.
 //
 // Determinism: the merged results are byte-identical to the in-process
 // engines (experiments.RunMany, check.Run) because both engines fold

@@ -475,10 +475,8 @@ var walSamples = []record{
 		GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
 	}, Level1: []byte{0xA, 0xB, 0xC},
 		Tasks: [][]byte{{1}, {2, 3}}},
-	{Type: recLease, Job: 3, Shard: 1, Worker: "w0", At: 12345},
 	{Type: recShardDone, Job: 3, Shard: 1, Payload: []byte{1, 2, 3}},
 	{Type: recShardFail, Job: 3, Shard: 0, Err: "boom", At: 987654321},
-	{Type: recJobFail, Job: 4, Err: "gave up"},
 }
 
 // TestWALRecordRoundTrip covers every record type's encode/decode pair.
@@ -522,22 +520,27 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		t.Errorf("submit record with a replay off-duration: err = %v, want the retired-field refusal", err)
 	}
 
-	// The retired merged-result record is not a live type: openWAL skips
-	// it before decoding.
-	if _, err := decodeRecord([]byte{byte(recMerged), 3}); err == nil {
-		t.Error("a merged-result record decoded")
+	// The retired lease, merged-result and job-failure records are not
+	// live types: openWAL skips them before decoding.
+	for _, typ := range []recType{recLease, recMerged, recJobFail} {
+		if _, err := decodeRecord([]byte{byte(typ), 3}); err == nil {
+			t.Errorf("a retired type-%d record decoded", typ)
+		}
 	}
 }
 
 // FuzzDecodeRecord drives the WAL record decoder, which New runs over
 // every frame of the log on disk: no input panics, and every input it
 // accepts is exactly the encoding of the record it decodes to. The seeds
-// are records of every live type and every frame of
-// testdata/merged-results.wal, whose type-6 merged-result frames are
-// retired.
+// are records of every live type, a minimal frame of every retired type
+// and every frame of testdata/merged-results.wal, whose lease (3),
+// merged-result (6) and job-failure (7) frames are retired.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range walSamples {
 		f.Add(r.encode())
+	}
+	for _, typ := range []recType{recLease, recMerged, recJobFail} {
+		f.Add([]byte{byte(typ), 3})
 	}
 	for _, payload := range walFrames(f, filepath.Join("testdata", "merged-results.wal")) {
 		f.Add(payload)
@@ -575,9 +578,9 @@ func TestWALRefusesOlderWireVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		task, ok, err := c.Lease("w0")
-		if err != nil || !ok {
-			t.Fatalf("lease: ok=%v err=%v", ok, err)
+		task, ok := c.Lease("w0")
+		if !ok {
+			t.Fatal("lease: nothing leased")
 		}
 		result, err := ExecuteShard(context.Background(), testApps, task)
 		if err != nil {
@@ -649,7 +652,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatalf("fresh WAL replayed %d records", len(recs))
 	}
 	r1 := record{Type: recSubmit, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
-	r2 := record{Type: recLease, Job: 0, Shard: 0, Worker: "w0", At: 99}
+	r2 := record{Type: recShardFail, Job: 0, Shard: 0, Err: "boom", At: 99}
 	if err := w.append(r1); err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +677,7 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Type != recSubmit || recs[1].Type != recLease {
+	if len(recs) != 2 || recs[0].Type != recSubmit || recs[1].Type != recShardFail {
 		t.Fatalf("replay after torn tail: %d records %v", len(recs), recs)
 	}
 	// The torn bytes are gone: a fresh append lands on a clean boundary.
@@ -724,9 +727,9 @@ func TestCoordinatorRecovery(t *testing.T) {
 	}
 	// Execute exactly one shard by hand, then abandon the coordinator
 	// with the second shard still leased — the crash shape.
-	task, ok, err := c1.Lease("w0")
-	if err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	task, ok := c1.Lease("w0")
+	if !ok {
+		t.Fatal("lease: nothing leased")
 	}
 	result, err := ExecuteShard(context.Background(), testApps, task)
 	if err != nil {
@@ -735,8 +738,8 @@ func TestCoordinatorRecovery(t *testing.T) {
 	if err := c1.Complete("w0", result); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := c1.Lease("w0"); err != nil || !ok {
-		t.Fatalf("second lease: ok=%v err=%v", ok, err)
+	if _, ok := c1.Lease("w0"); !ok {
+		t.Fatal("second lease: nothing leased")
 	}
 	c1.Close()
 
@@ -818,17 +821,17 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	task, ok, err := c.Lease("w-dead")
-	if err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	task, ok := c.Lease("w-dead")
+	if !ok {
+		t.Fatal("lease: nothing leased")
 	}
-	if _, ok, _ := c.Lease("w-live"); ok {
+	if _, ok := c.Lease("w-live"); ok {
 		t.Fatal("second lease granted while the shard is held")
 	}
 	advance(11 * time.Second)
-	task2, ok, err := c.Lease("w-live")
-	if err != nil || !ok {
-		t.Fatalf("post-expiry lease: ok=%v err=%v", ok, err)
+	task2, ok := c.Lease("w-live")
+	if !ok {
+		t.Fatal("post-expiry lease: nothing leased")
 	}
 	if string(task2) != string(task) {
 		t.Error("expired shard re-leased as a different task")
@@ -845,13 +848,13 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	if err := c.FailShard("w-live", job, shard, "transient"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Lease("w-live"); ok {
+	if _, ok := c.Lease("w-live"); ok {
 		t.Fatal("lease granted inside the retry backoff")
 	}
 	advance(2 * retryBackoff)
-	task3, ok, err := c.Lease("w-live")
-	if err != nil || !ok {
-		t.Fatalf("post-backoff lease: ok=%v err=%v", ok, err)
+	task3, ok := c.Lease("w-live")
+	if !ok {
+		t.Fatal("post-backoff lease: nothing leased")
 	}
 
 	// The stale holder's completion still wins the race if it lands
@@ -883,9 +886,9 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	}
 	for i := 0; i < maxAttempts; i++ {
 		advance(time.Minute)
-		task, ok, err := c.Lease("w-flaky")
-		if err != nil || !ok {
-			t.Fatalf("attempt %d lease: ok=%v err=%v", i, ok, err)
+		task, ok := c.Lease("w-flaky")
+		if !ok {
+			t.Fatalf("attempt %d lease: nothing leased", i)
 		}
 		job, shard, _ := wire.PeekShard(task)
 		if err := c.FailShard("w-flaky", job, shard, "persistent"); err != nil {
@@ -930,9 +933,9 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, ok, err := c1.Lease("w0")
-	if err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	task, ok := c1.Lease("w0")
+	if !ok {
+		t.Fatal("lease: nothing leased")
 	}
 	job, shard, err := wire.PeekShard(task)
 	if err != nil {
@@ -949,13 +952,13 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, ok, _ := c2.Lease("w0"); ok {
+	if _, ok := c2.Lease("w0"); ok {
 		t.Fatal("lease granted inside the retry backoff after a restart")
 	}
 	advance(retryBackoff + time.Millisecond)
-	task2, ok, err := c2.Lease("w0")
-	if err != nil || !ok {
-		t.Fatalf("post-backoff lease after restart: ok=%v err=%v", ok, err)
+	task2, ok := c2.Lease("w0")
+	if !ok {
+		t.Fatal("post-backoff lease after restart: nothing leased")
 	}
 	// The job still completes normally on the recovered coordinator.
 	result, err := ExecuteShard(context.Background(), testApps, task2)
@@ -968,5 +971,153 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 	res := waitResult(t, c2, id)
 	if res.Summary.Runs != 4 {
 		t.Errorf("summary covers %d runs, want 4", res.Summary.Runs)
+	}
+}
+
+// TestAttemptLimitSurvivesRestart pins the attempt limit across a crash:
+// the third shard-fail record alone fails the job, so a coordinator
+// reopened on a log cut right after that record fails the job with the
+// live coordinator's message and never grants the shard a fourth
+// attempt.
+func TestAttemptLimitSurvivesRestart(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	cfg := CoordinatorConfig{WALPath: filepath.Join(t.TempDir(), "fleet.wal"), Source: testApps, Now: clock}
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c1.Submit(Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxAttempts; i++ {
+		advance(time.Minute)
+		task, ok := c1.Lease("w-flaky")
+		if !ok {
+			t.Fatalf("attempt %d lease: nothing leased", i)
+		}
+		job, shard, _ := wire.PeekShard(task)
+		if err := c1.FailShard("w-flaky", job, shard, fmt.Sprintf("attempt %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, liveErr := c1.Wait(context.Background(), id)
+	if liveErr == nil || !strings.Contains(liveErr.Error(), "shard 0 failed 3 times, last: attempt 2") {
+		t.Fatalf("live job outcome %v, want the attempt-limit failure", liveErr)
+	}
+	c1.Close()
+
+	// Keep the log up to the third shard-fail record: the shortest log a
+	// crash after that record's fsync can leave.
+	var cut []byte
+	fails := 0
+	for _, payload := range walFrames(t, cfg.WALPath) {
+		cut = wire.AppendFrame(cut, payload)
+		if recType(payload[0]) == recShardFail {
+			if fails++; fails == maxAttempts {
+				break
+			}
+		}
+	}
+	if err := os.WriteFile(cfg.WALPath, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	advance(time.Hour)
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if task, ok := c2.Lease("w0"); ok {
+		t.Fatalf("reopened coordinator leased %x: a fourth attempt", task)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c2.Wait(ctx, id); err == nil || err.Error() != liveErr.Error() {
+		t.Errorf("reopened job outcome %v, want the live %v", err, liveErr)
+	}
+}
+
+// fsyncCount reads the number of WAL fsyncs the metric set observed.
+func fsyncCount(t *testing.T, m *Metrics) string {
+	t.Helper()
+	var b bytes.Buffer
+	m.WALFsync.Expose(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if count, ok := strings.CutPrefix(line, "easeio_fleet_wal_fsync_seconds_count "); ok {
+			return count
+		}
+	}
+	t.Fatalf("no fsync count in\n%s", b.String())
+	return ""
+}
+
+// TestSchedulingNeverReachesDisk pins that a lease is scheduling state
+// only: leases, a lease expiry and a re-lease leave the WAL's size and
+// the fsync count unchanged, and a coordinator reopened on the log
+// reports no first lease for a job leased before the restart.
+func TestSchedulingNeverReachesDisk(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	m := NewMetrics()
+	cfg := CoordinatorConfig{
+		WALPath: filepath.Join(t.TempDir(), "fleet.wal"), Source: testApps,
+		Now: clock, LeaseTTL: 10 * time.Second, Metrics: m,
+	}
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c1.Submit(Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walSize := func() int64 {
+		fi, err := os.Stat(cfg.WALPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size, fsyncs := walSize(), fsyncCount(t, m)
+
+	for _, worker := range []string{"w-dead", "w-dead"} {
+		if _, ok := c1.Lease(worker); !ok {
+			t.Fatalf("lease to %s: nothing leased", worker)
+		}
+	}
+	advance(11 * time.Second)
+	for _, worker := range []string{"w-live", "w-live"} {
+		if _, ok := c1.Lease(worker); !ok {
+			t.Fatalf("re-lease to %s: nothing leased", worker)
+		}
+	}
+	if n := m.Expirations.Value("w-dead"); n != 2 {
+		t.Errorf("expirations(w-dead) = %d, want 2", n)
+	}
+	if got := walSize(); got != size {
+		t.Errorf("leases grew the WAL from %d to %d bytes", size, got)
+	}
+	if got := fsyncCount(t, m); got != fsyncs {
+		t.Errorf("leases moved the fsync count from %s to %s", fsyncs, got)
+	}
+	if _, first, _ := c1.LeaseInfo(id); !first.Equal(time.Unix(1000, 0)) {
+		t.Errorf("live first lease at %v, want the first grant", first)
+	}
+	c1.Close()
+
+	cfg.Metrics = nil
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, first, ok := c2.LeaseInfo(id); !ok || !first.IsZero() {
+		t.Errorf("reopened first lease = %v (ok=%v), want zero", first, ok)
 	}
 }

@@ -63,9 +63,9 @@ func serveConn(conn net.Conn, c *Coordinator) {
 }
 
 // handleRequest executes one framed request and builds its response.
-// Coordinator-level rejections (unknown job, bad payload) travel inside
-// the response; only WAL failures — the coordinator losing its
-// durability — tear the connection down.
+// Coordinator-level rejections (unknown job, bad payload, a failed WAL
+// append) travel inside the response; only a malformed request tears the
+// connection down.
 func handleRequest(c *Coordinator, req []byte) ([]byte, error) {
 	d := wire.NewDecoder(req)
 	op := d.Byte()
@@ -75,12 +75,8 @@ func handleRequest(c *Coordinator, req []byte) ([]byte, error) {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		task, ok, err := c.Lease(worker)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.AppendBool(nil, ok)
-		return wire.AppendBytes(resp, task), nil
+		task, ok := c.Lease(worker)
+		return wire.AppendBytes(wire.AppendBool(nil, ok), task), nil
 	case opComplete:
 		payload := d.Bytes()
 		if err := d.Err(); err != nil {

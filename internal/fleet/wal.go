@@ -1,8 +1,11 @@
-// The crash-consistent job store: an append-only log of job state
-// transitions, one CRC-framed record per transition, fsynced before the
-// in-memory transition it describes takes effect. A coordinator restart
-// replays the log from the start; the fold in coordinator.go is
-// idempotent, so replaying any prefix twice reaches the same state.
+// The crash-consistent job store: an append-only log of the inputs a
+// restart cannot reproduce — a job's spec, its plan, each shard result
+// and each failed shard attempt — one CRC-framed record each, fsynced
+// before the in-memory transition it describes takes effect. Scheduling
+// state (leases) and derived state (merged results, job failures) are
+// never journaled. A coordinator restart replays the log from the start;
+// the fold in coordinator.go is idempotent, so replaying any prefix twice
+// reaches the same state.
 //
 // Torn tails are expected — a crash mid-append leaves a frame with a
 // length but not all its bytes — and are truncated away on open, which
@@ -32,15 +35,22 @@ type recType byte
 const (
 	recSubmit    recType = 1 // a job was accepted
 	recPlan      recType = 2 // its shards were planned
-	recLease     recType = 3 // a shard was leased to a worker
 	recShardDone recType = 4 // a shard completed with a result payload
 	recShardFail recType = 5 // a shard attempt failed
-	// recMerged, the job's merged result, is retired and never reused: a
-	// job commits with its last recShardDone and New merges it again, so
-	// openWAL skips the type-6 records older logs hold.
-	recMerged  recType = 6
-	recJobFail recType = 7 // the job failed terminally
 )
+
+// Retired record types, never reused. Older logs hold them, and openWAL
+// skips them: no build decodes them. A lease (3) is scheduling state a
+// restart drops anyway; a job's merged result (6) is merged again from
+// its shard results; a job failure (7) is derived again from its
+// shard-fail records or by re-planning its submit record.
+const (
+	recLease   recType = 3
+	recMerged  recType = 6
+	recJobFail recType = 7
+)
+
+func (t recType) retired() bool { return t == recLease || t == recMerged || t == recJobFail }
 
 func (t recType) String() string {
 	switch t {
@@ -48,14 +58,10 @@ func (t recType) String() string {
 		return "submit"
 	case recPlan:
 		return "plan"
-	case recLease:
-		return "lease"
 	case recShardDone:
 		return "shard-done"
 	case recShardFail:
 		return "shard-fail"
-	case recJobFail:
-		return "job-fail"
 	}
 	return fmt.Sprintf("recType(%d)", byte(t))
 }
@@ -79,12 +85,11 @@ type record struct {
 	Level1  []byte
 	Tasks   [][]byte
 
-	Shard  int    // recLease, recShardDone, recShardFail
-	Worker string // recLease
-	At     int64  // recLease, recShardFail: coordinator clock, unix nanos
+	Shard int   // recShardDone, recShardFail
+	At    int64 // recShardFail: coordinator clock, unix nanos
 
 	Payload []byte // recShardDone: the shard result
-	Err     string // recShardFail, recJobFail
+	Err     string // recShardFail
 }
 
 // encode renders the record as a frame payload: the type byte followed
@@ -128,10 +133,6 @@ func (r record) encode() []byte {
 		for _, t := range r.Tasks {
 			b = wire.AppendBytes(b, t)
 		}
-	case recLease:
-		b = wire.AppendUvarint(b, uint64(r.Shard))
-		b = wire.AppendString(b, r.Worker)
-		b = wire.AppendVarint(b, r.At)
 	case recShardDone:
 		b = wire.AppendUvarint(b, uint64(r.Shard))
 		b = wire.AppendBytes(b, r.Payload)
@@ -143,15 +144,14 @@ func (r record) encode() []byte {
 		// re-leased shard would skip the backoff the live coordinator had
 		// imposed.
 		b = wire.AppendVarint(b, r.At)
-	case recJobFail:
-		b = wire.AppendString(b, r.Err)
 	default:
 		panic("fleet: encoding WAL record of unknown type " + r.Type.String())
 	}
 	return b
 }
 
-// decodeRecord parses one frame payload.
+// decodeRecord parses one frame payload. A retired type is refused like
+// an unknown one.
 func decodeRecord(b []byte) (record, error) {
 	d := wire.NewDecoder(b)
 	r := record{Type: recType(d.Byte()), Job: d.Uvarint()}
@@ -204,10 +204,6 @@ func decodeRecord(b []byte) (record, error) {
 				r.Tasks[i] = d.Bytes()
 			}
 		}
-	case recLease:
-		r.Shard = int(d.Uvarint())
-		r.Worker = d.String()
-		r.At = d.Varint()
 	case recShardDone:
 		r.Shard = int(d.Uvarint())
 		r.Payload = d.Bytes()
@@ -215,8 +211,6 @@ func decodeRecord(b []byte) (record, error) {
 		r.Shard = int(d.Uvarint())
 		r.Err = d.String()
 		r.At = d.Varint()
-	case recJobFail:
-		r.Err = d.String()
 	default:
 		d.Fail("fleet: unknown WAL record type %d", byte(r.Type))
 	}
@@ -297,7 +291,7 @@ func openWAL(path string, obs func(time.Duration)) (*wal, []record, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("fleet: WAL at byte %d: %w", goodEnd, err)
 		}
-		if len(payload) == 0 || recType(payload[0]) != recMerged {
+		if len(payload) == 0 || !recType(payload[0]).retired() {
 			rec, err := decodeRecord(payload)
 			if err == nil {
 				err = rec.checkVersion()

@@ -130,7 +130,10 @@ type loopback struct {
 	name string
 }
 
-func (l loopback) lease() ([]byte, bool, error) { return l.c.Lease(l.name) }
+func (l loopback) lease() ([]byte, bool, error) {
+	task, ok := l.c.Lease(l.name)
+	return task, ok, nil
+}
 func (l loopback) complete(result []byte) error { return l.c.Complete(l.name, result) }
 func (l loopback) fail(job uint64, shard int, msg string) error {
 	return l.c.FailShard(l.name, job, shard, msg)

@@ -76,7 +76,9 @@ func awaitJob(t *testing.T, j *Job) {
 
 // TestFleetManagerByteIdentity pins the delegation contract end to end:
 // a fleet-mode manager's sweep summary and check report equal the
-// in-process engines', and the lease wait is surfaced in Status.
+// in-process engines', the lease wait is surfaced in Status, and a
+// nested check adds the same explored-point count to the metrics on the
+// fleet and the in-process path.
 func TestFleetManagerByteIdentity(t *testing.T) {
 	mgr, reg, coord := newFleetStack(t)
 	startWorkers(t, coord, reg, 2)
@@ -120,6 +122,43 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 	if got := cj.Status().Check; got == nil || got.Render() != wantRep.Render() {
 		t.Errorf("fleet-mode check report differs:\n--- fleet ---\n%s--- direct ---\n%s",
 			got.Render(), wantRep.Render())
+	}
+
+	// A k=2 check counts easeio_check_points_total the same on both
+	// paths: every explored schedule at every depth, once.
+	nested := JobSpec{App: "sensor", Runtime: "EaseIO", Mode: "check", CheckGrid: 16, Failures: 2}
+	inproc := NewManager(reg, NewMetrics(), 8, 2)
+	defer inproc.Shutdown(context.Background())
+	points := map[string]int64{}
+	for name, m := range map[string]*Manager{"fleet": mgr, "in-process": inproc} {
+		before := m.metrics.CheckPoints.Load()
+		nj, err := m.Submit(nested)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, nj)
+		if st := nj.State(); st != Succeeded {
+			t.Fatalf("%s k=2 check job state %v: %+v", name, st, nj.Status())
+		}
+		points[name] = m.metrics.CheckPoints.Load() - before
+	}
+	sbp, _ := reg.Lookup("sensor")
+	nestedRep, err := check.Run(context.Background(), sbp.Factory, experiments.EaseIO,
+		check.Config{Grid: 16, Failures: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPts := int64(nestedRep.Explored)
+	for _, ds := range nestedRep.Depths {
+		wantPts += int64(ds.Explored)
+	}
+	if wantPts == int64(nestedRep.Explored) {
+		t.Fatal("the k=2 check explored nothing below level 1")
+	}
+	for name, got := range points {
+		if got != wantPts {
+			t.Errorf("%s k=2 check added %d to easeio_check_points_total, want %d (every depth)", name, got, wantPts)
+		}
 	}
 }
 

@@ -689,8 +689,6 @@ func (m *Manager) runFleetJob(j *Job) {
 		m.metrics.JobsFailed.Add(1)
 		j.settle(Failed, stats.Summary{}, err.Error())
 	case res.Mode == fleet.ModeCheck:
-		m.metrics.CheckPoints.Add(int64(res.Report.Explored))
-		m.metrics.CheckDivergences.Add(int64(len(res.Report.Divergences)))
 		m.metrics.NoteCheckReport(res.Report)
 		j.mu.Lock()
 		j.report = res.Report
@@ -776,12 +774,10 @@ func (m *Manager) runCheckJob(j *Job) {
 		Progress: func(explored, planned int) {
 			j.done.Store(int64(explored))
 			j.total.Store(int64(planned))
-			m.metrics.CheckPoints.Add(1)
 		},
 	}
 	rep, err := check.Run(j.ctx, j.bp.Factory, j.kind, cfg)
 	if rep != nil {
-		m.metrics.CheckDivergences.Add(int64(len(rep.Divergences)))
 		m.metrics.NoteCheckReport(rep)
 		j.mu.Lock()
 		j.report = rep

@@ -32,8 +32,9 @@ type Metrics struct {
 	JobsPanicked  atomic.Int64
 	RunsCompleted atomic.Int64
 
-	// CheckPoints counts failure points explored by check-mode jobs;
-	// CheckDivergences counts the subset that diverged from golden.
+	// CheckPoints counts failure schedules explored by check-mode jobs,
+	// at every depth; CheckDivergences counts the subset that diverged
+	// from golden. Both are folded from the job's report.
 	CheckPoints      atomic.Int64
 	CheckDivergences atomic.Int64
 
@@ -86,25 +87,32 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// NoteCheckReport folds a completed check report into the depth-labeled
-// exploration counters. Level-1 points come from the report's top-level
-// Explored; deeper levels from the checkpoint tree's per-depth stats. A
-// divergence's depth is the length of its failure schedule (single-
-// failure divergences carry their schedule implicitly in At).
+// NoteCheckReport folds a check report into the exploration counters,
+// the same way for an in-process and a fleet job: CheckPoints gains every
+// explored schedule at every depth, CheckDivergences every divergence,
+// and the depth-labeled counters their per-depth split. Level-1 points
+// come from the report's top-level Explored; deeper levels from the
+// checkpoint tree's per-depth stats. A divergence's depth is the length
+// of its failure schedule (single-failure divergences carry their
+// schedule implicitly in At).
 func (m *Metrics) NoteCheckReport(rep *check.Report) {
 	if rep == nil {
 		return
 	}
+	m.CheckDivergences.Add(int64(len(rep.Divergences)))
 	m.depthMu.Lock()
 	defer m.depthMu.Unlock()
 	if m.depthPts == nil {
 		m.depthPts = make(map[int]int64)
 		m.depthDivs = make(map[int]int64)
 	}
-	m.depthPts[1] += int64(rep.Explored)
+	points := int64(rep.Explored)
+	m.depthPts[1] += points
 	for _, ds := range rep.Depths {
 		m.depthPts[ds.Depth] += int64(ds.Explored)
+		points += int64(ds.Explored)
 	}
+	m.CheckPoints.Add(points)
 	for _, dv := range rep.Divergences {
 		depth := len(dv.Schedule)
 		if depth == 0 {
