@@ -26,7 +26,7 @@ FUZZTIME ?= 30s
 # is compiled and exercised without paying for stable numbers.
 BENCHTIME ?= 10x
 
-.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate benchmark-test fuzz fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke check ci
+.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate benchmark-test fuzz fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke check ci loc
 
 build:
 	$(GO) build ./...
@@ -149,6 +149,11 @@ serve-smoke:
 fleet-smoke:
 	$(GO) run ./cmd/easeio-worker -smoke
 	$(GO) run ./cmd/easeio-served -smoke -fleet -wal $$(mktemp -u /tmp/easeio-fleet-smoke.XXXXXX.wal)
+
+# Non-test Go lines under internal/, cmd/ and the module root: the size
+# figure the ROADMAP's Recent entries quote.
+loc:
+	@(find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v _test.go) | xargs cat | wc -l
 
 check: build fmt-check vet test race benchmark-test fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke
 

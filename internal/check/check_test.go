@@ -10,8 +10,10 @@ import (
 	"easeio/internal/apps"
 	"easeio/internal/core"
 	"easeio/internal/experiments"
+	"easeio/internal/frontend"
 	"easeio/internal/kernel"
 	"easeio/internal/power"
+	"easeio/internal/task"
 )
 
 func dmaFactory() (*apps.Bench, error)  { return apps.NewDMAApp(apps.DefaultDMAConfig()) }
@@ -418,5 +420,54 @@ func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayPanicIsErrorDivergence: a task body that panics once a
+// failure has been injected (its re-execution sees the recharge time on
+// the clock; the golden run never does) books an "error" divergence,
+// and the report does not depend on Workers — the inline one-worker
+// path and the replay goroutines of the pooled path treat the panic
+// alike.
+func TestReplayPanicIsErrorDivergence(t *testing.T) {
+	factory := func() (*apps.Bench, error) {
+		a := task.NewApp("panics-after-failure")
+		n := a.NVInt("n")
+		var fin *task.Task
+		a.AddTask("work", func(e task.Exec) {
+			if e.Now() >= 10*time.Millisecond {
+				panic("boom after a failure")
+			}
+			e.Compute(2000)
+			e.Store(n, 1)
+			e.Next(fin)
+		})
+		fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
+		if err := frontend.Analyze(a); err != nil {
+			return nil, err
+		}
+		return &apps.Bench{App: a}, nil
+	}
+	var reps []*Report
+	for _, w := range []int{1, 2} {
+		rep, err := Run(context.Background(), factory, experiments.EaseIO,
+			Config{Exhaustive: true, Workers: w, Off: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if rep.GoldenOnTime >= 10*time.Millisecond {
+			t.Fatalf("golden run takes %v; the panic condition needs it under 10ms", rep.GoldenOnTime)
+		}
+		reps = append(reps, rep)
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Errorf("report differs across Workers:\n%s\nvs\n%s", reps[0].Render(), reps[1].Render())
+	}
+	found := false
+	for _, d := range reps[0].Divergences {
+		found = found || d.Kind == "error" && strings.Contains(d.Detail, "boom after a failure")
+	}
+	if !found {
+		t.Errorf("no error divergence carries the panic:\n%s", reps[0].Render())
 	}
 }

@@ -25,7 +25,8 @@ type Divergence struct {
 	// word differs from golden), "output" (CheckOutput failed), "ledger"
 	// (work accounting broke), "timely" (an input consumed past its
 	// staleness bound, for apps declaring freshness bounds) or "error"
-	// (the replay did not terminate).
+	// (the replay returned an error: it did not terminate, or app or
+	// runtime code panicked).
 	Kind string
 	// Detail pins the first offending word, verdict or invariant.
 	Detail string

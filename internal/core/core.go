@@ -241,23 +241,17 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 				}
 			}
 		}
-		for _, d := range m.DMAs {
+		for i, c := range m.DMAs {
+			d := c.Site
 			dm := &r.dmas[d.ID]
 			dm.site = d
 			dm.taskID = t.ID
+			dm.regionAfter = i + 1 // call i ends region i
 			dm.privFlag = dev.Mem.Alloc(mem.FRAM, 1)
 			dm.claimFlag = dev.Mem.Alloc(mem.FRAM, 1)
 			dm.privOff = dev.Mem.Alloc(mem.FRAM, 1)
 			if len(d.DependsOn) > 0 {
 				dm.snaps = dev.Mem.Alloc(mem.FRAM, len(d.DependsOn))
-			}
-			for i, reg := range m.Regions {
-				if reg.EndDMA == d {
-					dm.regionAfter = i + 1
-				}
-			}
-			if dm.regionAfter == 0 {
-				return fmt.Errorf("core: DMA site %q not found at a region boundary of task %q", d.Name, t.Name)
 			}
 		}
 	}

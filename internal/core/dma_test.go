@@ -242,7 +242,8 @@ func TestFigure6AblationShowsBug(t *testing.T) {
 }
 
 // TestPrivBufferExhaustionPanics: §6 — the privatization buffer is a
-// hard limit the compiler should check; the runtime reports it loudly.
+// hard limit the compiler should check; the runtime panics, and the
+// session returns the panic as the run's error.
 func TestPrivBufferExhaustionPanics(t *testing.T) {
 	a := task.NewApp("privfull")
 	big := a.NVBuf("big", 600)
@@ -258,13 +259,9 @@ func TestPrivBufferExhaustionPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PrivBufWords = 100
 	sess := kernel.NewSession(NewWithConfig(cfg), a, power.Continuous{})
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(string), "privatization buffer") {
-			t.Errorf("recover = %v", r)
-		}
-	}()
-	_, _ = sess.Run(1)
+	if _, err := sess.Run(1); err == nil || !strings.Contains(err.Error(), "privatization buffer") {
+		t.Errorf("err = %v", err)
+	}
 }
 
 // TestPrivBufferSharing: two Private DMAs in one task claim disjoint

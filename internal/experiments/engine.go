@@ -175,6 +175,9 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 	buildStart := time.Now()
 	bench, err := newApp()
 	if err != nil {
+		for range s[1] - s[0] {
+			notifyProgress(cfg, done) // every seed of the shard finishes failed
+		}
 		return agg, []error{fmt.Errorf("experiments: build app for %s runs %d-%d: %w",
 			kind, s[0], s[1]-1, err)}
 	}
@@ -207,8 +210,9 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 }
 
 // notifyProgress bumps the sweep-wide finished-run counter and invokes
-// the progress hook, if any. Failed seeds count too, so done reaches the
-// total even for sweeps with broken seeds.
+// the progress hook, if any. Failed seeds count too, the seeds of a shard
+// whose app failed to build included, so done reaches the total even for
+// sweeps with broken seeds.
 func notifyProgress(cfg Config, done *atomic.Int64) {
 	if cfg.Progress == nil {
 		done.Add(1)

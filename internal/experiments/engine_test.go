@@ -14,10 +14,12 @@ import (
 	"testing"
 
 	"easeio/internal/apps"
+	"easeio/internal/frontend"
 	"easeio/internal/justdo"
 	"easeio/internal/kernel"
 	"easeio/internal/power"
 	"easeio/internal/stats"
+	"easeio/internal/task"
 )
 
 func dmaFactory() (*apps.Bench, error)  { return apps.NewDMAApp(apps.DefaultDMAConfig()) }
@@ -363,6 +365,52 @@ func TestSplitRangeDegenerateParts(t *testing.T) {
 		got := SplitRange(tc.lo, tc.hi, tc.parts)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("SplitRange(%d, %d, %d) = %v, want %v", tc.lo, tc.hi, tc.parts, got, tc.want)
+		}
+	}
+}
+
+// TestRunManyPanickingSeedFailsOneRun: a body that panics on some seeds
+// fails those seeds only — each is one joined error, and the sweep goes
+// on — so the Summary and the error text are the same at every worker
+// count.
+func TestRunManyPanickingSeedFailsOneRun(t *testing.T) {
+	factory := func() (*apps.Bench, error) {
+		a := task.NewApp("panics-on-some-seeds")
+		n := a.NVInt("n")
+		a.AddTask("work", func(e task.Exec) {
+			// Now is zero in the analysis run, which must not panic.
+			if e.Now() > 0 && e.Rand().Intn(16) == 0 {
+				panic("boom on this seed")
+			}
+			e.Store(n, 1)
+			e.Done()
+		})
+		if err := frontend.Analyze(a); err != nil {
+			return nil, err
+		}
+		return &apps.Bench{App: a}, nil
+	}
+	var sums []stats.Summary
+	var texts []string
+	for _, w := range []int{1, 2, 4} {
+		sum, err := RunMany(Config{Runs: 64, BaseSeed: 1, Workers: w}, factory, EaseIO)
+		if err == nil {
+			t.Fatalf("workers=%d: no seed panicked; pick another draw", w)
+		}
+		var pe PanicError
+		if errors.As(err, &pe) {
+			t.Errorf("workers=%d: a run's panic failed its whole shard: %v", w, err)
+		}
+		if failed := len(err.(interface{ Unwrap() []error }).Unwrap()); sum.Runs+failed != 64 {
+			t.Errorf("workers=%d: %d runs + %d failed seeds, want 64", w, sum.Runs, failed)
+		}
+		sums = append(sums, sum)
+		texts = append(texts, err.Error())
+	}
+	for i := 1; i < len(sums); i++ {
+		if !reflect.DeepEqual(sums[0], sums[i]) || texts[0] != texts[i] {
+			t.Errorf("sweep %d differs from the one-worker sweep: runs %d vs %d\n%s\nvs\n%s",
+				i, sums[i].Runs, sums[0].Runs, texts[i], texts[0])
 		}
 	}
 }

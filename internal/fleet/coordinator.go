@@ -330,8 +330,15 @@ func (c *Coordinator) planLocked(j *job) error {
 // task. The level-1 result (empty for k = 1) is journaled with the plan
 // for the merge. Work is counted in units: a job with none left — no
 // candidates, or a level 1 with nothing to expand — legitimately plans
-// zero shards and finishes at submit.
+// zero shards and finishes at submit. A panic while planning (an app
+// factory's, say) is the plan's error: it must not escape Submit after
+// the submit record is durable, or New when recovery re-plans.
 func (c *Coordinator) planCheck(j *job, parts int, rec *record) (work int, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			work, err = 0, fmt.Errorf("fleet: plan check job %d panicked: %v", j.id, p)
+		}
+	}()
 	if c.cfg.Source == nil {
 		return 0, fmt.Errorf("fleet: check job %d needs a blueprint source", j.id)
 	}

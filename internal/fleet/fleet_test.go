@@ -801,6 +801,43 @@ func TestRecoveryReplansMissingPlan(t *testing.T) {
 	}
 }
 
+// TestCheckPlanPanicFailsJob: a check job whose app factory panics
+// fails at submit with the panic as its plan error, and a coordinator
+// reopened on that log re-plans it into the same failure instead of
+// panicking in New.
+func TestCheckPlanPanicFailsJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	src := mapSource{"boom": func() (*apps.Bench, error) { panic("factory exploded") }}
+	wait := func(c *Coordinator, id uint64) error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_, err := c.Wait(ctx, id)
+		return err
+	}
+	c, err := New(CoordinatorConfig{WALPath: path, Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(Spec{Mode: ModeCheck, App: "boom", Runtime: "EaseIO", Exhaustive: true})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	live := wait(c, id)
+	if live == nil || !strings.Contains(live.Error(), "factory exploded") {
+		t.Fatalf("Wait = %v, want the factory's panic", live)
+	}
+	c.Close()
+
+	c2, err := New(CoordinatorConfig{WALPath: path, Source: src})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer c2.Close()
+	if replayed := wait(c2, id); replayed == nil || replayed.Error() != live.Error() {
+		t.Errorf("after reopen Wait = %v, want %v", replayed, live)
+	}
+}
+
 // TestLeaseExpiryAndRetry drives the failure paths on a fake clock: an
 // expired lease re-leases to another worker without burning an attempt,
 // failed attempts back off, and maxAttempts fails the job.

@@ -70,11 +70,10 @@ func newAnalysisRand() *rand.Rand { return rand.New(lazyrand.New(1)) }
 func analyzeTask(app *task.App, t *task.Task) (*task.TaskMeta, error) {
 	rec := &recorder{
 		app:  app,
-		meta: &task.TaskMeta{Analyzed: true},
+		meta: &task.TaskMeta{Analyzed: true, Regions: []*task.RegionMeta{{}}},
 		rng:  newAnalysisRand(),
 		seen: map[*task.NVVar]*varState{},
 	}
-	rec.openRegion(nil)
 
 	if err := rec.run(t); err != nil {
 		return nil, err
@@ -83,10 +82,9 @@ func analyzeTask(app *task.App, t *task.Task) (*task.TaskMeta, error) {
 		return nil, fmt.Errorf("body returned without Next/Done")
 	}
 
-	// Close the last region, protect clobber-prone DMA destinations, and
-	// attach hint variables everywhere (whole range: a conservative
-	// static analysis could not narrow them).
-	rec.meta.Regions[len(rec.meta.Regions)-1].EndDMA = nil
+	// Protect clobber-prone DMA destinations and attach hint variables
+	// everywhere (whole range: a conservative static analysis could not
+	// narrow them).
 	rec.protectDMADests()
 	for _, v := range t.Hints {
 		rec.noteVarRange(v, true, true, 0, v.Words-1)
@@ -134,25 +132,9 @@ type recorder struct {
 	seen         map[*task.NVVar]*varState
 	blockStack   []*task.IOBlock
 	transitioned bool
-	dmaDsts      []dmaDst
-}
-
-// dmaDst remembers a DMA's non-volatile destination range and the region
-// the transfer ends (its completion region is region+1).
-type dmaDst struct {
-	region int
-	v      *task.NVVar
-	lo, hi int
 }
 
 var _ task.Exec = (*recorder)(nil)
-
-func (r *recorder) openRegion(endOfPrev *task.DMASite) {
-	if n := len(r.meta.Regions); n > 0 {
-		r.meta.Regions[n-1].EndDMA = endOfPrev
-	}
-	r.meta.Regions = append(r.meta.Regions, &task.RegionMeta{Index: len(r.meta.Regions)})
-}
 
 func (r *recorder) region() *task.RegionMeta {
 	return r.meta.Regions[len(r.meta.Regions)-1]
@@ -284,25 +266,20 @@ func (r *recorder) IOBlock(b *task.IOBlock, body func()) {
 	r.blockStack = r.blockStack[:len(r.blockStack)-1]
 }
 
-// DMACopy implements task.Exec: records the site, closes the current
+// DMACopy implements task.Exec: records the call, closes the current
 // privatization region and opens the next one. Only CPU accesses populate
 // the regions' privatization sets — DMA effects are protected by the
 // Single/Private/Always classification itself, and the new region's flag
 // doubles as the DMA's completion marker (§4.4, Figure 6).
 func (r *recorder) DMACopy(d *task.DMASite, src, dst task.Loc, words int) {
-	_ = src
-	if containsDMA(r.meta.DMAs, d) {
-		panic(analysisError(fmt.Sprintf(
-			"DMA site %q invoked more than once in a task; declare one site per copy", d.Name)))
+	for _, c := range r.meta.DMAs {
+		if c.Site == d {
+			panic(analysisError(fmt.Sprintf(
+				"DMA site %q invoked more than once in a task; declare one site per copy", d.Name)))
+		}
 	}
-	r.meta.DMAs = append(r.meta.DMAs, d)
-	if dst.Var != nil && words > 0 {
-		r.dmaDsts = append(r.dmaDsts, dmaDst{
-			region: len(r.meta.Regions) - 1,
-			v:      dst.Var, lo: dst.Off, hi: dst.Off + words - 1,
-		})
-	}
-	r.openRegion(d)
+	r.meta.DMAs = append(r.meta.DMAs, task.DMACall{Site: d, Src: src, Dst: dst, Words: words})
+	r.meta.Regions = append(r.meta.Regions, &task.RegionMeta{Index: len(r.meta.Regions)})
 }
 
 // protectDMADests implements the Figure 6 rule precisely: a Single DMA's
@@ -312,11 +289,15 @@ func (r *recorder) DMACopy(d *task.DMASite, src, dst task.Loc, words int) {
 // DMA's output on re-execution. Destinations untouched by earlier regions
 // need no copy (the common fetch/compute/write-back pattern stays cheap).
 func (r *recorder) protectDMADests() {
-	for _, dd := range r.dmaDsts {
+	for region, c := range r.meta.DMAs {
+		v, lo, hi := c.Dst.Var, c.Dst.Off, c.Dst.Off+c.Words-1
+		if v == nil || c.Words <= 0 {
+			continue
+		}
 		clobbered := false
-		for ri := 0; ri <= dd.region && !clobbered; ri++ {
+		for ri := 0; ri <= region && !clobbered; ri++ {
 			for _, rv := range r.meta.Regions[ri].Vars {
-				if rv.Var == dd.v && rv.Lo <= dd.hi && dd.lo <= rv.Hi {
+				if rv.Var == v && rv.Lo <= hi && lo <= rv.Hi {
 					clobbered = true
 					break
 				}
@@ -325,22 +306,22 @@ func (r *recorder) protectDMADests() {
 		if !clobbered {
 			continue
 		}
-		reg := r.meta.Regions[dd.region+1]
+		reg := r.meta.Regions[region+1]
 		merged := false
 		for i := range reg.Vars {
-			if reg.Vars[i].Var == dd.v {
-				if dd.lo < reg.Vars[i].Lo {
-					reg.Vars[i].Lo = dd.lo
+			if reg.Vars[i].Var == v {
+				if lo < reg.Vars[i].Lo {
+					reg.Vars[i].Lo = lo
 				}
-				if dd.hi > reg.Vars[i].Hi {
-					reg.Vars[i].Hi = dd.hi
+				if hi > reg.Vars[i].Hi {
+					reg.Vars[i].Hi = hi
 				}
 				merged = true
 				break
 			}
 		}
 		if !merged {
-			reg.Vars = append(reg.Vars, task.RegionVar{Var: dd.v, Lo: dd.lo, Hi: dd.hi})
+			reg.Vars = append(reg.Vars, task.RegionVar{Var: v, Lo: lo, Hi: hi})
 		}
 	}
 }
@@ -411,15 +392,6 @@ func containsSite(list []*task.IOSite, s *task.IOSite) bool {
 func containsBlock(list []*task.IOBlock, b *task.IOBlock) bool {
 	for _, x := range list {
 		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
-func containsDMA(list []*task.DMASite, d *task.DMASite) bool {
-	for _, x := range list {
-		if x == d {
 			return true
 		}
 	}

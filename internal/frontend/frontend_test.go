@@ -102,12 +102,11 @@ func TestAnalyzeStructure(t *testing.T) {
 		t.Errorf("WAR = %v", varNames(m1.WAR))
 	}
 
-	// Regions: 2 DMAs → 3 regions, with EndDMA markers.
+	// Regions: 2 DMA calls → 3 regions; call i ends region i.
 	if len(m1.Regions) != 3 {
 		t.Fatalf("regions = %d, want 3", len(m1.Regions))
 	}
-	if m1.Regions[0].EndDMA != refs["d1"] || m1.Regions[1].EndDMA != refs["d2"] ||
-		m1.Regions[2].EndDMA != nil {
+	if len(m1.DMAs) != 2 || m1.DMAs[0].Site != refs["d1"] || m1.DMAs[1].Site != refs["d2"] {
 		t.Error("region boundaries wrong")
 	}
 	// Region 0 privatizes x (words 0..0) and y[2..2].
@@ -305,5 +304,31 @@ func TestProtectDMADests(t *testing.T) {
 	// touches it).
 	if m.Regions[2].HasVar(clean) {
 		t.Errorf("region 2 needlessly privatizes an untouched destination: %+v", m.Regions[2].Vars)
+	}
+}
+
+// TestAnalyzeThenLintRunsEachBodyOnce: the analysis run is the only
+// place a task body runs in the front end — Lint reads the DMA calls it
+// recorded instead of running the bodies again.
+func TestAnalyzeThenLintRunsEachBodyOnce(t *testing.T) {
+	a, _ := buildTestApp(t)
+	runs := make([]int, len(a.Tasks))
+	for _, tk := range a.Tasks {
+		body, id := tk.Body, tk.ID
+		tk.Body = func(e task.Exec) {
+			runs[id]++
+			body(e)
+		}
+	}
+	if err := Analyze(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Lint(a, LintConfig{PrivBufWords: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range runs {
+		if n != 1 {
+			t.Errorf("task %q body ran %d times, want 1", a.Tasks[i].Name, n)
+		}
 	}
 }

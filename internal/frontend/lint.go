@@ -56,85 +56,22 @@ type LintConfig struct {
 	PrivBufWords int
 }
 
-// Lint runs the static checks over an analyzed application. It records
-// each task's DMA endpoints with a dedicated analysis pass, so the app
-// must be analyzable (Analyze, a no-op on an analyzed app, runs first).
+// Lint runs the static checks over an analyzed application (Analyze, a
+// no-op on an analyzed app, runs first). It reads only the tasks'
+// metadata — the DMA calls the analysis run recorded included — so it
+// runs no task body.
 func Lint(app *task.App, cfg LintConfig) ([]Finding, error) {
 	if err := Analyze(app); err != nil {
 		return nil, err
 	}
 	var out []Finding
-	transfers, err := collectTransfers(app)
-	if err != nil {
-		return nil, err
-	}
-
-	out = append(out, lintExclude(app, transfers)...)
-	out = append(out, lintPrivBuf(app, transfers, cfg)...)
+	out = append(out, lintExclude(app)...)
+	out = append(out, lintPrivBuf(app, cfg)...)
 	out = append(out, lintDeadAnnotations(app)...)
 	out = append(out, lintSingleWithoutValue(app)...)
 
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Severity > out[j].Severity })
 	return out, nil
-}
-
-// transfer records one DMA invocation observed by an analysis run.
-type transfer struct {
-	taskID int
-	d      *task.DMASite
-	src    task.Loc
-	dst    task.Loc
-	words  int
-}
-
-// transferRecorder wraps the analysis recorder to capture DMA endpoints.
-type transferRecorder struct {
-	recorder
-	taskID int
-	out    *[]transfer
-}
-
-// DMACopy overrides the embedded recorder to also capture endpoints.
-func (tr *transferRecorder) DMACopy(d *task.DMASite, src, dst task.Loc, words int) {
-	*tr.out = append(*tr.out, transfer{taskID: tr.taskID, d: d, src: src, dst: dst, words: words})
-	tr.recorder.DMACopy(d, src, dst, words)
-}
-
-func collectTransfers(app *task.App) ([]transfer, error) {
-	var out []transfer
-	for _, t := range app.Tasks {
-		tr := &transferRecorder{taskID: t.ID, out: &out}
-		tr.recorder = recorder{
-			app:  app,
-			meta: &task.TaskMeta{},
-			rng:  newAnalysisRand(),
-			seen: map[*task.NVVar]*varState{},
-		}
-		tr.recorder.openRegion(nil)
-		if err := runBody(&tr.recorder, t, tr); err != nil {
-			return nil, fmt.Errorf("frontend: lint pass, task %q: %w", t.Name, err)
-		}
-	}
-	return out, nil
-}
-
-// runBody executes a task body against an arbitrary Exec, converting
-// analysis panics into errors.
-func runBody(rec *recorder, t *task.Task, e task.Exec) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if ae, ok := p.(analysisError); ok {
-				err = fmt.Errorf("%s", string(ae))
-				return
-			}
-			panic(p)
-		}
-	}()
-	t.Body(e)
-	if !rec.transitioned {
-		return fmt.Errorf("body returned without Next/Done")
-	}
-	return nil
 }
 
 // locBank resolves the bank of a DMA endpoint (variables live in FRAM).
@@ -148,41 +85,43 @@ func locBank(l task.Loc) mem.Bank {
 // lintExclude: an Exclude annotation on a DMA whose non-volatile source
 // is written anywhere in the application is unsafe — the re-executed copy
 // can read clobbered data, exactly the WAR bug EaseIO exists to prevent.
-func lintExclude(app *task.App, transfers []transfer) []Finding {
+func lintExclude(app *task.App) []Finding {
 	written := map[*task.NVVar]bool{}
 	for _, t := range app.Tasks {
 		for _, v := range t.Meta.Writes {
 			written[v] = true
 		}
-	}
-	for _, tr := range transfers {
-		if tr.dst.Var != nil {
-			written[tr.dst.Var] = true
+		for _, c := range t.Meta.DMAs {
+			if c.Dst.Var != nil {
+				written[c.Dst.Var] = true
+			}
 		}
 	}
 	var out []Finding
-	for _, tr := range transfers {
-		if !tr.d.Exclude || tr.src.Var == nil {
-			continue
-		}
-		switch {
-		case written[tr.src.Var]:
-			out = append(out, Finding{
-				Severity: Error,
-				Code:     "exclude-mutable-source",
-				Subject:  tr.d.Name,
-				Message: fmt.Sprintf("Exclude skips privatization, but source %q is written "+
-					"by the application; a re-executed copy can read clobbered data (§4.3)",
-					tr.src.Var.Name),
-			})
-		case !tr.src.Var.Const:
-			out = append(out, Finding{
-				Severity: Warning,
-				Code:     "exclude-unmarked-source",
-				Subject:  tr.d.Name,
-				Message: fmt.Sprintf("source %q is not declared Const; mark it with NVConst "+
-					"to document why Exclude is safe", tr.src.Var.Name),
-			})
+	for _, t := range app.Tasks {
+		for _, c := range t.Meta.DMAs {
+			if !c.Site.Exclude || c.Src.Var == nil {
+				continue
+			}
+			switch {
+			case written[c.Src.Var]:
+				out = append(out, Finding{
+					Severity: Error,
+					Code:     "exclude-mutable-source",
+					Subject:  c.Site.Name,
+					Message: fmt.Sprintf("Exclude skips privatization, but source %q is written "+
+						"by the application; a re-executed copy can read clobbered data (§4.3)",
+						c.Src.Var.Name),
+				})
+			case !c.Src.Var.Const:
+				out = append(out, Finding{
+					Severity: Warning,
+					Code:     "exclude-unmarked-source",
+					Subject:  c.Site.Name,
+					Message: fmt.Sprintf("source %q is not declared Const; mark it with NVConst "+
+						"to document why Exclude is safe", c.Src.Var.Name),
+				})
+			}
 		}
 	}
 	return out
@@ -191,24 +130,21 @@ func lintExclude(app *task.App, transfers []transfer) []Finding {
 // lintPrivBuf: the compile-time privatization-buffer sizing check the
 // paper plans as future work (§6): the Private-classified transfers of
 // each task must fit the shared buffer simultaneously.
-func lintPrivBuf(app *task.App, transfers []transfer, cfg LintConfig) []Finding {
+func lintPrivBuf(app *task.App, cfg LintConfig) []Finding {
 	if cfg.PrivBufWords <= 0 {
 		return nil
 	}
-	need := map[int]int{}
-	for _, tr := range transfers {
-		if tr.d.Exclude {
-			continue
-		}
-		// Private classification: non-volatile source, volatile
-		// destination (§4.3 case ii).
-		if locBank(tr.src) == mem.FRAM && locBank(tr.dst).Volatile() {
-			need[tr.taskID] += tr.words
-		}
-	}
 	var out []Finding
 	for _, t := range app.Tasks {
-		if n := need[t.ID]; n > cfg.PrivBufWords {
+		n := 0
+		for _, c := range t.Meta.DMAs {
+			// Private classification: non-volatile source, volatile
+			// destination (§4.3 case ii).
+			if !c.Site.Exclude && locBank(c.Src) == mem.FRAM && locBank(c.Dst).Volatile() {
+				n += c.Words
+			}
+		}
+		if n > cfg.PrivBufWords {
 			out = append(out, Finding{
 				Severity: Error,
 				Code:     "priv-buffer-overflow",

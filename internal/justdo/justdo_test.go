@@ -1,6 +1,7 @@
 package justdo
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -215,7 +216,8 @@ func TestProgressResetsAcrossTasks(t *testing.T) {
 }
 
 // TestValueLogOverflowPanics: a task with more logged operations than the
-// log holds must fail loudly, not corrupt the replay.
+// log holds must fail loudly, not corrupt the replay: the runtime panics,
+// and the session returns the panic as the run's error.
 func TestValueLogOverflowPanics(t *testing.T) {
 	a := task.NewApp("overflow")
 	v := a.NVBuf("v", 1)
@@ -226,10 +228,8 @@ func TestValueLogOverflowPanics(t *testing.T) {
 		e.Done()
 	})
 	analyzed(t, a)
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("expected log-overflow panic")
-		}
-	}()
-	_, _ = kernel.NewSession(New(), a, power.Continuous{}).Run(1)
+	_, err := kernel.NewSession(New(), a, power.Continuous{}).Run(1)
+	if err == nil || !strings.Contains(err.Error(), "logged operations") {
+		t.Errorf("err = %v, want the log-overflow panic", err)
+	}
 }

@@ -78,7 +78,7 @@ func bootAndRun(ctx *Ctx) (failed bool, err error) {
 				failed = true
 				return
 			}
-			panic(r)
+			panic(r) // a fault, not a power failure: Session turns it into an error
 		}
 	}()
 	ctx.wastedDepth = 0

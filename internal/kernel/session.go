@@ -76,12 +76,14 @@ func (s *Session) Attach(seed int64) error {
 // runs reset it in place, which reproduces exactly the run a fresh
 // device and attach would have produced for the same seed. A structural
 // error (attach failure, a task that does not transition,
-// non-termination) discards the device so the next call starts from a
-// clean attach; power failures are not errors.
+// non-termination, a panic in app or runtime code) discards the device
+// so the next call starts from a clean attach; power failures are not
+// errors.
 //
 // The returned record is the device's own, reset in place by the next
 // Run — read it (or Clone it) before running again.
-func (s *Session) Run(seed int64) (*stats.Run, error) {
+func (s *Session) Run(seed int64) (_ *stats.Run, err error) {
+	defer s.contain(&err)
 	if s.dev == nil {
 		if err := s.Attach(seed); err != nil {
 			return nil, err
@@ -116,7 +118,8 @@ func (s *Session) Run(seed int64) (*stats.Run, error) {
 // Resume needs an attached device (see Attach) and errors without one;
 // errors discard the device as Run's do, and the returned record is
 // reused the same way.
-func (s *Session) Resume(cp *Checkpoint) (*stats.Run, error) {
+func (s *Session) Resume(cp *Checkpoint) (_ *stats.Run, err error) {
+	defer s.contain(&err)
 	if s.dev == nil {
 		return nil, errors.New("kernel: resume on a session without a device (Attach first)")
 	}
@@ -124,6 +127,15 @@ func (s *Session) Resume(cp *Checkpoint) (*stats.Run, error) {
 	s.dev.Cuts = s.Cuts
 	s.dev.Restore(cp, s.rt)
 	return s.loop(true)
+}
+
+// contain turns a panic in app or runtime code into the call's error
+// under the error rule: the device is discarded.
+func (s *Session) contain(err *error) {
+	if p := recover(); p != nil {
+		s.dev = nil
+		*err = fmt.Errorf("kernel: %s/%s panicked: %v", s.app.Name, s.rt.Name(), p)
+	}
 }
 
 // loop drives the reboot loop on the session's device and applies the

@@ -8,6 +8,24 @@ import (
 	"easeio/internal/units"
 )
 
+// fakeExec is the environment surface the peripheral models use: Op
+// charges accumulate and advance the clock Now reads. Any other Exec
+// method panics on the nil embedded interface.
+type fakeExec struct {
+	task.Exec
+	clock         time.Duration
+	chargedTime   time.Duration
+	chargedEnergy units.Energy
+}
+
+func (f *fakeExec) Op(dt time.Duration, e units.Energy) {
+	f.chargedTime += dt
+	f.chargedEnergy += e
+	f.clock += dt
+}
+
+func (f *fakeExec) Now() time.Duration { return f.clock }
+
 func TestProcessDeterminism(t *testing.T) {
 	p := Process{Base: 20, Amp: 10, Period: 100 * time.Millisecond,
 		NoiseAmp: 3, NoiseQuantum: 5 * time.Millisecond, Seed: 0x1234}
@@ -57,13 +75,13 @@ func TestProcessNoiseCorrelationQuantum(t *testing.T) {
 
 func TestSensorSampleChargesAndReads(t *testing.T) {
 	s := StandardSet(1)
-	stub := &task.ExecStub{}
+	stub := &fakeExec{}
 	v := s.Temp.Sample(stub)
-	if stub.ChargedTime != s.Temp.Latency {
-		t.Errorf("charged %v, want %v", stub.ChargedTime, s.Temp.Latency)
+	if stub.chargedTime != s.Temp.Latency {
+		t.Errorf("charged %v, want %v", stub.chargedTime, s.Temp.Latency)
 	}
-	if stub.ChargedEnergy != s.Temp.Energy {
-		t.Errorf("charged %v, want %v", stub.ChargedEnergy, s.Temp.Energy)
+	if stub.chargedEnergy != s.Temp.Energy {
+		t.Errorf("charged %v, want %v", stub.chargedEnergy, s.Temp.Energy)
 	}
 	// Value observed at completion time, not call time.
 	want := uint16(s.Temp.Proc.At(s.Temp.Latency))
@@ -74,9 +92,9 @@ func TestSensorSampleChargesAndReads(t *testing.T) {
 
 func TestSensorStalenessMatters(t *testing.T) {
 	s := StandardSet(1)
-	a := &task.ExecStub{}
+	a := &fakeExec{}
 	v1 := s.Temp.Sample(a)
-	b := &task.ExecStub{Clock: 500 * time.Millisecond}
+	b := &fakeExec{clock: 500 * time.Millisecond}
 	v2 := s.Temp.Sample(b)
 	if v1 == v2 {
 		t.Skip("drift coincided; acceptable but rare") // values normally differ
@@ -85,15 +103,15 @@ func TestSensorStalenessMatters(t *testing.T) {
 
 func TestRadioSend(t *testing.T) {
 	s := StandardSet(1)
-	stub := &task.ExecStub{}
+	stub := &fakeExec{}
 	s.Radio.Send(stub, 4)
 	wantT := s.Radio.BaseLatency + 4*s.Radio.PerWord
-	if stub.ChargedTime != wantT {
-		t.Errorf("send time %v, want %v", stub.ChargedTime, wantT)
+	if stub.chargedTime != wantT {
+		t.Errorf("send time %v, want %v", stub.chargedTime, wantT)
 	}
 	wantE := s.Radio.BaseEnergy + 4*s.Radio.PerWordEnergy
-	if stub.ChargedEnergy != wantE {
-		t.Errorf("send energy %v, want %v", stub.ChargedEnergy, wantE)
+	if stub.chargedEnergy != wantE {
+		t.Errorf("send energy %v, want %v", stub.chargedEnergy, wantE)
 	}
 	if s.Radio.Sent != 4 {
 		t.Errorf("sent counter = %d", s.Radio.Sent)
@@ -102,10 +120,10 @@ func TestRadioSend(t *testing.T) {
 
 func TestCameraCapture(t *testing.T) {
 	s := StandardSet(1)
-	stub := &task.ExecStub{}
+	stub := &fakeExec{}
 	s.Camera.Capture(stub)
-	if stub.ChargedTime != s.Camera.Latency {
-		t.Errorf("capture time %v", stub.ChargedTime)
+	if stub.chargedTime != s.Camera.Latency {
+		t.Errorf("capture time %v", stub.chargedTime)
 	}
 	if s.Camera.Captures != 1 {
 		t.Errorf("captures = %d", s.Camera.Captures)

@@ -7,15 +7,19 @@ package service
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"easeio/internal/apps"
 	"easeio/internal/check"
 	"easeio/internal/experiments"
 	"easeio/internal/fleet"
+	"easeio/internal/frontend"
+	"easeio/internal/task"
 )
 
 // newFleetStack builds a registry-backed coordinator plus a fleet-mode
@@ -160,6 +164,80 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 			t.Errorf("%s k=2 check added %d to easeio_check_points_total, want %d (every depth)", name, got, wantPts)
 		}
 	}
+
+	// A sweep whose runs fail on some seeds reads the same on both
+	// paths: state, partial summary, error text and the delta of
+	// easeio_runs_completed_total (every finished seed, failed ones
+	// included).
+	if err := reg.Register("flaky", flakyFactory); err != nil {
+		t.Fatal(err)
+	}
+	flaky := JobSpec{App: "flaky", Runtime: "EaseIO", Runs: 16, BaseSeed: 1}
+	var got []Status
+	var deltas []int64
+	for _, m := range []*Manager{mgr, inproc} {
+		before := m.metrics.RunsCompleted.Load()
+		fj, err := m.Submit(flaky)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, fj)
+		got = append(got, fj.Status())
+		deltas = append(deltas, m.metrics.RunsCompleted.Load()-before)
+	}
+	fl, in := got[0], got[1]
+	if in.State != Failed.String() || in.Summary == nil || in.Summary.Runs == 0 || in.Summary.Runs == flaky.Runs {
+		t.Fatalf("in-process flaky sweep: want failed with a partial summary, got %+v", in)
+	}
+	if fl.State != in.State || !reflect.DeepEqual(fl.Summary, in.Summary) || fl.Error != in.Error {
+		t.Errorf("flaky sweep differs:\n--- fleet ---\n%s %+v\n%s\n--- in-process ---\n%s %+v\n%s",
+			fl.State, fl.Summary, fl.Error, in.State, in.Summary, in.Error)
+	}
+	if deltas[0] != deltas[1] {
+		t.Errorf("runs completed: fleet added %d, in-process %d", deltas[0], deltas[1])
+	}
+
+	// An app that fails to build finishes every seed failed on both
+	// paths. The error texts name each path's own shard ranges, so only
+	// the state and the counter delta compare.
+	if err := reg.Register("unbuildable", func() (*apps.Bench, error) {
+		return nil, errors.New("no build")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Manager{mgr, inproc} {
+		before := m.metrics.RunsCompleted.Load()
+		uj, err := m.Submit(JobSpec{App: "unbuildable", Runtime: "EaseIO", Runs: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, uj)
+		if st := uj.State(); st != Failed {
+			t.Errorf("unbuildable sweep ended %v, want failed", st)
+		}
+		if d := m.metrics.RunsCompleted.Load() - before; d != 16 {
+			t.Errorf("unbuildable sweep added %d to runs completed, want 16", d)
+		}
+	}
+}
+
+// flakyFactory builds a one-task app whose task returns without a
+// transition on some seeds (a structural run error) and finishes on the
+// rest. The analysis run (Now is zero) always finishes.
+func flakyFactory() (*apps.Bench, error) {
+	a := task.NewApp("flaky")
+	n := a.NVInt("n")
+	a.AddTask("work", func(e task.Exec) {
+		if e.Now() > 0 && e.Rand().Intn(4) == 0 {
+			return
+		}
+		e.Store(n, 1)
+		e.Done()
+	})
+	if err := frontend.Analyze(a); err != nil {
+		return nil, err
+	}
+	return &apps.Bench{App: a}, nil
 }
 
 // TestFleetTimeoutArmsAtFirstLease pins the timeout fix: with no workers

@@ -696,13 +696,15 @@ func (m *Manager) runFleetJob(j *Job) {
 		m.metrics.JobsCompleted.Add(1)
 		j.settle(Succeeded, stats.Summary{}, "")
 	default:
+		// Mirror the in-process contract: every seed of the finished sweep
+		// counts, a failed one included, and per-run failures fail the job
+		// but keep the partial summary, one error a line as errors.Join
+		// renders them.
 		m.metrics.NoteSummary(res.Summary)
-		m.metrics.RunsCompleted.Add(int64(res.Summary.Runs))
+		m.metrics.RunsCompleted.Add(int64(j.Spec.Runs))
 		if len(res.Errs) > 0 {
-			// Mirror the in-process contract: per-run failures fail the
-			// job but keep the partial summary.
 			m.metrics.JobsFailed.Add(1)
-			j.settle(Failed, res.Summary, strings.Join(res.Errs, "; "))
+			j.settle(Failed, res.Summary, strings.Join(res.Errs, "\n"))
 			return
 		}
 		m.metrics.JobsCompleted.Add(1)

@@ -195,18 +195,27 @@ type TaskMeta struct {
 	Sites []*IOSite
 	// Blocks lists the I/O blocks the task opens.
 	Blocks []*IOBlock
-	// DMAs lists the task's DMA sites in execution order.
-	DMAs []*DMASite
+	// DMAs lists the task's DMA calls in execution order. Call i ends
+	// region i, so its completion region is i+1.
+	DMAs []DMACall
 	// Reads and Writes are the task-shared variables the task accesses
 	// through the CPU (DMA accesses are tracked per region instead).
 	Reads, Writes []*NVVar
 	// WAR lists variables with a write-after-read dependence inside the
 	// task — the set Alpaca privatizes.
 	WAR []*NVVar
-	// Regions partitions the task at its DMA sites: N DMAs yield N+1
-	// regions (§4.4). Tasks without DMAs have a single region covering
-	// the whole body.
+	// Regions partitions the task at its DMA calls: N calls yield N+1
+	// regions (§4.4), region i ending at DMAs[i]. Tasks without DMAs have
+	// a single region covering the whole body.
 	Regions []*RegionMeta
+}
+
+// DMACall is one DMA call of a task, as the analysis run observed it:
+// the site and the transfer's endpoints and length.
+type DMACall struct {
+	Site     *DMASite
+	Src, Dst Loc
+	Words    int
 }
 
 // RegionVar is one privatized word range of a non-volatile variable
@@ -222,16 +231,15 @@ type RegionVar struct {
 // Words returns the privatized range length.
 func (rv RegionVar) Words() int { return rv.Hi - rv.Lo + 1 }
 
-// RegionMeta describes one privatization region of a task.
+// RegionMeta describes one privatization region of a task. Every region
+// but the last ends at the task's DMA call of the same index
+// (TaskMeta.DMAs).
 type RegionMeta struct {
 	// Index is the region's position within the task (0-based).
 	Index int
 	// Vars lists the non-volatile word ranges the CPU accesses within the
 	// region; EaseIO privatizes them at region entry.
 	Vars []RegionVar
-	// EndDMA is the DMA site that terminates the region (nil for the last
-	// region of a task).
-	EndDMA *DMASite
 }
 
 // HasVar reports whether the region privatizes any range of v.
