@@ -104,7 +104,8 @@ FUZZ_TARGETS = \
 	FuzzDecodeShard:./internal/wire \
 	FuzzDecodeSubtreeShard:./internal/wire \
 	FuzzComplete:./internal/fleet \
-	FuzzDecodeRecord:./internal/fleet
+	FuzzDecodeRecord:./internal/fleet \
+	FuzzOpenWAL:./internal/fleet
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

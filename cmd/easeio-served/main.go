@@ -65,7 +65,7 @@ func main() {
 		smoke   = flag.Bool("smoke", false, "boot on a loopback port, run one job through the HTTP API, verify, exit")
 
 		fleetOn      = flag.Bool("fleet", false, "execute jobs through the distributed fleet coordinator")
-		walPath      = flag.String("wal", "easeio-fleet.wal", "fleet job journal path (crash-consistent; reopened on restart)")
+		walPath      = flag.String("wal", "easeio-fleet.wal", "fleet job journal path (crash-consistent; reopened on restart; a log written by another build is refused)")
 		fleetWorkers = flag.Int("fleet-workers", 2, "in-process loopback fleet workers (with -fleet)")
 		fleetListen  = flag.String("fleet-listen", "", "TCP address accepting remote easeio-worker processes (with -fleet)")
 	)

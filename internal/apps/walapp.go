@@ -6,6 +6,8 @@
 //
 // The protocol under check mirrors the coordinator's WAL:
 //
+//   - the header is durable before the first record, and replay reads
+//     the log only under it (the fleet WAL refuses any other header);
 //   - a record commits atomically or not at all: its payload words, its
 //     decoded type, and the commit-pointer advance become durable
 //     together (in the fleet WAL the frame CRC plays this role — a torn
@@ -71,6 +73,9 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 	okRec := a.NVBuf("ok_rec", cfg.Records).Sensed()
 	alertRec := a.NVBuf("alert_rec", cfg.Records).Sensed()
 	digest := a.NVInt("digest").Sensed()
+	header := a.NVInt("header")
+	refused := a.NVInt("refused")
+	const walHeaderWord = 0x0104 // the fleet WAL's: format 1, wire version 4
 
 	appendSite := a.IO("Append", cfg.Semantics, true, func(e task.Exec, _ int) uint16 {
 		return p.Temp.Sample(e)
@@ -78,6 +83,7 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 
 	var tAppend, tReplay, tFin *task.Task
 	a.AddTask("init", func(e task.Exec) {
+		e.Store(header, walHeaderWord)
 		e.Compute(600)
 		e.Next(tAppend)
 	})
@@ -104,29 +110,34 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 		}
 		e.Next(tReplay)
 	}).Touches(okRec, alertRec)
-	// Recovery: rebuild the digest as a pure fold over the committed
-	// log, exactly how the fleet coordinator's replay rebuilds job state
-	// from WAL records alone.
+	// Recovery: under the header, rebuild the digest as a pure fold over
+	// the committed log, exactly how the fleet coordinator's replay
+	// rebuilds job state from WAL records alone; refuse any other header.
+	// The analysis run sees no header: Touches declares the fold's vars.
 	tReplay = a.AddTask("replay", func(e task.Exec) {
-		var d uint16
-		for i := 0; i < cfg.Records; i++ {
-			d = d*31 + e.LoadAt(log, i)
+		if e.Load(header) != walHeaderWord {
+			e.Store(refused, 1)
+		} else {
+			var d uint16
+			for i := 0; i < cfg.Records; i++ {
+				d = d*31 + e.LoadAt(log, i)
+			}
+			e.Store(digest, d)
 		}
-		e.Store(digest, d)
 		e.Compute(400)
 		e.Next(tFin)
-	})
+	}).Touches(log, digest)
 	tFin = a.AddTask("finish", func(e task.Exec) {
 		e.Compute(200)
 		e.Done()
 	})
 
-	// Log consistency, independent of failure placement: every record
-	// committed, each slot decodes as exactly one record type, the type
-	// agrees with the payload, and the recovered digest is the fold of
-	// the log.
+	// Log consistency, independent of failure placement: the header
+	// written and nothing refused, every record committed, each slot
+	// decodes as exactly one record type, the type agrees with the
+	// payload, and the recovered digest is the fold of the log.
 	a.CheckOutput = func(m task.CheckMem) bool {
-		if m.Read(head, 0) != uint16(cfg.Records) {
+		if m.Read(header, 0) != walHeaderWord || m.Read(refused, 0) != 0 || m.Read(head, 0) != uint16(cfg.Records) {
 			return false
 		}
 		var d uint16

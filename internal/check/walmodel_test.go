@@ -17,24 +17,37 @@ func walFactory() (*apps.Bench, error) { return apps.NewWALApp(apps.DefaultWALCo
 
 // TestWALProtocolSurvivesAllFailurePoints: under runtimes whose task
 // commits buffer writes — the guarantee the fleet WAL builds with its
-// frame CRC — the protocol must survive a power failure at every
-// candidate cut: every record committed exactly once, each slot decoding
-// as exactly one record type consistent with its payload, and the
-// recovered digest equal to the pure fold of the log.
+// frame CRC — the protocol must survive one power failure at every
+// candidate cut, and two at every pair the nested checker explores:
+// the header durable and never refused, every record committed exactly
+// once, each slot decoding as exactly one record type consistent with
+// its payload, and the recovered digest equal to the pure fold of the
+// log.
 func TestWALProtocolSurvivesAllFailurePoints(t *testing.T) {
-	for _, kind := range []experiments.RuntimeKind{
-		experiments.InK, experiments.EaseIO, experiments.JustDo,
-	} {
-		rep, err := Run(context.Background(), walFactory, kind, Config{Exhaustive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Explored != rep.Candidates {
-			t.Errorf("%s: explored %d of %d candidates; the model check must be exhaustive",
-				kind, rep.Explored, rep.Candidates)
-		}
-		if !rep.Passed() {
-			t.Errorf("WAL protocol diverged under %s:\n%s", kind, rep.Render())
+	for _, k := range []int{1, 2} {
+		for _, kind := range []experiments.RuntimeKind{
+			experiments.InK, experiments.EaseIO, experiments.JustDo,
+		} {
+			rep, err := Run(context.Background(), walFactory, kind, Config{Exhaustive: true, Failures: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.GoldenCorrect {
+				t.Errorf("%s k=%d: the continuous-power run breaks the journal invariant", kind, k)
+			}
+			if rep.Explored != rep.Candidates {
+				t.Errorf("%s k=%d: explored %d of %d candidates; the model check must be exhaustive",
+					kind, k, rep.Explored, rep.Candidates)
+			}
+			for _, ds := range rep.Depths {
+				if ds.Explored != ds.Candidates {
+					t.Errorf("%s k=%d: explored %d of %d candidates at depth %d",
+						kind, k, ds.Explored, ds.Candidates, ds.Depth)
+				}
+			}
+			if !rep.Passed() {
+				t.Errorf("WAL protocol diverged under %s at k=%d:\n%s", kind, k, rep.Render())
+			}
 		}
 	}
 }

@@ -48,7 +48,8 @@ func RunManyCtx(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
-	// What identifies the work that panicked (runtime kind plus seeds).
+	// What identifies the work that panicked: the runtime kind, so a
+	// sweep reads the same however its seeds were split.
 	What string
 }
 
@@ -125,12 +126,13 @@ func runRangePooled(ctx context.Context, cfg Config, newApp AppFactory, kind Run
 		wg.Add(1)
 		go func(w int, s [2]int) {
 			defer wg.Done()
-			// A panicking app or runtime fails its shard, not the process:
-			// sweeps run inside long-lived servers (internal/service).
+			// A panicking app factory or session setup fails its shard, not
+			// the process: sweeps run inside long-lived servers
+			// (internal/service). A panic inside a run is already that
+			// run's error (kernel.Session).
 			defer func() {
 				if r := recover(); r != nil {
-					errss[w] = append(errss[w], PanicError{Value: r,
-						What: fmt.Sprintf("%s runs %d-%d", kind, s[0], s[1]-1)})
+					errss[w] = append(errss[w], PanicError{Value: r, What: kind.String()})
 				}
 			}()
 			aggs[w], errss[w] = sweepShard(ctx, cfg, newApp, kind, s, &done, &timing)
@@ -178,8 +180,7 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 		for range s[1] - s[0] {
 			notifyProgress(cfg, done) // every seed of the shard finishes failed
 		}
-		return agg, []error{fmt.Errorf("experiments: build app for %s runs %d-%d: %w",
-			kind, s[0], s[1]-1, err)}
+		return agg, []error{fmt.Errorf("experiments: build app for %s: %w", kind, err)}
 	}
 	sess := kernel.NewSession(NewRuntime(kind), bench.App, cfg.Supply())
 	if cfg.TraceSink != nil {

@@ -2,8 +2,7 @@
 // result against the shard's task before journaling it, so a malformed
 // result — from a buggy or hostile TCP worker — is a failed attempt, not
 // a coordinator panic, an unbounded merge loop or a silently skewed
-// merge. Finished jobs release their bytes, and logs written before
-// plans held every shard as a task are refused.
+// merge. Finished jobs release their bytes.
 
 package fleet
 
@@ -399,10 +398,10 @@ func scanLen(c *Coordinator) int {
 // bounded by the unfinished jobs: succeeded jobs and a job failed at
 // submit leave the scan order, a later job still leases and merges
 // byte-identically to RunMany, and a coordinator reopened from the WAL
-// scans only the job it left unfinished. The log holds no lease, merged
-// result or job failure, so the reopened coordinator rebuilds every
-// finished job, the divergent fig6 k=2 check among them, by merging its
-// journaled shard results, and fails the unknown-app job by re-planning.
+// scans only the job it left unfinished. The log journals inputs only,
+// so the reopened coordinator rebuilds every finished job, the divergent
+// fig6 k=2 check among them, by merging its journaled shard results, and
+// fails the unknown-app job by re-planning.
 func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 	cfg := CoordinatorConfig{WALPath: filepath.Join(t.TempDir(), "fleet.wal"), Source: testApps}
 	c, err := New(cfg)
@@ -461,11 +460,6 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	for _, typ := range []recType{recLease, recMerged, recJobFail} {
-		if n := countRecords(t, cfg.WALPath, typ); n != 0 {
-			t.Fatalf("the log holds %d retired type-%d records", n, typ)
-		}
-	}
 
 	c, err = New(cfg)
 	if err != nil {
@@ -501,107 +495,6 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 	}
 }
 
-// preTaskPlan encodes a plan record in the layout written before every
-// shard was a task: no check header, the sweep's seed ranges, an empty
-// level-1 result and no tasks.
-func preTaskPlan(job uint64, ranges [][2]int) []byte {
-	b := []byte{byte(recPlan)}
-	b = wire.AppendUvarint(b, job)
-	b = wire.AppendBool(b, false)
-	b = wire.AppendUvarint(b, uint64(len(ranges)))
-	for _, r := range ranges {
-		b = wire.AppendVarint(b, int64(r[0]))
-		b = wire.AppendVarint(b, int64(r[1]))
-	}
-	b = wire.AppendBytes(b, nil)
-	return wire.AppendUvarint(b, 0)
-}
-
-// TestWALRefusesPreTaskPlans pins the decision for logs whose sweep plans
-// list seed ranges instead of tasks: New refuses them with an error
-// saying the log predates this layout, never reading such a plan as one
-// with no shards. The hand-built log holds one finished sweep job and
-// one unfinished one; the same log with its plans in the current layout
-// opens and resumes.
-func TestWALRefusesPreTaskPlans(t *testing.T) {
-	spec := Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 2, Shards: 2}
-	ranges := [][2]int{{0, 2}, {2, 4}}
-	tasks := func(job uint64) [][]byte {
-		var out [][]byte
-		for i, r := range ranges {
-			out = append(out, wire.AppendSweepShard(nil, wire.SweepShard{
-				Job: job, Shard: i, App: spec.App, Runtime: spec.Runtime,
-				BaseSeed: spec.BaseSeed, Lo: r[0], Hi: r[1],
-			}))
-		}
-		return out
-	}
-	results := func(job uint64) [][]byte {
-		var out [][]byte
-		for _, task := range tasks(job) {
-			res, err := ExecuteShard(context.Background(), testApps, task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, res)
-		}
-		return out
-	}
-	want, err := experiments.RunMany(
-		experiments.Config{Runs: 4, BaseSeed: 2}, testApps["dma"], experiments.EaseIO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, open := results(0), results(1)
-	writeLog := func(path string, plan func(job uint64) []byte) {
-		var log []byte
-		add := func(payload []byte) { log = wire.AppendFrame(log, payload) }
-		add(record{Type: recSubmit, Job: 0, Spec: spec}.encode())
-		add(plan(0))
-		add(record{Type: recShardDone, Job: 0, Shard: 0, Payload: done[0]}.encode())
-		add(record{Type: recShardDone, Job: 0, Shard: 1, Payload: done[1]}.encode())
-		add(record{Type: recSubmit, Job: 1, Spec: spec}.encode())
-		add(plan(1))
-		add(record{Type: recShardDone, Job: 1, Shard: 1, Payload: open[1]}.encode())
-		if err := os.WriteFile(path, log, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	dir := t.TempDir()
-	old := filepath.Join(dir, "old.wal")
-	writeLog(old, func(job uint64) []byte { return preTaskPlan(job, ranges) })
-	c, err := New(CoordinatorConfig{WALPath: old, Source: testApps})
-	if err == nil {
-		c.Close()
-		t.Fatal("a log of seed-range plans opened without error")
-	}
-	if !strings.Contains(err.Error(), "plan record of job 0 lists 2 seed ranges") ||
-		!strings.Contains(err.Error(), "predates") {
-		t.Errorf("error %q does not say the log predates task-only plans", err)
-	}
-
-	cur := filepath.Join(dir, "current.wal")
-	writeLog(cur, func(job uint64) []byte {
-		return record{Type: recPlan, Job: job, Tasks: tasks(job)}.encode()
-	})
-	c, err = New(CoordinatorConfig{WALPath: cur, Source: testApps})
-	if err != nil {
-		t.Fatalf("the same log in the current layout: %v", err)
-	}
-	defer c.Close()
-	if got := waitResult(t, c, 0); !reflect.DeepEqual(got.Summary, want) {
-		t.Errorf("finished job recovered as %+v, want %+v", got.Summary, want)
-	}
-	if d, total, _ := c.Progress(1); d != 1 || total != 2 {
-		t.Errorf("unfinished job recovered at %d/%d shards, want 1/2", d, total)
-	}
-	startLoopback(t, c, 1)
-	if got := waitResult(t, c, 1); !reflect.DeepEqual(got.Summary, want) {
-		t.Errorf("resumed job merged to %+v, want %+v", got.Summary, want)
-	}
-}
-
 // walFrames returns the frame payloads of the log at path, in order.
 func walFrames(tb testing.TB, path string) [][]byte {
 	tb.Helper()
@@ -619,91 +512,6 @@ func walFrames(tb testing.TB, path string) [][]byte {
 			tb.Fatal(err)
 		}
 		out = append(out, payload)
-	}
-}
-
-// countRecords counts the records of type typ in the log at path.
-func countRecords(t *testing.T, path string, typ recType) int {
-	t.Helper()
-	n := 0
-	for _, payload := range walFrames(t, path) {
-		if len(payload) > 0 && recType(payload[0]) == typ {
-			n++
-		}
-	}
-	return n
-}
-
-// TestWALSkipsRetiredRecords opens testdata/merged-results.wal, a log
-// written by a build that journaled leases (type 3), each finished job's
-// merged result (type 6) and job failures (type 7). It holds a finished
-// dma sweep, finished fig6 Alpaca checks at k=1 and k=2 (both
-// divergent), a check of an unknown app that failed at submit, and a
-// temp sweep and a fig6 EaseIO check each stopped with one of two shards
-// done. New skips every retired record; every finished job merges again
-// to exactly the in-process result, the failed job fails again when its
-// submit record re-plans, and the unfinished jobs resume.
-func TestWALSkipsRetiredRecords(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "merged-results.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.wal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for typ, want := range map[recType]int{recLease: 9, recMerged: 3, recJobFail: 1} {
-		if n := countRecords(t, path, typ); n != want {
-			t.Fatalf("fixture holds %d type-%d records, want %d", n, typ, want)
-		}
-	}
-	sweep := func(app string, kind experiments.RuntimeKind, runs int, seed int64) Result {
-		sum, err := experiments.RunMany(experiments.Config{Runs: runs, BaseSeed: seed}, testApps[app], kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Result{Mode: ModeSweep, Summary: sum}
-	}
-	report := func(kind experiments.RuntimeKind, k int) Result {
-		rep, err := check.Run(context.Background(), check.Fig6Bench, kind, check.Config{Exhaustive: true, Failures: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Result{Mode: ModeCheck, Report: rep}
-	}
-	finished := map[uint64]Result{
-		0: sweep("dma", experiments.EaseIO, 4, 2),
-		1: report(experiments.Alpaca, 1),
-		2: report(experiments.Alpaca, 2),
-	}
-	unfinished := map[uint64]Result{
-		4: sweep("temp", experiments.InK, 4, 5),
-		5: report(experiments.EaseIO, 1),
-	}
-
-	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
-	if err != nil {
-		t.Fatalf("opening a log with retired records: %v", err)
-	}
-	defer c.Close()
-	for id, want := range finished {
-		if got := waitResult(t, c, id); !reflect.DeepEqual(got, want) {
-			t.Errorf("finished job %d recovered as\n%+v\nwant\n%+v", id, got, want)
-		}
-	}
-	if _, err := c.Wait(context.Background(), 3); err == nil || err.Error() != `fleet: job 3: fleet: unknown app "nope"` {
-		t.Errorf("failed job 3 recovered with err = %v", err)
-	}
-	for id := range unfinished {
-		if d, total, _ := c.Progress(id); d != 1 || total != 2 {
-			t.Errorf("unfinished job %d recovered at %d/%d shards, want 1/2", id, d, total)
-		}
-	}
-	startLoopback(t, c, 2)
-	for id, want := range unfinished {
-		if got := waitResult(t, c, id); !reflect.DeepEqual(got, want) {
-			t.Errorf("resumed job %d merged to\n%+v\nwant\n%+v", id, got, want)
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -501,49 +500,20 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if _, err := decodeRecord(append(full, 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
-
-	// A submit record that sets the retired replay off-duration is
-	// refused, never read as a check under the default.
-	s := walSamples[1].Spec
-	old := wire.AppendUvarint([]byte{byte(recSubmit)}, 4)
-	for _, str := range []string{s.Mode, s.App, s.Runtime} {
-		old = wire.AppendString(old, str)
-	}
-	for _, v := range []int64{int64(s.Runs), s.BaseSeed, s.Seed, int64(3 * time.Millisecond), int64(s.Grid)} {
-		old = wire.AppendVarint(old, v)
-	}
-	old = wire.AppendBool(old, s.Exhaustive)
-	for _, v := range []int{s.Failures, s.Shards, s.ShardWorkers} {
-		old = wire.AppendVarint(old, int64(v))
-	}
-	if _, err := decodeRecord(old); err == nil || !strings.Contains(err.Error(), "off-duration of 3ms: the field is retired") {
-		t.Errorf("submit record with a replay off-duration: err = %v, want the retired-field refusal", err)
-	}
-
-	// The retired lease, merged-result and job-failure records are not
-	// live types: openWAL skips them before decoding.
-	for _, typ := range []recType{recLease, recMerged, recJobFail} {
-		if _, err := decodeRecord([]byte{byte(typ), 3}); err == nil {
-			t.Errorf("a retired type-%d record decoded", typ)
-		}
-	}
 }
 
 // FuzzDecodeRecord drives the WAL record decoder, which New runs over
-// every frame of the log on disk: no input panics, and every input it
-// accepts is exactly the encoding of the record it decodes to. The seeds
-// are records of every live type, a minimal frame of every retired type
-// and every frame of testdata/merged-results.wal, whose lease (3),
-// merged-result (6) and job-failure (7) frames are retired.
+// every record frame of the log on disk: no input panics, and every
+// input it accepts is exactly the encoding of the record it decodes to.
+// The seeds are records of every live type, then every frame of a log
+// this build writes (recordLog), each whole and cut at its midpoint.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range walSamples {
 		f.Add(r.encode())
 	}
-	for _, typ := range []recType{recLease, recMerged, recJobFail} {
-		f.Add([]byte{byte(typ), 3})
-	}
-	for _, payload := range walFrames(f, filepath.Join("testdata", "merged-results.wal")) {
+	for _, payload := range walFrames(f, recordLog(f)) {
 		f.Add(payload)
+		f.Add(payload[:len(payload)/2])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := decodeRecord(b)
@@ -554,90 +524,6 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("%s record re-encodes to %x, decoded from %x", r.Type, got, b)
 		}
 	})
-}
-
-// TestWALRefusesOlderWireVersion pins the decision for logs written by a
-// build with an older wire encoding: the coordinator refuses to open
-// them, with one error naming the unsupported version, rather than
-// re-running or mis-merging (or waiting forever on) their jobs. The
-// fixture is a real log — a finished k=1 check job and an unfinished
-// k=2 one — with every embedded payload's version byte patched to 2.
-func TestWALRefusesOlderWireVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fleet.wal")
-	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := c.Submit(Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit(Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-		Exhaustive: true, Failures: 2, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		task, ok := c.Lease("w0")
-		if !ok {
-			t.Fatal("lease: nothing leased")
-		}
-		result, err := ExecuteShard(context.Background(), testApps, task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Complete("w0", result); err != nil {
-			t.Fatal(err)
-		}
-		if d, total, _ := c.Progress(done); d == total {
-			break
-		}
-	}
-	c.Close()
-
-	// The current build reopens its own log.
-	c, err = New(CoordinatorConfig{WALPath: path, Source: testApps})
-	if err != nil {
-		t.Fatalf("reopening a current-version WAL: %v", err)
-	}
-	c.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var patched []byte
-	rd := bytes.NewReader(data)
-	for {
-		payload, err := wire.ReadFrame(rd)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range append([][]byte{r.Payload, r.Level1}, r.Tasks...) {
-			if len(b) > 2 {
-				b[2] = wire.Version - 1
-			}
-		}
-		patched = wire.AppendFrame(patched, r.encode())
-	}
-	if err := os.WriteFile(path, patched, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err = New(CoordinatorConfig{WALPath: path, Source: testApps})
-	if err == nil {
-		c.Close()
-		t.Fatal("a WAL of previous-wire-version payloads opened without error")
-	}
-	if want := fmt.Sprintf("unsupported version %d (have %d)", wire.Version-1, wire.Version); !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name the unsupported version", err)
-	}
 }
 
 // TestWALTornTail pins the crash-append contract: a half-written frame

@@ -13,6 +13,12 @@
 // fully reach the disk never happened. A CRC mismatch on a *complete*
 // frame is different: that is corruption inside the retained log, and
 // open refuses it rather than silently dropping committed transitions.
+//
+// One header frame opens every log: the record layout's format
+// (walFormat) and the payloads' wire version. Open refuses any other
+// header, so a layout change is one walFormat bump, never a retired slot
+// or record type. The header is fsynced before the first record, so a
+// log with no complete first frame holds nothing and starts afresh.
 
 package fleet
 
@@ -29,7 +35,7 @@ import (
 )
 
 // recType discriminates WAL records. The numbering is part of the
-// on-disk format: append only.
+// on-disk format that walFormat names.
 type recType byte
 
 const (
@@ -38,19 +44,6 @@ const (
 	recShardDone recType = 4 // a shard completed with a result payload
 	recShardFail recType = 5 // a shard attempt failed
 )
-
-// Retired record types, never reused. Older logs hold them, and openWAL
-// skips them: no build decodes them. A lease (3) is scheduling state a
-// restart drops anyway; a job's merged result (6) is merged again from
-// its shard results; a job failure (7) is derived again from its
-// shard-fail records or by re-planning its submit record.
-const (
-	recLease   recType = 3
-	recMerged  recType = 6
-	recJobFail recType = 7
-)
-
-func (t recType) retired() bool { return t == recLease || t == recMerged || t == recJobFail }
 
 func (t recType) String() string {
 	switch t {
@@ -106,9 +99,6 @@ func (r record) encode() []byte {
 		b = wire.AppendVarint(b, int64(s.Runs))
 		b = wire.AppendVarint(b, s.BaseSeed)
 		b = wire.AppendVarint(b, s.Seed)
-		// The retired replay off-duration, always zero: a log that set it
-		// is refused on decode.
-		b = wire.AppendVarint(b, 0)
 		b = wire.AppendVarint(b, int64(s.Grid))
 		b = wire.AppendBool(b, s.Exhaustive)
 		b = wire.AppendVarint(b, int64(s.Failures))
@@ -125,9 +115,6 @@ func (r record) encode() []byte {
 			b = wire.AppendVarint(b, int64(r.Plan.Candidates))
 			b = wire.AppendString(b, r.Plan.Note)
 		}
-		// The retired seed-range count, always zero: plans that listed
-		// sweep shards as seed ranges are refused on decode.
-		b = wire.AppendUvarint(b, 0)
 		b = wire.AppendBytes(b, r.Level1)
 		b = wire.AppendUvarint(b, uint64(len(r.Tasks)))
 		for _, t := range r.Tasks {
@@ -150,31 +137,25 @@ func (r record) encode() []byte {
 	return b
 }
 
-// decodeRecord parses one frame payload. A retired type is refused like
-// an unknown one.
+// decodeRecord parses one frame payload.
 func decodeRecord(b []byte) (record, error) {
 	d := wire.NewDecoder(b)
 	r := record{Type: recType(d.Byte()), Job: d.Uvarint()}
 	switch r.Type {
 	case recSubmit:
 		r.Spec = Spec{
-			Mode:     d.String(),
-			App:      d.String(),
-			Runtime:  d.String(),
-			Runs:     int(d.Varint()),
-			BaseSeed: d.Varint(),
-			Seed:     d.Varint(),
+			Mode:         d.String(),
+			App:          d.String(),
+			Runtime:      d.String(),
+			Runs:         int(d.Varint()),
+			BaseSeed:     d.Varint(),
+			Seed:         d.Varint(),
+			Grid:         int(d.Varint()),
+			Exhaustive:   d.Bool(),
+			Failures:     int(d.Varint()),
+			Shards:       int(d.Varint()),
+			ShardWorkers: int(d.Varint()),
 		}
-		if off := d.Varint(); d.Err() == nil && off != 0 {
-			return record{}, fmt.Errorf("submit record of job %d sets a replay off-duration of %v: "+
-				"the field is retired, every fleet check runs with the checker's default; "+
-				"finish or drop its jobs with the build that wrote it", r.Job, time.Duration(off))
-		}
-		r.Spec.Grid = int(d.Varint())
-		r.Spec.Exhaustive = d.Bool()
-		r.Spec.Failures = int(d.Varint())
-		r.Spec.Shards = int(d.Varint())
-		r.Spec.ShardWorkers = int(d.Varint())
 	case recPlan:
 		r.HasPlan = d.Bool()
 		if r.HasPlan {
@@ -187,11 +168,6 @@ func decodeRecord(b []byte) (record, error) {
 				Candidates:    int(d.Varint()),
 				Note:          d.String(),
 			}
-		}
-		if n := d.Uvarint(); d.Err() == nil && n != 0 {
-			return record{}, fmt.Errorf("plan record of job %d lists %d seed ranges: "+
-				"the log predates plans that hold every shard as a task; "+
-				"finish or drop its jobs with the build that wrote it", r.Job, n)
 		}
 		r.Level1 = d.Bytes()
 		n := d.Uvarint()
@@ -227,106 +203,126 @@ func decodeRecord(b []byte) (record, error) {
 	return r, nil
 }
 
-// checkVersion refuses records written with an older wire encoding:
-// every embedded wire payload must carry the current wire.Version, and a
-// check plan must carry its level-1 result (version-2 check plans held
-// cut ranges instead of encoded units). Resuming such a log could
-// silently re-run or mis-merge its jobs, so the coordinator refuses to
-// open it; finish or drop those jobs with the build that wrote them.
-func (r record) checkVersion() error {
-	if r.Type == recPlan && r.HasPlan && len(r.Level1) == 0 {
-		return fmt.Errorf("check plan of job %d has no level-1 result: written before wire version %d", r.Job, wire.Version)
-	}
-	for _, b := range append([][]byte{r.Payload, r.Level1}, r.Tasks...) {
-		if len(b) == 0 {
-			continue
-		}
-		if err := wire.CheckVersion(b); err != nil {
-			return fmt.Errorf("%s record of job %d: %w", r.Type, r.Job, err)
-		}
-	}
-	return nil
-}
+// walFormat numbers the record layouts above (format 0: the headerless
+// logs of earlier builds); walHeader is the frame that opens every log.
+const walFormat = 1
 
-// wal is the open log. Appends serialize under mu; every append is
-// fsynced before it returns, so a record the caller saw succeed survives
-// any later crash.
+var walHeader = []byte{'E', 'W', 'A', 'L', walFormat, wire.Version}
+
+// wal is the open log. Appends serialize under the coordinator lock;
+// every append is fsynced before it returns, so a record the caller saw
+// succeed survives any later crash.
 type wal struct {
-	f   *os.File
-	obs func(fsync time.Duration) // nil ok; receives each fsync's latency
+	f      *os.File
+	end    int64                     // end of the last committed frame
+	broken error                     // latched when a failed append could not be cut away
+	obs    func(fsync time.Duration) // nil ok; receives each append's fsync latency
 }
 
-// openWAL opens (creating if absent) the log at path, replays its
-// records, and truncates a torn tail. The returned records are every
-// fully-committed transition in append order.
-func openWAL(path string, obs func(time.Duration)) (*wal, []record, error) {
+// openWAL opens (creating if absent) the log at path and returns its
+// records: every fully-committed transition in append order. It
+// truncates a torn tail, starts a log with no complete first frame
+// afresh under the header, and refuses any other header.
+func openWAL(path string, obs func(time.Duration)) (_ *wal, recs []record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: open WAL: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	data, err := io.ReadAll(f)
 	if err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("fleet: read WAL: %w", err)
 	}
-
-	var recs []record
-	rd := bytes.NewReader(data)
-	goodEnd := 0
-	for {
+	w := &wal{f: f}
+	for rd := bytes.NewReader(data); ; {
 		payload, err := wire.ReadFrame(rd)
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, wire.ErrTornFrame) {
-			// The tail of an append the crash interrupted: the transition
-			// never committed. Drop it.
-			if err := f.Truncate(int64(goodEnd)); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("fleet: truncate torn WAL tail: %w", err)
-			}
+		if err == io.EOF || errors.Is(err, wire.ErrTornFrame) {
+			// The end of the log, or the tail of an append the crash
+			// interrupted: that transition never committed.
 			break
 		}
 		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: WAL at byte %d: %w", goodEnd, err)
+			return nil, nil, fmt.Errorf("fleet: WAL at byte %d: %w", w.end, err)
 		}
-		if len(payload) == 0 || !recType(payload[0]).retired() {
+		if w.end > 0 {
 			rec, err := decodeRecord(payload)
-			if err == nil {
-				err = rec.checkVersion()
-			}
 			if err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("fleet: WAL record at byte %d: %w", goodEnd, err)
+				return nil, nil, fmt.Errorf("fleet: WAL record at byte %d: %w", w.end, err)
 			}
 			recs = append(recs, rec)
+		} else if !bytes.Equal(payload, walHeader) {
+			var format, version byte // format 0: no header
+			if len(payload) == len(walHeader) && bytes.HasPrefix(payload, walHeader[:4]) {
+				format, version = payload[4], payload[5]
+			}
+			return nil, nil, fmt.Errorf("fleet: WAL %s was written by another build (format %d, wire version %d; "+
+				"this build writes %d/%d): finish or drop its jobs with that build",
+				path, format, version, walFormat, wire.Version)
 		}
-		goodEnd = len(data) - rd.Len()
+		w.end = int64(len(data) - rd.Len())
 	}
-	if _, err := f.Seek(int64(goodEnd), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fleet: seek WAL tail: %w", err)
+	if err := w.cut(); err != nil {
+		return nil, nil, fmt.Errorf("fleet: truncate WAL tail: %w", err)
 	}
-	return &wal{f: f, obs: obs}, recs, nil
+	if w.end == 0 {
+		if err := w.commit(wire.AppendFrame(nil, walHeader)); err != nil {
+			return nil, nil, fmt.Errorf("fleet: write WAL header: %w", err)
+		}
+	}
+	w.obs = obs // appends only, not the header
+	return w, recs, nil
 }
 
 // append frames, writes and fsyncs one record. The caller must hold the
 // coordinator lock (the WAL has no lock of its own: record order on disk
 // must match transition order in memory).
 func (w *wal) append(r record) error {
-	frame := wire.AppendFrame(nil, r.encode())
-	if _, err := w.f.Write(frame); err != nil {
+	if err := w.commit(wire.AppendFrame(nil, r.encode())); err != nil {
 		return fmt.Errorf("fleet: append WAL %s record: %w", r.Type, err)
 	}
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: fsync WAL: %w", err)
-	}
-	if w.obs != nil {
-		w.obs(time.Since(start))
-	}
 	return nil
+}
+
+// commit writes frame at the end of the log and fsyncs it. A failed
+// write or fsync cuts the file back to the end of the last committed
+// frame: bytes left behind would sit under the next frame and make the
+// whole log unreadable. If the cut fails too, every later commit is
+// refused until the log is reopened.
+func (w *wal) commit(frame []byte) error {
+	if w.broken != nil {
+		return w.broken
+	}
+	_, err := w.f.Write(frame)
+	start := time.Now()
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err == nil {
+		if w.obs != nil {
+			w.obs(time.Since(start))
+		}
+		w.end += int64(len(frame))
+		return nil
+	}
+	if cerr := w.cut(); cerr != nil {
+		w.broken = fmt.Errorf("%w; cutting it back failed, WAL unusable until reopened: %w", err, cerr)
+		return w.broken
+	}
+	return err
+}
+
+// cut truncates the file to the end of the last committed frame and
+// moves the write offset there.
+func (w *wal) cut() error {
+	if err := w.f.Truncate(w.end); err != nil {
+		return err
+	}
+	_, err := w.f.Seek(w.end, io.SeekStart)
+	return err
 }
 
 func (w *wal) close() error { return w.f.Close() }

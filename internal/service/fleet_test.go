@@ -10,6 +10,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,8 +199,7 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 	}
 
 	// An app that fails to build finishes every seed failed on both
-	// paths. The error texts name each path's own shard ranges, so only
-	// the state and the counter delta compare.
+	// paths.
 	if err := reg.Register("unbuildable", func() (*apps.Bench, error) {
 		return nil, errors.New("no build")
 	}); err != nil {
@@ -217,6 +217,35 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 		}
 		if d := m.metrics.RunsCompleted.Load() - before; d != 16 {
 			t.Errorf("unbuildable sweep added %d to runs completed, want 16", d)
+		}
+	}
+
+	// A factory that errors and one that panics read alike on both paths:
+	// each path splits the seeds its own way and so prints its own number
+	// of lines, but every line names the runtime alone.
+	if err := reg.Register("explodes", func() (*apps.Bench, error) { panic("factory exploded") }); err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range []string{"unbuildable", "explodes"} {
+		var lines []map[string]bool
+		for _, m := range []*Manager{mgr, inproc} {
+			j, err := m.Submit(JobSpec{App: app, Runtime: "EaseIO", Runs: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitJob(t, j)
+			st := j.Status()
+			if st.State != Failed.String() || st.Error == "" {
+				t.Errorf("%s sweep ended %s with error %q, want failed with one", app, st.State, st.Error)
+			}
+			set := map[string]bool{}
+			for _, l := range strings.Split(st.Error, "\n") {
+				set[l] = true
+			}
+			lines = append(lines, set)
+		}
+		if !reflect.DeepEqual(lines[0], lines[1]) {
+			t.Errorf("%s sweep error lines differ:\n--- fleet ---\n%v\n--- in-process ---\n%v", app, lines[0], lines[1])
 		}
 	}
 }

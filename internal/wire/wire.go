@@ -121,15 +121,6 @@ func PeekShard(b []byte) (job uint64, shard int, err error) {
 	return job, shard, d.err
 }
 
-// CheckVersion reports an error unless b starts with a well-formed
-// message header of the current Version — the guard for durable payloads
-// written by an older build.
-func CheckVersion(b []byte) error {
-	d := &dec{b: b}
-	d.header(PeekKind(b))
-	return d.err
-}
-
 // dec is a bounds-checked cursor over an encoded message. The first
 // failed read latches err; subsequent reads return zero values, so
 // decode functions can read a whole message and check the error once.

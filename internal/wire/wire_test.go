@@ -208,15 +208,12 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 		t.Error("PeekShard accepted a checkpoint")
 	}
 
-	// CheckVersion accepts current messages and names an older version.
+	// A decoder refuses a message of an older version, naming it.
 	old := AppendSubtreeResult(nil, cr)
-	if err := CheckVersion(old); err != nil {
-		t.Errorf("CheckVersion rejected a current message: %v", err)
-	}
 	old[2] = Version - 1
-	want := fmt.Sprintf("unsupported version %d", Version-1)
-	if err := CheckVersion(old); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("CheckVersion of a version-%d message = %v, want the unsupported-version error", Version-1, err)
+	want := fmt.Sprintf("unsupported version %d (have %d)", Version-1, Version)
+	if _, err := DecodeSubtreeResult(old); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("decoding a version-%d message = %v, want the unsupported-version error", Version-1, err)
 	}
 
 	// Empty-slice forms decode to nil slices, not empty non-nil ones.
