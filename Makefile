@@ -124,15 +124,22 @@ fuzz-smoke:
 # Then the two replay modes must render the whole app × runtime k=2
 # matrix byte-identically. Alpaca and InK diverge by design, so each
 # run's exit status is ignored; an empty output fails the comparison.
+# Last, the seeded bug (fig6 with its privatization regions emptied,
+# -broken) must still fail through the CLI: exit status 1 at k=1 and k=2.
 nested-smoke:
 	$(GO) run ./cmd/easeio-check -k 2 -exhaustive -runtime EaseIO
 	$(GO) run ./cmd/easeio-check -k 2 -exhaustive -runtime JustDo
 	@dir=$$(mktemp -d) && $(GO) build -o $$dir/easeio-check ./cmd/easeio-check && \
 	{ $$dir/easeio-check -app all -runtime all -k 2 -exhaustive > $$dir/ckpt.txt; \
 	  $$dir/easeio-check -app all -runtime all -k 2 -exhaustive -fromboot > $$dir/boot.txt; \
-	  test -s $$dir/ckpt.txt && cmp $$dir/ckpt.txt $$dir/boot.txt; }; \
+	  test -s $$dir/ckpt.txt && cmp $$dir/ckpt.txt $$dir/boot.txt && \
+	  echo "nested-smoke: both replay modes render the k=2 matrix byte-identically" && \
+	  { bad=0; for k in 1 2; do \
+	      $$dir/easeio-check -app fig6 -broken -exhaustive -k $$k > /dev/null; s=$$?; \
+	      if [ $$s -ne 1 ]; then echo "nested-smoke: easeio-check -app fig6 -broken -k $$k exited $$s, want 1"; bad=1; fi; \
+	    done; \
+	    test $$bad -eq 0 && echo "nested-smoke: the seeded bug (-broken) fails at k=1 and k=2"; }; }; \
 	status=$$?; rm -rf $$dir; \
-	if [ $$status -eq 0 ]; then echo "nested-smoke: both replay modes render the k=2 matrix byte-identically"; fi; \
 	exit $$status
 
 # The library facade's runnable examples, each a short end-to-end run.

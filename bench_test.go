@@ -16,9 +16,11 @@ import (
 	"easeio/internal/check"
 	"easeio/internal/core"
 	"easeio/internal/experiments"
+	"easeio/internal/frontend"
 	"easeio/internal/kernel"
 	"easeio/internal/power"
 	"easeio/internal/stats"
+	"easeio/internal/task"
 )
 
 // benchRuns is the per-iteration sweep size (the paper uses 1000 per
@@ -223,13 +225,13 @@ func BenchmarkFigure13(b *testing.B) {
 // --- Ablation benches (design-choice isolation) ---
 
 // BenchmarkAblationRegionalPrivatization compares the weather app's
-// single-buffer correctness and overhead with regional privatization on
-// and off.
+// single-buffer correctness and overhead under the front end's plan and
+// with every privatization region emptied (frontend.StripRegions).
 func BenchmarkAblationRegionalPrivatization(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		name := "off"
-		if on {
-			name = "on"
+	for _, strip := range []bool{false, true} {
+		name := "plan"
+		if strip {
+			name = "stripped"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -240,9 +242,12 @@ func BenchmarkAblationRegionalPrivatization(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg := core.DefaultConfig()
-					cfg.RegionalPrivatization = on
-					sess := kernel.NewSession(core.NewWithConfig(cfg), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+					if strip {
+						if err := frontend.StripRegions(bench.App); err != nil {
+							b.Fatal(err)
+						}
+					}
+					sess := kernel.NewSession(core.New(), bench.App, power.NewTimer(power.DefaultTimerConfig()))
 					if _, err := sess.Run(seed); err != nil {
 						b.Fatal(err)
 					}
@@ -297,26 +302,26 @@ func BenchmarkAblationExclude(b *testing.B) {
 }
 
 // BenchmarkAblationValuePrivatization measures the branch-stability
-// mechanism: with value privatization off, re-executions may take the
-// other branch (Figure 2c's bug).
+// mechanism: a Single sensor read restores its private value after a
+// power failure, while an Always read re-executes and may take the other
+// branch (Figure 2c's bug). Regions are stripped in both arms, so
+// regional recovery cannot mask the difference.
 func BenchmarkAblationValuePrivatization(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, sem := range []task.Semantic{task.Single, task.Always} {
+		b.Run(sem.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				unsafeRuns := 0
 				for seed := int64(1); seed <= 120; seed++ {
-					bench, err := apps.NewBranchApp(apps.DefaultBranchConfig())
+					cfg := apps.DefaultBranchConfig()
+					cfg.Semantics = sem
+					bench, err := apps.NewBranchApp(cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg := core.DefaultConfig()
-					cfg.ValuePrivatization = on
-					cfg.RegionalPrivatization = false // isolate the value mechanism
-					sess := kernel.NewSession(core.NewWithConfig(cfg), bench.App, power.NewTimer(power.DefaultTimerConfig()))
+					if err := frontend.StripRegions(bench.App); err != nil {
+						b.Fatal(err)
+					}
+					sess := kernel.NewSession(core.New(), bench.App, power.NewTimer(power.DefaultTimerConfig()))
 					if _, err := sess.Run(seed); err != nil {
 						b.Fatal(err)
 					}

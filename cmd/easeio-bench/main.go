@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,8 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"easeio/internal/apps"
-	"easeio/internal/check"
 	"easeio/internal/experiments"
 )
 
@@ -35,7 +32,7 @@ type expTiming struct {
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment to run (all, table1, table3, fig7, table4, fig8, fig10, fig11, fig12, table5, table6, fig13, sensitivity, loggers, diurnal, check; check is never part of all)")
+		exp    = flag.String("exp", "all", "experiment to run (all, table1, table3, fig7, table4, fig8, fig10, fig11, fig12, table5, table6, fig13, sensitivity, loggers, diurnal)")
 		runs   = flag.Int("runs", 1000, "seeded runs per configuration (the paper uses 1000)")
 		seed   = flag.Int64("seed", 1, "base seed")
 		csvDir = flag.String("csv", "", "if set, also write <dir>/<experiment>.csv data files")
@@ -183,30 +180,6 @@ func main() {
 			writeCSV(experiments.DiurnalDataset(rows))
 		})
 	}
-	// The failure-point check runs only on request: exhaustive replay of
-	// the uni-task apps is far slower than a figure sweep, so "all" (the
-	// paper-regeneration pass) skips it. See cmd/easeio-check for the full
-	// matrix and the seeded-bug demo.
-	if *exp == "check" {
-		timed("check", nil, func() {
-			ctx := context.Background()
-			targets := []check.Target{
-				{Name: "fig6", New: check.Fig6Bench},
-				{Name: "dma", New: func() (*apps.Bench, error) { return apps.NewDMAApp(apps.DefaultDMAConfig()) }},
-				{Name: "temp", New: func() (*apps.Bench, error) { return apps.NewTempApp(apps.DefaultTempConfig()) }},
-				{Name: "lea", New: func() (*apps.Bench, error) { return apps.NewLEAApp(apps.DefaultLEAConfig()) }},
-			}
-			kinds := []experiments.RuntimeKind{experiments.EaseIO, experiments.JustDo}
-			reports, err := check.Matrix(ctx, targets, kinds, check.Config{Seed: *seed, Grid: 64})
-			fail(err)
-			fmt.Println(check.RenderMatrix(reports))
-			for _, rep := range reports {
-				if !rep.Passed() {
-					fmt.Println(rep.Render())
-				}
-			}
-		})
-	}
 	if want("fig13") {
 		fcfg := experiments.DefaultFig13Config()
 		if *exp == "fig13" && *runs != 1000 {
@@ -240,7 +213,7 @@ func main() {
 }
 
 func anyExperiment(name string) bool {
-	known := "all table1 table3 fig7 table4 fig8 fig10 fig11 fig12 table5 table6 fig13 sensitivity loggers diurnal check"
+	known := "all table1 table3 fig7 table4 fig8 fig10 fig11 fig12 table5 table6 fig13 sensitivity loggers diurnal"
 	for _, k := range strings.Fields(known) {
 		if name == k {
 			return true

@@ -20,9 +20,10 @@
 //
 // -app accepts the registered blueprint names (easeio-served's registry,
 // which includes "fig6", the paper's Figure 6 WAR-via-DMA scenario), or
-// "all" for every one of them, fig6 first. -broken checks
-// fig6 under EaseIO with regional privatization disabled — the seeded-bug
-// demonstration: the checker must report a minimal failing schedule.
+// "all" for every one of them, fig6 first. -broken empties every
+// privatization region of each checked app (frontend.StripRegions) and
+// names the target NAME/no-regions — the seeded-bug demonstration: fig6
+// under EaseIO must report a minimal failing schedule.
 //
 // Exit status: 0 when every checked cell passes, 1 on divergence, 2 on
 // usage errors.
@@ -38,10 +39,10 @@ import (
 	"strings"
 	"time"
 
+	"easeio/internal/apps"
 	"easeio/internal/check"
-	"easeio/internal/core"
 	"easeio/internal/experiments"
-	"easeio/internal/kernel"
+	"easeio/internal/frontend"
 	"easeio/internal/service"
 )
 
@@ -56,7 +57,7 @@ func main() {
 		off        = flag.Duration("off", time.Millisecond, "recharge duration of the injected failure")
 		workers    = flag.Int("workers", 0, "parallel replays (0 = GOMAXPROCS); results are worker-invariant")
 		fromBoot   = flag.Bool("fromboot", false, "re-simulate every replay from boot instead of restoring golden-prefix checkpoints (slower; reports are byte-identical)")
-		broken     = flag.Bool("broken", false, "seeded-bug demo: disable regional privatization (fig6 under EaseIO must fail)")
+		broken     = flag.Bool("broken", false, "seeded-bug demo: empty every privatization region of each checked app (fig6 under EaseIO must fail)")
 	)
 	flag.Parse()
 
@@ -75,18 +76,15 @@ func main() {
 		FromBoot:   *fromBoot,
 		Workers:    *workers,
 	}
-	if *broken {
-		cfg.NewRuntime = func() kernel.Hooks {
-			c := core.DefaultConfig()
-			c.RegionalPrivatization = false
-			return core.NewWithConfig(c)
-		}
-		cfg.Label = "EaseIO/NoRegions"
-	}
 
 	targets, err := resolveTargets(*app)
 	if err != nil {
 		usageError(err)
+	}
+	if *broken {
+		for i, tgt := range targets {
+			targets[i] = stripRegions(tgt)
+		}
 	}
 	kinds, err := resolveKinds(*runtimeF)
 	if err != nil {
@@ -136,6 +134,18 @@ func resolveTargets(name string) ([]check.Target, error) {
 		targets = append(targets, check.Target{Name: n, New: f})
 	}
 	return targets, nil
+}
+
+// stripRegions wraps a target so every app it builds runs with empty
+// privatization regions, and names it so the reports show the edit.
+func stripRegions(tgt check.Target) check.Target {
+	return check.Target{Name: tgt.Name + "/no-regions", New: func() (*apps.Bench, error) {
+		bench, err := tgt.New()
+		if err != nil {
+			return nil, err
+		}
+		return bench, frontend.StripRegions(bench.App)
+	}}
 }
 
 func resolveKinds(name string) ([]experiments.RuntimeKind, error) {

@@ -112,7 +112,7 @@ type Runtime = kernel.Hooks
 func NewEaseIO() Runtime { return core.New() }
 
 // NewEaseIOWithConfig returns an EaseIO runtime with an explicit
-// configuration (privatization buffer size, ablation switches).
+// configuration (the privatization buffer size).
 func NewEaseIOWithConfig(cfg EaseIOConfig) Runtime { return core.NewWithConfig(cfg) }
 
 // EaseIOConfig tunes the EaseIO runtime.

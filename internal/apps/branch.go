@@ -18,8 +18,12 @@ type BranchConfig struct {
 	// TailCycles is computation after the branch — the window in which a
 	// power failure forces the branch to replay.
 	TailCycles int64
-	// Semantics is the annotation on the sensor read. Single reproduces
-	// the fix; Always reproduces the bug even under EaseIO.
+	// Semantics is the annotation on the sensor read. Single restores the
+	// first read after a power failure (the fix). Always re-reads, so a
+	// re-execution may take the other branch; under EaseIO the task's
+	// privatization region still rolls both flags back, so the unsafe
+	// outcome shows only with the regions emptied
+	// (frontend.StripRegions).
 	Semantics task.Semantic
 }
 

@@ -88,14 +88,6 @@ type Config struct {
 	// Workers bounds parallel replays (defaults to GOMAXPROCS). The
 	// Report is worker-count-invariant.
 	Workers int
-	// NewRuntime overrides the runtime instance factory, e.g. to check an
-	// ablated EaseIO configuration. Defaults to experiments.NewRuntime of
-	// the kind passed to Run. Any kernel.Hooks works in either replay
-	// mode: reset, snapshot and restore are part of the interface.
-	NewRuntime func() kernel.Hooks
-	// Label overrides the runtime name recorded in the Report (useful
-	// together with NewRuntime); defaults to the kind's String.
-	Label string
 	// Progress, when non-nil, is invoked after every evaluated point with
 	// the cumulative explored count and the planned count so far. It may
 	// be called from any worker goroutine.
@@ -159,26 +151,17 @@ func (r *cutRecorder) NoteCut(onTime time.Duration) { r.cuts = append(r.cuts, on
 // builds); FromBoot leaves the recorder nil, which makes every replayer
 // the explorer builds re-simulate from boot.
 func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Planned, error) {
-	newRT := cfg.NewRuntime
-	if newRT == nil {
-		newRT = func() kernel.Hooks { return experiments.NewRuntime(kind) }
-	}
-	label := cfg.Label
-	if label == "" {
-		label = kind.String()
-	}
-
 	bench, err := newApp()
 	if err != nil {
 		return nil, fmt.Errorf("check: build app: %w", err)
 	}
 	rec := &cutRecorder{}
-	sess := kernel.NewSession(newRT(), bench.App, power.Continuous{})
+	sess := kernel.NewSession(experiments.NewRuntime(kind), bench.App, power.Continuous{})
 	rt := sess.Runtime()
 	sess.Cuts = rec
 	grun, err := sess.Run(cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("check: golden run of %s under %s: %w", bench.App.Name, label, err)
+		return nil, fmt.Errorf("check: golden run of %s under %s: %w", bench.App.Name, kind, err)
 	}
 
 	g := &golden{
@@ -199,13 +182,13 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 		g.vars[i] = words
 	}
 
-	e := &explorer{cfg: cfg, newApp: newApp, newRT: newRT, golden: g, cuts: rec.cuts}
+	e := &explorer{cfg: cfg, newApp: newApp, kind: kind, golden: g, cuts: rec.cuts}
 	if !cfg.FromBoot {
 		e.rec = &recorder{sess: sess, seed: cfg.Seed}
 	}
 	p := &Planned{Header: Header{
 		App:           bench.App.Name,
-		Runtime:       label,
+		Runtime:       kind.String(),
 		Seed:          cfg.Seed,
 		Off:           cfg.Off,
 		Failures:      cfg.Failures,
@@ -284,7 +267,7 @@ func (e *explorer) newReplayer() (*replayer, error) {
 		return nil, fmt.Errorf("check: build replay app: %w", err)
 	}
 	sch := power.NewScheduleWithOff(e.cfg.Off)
-	r := &replayer{bench: bench, sess: kernel.NewSession(e.newRT(), bench.App, sch),
+	r := &replayer{bench: bench, sess: kernel.NewSession(experiments.NewRuntime(e.kind), bench.App, sch),
 		sch: sch, golden: e.golden, seed: e.cfg.Seed}
 	if e.rec != nil {
 		if err := r.sess.Attach(r.seed); err != nil {

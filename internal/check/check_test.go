@@ -154,18 +154,23 @@ func TestFig6ExhaustivePass(t *testing.T) {
 	}
 }
 
+// strippedFig6 builds the Figure 6 scenario with every privatization
+// region emptied: the paper's §4.4 ablation as a plan edit.
+func strippedFig6() (*apps.Bench, error) {
+	bench, err := Fig6Bench()
+	if err != nil {
+		return nil, err
+	}
+	return bench, frontend.StripRegions(bench.App)
+}
+
 // TestSeededBugDetected is the checker's end-to-end detection test: with
-// regional privatization disabled (the paper's §4.4 ablation) the Figure 6
-// WAR scenario must diverge, and the report must pin a minimal failing
+// every privatization region emptied the Figure 6 WAR scenario must
+// diverge in memory, and the report must pin a single-failure minimal
 // schedule inside the golden run.
 func TestSeededBugDetected(t *testing.T) {
-	broken := func() kernel.Hooks {
-		cfg := core.DefaultConfig()
-		cfg.RegionalPrivatization = false
-		return core.NewWithConfig(cfg)
-	}
-	rep, err := Run(context.Background(), Fig6Bench, experiments.EaseIO,
-		Config{Exhaustive: true, Workers: 2, NewRuntime: broken, Label: "EaseIO/NoRegions"})
+	rep, err := Run(context.Background(), strippedFig6, experiments.EaseIO,
+		Config{Exhaustive: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +187,10 @@ func TestSeededBugDetected(t *testing.T) {
 	if at != rep.Divergences[0].At {
 		t.Errorf("Minimal[0] = %v, want earliest divergence %v", at, rep.Divergences[0].At)
 	}
-	if rep.Runtime != "EaseIO/NoRegions" {
-		t.Errorf("report runtime = %q, want the configured label", rep.Runtime)
+	for _, d := range rep.Divergences {
+		if d.Kind != "memory" {
+			t.Errorf("divergence at %v is %q, want memory", d.At, d.Kind)
+		}
 	}
 	r := rep.Render()
 	if !strings.Contains(r, "FAIL") || !strings.Contains(r, "minimal failing schedule") {
@@ -192,12 +199,11 @@ func TestSeededBugDetected(t *testing.T) {
 
 	// The reported schedule must actually reproduce the divergence when
 	// replayed directly — the report is actionable, not just a flag.
-	bench, err := Fig6Bench()
+	bench, err := strippedFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := broken()
-	sess := kernel.NewSession(rt, bench.App, power.NewSchedule(rep.Minimal...))
+	sess := kernel.NewSession(experiments.NewRuntime(experiments.EaseIO), bench.App, power.NewSchedule(rep.Minimal...))
 	if _, err := sess.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +475,43 @@ func TestReplayPanicIsErrorDivergence(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no error divergence carries the panic:\n%s", reps[0].Render())
+	}
+}
+
+// TestGoldenFailureFailsReport: an app whose own output check fails
+// under continuous power fails the check even though every replay
+// matches that golden run — matching a wrong reference proves nothing.
+func TestGoldenFailureFailsReport(t *testing.T) {
+	factory := func() (*apps.Bench, error) {
+		a := task.NewApp("wrong-golden")
+		n := a.NVInt("n")
+		var fin *task.Task
+		a.AddTask("work", func(e task.Exec) {
+			e.Compute(2000)
+			e.Store(n, 1)
+			e.Next(fin)
+		})
+		fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
+		a.CheckOutput = func(m task.CheckMem) bool { return m.Read(n, 0) == 2 }
+		if err := frontend.Analyze(a); err != nil {
+			return nil, err
+		}
+		return &apps.Bench{App: a}, nil
+	}
+	rep, err := Run(context.Background(), factory, experiments.EaseIO, Config{Exhaustive: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoldenCorrect || len(rep.Divergences) != 0 || rep.Candidates == 0 {
+		t.Fatalf("want a wrong golden run with candidates and no divergence:\n%s", rep.Render())
+	}
+	if rep.Passed() {
+		t.Error("a report whose golden run fails its output check passed")
+	}
+	if r := rep.Render(); !strings.Contains(r, "FAIL: the golden continuous-power run fails") || strings.Contains(r, "PASS") {
+		t.Errorf("Render does not fail on the golden verdict:\n%s", r)
+	}
+	if m := RenderMatrix([]*Report{rep}); !strings.Contains(m, "FAIL(golden)") {
+		t.Errorf("RenderMatrix does not fail the cell:\n%s", m)
 	}
 }

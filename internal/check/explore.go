@@ -43,7 +43,7 @@ type recordFn func(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint
 type explorer struct {
 	cfg    Config
 	newApp experiments.AppFactory
-	newRT  func() kernel.Hooks
+	kind   experiments.RuntimeKind
 	golden *golden
 	cuts   []time.Duration // the golden run's cuts: the boot root's candidates
 	rec    *recorder       // nil in from-boot mode

@@ -1,10 +1,10 @@
 // The checker's built-in scenario app: the paper's Figure 6 running
 // example (a WAR dependency through a Single-semantics DMA copy). It is
 // fully deterministic — no sensors, no seeds — so every oracle applies to
-// every word, and under EaseIO with regional privatization disabled
-// (core.Config.RegionalPrivatization = false) the checker must find the
-// WAR inconsistency the paper describes. That seeded-bug detection is the
-// checker's own end-to-end test.
+// every word, and under EaseIO with every privatization region emptied
+// (frontend.StripRegions) the checker must find the WAR inconsistency the
+// paper describes. That seeded-bug detection is the checker's own
+// end-to-end test.
 
 package check
 

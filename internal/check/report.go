@@ -95,8 +95,11 @@ type Report struct {
 	Minimal []time.Duration
 }
 
-// Passed reports whether no explored failure point diverged.
-func (r *Report) Passed() bool { return len(r.Divergences) == 0 }
+// Passed reports whether the golden run satisfied the app's own output
+// check and no explored failure point diverged. Every replay is compared
+// against the golden run, so a report whose golden run is wrong proves
+// nothing and fails.
+func (r *Report) Passed() bool { return r.GoldenCorrect && len(r.Divergences) == 0 }
 
 // renderShownDivergences bounds the per-report divergence table.
 const renderShownDivergences = 10
@@ -120,6 +123,12 @@ func (r *Report) Render() string {
 	if r.Passed() {
 		b.WriteString("  PASS: every explored failure point matches the golden run\n")
 		return b.String()
+	}
+	if !r.GoldenCorrect {
+		b.WriteString("  FAIL: the golden continuous-power run fails the app's output check (correct=false)\n")
+		if len(r.Divergences) == 0 {
+			return b.String()
+		}
 	}
 	fmt.Fprintf(&b, "  FAIL: %d diverging failure point(s); minimal failing schedule: fail at %v\n",
 		len(r.Divergences), r.Minimal)
@@ -208,6 +217,8 @@ func RenderMatrix(reports []*Report) string {
 				row = append(row, "-")
 			case r.Passed():
 				row = append(row, fmt.Sprintf("pass (%d pts)", r.Explored))
+			case len(r.Minimal) == 0:
+				row = append(row, "FAIL(golden)")
 			default:
 				row = append(row, fmt.Sprintf("FAIL(%d) @%v", len(r.Divergences), r.Minimal[0]))
 			}

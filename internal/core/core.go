@@ -55,22 +55,11 @@ type Config struct {
 	// ii). The paper's evaluation uses 4 KB (§5.4.5). Applications with
 	// no Private DMAs can set it to zero.
 	PrivBufWords int
-	// RegionalPrivatization can be disabled for ablation studies. With it
-	// off, EaseIO still skips completed I/O but provides no protection
-	// against DMA-induced WAR bugs.
-	RegionalPrivatization bool
-	// ValuePrivatization can be disabled for ablation: sites with return
-	// values then re-execute instead of restoring (unsafe control flow).
-	ValuePrivatization bool
 }
 
 // DefaultConfig matches the paper's evaluation setup.
 func DefaultConfig() Config {
-	return Config{
-		PrivBufWords:          4 * 1024 / 2,
-		RegionalPrivatization: true,
-		ValuePrivatization:    true,
-	}
+	return Config{PrivBufWords: 4 * 1024 / 2}
 }
 
 // Runtime is one per-run EaseIO instance. All attach-time metadata lives
@@ -234,11 +223,9 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 		for i, reg := range m.Regions {
 			rm := &r.regions[t.ID][i]
 			rm.flag = dev.Mem.Alloc(mem.FRAM, 1)
-			if r.cfg.RegionalPrivatization {
-				for _, rv := range reg.Vars {
-					rm.vars = append(rm.vars, rv)
-					rm.copies = append(rm.copies, dev.Mem.Alloc(mem.FRAM, rv.Words()))
-				}
+			rm.vars = reg.Vars
+			for _, rv := range reg.Vars {
+				rm.copies = append(rm.copies, dev.Mem.Alloc(mem.FRAM, rv.Words()))
 			}
 		}
 		for i, c := range m.DMAs {
@@ -432,10 +419,6 @@ func (r *Runtime) restoreValue(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx 
 	if !s.Returns {
 		return 0
 	}
-	if !r.cfg.ValuePrivatization {
-		// Ablation: no stored value; re-execute instead (unsafe).
-		return r.executeSite(c, s, sm, idx, int(sm.owner))
-	}
 	c.ChargeMemAccess(mem.FRAM, false, true)
 	return r.Dev.Mem.Read(sm.vals.Add(idx))
 }
@@ -468,7 +451,7 @@ func (r *Runtime) executeSite(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx, 
 	mark := r.Dev.Ledger.Mark()
 	val := r.ExecIO(c, s, idx)
 
-	if s.Returns && r.cfg.ValuePrivatization {
+	if s.Returns {
 		c.ChargeMemAccess(mem.FRAM, true, true)
 	}
 	if s.Sem == task.Timely {
@@ -479,7 +462,7 @@ func (r *Runtime) executeSite(c *kernel.Ctx, s *task.IOSite, sm *siteMeta, idx, 
 	c.ChargeOverheadCycles(int64(len(s.DependsOn)) * mcu.FlagSetCycles)
 
 	// Apply the durable state after the charges survived.
-	if s.Returns && r.cfg.ValuePrivatization {
+	if s.Returns {
 		r.Dev.Mem.Write(sm.vals.Add(idx), val)
 	}
 	if s.Sem == task.Timely {
@@ -724,9 +707,6 @@ func (r *Runtime) claimPrivBuf(c *kernel.Ctx, d *task.DMASite, dm *dmaMeta, word
 // count as complete (§4.4).
 func (r *Runtime) enterRegion(c *kernel.Ctx, idx int) {
 	r.regionIdx = idx
-	if !r.cfg.RegionalPrivatization {
-		return
-	}
 	t := r.curTask
 	regs := r.regions[t.ID]
 	if uint(idx) >= uint(len(regs)) {

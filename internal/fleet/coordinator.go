@@ -250,7 +250,10 @@ func (c *Coordinator) recover() error {
 // golden continuous-power pass synchronously — one uninterrupted run),
 // logs both transitions, and returns the job id. A job that cannot be
 // planned is accepted and finishes failed; only a WAL error is a Submit
-// error.
+// error. If the plan record's append fails after the submit record
+// committed, the job finishes failed with that error so it leaves the
+// lease scan and Wait returns; its submit record is durable, so a
+// restart re-plans it.
 func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	if err := spec.validate(); err != nil {
 		return 0, err
@@ -267,6 +270,7 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	c.jobs[id] = j
 	c.order = append(c.order, id)
 	if err := c.planLocked(j); err != nil {
+		c.finish(j, Result{}, err)
 		return 0, err
 	}
 	if !j.finished && j.remaining == 0 {

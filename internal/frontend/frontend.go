@@ -36,6 +36,26 @@ import (
 // An app whose tasks already carry metadata (App.Analyzed) is left as is.
 func Analyze(app *task.App) error { return app.AnalyzeOnce(analyze) }
 
+// StripRegions is the plan edit behind every privatization ablation: it
+// analyzes the app (if it is not yet) and empties each privatization
+// region's variable set. EaseIO then keeps its region flags — each DMA's
+// completion marker (§4.4) — and every lock flag and private value, but
+// snapshots and restores nothing at region entry, so the Figure 6 WAR
+// bug returns. It edits the blueprint in place: pass an app the caller
+// built itself, never a blueprint shared through a registry, since every
+// later session of that app runs the stripped plan.
+func StripRegions(app *task.App) error {
+	if err := Analyze(app); err != nil {
+		return err
+	}
+	for _, t := range app.Tasks {
+		for _, r := range t.Meta.Regions {
+			r.Vars = nil
+		}
+	}
+	return nil
+}
+
 func analyze(app *task.App) error {
 	if app.Analyzed() {
 		return nil
@@ -89,9 +109,7 @@ func analyzeTask(app *task.App, t *task.Task) (*task.TaskMeta, error) {
 	for _, v := range t.Hints {
 		rec.noteVarRange(v, true, true, 0, v.Words-1)
 		for _, r := range rec.meta.Regions {
-			if !r.HasVar(v) {
-				r.Vars = append(r.Vars, task.RegionVar{Var: v, Lo: 0, Hi: v.Words - 1})
-			}
+			mergeRange(r, v, 0, v.Words-1)
 		}
 	}
 	rec.finishSets()
@@ -156,15 +174,15 @@ func (r *recorder) noteVarRange(v *task.NVVar, read, write bool, lo, hi int) {
 		}
 		st.written = true
 	}
-	reg := r.region()
+	mergeRange(r.region(), v, lo, hi)
+}
+
+// mergeRange adds words [lo, hi] of v to the region's privatized set,
+// widening v's range when the region already privatizes part of it.
+func mergeRange(reg *task.RegionMeta, v *task.NVVar, lo, hi int) {
 	for i := range reg.Vars {
-		if reg.Vars[i].Var == v {
-			if lo < reg.Vars[i].Lo {
-				reg.Vars[i].Lo = lo
-			}
-			if hi > reg.Vars[i].Hi {
-				reg.Vars[i].Hi = hi
-			}
+		if rv := &reg.Vars[i]; rv.Var == v {
+			rv.Lo, rv.Hi = min(rv.Lo, lo), max(rv.Hi, hi)
 			return
 		}
 	}
@@ -306,23 +324,7 @@ func (r *recorder) protectDMADests() {
 		if !clobbered {
 			continue
 		}
-		reg := r.meta.Regions[region+1]
-		merged := false
-		for i := range reg.Vars {
-			if reg.Vars[i].Var == v {
-				if lo < reg.Vars[i].Lo {
-					reg.Vars[i].Lo = lo
-				}
-				if hi > reg.Vars[i].Hi {
-					reg.Vars[i].Hi = hi
-				}
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			reg.Vars = append(reg.Vars, task.RegionVar{Var: v, Lo: lo, Hi: hi})
-		}
+		mergeRange(r.meta.Regions[region+1], v, lo, hi)
 	}
 }
 

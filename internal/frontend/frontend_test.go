@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -111,7 +112,7 @@ func TestAnalyzeStructure(t *testing.T) {
 	}
 	// Region 0 privatizes x (words 0..0) and y[2..2].
 	r0 := m1.Regions[0]
-	if !r0.HasVar(refs["x"].(*task.NVVar)) || !r0.HasVar(refs["y"].(*task.NVVar)) {
+	if !hasVar(r0, refs["x"].(*task.NVVar)) || !hasVar(r0, refs["y"].(*task.NVVar)) {
 		t.Errorf("region 0 vars: %+v", r0.Vars)
 	}
 	for _, rv := range r0.Vars {
@@ -121,10 +122,10 @@ func TestAnalyzeStructure(t *testing.T) {
 	}
 	// Region 1 privatizes y[5..5]; region 2 privatizes z.
 	r1, r2 := m1.Regions[1], m1.Regions[2]
-	if !r1.HasVar(refs["y"].(*task.NVVar)) || r1.HasVar(refs["x"].(*task.NVVar)) {
+	if !hasVar(r1, refs["y"].(*task.NVVar)) || hasVar(r1, refs["x"].(*task.NVVar)) {
 		t.Errorf("region 1 vars: %+v", r1.Vars)
 	}
-	if !r2.HasVar(refs["z"].(*task.NVVar)) {
+	if !hasVar(r2, refs["z"].(*task.NVVar)) {
 		t.Errorf("region 2 vars: %+v", r2.Vars)
 	}
 
@@ -144,6 +145,16 @@ func varNames(vs []*task.NVVar) []string {
 		out[i] = v.Name
 	}
 	return out
+}
+
+// hasVar reports whether the region privatizes any range of v.
+func hasVar(r *task.RegionMeta, v *task.NVVar) bool {
+	for _, x := range r.Vars {
+		if x.Var == v {
+			return true
+		}
+	}
+	return false
 }
 
 func TestAnalyzeIdempotent(t *testing.T) {
@@ -172,7 +183,7 @@ func TestAnalyzeHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := a.Tasks[0].Meta
-	if len(m.Regions) != 1 || !m.Regions[0].HasVar(v) {
+	if len(m.Regions) != 1 || !hasVar(m.Regions[0], v) {
 		t.Fatal("hint variable not in region")
 	}
 	rv := m.Regions[0].Vars[0]
@@ -181,6 +192,56 @@ func TestAnalyzeHints(t *testing.T) {
 	}
 	if len(m.WAR) != 1 {
 		t.Error("hints must be conservative: read+write implies WAR")
+	}
+}
+
+// TestHintWidensEveryRegion: in a multi-region task a hint privatizes its
+// whole variable in every region, widening a range the body already
+// touched rather than leaving it narrow.
+func TestHintWidensEveryRegion(t *testing.T) {
+	a := task.NewApp("hints2")
+	v := a.NVBuf("hinted", 4)
+	src := a.NVBuf("src", 2)
+	dst := a.NVBuf("dst", 2)
+	d := a.DMA("d")
+	a.AddTask("t", func(e task.Exec) {
+		_ = e.LoadAt(v, 1) // region 0 touches hinted[1] only
+		e.DMACopy(d, task.VarLoc(src, 0), task.VarLoc(dst, 0), 2)
+		e.Done()
+	}).Touches(v)
+	if err := Analyze(a); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range a.Tasks[0].Meta.Regions {
+		want := []task.RegionVar{{Var: v, Lo: 0, Hi: 3}}
+		if !reflect.DeepEqual(r.Vars, want) {
+			t.Errorf("region %d vars = %+v, want the whole hinted variable", r.Index, r.Vars)
+		}
+	}
+}
+
+// TestStripRegions: the plan edit analyzes an unanalyzed app and empties
+// every region's variable set, leaving the rest of the plan as analyzed.
+func TestStripRegions(t *testing.T) {
+	a, _ := buildTestApp(t)
+	if err := StripRegions(a); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := buildTestApp(t)
+	if err := Analyze(ref); err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range a.Tasks {
+		m, rm := tk.Meta, ref.Tasks[i].Meta
+		if !m.Analyzed || len(m.Regions) != len(rm.Regions) || len(m.DMAs) != len(rm.DMAs) ||
+			len(m.Sites) != len(rm.Sites) || !reflect.DeepEqual(varNames(m.WAR), varNames(rm.WAR)) {
+			t.Errorf("task %q: stripping changed more than the regions", tk.Name)
+		}
+		for _, r := range m.Regions {
+			if len(r.Vars) != 0 {
+				t.Errorf("task %q region %d still privatizes %+v", tk.Name, r.Index, r.Vars)
+			}
+		}
 	}
 }
 
@@ -302,7 +363,7 @@ func TestProtectDMADests(t *testing.T) {
 	}
 	// Region 2 (after d2) must NOT privatize clean (nothing earlier
 	// touches it).
-	if m.Regions[2].HasVar(clean) {
+	if hasVar(m.Regions[2], clean) {
 		t.Errorf("region 2 needlessly privatizes an untouched destination: %+v", m.Regions[2].Vars)
 	}
 }

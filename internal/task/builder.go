@@ -241,13 +241,3 @@ type RegionMeta struct {
 	// region; EaseIO privatizes them at region entry.
 	Vars []RegionVar
 }
-
-// HasVar reports whether the region privatizes any range of v.
-func (r *RegionMeta) HasVar(v *NVVar) bool {
-	for _, x := range r.Vars {
-		if x.Var == v {
-			return true
-		}
-	}
-	return false
-}

@@ -199,8 +199,4 @@ func TestRegionVarWords(t *testing.T) {
 	if rv.Words() != 5 {
 		t.Errorf("Words = %d", rv.Words())
 	}
-	r := &RegionMeta{Vars: []RegionVar{{Var: &NVVar{Name: "a"}}}}
-	if !r.HasVar(r.Vars[0].Var) || r.HasVar(&NVVar{}) {
-		t.Error("HasVar")
-	}
 }
