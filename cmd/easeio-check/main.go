@@ -23,7 +23,9 @@
 // "all" for every one of them, fig6 first. -broken empties every
 // privatization region of each checked app (frontend.StripRegions) and
 // names the target NAME/no-regions — the seeded-bug demonstration: fig6
-// under EaseIO must report a minimal failing schedule.
+// under EaseIO must report a minimal failing schedule. Only EaseIO reads
+// those regions, so -broken with any -runtime but EaseIO is a usage
+// error.
 //
 // Exit status: 0 when every checked cell passes, 1 on divergence, 2 on
 // usage errors.
@@ -57,14 +59,11 @@ func main() {
 		off        = flag.Duration("off", time.Millisecond, "recharge duration of the injected failure")
 		workers    = flag.Int("workers", 0, "parallel replays (0 = GOMAXPROCS); results are worker-invariant")
 		fromBoot   = flag.Bool("fromboot", false, "re-simulate every replay from boot instead of restoring golden-prefix checkpoints (slower; reports are byte-identical)")
-		broken     = flag.Bool("broken", false, "seeded-bug demo: empty every privatization region of each checked app (fig6 under EaseIO must fail)")
+		broken     = flag.Bool("broken", false, "seeded-bug demo: empty every privatization region of each checked app (EaseIO only; fig6 must fail)")
 	)
 	flag.Parse()
 
 	if err := check.ValidateFailures(*failures); err != nil {
-		usageError(err)
-	}
-	if err := validateDefaults(*grid, *off, *workers); err != nil {
 		usageError(err)
 	}
 	cfg := check.Config{
@@ -77,6 +76,13 @@ func main() {
 		Workers:    *workers,
 	}
 
+	kinds, err := resolveKinds(*runtimeF)
+	if err != nil {
+		usageError(err)
+	}
+	if err := validateFlags(*grid, *off, *workers, *broken, kinds); err != nil {
+		usageError(err)
+	}
 	targets, err := resolveTargets(*app)
 	if err != nil {
 		usageError(err)
@@ -85,10 +91,6 @@ func main() {
 		for i, tgt := range targets {
 			targets[i] = stripRegions(tgt)
 		}
-	}
-	kinds, err := resolveKinds(*runtimeF)
-	if err != nil {
-		usageError(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -161,11 +163,16 @@ func resolveKinds(name string) ([]experiments.RuntimeKind, error) {
 	return []experiments.RuntimeKind{kind}, nil
 }
 
-// validateDefaults rejects a negative -grid, -off or -workers. Zero
-// selects each default; a negative value is a usage error, as the
-// service rejects it, rather than a silent default.
-func validateDefaults(grid int, off time.Duration, workers int) error {
+// validateFlags rejects a negative -grid, -off or -workers, and -broken
+// under any runtime but EaseIO. Zero selects each default; a negative
+// value is a usage error, as the service rejects it, rather than a silent
+// default. Only EaseIO reads the privatization regions -broken empties,
+// so under the other runtimes it would repeat the plain check's verdicts
+// at full cost.
+func validateFlags(grid int, off time.Duration, workers int, broken bool, kinds []experiments.RuntimeKind) error {
 	switch {
+	case broken && !slices.Equal(kinds, []experiments.RuntimeKind{experiments.EaseIO}):
+		return fmt.Errorf("-broken empties regions only EaseIO reads: use it with -runtime EaseIO")
 	case grid < 0:
 		return fmt.Errorf("-grid %d is negative (0 means the default)", grid)
 	case off < 0:

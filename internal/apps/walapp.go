@@ -75,7 +75,7 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 	digest := a.NVInt("digest").Sensed()
 	header := a.NVInt("header")
 	refused := a.NVInt("refused")
-	const walHeaderWord = 0x0104 // the fleet WAL's: format 1, wire version 4
+	const walHeaderWord = 0x0204 // the fleet WAL's: format 2, wire version 4
 
 	appendSite := a.IO("Append", cfg.Semantics, true, func(e task.Exec, _ int) uint16 {
 		return p.Temp.Sample(e)

@@ -1,13 +1,15 @@
 // The coordinator: plans submitted jobs into shards, leases shards to
 // pulling workers, retries failures with backoff, revokes expired
 // leases, and merges completed shards into the job's final result. Every
-// input a restart cannot reproduce — the submitted spec, the plan, each
-// shard result and each failed attempt — is WAL-logged before it takes
-// effect (wal.go), and New replays the log so a restarted coordinator
-// resumes mid-job: done shards stay done, leased-but-unfinished shards
-// return to the pending queue (a lease is scheduling state, never
+// input a restart cannot reproduce — a job's spec and plan (one record),
+// each shard result and each failed attempt — is WAL-logged before it
+// takes effect (wal.go), and New replays the log so a restarted
+// coordinator resumes mid-job: done shards stay done, leased-but-unfinished
+// shards return to the pending queue (a lease is scheduling state, never
 // journaled — losing one costs only recomputation), and every job
-// outcome, success or failure, is derived again from the records.
+// outcome, success or failure, is derived again from the records. A job
+// whose plan fails is Submit's error and never reaches the log, so
+// recovery never plans.
 
 package fleet
 
@@ -40,8 +42,8 @@ const (
 type CoordinatorConfig struct {
 	// WALPath is the job store's backing file (required).
 	WALPath string
-	// Source resolves app names when planning check jobs and when
-	// re-planning after recovery (required for check jobs).
+	// Source resolves app names when planning check jobs (required for
+	// check jobs).
 	Source BlueprintSource
 	// LeaseTTL revokes a shard lease not completed in time (default 1m).
 	LeaseTTL time.Duration
@@ -104,8 +106,7 @@ type job struct {
 	spec Spec
 	kind experiments.RuntimeKind
 
-	planned bool
-	plan    check.Header // check jobs: the golden pass's report header
+	plan check.Header // check jobs: the golden pass's report header
 	// level1 is a check job's coordinator-side level-1 exploration (an
 	// encoded wire.SubtreeResult, empty for k=1) that the merge folds in
 	// ahead of the shards' results.
@@ -157,10 +158,7 @@ func New(cfg CoordinatorConfig) (*Coordinator, error) {
 	for _, r := range recs {
 		c.replay(r)
 	}
-	if err := c.recover(); err != nil {
-		w.close()
-		return nil, err
-	}
+	c.recover()
 	return c, nil
 }
 
@@ -177,16 +175,9 @@ func (c *Coordinator) Close() error {
 // crash; they would mean a foreign log, and are ignored rather than
 // trusted).
 func (c *Coordinator) replay(r record) {
-	if r.Type == recSubmit {
-		if _, ok := c.jobs[r.Job]; ok {
-			return
-		}
-		j := &job{id: r.Job, spec: r.Spec, submitted: c.cfg.Now(), done: make(chan struct{})}
-		j.kind, _ = experiments.ParseRuntimeKind(r.Spec.Runtime)
-		c.jobs[r.Job] = j
-		c.order = append(c.order, r.Job)
-		if r.Job >= c.next {
-			c.next = r.Job + 1
+	if r.Type == recJob {
+		if _, ok := c.jobs[r.Job]; !ok {
+			c.install(r)
 		}
 		return
 	}
@@ -195,11 +186,6 @@ func (c *Coordinator) replay(r record) {
 		return
 	}
 	switch r.Type {
-	case recPlan:
-		if j.planned {
-			return
-		}
-		c.installPlan(j, r)
 	case recShardDone:
 		if r.Shard < 0 || r.Shard >= len(j.shards) {
 			return
@@ -223,107 +209,86 @@ func (c *Coordinator) replay(r record) {
 	}
 }
 
-// recover completes the replay fold: jobs without a plan record re-plan
-// now — a job that could not be planned fails again with the same
-// message — and every job whose shards all completed merges (same
-// inputs, same bytes). The log journals no merged result and no job
-// failure, so this is the only way a finished job is rebuilt.
-func (c *Coordinator) recover() error {
+// recover completes the replay fold: every job whose shards all
+// completed merges (same inputs, same bytes). The log journals no merged
+// result and no job failure, so this is the only way a finished job is
+// rebuilt.
+func (c *Coordinator) recover() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A copy: jobs that finish here leave c.order.
 	for _, id := range slices.Clone(c.order) {
-		j := c.jobs[id]
-		if !j.planned {
-			if err := c.planLocked(j); err != nil {
-				return err
-			}
-		}
-		if !j.finished && j.remaining == 0 {
+		if j := c.jobs[id]; !j.finished && j.remaining == 0 {
 			c.mergeLocked(j)
 		}
 	}
-	return nil
 }
 
-// Submit accepts a job, plans its shards (for check jobs this runs the
-// golden continuous-power pass synchronously — one uninterrupted run),
-// logs both transitions, and returns the job id. A job that cannot be
-// planned is accepted and finishes failed; only a WAL error is a Submit
-// error. If the plan record's append fails after the submit record
-// committed, the job finishes failed with that error so it leaves the
-// lease scan and Wait returns; its submit record is durable, so a
-// restart re-plans it.
+// Submit plans a job (for check jobs this runs the golden
+// continuous-power pass synchronously — one uninterrupted run, plus
+// level 1 for k > 1), logs its spec and plan as one record, and returns
+// the job id. The id exists only once that record has committed: a plan
+// error or a WAL error is Submit's error, nothing is journaled and the id
+// is not used up, so ids stay dense and a restart derives the same next
+// id.
 func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 	if err := spec.validate(); err != nil {
 		return 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := c.next
-	c.next++
-	j := &job{id: id, spec: spec, submitted: c.cfg.Now(), done: make(chan struct{})}
-	j.kind, _ = experiments.ParseRuntimeKind(spec.Runtime)
-	if err := c.wal.append(record{Type: recSubmit, Job: id, Spec: spec}); err != nil {
+	rec, err := c.planLocked(c.next, spec)
+	if err != nil {
 		return 0, err
 	}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	if err := c.planLocked(j); err != nil {
-		c.finish(j, Result{}, err)
+	if err := c.wal.append(rec); err != nil {
 		return 0, err
 	}
-	if !j.finished && j.remaining == 0 {
+	j := c.install(rec)
+	if j.remaining == 0 {
 		// A plan with no shards (a check whose golden run never crossed a
 		// charge-slice boundary) finishes at submit.
 		c.mergeLocked(j)
 	}
-	return id, nil
+	return j.id, nil
 }
 
-// planLocked computes and logs the job's shards, each as the encoded
-// task every lease of it hands out. A sweep shard is a contiguous seed
-// range, pure arithmetic over the spec; check plans run the checker's
-// planning stage (planCheck). A job that cannot be planned finishes
-// failed without a record: planning is deterministic, so re-planning its
-// submit record after a restart fails it again with the same message.
-// The error return is the WAL's alone.
-func (c *Coordinator) planLocked(j *job) error {
-	parts := j.spec.Shards
+// planLocked computes job id's record: the spec and its shards, each as
+// the encoded task every lease of it hands out. A sweep shard is a
+// contiguous seed range, pure arithmetic over the spec; check plans run
+// the checker's planning stage (planCheck). Planning is deterministic and
+// reads only the spec, but it runs under the lock because the tasks embed
+// the id the job will take.
+func (c *Coordinator) planLocked(id uint64, spec Spec) (record, error) {
+	parts := spec.Shards
 	if parts <= 0 {
 		parts = defaultShards
 	}
-	rec := record{Type: recPlan, Job: j.id}
+	rec := record{Type: recJob, Job: id, Spec: spec}
 	var work int
-	var err error
-	switch s := j.spec; s.Mode {
+	switch spec.Mode {
 	case ModeSweep:
-		for i, r := range experiments.SplitRange(0, s.Runs, parts) {
+		for i, r := range experiments.SplitRange(0, spec.Runs, parts) {
 			rec.Tasks = append(rec.Tasks, wire.AppendSweepShard(nil, wire.SweepShard{
-				Job: j.id, Shard: i, App: s.App, Runtime: s.Runtime,
-				BaseSeed: s.BaseSeed, Lo: r[0], Hi: r[1], Workers: s.ShardWorkers,
+				Job: id, Shard: i, App: spec.App, Runtime: spec.Runtime,
+				BaseSeed: spec.BaseSeed, Lo: r[0], Hi: r[1], Workers: spec.ShardWorkers,
 			}))
 		}
-		work = s.Runs
+		work = spec.Runs
 	case ModeCheck:
-		work, err = c.planCheck(j, parts, &rec)
+		var err error
+		if work, err = c.planCheck(parts, &rec); err != nil {
+			return record{}, err
+		}
 	}
 	// Plan-time invariant: pending work must yield at least one shard. A
 	// job planned with work but no shards has no completion path — it
-	// would sit unfinished forever — so fail fast here instead.
-	if err == nil && work > 0 && len(rec.Tasks) == 0 {
-		err = fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d)",
-			j.id, work, j.spec.Shards)
+	// would sit unfinished forever — so it is refused here instead.
+	if work > 0 && len(rec.Tasks) == 0 {
+		return record{}, fmt.Errorf("fleet: planned no shards over %d pending items (Shards=%d)",
+			work, spec.Shards)
 	}
-	if err != nil {
-		c.finish(j, Result{}, fmt.Errorf("fleet: job %d: %v", j.id, err))
-		return nil
-	}
-	if err := c.wal.append(rec); err != nil {
-		return err
-	}
-	c.installPlan(j, rec)
-	return nil
+	return rec, nil
 }
 
 // planCheck plans a check job through the checker's own pipeline:
@@ -331,60 +296,67 @@ func (c *Coordinator) planLocked(j *job) error {
 // exploration, which is never sharded — representative selection is a
 // function of outcomes across the whole golden range), and Split cuts the
 // units into at most parts groups, each pre-encoded as one subtree shard
-// task. The level-1 result (empty for k = 1) is journaled with the plan
+// task. The golden header and the level-1 result go into the job record
 // for the merge. Work is counted in units: a job with none left — no
 // candidates, or a level 1 with nothing to expand — legitimately plans
-// zero shards and finishes at submit. A panic while planning (an app
-// factory's, say) is the plan's error: it must not escape Submit after
-// the submit record is durable, or New when recovery re-plans.
-func (c *Coordinator) planCheck(j *job, parts int, rec *record) (work int, err error) {
+// zero shards and finishes at submit. check.Plan's error is returned as
+// it is, the text check.Run would give; a panic while planning (an app
+// factory's, say) becomes the error, so it never escapes Submit.
+func (c *Coordinator) planCheck(parts int, rec *record) (work int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			work, err = 0, fmt.Errorf("fleet: plan check job %d panicked: %v", j.id, p)
+			work, err = 0, fmt.Errorf("fleet: plan check panicked: %v", p)
 		}
 	}()
+	spec := rec.Spec
 	if c.cfg.Source == nil {
-		return 0, fmt.Errorf("fleet: check job %d needs a blueprint source", j.id)
+		return 0, fmt.Errorf("fleet: check job needs a blueprint source")
 	}
-	factory, ok := c.cfg.Source.LookupFactory(j.spec.App)
+	factory, ok := c.cfg.Source.LookupFactory(spec.App)
 	if !ok {
-		return 0, fmt.Errorf("fleet: unknown app %q", j.spec.App)
+		return 0, fmt.Errorf("fleet: unknown app %q", spec.App)
 	}
-	p, err := check.Plan(context.Background(), factory, j.kind, check.Config{
-		Seed: j.spec.Seed, Grid: j.spec.Grid,
-		Failures: j.spec.Failures, Exhaustive: j.spec.Exhaustive,
+	kind, _ := experiments.ParseRuntimeKind(spec.Runtime)
+	p, err := check.Plan(context.Background(), factory, kind, check.Config{
+		Seed: spec.Seed, Grid: spec.Grid,
+		Failures: spec.Failures, Exhaustive: spec.Exhaustive,
 	})
 	if err != nil {
-		return 0, fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
+		return 0, err
 	}
-	rec.HasPlan, rec.Plan = true, p.Header
+	rec.Plan = p.Header
 	rec.Level1 = wire.AppendSubtreeResult(nil, wire.SubtreeResult{
-		Job: j.id, Depths: p.Level1.Depths, Divergences: p.Level1.Divergences,
+		Job: rec.Job, Depths: p.Level1.Depths, Divergences: p.Level1.Divergences,
 	})
 	for i, units := range p.Split(parts) {
 		rec.Tasks = append(rec.Tasks, wire.AppendSubtreeShard(nil, wire.SubtreeShard{
-			Job: j.id, Shard: i, App: j.spec.App, Runtime: j.spec.Runtime,
-			Seed: j.spec.Seed, Off: p.Off, Failures: j.spec.Failures,
-			Exhaustive: j.spec.Exhaustive, Grid: j.spec.Grid, Workers: j.spec.ShardWorkers,
+			Job: rec.Job, Shard: i, App: spec.App, Runtime: spec.Runtime,
+			Seed: spec.Seed, Off: p.Off, Failures: spec.Failures,
+			Exhaustive: spec.Exhaustive, Grid: spec.Grid, Workers: spec.ShardWorkers,
 			Units: units,
 		}))
 	}
 	return len(p.Units), nil
 }
 
-// installPlan applies a planned (or replayed) plan record: one shard per
-// task. The journaled check header omits the fields the spec determines,
-// so they are restored from the spec here.
-func (c *Coordinator) installPlan(j *job, r record) {
-	j.planned = true
+// install adds the job of a committed (or replayed) job record, one
+// shard per task, and moves the next id past it. The journaled check
+// header omits the fields the spec determines, so they are restored from
+// the spec here.
+func (c *Coordinator) install(r record) *job {
+	j := &job{id: r.Job, spec: r.Spec, submitted: c.cfg.Now(), done: make(chan struct{})}
+	j.kind, _ = experiments.ParseRuntimeKind(r.Spec.Runtime)
 	j.plan = r.Plan
-	j.plan.Seed, j.plan.Failures = j.spec.Seed, max(j.spec.Failures, 1)
+	j.plan.Seed, j.plan.Failures = r.Spec.Seed, max(r.Spec.Failures, 1)
 	j.level1 = r.Level1
-	j.shards = nil
 	for _, t := range r.Tasks {
 		j.shards = append(j.shards, &shardState{task: t})
 	}
 	j.remaining = len(j.shards)
+	c.jobs[j.id] = j
+	c.order = append(c.order, j.id)
+	c.next = max(c.next, j.id+1)
+	return j
 }
 
 // Lease hands the named worker one pending shard as an encoded task

@@ -4,23 +4,24 @@
 // shard results back into exactly the Summary or Report a single process
 // would have produced. Every shard has one shape: an encoded task
 // (wire.SweepShard or wire.SubtreeShard) fixed at plan time, journaled in
-// the plan record and handed out verbatim on every lease. Every result
+// the job record and handed out verbatim on every lease. Every result
 // is checked against its task before it is journaled, so a malformed
 // result from a remote worker is a failed attempt, never a coordinator
 // panic or a skewed merge.
 //
-// Durability: every input a restart cannot reproduce (submitted →
-// planned → shard complete or shard failed) is a record in a
+// Durability: every input a restart cannot reproduce (a job with its
+// plan → shard complete or shard failed) is a record in a
 // crash-consistent write-ahead log (wal.go): appended, CRC-framed and
-// fsynced before the transition takes effect. A job commits with its
-// last shard result; a lease, the merged Summary or Report and a job
-// failure are never journaled. A coordinator that dies mid-job replays
-// the WAL on restart: completed shards keep their results,
+// fsynced before the transition takes effect. Submit journals a job's
+// spec and plan as one record once planning has succeeded, so a job
+// whose plan fails is Submit's error and never journaled. A job commits
+// with its last shard result; a lease, the merged Summary or Report and a
+// job failure are never journaled. A coordinator that dies mid-job
+// replays the WAL on restart: completed shards keep their results,
 // leased-but-unfinished shards revert to pending, the job resumes where
 // it stopped, a job whose shards all completed merges again, and a job
-// whose plan failed or whose shard failed three times fails again.
-// Replay is a pure fold over the records, so replaying a prefix twice is
-// idempotent.
+// whose shard failed three times fails again. Replay is a pure fold over
+// the records, so replaying a prefix twice is idempotent.
 //
 // Determinism: the merged results are byte-identical to the in-process
 // engines (experiments.RunMany, check.Run) because both engines fold

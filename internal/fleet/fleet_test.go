@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -456,20 +457,21 @@ func TestFleetTCPByteIdentity(t *testing.T) {
 	}
 }
 
-// walSamples holds records of every live type.
+// walSamples holds records of every type: a sweep job, a k=1 check job
+// with no tasks and a note, a nested check job with tasks, a shard
+// result and a failed shard attempt.
 var walSamples = []record{
-	{Type: recSubmit, Job: 3, Spec: Spec{
+	{Type: recJob, Job: 3, Spec: Spec{
 		Mode: ModeSweep, App: "dma", Runtime: "EaseIO",
 		Runs: 40, BaseSeed: -9, Shards: 4, ShardWorkers: 2,
-	}},
-	{Type: recSubmit, Job: 4, Spec: Spec{
+	}, Tasks: [][]byte{{4}, {5, 6}}},
+	{Type: recJob, Job: 5, Spec: Spec{
+		Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Seed: 3,
+	}, Plan: check.Header{Note: "nothing to do"}, Level1: []byte{0xD}},
+	{Type: recJob, Job: 6, Spec: Spec{
 		Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-		Seed: 17, Grid: 64, Exhaustive: true,
-	}},
-	{Type: recPlan, Job: 3, Tasks: [][]byte{{4}, {5, 6}}},
-	{Type: recPlan, Job: 5, HasPlan: true, Plan: check.Header{Note: "nothing to do"},
-		Level1: []byte{0xD}},
-	{Type: recPlan, Job: 6, HasPlan: true, Plan: check.Header{
+		Seed: 17, Grid: 64, Exhaustive: true, Failures: 2, Shards: 2,
+	}, Plan: check.Header{
 		App: "fig6-app", Runtime: "Alpaca", Off: time.Millisecond,
 		GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
 	}, Level1: []byte{0xA, 0xB, 0xC},
@@ -491,7 +493,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 
 	// Truncations must fail cleanly, never panic.
-	full := walSamples[1].encode()
+	full := walSamples[2].encode()
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := decodeRecord(full[:cut]); err == nil {
 			t.Errorf("truncated record (%d of %d bytes) decoded without error", cut, len(full))
@@ -505,8 +507,9 @@ func TestWALRecordRoundTrip(t *testing.T) {
 // FuzzDecodeRecord drives the WAL record decoder, which New runs over
 // every record frame of the log on disk: no input panics, and every
 // input it accepts is exactly the encoding of the record it decodes to.
-// The seeds are records of every live type, then every frame of a log
-// this build writes (recordLog), each whole and cut at its midpoint.
+// The seeds are records of every type, then every frame of a log this
+// build writes (recordLog), each whole, cut at its midpoint and one byte
+// short of its end.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range walSamples {
 		f.Add(r.encode())
@@ -514,6 +517,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, payload := range walFrames(f, recordLog(f)) {
 		f.Add(payload)
 		f.Add(payload[:len(payload)/2])
+		f.Add(payload[:len(payload)-1])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := decodeRecord(b)
@@ -537,7 +541,7 @@ func TestWALTornTail(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("fresh WAL replayed %d records", len(recs))
 	}
-	r1 := record{Type: recSubmit, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
+	r1 := record{Type: recJob, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
 	r2 := record{Type: recShardFail, Job: 0, Shard: 0, Err: "boom", At: 99}
 	if err := w.append(r1); err != nil {
 		t.Fatal(err)
@@ -563,7 +567,7 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Type != recSubmit || recs[1].Type != recShardFail {
+	if len(recs) != 2 || recs[0].Type != recJob || recs[1].Type != recShardFail {
 		t.Fatalf("replay after torn tail: %d records %v", len(recs), recs)
 	}
 	// The torn bytes are gone: a fresh append lands on a clean boundary.
@@ -650,77 +654,41 @@ func TestCoordinatorRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplansMissingPlan covers the crash window between the
-// submit and plan records: recovery re-runs the deterministic planner
-// (for checks, the golden pass) and the job completes normally.
-func TestRecoveryReplansMissingPlan(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fleet.wal")
-	spec := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Shards: 2}
-
-	// Hand-write a WAL holding only the submit record.
-	w, _, err := openWAL(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.append(record{Type: recSubmit, Job: 0, Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	w.close()
-
-	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	startLoopback(t, c, 2)
-	res := waitResult(t, c, 0)
-
-	want, werr := check.Run(context.Background(), check.Fig6Bench, experiments.EaseIO,
-		check.Config{Exhaustive: true})
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	if res.Report.Render() != want.Render() {
-		t.Errorf("re-planned report differs:\n--- fleet ---\n%s--- direct ---\n%s",
-			res.Report.Render(), want.Render())
-	}
-}
-
-// TestCheckPlanPanicFailsJob: a check job whose app factory panics
-// fails at submit with the panic as its plan error, and a coordinator
-// reopened on that log re-plans it into the same failure instead of
-// panicking in New.
+// TestCheckPlanPanicFailsJob: a check job whose app factory panics is
+// refused at submit with the panic as Submit's error, and nothing reaches
+// the log: a coordinator reopened on it holds no job and never calls the
+// factory.
 func TestCheckPlanPanicFailsJob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.wal")
-	src := mapSource{"boom": func() (*apps.Bench, error) { panic("factory exploded") }}
-	wait := func(c *Coordinator, id uint64) error {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_, err := c.Wait(ctx, id)
-		return err
-	}
+	var builds atomic.Int32
+	src := mapSource{"boom": func() (*apps.Bench, error) {
+		builds.Add(1)
+		panic("factory exploded")
+	}}
 	c, err := New(CoordinatorConfig{WALPath: path, Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, err := c.Submit(Spec{Mode: ModeCheck, App: "boom", Runtime: "EaseIO", Exhaustive: true})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "factory exploded") {
+		t.Fatalf("Submit = %d, %v; want the factory's panic", id, err)
 	}
-	live := wait(c, id)
-	if live == nil || !strings.Contains(live.Error(), "factory exploded") {
-		t.Fatalf("Wait = %v, want the factory's panic", live)
+	if builds.Load() == 0 {
+		t.Fatal("the factory was never called")
 	}
 	c.Close()
 
+	builds.Store(0)
 	c2, err := New(CoordinatorConfig{WALPath: path, Source: src})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer c2.Close()
-	if replayed := wait(c2, id); replayed == nil || replayed.Error() != live.Error() {
-		t.Errorf("after reopen Wait = %v, want %v", replayed, live)
+	if _, _, ok := c2.Progress(0); ok {
+		t.Error("the reopened coordinator holds the refused job")
+	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("reopening called the factory %d times, want 0", n)
 	}
 }
 

@@ -1,11 +1,12 @@
 // The crash-consistent job store: an append-only log of the inputs a
-// restart cannot reproduce — a job's spec, its plan, each shard result
-// and each failed shard attempt — one CRC-framed record each, fsynced
-// before the in-memory transition it describes takes effect. Scheduling
-// state (leases) and derived state (merged results, job failures) are
-// never journaled. A coordinator restart replays the log from the start;
-// the fold in coordinator.go is idempotent, so replaying any prefix twice
-// reaches the same state.
+// restart cannot reproduce — a job (its spec and plan in one record,
+// appended once planning has succeeded), each shard result and each
+// failed shard attempt — one CRC-framed record each, fsynced before the
+// in-memory transition it describes takes effect. Scheduling state
+// (leases) and derived state (merged results, job failures) are never
+// journaled, and neither is a job whose plan failed. A coordinator
+// restart replays the log from the start; the fold in coordinator.go is
+// idempotent, so replaying any prefix twice reaches the same state.
 //
 // Torn tails are expected — a crash mid-append leaves a frame with a
 // length but not all its bytes — and are truncated away on open, which
@@ -39,18 +40,15 @@ import (
 type recType byte
 
 const (
-	recSubmit    recType = 1 // a job was accepted
-	recPlan      recType = 2 // its shards were planned
-	recShardDone recType = 4 // a shard completed with a result payload
-	recShardFail recType = 5 // a shard attempt failed
+	recJob       recType = 1 // a job was accepted with its plan
+	recShardDone recType = 2 // a shard completed with a result payload
+	recShardFail recType = 3 // a shard attempt failed
 )
 
 func (t recType) String() string {
 	switch t {
-	case recSubmit:
-		return "submit"
-	case recPlan:
-		return "plan"
+	case recJob:
+		return "job"
 	case recShardDone:
 		return "shard-done"
 	case recShardFail:
@@ -64,19 +62,19 @@ type record struct {
 	Type recType
 	Job  uint64
 
-	Spec Spec // recSubmit
-
-	// recPlan: every shard's encoded task (a wire.SweepShard or
-	// wire.SubtreeShard per shard), plus a check plan's golden header and
-	// level-1 result (an encoded wire.SubtreeResult, empty for k=1). The
-	// check fields must be durable — the level-1 outcomes and root
-	// checkpoints they embed are consumed state, not replayable from the
-	// spec without re-running the exploration. The header omits Seed and
-	// Failures, which the spec determines.
-	HasPlan bool
-	Plan    check.Header
-	Level1  []byte
-	Tasks   [][]byte
+	// recJob: the spec and its plan, committed together so a durable job
+	// is always a planned one. Tasks holds every shard's encoded task (a
+	// wire.SweepShard or wire.SubtreeShard per shard). A check job also
+	// carries its golden header and level-1 result (an encoded
+	// wire.SubtreeResult); a sweep job carries neither. The check fields
+	// must be durable — the level-1 outcomes and root checkpoints they
+	// embed are consumed state, not replayable from the spec without
+	// re-running the exploration. The header omits Seed and Failures,
+	// which the spec determines.
+	Spec   Spec
+	Plan   check.Header
+	Level1 []byte
+	Tasks  [][]byte
 
 	Shard int   // recShardDone, recShardFail
 	At    int64 // recShardFail: coordinator clock, unix nanos
@@ -91,7 +89,7 @@ func (r record) encode() []byte {
 	b := []byte{byte(r.Type)}
 	b = wire.AppendUvarint(b, r.Job)
 	switch r.Type {
-	case recSubmit:
+	case recJob:
 		s := r.Spec
 		b = wire.AppendString(b, s.Mode)
 		b = wire.AppendString(b, s.App)
@@ -104,9 +102,7 @@ func (r record) encode() []byte {
 		b = wire.AppendVarint(b, int64(s.Failures))
 		b = wire.AppendVarint(b, int64(s.Shards))
 		b = wire.AppendVarint(b, int64(s.ShardWorkers))
-	case recPlan:
-		b = wire.AppendBool(b, r.HasPlan)
-		if r.HasPlan {
+		if s.Mode == ModeCheck {
 			b = wire.AppendString(b, r.Plan.App)
 			b = wire.AppendString(b, r.Plan.Runtime)
 			b = wire.AppendVarint(b, int64(r.Plan.Off))
@@ -114,8 +110,8 @@ func (r record) encode() []byte {
 			b = wire.AppendBool(b, r.Plan.GoldenCorrect)
 			b = wire.AppendVarint(b, int64(r.Plan.Candidates))
 			b = wire.AppendString(b, r.Plan.Note)
+			b = wire.AppendBytes(b, r.Level1)
 		}
-		b = wire.AppendBytes(b, r.Level1)
 		b = wire.AppendUvarint(b, uint64(len(r.Tasks)))
 		for _, t := range r.Tasks {
 			b = wire.AppendBytes(b, t)
@@ -142,7 +138,7 @@ func decodeRecord(b []byte) (record, error) {
 	d := wire.NewDecoder(b)
 	r := record{Type: recType(d.Byte()), Job: d.Uvarint()}
 	switch r.Type {
-	case recSubmit:
+	case recJob:
 		r.Spec = Spec{
 			Mode:         d.String(),
 			App:          d.String(),
@@ -156,9 +152,7 @@ func decodeRecord(b []byte) (record, error) {
 			Shards:       int(d.Varint()),
 			ShardWorkers: int(d.Varint()),
 		}
-	case recPlan:
-		r.HasPlan = d.Bool()
-		if r.HasPlan {
+		if r.Spec.Mode == ModeCheck {
 			r.Plan = check.Header{
 				App:           d.String(),
 				Runtime:       d.String(),
@@ -168,11 +162,11 @@ func decodeRecord(b []byte) (record, error) {
 				Candidates:    int(d.Varint()),
 				Note:          d.String(),
 			}
+			r.Level1 = d.Bytes()
 		}
-		r.Level1 = d.Bytes()
 		n := d.Uvarint()
 		if d.Err() == nil && n > uint64(d.Remaining()) {
-			d.Fail("fleet: plan record claims %d tasks with %d bytes left", n, d.Remaining())
+			d.Fail("fleet: job record claims %d tasks with %d bytes left", n, d.Remaining())
 		}
 		if d.Err() == nil && n > 0 {
 			r.Tasks = make([][]byte, n)
@@ -204,8 +198,9 @@ func decodeRecord(b []byte) (record, error) {
 }
 
 // walFormat numbers the record layouts above (format 0: the headerless
-// logs of earlier builds); walHeader is the frame that opens every log.
-const walFormat = 1
+// logs of earlier builds; format 1: a job's spec and plan in two
+// records); walHeader is the frame that opens every log.
+const walFormat = 2
 
 var walHeader = []byte{'E', 'W', 'A', 'L', walFormat, wire.Version}
 

@@ -20,11 +20,12 @@ import (
 
 // recordLog writes a log with this build's header and the job mix of
 // testdata/merged-results.wal: a finished dma sweep, finished fig6
-// Alpaca checks at k=1 and k=2, a check of an unknown app that fails at
-// submit, and a temp sweep and a fig6 EaseIO check each with one of two
-// shards done (the sweep's other shard holds one failed attempt). It
-// returns the log's path. The clock stands still, so the failed shard
-// stays in its retry backoff.
+// Alpaca checks at k=1 and k=2, and a temp sweep (job 3) and a fig6
+// EaseIO check each with one of two shards done (the sweep's other shard
+// holds one failed attempt). A check of an unknown app is refused at
+// submit between them and journals nothing. It returns the log's path.
+// The clock stands still, so the failed shard stays in its retry
+// backoff.
 func recordLog(tb testing.TB) string {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "fleet.wal")
@@ -42,7 +43,14 @@ func recordLog(tb testing.TB) string {
 		{Mode: ModeSweep, App: "temp", Runtime: "InK", Runs: 4, BaseSeed: 5, Shards: 2},
 		{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Shards: 2},
 	} {
-		if _, err := c.Submit(s); err != nil {
+		_, err := c.Submit(s)
+		if s.App == "nope" {
+			if want := `fleet: unknown app "nope"`; err == nil || err.Error() != want {
+				tb.Fatalf("Submit of an unknown app: err = %v, want %q", err, want)
+			}
+			continue
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -55,11 +63,11 @@ func recordLog(tb testing.TB) string {
 		}
 		job, shard, _ := wire.PeekShard(task)
 		switch {
-		case job == 4 && shard == 1:
+		case job == 3 && shard == 1:
 			if err := c.FailShard("w0", job, shard, "worker lost"); err != nil {
 				tb.Fatal(err)
 			}
-		case job < 4 || shard == 0:
+		case job < 3 || shard == 0:
 			res, err := ExecuteShard(context.Background(), testApps, task)
 			if err != nil {
 				tb.Fatal(err)
@@ -74,7 +82,7 @@ func recordLog(tb testing.TB) string {
 // foreignMsg is the one refusal of a log another build wrote.
 func foreignMsg(path string, format, version int) string {
 	return fmt.Sprintf("fleet: WAL %s was written by another build (format %d, wire version %d; "+
-		"this build writes 1/4): finish or drop its jobs with that build", path, format, version)
+		"this build writes 2/4): finish or drop its jobs with that build", path, format, version)
 }
 
 // refuseLog writes log to a fresh path and opens it: the open must fail
@@ -121,7 +129,7 @@ func reopen(t *testing.T, path string) {
 		t.Fatalf("this build's own log: %v", err)
 	}
 	defer c.Close()
-	if d, total, ok := c.Progress(4); !ok || d != 1 || total != 2 {
+	if d, total, ok := c.Progress(3); !ok || d != 1 || total != 2 {
 		t.Errorf("unfinished sweep recovered at %d/%d (ok=%v), want 1/2", d, total, ok)
 	}
 }
@@ -129,8 +137,9 @@ func reopen(t *testing.T, path string) {
 // TestWALRefusesOtherBuilds opens logs of other builds: the headerless
 // testdata/merged-results.wal (format 0, which journaled leases, merged
 // results and job failures), and a current log whose header has its
-// format byte patched. Each is refused with the one header message and
-// left untouched; the unpatched log opens.
+// format byte patched to the previous format (1, which journaled a job's
+// spec and plan in two records) and to the next. Each is refused with the
+// one header message and left untouched; the unpatched log opens.
 func TestWALRefusesOtherBuilds(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "merged-results.wal"))
 	if err != nil {
@@ -138,6 +147,7 @@ func TestWALRefusesOtherBuilds(t *testing.T) {
 	}
 	cur := recordLog(t)
 	refuseLog(t, "format 0", fixture, 0, 0)
+	refuseLog(t, "previous format", patchHeader(t, cur, 4, walFormat-1), walFormat-1, wire.Version)
 	refuseLog(t, "next format", patchHeader(t, cur, 4, walFormat+1), walFormat+1, wire.Version)
 	reopen(t, cur)
 }
@@ -160,7 +170,7 @@ func TestWALRefusesOlderWireVersion(t *testing.T) {
 // an append, and reopens with that one record.
 func TestWALStartsAfreshWithoutHeader(t *testing.T) {
 	header := wire.AppendFrame(nil, walHeader)
-	rec := record{Type: recSubmit, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
+	rec := record{Type: recJob, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
 	for n := 0; n < len(header); n++ {
 		path := filepath.Join(t.TempDir(), "fleet.wal")
 		if err := os.WriteFile(path, header[:n], 0o644); err != nil {
@@ -197,7 +207,7 @@ func TestWALLatchesUncutAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := record{Type: recSubmit, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
+	r1 := record{Type: recJob, Job: 0, Spec: Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 8}}
 	r2 := record{Type: recShardFail, Job: 0, Shard: 0, Err: "boom", At: 99}
 	if err := w.append(r1); err != nil {
 		t.Fatal(err)

@@ -199,12 +199,13 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 	}
 
 	// An app that fails to build finishes every seed failed on both
-	// paths.
+	// paths, and fails a check job with the checker's own error.
 	if err := reg.Register("unbuildable", func() (*apps.Bench, error) {
 		return nil, errors.New("no build")
 	}); err != nil {
 		t.Fatal(err)
 	}
+	var checkErrs []string
 	for _, m := range []*Manager{mgr, inproc} {
 		before := m.metrics.RunsCompleted.Load()
 		uj, err := m.Submit(JobSpec{App: "unbuildable", Runtime: "EaseIO", Runs: 16})
@@ -218,6 +219,19 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 		if d := m.metrics.RunsCompleted.Load() - before; d != 16 {
 			t.Errorf("unbuildable sweep added %d to runs completed, want 16", d)
 		}
+		cj, err := m.Submit(JobSpec{App: "unbuildable", Runtime: "EaseIO", Mode: "check", CheckExhaustive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, cj)
+		st := cj.Status()
+		if st.State != Failed.String() {
+			t.Errorf("unbuildable check ended %s, want failed", st.State)
+		}
+		checkErrs = append(checkErrs, st.Error)
+	}
+	if want := "check: build app: no build"; checkErrs[0] != want || checkErrs[1] != want {
+		t.Errorf("unbuildable check errors: fleet %q, in-process %q; want %q on both", checkErrs[0], checkErrs[1], want)
 	}
 
 	// A factory that errors and one that panics read alike on both paths:
