@@ -96,6 +96,7 @@ benchmark-test:
 # for FUZZTIME; `make fuzz-smoke` is the same list at a 3s budget.
 FUZZ_TARGETS = \
 	FuzzParseRuntimeKind:. \
+	FuzzEqualWords:./internal/mem \
 	FuzzClassify:./internal/dma \
 	FuzzLint:./internal/frontend \
 	FuzzSchedule:./internal/power \

@@ -17,9 +17,10 @@ import (
 // TestPooledRunZeroAlloc pins zero heap allocations per steady-state
 // pooled sweep run: after the first run attaches the runtime and the
 // second settles lazily-created scratch, Session.Run must reset and
-// re-execute entirely in place for every runtime — on the DMA app and on
+// re-execute entirely in place for every runtime — on the DMA app, on
 // the freshness-bounded sensor app, whose per-attempt fresh-site list
-// and per-run sample table must keep their buffers across runs.
+// and per-run sample table must keep their buffers across runs, and on
+// the FIR app, whose FIR memo must reuse its saved words on a miss.
 func TestPooledRunZeroAlloc(t *testing.T) {
 	dmaCfg := apps.DefaultDMAConfig()
 	dmaCfg.Words = 100
@@ -29,6 +30,7 @@ func TestPooledRunZeroAlloc(t *testing.T) {
 	}{
 		{"dma", func() (*apps.Bench, error) { return apps.NewDMAApp(dmaCfg) }},
 		{"sensor", func() (*apps.Bench, error) { return apps.NewSensorApp(apps.DefaultSensorConfig()) }},
+		{"fir", func() (*apps.Bench, error) { return apps.NewFIRApp(apps.DefaultFIRConfig()) }},
 	} {
 		for _, kind := range []experiments.RuntimeKind{
 			experiments.EaseIO, experiments.Alpaca, experiments.InK, experiments.JustDo,

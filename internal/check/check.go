@@ -28,12 +28,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"slices"
 	"time"
 
 	"easeio/internal/apps"
 	"easeio/internal/experiments"
 	"easeio/internal/kernel"
+	"easeio/internal/mem"
 	"easeio/internal/power"
 	"easeio/internal/stats"
 )
@@ -121,6 +121,9 @@ type golden struct {
 	// vars holds each variable's final committed words, indexed like
 	// App.Vars.
 	vars [][]uint16
+	// digests holds each variable's wordsDigest, indexed like vars: a
+	// replay whose variable equals golden folds it without hashing.
+	digests []uint64
 	// sensed marks variables excluded from the word-for-word comparison
 	// (see task.NVVar.TimeSensitive).
 	sensed []bool
@@ -151,7 +154,7 @@ func (r *cutRecorder) NoteCut(onTime time.Duration) { r.cuts = append(r.cuts, on
 // builds); FromBoot leaves the recorder nil, which makes every replayer
 // the explorer builds re-simulate from boot.
 func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Planned, error) {
-	bench, err := newApp()
+	bench, err := buildApp(newApp)
 	if err != nil {
 		return nil, fmt.Errorf("check: build app: %w", err)
 	}
@@ -168,6 +171,7 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 		onTime:   grun.OnTime,
 		correct:  grun.Correct,
 		vars:     make([][]uint16, len(bench.App.Vars)),
+		digests:  make([]uint64, len(bench.App.Vars)),
 		sensed:   make([]bool, len(bench.App.Vars)),
 		hasFresh: bench.App.DeclaresFreshness(),
 		stale:    len(grun.Stale),
@@ -180,6 +184,7 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 			words[w] = kernel.ReadVar(dev, rt, v, w)
 		}
 		g.vars[i] = words
+		g.digests[i] = wordsDigest(words)
 	}
 
 	e := &explorer{cfg: cfg, newApp: newApp, kind: kind, golden: g, cuts: rec.cuts}
@@ -204,6 +209,19 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 		p.Note = "no candidate failure points: the golden run never crossed a charge-slice boundary"
 	}
 	return p, nil
+}
+
+// buildApp calls the app factory and turns a panic in it into the
+// error, so a broken factory fails a check with the checker's own
+// message on every path that runs one (check.Run, the fleet planner,
+// fleet workers).
+func buildApp(newApp experiments.AppFactory) (bench *apps.Bench, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			bench, err = nil, fmt.Errorf("panicked: %v", p)
+		}
+	}()
+	return newApp()
 }
 
 // minimalSchedule picks the minimal failing schedule: fewest failures
@@ -262,7 +280,7 @@ type replayer struct {
 // job's replayer attaches its session up front, so roots can be checked
 // against the device (Checkpoint.Fits) before the first restore.
 func (e *explorer) newReplayer() (*replayer, error) {
-	bench, err := e.newApp()
+	bench, err := buildApp(e.newApp)
 	if err != nil {
 		return nil, fmt.Errorf("check: build replay app: %w", err)
 	}
@@ -371,8 +389,14 @@ func (r *replayer) recordSuffix(root *kernel.Checkpoint, schedule []time.Duratio
 
 // classify compares one replay's final state against golden. The outcome
 // hash covers the correctness verdict, the failure count, every
-// non-time-sensitive memory word and the divergence kind — the
-// equivalence the pruning relies on.
+// non-time-sensitive variable's words and the divergence kind — the
+// equivalence the pruning relies on. A variable enters the hash as its
+// FNV-1a digest: one mem.Equal against golden decides it, a variable
+// equal to golden folds the digest stored at golden time, and only a
+// variable that differs is hashed word by word (and then reported with
+// the per-word Detail). The hash is only ever compared for equality, so
+// its value is free: what must hold is that two outcomes hash equal
+// exactly when everything it covers agrees, up to digest collisions.
 func (r *replayer) classify(run *stats.Run, err error) outcome {
 	if err != nil {
 		return outcome{evaluated: true, hash: hashString("error:" + err.Error()),
@@ -380,14 +404,12 @@ func (r *replayer) classify(run *stats.Run, err error) outcome {
 	}
 	dev, rt := r.sess.Device(), r.sess.Runtime()
 
-	// Manual FNV-1a over the words' little-endian bytes — identical to
-	// feeding hash/fnv two bytes per word, without the per-word interface
-	// call (classify runs once per replayed point over every app word).
-	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 	h := uint64(fnvOffset)
-	put := func(w uint16) {
-		h = (h ^ uint64(w&0xff)) * fnvPrime
-		h = (h ^ uint64(w>>8)) * fnvPrime
+	put := func(w uint16) { h = fnvWord(h, w) }
+	putU64 := func(d uint64) {
+		for s := 0; s < 64; s += 16 {
+			put(uint16(d >> s))
+		}
 	}
 	if run.Correct {
 		put(1)
@@ -399,19 +421,14 @@ func (r *replayer) classify(run *stats.Run, err error) outcome {
 		// The staleness record is observable state for freshness apps:
 		// fold every violation (and the sample ages behind future ones)
 		// so hash-equal outcomes really are freshness-equivalent.
-		putDur := func(d time.Duration) {
-			for s := 0; s < 64; s += 16 {
-				put(uint16(d >> s))
-			}
-		}
 		put(uint16(len(run.Stale)))
 		for _, ev := range run.Stale {
 			for i := 0; i < len(ev.Site); i++ {
 				h = (h ^ uint64(ev.Site[i])) * fnvPrime
 			}
-			putDur(ev.Age)
-			putDur(ev.Bound)
-			putDur(ev.At)
+			putU64(uint64(ev.Age))
+			putU64(uint64(ev.Bound))
+			putU64(uint64(ev.At))
 		}
 	}
 
@@ -421,10 +438,12 @@ func (r *replayer) classify(run *stats.Run, err error) outcome {
 			continue
 		}
 		words := dev.Mem.Span(rt.AddrOf(v), v.Words)
-		for _, w := range words {
-			put(w)
+		if mem.Equal(words, r.golden.vars[i]) {
+			putU64(r.golden.digests[i])
+			continue
 		}
-		if div == nil && !slices.Equal(words, r.golden.vars[i]) {
+		putU64(wordsDigest(words))
+		if div == nil {
 			div = memoryDivergence(v.Name, words, r.golden.vars[i])
 		}
 	}
@@ -475,6 +494,26 @@ func sumWork(run *stats.Run) time.Duration {
 		t += run.Work[b].T
 	}
 	return t
+}
+
+// The FNV-1a 64-bit parameters behind outcome hashes and variable
+// digests. classify folds bytes by hand instead of through hash/fnv, to
+// skip the per-word interface call.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvWord folds one word's little-endian bytes into h.
+func fnvWord(h uint64, w uint16) uint64 {
+	h = (h ^ uint64(w&0xff)) * fnvPrime
+	return (h ^ uint64(w>>8)) * fnvPrime
+}
+
+// wordsDigest is the FNV-1a digest of words' little-endian bytes.
+func wordsDigest(words []uint16) uint64 {
+	h := uint64(fnvOffset)
+	for _, w := range words {
+		h = fnvWord(h, w)
+	}
+	return h
 }
 
 func hashString(s string) uint64 {

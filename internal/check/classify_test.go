@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,11 @@ import (
 )
 
 // classifyPerWord is the reference classify: every app word read through
-// Memory.Read, hashed and compared one at a time. The span classify must
-// produce the same outcome hash and the same divergence.
+// Memory.Read and compared one at a time, and the outcome hash folded
+// over every word in order (classify's hash before per-variable
+// digests). classify's hash value differs from it; it must partition
+// outcomes into the same equivalence classes and report the same
+// divergence.
 func (r *replayer) classifyPerWord(dev *kernel.Device, rt kernel.Hooks, run *stats.Run) outcome {
 	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 	h := uint64(fnvOffset)
@@ -87,49 +91,83 @@ func (r *replayer) classifyPerWord(dev *kernel.Device, rt kernel.Hooks, run *sta
 	return outcome{evaluated: true, hash: h, div: div}
 }
 
-// TestClassifyMatchesPerWord replays every fig6 single-failure point
-// under Alpaca (divergent: the WAR bug corrupts a[0]) and EaseIO (every
-// point passes) and checks that classify and the per-word reference
-// agree on the outcome hash and the divergence.
+// TestClassifyMatchesPerWord replays, from boot, every schedule an
+// exhaustive k=2 check of the equiv apps (fig6, temp, dma) explores
+// under all four runtimes: each golden cut at level 1, then each cut of
+// the recovery trajectory of every level-1 node nestedPlan expands. It
+// checks classify against the per-word reference: the two hashes
+// partition each cell's outcomes into the same classes (so bisection
+// and collapse choose the same points), and every outcome gets the same
+// divergence.
 func TestClassifyMatchesPerWord(t *testing.T) {
-	for _, tc := range []struct {
-		kind     experiments.RuntimeKind
-		diverges bool
-	}{
-		{experiments.Alpaca, true},
-		{experiments.EaseIO, false},
-	} {
-		p, err := goldenPass(Fig6Bench, tc.kind, Config{FromBoot: true}.fill())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := p.e.newReplayer()
-		if err != nil {
-			t.Fatal(err)
-		}
-		memoryDivs := 0
-		for _, cut := range p.e.cuts {
-			r.setSchedule([]time.Duration{cut})
-			run, err := r.sess.Run(r.seed)
+	benches := []struct {
+		name    string
+		factory experiments.AppFactory
+	}{{"fig6", Fig6Bench}, {"temp", tempFactory}, {"dma", dmaFactory}}
+	divergent := map[string]bool{}
+	for _, app := range benches {
+		for _, kind := range equivKinds {
+			cell := app.name + "/" + kind.String()
+			p, err := goldenPass(app.factory, kind, Config{FromBoot: true}.fill())
 			if err != nil {
-				t.Fatalf("%v at %v: %v", tc.kind, cut, err)
+				t.Fatal(err)
 			}
-			dev, rt := r.sess.Device(), r.sess.Runtime()
-			got := r.classify(run, nil)
-			want := r.classifyPerWord(dev, rt, run)
-			if got.hash != want.hash {
-				t.Errorf("%v at %v: hash %#x, per-word %#x", tc.kind, cut, got.hash, want.hash)
+			r, err := p.e.newReplayer()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if (got.div == nil) != (want.div == nil) || got.div != nil && !reflect.DeepEqual(*got.div, *want.div) {
-				t.Errorf("%v at %v: divergence %+v, per-word %+v", tc.kind, cut, got.div, want.div)
+			toNew, toOld := map[uint64]uint64{}, map[uint64]uint64{}
+			// level replays prefix + cuts[i] for every cut and returns
+			// classify's outcomes and the reference's.
+			level := func(prefix, cuts []time.Duration) (got, want []outcome) {
+				for _, cut := range cuts {
+					schedule := append(slices.Clone(prefix), cut)
+					r.setSchedule(schedule)
+					run, err := r.sess.Run(r.seed)
+					if err != nil {
+						t.Fatalf("%s %v: %v", cell, schedule, err)
+					}
+					dev, rt := r.sess.Device(), r.sess.Runtime()
+					g, w := r.classify(run, nil), r.classifyPerWord(dev, rt, run)
+					if n, ok := toNew[w.hash]; ok && n != g.hash {
+						t.Errorf("%s %v: splits the per-word class %#x", cell, schedule, w.hash)
+					}
+					if o, ok := toOld[g.hash]; ok && o != w.hash {
+						t.Errorf("%s %v: merges the per-word classes %#x and %#x", cell, schedule, o, w.hash)
+					}
+					toNew[w.hash], toOld[g.hash] = g.hash, w.hash
+					if (g.div == nil) != (w.div == nil) || g.div != nil && !reflect.DeepEqual(*g.div, *w.div) {
+						t.Errorf("%s %v: divergence %+v, per-word %+v", cell, schedule, g.div, w.div)
+					}
+					if g.div != nil && g.div.Kind == "memory" {
+						divergent[cell] = true
+					}
+					got, want = append(got, g), append(want, w)
+				}
+				return got, want
 			}
-			if got.div != nil && got.div.Kind == "memory" {
-				memoryDivs++
+			got, want := level(nil, p.e.cuts)
+			reps := nestedPlan(want, 0, len(want))
+			if !reflect.DeepEqual(nestedPlan(got, 0, len(got)), reps) {
+				t.Errorf("%s: level-1 expansion %v, per-word %v", cell, nestedPlan(got, 0, len(got)), reps)
+			}
+			for _, rep := range reps {
+				prefix := []time.Duration{p.e.cuts[rep.idx]}
+				suffix, err := r.traceBoot(prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				level(prefix, suffix)
+			}
+			if len(reps) == 0 || len(toNew) < 2 {
+				t.Errorf("%s: %d level-1 nodes expanded, %d classes; want at least 1 and 2",
+					cell, len(reps), len(toNew))
 			}
 		}
-		if tc.diverges != (memoryDivs > 0) {
-			t.Errorf("%v: %d memory divergences over %d points, want divergent=%v",
-				tc.kind, memoryDivs, len(p.e.cuts), tc.diverges)
-		}
+	}
+	// fig6's WAR bug corrupts a[0] under Alpaca; EaseIO keeps every
+	// replay equal to golden.
+	if !divergent["fig6/Alpaca"] || divergent["fig6/EaseIO"] {
+		t.Errorf("memory divergences in %v, want fig6/Alpaca and not fig6/EaseIO", divergent)
 	}
 }

@@ -300,8 +300,10 @@ func (c *Coordinator) planLocked(id uint64, spec Spec) (record, error) {
 // for the merge. Work is counted in units: a job with none left — no
 // candidates, or a level 1 with nothing to expand — legitimately plans
 // zero shards and finishes at submit. check.Plan's error is returned as
-// it is, the text check.Run would give; a panic while planning (an app
-// factory's, say) becomes the error, so it never escapes Submit.
+// it is, the text check.Run would give; that includes an app factory's
+// panic, which the checker turns into its own build error. The recover
+// here is only a backstop: any other panic while planning becomes the
+// error, so it never escapes Submit.
 func (c *Coordinator) planCheck(parts int, rec *record) (work int, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -41,6 +41,11 @@ type Ctx struct {
 	// task commits and clears the list; aborted attempts clear it on the
 	// next BeginTask.
 	fresh []*task.IOSite
+
+	// fir memoizes LEA FIR commands (see lea.FirMemo). It is host-side
+	// scratch, not device state: the engine carries it across runs,
+	// resets and restores, and it never enters a checkpoint.
+	fir lea.FirMemo
 }
 
 // PushWasted enters wasted-charging mode (see Ledger.ChargeWasted).
@@ -362,7 +367,7 @@ func (c *Ctx) chargeLEA(macs int64) {
 // LEAFir implements task.Exec.
 func (c *Ctx) LEAFir(inOff, coefOff, outOff, inLen, taps int) {
 	c.chargeLEA(int64(inLen-taps+1) * int64(taps))
-	lea.Fir(c.Dev.Mem, inOff, coefOff, outOff, inLen, taps)
+	c.fir.Fir(c.Dev.Mem, inOff, coefOff, outOff, inLen, taps)
 }
 
 // LEARelu implements task.Exec.

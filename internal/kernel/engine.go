@@ -25,7 +25,7 @@ const maxBoots = 200_000
 // not errors — they are the phenomenon under study.
 func runLoop(dev *Device, rt Hooks, app *task.App, failed bool) error {
 	ctx := &dev.ctx
-	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0]}
+	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0], fir: ctx.fir}
 	for {
 		if failed {
 			dev.Run.PowerFailures++

@@ -1,11 +1,15 @@
 package kernel
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"easeio/internal/mem"
 	"easeio/internal/power"
+	"easeio/internal/stats"
 	"easeio/internal/task"
 )
 
@@ -144,5 +148,153 @@ func TestSessionResumeAfterRunError(t *testing.T) {
 	}
 	if got := ReadVar(sess.Device(), sess.Runtime(), v, 0); got != 8 {
 		t.Errorf("v = %d after resume, want 8", got)
+	}
+}
+
+// firMemoApp runs six frames of LEA FIR work. Each frame's task
+// stores a frame-dependent input and a fixed one into LEA-RAM word by
+// word, runs one FIR shape, rewrites its input with a Relu and runs the
+// shape again, runs a second shape whose output lands on the first
+// input and a third over the fixed input (the highest LEA-RAM words any
+// command writes), and commits a sum of the outputs to FRAM. A power
+// failure re-executes the whole task, so the re-executed frame repeats
+// commands the memo has seen, and a warm memo serves the fixed command
+// from the first call of every run, right after the reset has cleared
+// the high-water marks.
+func firMemoApp() (*task.App, *task.NVVar) {
+	a := task.NewApp("firmemo")
+	frame, sums := a.NVInt("frame"), a.NVBuf("sums", 6)
+	var body, next *task.Task
+	body = a.AddTask("frame", func(e task.Exec) {
+		f := int(e.Load(frame))
+		for i := 0; i < 48; i++ {
+			e.WriteLEA(i, uint16(int16((i*37+f*11)%200-100)))
+		}
+		for i := 0; i < 8; i++ {
+			e.WriteLEA(100+i, uint16(int16(4000*(i+1)-(f%3)*1000)))
+		}
+		for i := 0; i < 36; i++ {
+			e.WriteLEA(300+i, uint16(int16(i*900-16000)))
+		}
+		e.Compute(3000)
+		e.LEAFir(0, 100, 200, 48, 8)
+		e.LEARelu(0, 48)
+		e.LEAFir(0, 100, 200, 48, 8)
+		e.LEAFir(200, 100, 20, 41, 8)
+		e.LEAFir(300, 332, 400, 32, 4)
+		var sum uint16
+		for i := 20; i < 54; i++ {
+			sum += e.ReadLEA(i)
+		}
+		for i := 400; i < 429; i++ {
+			sum += e.ReadLEA(i)
+		}
+		e.Compute(3000)
+		e.StoreAt(sums, f, sum)
+		e.Next(next)
+	})
+	next = a.AddTask("next", func(e task.Exec) {
+		f := e.Load(frame) + 1
+		e.Store(frame, f)
+		if f < 6 {
+			e.Next(body)
+		} else {
+			e.Done()
+		}
+	})
+	for _, tk := range a.Tasks {
+		tk.Meta.Analyzed = true
+	}
+	return a, sums
+}
+
+// memoRun is one run's observable result: the record and every word
+// and high-water mark of the memory.
+type memoRun struct {
+	run   *stats.Run
+	words [mem.NumBanks][]uint16
+	hw    [mem.NumBanks]int
+}
+
+func observe(dev *Device, run *stats.Run) memoRun {
+	o := memoRun{run: run.Clone()}
+	for b := mem.Bank(0); int(b) < mem.NumBanks; b++ {
+		o.words[b] = slices.Clone(dev.Mem.Span(mem.Addr{Bank: b}, dev.Mem.Size(b)))
+		o.hw[b] = dev.Mem.HighWater(b)
+	}
+	return o
+}
+
+// TestFirMemoWarmMatchesCold checks that the FIR memo a session's
+// device carries across runs changes nothing observable: a pooled sweep
+// on one session, then a checkpoint resume on the same warm session,
+// then more pooled runs, each equal to the same run on a cold session.
+func TestFirMemoWarmMatchesCold(t *testing.T) {
+	a, sums := firMemoApp()
+	supply := func() power.Supply { return power.NewTimer(power.DefaultTimerConfig()) }
+	cold := func(seed int64) memoRun {
+		s := NewSession(&testRT{}, a, supply())
+		run, err := s.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return observe(s.Device(), run)
+	}
+	warm := NewSession(&testRT{}, a, supply())
+	same := func(what string, got, want memoRun) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: warm-memo run differs from a cold session's:\nwarm: %+v\ncold: %+v", what, got.run, want.run)
+		}
+	}
+	failures := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		run, err := warm.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failures += run.PowerFailures
+		same(fmt.Sprintf("seed %d", seed), observe(warm.Device(), run), cold(seed))
+	}
+	if failures == 0 {
+		t.Fatal("the sweep saw no power failure; the memo was never re-hit after one")
+	}
+	if got := ReadVar(warm.Device(), warm.Runtime(), sums, 5); got == 0 {
+		t.Error("the last frame committed no sum")
+	}
+
+	// A checkpoint in the middle of seed 5's run, resumed on the warm
+	// session and on a cold one.
+	var cuts cutList
+	rec := NewSession(&testRT{}, a, supply())
+	rec.Cuts = &cuts
+	if _, err := rec.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	snap := &snapOnce{sess: rec, at: cuts[len(cuts)/2]}
+	rec.Cuts = snap
+	if _, err := rec.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if snap.cp == nil {
+		t.Fatal("recording pass missed the cut")
+	}
+	resume := func(s *Session) memoRun {
+		if err := s.Attach(5); err != nil {
+			t.Fatal(err)
+		}
+		run, err := s.Resume(snap.cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return observe(s.Device(), run)
+	}
+	same("resume", resume(warm), resume(NewSession(&testRT{}, a, supply())))
+	for seed := int64(20); seed <= 23; seed++ {
+		run, err := warm.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("seed %d after resume", seed), observe(warm.Device(), run), cold(seed))
 	}
 }

@@ -16,6 +16,10 @@
 // would leave it. It reads and writes the live words in that per-word
 // order, so in-place and overlapping ranges give the same results too. A
 // range out of bounds panics before any word changes.
+//
+// FirMemo serves repeated FIR commands from saved words instead of
+// recomputing them; the execution kernel runs every FIR command through
+// one.
 package lea
 
 import "easeio/internal/mem"
@@ -72,6 +76,81 @@ func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 		out[i] = uint16(sat16(acc >> 15))
 	}
 	m.Wrote(mem.LEARAM, outOff+outLen)
+}
+
+// FirMemo is an exact memo for Fir: host-side scratch that remembers,
+// per call shape (the offsets, input length and tap count), the input
+// and coefficient words of the shape's last computed command and the
+// output they produced. A command's output is a pure function of the
+// input and coefficient words it starts from, and the execution kernel
+// has charged its simulated cost before the memo runs, so serving a
+// remembered output changes no simulated number. There is no hash: a
+// hit compares the live spans with the saved copies word for word.
+//
+// A memo is not device state. It never enters a checkpoint or the wire,
+// and a reset or power failure does not clear it. The zero value is an
+// empty memo.
+type FirMemo struct {
+	entries []firEntry
+	next    int // the entry a new shape replaces once the memo is full
+}
+
+// firMemoShapes bounds the shapes a memo keeps. The shipped apps issue
+// at most four; a caller that slides its offsets over many shapes
+// recycles entries in turn instead of growing the memo.
+const firMemoShapes = 16
+
+type firShape struct{ inOff, coefOff, outOff, inLen, taps int }
+
+// firEntry is one shape's last computed command. A new or recycled
+// entry's empty input matches no command: a FIR input has at least one
+// word.
+type firEntry struct {
+	shape         firShape
+	in, coef, out []uint16
+}
+
+// Fir has the effect of the package's Fir, served from the memo when
+// the input and coefficient words match the shape's last command. It validates all three ranges first,
+// so an out-of-range command panics before any word changes, exactly
+// as Fir does. A miss saves the input and coefficients before Fir runs
+// (the output may overlap them), then the output it wrote.
+func (f *FirMemo) Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
+	outLen := FirOutLen(inLen, taps)
+	if outLen == 0 {
+		return
+	}
+	in := span(m, inOff, inLen)
+	coef := span(m, coefOff, taps)
+	out := span(m, outOff, outLen)
+	e := f.entry(firShape{inOff, coefOff, outOff, inLen, taps})
+	if mem.Equal(in, e.in) && mem.Equal(coef, e.coef) {
+		copy(out, e.out)
+		m.Wrote(mem.LEARAM, outOff+outLen)
+		return
+	}
+	e.in = append(e.in[:0], in...)
+	e.coef = append(e.coef[:0], coef...)
+	Fir(m, inOff, coefOff, outOff, inLen, taps)
+	e.out = append(e.out[:0], out...)
+}
+
+// entry returns the memo entry for shape, claiming a fresh or recycled
+// one when the shape is new.
+func (f *FirMemo) entry(shape firShape) *firEntry {
+	for i := range f.entries {
+		if f.entries[i].shape == shape {
+			return &f.entries[i]
+		}
+	}
+	if len(f.entries) < firMemoShapes {
+		f.entries = append(f.entries, firEntry{shape: shape})
+		return &f.entries[len(f.entries)-1]
+	}
+	e := &f.entries[f.next]
+	f.next = (f.next + 1) % firMemoShapes
+	e.shape, e.in = shape, e.in[:0]
+	return e
 }
 
 // FirOutLen returns the number of output samples Fir produces.

@@ -1,6 +1,7 @@
 package lea
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -225,15 +226,16 @@ func sameLEA(t *testing.T, what string, got, want *mem.Memory) {
 	}
 }
 
-// TestKernelsMatchPerWord is the span ≡ per-word oracle for the LEA
-// kernels: random ranges (freely overlapping, in-place included) plus
-// the edge cases that decide the high-water mark.
-func TestKernelsMatchPerWord(t *testing.T) {
-	type cmd struct {
-		name                            string
-		inOff, coefOff, outOff, n, taps int
-	}
-	firs := []cmd{
+// firCmd is one FIR command's ranges.
+type firCmd struct {
+	name                            string
+	inOff, coefOff, outOff, n, taps int
+}
+
+// firCmds returns the in-place and overlapping edge cases, then 40
+// random commands within the first 1024 words.
+func firCmds() []firCmd {
+	firs := []firCmd{
 		{"fir in place", 100, 400, 100, 64, 8},
 		{"fir out overlaps coef", 0, 300, 296, 40, 12},
 		{"fir out overlaps in tail", 200, 50, 230, 48, 5},
@@ -242,9 +244,16 @@ func TestKernelsMatchPerWord(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		taps := 1 + rng.Intn(16)
-		firs = append(firs, cmd{"fir random", rng.Intn(512), rng.Intn(512), rng.Intn(512), taps + rng.Intn(200), taps})
+		firs = append(firs, firCmd{"fir random", rng.Intn(512), rng.Intn(512), rng.Intn(512), taps + rng.Intn(200), taps})
 	}
-	for i, c := range firs {
+	return firs
+}
+
+// TestKernelsMatchPerWord is the span ≡ per-word oracle for the LEA
+// kernels: random ranges (freely overlapping, in-place included) plus
+// the edge cases that decide the high-water mark.
+func TestKernelsMatchPerWord(t *testing.T) {
+	for i, c := range firCmds() {
 		got, want := twinMems(rand.New(rand.NewSource(int64(1000 + i))))
 		Fir(got, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
 		refFir(want, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
@@ -316,5 +325,93 @@ func TestKernelOutOfRangePanicsFirst(t *testing.T) {
 		if m.HighWater(mem.LEARAM) != hw {
 			t.Errorf("%s: high water moved before the panic", c.name)
 		}
+	}
+}
+
+// TestFirMemoMatchesFir runs one long command sequence twice, through
+// a FirMemo on one memory and plain Fir on its twin, and wants the same
+// words and high-water mark after every step. Most steps reuse one of
+// the in-place and overlapping shapes, so the memo both hits and
+// misses; the random shapes outnumber its entries, so it recycles them
+// too. Some commands run twice, each time right after a restore of the
+// starting memory, whose zero high-water mark the hit must raise again.
+// Between two commands the input may be rewritten by a Relu, a
+// WriteLEA-style word store or a DMA copy window, or not at all (a
+// hit). Out-of-range commands panic before any word changes, and the
+// memo stays exact after them.
+func TestFirMemoMatchesFir(t *testing.T) {
+	var memo FirMemo
+	got, want := twinMems(rand.New(rand.NewSource(42)))
+	start := got.SnapshotAll()
+	rng := rand.New(rand.NewSource(43))
+	cmds := firCmds()
+	end := mem.LEARAMWords
+	bad := []firCmd{
+		{"fir out past end", 0, 100, end - 4, 40, 4},
+		{"fir in past end", end - 10, 100, 0, 40, 4},
+		{"fir coef past end", 0, end - 2, 100, 40, 4},
+	}
+	for step := 0; step < 2000; step++ {
+		c := cmds[rng.Intn(4)]
+		if rng.Intn(4) == 0 {
+			c = cmds[rng.Intn(len(cmds))]
+		}
+		what := fmt.Sprintf("step %d: %s", step, c.name)
+		if rng.Intn(50) == 0 {
+			c = bad[rng.Intn(len(bad))]
+			what = fmt.Sprintf("step %d: %s", step, c.name)
+			before := slices.Clone(got.Span(mem.Addr{Bank: mem.LEARAM}, end))
+			hw := got.HighWater(mem.LEARAM)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic", what)
+					}
+				}()
+				memo.Fir(got, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+			}()
+			if !slices.Equal(got.Span(mem.Addr{Bank: mem.LEARAM}, end), before) || got.HighWater(mem.LEARAM) != hw {
+				t.Errorf("%s: memory changed before the panic", what)
+			}
+			continue
+		}
+		if rng.Intn(8) == 0 {
+			// A checkpoint restore: roll both memories back to the
+			// start (high-water marks zero), run the command, roll back
+			// again and run it once more, now served by the memo.
+			for range 2 {
+				got.RestoreAll(start)
+				want.RestoreAll(start)
+				memo.Fir(got, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+				Fir(want, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+			}
+			sameLEA(t, what+" after a restore", got, want)
+			continue
+		}
+		memo.Fir(got, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+		Fir(want, c.inOff, c.coefOff, c.outOff, c.n, c.taps)
+		sameLEA(t, what, got, want)
+		switch rng.Intn(4) {
+		case 0: // a Relu over the input
+			Relu(got, c.inOff, c.n)
+			Relu(want, c.inOff, c.n)
+		case 1: // a CPU store into the input or the coefficients
+			a := mem.Addr{Bank: mem.LEARAM, Word: c.inOff + rng.Intn(c.n)}
+			if rng.Intn(2) == 0 {
+				a.Word = c.coefOff + rng.Intn(c.taps)
+			}
+			v := uint16(rng.Intn(16000) - 8000)
+			got.Write(a, v)
+			want.Write(a, v)
+		case 2: // a DMA copy from elsewhere in LEA-RAM over the input
+			n := 1 + rng.Intn(c.n)
+			src := mem.Addr{Bank: mem.LEARAM, Word: 600 + rng.Intn(200)}
+			dst := mem.Addr{Bank: mem.LEARAM, Word: c.inOff + rng.Intn(c.n-n+1)}
+			for _, m := range []*mem.Memory{got, want} {
+				w := m.CopyWindowFor(src, dst, n)
+				w.MoveN(0, n)
+			}
+		}
+		sameLEA(t, what+" (rewrite)", got, want)
 	}
 }

@@ -15,10 +15,15 @@
 // high-water mark. The bulk users — the LEA kernels, the checker's
 // classify pass, the fused load prefix, DMA copy windows and the output
 // checker — instead validate a whole range once with Span; a bulk writer
-// then raises the mark once per command with Wrote.
+// then raises the mark once per command with Wrote. Equal compares two
+// word ranges at memory speed.
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"unsafe"
+)
 
 // Bank identifies one of the device's memory banks.
 type Bank uint8
@@ -354,13 +359,20 @@ func (m *Memory) EqualRange(a Addr, want []uint16) bool {
 	if a.Word+len(want) > len(m.banks[a.Bank]) {
 		return false
 	}
-	got := m.banks[a.Bank][a.Word : a.Word+len(want)]
-	for i := range want {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return Equal(m.banks[a.Bank][a.Word:a.Word+len(want)], want)
+}
+
+// Equal reports whether a and b hold the same words. It compares their
+// byte views in one call to the runtime's memequal instead of a word
+// loop: the classify, output-check and FIR-memo paths compare whole
+// variables and vectors per call.
+func Equal(a, b []uint16) bool {
+	return len(a) == len(b) && bytes.Equal(byteView(a), byteView(b))
+}
+
+// byteView returns the bytes under words without copying them.
+func byteView(words []uint16) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 2*len(words))
 }
 
 // NumBanks is the number of modeled memory banks, exported for

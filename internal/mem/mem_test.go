@@ -3,6 +3,7 @@ package mem
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -283,4 +284,61 @@ func TestAddrHelpers(t *testing.T) {
 	if got := a.String(); got != "FRAM+0x000a" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// equalWords is Equal's reference: a length check and a word loop.
+func equalWords(a, b []uint16) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// words reads raw as little-endian words, dropping an odd trailing byte.
+func words(raw []byte) []uint16 {
+	w := make([]uint16, len(raw)/2)
+	for i := range w {
+		w[i] = uint16(raw[2*i]) | uint16(raw[2*i+1])<<8
+	}
+	return w
+}
+
+// FuzzEqualWords checks Equal against a word loop on two fuzzed word
+// vectors, on the first against itself with its last word's high byte
+// flipped (a difference in the very last byte), and on each against a
+// copy of itself cut one word short.
+func FuzzEqualWords(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 2}, []byte{})
+	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2, 3, 4})
+	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2, 3, 5})
+	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2})
+	f.Add([]byte{0, 0, 0, 0, 0}, []byte{0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ra, rb []byte) {
+		a, b := words(ra), words(rb)
+		if got, want := Equal(a, b), equalWords(a, b); got != want {
+			t.Fatalf("Equal(%v, %v) = %v, word loop %v", a, b, got, want)
+		}
+		if !Equal(a, slices.Clone(a)) {
+			t.Fatalf("Equal(%v, copy) = false", a)
+		}
+		if n := len(a); n > 0 {
+			flipped := slices.Clone(a)
+			flipped[n-1] ^= 0x8000
+			if Equal(a, flipped) || Equal(flipped, a) {
+				t.Fatalf("Equal misses a last-byte difference in %v", a)
+			}
+			if Equal(a, a[:n-1]) || Equal(a[:n-1], a) {
+				t.Fatalf("Equal ignores the length of %v", a)
+			}
+		}
+		if !Equal(nil, a[:0]) {
+			t.Fatal("Equal(nil, empty) = false")
+		}
+	})
 }

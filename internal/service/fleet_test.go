@@ -199,13 +199,17 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 	}
 
 	// An app that fails to build finishes every seed failed on both
-	// paths, and fails a check job with the checker's own error.
+	// paths, and fails a check job with the checker's own error; so does
+	// an app whose factory panics.
 	if err := reg.Register("unbuildable", func() (*apps.Bench, error) {
 		return nil, errors.New("no build")
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var checkErrs []string
+	if err := reg.Register("explodes", func() (*apps.Bench, error) { panic("factory exploded") }); err != nil {
+		t.Fatal(err)
+	}
+	var checkErrs, panicErrs []string
 	for _, m := range []*Manager{mgr, inproc} {
 		before := m.metrics.RunsCompleted.Load()
 		uj, err := m.Submit(JobSpec{App: "unbuildable", Runtime: "EaseIO", Runs: 16})
@@ -229,17 +233,26 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 			t.Errorf("unbuildable check ended %s, want failed", st.State)
 		}
 		checkErrs = append(checkErrs, st.Error)
+		pj, err := m.Submit(JobSpec{App: "explodes", Runtime: "EaseIO", Mode: "check", CheckExhaustive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, pj)
+		if st := pj.Status(); st.State != Failed.String() {
+			t.Errorf("panicking-factory check ended %s, want failed", st.State)
+		}
+		panicErrs = append(panicErrs, pj.Status().Error)
 	}
 	if want := "check: build app: no build"; checkErrs[0] != want || checkErrs[1] != want {
 		t.Errorf("unbuildable check errors: fleet %q, in-process %q; want %q on both", checkErrs[0], checkErrs[1], want)
+	}
+	if want := "check: build app: panicked: factory exploded"; panicErrs[0] != want || panicErrs[1] != want {
+		t.Errorf("panicking-factory check errors: fleet %q, in-process %q; want %q on both", panicErrs[0], panicErrs[1], want)
 	}
 
 	// A factory that errors and one that panics read alike on both paths:
 	// each path splits the seeds its own way and so prints its own number
 	// of lines, but every line names the runtime alone.
-	if err := reg.Register("explodes", func() (*apps.Bench, error) { panic("factory exploded") }); err != nil {
-		t.Fatal(err)
-	}
 	for _, app := range []string{"unbuildable", "explodes"} {
 		var lines []map[string]bool
 		for _, m := range []*Manager{mgr, inproc} {
