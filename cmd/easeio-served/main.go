@@ -167,6 +167,8 @@ func startFleetWorkers(logger *slog.Logger, coord *fleet.Coordinator,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Loopback workers wake on submit; the 10ms poll only finds
+			// retries whose backoff ran out and expired leases.
 			if err := fleet.RunLoopback(ctx, coord, name, reg, 10*time.Millisecond); err != nil {
 				logger.Error("loopback worker failed", "worker", name, "error", err)
 			}

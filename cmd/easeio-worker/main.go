@@ -44,7 +44,7 @@ func main() {
 	var (
 		addr  = flag.String("addr", "", "coordinator fleet listener address (host:port)")
 		name  = flag.String("name", defaultName(), "worker name reported to the coordinator")
-		poll  = flag.Duration("poll", 50*time.Millisecond, "idle poll interval when no shards are pending")
+		poll  = flag.Duration("poll", 50*time.Millisecond, "idle poll interval: how soon an idle worker sees a newly submitted shard, a retry whose backoff ran out or an expired lease (TCP workers get no wake-up on submit)")
 		smoke = flag.Bool("smoke", false, "run the in-process fleet self-test and exit")
 	)
 	flag.Parse()

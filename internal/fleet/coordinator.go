@@ -133,6 +133,11 @@ type Coordinator struct {
 	jobs  map[uint64]*job
 	order []uint64 // unfinished jobs in submission order, the lease scan order
 	next  uint64
+	// wake is closed, and replaced, at every Submit of a job with shards
+	// (see wakeup). Shards that become leasable with time — a backoff gate
+	// running out, a lease expiring — wake nobody: idle workers find them
+	// on their poll.
+	wake chan struct{}
 }
 
 // New opens (or creates) the WAL at cfg.WALPath, replays it, and returns
@@ -154,7 +159,7 @@ func New(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, wal: w, jobs: make(map[uint64]*job)}
+	c := &Coordinator{cfg: cfg, wal: w, jobs: make(map[uint64]*job), wake: make(chan struct{})}
 	for _, r := range recs {
 		c.replay(r)
 	}
@@ -249,8 +254,21 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 		// A plan with no shards (a check whose golden run never crossed a
 		// charge-slice boundary) finishes at submit.
 		c.mergeLocked(j)
+	} else {
+		close(c.wake)
+		c.wake = make(chan struct{})
 	}
 	return j.id, nil
+}
+
+// wakeup returns a channel that is closed the next time a shard becomes
+// leasable with no time gate — at the next Submit of a job with shards.
+// An idle worker takes it before it calls Lease, so a Submit that lands
+// between the two still wakes it.
+func (c *Coordinator) wakeup() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wake
 }
 
 // planLocked computes job id's record: the spec and its shards, each as

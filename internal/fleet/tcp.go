@@ -133,6 +133,9 @@ func (t *tcpClient) call(req []byte) ([]byte, error) {
 	return resp, err
 }
 
+// wake is nil: the protocol has no push, so an idle TCP worker polls.
+func (t *tcpClient) wake() <-chan struct{} { return nil }
+
 // lease asks for one task; ok=false means no pending work.
 func (t *tcpClient) lease() (task []byte, ok bool, err error) {
 	req := wire.AppendString([]byte{opLease}, t.name)
@@ -175,7 +178,9 @@ func (t *tcpClient) ack(req []byte) error {
 }
 
 // RunTCPWorker dials the coordinator at addr and runs the worker loop —
-// lease, execute, report — until ctx is cancelled. Connection failures
+// lease, execute, report — until ctx is cancelled. The protocol has no
+// wake-up, so an idle TCP worker leases again every poll: poll bounds how
+// long a newly submitted shard waits for it. Connection failures
 // redial with a flat backoff, so a coordinator restart (the crash the
 // WAL exists for) only pauses the worker. It returns nil on
 // cancellation.

@@ -1,6 +1,6 @@
 // The worker side: ExecuteShard turns one encoded shard task into one
 // encoded shard result using the in-process engines, and the loopback
-// worker polls a coordinator in the same process — the testing and
+// worker leases from a coordinator in the same process — the testing and
 // single-host deployment mode (cmd/easeio-worker drives the same
 // ExecuteShard over TCP).
 
@@ -105,10 +105,13 @@ func flattenErr(err error) []string {
 	return []string{err.Error()}
 }
 
-// RunLoopback polls the coordinator for shards, executes them, and
-// reports results until ctx is cancelled. It returns nil on
-// cancellation; any other return is a coordinator-side failure (WAL
-// write errors and the rejection of a result surface here).
+// RunLoopback leases shards from the coordinator, executes them, and
+// reports results until ctx is cancelled. An idle loopback worker wakes
+// the moment a job is submitted; poll (default 20ms) only bounds how
+// long it takes to notice a shard that became leasable with time — a
+// failed shard's retry backoff running out, or an expired lease. It
+// returns nil on cancellation; any other return is a coordinator-side
+// failure (WAL write errors and the rejection of a result surface here).
 func RunLoopback(ctx context.Context, c *Coordinator, name string, src BlueprintSource, poll time.Duration) error {
 	if poll <= 0 {
 		poll = 20 * time.Millisecond
@@ -119,6 +122,9 @@ func RunLoopback(ctx context.Context, c *Coordinator, name string, src Blueprint
 // leaser is the coordinator surface a worker's lease loop drives: the
 // in-process Coordinator under one worker name, or one TCP connection.
 type leaser interface {
+	// wake returns a channel closed when new work may be leasable, or
+	// nil when the leaser cannot tell (the idle worker then just polls).
+	wake() <-chan struct{}
 	lease() (task []byte, ok bool, err error)
 	complete(result []byte) error
 	fail(job uint64, shard int, msg string) error
@@ -130,6 +136,7 @@ type loopback struct {
 	name string
 }
 
+func (l loopback) wake() <-chan struct{} { return l.c.wakeup() }
 func (l loopback) lease() ([]byte, bool, error) {
 	task, ok := l.c.Lease(l.name)
 	return task, ok, nil
@@ -140,13 +147,19 @@ func (l loopback) fail(job uint64, shard int, msg string) error {
 }
 
 // workLoop leases shards from l, executes them and reports each result
-// or shard failure, polling every poll while there is no work. It
-// returns nil once ctx is cancelled and the first error of l otherwise.
+// or shard failure. While there is no work it waits for l's wake channel
+// or poll, whichever comes first; poll is what finds time-gated shards
+// (retry backoff, lease expiry), and for a leaser without a wake channel
+// every new shard. It returns nil once ctx is cancelled and the first
+// error of l otherwise.
 func workLoop(ctx context.Context, l leaser, src BlueprintSource, poll time.Duration) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
+		// Taken before the lease: a submit between the two closes this
+		// channel, so the wait below cannot miss it.
+		wake := l.wake()
 		task, ok, err := l.lease()
 		if err != nil {
 			return err
@@ -155,6 +168,7 @@ func workLoop(ctx context.Context, l leaser, src BlueprintSource, poll time.Dura
 			select {
 			case <-ctx.Done():
 				return nil
+			case <-wake:
 			case <-time.After(poll):
 			}
 			continue

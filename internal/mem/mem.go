@@ -17,6 +17,16 @@
 // checker — instead validate a whole range once with Span; a bulk writer
 // then raises the mark once per command with Wrote. Equal compares two
 // word ranges at memory speed.
+//
+// The FRAM bank's backing store starts empty and grows — doubling, capped
+// at FRAMWords — as allocation, restores and accesses reach further: the
+// simulated apps use a few KiB of the 256 KiB bank, and every app build
+// makes a device, so a store sized to the footprint keeps a build from
+// allocating and zeroing the whole bank. Capacity, addressing and errors
+// are those of the full bank; a word past the store reads as zero, as it
+// would on a fresh device. Growth replaces the store, so no caller may
+// hold a bank slice (a Span, a CopyWindow) across a call that can grow
+// its bank.
 package mem
 
 import (
@@ -78,24 +88,45 @@ const (
 	LEARAMWords = 4 * 1024 / 2
 )
 
+// capacity holds each bank's size in words.
+var capacity = [numBanks]int{FRAM: FRAMWords, SRAM: SRAMWords, LEARAM: LEARAMWords}
+
+// minGrowWords is the smallest backing store a growth allocates.
+const minGrowWords = 1024
+
 // Memory is the full banked memory of one device.
 type Memory struct {
+	// banks holds each bank's backing store: its first len words, every
+	// word past them being zero. SRAM and LEA-RAM are whole from New;
+	// FRAM grows (see grow). The store always covers usedWords.
 	banks     [numBanks][]uint16
 	alloc     [numBanks]int // bump-allocator watermark, in words
 	highWater [numBanks]int // 1 + highest word ever written
 }
 
-// New returns a zeroed memory with MSP430FR5994 bank sizes.
+// New returns a zeroed memory with MSP430FR5994 bank sizes. The FRAM
+// backing store starts empty.
 func New() *Memory {
 	m := &Memory{}
-	m.banks[FRAM] = make([]uint16, FRAMWords)
 	m.banks[SRAM] = make([]uint16, SRAMWords)
 	m.banks[LEARAM] = make([]uint16, LEARAMWords)
 	return m
 }
 
-// Size returns the capacity of the bank in words.
-func (m *Memory) Size(b Bank) int { return len(m.banks[b]) }
+// Size returns the capacity of the bank in words — the MSP430FR5994
+// bank size, however much of it the backing store holds yet.
+func (m *Memory) Size(b Bank) int { return capacity[b] }
+
+// grow replaces bank b's backing store with one of at least need words
+// (need must not exceed the bank's capacity): twice the old store, at
+// least minGrowWords, capped at the capacity. The words past the old
+// store are zero, as they read before. Every slice of the old store is
+// stale afterwards.
+func (m *Memory) grow(b Bank, need int) {
+	s := make([]uint16, min(max(need, 2*len(m.banks[b]), minGrowWords), capacity[b]))
+	copy(s, m.banks[b])
+	m.banks[b] = s
+}
 
 // Allocated returns the bump-allocator watermark of the bank in words.
 func (m *Memory) Allocated(b Bank) int { return m.alloc[b] }
@@ -107,31 +138,40 @@ func (m *Memory) Alloc(b Bank, n int) Addr {
 	if n < 0 {
 		panic(fmt.Sprintf("mem: negative allocation in %s (%d words)", b, n))
 	}
-	if m.alloc[b]+n > len(m.banks[b]) {
+	if m.alloc[b]+n > capacity[b] {
 		panic(fmt.Sprintf("mem: %s exhausted allocating %d words (%d free)",
-			b, n, len(m.banks[b])-m.alloc[b]))
+			b, n, capacity[b]-m.alloc[b]))
 	}
 	a := Addr{b, m.alloc[b]}
 	m.alloc[b] += n
+	if m.alloc[b] > len(m.banks[b]) {
+		m.grow(b, m.alloc[b])
+	}
 	return a
 }
 
-// check validates an address. The failure path lives in checkFail so that
-// check — and the Read/Write hot paths around it — stay inlinable. The
-// unsigned comparison folds the negative-word and past-end tests into
-// one branch, which keeps Read/Write within the inlining budget at their
-// own call sites (the DMA word loop lives or dies by this).
+// check validates an address against the backing store. The slow path
+// lives in checkSlow so that check — and the Read/Write hot paths around
+// it — stay inlinable. The unsigned comparison folds the negative-word
+// and past-end tests into one branch, which keeps Read/Write within the
+// inlining budget at their own call sites (the DMA word loop lives or
+// dies by this).
 func (m *Memory) check(a Addr, what string) {
 	if uint(a.Bank) >= uint(numBanks) || uint(a.Word) >= uint(len(m.banks[a.Bank])) {
-		m.checkFail(a, what)
+		m.checkSlow(a, what)
 	}
 }
 
-func (m *Memory) checkFail(a Addr, what string) {
+// checkSlow grows the backing store for a word inside the bank's capacity
+// but past the store, and panics for any other address.
+func (m *Memory) checkSlow(a Addr, what string) {
 	if a.Bank >= numBanks {
 		panic(fmt.Sprintf("mem: %s of invalid bank %d", what, a.Bank))
 	}
-	panic(fmt.Sprintf("mem: %s out of range: %s", what, a))
+	if uint(a.Word) >= uint(capacity[a.Bank]) {
+		panic(fmt.Sprintf("mem: %s out of range: %s", what, a))
+	}
+	m.grow(a.Bank, a.Word+1)
 }
 
 // Read returns the word at a.
@@ -170,20 +210,27 @@ func (m *Memory) WriteBlock(a Addr, src []uint16, n int) {
 // high-water mark with Wrote, once per command; a reader needs nothing
 // more. The slice's capacity ends with the range, so an append cannot
 // spill into the neighbouring words. A zero-length span is valid
-// anywhere from word 0 up to the bank's end.
+// anywhere from word 0 up to the bank's end. A range past the FRAM
+// backing store grows it first, so the slice is valid only until the
+// next call that can grow the bank again.
 func (m *Memory) Span(a Addr, n int) []uint16 {
 	if uint(a.Bank) >= uint(numBanks) || uint(a.Word) > uint(len(m.banks[a.Bank])) ||
 		uint(n) > uint(len(m.banks[a.Bank])-a.Word) {
-		m.spanFail(a, n)
+		m.spanSlow(a, n)
 	}
 	return m.banks[a.Bank][a.Word : a.Word+n : a.Word+n]
 }
 
-func (m *Memory) spanFail(a Addr, n int) {
+// spanSlow grows the backing store for a range inside the bank's capacity
+// but past the store, and panics for any other range.
+func (m *Memory) spanSlow(a Addr, n int) {
 	if a.Bank >= numBanks {
 		panic(fmt.Sprintf("mem: span of invalid bank %d", a.Bank))
 	}
-	panic(fmt.Sprintf("mem: %d-word span out of range: %s", n, a))
+	if uint(a.Word) > uint(capacity[a.Bank]) || uint(n) > uint(capacity[a.Bank]-a.Word) {
+		panic(fmt.Sprintf("mem: %d-word span out of range: %s", n, a))
+	}
+	m.grow(a.Bank, a.Word+n)
 }
 
 // Wrote raises bank b's high-water mark to end (1 + the highest word a
@@ -200,8 +247,9 @@ func (m *Memory) Wrote(b Bank, end int) {
 // up front; Move then transfers word i with exactly the effects of Read
 // followed by Write (the word and the high-water mark), but cheap enough
 // to inline into the kernel's per-word charge loop. A window is
-// invalidated by anything that reallocates the memory (nothing does
-// after New).
+// invalidated by anything that grows a bank it spans (an access, a span,
+// an allocation or a restore past the FRAM backing store), so it must not
+// outlive the command it serves.
 type CopyWindow struct {
 	src, dst []uint16
 	hw       *int
@@ -212,6 +260,12 @@ type CopyWindow struct {
 // CopyWindowFor validates the n-word source and destination ranges and
 // returns a window over them. n must be positive.
 func (m *Memory) CopyWindowFor(src, dst Addr, n int) CopyWindow {
+	// Validate (and grow for) both ranges before slicing either: a same-bank
+	// copy whose destination lies past the FRAM store would otherwise grow
+	// the bank under an already-taken source slice. Once both are covered,
+	// neither Span below can grow.
+	m.Span(src, n)
+	m.Span(dst, n)
 	return CopyWindow{
 		src:     m.Span(src, n),
 		dst:     m.Span(dst, n),
@@ -337,13 +391,17 @@ func (m *Memory) SnapshotAllInto(s *DeviceSnapshot) *DeviceSnapshot {
 // blueprint attached in the same order); it panics otherwise, since
 // restoring into a different layout is a harness bug. Words above the
 // target's own used prefix are provably zero in both memories, so only
-// the prefixes are touched.
+// the prefixes are touched. A backing store shorter than the snapshot's
+// prefix (or its high-water mark) grows to hold it first.
 func (m *Memory) RestoreAll(s *DeviceSnapshot) {
 	if m.alloc != s.Alloc {
 		panic(fmt.Sprintf("mem: restore-all layout mismatch: alloc %v vs %v",
 			m.alloc, s.Alloc))
 	}
 	for b := Bank(0); b < numBanks; b++ {
+		if need := max(len(s.Used[b]), s.HighWater[b]); need > len(m.banks[b]) {
+			m.grow(b, need)
+		}
 		// The copy overwrites the snapshot's prefix; only the tail the
 		// current memory used beyond it needs explicit clearing.
 		if n, k := m.usedWords(b), len(s.Used[b]); n > k {
@@ -354,12 +412,13 @@ func (m *Memory) RestoreAll(s *DeviceSnapshot) {
 	m.highWater = s.HighWater
 }
 
-// EqualRange reports whether the n words starting at a equal want.
+// EqualRange reports whether the n words starting at a equal want; a
+// range past the bank's end is unequal.
 func (m *Memory) EqualRange(a Addr, want []uint16) bool {
-	if a.Word+len(want) > len(m.banks[a.Bank]) {
+	if a.Word+len(want) > capacity[a.Bank] {
 		return false
 	}
-	return Equal(m.banks[a.Bank][a.Word:a.Word+len(want)], want)
+	return Equal(m.Span(a, len(want)), want)
 }
 
 // Equal reports whether a and b hold the same words. It compares their
@@ -379,27 +438,13 @@ func byteView(words []uint16) []byte {
 // serialization layers that flatten per-bank state.
 const NumBanks = int(numBanks)
 
-// bankWords returns the fixed capacity of bank b in words.
-func bankWords(b Bank) int {
-	switch b {
-	case FRAM:
-		return FRAMWords
-	case SRAM:
-		return SRAMWords
-	case LEARAM:
-		return LEARAMWords
-	default:
-		panic(fmt.Sprintf("mem: no capacity for %v", b))
-	}
-}
-
 // Validate rejects a snapshot that cannot have come from a real memory:
 // a prefix longer than its bank or watermarks out of range. A decoder
 // runs it on untrusted state, so RestoreAll's own panics are left for
 // harness bugs.
 func (s *DeviceSnapshot) Validate() error {
 	for b := Bank(0); b < numBanks; b++ {
-		cap := bankWords(b)
+		cap := capacity[b]
 		if len(s.Used[b]) > cap {
 			return fmt.Errorf("mem: %s snapshot prefix %d words exceeds bank size %d",
 				b, len(s.Used[b]), cap)
