@@ -19,8 +19,9 @@ import (
 // second settles lazily-created scratch, Session.Run must reset and
 // re-execute entirely in place for every runtime — on the DMA app, on
 // the freshness-bounded sensor app, whose per-attempt fresh-site list
-// and per-run sample table must keep their buffers across runs, and on
-// the FIR app, whose FIR memo must reuse its saved words on a miss.
+// and per-run sample table must keep their buffers across runs, on the
+// FIR app, whose FIR memo must reuse its saved words on a miss, and on
+// the weather app, whose sensing block body is pooled.
 func TestPooledRunZeroAlloc(t *testing.T) {
 	dmaCfg := apps.DefaultDMAConfig()
 	dmaCfg.Words = 100
@@ -31,6 +32,7 @@ func TestPooledRunZeroAlloc(t *testing.T) {
 		{"dma", func() (*apps.Bench, error) { return apps.NewDMAApp(dmaCfg) }},
 		{"sensor", func() (*apps.Bench, error) { return apps.NewSensorApp(apps.DefaultSensorConfig()) }},
 		{"fir", func() (*apps.Bench, error) { return apps.NewFIRApp(apps.DefaultFIRConfig()) }},
+		{"weather", func() (*apps.Bench, error) { return apps.NewWeatherApp(apps.DefaultWeatherConfig()) }},
 	} {
 		for _, kind := range []experiments.RuntimeKind{
 			experiments.EaseIO, experiments.Alpaca, experiments.InK, experiments.JustDo,

@@ -49,38 +49,26 @@ import (
 )
 
 func main() {
+	var cfg check.Config
+	flag.IntVar(&cfg.Failures, "k", 1, fmt.Sprintf("failures per schedule: k > 1 explores failure-during-recovery (max %d)", check.MaxFailures))
+	flag.BoolVar(&cfg.Exhaustive, "exhaustive", false, "replay every candidate failure point (sound mode)")
+	flag.IntVar(&cfg.Grid, "grid", 128, "coarse grid size of the adaptive exploration")
+	flag.Int64Var(&cfg.Seed, "seed", 0, "seed for the golden run and every replay")
+	flag.DurationVar(&cfg.Off, "off", time.Millisecond, "recharge duration of the injected failure")
+	flag.IntVar(&cfg.Workers, "workers", 0, "parallel replays (0 = GOMAXPROCS); results are worker-invariant")
+	flag.BoolVar(&cfg.FromBoot, "fromboot", false, "re-simulate every replay from boot instead of restoring golden-prefix checkpoints (slower; reports are byte-identical)")
 	var (
-		app        = flag.String("app", "fig6", "blueprint to check (a registered name, \"fig6\", or \"all\")")
-		runtimeF   = flag.String("runtime", "EaseIO", "runtime to check (Alpaca, InK, EaseIO, JustDo, or \"all\")")
-		failures   = flag.Int("k", 1, fmt.Sprintf("failures per schedule: k > 1 explores failure-during-recovery (max %d)", check.MaxFailures))
-		exhaustive = flag.Bool("exhaustive", false, "replay every candidate failure point (sound mode)")
-		grid       = flag.Int("grid", 128, "coarse grid size of the adaptive exploration")
-		seed       = flag.Int64("seed", 0, "seed for the golden run and every replay")
-		off        = flag.Duration("off", time.Millisecond, "recharge duration of the injected failure")
-		workers    = flag.Int("workers", 0, "parallel replays (0 = GOMAXPROCS); results are worker-invariant")
-		fromBoot   = flag.Bool("fromboot", false, "re-simulate every replay from boot instead of restoring golden-prefix checkpoints (slower; reports are byte-identical)")
-		broken     = flag.Bool("broken", false, "seeded-bug demo: empty every privatization region of each checked app (EaseIO only; fig6 must fail)")
+		app      = flag.String("app", "fig6", "blueprint to check (a registered name, \"fig6\", or \"all\")")
+		runtimeF = flag.String("runtime", "EaseIO", "runtime to check (Alpaca, InK, EaseIO, JustDo, or \"all\")")
+		broken   = flag.Bool("broken", false, "seeded-bug demo: empty every privatization region of each checked app (EaseIO only; fig6 must fail)")
 	)
 	flag.Parse()
-
-	if err := check.ValidateFailures(*failures); err != nil {
-		usageError(err)
-	}
-	cfg := check.Config{
-		Seed:       *seed,
-		Failures:   *failures,
-		Off:        *off,
-		Grid:       *grid,
-		Exhaustive: *exhaustive,
-		FromBoot:   *fromBoot,
-		Workers:    *workers,
-	}
 
 	kinds, err := resolveKinds(*runtimeF)
 	if err != nil {
 		usageError(err)
 	}
-	if err := validateFlags(*grid, *off, *workers, *broken, kinds); err != nil {
+	if err := validateFlags(cfg, *broken, kinds); err != nil {
 		usageError(err)
 	}
 	targets, err := resolveTargets(*app)
@@ -163,24 +151,16 @@ func resolveKinds(name string) ([]experiments.RuntimeKind, error) {
 	return []experiments.RuntimeKind{kind}, nil
 }
 
-// validateFlags rejects a negative -grid, -off or -workers, and -broken
-// under any runtime but EaseIO. Zero selects each default; a negative
-// value is a usage error, as the service rejects it, rather than a silent
-// default. Only EaseIO reads the privatization regions -broken empties,
+// validateFlags rejects what check.Config.Validate rejects — a -k above
+// check.MaxFailures, and a negative -k, -grid, -off or -workers, where
+// zero selects each default — and -broken under any runtime but EaseIO. Only EaseIO reads the privatization regions -broken empties,
 // so under the other runtimes it would repeat the plain check's verdicts
 // at full cost.
-func validateFlags(grid int, off time.Duration, workers int, broken bool, kinds []experiments.RuntimeKind) error {
-	switch {
-	case broken && !slices.Equal(kinds, []experiments.RuntimeKind{experiments.EaseIO}):
+func validateFlags(cfg check.Config, broken bool, kinds []experiments.RuntimeKind) error {
+	if broken && !slices.Equal(kinds, []experiments.RuntimeKind{experiments.EaseIO}) {
 		return fmt.Errorf("-broken empties regions only EaseIO reads: use it with -runtime EaseIO")
-	case grid < 0:
-		return fmt.Errorf("-grid %d is negative (0 means the default)", grid)
-	case off < 0:
-		return fmt.Errorf("-off %v is negative (0 means the default)", off)
-	case workers < 0:
-		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", workers)
 	}
-	return nil
+	return cfg.Validate()
 }
 
 func usageError(err error) {

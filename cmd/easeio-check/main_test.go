@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"easeio/internal/check"
 	"easeio/internal/experiments"
 )
 
@@ -30,10 +31,11 @@ func TestValidateDefaults(t *testing.T) {
 		{0, 0, 0, true, all, false},
 		{0, 0, 0, true, []experiments.RuntimeKind{experiments.Alpaca}, false},
 	} {
-		err := validateFlags(c.grid, c.off, c.workers, c.broken, c.kinds)
+		cfg := check.Config{Grid: c.grid, Off: c.off, Workers: c.workers}
+		err := validateFlags(cfg, c.broken, c.kinds)
 		if (err == nil) != c.ok {
-			t.Errorf("validateFlags(%d, %v, %d, %v, %v) = %v, want ok=%v",
-				c.grid, c.off, c.workers, c.broken, c.kinds, err, c.ok)
+			t.Errorf("validateFlags(%+v, %v, %v) = %v, want ok=%v",
+				cfg, c.broken, c.kinds, err, c.ok)
 		}
 	}
 }

@@ -189,7 +189,7 @@ func runSmoke(reg *service.Registry) error {
 	} {
 		cid, err := coord.Submit(fleet.Spec{
 			Mode: fleet.ModeCheck, App: leg.app, Runtime: leg.kind.String(),
-			Exhaustive: true, Failures: leg.failures, Shards: 4,
+			Check: check.Config{Exhaustive: true, Failures: leg.failures}, Shards: 4,
 		})
 		if err != nil {
 			return err

@@ -492,12 +492,13 @@ type CheckDivergence = check.Divergence
 
 // Check model-checks one bench×runtime combination for crash consistency:
 // it enumerates every charge-slice boundary of a golden continuous-power
-// run, replays the app with a single power failure injected at each
-// explored boundary, and differentially compares final non-volatile
-// memory, the CheckOutput verdict and the work ledger against golden. Set
-// cfg.Exhaustive to replay every candidate; the default explores an
-// adaptive bisection grid. Cancelling ctx stops exploration and returns
-// the partial report alongside ctx's error.
+// run, replays the app with up to cfg.Failures power failures (depth k,
+// default 1) injected at each explored boundary — each later failure on
+// the previous one's recovery trajectory — and differentially compares
+// final non-volatile memory, the CheckOutput verdict and the work ledger
+// against golden. Set cfg.Exhaustive to replay every candidate; the
+// default explores an adaptive bisection grid. Cancelling ctx stops
+// exploration and returns the partial report alongside ctx's error.
 func Check(ctx context.Context, newBench func() (*Bench, error), kind RuntimeKind, cfg CheckConfig) (*CheckReport, error) {
 	return check.Run(ctx, experiments.AppFactory(newBench), kind, cfg)
 }

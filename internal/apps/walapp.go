@@ -34,6 +34,11 @@ import (
 	"easeio/internal/task"
 )
 
+// WALHeaderWord is the header the model journals: the fleet WAL's
+// format byte over its wire-version byte (format 3, wire version 5). The
+// fleet's tests hold it to the real header.
+const WALHeaderWord = 0x0305
+
 // WALConfig parameterizes the WAL-recovery scenario.
 type WALConfig struct {
 	// Records is how many journal appends the run commits.
@@ -75,7 +80,6 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 	digest := a.NVInt("digest").Sensed()
 	header := a.NVInt("header")
 	refused := a.NVInt("refused")
-	const walHeaderWord = 0x0204 // the fleet WAL's: format 2, wire version 4
 
 	appendSite := a.IO("Append", cfg.Semantics, true, func(e task.Exec, _ int) uint16 {
 		return p.Temp.Sample(e)
@@ -83,7 +87,7 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 
 	var tAppend, tReplay, tFin *task.Task
 	a.AddTask("init", func(e task.Exec) {
-		e.Store(header, walHeaderWord)
+		e.Store(header, WALHeaderWord)
 		e.Compute(600)
 		e.Next(tAppend)
 	})
@@ -115,7 +119,7 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 	// rebuilds job state from WAL records alone; refuse any other header.
 	// The analysis run sees no header: Touches declares the fold's vars.
 	tReplay = a.AddTask("replay", func(e task.Exec) {
-		if e.Load(header) != walHeaderWord {
+		if e.Load(header) != WALHeaderWord {
 			e.Store(refused, 1)
 		} else {
 			var d uint16
@@ -137,7 +141,7 @@ func NewWALApp(cfg WALConfig) (*Bench, error) {
 	// decodes as exactly one record type, the type agrees with the
 	// payload, and the recovered digest is the fold of the log.
 	a.CheckOutput = func(m task.CheckMem) bool {
-		if m.Read(header, 0) != walHeaderWord || m.Read(refused, 0) != 0 || m.Read(head, 0) != uint16(cfg.Records) {
+		if m.Read(header, 0) != WALHeaderWord || m.Read(refused, 0) != 0 || m.Read(head, 0) != uint16(cfg.Records) {
 			return false
 		}
 		var d uint16

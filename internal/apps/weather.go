@@ -9,6 +9,7 @@
 package apps
 
 import (
+	"sync"
 	"time"
 
 	"easeio/internal/lea"
@@ -127,6 +128,20 @@ func WeatherGolden() (scores [WeatherClasses]uint16, class uint16) {
 	return scores, uint16(best)
 }
 
+// senseRead is the sensing block's body and its two readings, pooled: a
+// closure over the task's locals would allocate three times per run. The
+// pool is not app state; each task attempt borrows its own body.
+type senseRead struct {
+	e          task.Exec
+	temp, humd *task.IOSite
+	tv, hv     uint16
+	body       func()
+}
+
+var senseReads = sync.Pool{New: func() any { r := new(senseRead); r.body = r.read; return r }}
+
+func (r *senseRead) read() { r.tv, r.hv = r.e.CallIO(r.temp), r.e.CallIO(r.humd) }
+
 // NewWeatherApp builds the 11-task weather classifier.
 func NewWeatherApp(cfg WeatherConfig) (*Bench, error) {
 	a := task.NewApp("weather")
@@ -209,14 +224,13 @@ func NewWeatherApp(cfg WeatherConfig) (*Bench, error) {
 		e.Next(tSense)
 	})
 	tSense = a.AddTask("sense", func(e task.Exec) {
-		var tv, hv uint16
-		e.IOBlock(senseBlk, func() {
-			tv = e.CallIO(tempSite)
-			hv = e.CallIO(humdSite)
-		})
+		r := senseReads.Get().(*senseRead)
+		defer senseReads.Put(r) // a power failure unwinding the task returns it too
+		*r = senseRead{e: e, temp: tempSite, humd: humdSite, body: r.body}
+		e.IOBlock(senseBlk, r.body)
 		e.Compute(cfg.CalibCycles) // calibration over the fresh readings
-		e.Store(vtemp, tv)
-		e.Store(vhumd, hv)
+		e.Store(vtemp, r.tv)
+		e.Store(vhumd, r.hv)
 		e.Next(tCapture)
 	})
 	tCapture = a.AddTask("capture", func(e task.Exec) {

@@ -42,21 +42,13 @@ import (
 // multiplies the schedule space by the suffix cut count; beyond a few
 // levels even the collapsed tree stops being tractable, and no
 // correctness argument in the paper needs more than
-// failure-during-recovery-during-recovery. Surfaces that accept a depth
-// (the -k flag, the service's "failures" field) validate against this
-// cap with ValidateFailures.
+// failure-during-recovery-during-recovery. Config.Validate holds every
+// surface that accepts a depth to this cap.
 const MaxFailures = 4
 
-// ValidateFailures reports whether k is a usable exploration depth:
-// at least one failure per schedule, at most MaxFailures.
-func ValidateFailures(k int) error {
-	if k < 1 || k > MaxFailures {
-		return fmt.Errorf("check: failure depth %d out of range [1, %d]", k, MaxFailures)
-	}
-	return nil
-}
-
-// Config parameterizes one checker run.
+// Config holds a check's parameters: the one value easeio-check's flags,
+// the service's job spec and the fleet spec fill. Zero fields take the
+// defaults of Filled.
 type Config struct {
 	// Seed drives the golden run and every replay (peripheral processes
 	// are pure functions of wall-clock time and this seed).
@@ -94,7 +86,25 @@ type Config struct {
 	Progress func(explored, planned int)
 }
 
-func (c Config) fill() Config {
+// Validate rejects the values no default covers: a failure depth above
+// MaxFailures, and a negative depth, grid, off-time or worker count.
+func (c Config) Validate() error {
+	switch {
+	case c.Failures < 0 || c.Failures > MaxFailures:
+		return fmt.Errorf("check: failure depth %d out of range [1, %d]", c.Failures, MaxFailures)
+	case c.Grid < 0:
+		return fmt.Errorf("check grid %d is negative (0 means the default)", c.Grid)
+	case c.Off < 0:
+		return fmt.Errorf("off %v is negative (0 means the default)", c.Off)
+	case c.Workers < 0:
+		return fmt.Errorf("workers %d is negative (0 means the default)", c.Workers)
+	}
+	return nil
+}
+
+// Filled returns c with every zero default applied: the configuration a
+// check actually runs, and the one its report header states.
+func (c Config) Filled() Config {
 	if c.Failures <= 0 {
 		c.Failures = 1
 	}

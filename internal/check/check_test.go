@@ -50,8 +50,9 @@ func TestCutRecorderEnumeratesBoundaries(t *testing.T) {
 // TestSeedPoints pins the initial grid: exhaustive and small sets take
 // every index; larger sets take Grid evenly spaced indices including both
 // ends, without duplicates.
-// TestValidateFailures pins the -k bounds surface shared by the CLI, the
-// service and the fleet: only depths 1..MaxFailures are schedulable.
+// TestValidateFailures pins the depth bounds Config.Validate holds the
+// CLI, the service and the fleet to: only depths 1..MaxFailures are
+// schedulable, and 0 selects the default depth 1.
 func TestValidateFailures(t *testing.T) {
 	cases := []struct {
 		k       int
@@ -60,12 +61,12 @@ func TestValidateFailures(t *testing.T) {
 		{k: 1},
 		{k: 2},
 		{k: MaxFailures},
-		{k: 0, wantErr: "check: failure depth 0 out of range [1, 4]"},
+		{k: 0},
 		{k: -1, wantErr: "check: failure depth -1 out of range [1, 4]"},
 		{k: MaxFailures + 1, wantErr: "check: failure depth 5 out of range [1, 4]"},
 	}
 	for _, c := range cases {
-		err := ValidateFailures(c.k)
+		err := Config{Failures: c.k}.Validate()
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("k=%d rejected: %v", c.k, err)

@@ -108,7 +108,7 @@ func TestClassifyMatchesPerWord(t *testing.T) {
 	for _, app := range benches {
 		for _, kind := range equivKinds {
 			cell := app.name + "/" + kind.String()
-			p, err := goldenPass(app.factory, kind, Config{FromBoot: true}.fill())
+			p, err := goldenPass(app.factory, kind, Config{FromBoot: true}.Filled())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,29 +58,12 @@ type DepthStats struct {
 // Report is the deterministic result of one checker run: same blueprint,
 // config and seed ⇒ byte-identical Render output, regardless of Workers.
 type Report struct {
-	App     string
-	Runtime string
-	Seed    int64
-	Off     time.Duration
-	// Failures is the explored schedule depth k (1 = the single-failure
-	// checker).
-	Failures int
+	Header
 
-	// GoldenOnTime and GoldenCorrect describe the continuous-power
-	// reference run.
-	GoldenOnTime  time.Duration
-	GoldenCorrect bool
-
-	// Candidates is the number of charge-slice boundaries enumerated by
-	// the golden pass; Explored of them were replayed, the rest pruned by
-	// the adaptive bisection.
-	Candidates int
-	Explored   int
-	Pruned     int
-
-	// Note carries a non-failure explanation worth surfacing, e.g. that
-	// the golden run produced no candidate failure points at all.
-	Note string
+	// Explored of the Candidates were replayed, the rest pruned by the
+	// adaptive bisection.
+	Explored int
+	Pruned   int
 
 	// Depths books the nested exploration levels (empty for k=1
 	// reports).

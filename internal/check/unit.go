@@ -42,12 +42,16 @@ import (
 // Header is a checker job's report header: everything the golden pass
 // determines before any failure point is explored.
 type Header struct {
-	App      string
-	Runtime  string
-	Seed     int64
-	Off      time.Duration
+	App     string
+	Runtime string
+	Seed    int64
+	Off     time.Duration
+	// Failures is the explored schedule depth k (1 = the single-failure
+	// checker).
 	Failures int
 
+	// GoldenOnTime and GoldenCorrect describe the continuous-power
+	// reference run.
 	GoldenOnTime  time.Duration
 	GoldenCorrect bool
 
@@ -102,8 +106,8 @@ type Planned struct {
 // candidate. On cancellation or a replay error during level 1 it returns
 // the partial plan alongside the error.
 func Plan(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Planned, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
+	cfg = cfg.Filled()
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p, err := goldenPass(newApp, kind, cfg)
@@ -163,8 +167,8 @@ func (p *Planned) Split(n int) [][]Unit {
 // cfg.Failures. cfg must match the planning configuration. An empty unit
 // list is a complete, empty result.
 func RunUnits(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config, units []Unit) (UnitReport, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
+	cfg = cfg.Filled()
+	if err := cfg.Validate(); err != nil {
 		return UnitReport{}, err
 	}
 	if len(units) == 0 {
@@ -203,17 +207,7 @@ func Run(ctx context.Context, newApp experiments.AppFactory, kind experiments.Ru
 // (subtree, candidate) order, exactly as one process books them. Depth 1
 // maps onto Report.Explored/Pruned; deeper levels onto Report.Depths.
 func Merge(h Header, parts []UnitReport) *Report {
-	rep := &Report{
-		App:           h.App,
-		Runtime:       h.Runtime,
-		Seed:          h.Seed,
-		Off:           h.Off,
-		Failures:      h.Failures,
-		GoldenOnTime:  h.GoldenOnTime,
-		GoldenCorrect: h.GoldenCorrect,
-		Candidates:    h.Candidates,
-		Note:          h.Note,
-	}
+	rep := &Report{Header: h}
 	byDepth := make(map[int]*DepthStats)
 	maxDepth := 0
 	for _, p := range parts {

@@ -25,6 +25,9 @@ import (
 func dmaFactory() (*apps.Bench, error)  { return apps.NewDMAApp(apps.DefaultDMAConfig()) }
 func tempFactory() (*apps.Bench, error) { return apps.NewTempApp(apps.DefaultTempConfig()) }
 func firFactory() (*apps.Bench, error)  { return apps.NewFIRApp(apps.DefaultFIRConfig()) }
+func weatherFactory() (*apps.Bench, error) {
+	return apps.NewWeatherApp(apps.DefaultWeatherConfig())
+}
 func sensorFactory() (*apps.Bench, error) {
 	return apps.NewSensorApp(apps.DefaultSensorConfig())
 }
@@ -52,6 +55,9 @@ func TestRunManyDeterminism(t *testing.T) {
 		{"dma", dmaFactory, 24},
 		{"temp", tempFactory, 24},
 		{"fir", firFactory, 12},
+		// Weather's sensing body is pooled across sessions (apps'
+		// senseRead): a many-worker sweep under -race exercises the pool.
+		{"weather", weatherFactory, 8},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

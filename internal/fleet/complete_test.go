@@ -104,9 +104,9 @@ func forgeSubtree(t *testing.T, payload []byte, f func(*wire.SubtreeResult)) []b
 func TestCompleteChecksResults(t *testing.T) {
 	sweep := Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 3, Shards: 2}
 	oneShard := Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 3, Shards: 1}
-	fig6 := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Shards: 2}
+	fig6 := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Exhaustive: true}, Shards: 2}
 	// One shard, so the malformed result is also the last: the merge runs.
-	fig6Whole := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Shards: 1}
+	fig6Whole := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Exhaustive: true}, Shards: 1}
 	cases := []struct {
 		name string
 		spec Spec
@@ -337,7 +337,7 @@ func TestFinishedJobReleasesBytes(t *testing.T) {
 	}
 	specs := []Spec{
 		{Mode: ModeSweep, App: "fir", Runtime: "InK", Runs: 6, BaseSeed: 4, Shards: 3},
-		{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Failures: 2, Shards: 3},
+		{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 3},
 	}
 	var ids []uint64
 	for _, s := range specs {
@@ -415,9 +415,9 @@ func TestFinishedJobsLeaveLeaseScan(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		specs = append(specs, Spec{Mode: ModeSweep, App: "temp", Runtime: "EaseIO", Runs: 2, BaseSeed: int64(i), Shards: 2})
 	}
-	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Shards: 2})
+	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Check: check.Config{Exhaustive: true}, Shards: 2})
 	nested := len(specs)
-	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Failures: 2, Shards: 2})
+	specs = append(specs, Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 2})
 	var ids []uint64
 	for _, s := range specs {
 		id, err := c.Submit(s)
@@ -535,7 +535,7 @@ func FuzzComplete(f *testing.F) {
 	templates := map[bool][]byte{}
 	for isCheck, spec := range map[bool]Spec{
 		false: {Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 1, Shards: 2},
-		true:  {Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Failures: 2, Shards: 2},
+		true:  {Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 2},
 	} {
 		tmpl, err := templateWAL(f.TempDir(), spec)
 		if err != nil {

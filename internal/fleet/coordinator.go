@@ -337,10 +337,7 @@ func (c *Coordinator) planCheck(parts int, rec *record) (work int, err error) {
 		return 0, fmt.Errorf("fleet: unknown app %q", spec.App)
 	}
 	kind, _ := experiments.ParseRuntimeKind(spec.Runtime)
-	p, err := check.Plan(context.Background(), factory, kind, check.Config{
-		Seed: spec.Seed, Grid: spec.Grid,
-		Failures: spec.Failures, Exhaustive: spec.Exhaustive,
-	})
+	p, err := check.Plan(context.Background(), factory, kind, spec.Check)
 	if err != nil {
 		return 0, err
 	}
@@ -348,12 +345,12 @@ func (c *Coordinator) planCheck(parts int, rec *record) (work int, err error) {
 	rec.Level1 = wire.AppendSubtreeResult(nil, wire.SubtreeResult{
 		Job: rec.Job, Depths: p.Level1.Depths, Divergences: p.Level1.Divergences,
 	})
+	cfg := spec.Check
+	cfg.Workers = spec.ShardWorkers
 	for i, units := range p.Split(parts) {
 		rec.Tasks = append(rec.Tasks, wire.AppendSubtreeShard(nil, wire.SubtreeShard{
 			Job: rec.Job, Shard: i, App: spec.App, Runtime: spec.Runtime,
-			Seed: spec.Seed, Off: p.Off, Failures: spec.Failures,
-			Exhaustive: spec.Exhaustive, Grid: spec.Grid, Workers: spec.ShardWorkers,
-			Units: units,
+			Check: cfg, Units: units,
 		}))
 	}
 	return len(p.Units), nil
@@ -361,13 +358,15 @@ func (c *Coordinator) planCheck(parts int, rec *record) (work int, err error) {
 
 // install adds the job of a committed (or replayed) job record, one
 // shard per task, and moves the next id past it. The journaled check
-// header omits the fields the spec determines, so they are restored from
-// the spec here.
+// header omits the fields the spec determines; they are filled from the
+// spec under check's own defaults, as check.Plan filled them.
 func (c *Coordinator) install(r record) *job {
 	j := &job{id: r.Job, spec: r.Spec, submitted: c.cfg.Now(), done: make(chan struct{})}
 	j.kind, _ = experiments.ParseRuntimeKind(r.Spec.Runtime)
+	cfg := r.Spec.Check.Filled()
 	j.plan = r.Plan
-	j.plan.Seed, j.plan.Failures = r.Spec.Seed, max(r.Spec.Failures, 1)
+	j.plan.Runtime = j.kind.String()
+	j.plan.Seed, j.plan.Off, j.plan.Failures = cfg.Seed, cfg.Off, cfg.Failures
 	j.level1 = r.Level1
 	for _, t := range r.Tasks {
 		j.shards = append(j.shards, &shardState{task: t})
@@ -513,7 +512,7 @@ func checkResult(j *job, task, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		k := max(j.spec.Failures, 1)
+		k := j.plan.Failures
 		for _, ds := range r.Depths {
 			if ds.Depth < 1 || ds.Depth > k {
 				return fmt.Errorf("depth %d outside [1, %d]", ds.Depth, k)

@@ -49,7 +49,7 @@ var crashSpec = Spec{
 // two subtree shards whose root checkpoints must survive the WAL.
 var nestedCrashSpec = Spec{
 	Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-	Exhaustive: true, Failures: 2, Shards: 4,
+	Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 4,
 }
 
 // coordinatorHelperMain is the victim coordinator: it submits the crash

@@ -43,6 +43,7 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 
 	"easeio/internal/check"
 	"easeio/internal/experiments"
@@ -61,8 +62,8 @@ const (
 	ModeCheck = "check"
 )
 
-// Spec describes one distributed job. The zero values of the unused
-// mode's fields are ignored.
+// Spec describes one distributed job. The unused mode's fields must be
+// zero.
 type Spec struct {
 	Mode    string // ModeSweep or ModeCheck
 	App     string
@@ -72,15 +73,13 @@ type Spec struct {
 	Runs     int
 	BaseSeed int64
 
-	// Check: the replayed seed and the exploration parameters. Failures
-	// is the nested-failure depth k (0 defaults to 1). Every k > 1 job,
-	// exhaustive or adaptive, shards at the level-1 frontier; a k=1 job
-	// shards its cut range when exhaustive and stays one shard when
-	// adaptive, because bisection prunes across the whole range.
-	Seed       int64
-	Grid       int
-	Exhaustive bool
-	Failures   int
+	// Check: the checker's parameters. Check.Off, FromBoot, Workers and
+	// Progress must stay zero (a shipped check runs at the default
+	// off-time, checkpointed; ShardWorkers is its worker knob). Every
+	// k > 1 job shards at the level-1 frontier; a k=1 job shards its cut
+	// range when exhaustive and stays one shard when adaptive, because
+	// bisection prunes across the whole range.
+	Check check.Config
 
 	// Shards is the desired shard count (0 means 4; clamped to the
 	// available work).
@@ -104,14 +103,18 @@ func (s Spec) validate() error {
 		if s.Runs <= 0 {
 			return fmt.Errorf("fleet: sweep spec needs Runs > 0")
 		}
+		if !reflect.ValueOf(s.Check).IsZero() {
+			return fmt.Errorf("fleet: sweep spec must not set Check")
+		}
 	case ModeCheck:
 		if s.Runs != 0 {
 			return fmt.Errorf("fleet: check spec must not set Runs")
 		}
-		if s.Failures != 0 {
-			if err := check.ValidateFailures(s.Failures); err != nil {
-				return fmt.Errorf("fleet: %w", err)
-			}
+		if c := s.Check; c.Off != 0 || c.FromBoot || c.Workers != 0 || c.Progress != nil {
+			return fmt.Errorf("fleet: check spec must not set Check.Off, FromBoot, Workers or Progress")
+		}
+		if err := s.Check.Validate(); err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
 	default:
 		return fmt.Errorf("fleet: unknown mode %q", s.Mode)

@@ -149,7 +149,7 @@ func TestFleetCheckByteIdentity(t *testing.T) {
 	for _, kind := range kinds {
 		spec := Spec{
 			Mode: ModeCheck, App: "fig6", Runtime: kind.String(),
-			Exhaustive: true, Shards: 2,
+			Check: check.Config{Exhaustive: true}, Shards: 2,
 		}
 		id, err := c.Submit(spec)
 		if err != nil {
@@ -170,7 +170,7 @@ func TestFleetCheckByteIdentity(t *testing.T) {
 
 	// Adaptive mode: the planner must collapse to one shard, and the
 	// merged report must still match the in-process adaptive checker.
-	spec := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Grid: 16, Shards: 4}
+	spec := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Grid: 16}, Shards: 4}
 	id, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 		tc := tc
 		spec := Spec{
 			Mode: ModeCheck, App: tc.app, Runtime: tc.kind.String(),
-			Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
+			Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 4, ShardWorkers: 2,
 		}
 		id, err := c.Submit(spec)
 		if err != nil {
@@ -257,7 +257,7 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 		for _, kind := range []experiments.RuntimeKind{experiments.Alpaca, experiments.EaseIO} {
 			spec := Spec{
 				Mode: ModeCheck, App: app, Runtime: kind.String(),
-				Grid: 16, Failures: 2, Shards: 3, ShardWorkers: 2,
+				Check: check.Config{Grid: 16, Failures: 2}, Shards: 3, ShardWorkers: 2,
 			}
 			id, err := c.Submit(spec)
 			if err != nil {
@@ -289,8 +289,10 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSpecValidation pins the planner's negative surface, including the
-// nested-failure depth bounds shared with the CLI and the service.
+// TestSpecValidation pins the planner's negative surface: the bounds of
+// check.Config.Validate shared with the CLI and the service, the check
+// fields a fleet job cannot carry, and check parameters on a sweep, which
+// the service refuses too.
 func TestSpecValidation(t *testing.T) {
 	c := newTestCoordinator(t, nil)
 	cases := []struct {
@@ -315,13 +317,38 @@ func TestSpecValidation(t *testing.T) {
 		},
 		{
 			name:    "failure depth too deep",
-			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Failures: 5},
+			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Failures: 5}},
 			wantErr: "fleet: check: failure depth 5 out of range [1, 4]",
 		},
 		{
 			name:    "negative failure depth",
-			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Failures: -2},
+			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Failures: -2}},
 			wantErr: "fleet: check: failure depth -2 out of range [1, 4]",
+		},
+		{
+			name:    "sweep with check parameters",
+			spec:    Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, Check: check.Config{Seed: 7}},
+			wantErr: "fleet: sweep spec must not set Check",
+		},
+		{
+			name:    "sweep with exhaustive check",
+			spec:    Spec{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, Check: check.Config{Exhaustive: true}},
+			wantErr: "fleet: sweep spec must not set Check",
+		},
+		{
+			name:    "check with negative grid",
+			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Grid: -3}},
+			wantErr: "fleet: check grid -3 is negative (0 means the default)",
+		},
+		{
+			name:    "check with off-time",
+			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Off: time.Second}},
+			wantErr: "fleet: check spec must not set Check.Off, FromBoot, Workers or Progress",
+		},
+		{
+			name:    "check with workers",
+			spec:    Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Workers: 2}},
+			wantErr: "fleet: check spec must not set Check.Off, FromBoot, Workers or Progress",
 		},
 	}
 	for _, tc := range cases {
@@ -436,7 +463,7 @@ func TestFleetTCPByteIdentity(t *testing.T) {
 	// report must still be byte-identical to the in-process checker.
 	nspec := Spec{
 		Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-		Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
+		Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 4, ShardWorkers: 2,
 	}
 	nid, err := c.Submit(nspec)
 	if err != nil {
@@ -458,22 +485,24 @@ func TestFleetTCPByteIdentity(t *testing.T) {
 }
 
 // walSamples holds records of every type: a sweep job, a k=1 check job
-// with no tasks and a note, a nested check job with tasks, a shard
-// result and a failed shard attempt.
+// with no tasks and a note, a nested check job with tasks and a
+// non-default check configuration, a shard result and a failed shard
+// attempt. A job record's header holds only what it journals: the
+// golden pass's findings, not the spec's runtime or check parameters.
 var walSamples = []record{
 	{Type: recJob, Job: 3, Spec: Spec{
 		Mode: ModeSweep, App: "dma", Runtime: "EaseIO",
 		Runs: 40, BaseSeed: -9, Shards: 4, ShardWorkers: 2,
 	}, Tasks: [][]byte{{4}, {5, 6}}},
 	{Type: recJob, Job: 5, Spec: Spec{
-		Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Seed: 3,
+		Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Seed: 3},
 	}, Plan: check.Header{Note: "nothing to do"}, Level1: []byte{0xD}},
 	{Type: recJob, Job: 6, Spec: Spec{
 		Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-		Seed: 17, Grid: 64, Exhaustive: true, Failures: 2, Shards: 2,
+		Check:  check.Config{Seed: 17, Grid: 64, Exhaustive: true, Failures: 2},
+		Shards: 2,
 	}, Plan: check.Header{
-		App: "fig6-app", Runtime: "Alpaca", Off: time.Millisecond,
-		GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
+		App: "fig6-app", GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9,
 	}, Level1: []byte{0xA, 0xB, 0xC},
 		Tasks: [][]byte{{1}, {2, 3}}},
 	{Type: recShardDone, Job: 3, Shard: 1, Payload: []byte{1, 2, 3}},
@@ -490,6 +519,16 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s round trip:\n got %+v\nwant %+v", want.Type, got, want)
 		}
+	}
+
+	// install fills what the job record leaves out of a check header from
+	// the spec's runtime and its check configuration under check's
+	// defaults.
+	c := &Coordinator{cfg: CoordinatorConfig{}.fill(), jobs: make(map[uint64]*job)}
+	wantPlan := check.Header{App: "fig6-app", Runtime: "Alpaca", Seed: 17, Off: time.Millisecond,
+		Failures: 2, GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9}
+	if got := c.install(walSamples[2]).plan; got != wantPlan {
+		t.Errorf("installed header = %+v, want %+v", got, wantPlan)
 	}
 
 	// Truncations must fail cleanly, never panic.
@@ -669,7 +708,7 @@ func TestCheckPlanPanicFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.Submit(Spec{Mode: ModeCheck, App: "boom", Runtime: "EaseIO", Exhaustive: true})
+	id, err := c.Submit(Spec{Mode: ModeCheck, App: "boom", Runtime: "EaseIO", Check: check.Config{Exhaustive: true}})
 	if err == nil || !strings.Contains(err.Error(), "factory exploded") {
 		t.Fatalf("Submit = %d, %v; want the factory's panic", id, err)
 	}

@@ -49,8 +49,8 @@ func malformedShard(t *testing.T, app string, cfg check.Config, mutate func(*che
 	u := p.Units[0]
 	mutate(&u)
 	return wire.AppendSubtreeShard(nil, wire.SubtreeShard{Job: 1, App: "fig6",
-		Runtime: experiments.EaseIO.String(), Failures: 2, Exhaustive: true,
-		Workers: 1, Units: []check.Unit{u}})
+		Runtime: experiments.EaseIO.String(),
+		Check:   check.Config{Failures: 2, Exhaustive: true, Workers: 1}, Units: []check.Unit{u}})
 }
 
 // TestMalformedUnitFailsShard pins that a unit whose root cannot belong

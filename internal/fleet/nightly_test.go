@@ -31,7 +31,7 @@ func TestFleetNestedCheckK3ByteIdentity(t *testing.T) {
 	for _, kind := range kinds {
 		spec := Spec{
 			Mode: ModeCheck, App: "fig6", Runtime: kind.String(),
-			Exhaustive: true, Failures: 3, Shards: 4, ShardWorkers: 2,
+			Check: check.Config{Exhaustive: true, Failures: 3}, Shards: 4, ShardWorkers: 2,
 		}
 		id, err := c.Submit(spec)
 		if err != nil {

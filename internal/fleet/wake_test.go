@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"easeio/internal/check"
 )
 
 // startIdleLoopback runs n loopback workers whose idle poll is an hour,
@@ -49,7 +51,7 @@ func TestLoopbackWakesOnSubmit(t *testing.T) {
 	startIdleLoopback(t, c, 2)
 	for _, spec := range []Spec{
 		{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 6, BaseSeed: 3},
-		{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true},
+		{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Exhaustive: true}},
 	} {
 		id, err := c.Submit(spec)
 		if err != nil {

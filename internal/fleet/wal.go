@@ -69,8 +69,9 @@ type record struct {
 	// wire.SubtreeResult); a sweep job carries neither. The check fields
 	// must be durable — the level-1 outcomes and root checkpoints they
 	// embed are consumed state, not replayable from the spec without
-	// re-running the exploration. The header omits Seed and Failures,
-	// which the spec determines.
+	// re-running the exploration. The header keeps only what the golden
+	// pass found (the app name too: "fir-op" builds "fir"); install
+	// fills in the rest from the spec.
 	Spec   Spec
 	Plan   check.Header
 	Level1 []byte
@@ -96,16 +97,11 @@ func (r record) encode() []byte {
 		b = wire.AppendString(b, s.Runtime)
 		b = wire.AppendVarint(b, int64(s.Runs))
 		b = wire.AppendVarint(b, s.BaseSeed)
-		b = wire.AppendVarint(b, s.Seed)
-		b = wire.AppendVarint(b, int64(s.Grid))
-		b = wire.AppendBool(b, s.Exhaustive)
-		b = wire.AppendVarint(b, int64(s.Failures))
+		b = wire.AppendCheckConfig(b, s.Check)
 		b = wire.AppendVarint(b, int64(s.Shards))
 		b = wire.AppendVarint(b, int64(s.ShardWorkers))
 		if s.Mode == ModeCheck {
 			b = wire.AppendString(b, r.Plan.App)
-			b = wire.AppendString(b, r.Plan.Runtime)
-			b = wire.AppendVarint(b, int64(r.Plan.Off))
 			b = wire.AppendVarint(b, int64(r.Plan.GoldenOnTime))
 			b = wire.AppendBool(b, r.Plan.GoldenCorrect)
 			b = wire.AppendVarint(b, int64(r.Plan.Candidates))
@@ -145,18 +141,13 @@ func decodeRecord(b []byte) (record, error) {
 			Runtime:      d.String(),
 			Runs:         int(d.Varint()),
 			BaseSeed:     d.Varint(),
-			Seed:         d.Varint(),
-			Grid:         int(d.Varint()),
-			Exhaustive:   d.Bool(),
-			Failures:     int(d.Varint()),
+			Check:        d.CheckConfig(),
 			Shards:       int(d.Varint()),
 			ShardWorkers: int(d.Varint()),
 		}
 		if r.Spec.Mode == ModeCheck {
 			r.Plan = check.Header{
 				App:           d.String(),
-				Runtime:       d.String(),
-				Off:           time.Duration(d.Varint()),
 				GoldenOnTime:  time.Duration(d.Varint()),
 				GoldenCorrect: d.Bool(),
 				Candidates:    int(d.Varint()),
@@ -199,8 +190,9 @@ func decodeRecord(b []byte) (record, error) {
 
 // walFormat numbers the record layouts above (format 0: the headerless
 // logs of earlier builds; format 1: a job's spec and plan in two
-// records); walHeader is the frame that opens every log.
-const walFormat = 2
+// records; format 2: four check fields and a fuller header); walHeader
+// is the frame that opens every log.
+const walFormat = 3
 
 var walHeader = []byte{'E', 'W', 'A', 'L', walFormat, wire.Version}
 

@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"easeio/internal/apps"
+	"easeio/internal/check"
 	"easeio/internal/wire"
 )
 
@@ -37,11 +39,11 @@ func recordLog(tb testing.TB) string {
 	defer c.Close()
 	for _, s := range []Spec{
 		{Mode: ModeSweep, App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 2, Shards: 2},
-		{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Shards: 2},
-		{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Exhaustive: true, Failures: 2, Shards: 2},
+		{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Check: check.Config{Exhaustive: true}, Shards: 2},
+		{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca", Check: check.Config{Exhaustive: true, Failures: 2}, Shards: 2},
 		{Mode: ModeCheck, App: "nope", Runtime: "EaseIO"},
 		{Mode: ModeSweep, App: "temp", Runtime: "InK", Runs: 4, BaseSeed: 5, Shards: 2},
-		{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Shards: 2},
+		{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Check: check.Config{Exhaustive: true}, Shards: 2},
 	} {
 		_, err := c.Submit(s)
 		if s.App == "nope" {
@@ -82,7 +84,7 @@ func recordLog(tb testing.TB) string {
 // foreignMsg is the one refusal of a log another build wrote.
 func foreignMsg(path string, format, version int) string {
 	return fmt.Sprintf("fleet: WAL %s was written by another build (format %d, wire version %d; "+
-		"this build writes 2/4): finish or drop its jobs with that build", path, format, version)
+		"this build writes 3/5): finish or drop its jobs with that build", path, format, version)
 }
 
 // refuseLog writes log to a fresh path and opens it: the open must fail
@@ -137,9 +139,11 @@ func reopen(t *testing.T, path string) {
 // TestWALRefusesOtherBuilds opens logs of other builds: the headerless
 // testdata/merged-results.wal (format 0, which journaled leases, merged
 // results and job failures), and a current log whose header has its
-// format byte patched to the previous format (1, which journaled a job's
-// spec and plan in two records) and to the next. Each is refused with the
-// one header message and left untouched; the unpatched log opens.
+// format byte patched to format 1 (a job's spec and plan in two
+// records), to format 2 (the check parameters as four spec fields, and a
+// check header that journaled its runtime and off-time) and to the next.
+// Each is refused with the one header message and left untouched; the
+// unpatched log opens.
 func TestWALRefusesOtherBuilds(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "merged-results.wal"))
 	if err != nil {
@@ -147,9 +151,21 @@ func TestWALRefusesOtherBuilds(t *testing.T) {
 	}
 	cur := recordLog(t)
 	refuseLog(t, "format 0", fixture, 0, 0)
-	refuseLog(t, "previous format", patchHeader(t, cur, 4, walFormat-1), walFormat-1, wire.Version)
+	refuseLog(t, "format 1", patchHeader(t, cur, 4, 1), 1, wire.Version)
+	refuseLog(t, "format 2", patchHeader(t, cur, 4, 2), 2, wire.Version)
 	refuseLog(t, "next format", patchHeader(t, cur, 4, walFormat+1), walFormat+1, wire.Version)
 	reopen(t, cur)
+}
+
+// TestWALModelHeaderWord holds the WAL model's journaled header word
+// (apps.WALHeaderWord) to this build's header: its format byte over its
+// wire-version byte, so a layout bump cannot leave the model checking an
+// older header.
+func TestWALModelHeaderWord(t *testing.T) {
+	if got := uint16(walHeader[4])<<8 | uint16(walHeader[5]); got != apps.WALHeaderWord {
+		t.Errorf("WAL header is format %d, wire version %d (%#04x); apps.WALHeaderWord is %#04x",
+			walHeader[4], walHeader[5], got, apps.WALHeaderWord)
+	}
 }
 
 // TestWALRefusesOlderWireVersion pins the decision for logs written by a

@@ -57,10 +57,7 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		rep, err := check.RunUnits(ctx, factory, rt, check.Config{
-			Seed: s.Seed, Off: s.Off, Failures: s.Failures,
-			Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.Workers,
-		}, s.Units)
+		rep, err := check.RunUnits(ctx, factory, rt, s.Check, s.Units)
 		if err != nil {
 			return nil, err
 		}

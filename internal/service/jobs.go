@@ -99,6 +99,18 @@ type JobSpec struct {
 	Failures int `json:"failures,omitempty"`
 }
 
+// checkConfig is the spec's check parameters: the one conversion both
+// the in-process and the fleet check path run from.
+func (s JobSpec) checkConfig() check.Config {
+	return check.Config{
+		Seed:       s.BaseSeed,
+		Failures:   s.Failures,
+		Grid:       s.CheckGrid,
+		Exhaustive: s.CheckExhaustive,
+		Workers:    s.Workers,
+	}
+}
+
 // Job is one accepted sweep. All fields are safe to read concurrently
 // through the accessors; the manager is the only writer.
 type Job struct {
@@ -366,19 +378,12 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		if spec.Runs != 0 {
 			return nil, fmt.Errorf("service: check job does not take a run count (got %d)", spec.Runs)
 		}
-		if spec.CheckGrid < 0 {
-			return nil, fmt.Errorf("service: check grid %d is negative (0 means the default)", spec.CheckGrid)
-		}
-		if spec.Failures != 0 {
-			if err := check.ValidateFailures(spec.Failures); err != nil {
-				return nil, fmt.Errorf("service: %w", err)
-			}
-		}
 	default:
 		return nil, fmt.Errorf("service: unknown mode %q (want \"sweep\" or \"check\")", spec.Mode)
 	}
-	if spec.Workers < 0 {
-		return nil, fmt.Errorf("service: workers %d is negative (0 means the default)", spec.Workers)
+	// A sweep's check fields are zero by now, so this bounds its workers.
+	if err := spec.checkConfig().Validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	if spec.TimeoutMs < 0 || time.Duration(spec.TimeoutMs)*time.Millisecond > maxJobTimeout {
 		return nil, fmt.Errorf("service: timeout %d ms out of range (want 0 for none, at most 24h)", spec.TimeoutMs)
@@ -650,13 +655,9 @@ func (m *Manager) runFleetJob(j *Job) {
 		Runs: j.Spec.Runs, BaseSeed: j.Spec.BaseSeed, ShardWorkers: j.Spec.Workers,
 	}
 	if mode == "check" {
-		fspec.Mode = fleet.ModeCheck
-		fspec.Runs = 0
-		fspec.BaseSeed = 0
-		fspec.Seed = j.Spec.BaseSeed
-		fspec.Grid = j.Spec.CheckGrid
-		fspec.Exhaustive = j.Spec.CheckExhaustive
-		fspec.Failures = j.Spec.Failures
+		fspec.Mode, fspec.Runs, fspec.BaseSeed = fleet.ModeCheck, 0, 0
+		fspec.Check = j.Spec.checkConfig()
+		fspec.Check.Workers = 0 // ShardWorkers carries it
 	}
 	fid, err := m.fleet.Submit(fspec)
 	if err != nil {
@@ -767,16 +768,10 @@ func (m *Manager) watchFleetJob(j *Job, fid uint64, mode string, done <-chan str
 // Status.Check and the divergence counter; only an engine error or
 // cancellation is a non-success.
 func (m *Manager) runCheckJob(j *Job) {
-	cfg := check.Config{
-		Seed:       j.Spec.BaseSeed,
-		Failures:   j.Spec.Failures,
-		Grid:       j.Spec.CheckGrid,
-		Exhaustive: j.Spec.CheckExhaustive,
-		Workers:    j.Spec.Workers,
-		Progress: func(explored, planned int) {
-			j.done.Store(int64(explored))
-			j.total.Store(int64(planned))
-		},
+	cfg := j.Spec.checkConfig()
+	cfg.Progress = func(explored, planned int) {
+		j.done.Store(int64(explored))
+		j.total.Store(int64(planned))
 	}
 	rep, err := check.Run(j.ctx, j.bp.Factory, j.kind, cfg)
 	if rep != nil {

@@ -51,8 +51,8 @@ func FuzzDecodeShard(f *testing.F) {
 	f.Add(AppendSweepShard(nil, SweepShard{Job: 1, Shard: 0, App: "weather",
 		Runtime: "ease-io", BaseSeed: 7, Lo: 0, Hi: 100, Workers: 2}))
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 2, Shard: 1, App: "dma",
-		Runtime: "alpaca", Seed: 3, Off: 3 * time.Millisecond, Failures: 1,
-		Exhaustive: true, Grid: 33, Workers: 1, Units: []check.Unit{{CutLo: 4, CutHi: 32}}}))
+		Runtime: "alpaca", Check: check.Config{Seed: 3, Failures: 1, Exhaustive: true, Grid: 33, Workers: 1},
+		Units: []check.Unit{{CutLo: 4, CutHi: 32}}}))
 	agg := stats.Aggregator{App: "fir", Runtime: "ink", Runs: 2,
 		Totals: []time.Duration{time.Millisecond, 2 * time.Millisecond}}
 	f.Add(AppendSweepResult(nil, SweepResult{Job: 1, Shard: 0, Agg: agg, Errs: []string{"x"}}))
@@ -117,16 +117,15 @@ func FuzzDecodeSubtreeShard(f *testing.F) {
 		Slots:    []kernel.IOSlot{{TaskID: 1, TaskInst: 2, ExecCount: 3, Completed: true}},
 		TaskInst: []int32{0, 2}}
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 3, Shard: 2, App: "fig6",
-		Runtime: "ease-io", Seed: 42, Off: time.Millisecond, Failures: 2,
-		Exhaustive: true, Grid: 128, Workers: 2,
+		Runtime: "ease-io", Check: check.Config{Seed: 42, Failures: 2, Exhaustive: true, Grid: 128, Workers: 2},
 		Units: []check.Unit{{
 			Schedule:  []time.Duration{5 * time.Millisecond},
 			Collapsed: 3,
 			Root:      root,
 		}}}))
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 4, Shard: 1, App: "fig6",
-		Runtime: "alpaca", Seed: 7, Off: time.Millisecond, Failures: 1,
-		Exhaustive: true, Workers: 1, Units: []check.Unit{{CutLo: 40, CutHi: 80}}}))
+		Runtime: "alpaca", Check: check.Config{Seed: 7, Failures: 1, Exhaustive: true, Workers: 1},
+		Units: []check.Unit{{CutLo: 40, CutHi: 80}}}))
 	f.Add(AppendSubtreeResult(nil, SubtreeResult{Job: 3, Shard: 2,
 		Depths: []check.DepthStats{{Depth: 2, Expanded: 1, Candidates: 9, Explored: 9}},
 		Divergences: []check.Divergence{{At: time.Millisecond, Index: 1, Kind: "memory",

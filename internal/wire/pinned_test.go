@@ -12,7 +12,7 @@ import (
 	"easeio/internal/power"
 )
 
-// TestWireBytesPinned pins the v4 byte layout of the messages that carry
+// TestWireBytesPinned pins the v5 byte layout of the messages that carry
 // checkpoints: the subtree shards of a fig6 k=2 plan under every
 // runtime, device checkpoints captured under the timer supply and under
 // continuous power, and one checkpoint per supply-state kind. Each
@@ -21,16 +21,16 @@ import (
 // worker or a write-ahead log reads without a version bump.
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"shard/Alpaca":      "39e4a971b5c913e5565d461aac92095cad17720f363d03ac813d76843140f334",
-		"shard/InK":         "2a261d63fc78a06ea6b8f1188673a15de0dee8c8868ef0d2a4d5b7d54305ea58",
-		"shard/EaseIO":      "c686c2a54df545ee17ac8295f1c42cd2be791f242d6258e9cd4048b81b9fa3c4",
-		"shard/JustDo":      "05afc30b74ada1766d7f43f0c8506eb5dd8f5a7fc91b7024124030f5b8e7a64d",
-		"checkpoint/timer":  "6f3ca6cd7723a318fea3d030e1bccaa6be52a5d3eeb8527ba1ad96d605e96af6",
-		"checkpoint/contin": "989d1621a6313c75ada3373273228a851a832a502c08398c403091e18d348c1e",
-		"supply/continuous": "ef14f78336328f8951e11d5380f6bebdd32909be31d95225c0ec077bb97793fc",
-		"supply/schedule":   "d09fdadc2a5c1271c73aa6e8d48a7739dedd6c2564fb45c390a4ea280a732ef3",
-		"supply/timer":      "ad3cc803135b49b052bcc7f6010f3df5541dcd0b5fbf7d9b2ebec1ff5fda2277",
-		"supply/harvested":  "b6f146cdb73ce4d71233d2153f08e7ca7dacf9ba1078a966b14702a42db104a2",
+		"shard/Alpaca":      "17bb740dc8cefc4b78f7e78baf1a74f8e7be736dc8c61efce7d2d8ca689c440e",
+		"shard/InK":         "251210a8d7a474d4b6774c542b404e2a146279b9c8572cf1557eb29819146195",
+		"shard/EaseIO":      "0f4763b1c93fdb812cecaf5b3f3d622ff824319d90d116eff3bf966824b5c310",
+		"shard/JustDo":      "7e998117cc749f6d0ab2c3f86fe5967f14cabbc0972cfe90b89028db026155a4",
+		"checkpoint/timer":  "fdf180dd284d08c2c6350ff70a4fb6d46bd2e9507c33fa60041bcc6678e74db0",
+		"checkpoint/contin": "7573fdcb9faabeba692696b9f0a5be808e9468e785bf126b7dc50ed9186729e7",
+		"supply/continuous": "4fe066eab17d3d39ed6c8f7653bcfbdce30b997a0928a959d76aa978488099ac",
+		"supply/schedule":   "a7679a706c5daa8df2249aa9fe7895cf175c39408020d7df281ce51a14d867a9",
+		"supply/timer":      "8d11c03cd121f9a534082b68c05efb266b0cdb7788c46a2b0b0f3d445534b382",
+		"supply/harvested":  "0765ba4621d14d815d1576885d393bd8b3c5bfd3123b1b72c594317ab81e6cbc",
 	}
 	got := map[string][]byte{}
 	for _, kind := range []experiments.RuntimeKind{
@@ -68,8 +68,8 @@ func pinnedShard(t *testing.T, kind experiments.RuntimeKind) []byte {
 		t.Fatalf("%v: the k=2 plan has no units", kind)
 	}
 	return AppendSubtreeShard(nil, SubtreeShard{Job: 5, Shard: 1, App: "fig6",
-		Runtime: kind.String(), Seed: p.Seed, Off: p.Off, Failures: 2,
-		Exhaustive: true, Workers: 1, Units: p.Units})
+		Runtime: kind.String(), Check: check.Config{Seed: p.Seed, Failures: 2, Exhaustive: true, Workers: 1},
+		Units: p.Units})
 }
 
 // pinnedCheckpoint encodes one device checkpoint as a KindCheckpoint

@@ -1,9 +1,34 @@
 // The exported encoding primitives. The fleet's write-ahead log defines
-// record layouts of its own (job specs, lease transitions) on top of
+// record layouts of its own (job records, shard transitions) on top of
 // the same varint/string/bool vocabulary the fixed messages use; these
-// wrappers expose that vocabulary without opening up the internals.
+// wrappers expose that vocabulary without opening up the internals, along
+// with the one codec of a check's parameters.
 
 package wire
+
+import "easeio/internal/check"
+
+// AppendCheckConfig appends the check parameters a fleet job carries:
+// Seed, Failures, Exhaustive and Grid. A shipped check runs at the
+// default off-time, checkpointed, with its carrier's worker count.
+func AppendCheckConfig(b []byte, c check.Config) []byte {
+	b = appendVarint(b, c.Seed)
+	b = appendVarint(b, int64(c.Failures))
+	b = appendBool(b, c.Exhaustive)
+	return appendVarint(b, int64(c.Grid))
+}
+
+// CheckConfig reads AppendCheckConfig's encoding.
+func (x *Decoder) CheckConfig() check.Config { return x.d.checkConfig() }
+
+func (d *dec) checkConfig() check.Config {
+	return check.Config{
+		Seed:       d.varint(),
+		Failures:   int(d.varint()),
+		Exhaustive: d.bool(),
+		Grid:       int(d.varint()),
+	}
+}
 
 // Append primitives, re-exported for callers composing their own record
 // layouts on the wire vocabulary.

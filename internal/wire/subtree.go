@@ -21,20 +21,15 @@ import (
 // SubtreeShard describes one worker's slice of a checker job: grow the
 // given units under the job's configuration. The worker recomputes the
 // golden reference locally — the golden pass is deterministic, so only
-// the units themselves need shipping.
+// the units themselves need shipping. Check travels as AppendCheckConfig
+// plus its Workers: a worker runs exactly the configuration it decodes.
 type SubtreeShard struct {
 	Job     uint64
 	Shard   int
 	App     string
 	Runtime string
-
-	Seed       int64
-	Off        time.Duration
-	Failures   int // total exploration depth k
-	Exhaustive bool
-	Grid       int
-	Workers    int
-	Units      []check.Unit
+	Check   check.Config
+	Units   []check.Unit
 }
 
 // SubtreeResult is a worker's completed subtree shard: the per-depth
@@ -56,12 +51,8 @@ func AppendSubtreeShard(dst []byte, s SubtreeShard) []byte {
 	dst = appendVarint(dst, int64(s.Shard))
 	dst = appendString(dst, s.App)
 	dst = appendString(dst, s.Runtime)
-	dst = appendVarint(dst, s.Seed)
-	dst = appendVarint(dst, int64(s.Off))
-	dst = appendVarint(dst, int64(s.Failures))
-	dst = appendBool(dst, s.Exhaustive)
-	dst = appendVarint(dst, int64(s.Grid))
-	dst = appendVarint(dst, int64(s.Workers))
+	dst = AppendCheckConfig(dst, s.Check)
+	dst = appendVarint(dst, int64(s.Check.Workers))
 	dst = appendUvarint(dst, uint64(len(s.Units)))
 	for _, u := range s.Units {
 		dst = appendUvarint(dst, uint64(len(u.Schedule)))
@@ -82,17 +73,13 @@ func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 	d := &dec{b: b}
 	d.header(KindSubtreeShard)
 	s := SubtreeShard{
-		Job:        d.uvarint(),
-		Shard:      int(d.varint()),
-		App:        d.string(),
-		Runtime:    d.string(),
-		Seed:       d.varint(),
-		Off:        time.Duration(d.varint()),
-		Failures:   int(d.varint()),
-		Exhaustive: d.bool(),
-		Grid:       int(d.varint()),
-		Workers:    int(d.varint()),
+		Job:     d.uvarint(),
+		Shard:   int(d.varint()),
+		App:     d.string(),
+		Runtime: d.string(),
+		Check:   d.checkConfig(),
 	}
+	s.Check.Workers = int(d.varint())
 	// Each unit is at least 8 bytes (empty schedule, collapsed, empty
 	// checkpoint, empty runtime state, cut range).
 	if n := d.count(8); d.err == nil && n > 0 {

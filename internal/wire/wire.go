@@ -43,8 +43,10 @@ import (
 // a cut range, and the cut-range check shard/result kinds were retired.
 // Version 4 dropped the memory access counters from each checkpoint bank
 // and the per-site I/O counts from run encodings. Retiring kinds 6 and 7
-// changed no remaining message, so it kept version 4.
-const Version = 4
+// changed no remaining message, so it kept version 4. Version 5 carries a
+// subtree shard's check parameters through AppendCheckConfig and drops
+// its off-time, which a shipped check always leaves at the default.
+const Version = 5
 
 // Kind tags a message's type in its header.
 type Kind uint8

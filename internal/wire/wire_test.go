@@ -158,8 +158,8 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	}
 
 	// A k=1 check shard: one boot-rooted unit over a cut range.
-	cs := SubtreeShard{Job: 8, Shard: 0, App: "dma", Runtime: "alpaca", Seed: 99,
-		Off: 3 * time.Millisecond, Failures: 1, Exhaustive: true, Grid: 33, Workers: 2,
+	cs := SubtreeShard{Job: 8, Shard: 0, App: "dma", Runtime: "alpaca",
+		Check: check.Config{Seed: 99, Failures: 1, Exhaustive: true, Grid: 33, Workers: 2},
 		Units: []check.Unit{{CutLo: 10, CutHi: 64}}}
 	gotCS, err := DecodeSubtreeShard(AppendSubtreeShard(nil, cs))
 	if err != nil || !reflect.DeepEqual(gotCS, cs) {
