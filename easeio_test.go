@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"easeio/internal/apps"
+	"easeio/internal/experiments"
+	"easeio/internal/kernel"
 	"easeio/internal/stats"
 )
 
@@ -230,6 +233,60 @@ func TestConcurrentSessionsSingleFlight(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0], want) {
 		t.Error("concurrent session result differs from a serial run on a fresh app")
+	}
+}
+
+// TestConcurrentSessionsShareBuiltApp is the -race regression for
+// sharing one built, analyzed app between sessions: two kernel.Sessions
+// of one weather app instance (its sensors, radio and camera included)
+// run EaseIO concurrently, and every run must match the same seed run
+// serially on a separately built app.
+func TestConcurrentSessionsShareBuiltApp(t *testing.T) {
+	build := func() *apps.Bench {
+		bench, err := apps.NewWeatherApp(apps.DefaultWeatherConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bench
+	}
+	const sessions, seeds = 2, 4
+	shared := build()
+	got := make([][]*stats.Run, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for g := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := kernel.NewSession(experiments.NewRuntime(experiments.EaseIO), shared.App, experiments.TimerSupply())
+			for seed := int64(1); seed <= seeds; seed++ {
+				run, err := sess.Run(seed)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g] = append(got[g], run.Clone())
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := kernel.NewSession(experiments.NewRuntime(experiments.EaseIO), build().App, experiments.TimerSupply())
+	for seed := int64(1); seed <= seeds; seed++ {
+		want, err := ref.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := range sessions {
+			if !reflect.DeepEqual(got[g][seed-1], want) {
+				t.Errorf("session %d seed %d: run differs from a serial run on a fresh app:\n got %+v\nwant %+v",
+					g, seed, got[g][seed-1], want)
+			}
+		}
 	}
 }
 

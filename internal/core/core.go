@@ -246,12 +246,15 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	// The privatization buffer exists only for applications with DMA
 	// operations; DMA-free apps pay just the per-site flag bytes
 	// (§5.4.5: "the temperature sensing application ... has no DMA
-	// privatization buffer").
-	if r.cfg.PrivBufWords > 0 && len(app.DMAs) > 0 {
-		r.privBuf = dev.Mem.Alloc(mem.FRAM, r.cfg.PrivBufWords)
-	}
+	// privatization buffer"). The bump pointer sits before the buffer:
+	// every transition writes it, and above the buffer it would lift the
+	// FRAM high-water mark — and so every checkpoint's FRAM prefix — over
+	// the whole buffer, however little of it a run wrote.
 	if len(app.DMAs) > 0 {
 		r.privBufNext = dev.Mem.Alloc(mem.FRAM, 1)
+		if r.cfg.PrivBufWords > 0 {
+			r.privBuf = dev.Mem.Alloc(mem.FRAM, r.cfg.PrivBufWords)
+		}
 	}
 	return nil
 }

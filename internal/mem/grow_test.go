@@ -243,7 +243,9 @@ func (g *growOps) step() {
 
 // compare checks the two memories' whole state: every bank's words (the
 // flat store's words past the growing store must be zero), watermarks
-// and high-water marks, and the store invariants.
+// and high-water marks, and the store invariants. It also checks the
+// invariant snapshots, restores, Reset and PowerFailure rest on: every
+// word at or above a bank's high-water mark reads zero.
 func (g *growOps) compare(desc string) {
 	t, gm, fm := g.t, g.grown, g.flat
 	if gm.alloc != fm.alloc || gm.highWater != fm.highWater {
@@ -252,9 +254,16 @@ func (g *growOps) compare(desc string) {
 	}
 	for b := Bank(0); b < numBanks; b++ {
 		store := gm.banks[b]
-		if len(store) > capacity[b] || len(store) < gm.usedWords(b) {
-			t.Fatalf("after %s: %v store %d words, used %d, capacity %d",
-				desc, b, len(store), gm.usedWords(b), capacity[b])
+		if need := max(gm.alloc[b], gm.highWater[b]); len(store) > capacity[b] || len(store) < need {
+			t.Fatalf("after %s: %v store %d words, alloc and high-water %d, capacity %d",
+				desc, b, len(store), need, capacity[b])
+		}
+		// The store covers the mark, and the flat store's words past the
+		// growing one are checked to be zero below.
+		hw := gm.highWater[b]
+		if i := slices.IndexFunc(store[hw:], func(w uint16) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("after %s: %v word %d = %d at or above the high-water mark %d",
+				desc, b, hw+i, store[hw+i], hw)
 		}
 		if !Equal(store, fm.banks[b][:len(store)]) {
 			i := 0
@@ -277,7 +286,8 @@ func (g *growOps) compare(desc string) {
 // restores (into fresh memories whose store is shorter than the
 // snapshot), power failures and resets, at addresses near the store's
 // end, the bank's last word and past it: words, watermarks, high-water
-// marks, snapshots, results and panic messages must all agree.
+// marks, snapshots, results and panic messages must all agree, and every
+// word at or above a bank's high-water mark must read zero.
 func FuzzGrowMatchesFlat(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 100, 0, 2, 2, 0, 1, 9, 0, 6, 10, 8, 7, 1, 2, 0})
@@ -286,6 +296,10 @@ func FuzzGrowMatchesFlat(f *testing.F) {
 	// Alloc(FRAM, 100); WriteBlock of four words ending at the store's
 	// end; a four-word copy from there to one word later, word by word.
 	f.Add([]byte{0, 0, 100, 0, 1, 3, 2, 0, 4, 10, 20, 30, 40, 5, 2, 0, 2, 0, 3, 0, 3, 0, 2, 0})
+	// Alloc(FRAM, 100); WriteBlock of four words at word 10; a bulk
+	// (MoveN) copy of them to word 50, cut after two: the copied words
+	// must sit below the high-water mark.
+	f.Add([]byte{0, 0, 100, 0, 1, 3, 0, 0, 10, 0, 4, 5, 6, 7, 8, 5, 0, 0, 10, 0, 0, 0, 50, 0, 3, 1, 0, 2})
 	f.Add(binary.LittleEndian.AppendUint64([]byte{0, 0, 0, 4, 6, 8, 7}, 0x0b050402070c0a09))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &growOps{t: t, grown: New(), flat: newFlat(), data: data}

@@ -18,6 +18,12 @@
 // then raises the mark once per command with Wrote. Equal compares two
 // word ranges at memory speed.
 //
+// Every write path raises the high-water mark, so every word at or above
+// a bank's mark is zero. Reset, PowerFailure, snapshots and restores
+// therefore touch only the words below the mark — the words a run wrote
+// — and a snapshot's prefix length is the mark: an allocation a run
+// barely writes costs its snapshots nothing past what it wrote.
+//
 // The FRAM bank's backing store starts empty and grows — doubling, capped
 // at FRAMWords — as allocation, restores and accesses reach further: the
 // simulated apps use a few KiB of the 256 KiB bank, and every app build
@@ -98,7 +104,8 @@ const minGrowWords = 1024
 type Memory struct {
 	// banks holds each bank's backing store: its first len words, every
 	// word past them being zero. SRAM and LEA-RAM are whole from New;
-	// FRAM grows (see grow). The store always covers usedWords.
+	// FRAM grows (see grow). The store always covers both the allocator
+	// watermark and the high-water mark.
 	banks     [numBanks][]uint16
 	alloc     [numBanks]int // bump-allocator watermark, in words
 	highWater [numBanks]int // 1 + highest word ever written
@@ -304,26 +311,21 @@ func (w *CopyWindow) MoveN(i, n int) {
 
 // Reset clears all memory contents and high-water marks while preserving
 // the allocator watermarks, so a runtime attached to this memory keeps
-// its addresses valid across runs. Only words that can have been written are cleared: runtime-mediated
-// writes stay below the allocator watermark and raw writes (DMA into
-// LEA-RAM) below the high-water mark, so clearing up to the larger of the
-// two restores the bank to its as-new all-zero state.
+// its addresses valid across runs. Only the words below each bank's
+// high-water mark can have been written, so clearing them restores the
+// bank to its as-new all-zero state.
 func (m *Memory) Reset() {
 	for b := Bank(0); b < numBanks; b++ {
-		n := m.alloc[b]
-		if m.highWater[b] > n {
-			n = m.highWater[b]
-		}
-		clear(m.banks[b][:n])
+		clear(m.banks[b][:m.highWater[b]])
 		m.highWater[b] = 0
 	}
 }
 
 // PowerFailure clears every volatile bank, exactly what a real power
-// failure does to SRAM and LEA-RAM. FRAM contents survive. Only the used
-// prefix is touched: every write path (Read/Write, blocks, copy windows)
-// maintains the high-water mark, and Restore re-establishes it, so words
-// above max(alloc, highWater) are provably zero already — clearing them
+// failure does to SRAM and LEA-RAM. FRAM contents survive. Only the words
+// below the high-water mark are touched: every write path (Read/Write,
+// blocks, copy windows) maintains the mark, and RestoreAll re-establishes
+// it, so the words above it are provably zero already — clearing them
 // again cost a full 4 KB memclr per bank per failure, which showed up in
 // sweep profiles.
 func (m *Memory) PowerFailure() {
@@ -331,41 +333,26 @@ func (m *Memory) PowerFailure() {
 		if !b.Volatile() {
 			continue
 		}
-		clear(m.banks[b][:m.usedWords(b)])
+		clear(m.banks[b][:m.highWater[b]])
 	}
 }
 
-// DeviceSnapshot captures the full mid-run state of a Memory: every
-// bank's used prefix plus the high-water marks. The allocator watermarks
-// are recorded but never restored — a snapshot may only be restored into
-// a memory with the same allocation layout, which RestoreAll verifies.
-// Copying just the used prefix (everything at or below max(alloc,
-// highWater) per bank, the same bound Reset clears) keeps snapshots
-// proportional to the app's footprint instead of the 256 KB FRAM bank.
+// DeviceSnapshot captures the full mid-run state of a Memory: the words
+// below each bank's high-water mark. The prefix's length is the mark, so
+// a snapshot is proportional to the words a run wrote, not to what it
+// allocated or to the 256 KB FRAM bank. The allocator watermarks are
+// recorded but never restored — a snapshot may only be restored into a
+// memory with the same allocation layout, which RestoreAll verifies.
 //
-// Every field is indexed by Bank. Used holds each bank's used word
-// prefix, Alloc the allocator watermarks and HighWater the high-water
-// marks. internal/wire encodes the value as is; Validate is the check a
-// decoder runs on untrusted state.
+// Every field is indexed by Bank. Used holds each bank's written word
+// prefix and Alloc the allocator watermarks. internal/wire encodes the
+// value as is; Validate is the check a decoder runs on untrusted state.
 type DeviceSnapshot struct {
-	Used      [NumBanks][]uint16
-	Alloc     [NumBanks]int
-	HighWater [NumBanks]int
+	Used  [NumBanks][]uint16
+	Alloc [NumBanks]int
 }
 
-// usedWords returns how many words of bank b can differ from zero: the
-// larger of the allocator watermark and the high-water mark (raw DMA
-// writes can land above the watermark).
-func (m *Memory) usedWords(b Bank) int {
-	n := m.alloc[b]
-	if m.highWater[b] > n {
-		n = m.highWater[b]
-	}
-	return n
-}
-
-// SnapshotAll captures every bank's used prefix together with the
-// high-water marks.
+// SnapshotAll captures the words below every bank's high-water mark.
 func (m *Memory) SnapshotAll() *DeviceSnapshot { return m.SnapshotAllInto(nil) }
 
 // SnapshotAllInto is SnapshotAll reusing s's buffers when s is non-nil —
@@ -377,39 +364,39 @@ func (m *Memory) SnapshotAllInto(s *DeviceSnapshot) *DeviceSnapshot {
 		s = &DeviceSnapshot{}
 	}
 	s.Alloc = m.alloc
-	s.HighWater = m.highWater
 	for b := Bank(0); b < numBanks; b++ {
-		n := m.usedWords(b)
-		s.Used[b] = append(s.Used[b][:0], m.banks[b][:n]...)
+		s.Used[b] = append(s.Used[b][:0], m.banks[b][:m.highWater[b]]...)
 	}
 	return s
 }
 
 // RestoreAll overwrites the memory's contents and high-water marks from
-// a snapshot taken earlier. The target must have the same allocator
-// watermarks as the snapshotted memory (i.e. the same
-// blueprint attached in the same order); it panics otherwise, since
-// restoring into a different layout is a harness bug. Words above the
-// target's own used prefix are provably zero in both memories, so only
-// the prefixes are touched. A backing store shorter than the snapshot's
-// prefix (or its high-water mark) grows to hold it first.
+// a snapshot taken earlier: each bank's mark becomes the length of its
+// snapshot prefix. The target must have the same allocator watermarks as
+// the snapshotted memory (i.e. the same blueprint attached in the same
+// order); it panics otherwise, since restoring into a different layout
+// is a harness bug. Words above either memory's high-water mark are
+// provably zero, so only the words below the larger of the two marks
+// are touched. A backing store shorter than the snapshot's prefix grows
+// to hold it first.
 func (m *Memory) RestoreAll(s *DeviceSnapshot) {
 	if m.alloc != s.Alloc {
 		panic(fmt.Sprintf("mem: restore-all layout mismatch: alloc %v vs %v",
 			m.alloc, s.Alloc))
 	}
 	for b := Bank(0); b < numBanks; b++ {
-		if need := max(len(s.Used[b]), s.HighWater[b]); need > len(m.banks[b]) {
-			m.grow(b, need)
+		k := len(s.Used[b])
+		if k > len(m.banks[b]) {
+			m.grow(b, k)
 		}
-		// The copy overwrites the snapshot's prefix; only the tail the
-		// current memory used beyond it needs explicit clearing.
-		if n, k := m.usedWords(b), len(s.Used[b]); n > k {
+		// The copy overwrites the snapshot's prefix; only the words the
+		// current memory wrote beyond it need explicit clearing.
+		if n := m.highWater[b]; n > k {
 			clear(m.banks[b][k:n])
 		}
 		copy(m.banks[b], s.Used[b])
+		m.highWater[b] = k
 	}
-	m.highWater = s.HighWater
 }
 
 // EqualRange reports whether the n words starting at a equal want; a
@@ -439,9 +426,9 @@ func byteView(words []uint16) []byte {
 const NumBanks = int(numBanks)
 
 // Validate rejects a snapshot that cannot have come from a real memory:
-// a prefix longer than its bank or watermarks out of range. A decoder
-// runs it on untrusted state, so RestoreAll's own panics are left for
-// harness bugs.
+// a prefix longer than its bank or an allocator watermark out of range.
+// A decoder runs it on untrusted state, so RestoreAll's own panics are
+// left for harness bugs.
 func (s *DeviceSnapshot) Validate() error {
 	for b := Bank(0); b < numBanks; b++ {
 		cap := capacity[b]
@@ -452,10 +439,6 @@ func (s *DeviceSnapshot) Validate() error {
 		if s.Alloc[b] < 0 || s.Alloc[b] > cap {
 			return fmt.Errorf("mem: %s snapshot watermark %d out of range [0,%d]",
 				b, s.Alloc[b], cap)
-		}
-		if s.HighWater[b] < 0 || s.HighWater[b] > cap {
-			return fmt.Errorf("mem: %s snapshot high-water %d out of range [0,%d]",
-				b, s.HighWater[b], cap)
 		}
 	}
 	return nil

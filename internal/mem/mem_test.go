@@ -186,6 +186,10 @@ func TestSnapshotAllRestoreAll(t *testing.T) {
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("real snapshot rejected: %v", err)
 	}
+	// The prefix ends at the high-water mark, not at the allocation.
+	if n := len(snap.Used[FRAM]); n != 2 {
+		t.Errorf("FRAM prefix holds %d words, want the high-water mark 2", n)
+	}
 	m.Write(Addr{FRAM, 1}, 20)
 	m.Write(Addr{FRAM, 30}, 30)
 	m.Write(Addr{LEARAM, 5}, 40)
@@ -193,14 +197,19 @@ func TestSnapshotAllRestoreAll(t *testing.T) {
 	if got := m.Read(Addr{FRAM, 1}); got != 10 {
 		t.Errorf("restored value = %d, want 10", got)
 	}
+	if got := m.Read(Addr{FRAM, 30}); got != 0 {
+		t.Errorf("word above the restored prefix = %d, want 0", got)
+	}
+	if hw := m.HighWater(FRAM); hw != 2 {
+		t.Errorf("restored FRAM high-water mark %d, want 2", hw)
+	}
 	if got := m.SnapshotAll(); !reflect.DeepEqual(got, snap) {
 		t.Errorf("restored memory snapshots as %+v, want %+v", got, snap)
 	}
 	for i, bad := range []func(s *DeviceSnapshot){
 		func(s *DeviceSnapshot) { s.Used[SRAM] = make([]uint16, SRAMWords+1) },
 		func(s *DeviceSnapshot) { s.Alloc[FRAM] = -1 },
-		func(s *DeviceSnapshot) { s.HighWater[LEARAM] = LEARAMWords + 1 },
-		func(s *DeviceSnapshot) { s.HighWater[SRAM] = -1 },
+		func(s *DeviceSnapshot) { s.Alloc[LEARAM] = LEARAMWords + 1 },
 	} {
 		s := *snap
 		bad(&s)

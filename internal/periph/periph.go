@@ -14,7 +14,9 @@
 //
 // As in the paper (§6), peripherals are arbitrarily restartable and
 // synchronous: they hold no internal non-volatile state and an interrupted
-// operation can simply run again.
+// operation can simply run again. A model holds only its fixed
+// parameters — no operation writes it — so the peripherals of one built
+// app can serve concurrent sessions.
 package periph
 
 import (
@@ -99,16 +101,12 @@ type Radio struct {
 	// BaseEnergy and PerWordEnergy mirror the latency split.
 	BaseEnergy    units.Energy
 	PerWordEnergy units.Energy
-
-	// Sent counts words successfully transmitted (measurement-world).
-	Sent int64
 }
 
 // Send charges the transmission of n payload words.
 func (r *Radio) Send(e task.Exec, n int) {
 	e.Op(r.BaseLatency+time.Duration(n)*r.PerWord,
 		r.BaseEnergy+units.Energy(n)*r.PerWordEnergy)
-	r.Sent += int64(n)
 }
 
 // Camera captures an image. The paper simulates the capture operation by
@@ -118,15 +116,11 @@ type Camera struct {
 	Name    string
 	Latency time.Duration
 	Energy  units.Energy
-
-	// Captures counts completed captures (measurement-world).
-	Captures int64
 }
 
 // Capture charges the capture delay.
 func (c *Camera) Capture(e task.Exec) {
 	e.Op(c.Latency, c.Energy)
-	c.Captures++
 }
 
 // Set bundles the standard peripherals of the evaluation platform.

@@ -23,11 +23,13 @@ import (
 )
 
 // Blueprint is one named, registered application. The factory builds a
-// fresh analyzed instance per sweep worker (peripheral models carry
-// mutable per-run state, so instances cannot be shared across
-// goroutines); the prototype is one cached instance, analyzed exactly
-// once under a single-flight gate, that serves every job's validation
-// and description needs without re-running the front-end.
+// fresh analyzed instance per sweep worker; the prototype is one cached
+// instance, analyzed exactly once under a single-flight gate, that
+// serves every job's validation and description needs without
+// re-running the front-end. Peripheral models are read-only, so
+// concurrent sessions, each on its own device, may share one analyzed
+// instance (task.App.AnalyzeOnce; the root package's
+// TestConcurrentSessionsShareBuiltApp runs two on one weather app).
 type Blueprint struct {
 	// Name is the registry key.
 	Name string

@@ -70,11 +70,14 @@ type App struct {
 
 // AnalyzeOnce runs analyze(a) at most once across all concurrent callers
 // and returns that one call's error to every caller, then and later. The
-// compiler front-end mutates the blueprint while analyzing and analyzed
-// blueprints are shared lock-free, so concurrent sessions racing to
-// analyze the same app must funnel through this gate; sync.Once also
-// publishes the analysis results (happens-before) to every caller that
-// returns.
+// compiler front-end mutates the blueprint while analyzing, and an
+// analyzed blueprint — its peripheral models included, which no
+// operation writes — is then read-only and shared lock-free: concurrent
+// sessions of one built app each run on their own device (the root
+// package's TestConcurrentSessionsShareBuiltApp runs two on one weather
+// app under the race detector). Sessions racing to analyze the same app
+// must funnel through this gate; sync.Once also publishes the analysis
+// results (happens-before) to every caller that returns.
 func (a *App) AnalyzeOnce(analyze func(*App) error) error {
 	a.analyzeOnce.Do(func() { a.analyzeErr = analyze(a) })
 	return a.analyzeErr

@@ -16,14 +16,14 @@ import (
 func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	dst = appendHeader(dst, KindCheckpoint)
 
-	// Memory snapshot: per-bank used prefix, allocator watermark and
-	// high-water mark, under one bank-count prefix.
+	// Memory snapshot: per-bank written prefix (its length is the bank's
+	// high-water mark) and allocator watermark, under one bank-count
+	// prefix.
 	m := &cp.Mem
 	dst = appendUvarint(dst, uint64(len(m.Used)))
 	for i := range m.Used {
 		dst = appendWords(dst, m.Used[i])
 		dst = appendVarint(dst, int64(m.Alloc[i]))
-		dst = appendVarint(dst, int64(m.HighWater[i]))
 	}
 
 	// Clock.
@@ -62,15 +62,14 @@ func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 	d.header(KindCheckpoint)
 
 	cp := &kernel.Checkpoint{}
-	// Each bank contributes at least 3 bytes (empty words + 2 ints).
-	if banks := d.count(3); d.err == nil && banks != mem.NumBanks {
+	// Each bank contributes at least 2 bytes (empty words + 1 int).
+	if banks := d.count(2); d.err == nil && banks != mem.NumBanks {
 		d.fail("checkpoint has %d memory banks, want %d", banks, mem.NumBanks)
 	}
 	m := &cp.Mem
 	for i := 0; i < mem.NumBanks && d.err == nil; i++ {
 		m.Used[i] = d.words()
 		m.Alloc[i] = int(d.varint())
-		m.HighWater[i] = int(d.varint())
 	}
 
 	cp.Clock.Wall = time.Duration(d.varint())

@@ -12,7 +12,7 @@ import (
 	"easeio/internal/power"
 )
 
-// TestWireBytesPinned pins the v5 byte layout of the messages that carry
+// TestWireBytesPinned pins the v6 byte layout of the messages that carry
 // checkpoints: the subtree shards of a fig6 k=2 plan under every
 // runtime, device checkpoints captured under the timer supply and under
 // continuous power, and one checkpoint per supply-state kind. Each
@@ -21,16 +21,16 @@ import (
 // worker or a write-ahead log reads without a version bump.
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"shard/Alpaca":      "17bb740dc8cefc4b78f7e78baf1a74f8e7be736dc8c61efce7d2d8ca689c440e",
-		"shard/InK":         "251210a8d7a474d4b6774c542b404e2a146279b9c8572cf1557eb29819146195",
-		"shard/EaseIO":      "0f4763b1c93fdb812cecaf5b3f3d622ff824319d90d116eff3bf966824b5c310",
-		"shard/JustDo":      "7e998117cc749f6d0ab2c3f86fe5967f14cabbc0972cfe90b89028db026155a4",
-		"checkpoint/timer":  "fdf180dd284d08c2c6350ff70a4fb6d46bd2e9507c33fa60041bcc6678e74db0",
-		"checkpoint/contin": "7573fdcb9faabeba692696b9f0a5be808e9468e785bf126b7dc50ed9186729e7",
-		"supply/continuous": "4fe066eab17d3d39ed6c8f7653bcfbdce30b997a0928a959d76aa978488099ac",
-		"supply/schedule":   "a7679a706c5daa8df2249aa9fe7895cf175c39408020d7df281ce51a14d867a9",
-		"supply/timer":      "8d11c03cd121f9a534082b68c05efb266b0cdb7788c46a2b0b0f3d445534b382",
-		"supply/harvested":  "0765ba4621d14d815d1576885d393bd8b3c5bfd3123b1b72c594317ab81e6cbc",
+		"shard/Alpaca":      "4247e78b6a8b54868672a4380db55418de8ade72013c18e1d41a8df19c89b379",
+		"shard/InK":         "fabfc87e1d29d2a167cddd7a05c20bd60f1827d5150710478e186a1ab7ddf0bd",
+		"shard/EaseIO":      "49228c88ab7517dd6c0e0827d57558d159809686a6c472215be92a5b77ddb862",
+		"shard/JustDo":      "ff7c65ca1f5da0eb3511f22ecfa70ab0aa25133001a6c468fd19efb622cf0b81",
+		"checkpoint/timer":  "112b8d5cbdc8cc29705c70764033aa9404a8904537f85ac92c1ebd96e6dd66c7",
+		"checkpoint/contin": "d2945bb4cca63d2150c526baa0b106726c7aa716bda3b33e2408cbed9f2d64e1",
+		"supply/continuous": "02f7422944f705b5bf6e3d93deb68495f2e3009d24bf960019da487c893cda56",
+		"supply/schedule":   "bd4f854bb28ec2c70e5069fc379752d128ca1b6b9ecc036506e9e3f50d0f45c3",
+		"supply/timer":      "3fdd967ff5b1117df105acc67a19f2eb4fad8ce26255de145174071a374be930",
+		"supply/harvested":  "da10d4892836917c671b9c7a7b7dc5f2c4a726766aa272e9258e18fdc1d009a8",
 	}
 	got := map[string][]byte{}
 	for _, kind := range []experiments.RuntimeKind{

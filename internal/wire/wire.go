@@ -46,7 +46,9 @@ import (
 // changed no remaining message, so it kept version 4. Version 5 carries a
 // subtree shard's check parameters through AppendCheckConfig and drops
 // its off-time, which a shipped check always leaves at the default.
-const Version = 5
+// Version 6 drops each checkpoint bank's high-water mark: the bank's
+// prefix now ends at the mark, so its length carries it.
+const Version = 6
 
 // Kind tags a message's type in its header.
 type Kind uint8
