@@ -100,6 +100,7 @@ FUZZ_TARGETS = \
 	FuzzParseRuntimeKind:. \
 	FuzzEqualWords:./internal/mem \
 	FuzzGrowMatchesFlat:./internal/mem \
+	FuzzChargeMatchesSliced:./internal/kernel \
 	FuzzClassify:./internal/dma \
 	FuzzLint:./internal/frontend \
 	FuzzSchedule:./internal/power \

@@ -502,13 +502,29 @@ func BenchmarkDiurnal(b *testing.B) {
 
 // --- Micro-benchmarks of the simulator itself ---
 
-// BenchmarkChargeLoop measures the kernel's cost-charging hot path.
+// BenchmarkChargeLoop measures the kernel's cost-charging hot path: one
+// task body, run by a session under continuous power (so with the boot's
+// credit, as every run has), charges 100 cycles b.N times.
 func BenchmarkChargeLoop(b *testing.B) {
-	dev := kernel.NewDevice(power.Continuous{}, 1)
-	ctx := kernelCtxForBench(dev)
+	n := 0
+	a := task.NewApp("charge")
+	a.AddTask("loop", func(e task.Exec) {
+		for i := 0; i < n; i++ {
+			e.Compute(100)
+		}
+		e.Done()
+	})
+	if err := frontend.Analyze(a); err != nil {
+		b.Fatal(err)
+	}
+	sess := kernel.NewSession(core.New(), a, power.Continuous{})
+	if _, err := sess.Run(1); err != nil {
+		b.Fatal(err)
+	}
+	n = b.N
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.ChargeCycles(100)
+	if _, err := sess.Run(1); err != nil {
+		b.Fatal(err)
 	}
 }
 

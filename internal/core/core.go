@@ -83,7 +83,6 @@ type Runtime struct {
 
 	// Volatile per-attempt state.
 	curTask        *task.Task
-	regionIdx      int
 	blockSkipDepth int
 }
 
@@ -311,7 +310,6 @@ func (r *Runtime) readTime(a mem.Addr) time.Duration {
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	r.blockSkipDepth = 0
-	r.regionIdx = 0
 	r.curTask = r.Current()
 }
 
@@ -709,7 +707,6 @@ func (r *Runtime) claimPrivBuf(c *kernel.Ctx, d *task.DMASite, dm *dmaMeta, word
 // non-volatile variables; the flag write is what makes the preceding DMA
 // count as complete (§4.4).
 func (r *Runtime) enterRegion(c *kernel.Ctx, idx int) {
-	r.regionIdx = idx
 	t := r.curTask
 	regs := r.regions[t.ID]
 	if uint(idx) >= uint(len(regs)) {
@@ -766,6 +763,3 @@ func (r *Runtime) copyRange(src, dst mem.Addr, n int) {
 		w.Move(i)
 	}
 }
-
-// RegionIndex exposes the current region for tests.
-func (r *Runtime) RegionIndex() int { return r.regionIdx }

@@ -111,9 +111,11 @@ func RunRangeAgg(ctx context.Context, cfg Config, newApp AppFactory, kind Runtim
 // runRangePooled is the sharded worker-pool engine behind both RunMany
 // (full range) and RunRangeAgg (fleet shards): split [lo, hi) over
 // cfg.Workers sessions, fold per worker, merge in shard order. Each
-// worker builds its own app instance (peripheral models carry mutable
-// per-run state, so instances cannot be shared across goroutines) and
-// reuses one device and runtime for every seed in its shard.
+// worker builds its own app instance and reuses one device and runtime
+// for every seed in its shard. An analyzed registry app could be shared
+// (TestConcurrentSessionsShareBuiltApp runs two sessions on one), but a
+// caller's factory may close its task bodies over mutable state, and
+// only a per-worker instance keeps such an app race-free.
 func runRangePooled(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, lo, hi int) (*stats.Aggregator, []error) {
 	start := time.Now()
 	sh := SplitRange(lo, hi, cfg.Workers)

@@ -82,16 +82,7 @@ func Fig13(cfg Fig13Config) (*Fig13Data, error) {
 			rc := Config{
 				Runs:     cfg.Runs,
 				BaseSeed: cfg.BaseSeed,
-				Supply: func() power.Supply {
-					h := energy.DefaultRF(d)
-					h.RefPower = cfg.RefPower
-					s := power.NewHarvested(h)
-					s.Cap.C = cfg.Capacitance
-					s.StartAtVon = true
-					s.Jitter = 0.15 // per-run channel fading
-					s.Reset(0)
-					return s
-				},
+				Supply:   func() power.Supply { return fig13Supply(cfg, d) },
 			}
 			factory := func() (*apps.Bench, error) {
 				wc := apps.DefaultWeatherConfig()
@@ -110,6 +101,19 @@ func Fig13(cfg Fig13Config) (*Fig13Data, error) {
 		out.Failures = append(out.Failures, fails)
 	}
 	return out, nil
+}
+
+// fig13Supply returns the harvested supply at d inches: the RF harvester
+// scaled to cfg.RefPower, cfg's capacitor, starting at the boot threshold.
+func fig13Supply(cfg Fig13Config, d float64) *power.Harvested {
+	h := energy.DefaultRF(d)
+	h.RefPower = cfg.RefPower
+	s := power.NewHarvested(h)
+	s.Cap.C = cfg.Capacitance
+	s.StartAtVon = true
+	s.Jitter = 0.15 // per-run channel fading
+	s.Reset(0)
+	return s
 }
 
 // Render prints per-distance wall-clock completion-time differences

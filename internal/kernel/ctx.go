@@ -5,15 +5,12 @@
 package kernel
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
 	"easeio/internal/lea"
 	"easeio/internal/mcu"
 	"easeio/internal/mem"
-	"easeio/internal/power"
-	"easeio/internal/stats"
 	"easeio/internal/task"
 	"easeio/internal/units"
 )
@@ -26,6 +23,12 @@ const chargeSlice = 50 * time.Microsecond
 type Ctx struct {
 	Dev *Device
 	RT  Hooks
+
+	// credit is the on-time left before the supply's next failure point
+	// (see arm). A charge or slice shorter than the credit cannot fail and
+	// is booked without stepping the supply; zero credit steps every
+	// slice.
+	credit time.Duration
 
 	// transitioned is set by Next/Done; the engine uses it to detect task
 	// bodies that fall off the end without transitioning.
@@ -48,6 +51,24 @@ type Ctx struct {
 	fir lea.FirMemo
 }
 
+// fireAter is a supply whose next failure point is a fixed on-time:
+// Step reports no failure before FireAt, and only Recharge moves it.
+type fireAter interface{ FireAt() time.Duration }
+
+// arm sets the credit at boot: the on-time left before the supply's next
+// failure point when that point is fixed, and zero — every slice stepped
+// — when it depends on drawn energy or a cut sink must see every slice
+// boundary. Without a sink nothing observes the boundaries of slices
+// that end before the failure point, so booking them in bulk leaves the
+// clock, the ledger, memory and the failing slice byte-identical to the
+// per-slice path.
+func (c *Ctx) arm() {
+	c.credit = 0
+	if s, ok := c.Dev.Supply.(fireAter); ok && c.Dev.Cuts == nil {
+		c.credit = s.FireAt() - c.Dev.Clock.OnTime()
+	}
+}
+
 // PushWasted enters wasted-charging mode (see Ledger.ChargeWasted).
 func (c *Ctx) PushWasted() { c.wastedDepth++ }
 
@@ -64,159 +85,92 @@ var _ task.Exec = (*Ctx)(nil)
 // Charge advances time and drains energy, splitting long operations into
 // slices and panicking with the power-failure sentinel the moment the
 // supply gives out. State changes paid for by a charge must be applied
-// *after* Charge returns.
+// *after* Charge returns. A charge shorter than the credit is booked
+// whole; otherwise each slice is, unless it can reach the failure point.
 func (c *Ctx) Charge(dt time.Duration, e units.Energy, overhead bool) {
-	d := c.Dev
-	if dt > 0 && dt <= chargeSlice {
-		// Single-slice fast path: the vast majority of charges (word
-		// accesses, flag checks, DMA words) fit one slice, where the
-		// pro-rated energy is just e.
-		c.chargeStep(d, dt, e, overhead)
+	if dt <= 0 {
 		return
 	}
-	// Bulk fast path for multi-slice charges: when no cut sink observes
-	// slice boundaries and the supply's next failure point is a known
-	// constant strictly beyond this charge, the whole span can be booked
-	// in one add. The pro-rating loop's slice sums are exact (they sum to
-	// precisely dt and e), and timer/schedule supply steps are pure
-	// on-time comparisons, so clock, ledger and failure behavior land
-	// byte-identical to the sliced loop.
-	if dt > chargeSlice && d.Cuts == nil {
-		if head, known := c.failureHead(); known && dt < head {
-			c.bulkCharge(dt, e, overhead)
-			return
-		}
+	if dt < c.credit {
+		c.book(dt, e, overhead)
+		return
 	}
 	for dt > 0 {
-		step := dt
-		if step > chargeSlice {
-			step = chargeSlice
-		}
+		step := min(dt, chargeSlice)
 		se := units.Energy(int64(e) * int64(step) / int64(dt))
 		e -= se
 		dt -= step
-		c.chargeStep(d, step, se, overhead)
+		if step < c.credit {
+			c.book(step, se, overhead)
+		} else {
+			c.chargeStep(step, se, overhead)
+		}
 	}
 }
 
-// chargeStep applies one slice: advance the clock, book the work, step the
-// supply, and unwind if the supply gives out.
-func (c *Ctx) chargeStep(d *Device, step time.Duration, se units.Energy, overhead bool) {
-	d.Clock.Run(step)
+// book advances the clock and books (dt, e) in one ledger add, spending
+// that much credit. Slice sums are exact integers, so one booking lands
+// byte-identical to the slices it stands for.
+func (c *Ctx) book(dt time.Duration, e units.Energy, overhead bool) {
+	d := c.Dev
+	d.Clock.Run(dt)
 	if c.wastedDepth > 0 {
-		d.Ledger.ChargeWasted(step, se)
+		d.Ledger.ChargeWasted(dt, e)
 	} else {
-		d.Ledger.Charge(overhead, step, se)
+		d.Ledger.Charge(overhead, dt, e)
 	}
+	c.credit -= dt
+}
+
+// chargeStep applies one slice that may reach the failure point: book
+// it, note the cut, step the supply, and unwind if the supply gives out.
+// The credit is spent either way.
+func (c *Ctx) chargeStep(dt time.Duration, e units.Energy, overhead bool) {
+	c.book(dt, e, overhead)
+	c.credit = 0
+	d := c.Dev
 	if d.Cuts != nil {
 		d.Cuts.NoteCut(d.Clock.OnTime())
 	}
-	// Devirtualize the per-slice supply step for the two supplies every
-	// sweep runs under: Timer.Step is a single duration comparison and
-	// Continuous never fails, so the common cases inline instead of
-	// paying an interface call on every charged word.
-	var failed bool
-	switch s := d.Supply.(type) {
-	case *power.Timer:
-		failed = s.Step(d.Clock.Now(), d.Clock.OnTime(), step, se)
-	case power.Continuous:
-		// never fails
-	default:
-		failed = d.Supply.Step(d.Clock.Now(), d.Clock.OnTime(), step, se)
-	}
-	if failed {
+	if d.Supply.Step(d.Clock.Now(), d.Clock.OnTime(), dt, e) {
 		panic(powerFailure{})
 	}
 }
 
-// failureHead returns the on-time distance to the supply's next failure
-// point when that point is a known constant: continuous power never
-// fails, and timer/schedule supplies fire at a fixed on-time between
-// recharges regardless of drawn energy. known is false for supplies
-// whose failure point depends on consumption (harvested), which must be
-// stepped slice by slice.
-func (c *Ctx) failureHead() (head time.Duration, known bool) {
-	switch s := c.Dev.Supply.(type) {
-	case power.Continuous:
-		return time.Duration(math.MaxInt64), true
-	case *power.Timer:
-		return s.FireAt() - c.Dev.Clock.OnTime(), true
-	case *power.Schedule:
-		return s.FireAt() - c.Dev.Clock.OnTime(), true
+// free reports how many of n charges of wdt each complete strictly
+// before the failure point: they can be booked in one batch, and the
+// first charge past them is the one that reaches the failure point.
+func (c *Ctx) free(n int, wdt time.Duration) int {
+	if c.credit <= 0 {
+		return 0
 	}
-	return 0, false
-}
-
-// bulkFree reports how many of n identical slices of cost wdt each can
-// be charged in one batch: free slices all complete strictly before the
-// supply's next failure point. ok is false when bulk charging is not
-// permitted at all — a cut sink observes slice boundaries, the failure
-// point is unknown, or a slice exceeds the charge-slice bound — in which
-// case the caller must take the per-slice path. ok with free < n means
-// slice free+1 reaches the failure point: charge the free prefix in
-// bulk, then finish per-slice so the failure lands on the exact word the
-// sliced loop would have failed on.
-func (c *Ctx) bulkFree(n int, wdt time.Duration) (free int, ok bool) {
-	if n <= 0 || wdt <= 0 || wdt > chargeSlice || c.Dev.Cuts != nil {
-		return 0, false
-	}
-	head, known := c.failureHead()
-	if !known {
-		return 0, false
-	}
-	if head <= 0 {
-		return 0, true
-	}
-	free = n
-	if f := (head - 1) / wdt; f < time.Duration(n) {
-		free = int(f)
-	}
-	return free, true
-}
-
-// bulkCharge advances the clock and books (dt, e) in one ledger add,
-// without stepping the supply or noting cuts. Callers must have
-// established — via failureHead or bulkFree — that no failure point lies
-// inside the span and no cut sink is attached; under those conditions
-// the result is byte-identical to the equivalent chargeStep sequence.
-func (c *Ctx) bulkCharge(dt time.Duration, e units.Energy, overhead bool) {
-	d := c.Dev
-	d.Clock.Run(dt)
-	switch {
-	case c.wastedDepth > 0:
-		d.Ledger.Committed[stats.Wasted].Add(stats.Totals{T: dt, E: e})
-	case overhead:
-		d.Ledger.Pending[1].Add(stats.Totals{T: dt, E: e})
-	default:
-		d.Ledger.Pending[0].Add(stats.Totals{T: dt, E: e})
-	}
+	return int(min(time.Duration(n), (c.credit-1)/wdt))
 }
 
 // LoadPrefix is the fused fast path under every runtime's LoadRun. Of a
-// run of n FRAM word reads starting at a, it charges the prefix that
-// provably completes before the supply's next failure point in bulk and
-// returns that prefix's word sum and length free (zero when bulk
-// charging is not permitted; see bulkFree). The caller finishes words
-// [free, n) with per-word Load calls, so a power failure lands on the
-// exact word the unfused loop would have failed on. indexed makes each
-// word a two-slice bundle — an index-word read booked as overhead, then
-// the data read (InK's per-access lookup) — and a failure can then land
-// between a bundle's two charges, which the per-word tail reproduces.
+// run of n FRAM word reads starting at a, it books the prefix that
+// completes before the supply's next failure point (see free) and
+// returns that prefix's word sum and length free. The caller finishes
+// words [free, n) with per-word Load calls, so a power failure lands on
+// the exact word the unfused loop would have failed on. indexed makes
+// each word a two-charge bundle — an index-word read booked as
+// overhead, then the data read (InK's per-access lookup) — and a failure
+// can then land between a bundle's two charges, which the per-word tail
+// reproduces.
 func (c *Ctx) LoadPrefix(a mem.Addr, n int, indexed bool) (sum uint16, free int) {
 	wdt := mcu.Cycles(mcu.FRAMReadCycles)
 	bundle := wdt
 	if indexed {
 		bundle = 2 * wdt
 	}
-	free, ok := c.bulkFree(n, bundle)
-	if !ok || free == 0 {
+	if free = c.free(n, bundle); free <= 0 {
 		return 0, 0
 	}
 	dt, e := time.Duration(free)*wdt, units.Energy(free)*mcu.FRAMReadEnergy
 	if indexed {
-		c.bulkCharge(dt, e, true)
+		c.book(dt, e, true)
 	}
-	c.bulkCharge(dt, e, false)
+	c.book(dt, e, false)
 	for _, w := range c.Dev.Mem.Span(a, free) {
 		sum += w
 	}
@@ -322,37 +276,22 @@ func (c *Ctx) RawDMA(src, dst mem.Addr, words int, overhead bool) {
 	if words <= 0 {
 		return
 	}
-	d := c.Dev
-	// A DMA word is 2 cycles — far below one charge slice — so the word
-	// loop charges via chargeStep directly, which is exactly what Charge's
-	// single-slice fast path would do minus the per-word re-dispatch.
 	wdt, we := mcu.Cycles(mcu.DMAWordCycles), mcu.DMAWordEnergy
-	if wdt > chargeSlice {
-		panic("kernel: DMA word cost exceeds one charge slice")
-	}
 	// The window bounds-checks the whole transfer up front and makes the
 	// per-word move inlinable; a power failure mid-loop still leaves
-	// exactly the charged prefix copied.
-	w := d.Mem.CopyWindowFor(src, dst, words)
-
-	// Bulk fast path: every word that provably completes before the
-	// supply's next failure point (see bulkFree) is charged and moved in
-	// one batch. Sums of identical integer charges are exact, so the
-	// clock, ledger, high-water mark and memory land byte-identical to
-	// the per-word loop. The loop then resumes at the first word whose slice
-	// may reach the failure point; supply steps of the bulkable supplies
-	// are pure on-time comparisons, so that word fails in chargeStep
-	// exactly where the per-word loop would have failed.
+	// exactly the charged prefix copied. The words that complete before
+	// the failure point move in one batch unless the ranges overlap so
+	// that a word-at-a-time copy propagates values.
+	w := c.Dev.Mem.CopyWindowFor(src, dst, words)
 	start := 0
 	if w.Bulkable() {
-		if free, ok := c.bulkFree(words, wdt); ok && free > 0 {
-			c.bulkCharge(time.Duration(free)*wdt, units.Energy(free)*we, overhead)
-			w.MoveN(0, free)
-			start = free
+		if start = c.free(words, wdt); start > 0 {
+			c.book(time.Duration(start)*wdt, units.Energy(start)*we, overhead)
+			w.MoveN(0, start)
 		}
 	}
 	for i := start; i < words; i++ {
-		c.chargeStep(d, wdt, we, overhead)
+		c.Charge(wdt, we, overhead)
 		w.Move(i)
 	}
 }

@@ -84,6 +84,7 @@ func bootAndRun(ctx *Ctx) (failed bool, err error) {
 	ctx.wastedDepth = 0
 	ctx.fresh = ctx.fresh[:0]
 	ctx.Dev.Clock.Boot()
+	ctx.arm()
 	if ctx.Dev.TraceOn() {
 		ctx.Dev.Trace(EvBoot, "#%d", ctx.Dev.Clock.Boots())
 	}

@@ -91,17 +91,6 @@ func (l *Ledger) FailAttempt() {
 	l.Pending[0], l.Pending[1] = stats.Totals{}, stats.Totals{}
 }
 
-// TotalCommitted sums the three committed buckets. With nothing pending
-// it equals the clock's on-time exactly — the accounting invariant the
-// failure-point checker verifies on every replay.
-func (l *Ledger) TotalCommitted() stats.Totals {
-	var t stats.Totals
-	for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
-		t.Add(l.Committed[b])
-	}
-	return t
-}
-
 // Export copies the committed buckets into a run record.
 func (l *Ledger) Export(r *stats.Run) {
 	for b := stats.Bucket(0); b < stats.NumBuckets; b++ {

@@ -261,7 +261,7 @@ func (g *growOps) compare(desc string) {
 		// The store covers the mark, and the flat store's words past the
 		// growing one are checked to be zero below.
 		hw := gm.highWater[b]
-		if i := slices.IndexFunc(store[hw:], func(w uint16) bool { return w != 0 }); i >= 0 {
+		if i := firstNonZero(store[hw:]); i >= 0 {
 			t.Fatalf("after %s: %v word %d = %d at or above the high-water mark %d",
 				desc, b, hw+i, store[hw+i], hw)
 		}
@@ -272,11 +272,25 @@ func (g *growOps) compare(desc string) {
 			}
 			t.Fatalf("after %s: %v word %d = %d, flat %d", desc, b, i, store[i], fm.banks[b][i])
 		}
-		if i := slices.IndexFunc(fm.banks[b][len(store):], func(w uint16) bool { return w != 0 }); i >= 0 {
+		if i := firstNonZero(fm.banks[b][len(store):]); i >= 0 {
 			t.Fatalf("after %s: flat %v word %d = %d past the growing store (%d words)",
 				desc, b, len(store)+i, fm.banks[b][len(store)+i], len(store))
 		}
 	}
+}
+
+// zeros is an all-zero slice as long as the largest bank.
+var zeros = make([]uint16, slices.Max(capacity[:]))
+
+// firstNonZero returns the index of w's first non-zero word, or -1. It
+// compares w with zeros in one Equal and scans word by word only to name
+// the offending word: compare runs after every fuzz step, over ranges up
+// to a whole bank.
+func firstNonZero(w []uint16) int {
+	if Equal(w, zeros[:len(w)]) {
+		return -1
+	}
+	return slices.IndexFunc(w, func(x uint16) bool { return x != 0 })
 }
 
 // FuzzGrowMatchesFlat checks the growing FRAM store against a memory

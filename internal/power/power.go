@@ -13,12 +13,19 @@
 //     voltage crosses Voff — the "real energy harvester" mode behind
 //     Figure 13.
 //
-// A Supply is consumed by the execution kernel: Step is called after every
-// charged operation, Recharge after every failure.
+// A Supply is consumed by the execution kernel: Step is called after a
+// charged operation that may fail the device, Recharge after every
+// failure. A supply whose failure point is a fixed on-time says so with a
+// FireAt method (Continuous, Timer, Schedule); the kernel then books
+// every operation that ends before that point without stepping it, and
+// steps only the one that reaches it. Supplies without FireAt
+// (Harvested), and every supply while a cut sink listens, are stepped
+// after every charged slice.
 package power
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -37,7 +44,10 @@ type Supply interface {
 	// Step accounts one executed operation: wall is total wall-clock time
 	// after the operation, onTime is cumulative powered-on time, dt is the
 	// operation's duration and e its energy. It reports whether the device
-	// fails immediately after this operation.
+	// fails immediately after this operation. The kernel calls it after
+	// every charge slice, except that a supply with a FireAt method is
+	// stepped only by a slice that reaches FireAt (and by every slice
+	// while a cut sink listens).
 	Step(wall, onTime, dt time.Duration, e units.Energy) bool
 	// Recharge is called after a failure; it returns how long the device
 	// stays off before rebooting, given the wall-clock time of the failure.
@@ -67,6 +77,10 @@ func (Continuous) Step(_, _, _ time.Duration, _ units.Energy) bool { return fals
 // Recharge implements Supply. It is never called under continuous power,
 // but returns zero for robustness.
 func (Continuous) Recharge(time.Duration) time.Duration { return 0 }
+
+// FireAt returns an on-time no run reaches: continuous power never fails,
+// so the kernel never steps it outside a cut-sink pass.
+func (Continuous) FireAt() time.Duration { return math.MaxInt64 }
 
 // TimerConfig parameterizes the timer-driven emulation.
 type TimerConfig struct {
@@ -143,9 +157,9 @@ func (t *Timer) Step(_, onTime, _ time.Duration, _ units.Energy) bool {
 }
 
 // FireAt returns the cumulative on-time at which Step will next report
-// failure. It is constant between failures (only Recharge moves it),
-// which lets the kernel batch charge slices that provably finish before
-// it — the bulk-DMA fast path.
+// failure. It is constant between failures (only Recharge moves it), so
+// the kernel books every charge that ends before it without stepping
+// the supply.
 func (t *Timer) FireAt() time.Duration { return t.next }
 
 // Recharge implements Supply: draws the off duration and schedules the

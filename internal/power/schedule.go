@@ -85,8 +85,8 @@ func (s *Schedule) Recharge(time.Duration) time.Duration {
 
 // FireAt returns the cumulative on-time at which Step will next report
 // failure, or a duration beyond any run when the schedule is exhausted.
-// Like Timer.FireAt it is constant between failures, enabling the
-// kernel's bulk-DMA fast path.
+// Like Timer.FireAt it is constant between failures, so the kernel
+// steps the schedule only at its failure points.
 func (s *Schedule) FireAt() time.Duration {
 	if s.next >= len(s.FailAt) {
 		return math.MaxInt64

@@ -173,9 +173,6 @@ func (b *Base) Current() *task.Task {
 	return b.App.Tasks[b.st.Cur]
 }
 
-// CurrentID returns the raw task pointer value.
-func (b *Base) CurrentID() int { return b.st.Cur }
-
 // CommitTransition finalizes the running task: extra carries the runtime's
 // own commit writes (applied pseudo-atomically with the pointer update).
 // next == nil ends the application.

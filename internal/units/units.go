@@ -136,9 +136,6 @@ func (p Power) String() string {
 	}
 }
 
-// PowerFromWatts converts a float watt value into a Power.
-func PowerFromWatts(w float64) Power { return Power(w * float64(Watt)) }
-
 // EnergyOver returns the energy delivered by power p over duration d.
 func EnergyOver(p Power, d time.Duration) Energy {
 	// p [nW] * d [ns] = p*d * 1e-18 J = p*d * 1e-6 pJ.

@@ -221,16 +221,6 @@ func (d *dec) count(elemSize int) int {
 	return int(n)
 }
 
-// intNonNeg reads a uvarint that must fit a non-negative int.
-func (d *dec) intNonNeg() int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(int64(^uint(0)>>1)) {
-		d.fail("value %d overflows int", v)
-		return 0
-	}
-	return int(v)
-}
-
 func (d *dec) string() string {
 	n := d.count(1)
 	if d.err != nil {
