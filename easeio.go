@@ -111,16 +111,6 @@ type Runtime = kernel.Hooks
 // NewEaseIO returns the EaseIO runtime with the paper's configuration.
 func NewEaseIO() Runtime { return core.New() }
 
-// NewEaseIOWithConfig returns an EaseIO runtime with an explicit
-// configuration (the privatization buffer size).
-func NewEaseIOWithConfig(cfg EaseIOConfig) Runtime { return core.NewWithConfig(cfg) }
-
-// EaseIOConfig tunes the EaseIO runtime.
-type EaseIOConfig = core.Config
-
-// DefaultEaseIOConfig matches the paper's evaluation setup.
-func DefaultEaseIOConfig() EaseIOConfig { return core.DefaultConfig() }
-
 // NewAlpaca returns the Alpaca baseline runtime.
 func NewAlpaca() Runtime { return alpaca.New() }
 
@@ -399,7 +389,7 @@ type LintFinding = frontend.Finding
 
 // DefaultLintConfig checks against the paper's 4 KB privatization buffer.
 func DefaultLintConfig() LintConfig {
-	return LintConfig{PrivBufWords: DefaultEaseIOConfig().PrivBufWords}
+	return LintConfig{PrivBufWords: core.DefaultConfig().PrivBufWords}
 }
 
 // RenderGantt draws an ASCII timeline of a traced run (power lane plus a
@@ -447,10 +437,6 @@ type SweepConfig struct {
 	// the cumulative finished count and the total; it may be called from
 	// any worker goroutine.
 	OnProgress func(done, total int)
-	// TraceSink, when non-nil, receives every run's execution timeline.
-	// Sweep workers emit concurrently: the sink must be safe for
-	// concurrent use, and events from different seeds interleave.
-	TraceSink Tracer
 	// Timings, when non-nil, accumulates the sweep's host-side stage
 	// timings (build vs. run vs. wall).
 	Timings *SweepTimings
@@ -466,12 +452,11 @@ type SweepTimings = experiments.StageTimings
 // finished, and the error wraps ctx's error.
 func Sweep(ctx context.Context, newBench func() (*Bench, error), kind RuntimeKind, cfg SweepConfig) (Summary, error) {
 	ecfg := experiments.Config{
-		Runs:      cfg.Runs,
-		BaseSeed:  cfg.BaseSeed,
-		Workers:   cfg.Workers,
-		Progress:  cfg.OnProgress,
-		TraceSink: cfg.TraceSink,
-		Timings:   cfg.Timings,
+		Runs:     cfg.Runs,
+		BaseSeed: cfg.BaseSeed,
+		Workers:  cfg.Workers,
+		Progress: cfg.OnProgress,
+		Timings:  cfg.Timings,
 	}
 	return experiments.RunManyCtx(ctx, ecfg, newBench, kind)
 }

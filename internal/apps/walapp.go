@@ -35,9 +35,9 @@ import (
 )
 
 // WALHeaderWord is the header the model journals: the fleet WAL's
-// format byte over its wire-version byte (format 3, wire version 6). The
+// format byte over its wire-version byte (format 3, wire version 7). The
 // fleet's tests hold it to the real header.
-const WALHeaderWord = 0x0306
+const WALHeaderWord = 0x0307
 
 // WALConfig parameterizes the WAL-recovery scenario.
 type WALConfig struct {

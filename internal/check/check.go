@@ -313,16 +313,16 @@ func (r *replayer) setSchedule(schedule []time.Duration) {
 	r.want = len(schedule)
 }
 
-// resume loads the schedule and resumes the session from cp, the
-// checkpoint at the schedule's last cut, through its final injected
-// failure, with sink (nil for none) receiving the suffix's cuts. The
-// supply's fired-failure cursor restarts at zero, which is right for
-// golden-prefix checkpoints (whose continuous-supply state does not
-// restore into a Schedule); Restore re-establishes it for checkpoints
-// recorded under a schedule supply. A replay that errored left the
-// session without a device, so resume re-attaches first.
+// resume resumes the session from cp, the checkpoint at the schedule's
+// last cut, through its final injected failure, with sink (nil for none)
+// receiving the suffix's cuts. The supply holds only that last failure:
+// the earlier ones are in the checkpoint's past, and the restored run
+// record already counts them, so want stays the whole schedule's
+// length. A replay that errored left the session without a device, so
+// resume re-attaches first.
 func (r *replayer) resume(cp *kernel.Checkpoint, schedule []time.Duration, sink kernel.CutSink) (*stats.Run, error) {
-	r.setSchedule(schedule)
+	r.setSchedule(schedule[len(schedule)-1:])
+	r.want = len(schedule)
 	r.sch.Reset(0)
 	if err := r.sess.Attach(r.seed); err != nil {
 		return nil, err

@@ -215,8 +215,9 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 			pairs++
 
 			// Tree path: restore the suffix checkpoint and resume
-			// with the second failure.
-			evSch := power.NewSchedule(c1, c2)
+			// with the second failure, the only one its supply holds
+			// (the first is in the checkpoint's past).
+			evSch := power.NewSchedule(c2)
 			ev := newInstance(evSch)
 			evSch.Reset(0)
 			if _, err := ev.Resume(sink.cps[i2]); err != nil {

@@ -68,11 +68,6 @@ func (c *Capacitor) SetVoltage(v units.Voltage) {
 	c.stored = c.EnergyAt(v)
 }
 
-// SetStored sets the stored energy directly — the restore half of a
-// supply checkpoint, where the exact energy (not a threshold voltage)
-// must be re-established.
-func (c *Capacitor) SetStored(e units.Energy) { c.stored = e }
-
 // Drain removes e from the capacitor and reports whether the device
 // browned out (voltage fell to Voff or below). The stored energy never goes
 // below zero.

@@ -146,13 +146,6 @@ func (r *resumedSupply) Recharge(wall time.Duration) time.Duration {
 	return r.Supply.Recharge(r.base + wall)
 }
 
-// SnapshotState implements power.Supply: the wall-time offset is
-// configuration, so the shared supply's state is the whole state.
-func (r *resumedSupply) SnapshotState() power.State { return r.Supply.SnapshotState() }
-
-// RestoreState implements power.Supply.
-func (r *resumedSupply) RestoreState(st power.State) { r.Supply.RestoreState(st) }
-
 // RenderDiurnal prints the day's throughput.
 func RenderDiurnal(rows []DiurnalRow) string {
 	header := []string{"Runtime", "Completions/day", "Failures/day", "On fraction"}

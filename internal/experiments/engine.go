@@ -164,11 +164,6 @@ type shardTimings struct {
 	build, run atomic.Int64
 }
 
-// sweepSink adapts a sweep-wide trace sink for per-seed device reuse: it
-// exposes only Event, so Device.Reset's tracer-Reset hook cannot reach a
-// Reset method on the underlying sink.
-type sweepSink struct{ kernel.Tracer }
-
 // sweepShard runs one worker's contiguous seed range on a single session.
 // done is the sweep-wide finished-run counter feeding cfg.Progress.
 func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, s [2]int, done *atomic.Int64, timing *shardTimings) (*stats.Aggregator, []error) {
@@ -185,11 +180,6 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 		return agg, []error{fmt.Errorf("experiments: build app for %s: %w", kind, err)}
 	}
 	sess := kernel.NewSession(NewRuntime(kind), bench.App, cfg.Supply())
-	if cfg.TraceSink != nil {
-		// The wrapper hides any Reset method on the sink: device reuse
-		// between seeds must not clear events other runs already emitted.
-		sess.Tracer = sweepSink{cfg.TraceSink}
-	}
 	timing.build.Add(int64(time.Since(buildStart)))
 	runStart := time.Now()
 	defer func() { timing.run.Add(int64(time.Since(runStart))) }()

@@ -114,12 +114,6 @@ type Config struct {
 	// callback must be safe for concurrent use. Progress never changes
 	// the sweep's Summary; it only observes it being built.
 	Progress func(done, total int)
-	// TraceSink, when non-nil, is installed as the Tracer on every
-	// worker's session, so each run's execution timeline streams into it.
-	// Workers emit concurrently: the sink must be safe for concurrent use,
-	// and events from different seeds interleave. Like the kernel tracer
-	// it never changes a run's result.
-	TraceSink kernel.Tracer
 	// Timings, when non-nil, accumulates the sweep's stage timings (+=,
 	// so one StageTimings can total several sequential sweeps). It is
 	// written once per sweep after the workers join; do not share it

@@ -13,7 +13,6 @@ import (
 
 	"easeio/internal/lazyrand"
 	"easeio/internal/mem"
-	"easeio/internal/power"
 	"easeio/internal/stats"
 	"easeio/internal/timekeeper"
 )
@@ -59,11 +58,13 @@ type RuntimeState struct {
 
 // Checkpoint is a full copy of a device's mid-run state: all memory
 // banks (used prefixes), the clock, the work ledger, the run statistics,
-// the peripheral randomness position, the supply's mutable state, and
-// the runtime's bookkeeping. Observation-only state (Tracer, Cuts) is
-// deliberately excluded: sinks describe who is watching a device, not
-// what the device is, and restoring one device's observers into another
-// would cross-wire recordings.
+// the peripheral randomness position, and the runtime's bookkeeping.
+// The supply is not part of it: a power failure is an event the
+// environment places against the device, so whoever restores a
+// checkpoint positions the supply (see Session.Resume). Observation-only
+// state (Tracer, Cuts) is excluded too: sinks describe who is watching
+// a device, not what the device is, and restoring one device's
+// observers into another would cross-wire recordings.
 //
 // A checkpoint is immutable after SnapshotInto and safe to restore any
 // number of times, into the snapshotted device or into a different
@@ -81,12 +82,6 @@ type Checkpoint struct {
 	RandSeed  int64
 	RandDraws uint64
 
-	// SupplyName and Supply are the captured supply's Name and state. A
-	// zero Supply (empty Kind) carries none: Restore then leaves the
-	// device's supply untouched.
-	SupplyName string
-	Supply     power.State
-
 	Runtime RuntimeState
 }
 
@@ -103,34 +98,24 @@ func (d *Device) SnapshotInto(cp *Checkpoint, rt Hooks) *Checkpoint {
 	cp.Ledger = *d.Ledger
 	cp.Run = d.Run.CloneInto(cp.Run)
 	cp.RandSeed, cp.RandDraws = d.randSrc.Pos()
-	cp.SupplyName = d.Supply.Name()
-	cp.Supply = d.Supply.SnapshotState()
 	rt.SnapshotState(&cp.Runtime)
 	return cp
 }
 
 // Restore rewinds the device and rt's bookkeeping to the checkpointed
-// state. The supply's state is restored only when the checkpoint carries
-// one and the device currently carries the same supply (matched by Name)
-// the checkpoint captured; otherwise the current supply is left
-// untouched for the caller to configure — this is how the checker
-// restores continuous-power checkpoints into schedule-driven replay
-// devices. Tracer and Cuts are never touched.
+// state. The supply, Tracer and Cuts are never touched.
 func (d *Device) Restore(cp *Checkpoint, rt Hooks) {
 	d.Mem.RestoreAll(&cp.Mem)
 	d.Clock.Restore(cp.Clock)
 	*d.Ledger = cp.Ledger
 	d.Run = cp.Run.CloneInto(d.Run)
 	d.randSrc.SetPos(cp.RandSeed, cp.RandDraws)
-	if cp.Supply.Kind != "" && d.Supply.Name() == cp.SupplyName {
-		d.Supply.RestoreState(cp.Supply)
-	}
 	rt.RestoreState(d, &cp.Runtime)
 }
 
 // Validate rejects a checkpoint whose state no device can have produced:
-// a malformed memory snapshot, a missing run record, a supply state of
-// an unknown kind, or a randomness position beyond lazyrand.MaxDraws.
+// a malformed memory snapshot, a missing run record, or a randomness
+// position beyond lazyrand.MaxDraws.
 // It does not know the blueprint; Fits compares a valid checkpoint with
 // the device and runtime it is about to be restored into.
 func (cp *Checkpoint) Validate() error {
@@ -143,11 +128,6 @@ func (cp *Checkpoint) Validate() error {
 	if cp.RandDraws > lazyrand.MaxDraws {
 		return fmt.Errorf("kernel: checkpoint randomness position %d exceeds %d draws",
 			cp.RandDraws, lazyrand.MaxDraws)
-	}
-	if cp.Supply != (power.State{}) || cp.SupplyName != "" {
-		if err := cp.Supply.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -115,6 +115,13 @@ func (s *Session) Run(seed int64) (_ *stats.Run, err error) {
 // the pass that took the checkpoint). The run record's App and Runtime
 // come from the checkpoint.
 //
+// A checkpoint carries no supply state, so the caller positions the
+// supply: Resume applies one failure at the checkpoint's cut, by
+// recharging the session's supply, so that supply must hold that failure
+// next. A Schedule resumed at its i-th failure therefore lists only the
+// failures from the i-th on; the earlier ones are in the checkpoint's
+// past.
+//
 // Resume needs an attached device (see Attach) and errors without one;
 // errors discard the device as Run's do, and the returned record is
 // reused the same way.

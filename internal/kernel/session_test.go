@@ -151,6 +151,58 @@ func TestSessionResumeAfterRunError(t *testing.T) {
 	}
 }
 
+// TestRestoreLeavesSupplyAlone pins the one resume rule: a checkpoint
+// carries no supply state, so Device.Restore never moves the supply the
+// caller positioned — here a checkpoint taken after one Schedule
+// failure, restored into a fresh two-failure schedule.
+func TestRestoreLeavesSupplyAlone(t *testing.T) {
+	a, _ := resumeApp(new(bool))
+	var golden cutList
+	sess := NewSession(&testRT{}, a, power.Continuous{})
+	sess.Cuts = &golden
+	if _, err := sess.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) < 3 {
+		t.Fatalf("only %d cuts", len(golden))
+	}
+	fail := golden[len(golden)/2]
+
+	rec := NewSession(&testRT{}, a, power.NewSchedule(fail))
+	var cuts cutList
+	rec.Cuts = &cuts
+	if _, err := rec.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for i < len(cuts) && cuts[i] <= fail {
+		i++
+	}
+	if i == len(cuts) {
+		t.Fatal("no cut after the failure")
+	}
+	snap := &snapOnce{sess: rec, at: cuts[i]}
+	rec.Cuts = snap
+	if run, err := rec.Run(1); err != nil || run.PowerFailures != 1 {
+		t.Fatalf("recording pass: %v, %v; want one failure", run, err)
+	}
+	if snap.cp == nil {
+		t.Fatal("recording pass missed the cut")
+	}
+
+	sch := power.NewSchedule(time.Second, 2*time.Second)
+	sess = NewSession(&testRT{}, a, sch)
+	if err := sess.Attach(1); err != nil {
+		t.Fatal(err)
+	}
+	remaining, fireAt := sch.Remaining(), sch.FireAt()
+	sess.Device().Restore(snap.cp, sess.Runtime())
+	if sch.Remaining() != remaining || sch.FireAt() != fireAt {
+		t.Errorf("Restore moved the supply: %d remaining, fires at %v; want %d, %v",
+			sch.Remaining(), sch.FireAt(), remaining, fireAt)
+	}
+}
+
 // firMemoApp runs six frames of LEA FIR work. Each frame's task
 // stores a frame-dependent input and a fixed one into LEA-RAM word by
 // word, runs one FIR shape, rewrites its input with a Relu and runs the
@@ -240,7 +292,8 @@ func TestFirMemoWarmMatchesCold(t *testing.T) {
 		}
 		return observe(s.Device(), run)
 	}
-	warm := NewSession(&testRT{}, a, supply())
+	warmSupply := supply()
+	warm := NewSession(&testRT{}, a, warmSupply)
 	same := func(what string, got, want memoRun) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want) {
@@ -264,7 +317,8 @@ func TestFirMemoWarmMatchesCold(t *testing.T) {
 	}
 
 	// A checkpoint in the middle of seed 5's run, resumed on the warm
-	// session and on a cold one.
+	// session and on a cold one. A checkpoint carries no supply state, so
+	// both timers are positioned alike, at seed 5's start, first.
 	var cuts cutList
 	rec := NewSession(&testRT{}, a, supply())
 	rec.Cuts = &cuts
@@ -279,17 +333,19 @@ func TestFirMemoWarmMatchesCold(t *testing.T) {
 	if snap.cp == nil {
 		t.Fatal("recording pass missed the cut")
 	}
-	resume := func(s *Session) memoRun {
+	resume := func(s *Session, sup power.Supply) memoRun {
 		if err := s.Attach(5); err != nil {
 			t.Fatal(err)
 		}
+		sup.Reset(5)
 		run, err := s.Resume(snap.cp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return observe(s.Device(), run)
 	}
-	same("resume", resume(warm), resume(NewSession(&testRT{}, a, supply())))
+	coldSupply := supply()
+	same("resume", resume(warm, warmSupply), resume(NewSession(&testRT{}, a, coldSupply), coldSupply))
 	for seed := int64(20); seed <= 23; seed++ {
 		run, err := warm.Run(seed)
 		if err != nil {

@@ -263,8 +263,8 @@ func Derived() bool { return derived }
 // can be checkpointed as (seed, draws) and re-established by SetPos.
 // Every rand.Rand method maps to one or more Int63/Uint64 draws, each
 // advancing the underlying generator by exactly one step, so the count
-// pins the position exactly. The device's peripheral randomness and the
-// Timer supply both draw through one.
+// pins the position exactly. The device's peripheral randomness draws
+// through one.
 //
 // Draws of the current seed are memoized, which makes a same-seed seek
 // O(1) instead of a reseed plus a replay of the prefix — the checker
@@ -284,19 +284,12 @@ type Counting struct {
 	hist  []uint64 // memoized raw draws for seed
 }
 
-// MaxDraws bounds the stream position a decoded checkpoint may carry
-// (kernel.Checkpoint.Validate, power.State.Validate): SetPos memoizes
+// MaxDraws bounds the peripheral randomness position a decoded
+// checkpoint may carry (kernel.Checkpoint.Validate): SetPos memoizes
 // every draw up to the target, so an unbounded shipped position would
-// allocate without limit — 2^40 draws is 8 TiB.
-//
-// Measured with a counting hook on every draw over the full test suite:
-// the largest position in the checker's test matrix (internal/check,
-// fleet check jobs, the wire captures) is 49 draws, and the largest in
-// any terminating run is 83 (power's timer tests). The ceiling a run can
-// reach at all is 400 003 — one Timer draw at Reset plus two per
-// recharge, cut off by the kernel's 200 000-boot non-termination guard,
-// which the kernel's own non-termination tests hit. 2^20 leaves a 2.6×
-// margin above that ceiling and caps a restore's memo at 8 MiB.
+// allocate without limit — 2^40 draws is 8 TiB. The largest position in
+// the checker's test matrix (internal/check, fleet check jobs, the wire
+// captures) is 49 draws; 2^20 caps a restore's memo at 8 MiB.
 const MaxDraws = 1 << 20
 
 // NewCounting returns a counter at the start of seed's stream.

@@ -52,13 +52,6 @@ type Supply interface {
 	// Recharge is called after a failure; it returns how long the device
 	// stays off before rebooting, given the wall-clock time of the failure.
 	Recharge(wall time.Duration) time.Duration
-	// SnapshotState captures the supply's mutable state for a device
-	// checkpoint.
-	SnapshotState() State
-	// RestoreState re-establishes previously captured state. It panics if
-	// the state was produced by a different supply type — mixing supplies
-	// across a checkpoint boundary is a harness bug.
-	RestoreState(State)
 }
 
 // Continuous is a Supply that never fails: the paper's "continuous power"
@@ -109,8 +102,7 @@ func DefaultTimerConfig() TimerConfig {
 // Timer is the timer-driven Supply.
 type Timer struct {
 	cfg  TimerConfig
-	name string             // formatted once; cfg is fixed after NewTimer
-	src  *lazyrand.Counting // reseeded in place across runs; counts draws for checkpointing
+	src  *lazyrand.Source // reseeded in place across runs
 	rng  *rand.Rand
 	next time.Duration // onTime at which the next failure fires
 }
@@ -120,22 +112,20 @@ func NewTimer(cfg TimerConfig) *Timer {
 	if cfg.OnMax < cfg.OnMin || cfg.OffMax < cfg.OffMin {
 		panic("power: invalid timer config: max below min")
 	}
-	t := &Timer{cfg: cfg, name: fmt.Sprintf("timer[%v,%v]", cfg.OnMin, cfg.OnMax)}
+	t := &Timer{cfg: cfg}
 	t.Reset(0)
 	return t
 }
 
-// Name implements Supply. The name is formatted once at construction:
-// checkpointing records it per snapshot, and a Sprintf there was a
-// measurable share of bulk-snapshot cost.
-func (t *Timer) Name() string { return t.name }
+// Name implements Supply.
+func (t *Timer) Name() string { return fmt.Sprintf("timer[%v,%v]", t.cfg.OnMin, t.cfg.OnMax) }
 
 // Reset implements Supply. The random source is reseeded in place on
 // reuse, which leaves the generator in exactly the state a fresh
 // rand.New(rand.NewSource(seed)) would have.
 func (t *Timer) Reset(seed int64) {
 	if t.src == nil {
-		t.src = lazyrand.NewCounting(seed)
+		t.src = lazyrand.New(seed)
 		t.rng = rand.New(t.src)
 	} else {
 		t.src.Seed(seed)

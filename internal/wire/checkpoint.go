@@ -5,7 +5,6 @@ import (
 
 	"easeio/internal/kernel"
 	"easeio/internal/mem"
-	"easeio/internal/power"
 	"easeio/internal/stats"
 	"easeio/internal/units"
 )
@@ -43,15 +42,7 @@ func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	// Run record and randomness position.
 	dst = appendRun(dst, cp.Run)
 	dst = appendVarint(dst, cp.RandSeed)
-	dst = appendUvarint(dst, cp.RandDraws)
-
-	// Supply state, when the checkpoint carries one.
-	dst = appendBool(dst, cp.Supply.Kind != "")
-	if cp.Supply.Kind != "" {
-		dst = appendString(dst, cp.SupplyName)
-		dst = appendSupply(dst, cp.Supply)
-	}
-	return dst
+	return appendUvarint(dst, cp.RandDraws)
 }
 
 // DecodeCheckpoint decodes a KindCheckpoint message into a restorable
@@ -87,14 +78,6 @@ func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 	cp.Run = d.run()
 	cp.RandSeed = d.varint()
 	cp.RandDraws = d.uvarint()
-
-	if d.bool() {
-		cp.SupplyName = d.string()
-		cp.Supply = d.supply()
-		if d.err == nil && cp.Supply.Kind == "" {
-			d.fail("checkpoint supply state has no kind")
-		}
-	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -203,28 +186,4 @@ func (d *dec) run() *stats.Run {
 		return nil
 	}
 	return r
-}
-
-func appendSupply(b []byte, w power.State) []byte {
-	b = appendString(b, w.Kind)
-	b = appendVarint(b, int64(w.Fired))
-	b = appendVarint(b, int64(w.NextAt))
-	b = appendVarint(b, w.Seed)
-	b = appendUvarint(b, w.Draws)
-	b = appendVarint(b, int64(w.Stored))
-	b = appendFloat64(b, w.Gain)
-	return appendBool(b, w.Dead)
-}
-
-func (d *dec) supply() power.State {
-	return power.State{
-		Kind:   d.string(),
-		Fired:  int(d.varint()),
-		NextAt: time.Duration(d.varint()),
-		Seed:   d.varint(),
-		Draws:  d.uvarint(),
-		Stored: units.Energy(d.varint()),
-		Gain:   d.float64(),
-		Dead:   d.bool(),
-	}
 }

@@ -18,10 +18,21 @@ import (
 // point (encode∘decode∘encode = encode).
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	// Seed corpus: real encoded checkpoints (mid-run and end-of-run,
-	// two runtimes for hook-free state variety), plus degenerate inputs.
+	// two runtimes for hook-free state variety), the unit roots a fleet
+	// ships for a fig6 k=2 check under every runtime, plus degenerate
+	// inputs.
 	for _, kind := range []experiments.RuntimeKind{experiments.EaseIO, experiments.Alpaca} {
 		for _, cp := range captureCheckpoints(f, kind, 4) {
 			f.Add(AppendCheckpoint(nil, cp))
+		}
+	}
+	for _, kind := range []experiments.RuntimeKind{
+		experiments.Alpaca, experiments.InK, experiments.EaseIO, experiments.JustDo,
+	} {
+		for _, u := range fig6Plan(f, kind).Units {
+			if u.Root != nil {
+				f.Add(AppendCheckpoint(nil, u.Root))
+			}
 		}
 	}
 	f.Add([]byte{})

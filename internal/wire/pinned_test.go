@@ -12,25 +12,21 @@ import (
 	"easeio/internal/power"
 )
 
-// TestWireBytesPinned pins the v6 byte layout of the messages that carry
+// TestWireBytesPinned pins the v7 byte layout of the messages that carry
 // checkpoints: the subtree shards of a fig6 k=2 plan under every
-// runtime, device checkpoints captured under the timer supply and under
-// continuous power, and one checkpoint per supply-state kind. Each
-// message group is hashed with SHA-256 and compared with a constant, so
-// a refactor of the checkpoint types cannot drift the bytes a fleet
-// worker or a write-ahead log reads without a version bump.
+// runtime, and device checkpoints captured under the timer supply and
+// under continuous power. Each message group is hashed with SHA-256 and
+// compared with a constant, so a refactor of the checkpoint types cannot
+// drift the bytes a fleet worker or a write-ahead log reads without a
+// version bump.
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"shard/Alpaca":      "4247e78b6a8b54868672a4380db55418de8ade72013c18e1d41a8df19c89b379",
-		"shard/InK":         "fabfc87e1d29d2a167cddd7a05c20bd60f1827d5150710478e186a1ab7ddf0bd",
-		"shard/EaseIO":      "49228c88ab7517dd6c0e0827d57558d159809686a6c472215be92a5b77ddb862",
-		"shard/JustDo":      "ff7c65ca1f5da0eb3511f22ecfa70ab0aa25133001a6c468fd19efb622cf0b81",
-		"checkpoint/timer":  "112b8d5cbdc8cc29705c70764033aa9404a8904537f85ac92c1ebd96e6dd66c7",
-		"checkpoint/contin": "d2945bb4cca63d2150c526baa0b106726c7aa716bda3b33e2408cbed9f2d64e1",
-		"supply/continuous": "02f7422944f705b5bf6e3d93deb68495f2e3009d24bf960019da487c893cda56",
-		"supply/schedule":   "bd4f854bb28ec2c70e5069fc379752d128ca1b6b9ecc036506e9e3f50d0f45c3",
-		"supply/timer":      "3fdd967ff5b1117df105acc67a19f2eb4fad8ce26255de145174071a374be930",
-		"supply/harvested":  "da10d4892836917c671b9c7a7b7dc5f2c4a726766aa272e9258e18fdc1d009a8",
+		"shard/Alpaca":      "8a199bb1ef517e1666981e86048f905233b2b61c0ade51f85f1adab794a66d41",
+		"shard/InK":         "191a7676ae4e009e18b097a6e360a42fca8db6a48ec3952d9a7e55db64e6dd8b",
+		"shard/EaseIO":      "56c51dc6833a6e1a94e0e69a1726b01b2f34a43df050517ba09d9d13331a2e9f",
+		"shard/JustDo":      "b21b22367f1a7d93cedac1ca624551b1d6377323eb5ac0eab8caf1c5b5a1c80e",
+		"checkpoint/timer":  "a20b7f9e27044cecb78041c31b978faf3116f0525926d1f631ac78680213c361",
+		"checkpoint/contin": "ac273846c83f795a81e8eef710b430fb17593cd0af4ff46ec43cf329ac960c00",
 	}
 	got := map[string][]byte{}
 	for _, kind := range []experiments.RuntimeKind{
@@ -44,9 +40,6 @@ func TestWireBytesPinned(t *testing.T) {
 	for _, cp := range captureOn(t, power.Continuous{}, 9, experiments.JustDo, 3) {
 		got["checkpoint/contin"] = append(got["checkpoint/contin"], pinnedCheckpoint(t, cp)...)
 	}
-	for kind, b := range pinnedSupplies(t) {
-		got["supply/"+kind] = b
-	}
 	for name, w := range want {
 		sum := sha256.Sum256(got[name])
 		if h := hex.EncodeToString(sum[:]); h != w {
@@ -55,9 +48,9 @@ func TestWireBytesPinned(t *testing.T) {
 	}
 }
 
-// pinnedShard plans a fig6 k=2 exhaustive check under kind and encodes
-// all of its level-2 units as one subtree shard.
-func pinnedShard(t *testing.T, kind experiments.RuntimeKind) []byte {
+// fig6Plan plans a fig6 k=2 exhaustive check under kind: its units'
+// roots are the checkpoints a fleet ships to its workers.
+func fig6Plan(t testing.TB, kind experiments.RuntimeKind) *check.Planned {
 	t.Helper()
 	p, err := check.Plan(context.Background(), check.Fig6Bench, kind,
 		check.Config{Exhaustive: true, Failures: 2, Workers: 1})
@@ -67,6 +60,14 @@ func pinnedShard(t *testing.T, kind experiments.RuntimeKind) []byte {
 	if len(p.Units) == 0 {
 		t.Fatalf("%v: the k=2 plan has no units", kind)
 	}
+	return p
+}
+
+// pinnedShard encodes all of the level-2 units of fig6Plan as one
+// subtree shard.
+func pinnedShard(t *testing.T, kind experiments.RuntimeKind) []byte {
+	t.Helper()
+	p := fig6Plan(t, kind)
 	return AppendSubtreeShard(nil, SubtreeShard{Job: 5, Shard: 1, App: "fig6",
 		Runtime: kind.String(), Check: check.Config{Seed: p.Seed, Failures: 2, Exhaustive: true, Workers: 1},
 		Units: p.Units})
@@ -77,17 +78,4 @@ func pinnedShard(t *testing.T, kind experiments.RuntimeKind) []byte {
 func pinnedCheckpoint(t *testing.T, cp *kernel.Checkpoint) []byte {
 	t.Helper()
 	return AppendCheckpoint(nil, cp)
-}
-
-// pinnedSupplies encodes one checkpoint per supply-state kind, the
-// states of TestSupplyKindsRoundTrip.
-func pinnedSupplies(t *testing.T) map[string][]byte {
-	t.Helper()
-	cp := captureCheckpoints(t, experiments.EaseIO, 8)[0]
-	out := map[string][]byte{}
-	for _, ws := range supplyStates {
-		cp.SupplyName, cp.Supply = ws.Kind, ws
-		out[ws.Kind] = AppendCheckpoint(nil, cp)
-	}
-	return out
 }

@@ -14,11 +14,11 @@
 //     then the shard as a varint. PeekShard relies on it, so a new shard
 //     or result kind must keep it.
 //   - Integers are varints (zigzag for signed), strings and word slices
-//     are length-prefixed, floats are IEEE-754 bits — no reflection, no
-//     struct tags, no JSON. Encoders are append-based (zero-alloc when
-//     the caller recycles buffers); decoders never panic on any input
-//     (the fuzz targets pin this) and bound every length they read by
-//     the bytes that remain, so hostile lengths cannot OOM the process.
+//     are length-prefixed — no reflection, no struct tags, no JSON.
+//     Encoders are append-based (zero-alloc when the caller recycles
+//     buffers); decoders never panic on any input (the fuzz targets pin
+//     this) and bound every length they read by the bytes that remain,
+//     so hostile lengths cannot OOM the process.
 //   - Transport and log framing is the same for both consumers: a
 //     little-endian u32 payload length, a u32 IEEE CRC of the payload,
 //     then the payload. A frame is committed if and only if it is fully
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // Version is the current encoding version, stamped into every message
@@ -47,8 +46,10 @@ import (
 // subtree shard's check parameters through AppendCheckConfig and drops
 // its off-time, which a shipped check always leaves at the default.
 // Version 6 drops each checkpoint bank's high-water mark: the bank's
-// prefix now ends at the mark, so its length carries it.
-const Version = 6
+// prefix now ends at the mark, so its length carries it. Version 7 drops
+// the checkpoint's supply state (its presence byte, name and fields):
+// whoever restores a checkpoint positions the supply.
+const Version = 7
 
 // Kind tags a message's type in its header.
 type Kind uint8
@@ -244,19 +245,6 @@ func (d *dec) words() []uint16 {
 	return out
 }
 
-func (d *dec) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 8 {
-		d.fail("truncated float64")
-		return 0
-	}
-	bits := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits)
-}
-
 // Append primitives (the encoder side).
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -281,10 +269,6 @@ func appendWords(b []byte, w []uint16) []byte {
 		b = binary.LittleEndian.AppendUint16(b, v)
 	}
 	return b
-}
-
-func appendFloat64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // Framing.

@@ -292,53 +292,22 @@ func TestWriteFrame(t *testing.T) {
 	}
 }
 
-// TestSupplyKindsRoundTrip pins that every serializable supply kind
-// survives the checkpoint encoding, including the harvested supply's
-// float gain.
-func TestSupplyKindsRoundTrip(t *testing.T) {
-	cp := captureCheckpoints(t, experiments.EaseIO, 8)[0]
-	for _, ws := range supplyStates {
-		cp.SupplyName, cp.Supply = ws.Kind, ws
-		got, err := DecodeCheckpoint(AppendCheckpoint(nil, cp))
-		if err != nil {
-			t.Fatalf("%s: %v", ws.Kind, err)
-		}
-		if got.Supply != ws {
-			t.Errorf("%s: got %+v, want %+v", ws.Kind, got.Supply, ws)
-		}
-	}
-}
-
-// supplyStates has one state of every supply kind.
-var supplyStates = []power.State{
-	{Kind: power.KindContinuous},
-	{Kind: power.KindSchedule, Fired: 3},
-	{Kind: power.KindTimer, NextAt: 7 * time.Millisecond, Seed: -4, Draws: 19},
-	{Kind: power.KindHarvested, Stored: 123456, Gain: 0.8125, Dead: true},
-}
-
 // TestCheckpointDrawBound pins that a decoded checkpoint cannot carry a
-// randomness position past lazyrand.MaxDraws — for the peripheral stream
-// or a timer supply's — since restoring it would memoize or replay that
-// many draws. The bound itself is accepted.
+// peripheral randomness position past lazyrand.MaxDraws, since
+// restoring it would memoize that many draws. The bound itself is
+// accepted.
 func TestCheckpointDrawBound(t *testing.T) {
 	cp := captureCheckpoints(t, experiments.EaseIO, 8)[0]
-	timer := power.State{Kind: power.KindTimer, Seed: 3}
 	for _, tc := range []struct {
-		name       string
-		rand, tick uint64
-		ok         bool
+		name string
+		rand uint64
+		ok   bool
 	}{
-		{"peripheral-at-bound", lazyrand.MaxDraws, 0, true},
-		{"timer-at-bound", 0, lazyrand.MaxDraws, true},
-		{"peripheral-past-bound", lazyrand.MaxDraws + 1, 0, false},
-		{"timer-past-bound", 0, lazyrand.MaxDraws + 1, false},
-		{"peripheral-2^40", 1 << 40, 0, false},
-		{"timer-2^40", 0, 1 << 40, false},
+		{"peripheral-at-bound", lazyrand.MaxDraws, true},
+		{"peripheral-past-bound", lazyrand.MaxDraws + 1, false},
+		{"peripheral-2^40", 1 << 40, false},
 	} {
 		cp.RandDraws = tc.rand
-		timer.Draws = tc.tick
-		cp.SupplyName, cp.Supply = "timer", timer
 		_, err := DecodeCheckpoint(AppendCheckpoint(nil, cp))
 		if got := err == nil; got != tc.ok {
 			t.Errorf("%s: decode error %v, want accepted=%v", tc.name, err, tc.ok)
