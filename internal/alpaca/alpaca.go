@@ -109,9 +109,6 @@ func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.bumpEpoch()
 }
 
-// CurrentTask implements kernel.Hooks.
-func (r *Runtime) CurrentTask() *task.Task { return r.Current() }
-
 // BeginTask implements kernel.Hooks: privatize the task's WAR variables.
 // The copy is charged first and applied afterwards, so an interrupted
 // privatization leaves no partial state (the real Alpaca achieves this by
@@ -189,18 +186,11 @@ func (r *Runtime) Store(c *kernel.Ctx, v *task.NVVar, i int, val uint16) {
 	r.Dev.Mem.Write(r.addrFor(v).Add(i), val)
 }
 
-// AddrOf implements kernel.Hooks: DMA sees the master copy, never the
-// private one — the hardware does not know about Alpaca's buffers.
-func (r *Runtime) AddrOf(v *task.NVVar) mem.Addr { return r.MasterAddr(v) }
-
 // CallIO implements kernel.Hooks: Alpaca always (re-)executes peripheral
 // operations.
 func (r *Runtime) CallIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 	return r.ExecIO(c, s, idx)
 }
-
-// IOBlock implements kernel.Hooks: no block semantics; the body just runs.
-func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) { body() }
 
 // DMACopy implements kernel.Hooks: a plain transfer to/from master copies.
 func (r *Runtime) DMACopy(c *kernel.Ctx, d *task.DMASite, src, dst task.Loc, words int) {

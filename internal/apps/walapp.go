@@ -35,9 +35,9 @@ import (
 )
 
 // WALHeaderWord is the header the model journals: the fleet WAL's
-// format byte over its wire-version byte (format 3, wire version 7). The
+// format byte over its wire-version byte (format 3, wire version 8). The
 // fleet's tests hold it to the real header.
-const WALHeaderWord = 0x0307
+const WALHeaderWord = 0x0308
 
 // WALConfig parameterizes the WAL-recovery scenario.
 type WALConfig struct {

@@ -310,11 +310,8 @@ func (r *Runtime) readTime(a mem.Addr) time.Duration {
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	r.blockSkipDepth = 0
-	r.curTask = r.Current()
+	r.curTask = r.CurrentTask()
 }
-
-// CurrentTask implements kernel.Hooks.
-func (r *Runtime) CurrentTask() *task.Task { return r.Current() }
 
 // BeginTask implements kernel.Hooks: enter region 0 (privatize or
 // recover).
@@ -369,9 +366,6 @@ func (r *Runtime) LoadRun(c *kernel.Ctx, v *task.NVVar, off, n int) uint16 {
 	}
 	return s
 }
-
-// AddrOf implements kernel.Hooks.
-func (r *Runtime) AddrOf(v *task.NVVar) mem.Addr { return r.MasterAddr(v) }
 
 // --- I/O sites ---
 

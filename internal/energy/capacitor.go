@@ -97,8 +97,6 @@ func (c *Capacitor) String() string {
 type Harvester interface {
 	// PowerAt returns the harvested power at absolute time t.
 	PowerAt(t time.Duration) units.Power
-	// Name identifies the harvester in reports.
-	Name() string
 }
 
 // Constant is a harvester that delivers fixed power forever.
@@ -108,9 +106,6 @@ type Constant struct {
 
 // PowerAt implements Harvester.
 func (c Constant) PowerAt(time.Duration) units.Power { return c.P }
-
-// Name implements Harvester.
-func (c Constant) Name() string { return fmt.Sprintf("const(%s)", c.P) }
 
 // RF models RF power transfer from a 3 W, 915 MHz transmitter to a
 // P2110-EVB-class receiver, as in the paper's real-world evaluation
@@ -154,9 +149,6 @@ func (r RF) PowerAt(time.Duration) units.Power {
 	return units.Power(float64(r.RefPower) * math.Pow(ratio, exp))
 }
 
-// Name implements Harvester.
-func (r RF) Name() string { return fmt.Sprintf("rf(%.0fin)", r.DistanceInches) }
-
 // Trace replays a recorded harvest-power trace, holding each sample for
 // Step and repeating the trace when it runs out.
 type Trace struct {
@@ -164,8 +156,6 @@ type Trace struct {
 	Samples []units.Power
 	// Step is the duration each sample covers.
 	Step time.Duration
-	// Label names the trace in reports.
-	Label string
 }
 
 // PowerAt implements Harvester.
@@ -175,14 +165,6 @@ func (tr Trace) PowerAt(t time.Duration) units.Power {
 	}
 	i := int(t/tr.Step) % len(tr.Samples)
 	return tr.Samples[i]
-}
-
-// Name implements Harvester.
-func (tr Trace) Name() string {
-	if tr.Label != "" {
-		return tr.Label
-	}
-	return fmt.Sprintf("trace(%d samples)", len(tr.Samples))
 }
 
 // ChargeTime returns how long the harvester needs, starting at time t, to

@@ -62,9 +62,6 @@ func TestConstantHarvester(t *testing.T) {
 	if h.PowerAt(0) != 5*units.Milliwatt || h.PowerAt(time.Hour) != 5*units.Milliwatt {
 		t.Error("constant harvester must be constant")
 	}
-	if h.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestRFPathLoss(t *testing.T) {
@@ -97,7 +94,6 @@ func TestTraceHarvester(t *testing.T) {
 	tr := Trace{
 		Samples: []units.Power{1 * units.Milliwatt, 2 * units.Milliwatt},
 		Step:    time.Millisecond,
-		Label:   "bench",
 	}
 	if got := tr.PowerAt(0); got != 1*units.Milliwatt {
 		t.Errorf("sample 0 = %v", got)
@@ -107,9 +103,6 @@ func TestTraceHarvester(t *testing.T) {
 	}
 	if got := tr.PowerAt(2 * time.Millisecond); got != 1*units.Milliwatt {
 		t.Errorf("trace must wrap: %v", got)
-	}
-	if tr.Name() != "bench" {
-		t.Errorf("name = %q", tr.Name())
 	}
 	empty := Trace{}
 	if empty.PowerAt(0) != 0 {

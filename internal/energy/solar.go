@@ -53,9 +53,6 @@ func NewSolar(cfg SolarConfig) Solar {
 	return Solar{cfg: cfg}
 }
 
-// Name implements Harvester.
-func (s Solar) Name() string { return "solar" }
-
 // PowerAt implements Harvester: a clipped triangular diurnal envelope
 // times a hash-driven cloud factor.
 func (s Solar) PowerAt(t time.Duration) units.Power {

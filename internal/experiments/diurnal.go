@@ -108,12 +108,13 @@ func dayRun(cfg DiurnalConfig, scfg energy.SolarConfig, k RuntimeKind) (completi
 		if rerr != nil {
 			return 0, 0, 0, rerr
 		}
-		if run.Stuck {
-			break
-		}
 		wall += run.WallTime
 		on += run.OnTime
 		failures += run.PowerFailures
+		if run.Stuck {
+			// The harvester cannot boot the device again: the day ends here.
+			break
+		}
 		if wall <= cfg.Budget {
 			completions++
 		}
@@ -130,9 +131,6 @@ type resumedSupply struct {
 	base   time.Duration
 }
 
-// Name implements power.Supply.
-func (r *resumedSupply) Name() string { return r.Supply.Name() }
-
 // Reset implements power.Supply (state persists across app executions).
 func (r *resumedSupply) Reset(int64) {}
 
@@ -142,7 +140,7 @@ func (r *resumedSupply) Step(wall, onTime, dt time.Duration, e units.Energy) boo
 }
 
 // Recharge implements power.Supply.
-func (r *resumedSupply) Recharge(wall time.Duration) time.Duration {
+func (r *resumedSupply) Recharge(wall time.Duration) (time.Duration, bool) {
 	return r.Supply.Recharge(r.base + wall)
 }
 

@@ -55,10 +55,9 @@ func malformedShard(t *testing.T, app string, cfg check.Config, mutate func(*che
 
 // TestMalformedUnitFailsShard pins that a unit whose root cannot belong
 // to the shard's app fails the shard with an error instead of crashing
-// the worker: a runtime state with its slot and task tables emptied or
-// its task pointer out of range, a FRAM task-pointer word that names no
-// task, and a root checkpoint recorded on a different app's memory
-// layout.
+// the worker: a runtime state with its slot and task tables emptied, a
+// FRAM task-pointer word that names no task, and a root checkpoint
+// recorded on a different app's memory layout.
 func TestMalformedUnitFailsShard(t *testing.T) {
 	ptr := taskPtrWord(t, "fig6")
 	for _, tc := range []struct {
@@ -69,8 +68,6 @@ func TestMalformedUnitFailsShard(t *testing.T) {
 	}{
 		{"emptied-runtime-tables", "fig6", check.Config{Exhaustive: true},
 			func(u *check.Unit) { u.Root.Runtime.Slots, u.Root.Runtime.TaskInst = nil, nil }, "slots"},
-		{"task-pointer-out-of-range", "fig6", check.Config{Exhaustive: true},
-			func(u *check.Unit) { u.Root.Runtime.Cur = 99 }, "task pointer"},
 		{"fram-task-pointer", "fig6", check.Config{Exhaustive: true},
 			func(u *check.Unit) { u.Root.Mem.Used[mem.FRAM][ptr] = 99 }, "task pointer"},
 		{"foreign-layout", "fir", check.Config{Grid: 4},

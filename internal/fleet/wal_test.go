@@ -84,7 +84,7 @@ func recordLog(tb testing.TB) string {
 // foreignMsg is the one refusal of a log another build wrote.
 func foreignMsg(path string, format, version int) string {
 	return fmt.Sprintf("fleet: WAL %s was written by another build (format %d, wire version %d; "+
-		"this build writes 3/7): finish or drop its jobs with that build", path, format, version)
+		"this build writes 3/8): finish or drop its jobs with that build", path, format, version)
 }
 
 // refuseLog writes log to a fresh path and opens it: the open must fail

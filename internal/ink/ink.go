@@ -109,9 +109,6 @@ func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.bumpEpoch()
 }
 
-// CurrentTask implements kernel.Hooks.
-func (r *Runtime) CurrentTask() *task.Task { return r.Current() }
-
 // BeginTask implements kernel.Hooks: InK defers its copying to the first
 // write of each variable, so task entry is cheap.
 func (r *Runtime) BeginTask(c *kernel.Ctx, t *task.Task) {
@@ -196,9 +193,6 @@ func (r *Runtime) AddrOf(v *task.NVVar) mem.Addr { return r.activeAddr(v) }
 func (r *Runtime) CallIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 	return r.ExecIO(c, s, idx)
 }
-
-// IOBlock implements kernel.Hooks: no block semantics.
-func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) { body() }
 
 // DMACopy implements kernel.Hooks.
 func (r *Runtime) DMACopy(c *kernel.Ctx, d *task.DMASite, src, dst task.Loc, words int) {

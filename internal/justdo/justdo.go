@@ -90,9 +90,6 @@ func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.seq = 0
 }
 
-// CurrentTask implements kernel.Hooks.
-func (r *Runtime) CurrentTask() *task.Task { return r.Current() }
-
 // BeginTask implements kernel.Hooks.
 func (r *Runtime) BeginTask(c *kernel.Ctx, t *task.Task) { r.seq = 0 }
 
@@ -199,9 +196,6 @@ func (r *Runtime) Store(c *kernel.Ctx, v *task.NVVar, i int, val uint16) {
 	r.complete(c, seq, mark)
 }
 
-// AddrOf implements kernel.Hooks.
-func (r *Runtime) AddrOf(v *task.NVVar) mem.Addr { return r.MasterAddr(v) }
-
 // CallIO implements kernel.Hooks: completed value-returning operations
 // replay their recorded value instead of re-executing (semantics
 // annotations are ignored — everything completed is final). Void
@@ -222,10 +216,6 @@ func (r *Runtime) CallIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 	r.complete(c, seq, mark)
 	return v
 }
-
-// IOBlock implements kernel.Hooks: blocks need no extra machinery — every
-// member operation is individually persistent.
-func (r *Runtime) IOBlock(c *kernel.Ctx, b *task.IOBlock, body func()) { body() }
 
 // DMACopy implements kernel.Hooks: a completed transfer to non-volatile
 // memory is skipped. A transfer into volatile memory can never be skipped

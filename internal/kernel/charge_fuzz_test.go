@@ -125,7 +125,8 @@ func runChargeOps(supply power.Supply, seed int64, ops []chargeOp, sink CutSink)
 		out.Fails = append(out.Fails, i)
 		dev.Ledger.FailAttempt()
 		dev.Mem.PowerFailure()
-		dev.Clock.Off(dev.Supply.Recharge(dev.Clock.Now()))
+		off, _ := dev.Supply.Recharge(dev.Clock.Now())
+		dev.Clock.Off(off)
 		dev.Clock.Boot()
 		ctx.wastedDepth = 0
 		ctx.arm()

@@ -17,7 +17,7 @@ import (
 	"easeio/internal/timekeeper"
 )
 
-// TaskDone is the RuntimeState.Cur value of an application that has
+// TaskDone is the task-pointer value of an application that has
 // finished.
 const TaskDone = 0xFFFF
 
@@ -39,19 +39,19 @@ type IOSlot struct {
 }
 
 // RuntimeState is the runtime half of a checkpoint: the volatile
-// bookkeeping that survives reboots. Cur caches the task pointer (a task
-// ID, or TaskDone); Slots and TaskInst are the measurement-side I/O
-// records by I/O slot and the instance counters by task ID. Every
-// index is a value type, so a state captured from one runtime instance
-// restores exactly into another attached to an equivalently built app —
-// across processes too, which is how fleet workers receive it.
+// bookkeeping that survives reboots. Slots and TaskInst are the
+// measurement-side I/O records by I/O slot and the instance counters by
+// task ID. Every index is a value type, so a state captured from one
+// runtime instance restores exactly into another attached to an
+// equivalently built app — across processes too, which is how fleet
+// workers receive it.
 //
 // It is every shipped runtime's whole snapshot: their other durable
-// bookkeeping (flags, generations, index words, progress counters)
-// lives in FRAM and is captured by the device half, and their volatile
-// attempt state is rebuilt by OnBoot.
+// bookkeeping (the task pointer, flags, generations, index words,
+// progress counters) lives in FRAM and is captured by the device half,
+// and their volatile attempt state, the current task included, is
+// rebuilt by OnBoot.
 type RuntimeState struct {
-	Cur      int
 	Slots    []IOSlot
 	TaskInst []int32
 }
@@ -134,11 +134,10 @@ func (cp *Checkpoint) Validate() error {
 
 // Fits reports whether cp can be restored into dev with rt attached: the
 // allocation watermarks must match dev's memory, the runtime tables must
-// have rt's own lengths, and the task pointer must name one of its tasks
-// (or TaskDone) — both the cached Cur and the FRAM word the next boot
-// re-reads, which agree at every charge-slice boundary. A mismatch means
-// the checkpoint was not taken under this blueprint; Restore or the
-// first reboot would panic or index out of range.
+// have rt's own lengths, and the FRAM task-pointer word the next boot
+// reads must name one of its tasks (or TaskDone). A mismatch means the
+// checkpoint was not taken under this blueprint; Restore or the first
+// reboot would panic or index out of range.
 func (cp *Checkpoint) Fits(dev *Device, rt Hooks) error {
 	for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
 		if got, want := cp.Mem.Alloc[b], dev.Mem.Allocated(b); got != want {
@@ -152,17 +151,13 @@ func (cp *Checkpoint) Fits(dev *Device, rt Hooks) error {
 		return fmt.Errorf("kernel: checkpoint runtime has %d slots and %d tasks, %s has %d and %d",
 			len(rs.Slots), len(rs.TaskInst), rt.Name(), len(own.Slots), len(own.TaskInst))
 	}
-	if rs.Cur != TaskDone && (rs.Cur < 0 || rs.Cur >= len(rs.TaskInst)) {
-		return fmt.Errorf("kernel: checkpoint task pointer %d out of range [0,%d)", rs.Cur, len(rs.TaskInst))
-	}
 	// Words past the snapshot's prefix restore as zero.
 	ptr, word := rt.TaskPointer(), 0
 	if used := cp.Mem.Used[ptr.Bank]; ptr.Word < len(used) {
 		word = int(used[ptr.Word])
 	}
-	if word != rs.Cur {
-		return fmt.Errorf("kernel: checkpoint FRAM task pointer %d disagrees with the runtime's task pointer %d",
-			word, rs.Cur)
+	if word != TaskDone && word >= len(rs.TaskInst) {
+		return fmt.Errorf("kernel: checkpoint task pointer %d out of range [0,%d)", word, len(rs.TaskInst))
 	}
 	return nil
 }

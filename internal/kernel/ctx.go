@@ -72,7 +72,8 @@ func (c *Ctx) arm() {
 // PushWasted enters wasted-charging mode (see Ledger.ChargeWasted).
 func (c *Ctx) PushWasted() { c.wastedDepth++ }
 
-// PopWasted leaves wasted-charging mode.
+// PopWasted leaves wasted-charging mode. A power failure that unwinds a
+// wasted scope needs no pop: every boot starts at depth zero.
 func (c *Ctx) PopWasted() {
 	if c.wastedDepth == 0 {
 		panic("kernel: unbalanced PopWasted")

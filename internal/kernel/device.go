@@ -226,9 +226,8 @@ type Hooks interface {
 	AddrOf(v *task.NVVar) mem.Addr
 
 	// TaskPointer returns the FRAM address of the persistent task
-	// pointer that OnBoot re-reads. At every charge-slice boundary its
-	// word equals the RuntimeState.Cur a snapshot captures, which is
-	// what Checkpoint.Fits checks before a root is adopted.
+	// pointer that OnBoot re-reads; Checkpoint.Fits range-checks its
+	// word before a root is adopted.
 	TaskPointer() mem.Addr
 
 	// CallIO executes or skips the I/O site instance idx.

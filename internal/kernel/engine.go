@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"easeio/internal/mcu"
-	"easeio/internal/power"
 	"easeio/internal/task"
 )
 
@@ -34,12 +33,12 @@ func runLoop(dev *Device, rt Hooks, app *task.App, failed bool) error {
 			if dev.TraceOn() {
 				dev.Trace(EvPowerFailure, "#%d", dev.Run.PowerFailures)
 			}
-			off := dev.Supply.Recharge(dev.Clock.Now())
+			off, ok := dev.Supply.Recharge(dev.Clock.Now())
 			dev.Clock.Off(off)
 			if dev.TraceOn() {
 				dev.Trace(EvRecharge, "off for %v", off)
 			}
-			if h, ok := dev.Supply.(*power.Harvested); ok && h.Dead() {
+			if !ok {
 				dev.Run.Stuck = true
 				finish(dev, rt, app)
 				return nil

@@ -15,16 +15,18 @@
 //
 // A Supply is consumed by the execution kernel: Step is called after a
 // charged operation that may fail the device, Recharge after every
-// failure. A supply whose failure point is a fixed on-time says so with a
-// FireAt method (Continuous, Timer, Schedule); the kernel then books
-// every operation that ends before that point without stepping it, and
-// steps only the one that reaches it. Supplies without FireAt
-// (Harvested), and every supply while a cut sink listens, are stepped
-// after every charged slice.
+// failure. Recharge also reports whether the device can boot again: a
+// harvester too weak to reach the boot threshold leaves the run stuck,
+// and the kernel ends it there, so a supply that wraps another must
+// forward that verdict. A supply whose failure point is a fixed on-time
+// says so with a FireAt method (Continuous, Timer, Schedule); the kernel
+// then books every operation that ends before that point without
+// stepping it, and steps only the one that reaches it. Supplies without
+// FireAt (Harvested), and every supply while a cut sink listens, are
+// stepped after every charged slice.
 package power
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -37,8 +39,6 @@ import (
 
 // Supply decides when the device loses power and how long it stays dark.
 type Supply interface {
-	// Name identifies the supply in reports.
-	Name() string
 	// Reset prepares the supply for a fresh run with the given seed.
 	Reset(seed int64)
 	// Step accounts one executed operation: wall is total wall-clock time
@@ -49,17 +49,16 @@ type Supply interface {
 	// stepped only by a slice that reaches FireAt (and by every slice
 	// while a cut sink listens).
 	Step(wall, onTime, dt time.Duration, e units.Energy) bool
-	// Recharge is called after a failure; it returns how long the device
-	// stays off before rebooting, given the wall-clock time of the failure.
-	Recharge(wall time.Duration) time.Duration
+	// Recharge is called after a failure; given the wall-clock time of
+	// the failure, it returns how long the device stays off before
+	// rebooting, and ok=false when the supply cannot boot the device
+	// again (the run is stuck).
+	Recharge(wall time.Duration) (off time.Duration, ok bool)
 }
 
 // Continuous is a Supply that never fails: the paper's "continuous power"
 // configuration used for golden runs and the Cont. columns of Table 5.
 type Continuous struct{}
-
-// Name implements Supply.
-func (Continuous) Name() string { return "continuous" }
 
 // Reset implements Supply.
 func (Continuous) Reset(int64) {}
@@ -68,8 +67,8 @@ func (Continuous) Reset(int64) {}
 func (Continuous) Step(_, _, _ time.Duration, _ units.Energy) bool { return false }
 
 // Recharge implements Supply. It is never called under continuous power,
-// but returns zero for robustness.
-func (Continuous) Recharge(time.Duration) time.Duration { return 0 }
+// but returns an instant reboot for robustness.
+func (Continuous) Recharge(time.Duration) (time.Duration, bool) { return 0, true }
 
 // FireAt returns an on-time no run reaches: continuous power never fails,
 // so the kernel never steps it outside a cut-sink pass.
@@ -117,9 +116,6 @@ func NewTimer(cfg TimerConfig) *Timer {
 	return t
 }
 
-// Name implements Supply.
-func (t *Timer) Name() string { return fmt.Sprintf("timer[%v,%v]", t.cfg.OnMin, t.cfg.OnMax) }
-
 // Reset implements Supply. The random source is reseeded in place on
 // reuse, which leaves the generator in exactly the state a fresh
 // rand.New(rand.NewSource(seed)) would have.
@@ -153,10 +149,10 @@ func (t *Timer) Step(_, onTime, _ time.Duration, _ units.Energy) bool {
 func (t *Timer) FireAt() time.Duration { return t.next }
 
 // Recharge implements Supply: draws the off duration and schedules the
-// next firing interval.
-func (t *Timer) Recharge(time.Duration) time.Duration {
+// next firing interval. A timer always reboots the device.
+func (t *Timer) Recharge(time.Duration) (time.Duration, bool) {
 	t.next += t.uniform(t.cfg.OnMin, t.cfg.OnMax)
-	return t.uniform(t.cfg.OffMin, t.cfg.OffMax)
+	return t.uniform(t.cfg.OffMin, t.cfg.OffMax), true
 }
 
 // Harvested is the energy-driven Supply: a capacitor drained by execution
@@ -168,8 +164,8 @@ type Harvested struct {
 	Harv energy.Harvester
 
 	// MaxOff caps a single recharge; if the harvester cannot reach the
-	// boot threshold within it, the run is declared stuck (Dead reports
-	// true). Defaults to 30 s.
+	// boot threshold within it, Recharge reports the run stuck. Defaults
+	// to 30 s.
 	MaxOff time.Duration
 
 	// StartAtVon starts runs with the capacitor at the boot threshold
@@ -183,7 +179,6 @@ type Harvested struct {
 	// [1−Jitter, 1+Jitter]. Zero means a perfectly stable link.
 	Jitter float64
 
-	dead bool
 	gain float64
 }
 
@@ -193,14 +188,8 @@ func NewHarvested(h energy.Harvester) *Harvested {
 	return &Harvested{Cap: energy.DefaultCapacitor(), Harv: h, MaxOff: 30 * time.Second}
 }
 
-// Name implements Supply.
-func (s *Harvested) Name() string {
-	return fmt.Sprintf("harvested(%s,%s)", s.Harv.Name(), s.Cap.C)
-}
-
 // Reset implements Supply: refills the capacitor.
 func (s *Harvested) Reset(seed int64) {
-	s.dead = false
 	s.gain = 1
 	start := s.Cap.Vmax
 	if s.StartAtVon {
@@ -237,19 +226,18 @@ func (s *Harvested) Step(wall, _, dt time.Duration, e units.Energy) bool {
 }
 
 // Recharge implements Supply: integrates harvested power (minus leakage)
-// until the capacitor reaches the boot threshold.
-func (s *Harvested) Recharge(wall time.Duration) time.Duration {
+// until the capacitor reaches the boot threshold. It reports ok=false
+// when the threshold is out of reach within MaxOff: the device is
+// effectively bricked at this harvest level.
+func (s *Harvested) Recharge(wall time.Duration) (time.Duration, bool) {
 	need := s.Cap.EnergyAt(s.Cap.Von) - s.Cap.Stored()
 	harv := s.Harv
 	if s.gain != 1 && s.gain > 0 {
 		harv = scaledHarvester{h: s.Harv, gain: s.gain}
 	}
 	off, ok := energy.ChargeTime(harv, wall, need, mcu.LeakagePower, s.MaxOff)
-	if !ok {
-		s.dead = true
-	}
 	s.Cap.SetVoltage(s.Cap.Von)
-	return off
+	return off, ok
 }
 
 // scaledHarvester applies the per-run gain during recharge integration.
@@ -262,11 +250,3 @@ type scaledHarvester struct {
 func (s scaledHarvester) PowerAt(t time.Duration) units.Power {
 	return units.Power(float64(s.h.PowerAt(t)) * s.gain)
 }
-
-// Name implements energy.Harvester.
-func (s scaledHarvester) Name() string { return s.h.Name() }
-
-// Dead reports whether the last recharge failed to reach the boot
-// threshold within MaxOff (the device is effectively bricked at this
-// harvest level).
-func (s *Harvested) Dead() bool { return s.dead }

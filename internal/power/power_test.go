@@ -17,8 +17,8 @@ func TestContinuousNeverFails(t *testing.T) {
 			t.Fatal("continuous supply failed")
 		}
 	}
-	if s.Recharge(0) != 0 {
-		t.Error("continuous recharge should be zero")
+	if off, ok := s.Recharge(0); off != 0 || !ok {
+		t.Errorf("continuous recharge = %v, %v; want 0, true", off, ok)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestTimerFailureWindows(t *testing.T) {
 			if gap < cfg.OnMin-100*time.Microsecond || gap > cfg.OnMax+100*time.Microsecond {
 				t.Fatalf("failure gap %v outside [%v, %v]", gap, cfg.OnMin, cfg.OnMax)
 			}
-			off := s.Recharge(on)
+			off, _ := s.Recharge(on)
 			if off < cfg.OffMin || off > cfg.OffMax {
 				t.Fatalf("off duration %v outside [%v, %v]", off, cfg.OffMin, cfg.OffMax)
 			}
@@ -128,12 +128,12 @@ func TestHarvestedBrownoutAndRecharge(t *testing.T) {
 	}
 
 	// Recharge back to Von at 100 µW (minus leakage).
-	off := s.Recharge(wall)
+	off, ok := s.Recharge(wall)
 	if off <= 0 {
 		t.Error("recharge must take time")
 	}
-	if s.Dead() {
-		t.Error("supply wrongly dead")
+	if !ok {
+		t.Error("supply wrongly stuck")
 	}
 	if got := s.Cap.Voltage(); got != s.Cap.Von {
 		t.Errorf("after recharge: %v, want %v", got, s.Cap.Von)
@@ -146,9 +146,8 @@ func TestHarvestedDeadWhenHarvestBelowLeakage(t *testing.T) {
 	s.MaxOff = 100 * time.Millisecond
 	s.Reset(0)
 	s.Cap.SetVoltage(s.Cap.Voff)
-	s.Recharge(0)
-	if !s.Dead() {
-		t.Error("supply should be dead below leakage power")
+	if _, ok := s.Recharge(0); ok {
+		t.Error("supply should be stuck below leakage power")
 	}
 }
 
@@ -177,8 +176,8 @@ func TestSchedule(t *testing.T) {
 	if !s.Step(0, 2*time.Millisecond, 0, 0) {
 		t.Error("did not fire at the scheduled point")
 	}
-	if off := s.Recharge(0); off != time.Millisecond {
-		t.Errorf("off = %v", off)
+	if off, ok := s.Recharge(0); off != time.Millisecond || !ok {
+		t.Errorf("off = %v, %v", off, ok)
 	}
 	if s.Remaining() != 1 {
 		t.Errorf("remaining = %d", s.Remaining())
@@ -191,9 +190,6 @@ func TestSchedule(t *testing.T) {
 	if s.Remaining() != 2 {
 		t.Error("reset must rearm the schedule")
 	}
-	if s.Name() != "schedule" {
-		t.Error("name")
-	}
 }
 
 func TestScheduleWithOff(t *testing.T) {
@@ -202,7 +198,7 @@ func TestScheduleWithOff(t *testing.T) {
 	if !s.Step(0, time.Millisecond, 0, 0) {
 		t.Fatal("did not fire at the scheduled point")
 	}
-	if off := s.Recharge(0); off != 250*time.Microsecond {
+	if off, _ := s.Recharge(0); off != 250*time.Microsecond {
 		t.Errorf("off = %v, want 250µs", off)
 	}
 	// The default constructor keeps the 1 ms recharge.
@@ -244,11 +240,7 @@ func TestHarvestedJitterAndSpread(t *testing.T) {
 	// The gain scales harvesting during recharge too (scaledHarvester).
 	s.Reset(3)
 	s.Cap.SetVoltage(s.Cap.Voff)
-	off := s.Recharge(0)
-	if off <= 0 || s.Dead() {
-		t.Errorf("recharge off=%v dead=%v", off, s.Dead())
-	}
-	if s.Name() == "" {
-		t.Error("name")
+	if off, ok := s.Recharge(0); off <= 0 || !ok {
+		t.Errorf("recharge off=%v ok=%v", off, ok)
 	}
 }

@@ -66,9 +66,6 @@ func normalizeFailAt(failAt []time.Duration) []time.Duration {
 	return out
 }
 
-// Name implements Supply.
-func (s *Schedule) Name() string { return "schedule" }
-
 // Reset implements Supply. The schedule is seed-independent by design.
 func (s *Schedule) Reset(int64) { s.next = 0 }
 
@@ -77,10 +74,10 @@ func (s *Schedule) Step(_, onTime, _ time.Duration, _ units.Energy) bool {
 	return s.next < len(s.FailAt) && onTime >= s.FailAt[s.next]
 }
 
-// Recharge implements Supply.
-func (s *Schedule) Recharge(time.Duration) time.Duration {
+// Recharge implements Supply. A schedule always reboots the device.
+func (s *Schedule) Recharge(time.Duration) (time.Duration, bool) {
 	s.next++
-	return s.Off
+	return s.Off, true
 }
 
 // FireAt returns the cumulative on-time at which Step will next report

@@ -32,7 +32,9 @@ import (
 // once at Init (variable count, task count, I/O slot count). Reset clears
 // those prefixes in place and never reallocates. Base implements the
 // kernel.Hooks lifecycle trio — Reset, SnapshotState, RestoreState — for
-// every runtime that embeds it.
+// every runtime that embeds it, and the hooks whose behaviour no shipped
+// runtime varies or only one overrides: CurrentTask, TaskPointer,
+// Compute, AddrOf (InK overrides it) and IOBlock (EaseIO overrides it).
 type Base struct {
 	Dev *kernel.Device
 	App *task.App
@@ -44,14 +46,18 @@ type Base struct {
 	siteSlot []int
 	dmaSlot  int
 
-	// st is the checkpointable bookkeeping: the volatile cache of the
-	// task pointer and the measurement-world records (never charged).
-	// Slots are held in a flat array indexed by the slot numbering Init
-	// computes; a task must commit (bumping its instance counter) before
-	// any other task can run, so a slot whose version tag is stale can
-	// never be read again — it is reset in place on the next touch. This
-	// makes the fixed-size array observationally equivalent to an
-	// unbounded (site, idx, task, instance)-keyed map.
+	// cur caches the persistent task pointer (a task ID, or
+	// kernel.TaskDone). It is volatile: LoadBoot re-reads it at every
+	// boot, so a checkpoint does not carry it.
+	cur int
+
+	// st is the checkpointable bookkeeping: the measurement-world
+	// records (never charged). Slots are held in a flat array indexed by
+	// the slot numbering Init computes; a task must commit (bumping its
+	// instance counter) before any other task can run, so a slot whose
+	// version tag is stale can never be read again — it is reset in place
+	// on the next touch. This makes the fixed-size array observationally
+	// equivalent to an unbounded (site, idx, task, instance)-keyed map.
 	st kernel.RuntimeState
 }
 
@@ -102,7 +108,7 @@ func (b *Base) writeInitial() {
 	}
 	entry := b.App.Entry()
 	b.Dev.Mem.Write(b.taskPtr, uint16(entry.ID))
-	b.st.Cur = entry.ID
+	b.cur = entry.ID
 }
 
 // Reset implements kernel.Hooks: it returns the base to its post-Init
@@ -126,7 +132,6 @@ func (b *Base) Reset(dev *kernel.Device) error {
 // (addrs, taskPtr) are layout, not state: each instance's own attach
 // established them identically.
 func (b *Base) SnapshotState(into *kernel.RuntimeState) {
-	into.Cur = b.st.Cur
 	into.Slots = append(into.Slots[:0], b.st.Slots...)
 	into.TaskInst = append(into.TaskInst[:0], b.st.TaskInst...)
 }
@@ -134,10 +139,10 @@ func (b *Base) SnapshotState(into *kernel.RuntimeState) {
 // RestoreState implements kernel.Hooks: it re-establishes a captured
 // state on a device whose memory has been restored to the matching
 // checkpoint. The state is copied, never aliased, so one checkpoint
-// restores any number of times.
+// restores any number of times. The task pointer comes back with the
+// memory, and the reboot that follows every restore re-reads it.
 func (b *Base) RestoreState(dev *kernel.Device, s *kernel.RuntimeState) {
 	b.Dev = dev
-	b.st.Cur = s.Cur
 	b.st.Slots = append(b.st.Slots[:0], s.Slots...)
 	b.st.TaskInst = append(b.st.TaskInst[:0], s.TaskInst...)
 }
@@ -145,6 +150,14 @@ func (b *Base) RestoreState(dev *kernel.Device, s *kernel.RuntimeState) {
 // Compute charges application CPU work straight through — the default
 // for task-based runtimes, whose recovery granularity is the task.
 func (b *Base) Compute(c *kernel.Ctx, n int64) { c.ChargeCycles(n) }
+
+// AddrOf implements kernel.Hooks: DMA sees the master copy. A runtime
+// whose committed copy moves (InK's double buffers) overrides it.
+func (b *Base) AddrOf(v *task.NVVar) mem.Addr { return b.MasterAddr(v) }
+
+// IOBlock implements kernel.Hooks: no block semantics, the body just
+// runs. EaseIO, whose blocks skip as a unit, overrides it.
+func (b *Base) IOBlock(_ *kernel.Ctx, _ *task.IOBlock, body func()) { body() }
 
 // MasterAddr returns the FRAM address of a variable's master copy. The
 // identity check catches variables of a different blueprint whose dense
@@ -162,15 +175,16 @@ func (b *Base) TaskPointer() mem.Addr { return b.taskPtr }
 // LoadBoot re-reads the persistent task pointer after a (re)boot.
 func (b *Base) LoadBoot(c *kernel.Ctx) {
 	c.ChargeMemAccess(mem.FRAM, false, true)
-	b.st.Cur = int(b.Dev.Mem.Read(b.taskPtr))
+	b.cur = int(b.Dev.Mem.Read(b.taskPtr))
 }
 
-// Current returns the task the pointer designates, or nil when done.
-func (b *Base) Current() *task.Task {
-	if b.st.Cur == kernel.TaskDone {
+// CurrentTask implements kernel.Hooks: the task the pointer designates,
+// or nil when done.
+func (b *Base) CurrentTask() *task.Task {
+	if b.cur == kernel.TaskDone {
 		return nil
 	}
-	return b.App.Tasks[b.st.Cur]
+	return b.App.Tasks[b.cur]
 }
 
 // CommitTransition finalizes the running task: extra carries the runtime's
@@ -182,13 +196,13 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 	if extra != nil {
 		extra()
 	}
-	b.st.TaskInst[b.st.Cur]++
+	b.st.TaskInst[b.cur]++
 	id := kernel.TaskDone
 	if next != nil {
 		id = next.ID
 	}
 	b.Dev.Mem.Write(b.taskPtr, uint16(id))
-	b.st.Cur = id
+	b.cur = id
 	b.Dev.Ledger.CommitAttempt()
 }
 
@@ -200,7 +214,7 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 func (b *Base) noteIO(s *task.IOSite, idx int) (slot int, redundant bool) {
 	slot = b.siteSlot[s.ID] + idx
 	sl := &b.st.Slots[slot]
-	cur, inst := int32(b.st.Cur), b.st.TaskInst[b.st.Cur]
+	cur, inst := int32(b.cur), b.st.TaskInst[b.cur]
 	if sl.TaskID != cur || sl.TaskInst != inst {
 		*sl = kernel.IOSlot{TaskID: cur, TaskInst: inst}
 	}
@@ -224,7 +238,7 @@ func (b *Base) NoteIOSkip(s *task.IOSite) {
 func (b *Base) noteDMA(d *task.DMASite) (slot int, redundant bool) {
 	slot = b.dmaSlot + d.ID
 	sl := &b.st.Slots[slot]
-	cur, inst := int32(b.st.Cur), b.st.TaskInst[b.st.Cur]
+	cur, inst := int32(b.cur), b.st.TaskInst[b.cur]
 	if sl.TaskID != cur || sl.TaskInst != inst {
 		*sl = kernel.IOSlot{TaskID: cur, TaskInst: inst}
 	}
@@ -251,12 +265,14 @@ func (b *Base) ExecIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 	slot, redundant := b.noteIO(s, idx)
 	if redundant {
 		c.PushWasted()
-		defer c.PopWasted()
 	}
 	if b.Dev.TraceOn() {
 		b.Dev.Trace(kernel.EvIOExec, "%s[%d] sem=%s (redundant=%v)", s.Name, idx, s.Sem, redundant)
 	}
 	v := s.Exec(c, idx)
+	if redundant {
+		c.PopWasted()
+	}
 	b.st.Slots[slot].Completed = true
 	// A physical execution refreshes the site's sample clock; skipped
 	// re-executions (which never reach ExecIO) keep the old timestamp —
@@ -272,11 +288,13 @@ func (b *Base) ExecDMA(c *kernel.Ctx, d *task.DMASite, src, dst mem.Addr, words 
 	slot, redundant := b.noteDMA(d)
 	if redundant {
 		c.PushWasted()
-		defer c.PopWasted()
 	}
 	if b.Dev.TraceOn() {
 		b.Dev.Trace(kernel.EvDMAExec, "%s %v->%v %dw (redundant=%v)", d.Name, src, dst, words, redundant)
 	}
 	c.RawDMA(src, dst, words, false)
+	if redundant {
+		c.PopWasted()
+	}
 	b.st.Slots[slot].Completed = true
 }

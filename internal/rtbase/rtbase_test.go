@@ -46,7 +46,7 @@ func TestInitAllocatesMasters(t *testing.T) {
 	if got := dev.Mem.Allocated(mem.FRAM); got != 5 {
 		t.Errorf("allocated %d FRAM words, want 4 master words and the task pointer", got)
 	}
-	if b.Current() != a.Entry() {
+	if b.CurrentTask() != a.Entry() {
 		t.Error("initial task must be the entry")
 	}
 }
@@ -225,18 +225,18 @@ func TestTaskPointerPersists(t *testing.T) {
 	}
 	ctx := &kernel.Ctx{Dev: dev}
 	b.CommitTransition(ctx, a.Tasks[1], nil)
-	if b.Current() != a.Tasks[1] {
+	if b.CurrentTask() != a.Tasks[1] {
 		t.Fatal("transition did not advance")
 	}
 	// Simulate a reboot: volatile state cleared, pointer reloaded.
 	dev.Mem.PowerFailure()
 	b.LoadBoot(ctx)
-	if b.Current() != a.Tasks[1] {
+	if b.CurrentTask() != a.Tasks[1] {
 		t.Error("task pointer lost across reboot")
 	}
 	// Finish.
 	b.CommitTransition(ctx, nil, nil)
-	if b.Current() != nil {
+	if b.CurrentTask() != nil {
 		t.Error("done sentinel not honored")
 	}
 }

@@ -9,9 +9,8 @@ import (
 	"easeio/internal/units"
 )
 
-// AppendCheckpoint encodes the device half of cp as a KindCheckpoint
-// message appended to dst. The runtime half is not part of the message:
-// a subtree shard unit writes it right after its embedded checkpoint.
+// AppendCheckpoint encodes cp, device and runtime halves, as a
+// KindCheckpoint message appended to dst.
 func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	dst = appendHeader(dst, KindCheckpoint)
 
@@ -42,12 +41,27 @@ func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	// Run record and randomness position.
 	dst = appendRun(dst, cp.Run)
 	dst = appendVarint(dst, cp.RandSeed)
-	return appendUvarint(dst, cp.RandDraws)
+	dst = appendUvarint(dst, cp.RandDraws)
+
+	// Runtime half: I/O slots, then task instance counters.
+	rs := &cp.Runtime
+	dst = appendUvarint(dst, uint64(len(rs.Slots)))
+	for _, sl := range rs.Slots {
+		dst = appendVarint(dst, int64(sl.TaskID))
+		dst = appendVarint(dst, int64(sl.TaskInst))
+		dst = appendVarint(dst, int64(sl.ExecCount))
+		dst = appendBool(dst, sl.Completed)
+	}
+	dst = appendUvarint(dst, uint64(len(rs.TaskInst)))
+	for _, ti := range rs.TaskInst {
+		dst = appendVarint(dst, int64(ti))
+	}
+	return dst
 }
 
 // DecodeCheckpoint decodes a KindCheckpoint message into a restorable
-// checkpoint with an empty runtime half, and validates it
-// (kernel.Checkpoint.Validate). Nothing in the result aliases b.
+// checkpoint and validates it (kernel.Checkpoint.Validate). Nothing in
+// the result aliases b.
 func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 	d := &dec{b: b}
 	d.header(KindCheckpoint)
@@ -78,6 +92,26 @@ func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 	cp.Run = d.run()
 	cp.RandSeed = d.varint()
 	cp.RandDraws = d.uvarint()
+
+	rs := &cp.Runtime
+	// Each slot is at least 4 bytes (three varints and a bool).
+	if n := d.count(4); d.err == nil && n > 0 {
+		rs.Slots = make([]kernel.IOSlot, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			rs.Slots[i] = kernel.IOSlot{
+				TaskID:    int32(d.varint()),
+				TaskInst:  int32(d.varint()),
+				ExecCount: int32(d.varint()),
+				Completed: d.bool(),
+			}
+		}
+	}
+	if n := d.count(1); d.err == nil && n > 0 {
+		rs.TaskInst = make([]int32, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			rs.TaskInst[i] = int32(d.varint())
+		}
+	}
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -15,7 +15,8 @@ import (
 // bytes. The decoder — which also validates the checkpoint's semantic
 // invariants (bank layout, ranges, draw bounds) — must never panic, and
 // whenever it accepts an input the canonical re-encoding must be a fixed
-// point (encode∘decode∘encode = encode).
+// point (encode∘decode∘encode = encode) over the whole checkpoint, the
+// runtime half's Slots and TaskInst included.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	// Seed corpus: real encoded checkpoints (mid-run and end-of-run,
 	// two runtimes for hook-free state variety), the unit roots a fleet
@@ -124,7 +125,7 @@ func FuzzDecodeShard(f *testing.F) {
 // boot root restricted to a cut range, the k=1 unit.
 func FuzzDecodeSubtreeShard(f *testing.F) {
 	root := captureCheckpoints(f, experiments.EaseIO, 6)[0]
-	root.Runtime = kernel.RuntimeState{Cur: 1,
+	root.Runtime = kernel.RuntimeState{
 		Slots:    []kernel.IOSlot{{TaskID: 1, TaskInst: 2, ExecCount: 3, Completed: true}},
 		TaskInst: []int32{0, 2}}
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 3, Shard: 2, App: "fig6",

@@ -12,7 +12,7 @@ import (
 	"easeio/internal/power"
 )
 
-// TestWireBytesPinned pins the v7 byte layout of the messages that carry
+// TestWireBytesPinned pins the v8 byte layout of the messages that carry
 // checkpoints: the subtree shards of a fig6 k=2 plan under every
 // runtime, and device checkpoints captured under the timer supply and
 // under continuous power. Each message group is hashed with SHA-256 and
@@ -21,12 +21,12 @@ import (
 // version bump.
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"shard/Alpaca":      "8a199bb1ef517e1666981e86048f905233b2b61c0ade51f85f1adab794a66d41",
-		"shard/InK":         "191a7676ae4e009e18b097a6e360a42fca8db6a48ec3952d9a7e55db64e6dd8b",
-		"shard/EaseIO":      "56c51dc6833a6e1a94e0e69a1726b01b2f34a43df050517ba09d9d13331a2e9f",
-		"shard/JustDo":      "b21b22367f1a7d93cedac1ca624551b1d6377323eb5ac0eab8caf1c5b5a1c80e",
-		"checkpoint/timer":  "a20b7f9e27044cecb78041c31b978faf3116f0525926d1f631ac78680213c361",
-		"checkpoint/contin": "ac273846c83f795a81e8eef710b430fb17593cd0af4ff46ec43cf329ac960c00",
+		"shard/Alpaca":      "b7846f02be60d215eb4ad5d22659397c3fabfa23924ae76c78706328381fedfe",
+		"shard/InK":         "abda3416f47d5b2b23cf6192888f9f1ded3aec6019390dbe0651fccbead48102",
+		"shard/EaseIO":      "dc620dbad2fb92c6bbb4e1f4fab7dbc512b4692f2141c037883fad39f4ab33db",
+		"shard/JustDo":      "0f187401d76b0f920c013006d0ac5742ba8b2a1650474d208074feffb30443e4",
+		"checkpoint/timer":  "bf546222f4c0356a50a3ff8289fc88be40788cf18f53ad5f6b3b553286c9e224",
+		"checkpoint/contin": "14526107aaa7d081a52808d82357857c33b52aeb33223662ef8dc22362318157",
 	}
 	got := map[string][]byte{}
 	for _, kind := range []experiments.RuntimeKind{

@@ -1,13 +1,13 @@
 // The checker's work unit on the wire. A subtree shard ships a
 // contiguous group of units (check.Unit): each a root — boot, or the
-// checkpoint (device and runtime halves) at the last cut of a passing
-// failure prefix — plus the prefix, the number of hash-equal siblings
-// the root stands for, and the candidate-index range to explore below
-// it. A stateless worker recomputes the golden run, restores the roots
-// and grows their subtrees without replaying any prefix. The matching
-// result carries the exploration's per-depth stats and divergences;
-// merging results per depth in shard order reproduces the unsharded
-// report byte for byte (see check.Merge).
+// checkpoint at the last cut of a passing failure prefix — plus the
+// prefix, the number of hash-equal siblings the root stands for, and the
+// candidate-index range to explore below it. A stateless worker
+// recomputes the golden run, restores the roots and grows their subtrees
+// without replaying any prefix. The matching result carries the
+// exploration's per-depth stats and divergences; merging results per
+// depth in shard order reproduces the unsharded report byte for byte
+// (see check.Merge).
 
 package wire
 
@@ -80,9 +80,9 @@ func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 		Check:   d.checkConfig(),
 	}
 	s.Check.Workers = int(d.varint())
-	// Each unit is at least 8 bytes (empty schedule, collapsed, empty
-	// checkpoint, empty runtime state, cut range).
-	if n := d.count(8); d.err == nil && n > 0 {
+	// Each unit is at least 5 bytes (empty schedule, collapsed, boot
+	// root, cut range).
+	if n := d.count(5); d.err == nil && n > 0 {
 		s.Units = make([]check.Unit, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			u := &s.Units[i]
@@ -136,86 +136,28 @@ func DecodeSubtreeResult(b []byte) (SubtreeResult, error) {
 	return r, nil
 }
 
-// appendRoot encodes a unit's root: the device half as an embedded,
-// length-prefixed KindCheckpoint message (empty for a boot root), then
-// the runtime half (zero for a boot root).
+// appendRoot encodes a unit's root as an embedded, length-prefixed
+// KindCheckpoint message, empty for a boot root.
 func appendRoot(dst []byte, cp *kernel.Checkpoint) []byte {
 	if cp == nil {
-		dst = appendUvarint(dst, 0)
-		return appendRuntime(dst, &kernel.RuntimeState{})
+		return appendUvarint(dst, 0)
 	}
 	msg := AppendCheckpoint(nil, cp)
 	dst = appendUvarint(dst, uint64(len(msg)))
-	dst = append(dst, msg...)
-	return appendRuntime(dst, &cp.Runtime)
+	return append(dst, msg...)
 }
 
-// root decodes appendRoot's encoding. A boot root whose runtime half is
-// not zero is rejected: nothing could restore it, and accepting it would
-// make the decoder lossy.
+// root decodes appendRoot's encoding.
 func (d *dec) root() *kernel.Checkpoint {
 	m := d.count(1)
-	if d.err != nil {
+	if d.err != nil || m == 0 {
 		return nil
 	}
-	var cp *kernel.Checkpoint
-	if m > 0 {
-		var err error
-		if cp, err = DecodeCheckpoint(d.b[d.off : d.off+m]); err != nil {
-			d.fail("unit root: %v", err)
-			return nil
-		}
-		d.off += m
-	}
-	rs := d.runtime()
-	switch {
-	case d.err != nil:
+	cp, err := DecodeCheckpoint(d.b[d.off : d.off+m])
+	if err != nil {
+		d.fail("unit root: %v", err)
 		return nil
-	case cp == nil && (rs.Cur != 0 || rs.Slots != nil || rs.TaskInst != nil):
-		d.fail("boot unit carries runtime state")
-		return nil
-	case cp != nil:
-		cp.Runtime = rs
 	}
+	d.off += m
 	return cp
-}
-
-// appendRuntime encodes a checkpoint's runtime half.
-func appendRuntime(dst []byte, rs *kernel.RuntimeState) []byte {
-	dst = appendVarint(dst, int64(rs.Cur))
-	dst = appendUvarint(dst, uint64(len(rs.Slots)))
-	for _, sl := range rs.Slots {
-		dst = appendVarint(dst, int64(sl.TaskID))
-		dst = appendVarint(dst, int64(sl.TaskInst))
-		dst = appendVarint(dst, int64(sl.ExecCount))
-		dst = appendBool(dst, sl.Completed)
-	}
-	dst = appendUvarint(dst, uint64(len(rs.TaskInst)))
-	for _, ti := range rs.TaskInst {
-		dst = appendVarint(dst, int64(ti))
-	}
-	return dst
-}
-
-func (d *dec) runtime() kernel.RuntimeState {
-	rs := kernel.RuntimeState{Cur: int(d.varint())}
-	// Each slot is at least 4 bytes (three varints and a bool).
-	if n := d.count(4); d.err == nil && n > 0 {
-		rs.Slots = make([]kernel.IOSlot, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			rs.Slots[i] = kernel.IOSlot{
-				TaskID:    int32(d.varint()),
-				TaskInst:  int32(d.varint()),
-				ExecCount: int32(d.varint()),
-				Completed: d.bool(),
-			}
-		}
-	}
-	if n := d.count(1); d.err == nil && n > 0 {
-		rs.TaskInst = make([]int32, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			rs.TaskInst[i] = int32(d.varint())
-		}
-	}
-	return rs
 }

@@ -48,8 +48,11 @@ import (
 // Version 6 drops each checkpoint bank's high-water mark: the bank's
 // prefix now ends at the mark, so its length carries it. Version 7 drops
 // the checkpoint's supply state (its presence byte, name and fields):
-// whoever restores a checkpoint positions the supply.
-const Version = 7
+// whoever restores a checkpoint positions the supply. Version 8 moves the
+// runtime half into the checkpoint message, so a unit root is that one
+// message, and drops the runtime's copy of the task pointer: a boot
+// re-reads the FRAM word.
+const Version = 8
 
 // Kind tags a message's type in its header.
 type Kind uint8
