@@ -382,7 +382,8 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // (failure-during-recovery) check at depth 2, checkpointed, counting
 // the points replayed at every depth. Single-worker so the ratio
 // isolates per-point replay cost rather than scheduling; both paths
-// render byte-identical reports.
+// render byte-identical reports. B/op and allocs/op are per whole
+// check run.
 func BenchmarkCheckThroughput(b *testing.B) {
 	weather := func() (*apps.Bench, error) { return apps.NewWeatherApp(apps.DefaultWeatherConfig()) }
 	cases := []struct {
@@ -400,6 +401,7 @@ func BenchmarkCheckThroughput(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := check.Config{Exhaustive: true, Workers: 1, FromBoot: tc.fromBoot, Failures: tc.failures}
+			b.ReportAllocs()
 			points := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

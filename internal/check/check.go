@@ -386,10 +386,11 @@ func (r *replayer) traceBoot(schedule []time.Duration) ([]time.Duration, error) 
 
 // recordSuffix re-runs a passing schedule's recovery trajectory from its
 // root checkpoint with a snapshotting sink, capturing one checkpoint per
-// requested suffix-cut index — the nested twin of recorder.record, which
-// does the same along the golden run. cuts is the trajectory's candidate
-// list (from traceFrom) and idxs selects ascending entries of it.
-func (r *replayer) recordSuffix(root *kernel.Checkpoint, schedule []time.Duration, cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
+// requested suffix-cut index, parallel to idxs — the nested twin of
+// recorder.record, which does the same along the golden run. cuts is the
+// trajectory's candidate list (from traceFrom) and idxs selects
+// ascending entries of it.
+func (r *replayer) recordSuffix(root *kernel.Checkpoint, schedule []time.Duration, cuts []time.Duration, idxs []int) ([]*kernel.Checkpoint, error) {
 	sink := newSnapSink(r.sess, cuts, idxs)
 	if _, err := r.resume(root, schedule, sink); err != nil {
 		return nil, fmt.Errorf("check: suffix recording pass of schedule %v: %w", schedule, err)

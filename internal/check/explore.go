@@ -32,10 +32,10 @@ import (
 )
 
 // recordFn captures one checkpoint per requested candidate index of a
-// cut list — recorder.record along the golden run at level 1,
-// replayer.recordSuffix along a recovery trajectory deeper in the tree.
-// nil in from-boot mode.
-type recordFn func(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error)
+// cut list, parallel to idxs — recorder.record along the golden run at
+// level 1, replayer.recordSuffix along a recovery trajectory deeper in
+// the tree. nil in from-boot mode.
+type recordFn func(cuts []time.Duration, idxs []int) ([]*kernel.Checkpoint, error)
 
 // explorer is one checker job's exploration state: the golden reference
 // and candidates from the plan's golden pass, the recorder, and the
@@ -80,7 +80,7 @@ func (e *explorer) exploreRange(ctx context.Context, cuts []time.Duration, lo, h
 				end = len(pending)
 			}
 			idxs := pending[start:end]
-			var cps map[int]*kernel.Checkpoint
+			var cps []*kernel.Checkpoint
 			if record != nil {
 				if err := ctx.Err(); err != nil {
 					return out, err
@@ -98,7 +98,7 @@ func (e *explorer) exploreRange(ctx context.Context, cuts []time.Duration, lo, h
 			}
 			// evalRound is a barrier: every replay of this batch has
 			// finished, so its checkpoints can back the next batch.
-			ckptRecycle(cps)
+			ckptRecycle(cps...)
 		}
 		pending = nextRound(out)
 	}
@@ -171,27 +171,29 @@ func nextRound(out []outcome) []int {
 // evalRound evaluates the given candidate indices on the worker pool.
 // Results land in out by index, so completion order is irrelevant. cps
 // is nil in from-boot mode; in checkpointed mode it holds one checkpoint
-// per index. prefix is the failure schedule shared by every point of the
-// round (nil at level 1).
-func (e *explorer) evalRound(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps map[int]*kernel.Checkpoint, prefix []time.Duration) error {
-	evalOne := func(r *replayer, i int) outcome {
+// per index, parallel to idxs. prefix is the failure schedule shared by
+// every point of the round (nil at level 1).
+func (e *explorer) evalRound(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps []*kernel.Checkpoint, prefix []time.Duration) error {
+	evalOne := func(r *replayer, j int) {
+		i := idxs[j]
 		r.sched = append(append(r.sched[:0], prefix...), cuts[i])
 		if cps != nil {
-			return r.evalFrom(cps[i], r.sched)
+			out[i] = r.evalFrom(cps[j], r.sched)
+		} else {
+			out[i] = r.eval(r.sched)
 		}
-		return r.eval(r.sched)
+		e.progress()
 	}
 	reps := e.reps
 	if len(reps) > len(idxs) {
 		reps = reps[:len(idxs)]
 	}
 	if len(reps) == 1 {
-		for _, i := range idxs {
+		for j := range idxs {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			out[i] = evalOne(reps[0], i)
-			e.progress()
+			evalOne(reps[0], j)
 		}
 		return nil
 	}
@@ -201,17 +203,16 @@ func (e *explorer) evalRound(ctx context.Context, out []outcome, cuts []time.Dur
 		wg.Add(1)
 		go func(r *replayer) {
 			defer wg.Done()
-			for i := range work {
+			for j := range work {
 				if ctx.Err() != nil {
 					continue // drain without evaluating
 				}
-				out[i] = evalOne(r, i)
-				e.progress()
+				evalOne(r, j)
 			}
 		}(r)
 	}
-	for _, i := range idxs {
-		work <- i
+	for j := range idxs {
+		work <- j
 	}
 	close(work)
 	wg.Wait()

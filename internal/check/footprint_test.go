@@ -49,7 +49,7 @@ func TestRootPrefixIsHighWater(t *testing.T) {
 				var final [mem.NumBanks]int
 				for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
 					final[b] = dev.Mem.HighWater(b)
-					if n := len(cp.Mem.Used[b]); n != final[b] {
+					if n := cp.Mem.Len(b); n != final[b] {
 						t.Errorf("end-of-run %v prefix holds %d words, high-water mark %d", b, n, final[b])
 					}
 				}
@@ -70,7 +70,7 @@ func TestRootPrefixIsHighWater(t *testing.T) {
 					}
 					roots++
 					for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
-						if n := len(u.Root.Mem.Used[b]); n > final[b] {
+						if n := u.Root.Mem.Len(b); n > final[b] {
 							t.Fatalf("root at %v: %v prefix holds %d words, past the run's final high-water mark %d",
 								u.Schedule, b, n, final[b])
 						}

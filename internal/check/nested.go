@@ -165,9 +165,7 @@ func (e *explorer) grow(ctx context.Context, frontier []Unit, last int) (UnitRep
 				return res, nil, err
 			}
 			next = append(next, children...)
-			if node.Root != nil {
-				ckptPool.Put(node.Root)
-			}
+			ckptRecycle(node.Root)
 		}
 		res.Depths = append(res.Depths, ds)
 		frontier = next
@@ -198,7 +196,7 @@ func (e *explorer) recordFor(n Unit) recordFn {
 	case len(n.Schedule) == 0:
 		return e.rec.record
 	default:
-		return func(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
+		return func(cuts []time.Duration, idxs []int) ([]*kernel.Checkpoint, error) {
 			return e.tracer.recordSuffix(n.Root, n.Schedule, cuts, idxs)
 		}
 	}
@@ -252,7 +250,7 @@ func (e *explorer) expand(ctx context.Context, node Unit, ds *DepthStats, res *U
 	if len(reps) == 0 {
 		return nil, nil
 	}
-	var roots map[int]*kernel.Checkpoint
+	var roots []*kernel.Checkpoint // parallel to reps; nil in from-boot mode
 	if record != nil {
 		idxs := make([]int, len(reps))
 		for i, rp := range reps {
@@ -262,13 +260,15 @@ func (e *explorer) expand(ctx context.Context, node Unit, ds *DepthStats, res *U
 			return nil, err
 		}
 	}
-	children := make([]Unit, 0, len(reps))
-	for _, rp := range reps {
-		children = append(children, Unit{
+	children := make([]Unit, len(reps))
+	for i, rp := range reps {
+		children[i] = Unit{
 			Schedule:  append(append([]time.Duration(nil), node.Schedule...), cands[rp.idx]),
-			Root:      roots[rp.idx], // nil in from-boot mode
 			Collapsed: rp.collapsed,
-		})
+		}
+		if roots != nil {
+			children[i].Root = roots[i]
+		}
 	}
 	return children, nil
 }

@@ -4,11 +4,13 @@
 // golden continuous pass with a snapshotting CutSink and captures one
 // checkpoint (device and runtime halves) per pending cut point, which a
 // replayer then restores and resumes with the injected failure
-// (kernel.Device.SnapshotInto / kernel.Session.Resume). Rounds are
-// recorded in bounded batches so a large exhaustive round holds at most
-// checkpointBatch checkpoints in memory at once, and a batch's
-// checkpoints are recycled once its replays finish — recording is
-// allocation-free at steady state.
+// (kernel.Device.SnapshotInto / kernel.Session.Resume). Consecutive
+// checkpoints of a pass share every memory page the run did not write
+// between their cuts, so a checkpoint costs its few changed pages.
+// Rounds are recorded in bounded batches so a large exhaustive round
+// holds at most checkpointBatch checkpoints in memory at once, and a
+// batch's checkpoints are recycled once its replays finish — recording
+// is allocation-free at steady state.
 
 package check
 
@@ -31,17 +33,14 @@ const checkpointBatch = 256
 // ascending (cut on-times strictly increase within a run).
 type snapSink struct {
 	targets []time.Duration // cut on-times to snapshot, ascending
-	idxs    []int           // candidate index per target
-	next    int
 	sess    *kernel.Session
-	cps     map[int]*kernel.Checkpoint
+	cps     []*kernel.Checkpoint // one per target hit so far
 }
 
 // NoteCut implements kernel.CutSink.
 func (s *snapSink) NoteCut(onTime time.Duration) {
-	if s.next < len(s.targets) && onTime == s.targets[s.next] {
-		s.cps[s.idxs[s.next]] = s.sess.Device().SnapshotInto(ckptGet(), s.sess.Runtime())
-		s.next++
+	if n := len(s.cps); n < len(s.targets) && onTime == s.targets[n] {
+		s.cps = append(s.cps, s.sess.Device().SnapshotInto(ckptGet(), s.sess.Runtime()))
 	}
 }
 
@@ -50,9 +49,8 @@ func (s *snapSink) NoteCut(onTime time.Duration) {
 func newSnapSink(sess *kernel.Session, cuts []time.Duration, idxs []int) *snapSink {
 	s := &snapSink{
 		targets: make([]time.Duration, len(idxs)),
-		idxs:    idxs,
 		sess:    sess,
-		cps:     make(map[int]*kernel.Checkpoint, len(idxs)),
+		cps:     make([]*kernel.Checkpoint, 0, len(idxs)),
 	}
 	for i, idx := range idxs {
 		s.targets[i] = cuts[idx]
@@ -62,11 +60,11 @@ func newSnapSink(sess *kernel.Session, cuts []time.Duration, idxs []int) *snapSi
 
 // finish checks that a recording pass hit every target — a miss means
 // the recorded trajectory did not reproduce — and hands over its
-// checkpoints.
-func (s *snapSink) finish(pass, trajectory string) (map[int]*kernel.Checkpoint, error) {
-	if s.next != len(s.targets) {
+// checkpoints, parallel to the sink's idxs.
+func (s *snapSink) finish(pass, trajectory string) ([]*kernel.Checkpoint, error) {
+	if len(s.cps) != len(s.targets) {
 		return nil, fmt.Errorf("check: %s hit %d of %d cut points — %s not reproducible",
-			pass, s.next, len(s.targets), trajectory)
+			pass, len(s.cps), len(s.targets), trajectory)
 	}
 	return s.cps, nil
 }
@@ -92,19 +90,24 @@ func ckptGet() *kernel.Checkpoint {
 	return ckptPool.Get().(*kernel.Checkpoint)
 }
 
-// ckptRecycle returns a batch's checkpoints to the pool once their
-// replays are done. The checkpoints must no longer be referenced; the
-// next recording pass's SnapshotInto overwrites their storage in place
-// instead of reallocating.
-func ckptRecycle(cps map[int]*kernel.Checkpoint) {
+// ckptRecycle returns checkpoints to the pool once their replays are
+// done, releasing their memory pages to the store they came from. The
+// checkpoints must no longer be referenced; the next recording pass's
+// SnapshotInto overwrites their storage in place instead of
+// reallocating. Nil entries (from-boot mode) are skipped.
+func ckptRecycle(cps ...*kernel.Checkpoint) {
 	for _, cp := range cps {
-		ckptPool.Put(cp)
+		if cp != nil {
+			cp.Mem.Release()
+			ckptPool.Put(cp)
+		}
 	}
 }
 
 // record re-runs the golden pass and returns one checkpoint per
-// requested candidate index (idxs ascending, indexing cuts).
-func (r *recorder) record(cuts []time.Duration, idxs []int) (map[int]*kernel.Checkpoint, error) {
+// requested candidate index (idxs ascending, indexing cuts), parallel
+// to idxs.
+func (r *recorder) record(cuts []time.Duration, idxs []int) ([]*kernel.Checkpoint, error) {
 	sink := newSnapSink(r.sess, cuts, idxs)
 	r.sess.Cuts = sink
 	_, err := r.sess.Run(r.seed)

@@ -168,9 +168,9 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 	}
 
 	pairs := 0
-	for _, i1 := range idxs {
+	for k, i1 := range idxs {
 		c1 := level1[i1]
-		cp1 := cps[i1]
+		cp1 := cps[k]
 
 		// Trace the recovery trajectory after the first failure.
 		trSch := power.NewSchedule(c1)
@@ -206,11 +206,11 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 			t.Fatalf("cut %v: suffix recording: %v", c1, err)
 		}
 		tr.Cuts = nil
-		if sink.next != len(sink.targets) {
-			t.Fatalf("cut %v: recorded %d of %d suffix checkpoints", c1, sink.next, len(sink.targets))
+		if len(sink.cps) != len(sink.targets) {
+			t.Fatalf("cut %v: recorded %d of %d suffix checkpoints", c1, len(sink.cps), len(sink.targets))
 		}
 
-		for _, i2 := range jdx {
+		for k2, i2 := range jdx {
 			c2 := suffix[i2]
 			pairs++
 
@@ -220,7 +220,7 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 			evSch := power.NewSchedule(c2)
 			ev := newInstance(evSch)
 			evSch.Reset(0)
-			if _, err := ev.Resume(sink.cps[i2]); err != nil {
+			if _, err := ev.Resume(sink.cps[k2]); err != nil {
 				t.Fatalf("schedule [%v %v]: resume: %v", c1, c2, err)
 			}
 			evDev := ev.Device()
@@ -249,7 +249,7 @@ func nestedFidelityTorture(t *testing.T, factory experiments.AppFactory, kind ex
 					c1, c2, refDev.Run, evDev.Run)
 			}
 		}
-		ckptRecycle(sink.cps)
+		ckptRecycle(sink.cps...)
 	}
 	if pairs < 3 {
 		t.Errorf("only %d (cut₁, cut₂) pairs exercised", pairs)
@@ -301,7 +301,7 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, idx := range idxs {
+			for k, idx := range idxs {
 				cut := rec.cuts[idx]
 
 				// From-boot reference: a fresh run with one scheduled
@@ -326,7 +326,7 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 				if err := suf.Attach(seed); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := suf.Resume(cps[idx]); err != nil {
+				if _, err := suf.Resume(cps[k]); err != nil {
 					t.Fatal(err)
 				}
 				sufDev := suf.Device()
@@ -351,7 +351,7 @@ func TestCheckpointFidelityTorture(t *testing.T) {
 // FRAM contents differ, compared through their device snapshots: words
 // past a snapshot's used prefix are zero.
 func framDiff(a, b *mem.Memory, max int) []int {
-	wa, wb := a.SnapshotAll().Used[mem.FRAM], b.SnapshotAll().Used[mem.FRAM]
+	wa, wb := a.SnapshotAll().Words(mem.FRAM), b.SnapshotAll().Words(mem.FRAM)
 	var diffs []int
 	for i := 0; i < len(wa) || i < len(wb); i++ {
 		var x, y uint16

@@ -69,7 +69,14 @@ func TestMalformedUnitFailsShard(t *testing.T) {
 		{"emptied-runtime-tables", "fig6", check.Config{Exhaustive: true},
 			func(u *check.Unit) { u.Root.Runtime.Slots, u.Root.Runtime.TaskInst = nil, nil }, "slots"},
 		{"fram-task-pointer", "fig6", check.Config{Exhaustive: true},
-			func(u *check.Unit) { u.Root.Mem.Used[mem.FRAM][ptr] = 99 }, "task pointer"},
+			func(u *check.Unit) {
+				var words [mem.NumBanks][]uint16
+				for b := range words {
+					words[b] = u.Root.Mem.Words(mem.Bank(b))
+				}
+				words[mem.FRAM][ptr] = 99
+				u.Root.Mem.SetWords(words)
+			}, "task pointer"},
 		{"foreign-layout", "fir", check.Config{Grid: 4},
 			func(*check.Unit) {}, "watermark"},
 	} {

@@ -41,7 +41,8 @@ type chargeOutcome struct {
 	Sums   []uint16 // the word sums of the loads that completed
 	Clock  timekeeper.State
 	Ledger Ledger
-	Mem    *mem.DeviceSnapshot
+	Mem    [mem.NumBanks][]uint16 // each bank's written prefix, from a snapshot
+	Alloc  [mem.NumBanks]int      // the snapshot's allocator watermarks
 }
 
 // decodeChargeOps turns fuzz bytes into at most fuzzMaxOps operations.
@@ -133,7 +134,11 @@ func runChargeOps(supply power.Supply, seed int64, ops []chargeOp, sink CutSink)
 	}
 	out.Clock = dev.Clock.State()
 	out.Ledger = *dev.Ledger
-	out.Mem = dev.Mem.SnapshotAll()
+	snap := dev.Mem.SnapshotAll()
+	for b := range out.Mem {
+		out.Mem[b] = snap.Words(mem.Bank(b))
+	}
+	out.Alloc = snap.Alloc
 	return out
 }
 
@@ -259,7 +264,7 @@ func checkChargePaths(t *testing.T, mk func() power.Supply, seed int64, ops []ch
 // failure message, keeping an FNV-1a digest of them.
 func summarize(o chargeOutcome) any {
 	h := uint64(14695981039346656037)
-	for _, words := range o.Mem.Used {
+	for _, words := range o.Mem {
 		for _, w := range words {
 			h = (h ^ uint64(w)) * 1099511628211
 		}

@@ -57,8 +57,10 @@ type RuntimeState struct {
 }
 
 // Checkpoint is a full copy of a device's mid-run state: all memory
-// banks (used prefixes), the clock, the work ledger, the run statistics,
-// the peripheral randomness position, and the runtime's bookkeeping.
+// banks (used prefixes, as pages shared with the device's previous
+// checkpoint where unchanged), the clock, the work ledger, the run
+// statistics, the peripheral randomness position, and the runtime's
+// bookkeeping.
 // The supply is not part of it: a power failure is an event the
 // environment places against the device, so whoever restores a
 // checkpoint positions the supply (see Session.Resume). Observation-only
@@ -67,10 +69,12 @@ type RuntimeState struct {
 // observers into another would cross-wire recordings.
 //
 // A checkpoint is immutable after SnapshotInto and safe to restore any
-// number of times, into the snapshotted device or into a different
-// device with the same blueprint attached (same allocation layout —
-// mem.Memory.RestoreAll verifies this; Fits checks it without
-// panicking). The fields are exported so internal/wire encodes the value
+// number of times, concurrently too, into the snapshotted device or into
+// a different device with the same blueprint attached (same allocation
+// layout — mem.Memory.RestoreAll verifies this; Fits checks it without
+// panicking). A caller that recycles checkpoints releases each one's
+// pages (Mem.Release) on the goroutine that took it before handing it
+// on. The fields are exported so internal/wire encodes the value
 // itself; Validate is the check a decoder runs on untrusted state.
 type Checkpoint struct {
 	Mem    mem.DeviceSnapshot
@@ -91,7 +95,8 @@ type Checkpoint struct {
 // from inside a memory or supply operation. cp's buffers are reused, so
 // recycling checkpoints keeps bulk snapshotting (one per candidate
 // failure point in the checker) allocation-free; its previous contents
-// are overwritten.
+// are overwritten. The memory copies only the pages written since the
+// device's last snapshot or restore (see mem.Memory.SnapshotAllInto).
 func (d *Device) SnapshotInto(cp *Checkpoint, rt Hooks) *Checkpoint {
 	d.Mem.SnapshotAllInto(&cp.Mem)
 	cp.Clock = d.Clock.State()
@@ -103,7 +108,12 @@ func (d *Device) SnapshotInto(cp *Checkpoint, rt Hooks) *Checkpoint {
 }
 
 // Restore rewinds the device and rt's bookkeeping to the checkpointed
-// state. The supply, Tracer and Cuts are never touched.
+// state. The supply, Tracer and Cuts are never touched. Memory comes
+// back as a power failure at the checkpoint's cut leaves it — its only
+// caller, Session.Resume, applies that failure next — so only FRAM's
+// words are restored, and of them only the pages the device wrote since
+// it last held a checkpoint or that differ from that checkpoint's (see
+// mem.Memory.RestoreAll).
 func (d *Device) Restore(cp *Checkpoint, rt Hooks) {
 	d.Mem.RestoreAll(&cp.Mem)
 	d.Clock.Restore(cp.Clock)
@@ -151,12 +161,8 @@ func (cp *Checkpoint) Fits(dev *Device, rt Hooks) error {
 		return fmt.Errorf("kernel: checkpoint runtime has %d slots and %d tasks, %s has %d and %d",
 			len(rs.Slots), len(rs.TaskInst), rt.Name(), len(own.Slots), len(own.TaskInst))
 	}
-	// Words past the snapshot's prefix restore as zero.
-	ptr, word := rt.TaskPointer(), 0
-	if used := cp.Mem.Used[ptr.Bank]; ptr.Word < len(used) {
-		word = int(used[ptr.Word])
-	}
-	if word != TaskDone && word >= len(rs.TaskInst) {
+	ptr := rt.TaskPointer()
+	if word := int(cp.Mem.Word(ptr.Bank, ptr.Word)); word != TaskDone && word >= len(rs.TaskInst) {
 		return fmt.Errorf("kernel: checkpoint task pointer %d out of range [0,%d)", word, len(rs.TaskInst))
 	}
 	return nil

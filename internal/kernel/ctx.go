@@ -45,10 +45,12 @@ type Ctx struct {
 	// next BeginTask.
 	fresh []*task.IOSite
 
-	// fir memoizes LEA FIR commands (see lea.FirMemo). It is host-side
-	// scratch, not device state: the engine carries it across runs,
-	// resets and restores, and it never enters a checkpoint.
+	// fir and dot memoize LEA FIR and dot-product commands (see
+	// lea.FirMemo and lea.DotMemo). They are host-side scratch, not
+	// device state: the engine carries them across runs, resets and
+	// restores, and they never enter a checkpoint.
 	fir lea.FirMemo
+	dot lea.DotMemo
 }
 
 // fireAter is a supply whose next failure point is a fixed on-time:
@@ -319,7 +321,7 @@ func (c *Ctx) LEARelu(off, n int) {
 // LEADot implements task.Exec.
 func (c *Ctx) LEADot(aOff, bOff, n int) int32 {
 	c.chargeLEA(int64(n))
-	return lea.Dot(c.Dev.Mem, aOff, bOff, n)
+	return c.dot.Dot(c.Dev.Mem, aOff, bOff, n)
 }
 
 // LEAMacs implements task.Exec.

@@ -24,7 +24,7 @@ const maxBoots = 200_000
 // not errors — they are the phenomenon under study.
 func runLoop(dev *Device, rt Hooks, app *task.App, failed bool) error {
 	ctx := &dev.ctx
-	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0], fir: ctx.fir}
+	*ctx = Ctx{Dev: dev, RT: rt, fresh: ctx.fresh[:0], fir: ctx.fir, dot: ctx.dot}
 	for {
 		if failed {
 			dev.Run.PowerFailures++

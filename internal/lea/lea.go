@@ -11,15 +11,16 @@
 //
 // Because a command runs whole, nothing can observe LEA-RAM between its
 // words. So each kernel validates its ranges once (mem.Span), works on
-// the bank's live words, and a writing kernel raises the high-water mark
-// once per command (mem.Wrote) to where its per-word Write sequence
-// would leave it. It reads and writes the live words in that per-word
+// the bank's live words, and a writing kernel reports the range it wrote
+// once per command (mem.Wrote), which raises the high-water mark to
+// where its per-word Write sequence would leave it and marks the range's
+// pages written. It reads and writes the live words in that per-word
 // order, so in-place and overlapping ranges give the same results too. A
 // range out of bounds panics before any word changes.
 //
-// FirMemo serves repeated FIR commands from saved words instead of
-// recomputing them; the execution kernel runs every FIR command through
-// one.
+// FirMemo and DotMemo serve repeated FIR and dot-product commands from
+// saved words instead of recomputing them; the execution kernel runs
+// every such command through one of each.
 package lea
 
 import "easeio/internal/mem"
@@ -75,7 +76,7 @@ func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 		}
 		out[i] = uint16(sat16(acc >> 15))
 	}
-	m.Wrote(mem.LEARAM, outOff+outLen)
+	m.Wrote(mem.Addr{Bank: mem.LEARAM, Word: outOff}, outLen)
 }
 
 // FirMemo is an exact memo for Fir: host-side scratch that remembers,
@@ -91,29 +92,20 @@ func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 // and a reset or power failure does not clear it. The zero value is an
 // empty memo.
 type FirMemo struct {
-	entries []firEntry
-	next    int // the entry a new shape replaces once the memo is full
+	shapes shapeMemo[firShape, firEntry]
 }
-
-// firMemoShapes bounds the shapes a memo keeps. The shipped apps issue
-// at most four; a caller that slides its offsets over many shapes
-// recycles entries in turn instead of growing the memo.
-const firMemoShapes = 16
 
 type firShape struct{ inOff, coefOff, outOff, inLen, taps int }
 
-// firEntry is one shape's last computed command. A new or recycled
-// entry's empty input matches no command: a FIR input has at least one
-// word.
+// firEntry is one shape's last computed command.
 type firEntry struct {
-	shape         firShape
 	in, coef, out []uint16
 }
 
 // Fir has the effect of the package's Fir, served from the memo when
-// the input and coefficient words match the shape's last command. It validates all three ranges first,
-// so an out-of-range command panics before any word changes, exactly
-// as Fir does. A miss saves the input and coefficients before Fir runs
+// the input and coefficient words match the shape's last command. It
+// validates all three ranges first, so an out-of-range command panics
+// before any word changes, exactly as Fir does. A miss saves the input and coefficients before Fir runs
 // (the output may overlap them), then the output it wrote.
 func (f *FirMemo) Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 	outLen := FirOutLen(inLen, taps)
@@ -123,10 +115,10 @@ func (f *FirMemo) Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 	in := span(m, inOff, inLen)
 	coef := span(m, coefOff, taps)
 	out := span(m, outOff, outLen)
-	e := f.entry(firShape{inOff, coefOff, outOff, inLen, taps})
+	e := memoEntry(&f.shapes, firShape{inOff, coefOff, outOff, inLen, taps})
 	if mem.Equal(in, e.in) && mem.Equal(coef, e.coef) {
 		copy(out, e.out)
-		m.Wrote(mem.LEARAM, outOff+outLen)
+		m.Wrote(mem.Addr{Bank: mem.LEARAM, Word: outOff}, outLen)
 		return
 	}
 	e.in = append(e.in[:0], in...)
@@ -135,22 +127,72 @@ func (f *FirMemo) Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 	e.out = append(e.out[:0], out...)
 }
 
-// entry returns the memo entry for shape, claiming a fresh or recycled
-// one when the shape is new.
-func (f *FirMemo) entry(shape firShape) *firEntry {
-	for i := range f.entries {
-		if f.entries[i].shape == shape {
-			return &f.entries[i]
+// DotMemo is an exact memo for Dot, built like FirMemo: per call shape
+// (the two offsets and the length) it remembers both operands' words of
+// the shape's last computed command and the product, and a hit compares
+// the live spans with them word for word. The weather app's fc task
+// issues four dot products per attempt, and a re-executed attempt
+// mostly repeats them over unchanged operands. The zero value is an
+// empty memo.
+type DotMemo struct {
+	shapes shapeMemo[dotShape, dotEntry]
+}
+
+type dotShape struct{ aOff, bOff, n int }
+
+// dotEntry is one shape's last computed command.
+type dotEntry struct {
+	a, b []uint16
+	dot  int32
+}
+
+// Dot returns the package's Dot, served from the memo when both
+// operands match the shape's last command. Both ranges are validated
+// first, so an out-of-range command panics exactly as Dot does.
+func (d *DotMemo) Dot(m *mem.Memory, aOff, bOff, n int) int32 {
+	a := span(m, aOff, n)
+	b := span(m, bOff, n)
+	e := memoEntry(&d.shapes, dotShape{aOff, bOff, n})
+	if mem.Equal(a, e.a) && mem.Equal(b, e.b) {
+		return e.dot
+	}
+	e.a = append(e.a[:0], a...)
+	e.b = append(e.b[:0], b...)
+	e.dot = dot(a, b)
+	return e.dot
+}
+
+// memoShapes bounds the shapes a memo keeps. The shipped apps issue at
+// most four per kind of command; a caller that slides its offsets over
+// many shapes recycles entries in turn instead of growing the memo.
+const memoShapes = 16
+
+// shapeMemo holds a memo's entries by command shape.
+type shapeMemo[S comparable, E any] struct {
+	shapes  []S
+	entries []E
+	next    int // the entry a new shape replaces once the memo is full
+}
+
+// memoEntry returns m's entry for shape, claiming a new or recycled one
+// when the shape is new. A recycled entry keeps its last command's
+// words; a hit on them is still exact, since a hit compares every word
+// a command reads and its result depends on those words alone.
+func memoEntry[S comparable, E any](m *shapeMemo[S, E], shape S) *E {
+	for i, s := range m.shapes {
+		if s == shape {
+			return &m.entries[i]
 		}
 	}
-	if len(f.entries) < firMemoShapes {
-		f.entries = append(f.entries, firEntry{shape: shape})
-		return &f.entries[len(f.entries)-1]
+	if len(m.shapes) < memoShapes {
+		m.shapes = append(m.shapes, shape)
+		m.entries = append(m.entries, *new(E))
+		return &m.entries[len(m.entries)-1]
 	}
-	e := &f.entries[f.next]
-	f.next = (f.next + 1) % firMemoShapes
-	e.shape, e.in = shape, e.in[:0]
-	return e
+	i := m.next
+	m.next = (m.next + 1) % memoShapes
+	m.shapes[i] = shape
+	return &m.entries[i]
 }
 
 // FirOutLen returns the number of output samples Fir produces.
@@ -165,21 +207,25 @@ func FirOutLen(inLen, taps int) int {
 // Only a cleared negative sample counts as written.
 func Relu(m *mem.Memory, off, n int) {
 	s := span(m, off, n)
-	end := 0
+	wrote := 0 // 1 + the last cleared sample's index
 	for i, v := range s {
 		if int16(v) < 0 {
 			s[i] = 0
-			end = off + i + 1
+			wrote = i + 1
 		}
 	}
-	m.Wrote(mem.LEARAM, end)
+	m.Wrote(mem.Addr{Bank: mem.LEARAM, Word: off}, wrote)
 }
 
 // Dot returns the int32 dot product of two n-sample int16 vectors in
 // LEA-RAM.
 func Dot(m *mem.Memory, aOff, bOff, n int) int32 {
-	a := span(m, aOff, n)
-	b := span(m, bOff, n)[:len(a)]
+	return dot(span(m, aOff, n), span(m, bOff, n))
+}
+
+// dot returns the int32 dot product of two equal-length sample vectors.
+func dot(a, b []uint16) int32 {
+	b = b[:len(a)]
 	var acc int64
 	for i, x := range a {
 		acc += int64(int16(x)) * int64(int16(b[i]))

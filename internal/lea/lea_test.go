@@ -226,6 +226,115 @@ func sameLEA(t *testing.T, what string, got, want *mem.Memory) {
 	}
 }
 
+// TestDotMemoMatchesDot mirrors TestFirMemoMatchesFir for DotMemo: one
+// long command sequence runs through a DotMemo on one memory and plain
+// Dot on its twin, and every product must agree, the memory untouched by
+// either. Most steps reuse one of the self, overlapping, empty and
+// full-length shapes, so the memo both hits and misses; the random
+// shapes outnumber its entries, so it recycles them too. Between two
+// commands an operand may be rewritten by a Relu, a WriteLEA-style word
+// store, a DMA copy window or a block of fresh samples, or not at all
+// (a hit). Out-of-range commands panic, and the memo stays exact after
+// them.
+func TestDotMemoMatchesDot(t *testing.T) {
+	var memo DotMemo
+	got, want := twinMems(rand.New(rand.NewSource(44)))
+	rng := rand.New(rand.NewSource(45))
+	cmds := dotCmds()
+	end := mem.LEARAMWords
+	bad := []dotCmd{
+		{"dot a past end", end - 10, 100, 40},
+		{"dot b past end", 100, end - 2, 40},
+	}
+	nonZero := 0
+	for step := 0; step < 2000; step++ {
+		c := cmds[rng.Intn(4)]
+		if rng.Intn(4) == 0 {
+			c = cmds[rng.Intn(len(cmds))]
+		}
+		what := fmt.Sprintf("step %d: %s", step, c.name)
+		if rng.Intn(50) == 0 {
+			c = bad[rng.Intn(len(bad))]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("step %d: %s: no panic", step, c.name)
+					}
+				}()
+				memo.Dot(got, c.aOff, c.bOff, c.n)
+			}()
+			continue
+		}
+		g, w := memo.Dot(got, c.aOff, c.bOff, c.n), Dot(want, c.aOff, c.bOff, c.n)
+		if g != w {
+			t.Errorf("%s: memo %d, Dot %d", what, g, w)
+		}
+		if w != 0 {
+			nonZero++
+		}
+		sameLEA(t, what, got, want)
+		if c.n == 0 {
+			continue
+		}
+		// The operand a rewrite lands in: a or b.
+		off := c.aOff
+		if rng.Intn(2) == 0 {
+			off = c.bOff
+		}
+		switch rng.Intn(5) {
+		case 0:
+			Relu(got, off, c.n)
+			Relu(want, off, c.n)
+		case 1: // a CPU store
+			a := mem.Addr{Bank: mem.LEARAM, Word: off + rng.Intn(c.n)}
+			v := uint16(rng.Intn(16000) - 8000)
+			got.Write(a, v)
+			want.Write(a, v)
+		case 2: // a DMA copy from elsewhere in LEA-RAM
+			n := 1 + rng.Intn(c.n)
+			src := mem.Addr{Bank: mem.LEARAM, Word: 600 + rng.Intn(200)}
+			dst := mem.Addr{Bank: mem.LEARAM, Word: off + rng.Intn(c.n-n+1)}
+			for _, m := range []*mem.Memory{got, want} {
+				w := m.CopyWindowFor(src, dst, n)
+				w.MoveN(0, n)
+			}
+		case 3: // fresh samples over the whole operand
+			fresh := make([]uint16, c.n)
+			for i := range fresh {
+				fresh[i] = uint16(rng.Intn(16000) - 8000)
+			}
+			got.WriteBlock(mem.Addr{Bank: mem.LEARAM, Word: off}, fresh, c.n)
+			want.WriteBlock(mem.Addr{Bank: mem.LEARAM, Word: off}, fresh, c.n)
+		}
+		sameLEA(t, what+" (rewrite)", got, want)
+	}
+	if nonZero < 1000 {
+		t.Errorf("only %d of 2000 products were non-zero; the operands decayed", nonZero)
+	}
+}
+
+// dotCmd is one dot-product command's ranges.
+type dotCmd struct {
+	name          string
+	aOff, bOff, n int
+}
+
+// dotCmds returns the self, overlapping, empty and full-length cases,
+// then 40 random commands within the first 1024 words.
+func dotCmds() []dotCmd {
+	dots := []dotCmd{
+		{"dot self", 100, 100, 64},
+		{"dot overlapping", 300, 303, 120},
+		{"dot empty", 50, 60, 0},
+		{"dot 226 words", 0, 500, 226},
+	}
+	for i := 0; i < 40; i++ {
+		rng := rand.New(rand.NewSource(int64(100 + i)))
+		dots = append(dots, dotCmd{"dot random", rng.Intn(512), rng.Intn(512), rng.Intn(300)})
+	}
+	return dots
+}
+
 // firCmd is one FIR command's ranges.
 type firCmd struct {
 	name                            string

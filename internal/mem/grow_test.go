@@ -153,9 +153,7 @@ func (g *growOps) step() {
 			for i := range s {
 				s[i] = v + uint16(i)
 			}
-			if n > 0 {
-				m.Wrote(a.Bank, a.Word+n)
-			}
+			m.Wrote(a, n)
 			return nil
 		})
 	case 5:
@@ -191,8 +189,8 @@ func (g *growOps) step() {
 	case 6:
 		desc = "SnapshotAll"
 		g.snapGrown, g.snapFlat = g.grown.SnapshotAll(), g.flat.SnapshotAll()
-		if !reflect.DeepEqual(g.snapGrown, g.snapFlat) {
-			g.t.Fatalf("snapshots differ: %+v, flat %+v", g.snapGrown, g.snapFlat)
+		if sg, sf := snapWords(g.snapGrown), snapWords(g.snapFlat); !reflect.DeepEqual(sg, sf) {
+			g.t.Fatalf("snapshots differ: %+v, flat %+v", sg, sf)
 		}
 		g.savedAlloc = g.grown.alloc
 	case 7:

@@ -24,6 +24,18 @@
 // — and a snapshot's prefix length is the mark: an allocation a run
 // barely writes costs its snapshots nothing past what it wrote.
 //
+// A snapshot (DeviceSnapshot) is a table of PageWords-word pages. Pages
+// live in a page store owned by the memory that took them, and a page is
+// immutable once a snapshot holds it, so consecutive snapshots share
+// every page the memory did not write in between. For that, a memory
+// that has taken a snapshot or restored one marks the pages written
+// since: Write, Wrote (and so WriteBlock and the LEA kernels' Span
+// writes), the copy windows' Move and MoveN, and PowerFailure's clearing
+// of the volatile banks. A snapshot copies only the marked pages; a
+// restore rewrites only the FRAM pages that are marked or that differ
+// from the snapshot the memory last equalled. Reset stops the marking,
+// so runs that never snapshot pay one untaken branch per write.
+//
 // The FRAM bank's backing store starts empty and grows — doubling, capped
 // at FRAMWords — as allocation, restores and accesses reach further: the
 // simulated apps use a few KiB of the 256 KiB bank, and every app build
@@ -109,6 +121,17 @@ type Memory struct {
 	banks     [numBanks][]uint16
 	alloc     [numBanks]int // bump-allocator watermark, in words
 	highWater [numBanks]int // 1 + highest word ever written
+
+	// Page tracking (see snapshot.go). While track is set — from the
+	// first snapshot or restore until Reset — every write marks its page
+	// in dirty, and each bank's words equal the pages of base outside
+	// the marked ones. store holds the pages of this memory's snapshots;
+	// baseStore is the store base's pages live in.
+	track     bool
+	dirty     [numBanks]pageBits
+	base      [numBanks][]pageRef
+	baseStore *pageStore
+	store     *pageStore
 }
 
 // New returns a zeroed memory with MSP430FR5994 bank sizes. The FRAM
@@ -193,6 +216,9 @@ func (m *Memory) Write(a Addr, v uint16) {
 	if a.Word+1 > m.highWater[a.Bank] {
 		m.highWater[a.Bank] = a.Word + 1
 	}
+	if m.track {
+		m.dirty[a.Bank].set(a.Word)
+	}
 	m.banks[a.Bank][a.Word] = v
 }
 
@@ -206,20 +232,18 @@ func (m *Memory) HighWater(b Bank) int { return m.highWater[b] }
 // leaves the high-water mark alone.
 func (m *Memory) WriteBlock(a Addr, src []uint16, n int) {
 	copy(m.Span(a, n), src[:n])
-	if n > 0 {
-		m.Wrote(a.Bank, a.Word+n)
-	}
+	m.Wrote(a, n)
 }
 
 // Span validates the n-word range starting at a and returns the bank's
 // live words for it — the pre-validated primitive under every bulk
-// accessor. A caller that writes through the slice raises the
-// high-water mark with Wrote, once per command; a reader needs nothing
-// more. The slice's capacity ends with the range, so an append cannot
-// spill into the neighbouring words. A zero-length span is valid
-// anywhere from word 0 up to the bank's end. A range past the FRAM
-// backing store grows it first, so the slice is valid only until the
-// next call that can grow the bank again.
+// accessor. A caller that writes through the slice reports the range it
+// wrote with Wrote, once per command; a reader needs nothing more. The
+// slice's capacity ends with the range, so an append cannot spill into
+// the neighbouring words. A zero-length span is valid anywhere from word
+// 0 up to the bank's end. A range past the FRAM backing store grows it
+// first, so the slice is valid only until the next call that can grow
+// the bank again.
 func (m *Memory) Span(a Addr, n int) []uint16 {
 	if uint(a.Bank) >= uint(numBanks) || uint(a.Word) > uint(len(m.banks[a.Bank])) ||
 		uint(n) > uint(len(m.banks[a.Bank])-a.Word) {
@@ -240,26 +264,38 @@ func (m *Memory) spanSlow(a Addr, n int) {
 	m.grow(a.Bank, a.Word+n)
 }
 
-// Wrote raises bank b's high-water mark to end (1 + the highest word a
-// bulk write through Span stored). It is the bookkeeping half of a
-// Span write.
-func (m *Memory) Wrote(b Bank, end int) {
-	if end > m.highWater[b] {
-		m.highWater[b] = end
+// Wrote records a bulk write through Span to the n words starting at a:
+// it raises the bank's high-water mark to the range's end and marks its
+// pages written. It is the bookkeeping half of a Span write; a range
+// that covers more than the words stored only costs a later snapshot or
+// restore a page copy, and n <= 0 records nothing.
+func (m *Memory) Wrote(a Addr, n int) {
+	if n <= 0 {
+		return
+	}
+	if end := a.Word + n; end > m.highWater[a.Bank] {
+		m.highWater[a.Bank] = end
+	}
+	if m.track {
+		m.dirty[a.Bank].setRange(a.Word, a.Word+n)
 	}
 }
 
 // CopyWindow is a pre-validated word-at-a-time copy between two ranges —
 // the DMA hot path. Constructing one performs every word's bounds check
 // up front; Move then transfers word i with exactly the effects of Read
-// followed by Write (the word and the high-water mark), but cheap enough
-// to inline into the kernel's per-word charge loop. A window is
-// invalidated by anything that grows a bank it spans (an access, a span,
-// an allocation or a restore past the FRAM backing store), so it must not
-// outlive the command it serves.
+// followed by Write (the word, the high-water mark and the page mark),
+// but cheap enough to inline into the kernel's per-word charge loop. A
+// snapshot may be taken between two moves (a checkpoint at a charge-
+// slice boundary inside a DMA), so each move reads the memory's tracking
+// flag afresh. A window is invalidated by anything that grows a bank it
+// spans (an access, a span, an allocation or a restore past the FRAM
+// backing store), so it must not outlive the command it serves.
 type CopyWindow struct {
 	src, dst []uint16
 	hw       *int
+	track    *bool
+	dirty    *pageBits
 	dstBase  int
 	bulk     bool
 }
@@ -277,6 +313,8 @@ func (m *Memory) CopyWindowFor(src, dst Addr, n int) CopyWindow {
 		src:     m.Span(src, n),
 		dst:     m.Span(dst, n),
 		hw:      &m.highWater[dst.Bank],
+		track:   &m.track,
+		dirty:   &m.dirty[dst.Bank],
 		dstBase: dst.Word,
 		// A destination that starts inside the source range (same bank,
 		// later start) makes the forward word-at-a-time copy propagate
@@ -287,8 +325,12 @@ func (m *Memory) CopyWindowFor(src, dst Addr, n int) CopyWindow {
 
 // Move copies word i of the window.
 func (w *CopyWindow) Move(i int) {
-	if b := w.dstBase + i + 1; b > *w.hw {
-		*w.hw = b
+	d := w.dstBase + i
+	if d >= *w.hw {
+		*w.hw = d + 1
+	}
+	if *w.track {
+		w.dirty.set(d)
 	}
 	w.dst[i] = w.src[i]
 }
@@ -298,13 +340,17 @@ func (w *CopyWindow) Move(i int) {
 func (w *CopyWindow) Bulkable() bool { return w.bulk }
 
 // MoveN copies words [i, i+n) of the window at once, with the exact
-// high-water effect of n consecutive Move calls.
+// high-water and page-mark effects of n consecutive Move calls.
 func (w *CopyWindow) MoveN(i, n int) {
 	if n <= 0 {
 		return
 	}
-	if b := w.dstBase + i + n; b > *w.hw {
-		*w.hw = b
+	lo := w.dstBase + i
+	if lo+n > *w.hw {
+		*w.hw = lo + n
+	}
+	if *w.track {
+		w.dirty.setRange(lo, lo+n)
 	}
 	copy(w.dst[i:i+n], w.src[i:i+n])
 }
@@ -313,12 +359,14 @@ func (w *CopyWindow) MoveN(i, n int) {
 // the allocator watermarks, so a runtime attached to this memory keeps
 // its addresses valid across runs. Only the words below each bank's
 // high-water mark can have been written, so clearing them restores the
-// bank to its as-new all-zero state.
+// bank to its as-new all-zero state. It also stops page marking until
+// the next snapshot or restore, which then copies every page.
 func (m *Memory) Reset() {
 	for b := Bank(0); b < numBanks; b++ {
 		clear(m.banks[b][:m.highWater[b]])
 		m.highWater[b] = 0
 	}
+	m.track = false
 }
 
 // PowerFailure clears every volatile bank, exactly what a real power
@@ -327,75 +375,17 @@ func (m *Memory) Reset() {
 // blocks, copy windows) maintains the mark, and RestoreAll re-establishes
 // it, so the words above it are provably zero already — clearing them
 // again cost a full 4 KB memclr per bank per failure, which showed up in
-// sweep profiles.
+// sweep profiles. The cleared words count as written for page marking.
 func (m *Memory) PowerFailure() {
 	for b := Bank(0); b < numBanks; b++ {
 		if !b.Volatile() {
 			continue
 		}
-		clear(m.banks[b][:m.highWater[b]])
-	}
-}
-
-// DeviceSnapshot captures the full mid-run state of a Memory: the words
-// below each bank's high-water mark. The prefix's length is the mark, so
-// a snapshot is proportional to the words a run wrote, not to what it
-// allocated or to the 256 KB FRAM bank. The allocator watermarks are
-// recorded but never restored — a snapshot may only be restored into a
-// memory with the same allocation layout, which RestoreAll verifies.
-//
-// Every field is indexed by Bank. Used holds each bank's written word
-// prefix and Alloc the allocator watermarks. internal/wire encodes the
-// value as is; Validate is the check a decoder runs on untrusted state.
-type DeviceSnapshot struct {
-	Used  [NumBanks][]uint16
-	Alloc [NumBanks]int
-}
-
-// SnapshotAll captures the words below every bank's high-water mark.
-func (m *Memory) SnapshotAll() *DeviceSnapshot { return m.SnapshotAllInto(nil) }
-
-// SnapshotAllInto is SnapshotAll reusing s's buffers when s is non-nil —
-// the allocation-free path for callers that recycle snapshots (the
-// checker takes one per candidate failure point; fresh buffers each
-// time dominated its recording cost).
-func (m *Memory) SnapshotAllInto(s *DeviceSnapshot) *DeviceSnapshot {
-	if s == nil {
-		s = &DeviceSnapshot{}
-	}
-	s.Alloc = m.alloc
-	for b := Bank(0); b < numBanks; b++ {
-		s.Used[b] = append(s.Used[b][:0], m.banks[b][:m.highWater[b]]...)
-	}
-	return s
-}
-
-// RestoreAll overwrites the memory's contents and high-water marks from
-// a snapshot taken earlier: each bank's mark becomes the length of its
-// snapshot prefix. The target must have the same allocator watermarks as
-// the snapshotted memory (i.e. the same blueprint attached in the same
-// order); it panics otherwise, since restoring into a different layout
-// is a harness bug. Words above either memory's high-water mark are
-// provably zero, so only the words below the larger of the two marks
-// are touched. A backing store shorter than the snapshot's prefix grows
-// to hold it first.
-func (m *Memory) RestoreAll(s *DeviceSnapshot) {
-	if m.alloc != s.Alloc {
-		panic(fmt.Sprintf("mem: restore-all layout mismatch: alloc %v vs %v",
-			m.alloc, s.Alloc))
-	}
-	for b := Bank(0); b < numBanks; b++ {
-		k := len(s.Used[b])
-		if k > len(m.banks[b]) {
-			m.grow(b, k)
+		n := m.highWater[b]
+		clear(m.banks[b][:n])
+		if m.track && n > 0 {
+			m.dirty[b].setRange(0, n)
 		}
-		// The copy overwrites the snapshot's prefix; only the words the
-		// current memory wrote beyond it need explicit clearing.
-		if n := m.highWater[b]; n > k {
-			clear(m.banks[b][k:n])
-		}
-		copy(m.banks[b], s.Used[b])
-		m.highWater[b] = k
 	}
 }
 
@@ -419,27 +409,4 @@ func Equal(a, b []uint16) bool {
 // byteView returns the bytes under words without copying them.
 func byteView(words []uint16) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 2*len(words))
-}
-
-// NumBanks is the number of modeled memory banks, exported for
-// serialization layers that flatten per-bank state.
-const NumBanks = int(numBanks)
-
-// Validate rejects a snapshot that cannot have come from a real memory:
-// a prefix longer than its bank or an allocator watermark out of range.
-// A decoder runs it on untrusted state, so RestoreAll's own panics are
-// left for harness bugs.
-func (s *DeviceSnapshot) Validate() error {
-	for b := Bank(0); b < numBanks; b++ {
-		cap := capacity[b]
-		if len(s.Used[b]) > cap {
-			return fmt.Errorf("mem: %s snapshot prefix %d words exceeds bank size %d",
-				b, len(s.Used[b]), cap)
-		}
-		if s.Alloc[b] < 0 || s.Alloc[b] > cap {
-			return fmt.Errorf("mem: %s snapshot watermark %d out of range [0,%d]",
-				b, s.Alloc[b], cap)
-		}
-	}
-	return nil
 }

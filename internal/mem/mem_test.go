@@ -161,14 +161,16 @@ func TestSpanBounds(t *testing.T) {
 
 // TestWroteMatchesPerWord pins Wrote against the per-word path: raising
 // the mark once for a command's writes leaves the same high-water mark
-// as making them one Write at a time, and a lower end leaves the mark.
+// as making them one Write at a time, and a range below the mark or an
+// empty one leaves the mark.
 func TestWroteMatchesPerWord(t *testing.T) {
 	perWord, bulk := New(), New()
 	for w := 10; w < 20; w++ {
 		perWord.Write(Addr{SRAM, w}, 1)
 	}
-	bulk.Wrote(SRAM, 20)
-	bulk.Wrote(SRAM, 0)
+	bulk.Wrote(Addr{SRAM, 10}, 10)
+	bulk.Wrote(Addr{SRAM, 0}, 5)
+	bulk.Wrote(Addr{SRAM, 30}, 0)
 	if perWord.HighWater(SRAM) != bulk.HighWater(SRAM) {
 		t.Errorf("bulk hw %d, per-word hw %d", bulk.HighWater(SRAM), perWord.HighWater(SRAM))
 	}
@@ -187,7 +189,7 @@ func TestSnapshotAllRestoreAll(t *testing.T) {
 		t.Fatalf("real snapshot rejected: %v", err)
 	}
 	// The prefix ends at the high-water mark, not at the allocation.
-	if n := len(snap.Used[FRAM]); n != 2 {
+	if n := snap.Len(FRAM); n != 2 {
 		t.Errorf("FRAM prefix holds %d words, want the high-water mark 2", n)
 	}
 	m.Write(Addr{FRAM, 1}, 20)
@@ -203,20 +205,33 @@ func TestSnapshotAllRestoreAll(t *testing.T) {
 	if hw := m.HighWater(FRAM); hw != 2 {
 		t.Errorf("restored FRAM high-water mark %d, want 2", hw)
 	}
-	if got := m.SnapshotAll(); !reflect.DeepEqual(got, snap) {
-		t.Errorf("restored memory snapshots as %+v, want %+v", got, snap)
+	if got, want := snapWords(m.SnapshotAll()), snapWords(snap); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored memory snapshots as %+v, want %+v", got, want)
 	}
 	for i, bad := range []func(s *DeviceSnapshot){
-		func(s *DeviceSnapshot) { s.Used[SRAM] = make([]uint16, SRAMWords+1) },
+		func(s *DeviceSnapshot) { s.SetWords([NumBanks][]uint16{SRAM: make([]uint16, SRAMWords+1)}) },
 		func(s *DeviceSnapshot) { s.Alloc[FRAM] = -1 },
 		func(s *DeviceSnapshot) { s.Alloc[LEARAM] = LEARAMWords + 1 },
 	} {
-		s := *snap
-		bad(&s)
+		s := m.SnapshotAll()
+		bad(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("malformed snapshot %d accepted", i)
 		}
 	}
+}
+
+// snapWords flattens a snapshot into what it holds: each bank's prefix
+// and the allocator watermarks.
+func snapWords(s *DeviceSnapshot) any {
+	var words [NumBanks][]uint16
+	for b := range words {
+		words[b] = s.Words(Bank(b))
+	}
+	return struct {
+		Words [NumBanks][]uint16
+		Alloc [NumBanks]int
+	}{words, s.Alloc}
 }
 
 func TestEqualRange(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"easeio/internal/core"
 	"easeio/internal/kernel"
+	"easeio/internal/mem"
 	"easeio/internal/power"
 	"easeio/internal/rtbase"
 	"easeio/internal/task"
@@ -97,8 +98,13 @@ func TestRuntimeStateRestoresIntoRebuiltApp(t *testing.T) {
 	var sameMem, rebuiltMem kernel.Checkpoint
 	sameDev.SnapshotInto(&sameMem, sameRT)
 	rebuiltDev.SnapshotInto(&rebuiltMem, rebuiltRT)
-	if !reflect.DeepEqual(rebuiltMem.Mem, sameMem.Mem) {
-		t.Error("final memory differs between the rebuilt and the original app")
+	for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
+		if !reflect.DeepEqual(rebuiltMem.Mem.Words(b), sameMem.Mem.Words(b)) {
+			t.Errorf("final %v differs between the rebuilt and the original app", b)
+		}
+	}
+	if rebuiltMem.Mem.Alloc != sameMem.Mem.Alloc {
+		t.Error("final allocation watermarks differ between the rebuilt and the original app")
 	}
 	if sameDev.Run.PowerFailures != 1 || !sameDev.Run.Correct {
 		t.Errorf("resumed run: %d failures, correct=%v", sameDev.Run.PowerFailures, sameDev.Run.Correct)

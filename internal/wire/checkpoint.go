@@ -15,13 +15,17 @@ func AppendCheckpoint(dst []byte, cp *kernel.Checkpoint) []byte {
 	dst = appendHeader(dst, KindCheckpoint)
 
 	// Memory snapshot: per-bank written prefix (its length is the bank's
-	// high-water mark) and allocator watermark, under one bank-count
-	// prefix.
+	// high-water mark), flattened from its pages, and allocator
+	// watermark, under one bank-count prefix.
 	m := &cp.Mem
-	dst = appendUvarint(dst, uint64(len(m.Used)))
-	for i := range m.Used {
-		dst = appendWords(dst, m.Used[i])
-		dst = appendVarint(dst, int64(m.Alloc[i]))
+	dst = appendUvarint(dst, uint64(mem.NumBanks))
+	for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
+		n := m.Len(b)
+		dst = appendUvarint(dst, uint64(n))
+		for p := 0; p*mem.PageWords < n; p++ {
+			dst = appendWords(dst, m.Page(b, p))
+		}
+		dst = appendVarint(dst, int64(m.Alloc[b]))
 	}
 
 	// Clock.
@@ -72,10 +76,12 @@ func DecodeCheckpoint(b []byte) (*kernel.Checkpoint, error) {
 		d.fail("checkpoint has %d memory banks, want %d", banks, mem.NumBanks)
 	}
 	m := &cp.Mem
-	for i := 0; i < mem.NumBanks && d.err == nil; i++ {
-		m.Used[i] = d.words()
-		m.Alloc[i] = int(d.varint())
+	var words [mem.NumBanks][]uint16
+	for b := 0; b < mem.NumBanks && d.err == nil; b++ {
+		words[b] = d.words()
+		m.Alloc[b] = int(d.varint())
 	}
+	m.SetWords(words)
 
 	cp.Clock.Wall = time.Duration(d.varint())
 	cp.Clock.Uptime = time.Duration(d.varint())

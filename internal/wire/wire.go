@@ -266,8 +266,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// appendWords appends the words alone; a caller writes their count
+// first (dec.words reads both).
 func appendWords(b []byte, w []uint16) []byte {
-	b = appendUvarint(b, uint64(len(w)))
 	for _, v := range w {
 		b = binary.LittleEndian.AppendUint16(b, v)
 	}
