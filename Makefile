@@ -26,7 +26,7 @@ FUZZTIME ?= 30s
 # is compiled and exercised without paying for stable numbers.
 BENCHTIME ?= 10x
 
-.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate benchmark-test fuzz fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke check ci loc
+.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate bench-pair benchmark-test fuzz fuzz-smoke nested-smoke examples-smoke serve-smoke fleet-smoke check ci loc
 
 build:
 	$(GO) build ./...
@@ -65,29 +65,72 @@ bench:
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) ./...
 
-# The failing bench-regression gate: measure the pooled sweep rate with
-# enough iterations for a stable-ish number (200 sweeps ≈ tens of ms of
-# measured work — cheap, but far less noisy than the 1x compile smoke)
-# and compare against the latest BENCH_sweep.json datapoint, then the
-# checkpointed exhaustive weather check (3 counts of 2 s each, time-based
-# like the ledger's own refresh command: a fixed 5 checks per count read
-# 0.79-1.36x of the ledger in back-to-back runs of one tree) against the
-# latest BENCH_check.json datapoint. Fails below 0.75x the
-# tracked runs/s or points/s, or above +2 allocs/run (the checker ledger
-# tracks no allocations). Both gates always run, so a failing sweep gate
-# does not hide the checker gate; the target reports each gate's exit
-# status and fails at the end if either failed. A PR that changes sweep
-# or checker performance on purpose must refresh the ledger in the same
-# PR (see the refresh command in its description).
+# The failing bench-regression gate, in three legs. The ledger legs
+# measure the pooled sweep rate with enough iterations for a stable-ish
+# number (200 sweeps ≈ tens of ms of measured work — cheap, but far less
+# noisy than the 1x compile smoke) and compare against the latest
+# BENCH_sweep.json datapoint, then the checkpointed exhaustive weather
+# check (3 counts of 2 s each, time-based like the ledger's own refresh
+# command: a fixed 5 checks per count read 0.79-1.36x of the ledger in
+# back-to-back runs of one tree) against the latest BENCH_check.json
+# datapoint. They fail below 0.75x the tracked runs/s or points/s, or
+# above +2 allocs/run (the checker ledger tracks no allocations). The
+# paired leg (bench-pair, below) compares the change with its base
+# commit on the same host. All legs always run, so a failing leg does
+# not hide another; the target reports each leg's exit status and fails
+# at the end if any failed. A PR that changes sweep or checker
+# performance on purpose must refresh the ledger in the same PR (see the
+# refresh command in its description).
 bench-gate:
-	sweep=0; check=0; \
+	sweep=0; check=0; pair=0; \
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThroughput/pooled' -benchtime 200x -count 3 -cpu 1 . | tee bench-gate.txt; \
 	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt || sweep=$$?; \
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckThroughput/weather/checkpointed' -benchtime 2s -count 3 -cpu 1 . | tee -a bench-gate.txt; \
 	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt -baseline BENCH_check.json \
 		-name BenchmarkCheckThroughput/weather/checkpointed -key weather/checkpointed -unit points/s || check=$$?; \
-	echo "bench-gate: sweep gate exit $$sweep, check gate exit $$check"; \
-	[ $$sweep -eq 0 ] && [ $$check -eq 0 ]
+	$(MAKE) --no-print-directory bench-pair || pair=$$?; \
+	echo "bench-gate: sweep gate exit $$sweep, check gate exit $$check, paired gate exit $$pair"; \
+	[ $$sweep -eq 0 ] && [ $$check -eq 0 ] && [ $$pair -eq 0 ]
+
+# The paired leg of bench-gate. A ledger datapoint records one host at
+# one moment, so on a shared host the ledger legs can fail with no
+# regression and pass a real one. This leg builds the root test binary
+# of BENCH_BASE (the merge-base with main; CI checks out full history
+# for it) beside the change's, runs each gated benchmark 11 times on each
+# binary in alternating pairs (the order flips every pair; short runs,
+# 500 sweeps or 0.5 s of checking, so both sides of a pair see the same
+# host; every run is pinned to the first CPU this shell may use, since
+# the vCPUs of a shared host can differ in speed by half), and fails
+# when the median over the pairs of the change's rate over the base's is
+# below 0.90 (easeio-benchdiff -base-bench). The raw lines land in
+# bench-pair-head.txt and bench-pair-base.txt.
+BENCH_BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null || git merge-base HEAD main)
+
+bench-pair:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/base" && git archive "$(BENCH_BASE)" | tar -x -C "$$dir/base" && \
+	(cd "$$dir/base" && $(GO) test -c -o ../base.test .) && \
+	$(GO) test -c -o "$$dir/head.test" . || exit 2; \
+	rm -f bench-pair-head.txt bench-pair-base.txt; \
+	pin=; command -v taskset > /dev/null && \
+		pin="taskset -c $$(taskset -pc $$$$ | sed 's/.*: *//; s/[-,].*//')"; \
+	for i in $$(seq 11); do \
+		order="head base"; [ $$((i % 2)) -eq 0 ] && order="base head"; \
+		for bench in 'BenchmarkSweepThroughput/pooled$$ 500x' 'BenchmarkCheckThroughput/weather/checkpointed$$ 500ms'; do \
+			set -- $$bench; \
+			for side in $$order; do \
+				src=.; [ $$side = base ] && src="$$dir/base"; \
+				(cd "$$src" && $$pin "$$dir/$$side.test" -test.run '^$$' -test.bench "$$1" -test.benchtime "$$2" \
+					-test.cpu 1 -test.timeout 5m) >> bench-pair-$$side.txt || exit 2; \
+			done; \
+		done; \
+	done; \
+	echo "bench-pair: $$(git rev-parse --short HEAD) (working tree) vs base $$(git rev-parse --short "$(BENCH_BASE)"), 11 alternating pairs"; \
+	status=0; \
+	$(GO) run ./cmd/easeio-benchdiff -bench bench-pair-head.txt -base-bench bench-pair-base.txt -min-ratio 0.90 || status=1; \
+	$(GO) run ./cmd/easeio-benchdiff -bench bench-pair-head.txt -base-bench bench-pair-base.txt -min-ratio 0.90 \
+		-name BenchmarkCheckThroughput/weather/checkpointed -unit points/s || status=1; \
+	exit $$status
 
 # The benchmark harness is its own module (benchmark/go.mod), so the
 # repository's `go test ./...` does not reach its tests.

@@ -60,10 +60,10 @@ func TestPooledRunZeroAlloc(t *testing.T) {
 }
 
 // TestCheckpointSnapshotZeroAlloc pins zero allocations per recycled
-// checkpoint: SnapshotInto with a reused checkpoint — device and runtime
-// halves — must be pure
-// copies into existing buffers — the failure-point checker takes one
-// per candidate failure point, thousands per checked run.
+// checkpoint: SnapshotInto with a reused checkpoint — memory and runtime
+// bookkeeping (Device.Runtime) alike — must be pure copies into existing
+// buffers — the failure-point checker takes one per candidate failure
+// point, thousands per checked run.
 func TestCheckpointSnapshotZeroAlloc(t *testing.T) {
 	cfg := apps.DefaultDMAConfig()
 	cfg.Words = 100
@@ -75,9 +75,13 @@ func TestCheckpointSnapshotZeroAlloc(t *testing.T) {
 	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	dev, rt := sess.Device(), sess.Runtime()
-	cp := dev.SnapshotInto(&kernel.Checkpoint{}, rt) // sizes the buffers
-	if avg := testing.AllocsPerRun(20, func() { cp = dev.SnapshotInto(cp, rt) }); avg > 0 {
+	dev := sess.Device()
+	cp := dev.SnapshotInto(&kernel.Checkpoint{}) // sizes the buffers
+	if len(cp.Runtime.Slots) == 0 || len(cp.Runtime.TaskInst) == 0 {
+		t.Fatalf("checkpoint holds %d slots and %d task counters: the runtime half is not covered",
+			len(cp.Runtime.Slots), len(cp.Runtime.TaskInst))
+	}
+	if avg := testing.AllocsPerRun(20, func() { cp = dev.SnapshotInto(cp) }); avg > 0 {
 		t.Errorf("recycled SnapshotInto allocates %.1f times, want 0", avg)
 	}
 }

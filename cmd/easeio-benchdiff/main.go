@@ -9,6 +9,8 @@
 //
 //	easeio-benchdiff [-bench FILE] [-baseline FILE] [-name NAME]
 //	                 [-key NAME] [-unit UNIT] [-min-ratio R] [-alloc-slack N]
+//	easeio-benchdiff -bench FILE -base-bench FILE [-name NAME] [-unit UNIT]
+//	                 [-min-ratio R]
 //
 // -bench reads the benchmark output ("-" or empty reads stdin). Lines
 // whose first field is exactly -name are parsed for the rate metric -unit
@@ -45,17 +47,26 @@
 // ledger's description and append the new datapoint with a note. The
 // gate then compares future PRs against the new expectation.
 //
+// Paired mode (-base-bench): -bench holds the change's build and
+// -base-bench the base build, run in alternating pairs on one host (make
+// bench-pair), line i of each being pair i; the gate fails when the
+// median pair ratio of their rates is below -min-ratio. Both runs of a
+// pair see the host at one moment, which a ledger recorded elsewhere
+// does not; allocations are left to the ledger gate.
+//
 // Exit status: 0 within tolerance, 1 on regression, 2 on usage or parse
 // errors.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,6 +82,7 @@ func main() {
 	var (
 		benchPath  = flag.String("bench", "-", "benchmark output file (\"-\" = stdin)")
 		basePath   = flag.String("baseline", "BENCH_sweep.json", "benchmark ledger with tracked datapoints")
+		baseBench  = flag.String("base-bench", "", "benchmark output of the base build, run in alternating pairs with -bench; gates the median pair ratio instead of the ledger")
 		name       = flag.String("name", "BenchmarkSweepThroughput/pooled", "exact benchmark name to gate on")
 		key        = flag.String("key", "pooled", "results key of the tracked datapoint")
 		unit       = flag.String("unit", "runs/s", "rate metric to gate (ledger field: unit with \"/\" as \"_per_\")")
@@ -78,6 +90,10 @@ func main() {
 		allocSlack = flag.Float64("alloc-slack", 2, "maximum allocs/run increase over tracked")
 	)
 	flag.Parse()
+
+	if *baseBench != "" {
+		os.Exit(paired(*benchPath, *baseBench, *name, *unit, *minRatio))
+	}
 
 	tracked, commit, err := readBaseline(*basePath, *key, *unit)
 	if err != nil {
@@ -128,6 +144,40 @@ func main() {
 	fmt.Println(")")
 }
 
+// paired runs the paired gate (see the package doc) and returns its exit
+// status; files that do not pair up are a usage error.
+func paired(headPath, basePath, name, unit string, minRatio float64) int {
+	var sides [2][]metrics
+	for i, path := range []string{headPath, basePath} {
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			sides[i], err = parseLines(bytes.NewReader(raw), name, unit, false)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+			return 2
+		}
+	}
+	n := len(sides[0])
+	if n == 0 || n != len(sides[1]) {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d %q lines in %s and %d in %s; want the same non-zero count\n",
+			n, name, headPath, len(sides[1]), basePath)
+		return 2
+	}
+	ratios := make([]float64, n)
+	for i := range ratios {
+		ratios[i] = sides[0][i].rate / sides[1][i].rate
+	}
+	ratio := median(ratios)
+	fmt.Printf("benchdiff: %s over %d pairs: median %s ratio %.2fx the base build\n", name, n, unit, ratio)
+	if ratio < minRatio {
+		fmt.Printf("benchdiff: FAIL: below the %.2fx floor\n", minRatio)
+		return 1
+	}
+	fmt.Println("benchdiff: OK")
+	return 0
+}
+
 // allocsNote formats m's allocs/run for the report lines, when it has one.
 func allocsNote(m metrics) string {
 	if !m.hasAllocs {
@@ -136,16 +186,30 @@ func allocsNote(m metrics) string {
 	return fmt.Sprintf(", %.2f allocs/run", m.allocsPerRun)
 }
 
-// parseBench scans benchmark output for lines of the gated benchmark and
-// returns the best measurement across them plus the matched line count.
-// Only lines whose first field is exactly name count; a matched line
-// that does not carry the unit rate (and allocs/run, when needAllocs),
-// or a name wearing the testing package's -N GOMAXPROCS suffix, is an
-// error — the gate must refuse to score output it cannot compare
-// against the ledger.
+// parseBench returns the best measurement across parseLines' lines plus
+// their count.
 func parseBench(r io.Reader, name, unit string, needAllocs bool) (metrics, int, error) {
+	ms, err := parseLines(r, name, unit, needAllocs)
 	var best metrics
-	lines := 0
+	for _, m := range ms {
+		if !best.hasRate || m.rate > best.rate {
+			best.rate, best.hasRate = m.rate, true
+		}
+		if needAllocs && (!best.hasAllocs || m.allocsPerRun < best.allocsPerRun) {
+			best.allocsPerRun, best.hasAllocs = m.allocsPerRun, true
+		}
+	}
+	return best, len(ms), err
+}
+
+// parseLines returns the measurement of every line of the gated
+// benchmark in benchmark output. Only lines whose first field is
+// exactly name count; a matched line that does not carry the unit rate
+// (and allocs/run, when needAllocs), or a name wearing the testing
+// package's -N GOMAXPROCS suffix, is an error — the gate must refuse to
+// score output it cannot compare.
+func parseLines(r io.Reader, name, unit string, needAllocs bool) ([]metrics, error) {
+	var ms []metrics
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -155,7 +219,7 @@ func parseBench(r io.Reader, name, unit string, needAllocs bool) (metrics, int, 
 		}
 		if fields[0] != name {
 			if isCPUSuffixed(fields[0], name) {
-				return best, lines, fmt.Errorf(
+				return ms, fmt.Errorf(
 					"benchmark name %q carries a GOMAXPROCS suffix (want exactly %q); run the bench with -cpu 1, the configuration the ledger was recorded at", fields[0], name)
 			}
 			continue
@@ -175,21 +239,21 @@ func parseBench(r io.Reader, name, unit string, needAllocs bool) (metrics, int, 
 		}
 		switch {
 		case !m.hasRate:
-			return best, lines, fmt.Errorf(
+			return ms, fmt.Errorf(
 				"benchmark line %q has no %s metric; the gate needs it on every %q line", line, unit, name)
 		case needAllocs && !m.hasAllocs:
-			return best, lines, fmt.Errorf(
+			return ms, fmt.Errorf(
 				"benchmark line %q has no allocs/run metric; the ledger tracks it, so the gate needs it on every %q line", line, name)
 		}
-		lines++
-		if !best.hasRate || m.rate > best.rate {
-			best.rate, best.hasRate = m.rate, true
-		}
-		if needAllocs && (!best.hasAllocs || m.allocsPerRun < best.allocsPerRun) {
-			best.allocsPerRun, best.hasAllocs = m.allocsPerRun, true
-		}
+		ms = append(ms, m)
 	}
-	return best, lines, sc.Err()
+	return ms, sc.Err()
+}
+
+// median returns the median of xs (non-empty), sorting xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }
 
 // isCPUSuffixed reports whether got is name plus the "-N" suffix the

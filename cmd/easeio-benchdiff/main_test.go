@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -132,6 +135,52 @@ func TestParseCheckBench(t *testing.T) {
 		if _, _, err := parseBench(strings.NewReader(bad), checkName, "points/s", false); err == nil ||
 			!strings.Contains(err.Error(), want) {
 			t.Errorf("parseBench(%q) error = %v, want one containing %q", bad, err, want)
+		}
+	}
+}
+
+// TestMedian pins the paired gate's statistic: the middle value of an
+// odd count, the mean of the two middle values of an even one, in any
+// order.
+func TestMedian(t *testing.T) {
+	if got := median([]float64{300, 100, 200}); got != 200 {
+		t.Errorf("median of 300, 100, 200 = %v, want 200", got)
+	}
+	if got := median([]float64{300, 100, 1000, 200}); got != 250 {
+		t.Errorf("median of 300, 100, 1000, 200 = %v, want 250", got)
+	}
+}
+
+// TestPaired pins the paired gate: line i of each file is pair i, the
+// gate scores the median pair ratio (a host slow for the whole base
+// side in one pair does not sink it), and sides that do not pair up are
+// a usage error.
+func TestPaired(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rates ...int) string {
+		var b strings.Builder
+		for _, r := range rates {
+			fmt.Fprintf(&b, "%s 500 1 ns/op 3.00 allocs/run %d runs/s\n", gateName, r)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base", 100, 200, 400)
+	for _, tc := range []struct {
+		head  []int
+		floor float64
+		want  int
+	}{
+		{[]int{100, 200, 100}, 0.9, 0}, // ratios 1, 1, 0.25
+		{[]int{80, 160, 400}, 0.9, 1},  // ratios 0.8, 0.8, 1
+		{[]int{80, 160, 400}, 0.75, 0},
+		{[]int{100, 200}, 0.9, 2},
+	} {
+		if got := paired(write("head", tc.head...), base, gateName, "runs/s", tc.floor); got != tc.want {
+			t.Errorf("paired(%v vs 100 200 400, floor %.2f) = %d, want %d", tc.head, tc.floor, got, tc.want)
 		}
 	}
 }

@@ -389,7 +389,7 @@ type LintFinding = frontend.Finding
 
 // DefaultLintConfig checks against the paper's 4 KB privatization buffer.
 func DefaultLintConfig() LintConfig {
-	return LintConfig{PrivBufWords: core.DefaultConfig().PrivBufWords}
+	return LintConfig{PrivBufWords: core.PrivBufWords}
 }
 
 // RenderGantt draws an ASCII timeline of a traced run (power lane plus a

@@ -98,12 +98,9 @@ func (r *Runtime) bumpEpoch() {
 	}
 }
 
-// OnBoot implements kernel.Hooks. Reset, SnapshotState and RestoreState
-// come from rtbase.Base: Alpaca's only nonzero durable attach state is
-// what rtbase owns (the private buffers start unwritten), its
-// reboot-surviving volatile state is exactly what rtbase tracks, and the
-// epoch bump here empties the privatization maps after any reset or
-// restore.
+// OnBoot implements kernel.Hooks: the private buffers are durable FRAM
+// words, which a reset or restore brings back with the device, and the
+// epoch bump here empties the privatization maps after either.
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	r.bumpEpoch()

@@ -246,7 +246,7 @@ func TestBenchmarksPassLint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		findings, err := frontend.Lint(b.App, frontend.LintConfig{PrivBufWords: 4 * 1024 / 2})
+		findings, err := frontend.Lint(b.App, frontend.LintConfig{PrivBufWords: core.PrivBufWords})
 		if err != nil {
 			t.Fatalf("%s: lint: %v", name, err)
 		}

@@ -45,7 +45,7 @@ func TestRootPrefixIsHighWater(t *testing.T) {
 					t.Fatal(err)
 				}
 				dev := sess.Device()
-				cp := dev.SnapshotInto(&kernel.Checkpoint{}, sess.Runtime())
+				cp := dev.SnapshotInto(&kernel.Checkpoint{})
 				var final [mem.NumBanks]int
 				for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
 					final[b] = dev.Mem.HighWater(b)

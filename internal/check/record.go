@@ -40,7 +40,7 @@ type snapSink struct {
 // NoteCut implements kernel.CutSink.
 func (s *snapSink) NoteCut(onTime time.Duration) {
 	if n := len(s.cps); n < len(s.targets) && onTime == s.targets[n] {
-		s.cps = append(s.cps, s.sess.Device().SnapshotInto(ckptGet(), s.sess.Runtime()))
+		s.cps = append(s.cps, s.sess.Device().SnapshotInto(ckptGet()))
 	}
 }
 

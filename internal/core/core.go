@@ -48,26 +48,16 @@ import (
 	"easeio/internal/task"
 )
 
-// Config tunes the runtime. The zero value is not valid; use
-// DefaultConfig.
-type Config struct {
-	// PrivBufWords sizes the shared DMA privatization buffer (§4.3 case
-	// ii). The paper's evaluation uses 4 KB (§5.4.5). Applications with
-	// no Private DMAs can set it to zero.
-	PrivBufWords int
-}
-
-// DefaultConfig matches the paper's evaluation setup.
-func DefaultConfig() Config {
-	return Config{PrivBufWords: 4 * 1024 / 2}
-}
+// PrivBufWords is the size of the shared DMA privatization buffer (§4.3
+// case ii): the paper's evaluation uses 4 KB (§5.4.5). An app with no
+// DMA sites gets no buffer.
+const PrivBufWords = 4 * 1024 / 2
 
 // Runtime is one per-run EaseIO instance. All attach-time metadata lives
 // in flat slices indexed by the blueprint's dense IDs (site, block, DMA,
 // task), so the per-I/O hot paths never hash pointers.
 type Runtime struct {
 	rtbase.Base
-	cfg Config
 
 	sites   []siteMeta     // by I/O site ID
 	blocks  []blockMeta    // by I/O block ID
@@ -139,11 +129,8 @@ type regionMeta struct {
 	copies []mem.Addr
 }
 
-// New returns an EaseIO runtime with the default configuration.
-func New() *Runtime { return NewWithConfig(DefaultConfig()) }
-
-// NewWithConfig returns an EaseIO runtime with an explicit configuration.
-func NewWithConfig(cfg Config) *Runtime { return &Runtime{cfg: cfg} }
+// New returns a fresh EaseIO runtime.
+func New() *Runtime { return &Runtime{} }
 
 var _ kernel.Hooks = (*Runtime)(nil)
 
@@ -251,28 +238,7 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	// the whole buffer, however little of it a run wrote.
 	if len(app.DMAs) > 0 {
 		r.privBufNext = dev.Mem.Alloc(mem.FRAM, 1)
-		if r.cfg.PrivBufWords > 0 {
-			r.privBuf = dev.Mem.Alloc(mem.FRAM, r.cfg.PrivBufWords)
-		}
-	}
-	return nil
-}
-
-// Reset implements kernel.Hooks: returns the attached runtime to its
-// post-Attach state on a device whose memory Device.Reset just cleared.
-// All flag/generation/timestamp/snapshot words and the privatization bump
-// pointer are already zero; the only durable words Attach writes nonzero
-// beyond rtbase's are the instance counters (1 = "first instance"), which
-// versioned flags compare against, so rewriting those restores the exact
-// attach state. SnapshotState and RestoreState come from rtbase.Base:
-// EaseIO's other durable bookkeeping lives in FRAM, and the current
-// task, region index and block skip depth are rebuilt by OnBoot.
-func (r *Runtime) Reset(dev *kernel.Device) error {
-	if err := r.Base.Reset(dev); err != nil {
-		return err
-	}
-	for _, a := range r.instCtr {
-		dev.Mem.Write(a, 1)
+		r.privBuf = dev.Mem.Alloc(mem.FRAM, PrivBufWords)
 	}
 	return nil
 }
@@ -680,10 +646,10 @@ func (r *Runtime) claimPrivBuf(c *kernel.Ctx, d *task.DMASite, dm *dmaMeta, word
 	}
 	c.ChargeMemAccess(mem.FRAM, false, true)
 	off := int(r.Dev.Mem.Read(r.privBufNext))
-	if off+words > r.cfg.PrivBufWords {
+	if off+words > PrivBufWords {
 		panic(fmt.Sprintf("core: DMA %q needs %d words but the privatization buffer has %d/%d free; "+
-			"increase Config.PrivBufWords (the paper flags this as a compile-time check, §6)",
-			d.Name, words, r.cfg.PrivBufWords-off, r.cfg.PrivBufWords))
+			"Exclude constant transfers or split the task (the paper flags this as a compile-time check, §6)",
+			d.Name, words, PrivBufWords-off, PrivBufWords))
 	}
 	// Charge the three claim writes, then apply them together.
 	c.ChargeMemAccess(mem.FRAM, true, true)

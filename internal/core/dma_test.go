@@ -159,7 +159,7 @@ func TestDMAExclude(t *testing.T) {
 // skipped on re-execution and regional recovery restores both regions'
 // variables.
 func TestFigure6Scenario(t *testing.T) {
-	buildAndRun := func(failAt time.Duration, cfg Config) (za, ta, aa, ba uint16) {
+	buildAndRun := func(failAt time.Duration) (za, ta, aa, ba uint16) {
 		app := task.NewApp("fig6")
 		va := app.NVBuf("a", 1).WithInit([]uint16{100})
 		vb := app.NVBuf("b", 1).WithInit([]uint16{200})
@@ -180,7 +180,7 @@ func TestFigure6Scenario(t *testing.T) {
 		})
 		fin = app.AddTask("fin", func(e task.Exec) { e.Done() })
 		analyzed(t, app)
-		rt := NewWithConfig(cfg)
+		rt := New()
 		sess := kernel.NewSession(rt, app, power.NewSchedule(failAt))
 		if _, err := sess.Run(1); err != nil {
 			t.Fatal(err)
@@ -192,7 +192,7 @@ func TestFigure6Scenario(t *testing.T) {
 
 	// Continuous-power truth: z=200, t=100, a=200, b=100.
 	for failAt := 200 * time.Microsecond; failAt <= 4*time.Millisecond; failAt += 200 * time.Microsecond {
-		z, tt, av, bv := buildAndRun(failAt, DefaultConfig())
+		z, tt, av, bv := buildAndRun(failAt)
 		if z != 200 || tt != 100 || av != 200 || bv != 100 {
 			t.Fatalf("failure@%v: z=%d t=%d a=%d b=%d; want 200 100 200 100",
 				failAt, z, tt, av, bv)
@@ -279,22 +279,24 @@ func TestStripRegionsKeepsDMASkips(t *testing.T) {
 
 // TestPrivBufferExhaustionPanics: §6 — the privatization buffer is a
 // hard limit the compiler should check; the runtime panics, and the
-// session returns the panic as the run's error.
+// session returns the panic as the run's error. Two Private transfers,
+// into LEA-RAM and SRAM, each fit the 2 048-word buffer but together
+// overflow it.
 func TestPrivBufferExhaustionPanics(t *testing.T) {
+	const words = PrivBufWords/2 + 100
 	a := task.NewApp("privfull")
-	big := a.NVBuf("big", 600)
-	d := a.DMA("fetch")
+	b1, b2 := a.NVBuf("b1", words), a.NVBuf("b2", words)
+	d1, d2 := a.DMA("fetch-lea"), a.DMA("fetch-sram")
 	var fin *task.Task
 	a.AddTask("main", func(e task.Exec) {
-		e.DMACopy(d, task.VarLoc(big, 0), task.RawLoc(uint8(mem.LEARAM), 0), 600)
+		e.DMACopy(d1, task.VarLoc(b1, 0), task.RawLoc(uint8(mem.LEARAM), 0), words)
+		e.DMACopy(d2, task.VarLoc(b2, 0), task.RawLoc(uint8(mem.SRAM), 0), words)
 		e.Next(fin)
 	})
 	fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
 	analyzed(t, a)
 
-	cfg := DefaultConfig()
-	cfg.PrivBufWords = 100
-	sess := kernel.NewSession(NewWithConfig(cfg), a, power.Continuous{})
+	sess := kernel.NewSession(New(), a, power.Continuous{})
 	if _, err := sess.Run(1); err == nil || !strings.Contains(err.Error(), "privatization buffer") {
 		t.Errorf("err = %v", err)
 	}
@@ -304,15 +306,17 @@ func TestPrivBufferExhaustionPanics(t *testing.T) {
 // buffer chunks; the bump pointer resets at task commit so the next
 // instance reuses the space.
 func TestPrivBufferSharing(t *testing.T) {
+	// Both transfers fit the buffer once, but not twice without reset.
+	const words = PrivBufWords/2 - 24
 	a := task.NewApp("privshare")
-	b1 := a.NVBuf("b1", 40).WithInit(make([]uint16, 40))
-	b2 := a.NVBuf("b2", 50).WithInit(make([]uint16, 50))
+	b1 := a.NVBuf("b1", words).WithInit(make([]uint16, words))
+	b2 := a.NVBuf("b2", words).WithInit(make([]uint16, words))
 	d1, d2 := a.DMA("f1"), a.DMA("f2")
 	n := a.NVInt("n")
 	var loop, fin *task.Task
 	loop = a.AddTask("loop", func(e task.Exec) {
-		e.DMACopy(d1, task.VarLoc(b1, 0), task.RawLoc(uint8(mem.LEARAM), 0), 40)
-		e.DMACopy(d2, task.VarLoc(b2, 0), task.RawLoc(uint8(mem.LEARAM), 100), 50)
+		e.DMACopy(d1, task.VarLoc(b1, 0), task.RawLoc(uint8(mem.LEARAM), 0), words)
+		e.DMACopy(d2, task.VarLoc(b2, 0), task.RawLoc(uint8(mem.SRAM), 0), words)
 		c := e.Load(n) + 1
 		e.Store(n, c)
 		if c < 4 {
@@ -324,10 +328,7 @@ func TestPrivBufferSharing(t *testing.T) {
 	fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
 	analyzed(t, a)
 
-	cfg := DefaultConfig()
-	cfg.PrivBufWords = 100 // fits 40+50 once, but not twice without reset
-	rt := NewWithConfig(cfg)
-	sess := kernel.NewSession(rt, a, power.Continuous{})
+	sess := kernel.NewSession(New(), a, power.Continuous{})
 	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err) // exhaustion would panic instead
 	}
@@ -470,26 +471,26 @@ func TestDMADepForcedReexecutionFreshensRegion(t *testing.T) {
 // Private DMA's snapshot phase must not leak buffer claims — the retry
 // reuses the claimed chunk instead of exhausting the buffer.
 func TestPrivBufferClaimIdempotentAcrossRetries(t *testing.T) {
+	const words = PrivBufWords/2 + 76
 	a := task.NewApp("claimretry")
-	big := a.NVBuf("big", 60).WithInit(make([]uint16, 60))
+	big := a.NVBuf("big", words).WithInit(make([]uint16, words))
 	d := a.DMA("fetch")
 	var fin *task.Task
 	a.AddTask("main", func(e task.Exec) {
 		e.Compute(500)
-		e.DMACopy(d, task.VarLoc(big, 0), task.RawLoc(uint8(mem.LEARAM), 0), 60)
+		e.DMACopy(d, task.VarLoc(big, 0), task.RawLoc(uint8(mem.LEARAM), 0), words)
 		e.Next(fin)
 	})
 	fin = a.AddTask("fin", func(e task.Exec) { e.Done() })
 	analyzed(t, a)
 
-	// Four failures, each landing inside the ~620 µs snapshot phase
-	// (which starts at ≈0.7 ms). A leaking claim would need 4×60 = 240
-	// words; the buffer has only 100.
-	cfg := DefaultConfig()
-	cfg.PrivBufWords = 100
-	rt := NewWithConfig(cfg)
-	sch := power.NewSchedule(760*time.Microsecond, 1520*time.Microsecond,
-		2280*time.Microsecond, 3040*time.Microsecond)
+	// Four failures, each landing inside the snapshot phase, which runs
+	// from the claim at ≈0.73 ms to ≈2.95 ms of each attempt. A leaking
+	// claim would need two chunks of 1 100 words by the first retry; the
+	// buffer has 2 048.
+	rt := New()
+	sch := power.NewSchedule(1500*time.Microsecond, 3000*time.Microsecond,
+		4500*time.Microsecond, 6000*time.Microsecond)
 	sess := kernel.NewSession(rt, a, sch)
 	if _, err := sess.Run(1); err != nil {
 		t.Fatal(err)
@@ -498,8 +499,9 @@ func TestPrivBufferClaimIdempotentAcrossRetries(t *testing.T) {
 	if dev.Run.PowerFailures != 4 {
 		t.Fatalf("failures = %d, want 4", dev.Run.PowerFailures)
 	}
-	// The fetch eventually completes and fills LEA-RAM correctly.
-	if dev.Run.DMAExecs == 0 {
-		t.Error("transfer never completed")
+	// Every failure cut the snapshot phase, so the transfer itself ran
+	// once, after the last of them.
+	if dev.Run.DMAExecs != 1 {
+		t.Errorf("DMA executions = %d, want 1", dev.Run.DMAExecs)
 	}
 }

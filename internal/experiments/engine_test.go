@@ -10,6 +10,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"easeio/internal/frontend"
 	"easeio/internal/justdo"
 	"easeio/internal/kernel"
+	"easeio/internal/mem"
 	"easeio/internal/power"
 	"easeio/internal/stats"
 	"easeio/internal/task"
@@ -92,15 +94,19 @@ func TestRunManyDeterminism(t *testing.T) {
 }
 
 // TestSessionResetReproducesFreshRun checks the reuse path directly: a
-// session that has already completed a run must, after its in-place
-// reset, produce exactly the stats.Run a fresh device and attach would
+// session that has already completed a run must, after its device
+// rewinds to the attach image, produce exactly the stats.Run, the final
+// FRAM words and the runtime bookkeeping a fresh device and attach would
 // for the same seed.
 func TestSessionResetReproducesFreshRun(t *testing.T) {
 	// sensor's freshness-bounded site exercises the per-run sample table
-	// a pooled record keeps across resets.
-	factories := map[string]AppFactory{"dma": dmaFactory, "temp": tempFactory, "sensor": sensorFactory}
+	// a pooled record keeps across resets; weather's DMAs and regions
+	// give EaseIO its largest attach image.
+	factories := map[string]AppFactory{
+		"dma": dmaFactory, "temp": tempFactory, "sensor": sensorFactory, "weather": weatherFactory,
+	}
 	for name, factory := range factories {
-		for _, kind := range []RuntimeKind{Alpaca, InK, EaseIO} {
+		for _, kind := range []RuntimeKind{Alpaca, InK, EaseIO, JustDo} {
 			t.Run(name+"/"+kind.String(), func(t *testing.T) {
 				bench, err := factory()
 				if err != nil {
@@ -114,7 +120,12 @@ func TestSessionResetReproducesFreshRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := freshRun(factory, kind, TimerSupply(), 9)
+				bench, err = factory()
+				if err != nil {
+					t.Fatal(err)
+				}
+				freshSess := kernel.NewSession(NewRuntime(kind), bench.App, TimerSupply())
+				fresh, err := freshSess.Run(9)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,13 +133,25 @@ func TestSessionResetReproducesFreshRun(t *testing.T) {
 					t.Errorf("reused device diverged from fresh device:\n%+v\nvs\n%+v",
 						reused, fresh)
 				}
+				dev, freshDev := sess.Device(), freshSess.Device()
+				got := dev.SnapshotInto(&kernel.Checkpoint{}).Mem.Words(mem.FRAM)
+				want := freshDev.SnapshotInto(&kernel.Checkpoint{}).Mem.Words(mem.FRAM)
+				if !slices.Equal(got, want) {
+					t.Errorf("reused device's final FRAM (%d words) differs from a fresh device's (%d words)",
+						len(got), len(want))
+				}
+				if !reflect.DeepEqual(dev.Runtime, freshDev.Runtime) {
+					t.Errorf("reused device's runtime bookkeeping differs from a fresh device's:\n%+v\nvs\n%+v",
+						dev.Runtime, freshDev.Runtime)
+				}
 			})
 		}
 	}
 }
 
-// TestSessionResetJustDo covers the logging runtime's reset path, which
-// the RuntimeKind registry does not reach.
+// TestSessionResetJustDo covers the logging runtime's reset path on the
+// store-dense workload, whose sort advances JustDo's durable progress
+// counter at every store.
 func TestSessionResetJustDo(t *testing.T) {
 	bench, err := storeDenseApp()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"easeio/internal/dma"
 	"easeio/internal/mem"
 	"easeio/internal/task"
 )
@@ -138,9 +139,7 @@ func lintPrivBuf(app *task.App, cfg LintConfig) []Finding {
 	for _, t := range app.Tasks {
 		n := 0
 		for _, c := range t.Meta.DMAs {
-			// Private classification: non-volatile source, volatile
-			// destination (§4.3 case ii).
-			if !c.Site.Exclude && locBank(c.Src) == mem.FRAM && locBank(c.Dst).Volatile() {
+			if !c.Site.Exclude && dma.Classify(locBank(c.Src), locBank(c.Dst)) == task.DMANonVolatileToVolatile {
 				n += c.Words
 			}
 		}
@@ -150,8 +149,8 @@ func lintPrivBuf(app *task.App, cfg LintConfig) []Finding {
 				Code:     "priv-buffer-overflow",
 				Subject:  t.Name,
 				Message: fmt.Sprintf("task needs %d privatization-buffer words but the "+
-					"configuration provides %d; raise Config.PrivBufWords or Exclude "+
-					"constant transfers", n, cfg.PrivBufWords),
+					"buffer holds %d; Exclude constant transfers or split the task",
+					n, cfg.PrivBufWords),
 			})
 		}
 	}

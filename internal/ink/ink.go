@@ -99,11 +99,9 @@ func (r *Runtime) inactiveAddr(v *task.NVVar) mem.Addr {
 	return r.MasterAddr(v)
 }
 
-// OnBoot implements kernel.Hooks. Reset, SnapshotState and RestoreState
-// come from rtbase.Base: the zeroed index words already select the
-// master copies rtbase rewrites, the shadow buffers start unwritten, the
-// index words live in FRAM, and the epoch bump here empties the dirty
-// set after any reset or restore.
+// OnBoot implements kernel.Hooks: the index words and shadow buffers are
+// durable FRAM words, which a reset or restore brings back with the
+// device, and the epoch bump here empties the dirty set after either.
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	r.bumpEpoch()

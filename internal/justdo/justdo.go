@@ -80,10 +80,9 @@ func (r *Runtime) Attach(dev *kernel.Device, app *task.App) error {
 	return nil
 }
 
-// OnBoot implements kernel.Hooks. Reset, SnapshotState and RestoreState
-// come from rtbase.Base: the progress counter and value log start zeroed
-// after Attach (which Device.Reset's memory clear restores) and are
-// durable FRAM words, and the volatile sequence counter is rebuilt here.
+// OnBoot implements kernel.Hooks: the progress counter and value log are
+// durable FRAM words, which a reset or restore brings back with the
+// device, and the volatile sequence counter is rebuilt here.
 func (r *Runtime) OnBoot(c *kernel.Ctx) {
 	r.LoadBoot(c)
 	c.ChargeMemAccess(mem.FRAM, false, true) // progress counter

@@ -1,5 +1,5 @@
-// Device checkpointing: a full mid-run snapshot of the hardware model
-// and the runtime's bookkeeping, restorable into the same device or any
+// Device checkpointing: a full mid-run snapshot of the hardware model,
+// the runtime's bookkeeping included, restorable into the same device or any
 // device with the same blueprint attached. The failure-point checker
 // uses checkpoints taken at charge-slice boundaries to replay only the
 // post-failure suffix of a run instead of re-simulating from boot
@@ -38,19 +38,19 @@ type IOSlot struct {
 	Completed bool
 }
 
-// RuntimeState is the runtime half of a checkpoint: the volatile
-// bookkeeping that survives reboots. Slots and TaskInst are the
-// measurement-side I/O records by I/O slot and the instance counters by
-// task ID. Every index is a value type, so a state captured from one
-// runtime instance restores exactly into another attached to an
-// equivalently built app — across processes too, which is how fleet
-// workers receive it.
+// RuntimeState is the runtime half of a device's state: the
+// measurement-side bookkeeping that survives reboots. Slots and TaskInst
+// are the I/O records by I/O slot and the instance counters by task ID.
+// It lives on the Device (Device.Runtime), so Reset clears it and a
+// checkpoint carries it with the memory. Every index is a value type, so
+// a state captured under one runtime instance restores exactly into
+// another attached to an equivalently built app — across processes too,
+// which is how fleet workers receive it.
 //
 // It is every shipped runtime's whole snapshot: their other durable
 // bookkeeping (the task pointer, flags, generations, index words,
-// progress counters) lives in FRAM and is captured by the device half,
-// and their volatile attempt state, the current task included, is
-// rebuilt by OnBoot.
+// progress counters) lives in FRAM, and their volatile attempt state,
+// the current task included, is rebuilt by OnBoot.
 type RuntimeState struct {
 	Slots    []IOSlot
 	TaskInst []int32
@@ -59,8 +59,8 @@ type RuntimeState struct {
 // Checkpoint is a full copy of a device's mid-run state: all memory
 // banks (used prefixes, as pages shared with the device's previous
 // checkpoint where unchanged), the clock, the work ledger, the run
-// statistics, the peripheral randomness position, and the runtime's
-// bookkeeping.
+// statistics, the peripheral randomness position, and the runtime
+// bookkeeping (Device.Runtime).
 // The supply is not part of it: a power failure is an event the
 // environment places against the device, so whoever restores a
 // checkpoint positions the supply (see Session.Resume). Observation-only
@@ -89,38 +89,42 @@ type Checkpoint struct {
 	Runtime RuntimeState
 }
 
-// SnapshotInto captures the device's full current state together with
-// rt's bookkeeping into cp and returns it. Call it only at rest points —
-// between charge slices (e.g. from a CutSink) or outside a run — never
-// from inside a memory or supply operation. cp's buffers are reused, so
-// recycling checkpoints keeps bulk snapshotting (one per candidate
-// failure point in the checker) allocation-free; its previous contents
-// are overwritten. The memory copies only the pages written since the
-// device's last snapshot or restore (see mem.Memory.SnapshotAllInto).
-func (d *Device) SnapshotInto(cp *Checkpoint, rt Hooks) *Checkpoint {
+// SnapshotInto captures the device's full current state, the runtime
+// bookkeeping included, into cp and returns it. Call it only at rest
+// points — between charge slices (e.g. from a CutSink) or outside a run —
+// never from inside a memory or supply operation. cp's buffers are
+// reused, so recycling checkpoints keeps bulk snapshotting (one per
+// candidate failure point in the checker) allocation-free; its previous
+// contents are overwritten. The memory copies only the pages written
+// since the device's last snapshot or restore (see
+// mem.Memory.SnapshotAllInto).
+func (d *Device) SnapshotInto(cp *Checkpoint) *Checkpoint {
 	d.Mem.SnapshotAllInto(&cp.Mem)
 	cp.Clock = d.Clock.State()
 	cp.Ledger = *d.Ledger
 	cp.Run = d.Run.CloneInto(cp.Run)
 	cp.RandSeed, cp.RandDraws = d.randSrc.Pos()
-	rt.SnapshotState(&cp.Runtime)
+	cp.Runtime.Slots = append(cp.Runtime.Slots[:0], d.Runtime.Slots...)
+	cp.Runtime.TaskInst = append(cp.Runtime.TaskInst[:0], d.Runtime.TaskInst...)
 	return cp
 }
 
-// Restore rewinds the device and rt's bookkeeping to the checkpointed
-// state. The supply, Tracer and Cuts are never touched. Memory comes
-// back as a power failure at the checkpoint's cut leaves it — its only
-// caller, Session.Resume, applies that failure next — so only FRAM's
-// words are restored, and of them only the pages the device wrote since
-// it last held a checkpoint or that differ from that checkpoint's (see
+// Restore rewinds the device to the checkpointed state, copying the
+// runtime bookkeeping so one checkpoint restores any number of times.
+// The supply, Tracer and Cuts are never touched. Memory comes back as a
+// power failure at the checkpoint's cut leaves it — its only caller,
+// Session.Resume, applies that failure next — so only FRAM's words are
+// restored, and of them only the pages the device wrote since it last
+// held a checkpoint or that differ from that checkpoint's (see
 // mem.Memory.RestoreAll).
-func (d *Device) Restore(cp *Checkpoint, rt Hooks) {
+func (d *Device) Restore(cp *Checkpoint) {
 	d.Mem.RestoreAll(&cp.Mem)
 	d.Clock.Restore(cp.Clock)
 	*d.Ledger = cp.Ledger
 	d.Run = cp.Run.CloneInto(d.Run)
 	d.randSrc.SetPos(cp.RandSeed, cp.RandDraws)
-	rt.RestoreState(d, &cp.Runtime)
+	d.Runtime.Slots = append(d.Runtime.Slots[:0], cp.Runtime.Slots...)
+	d.Runtime.TaskInst = append(d.Runtime.TaskInst[:0], cp.Runtime.TaskInst...)
 }
 
 // Validate rejects a checkpoint whose state no device can have produced:
@@ -144,7 +148,7 @@ func (cp *Checkpoint) Validate() error {
 
 // Fits reports whether cp can be restored into dev with rt attached: the
 // allocation watermarks must match dev's memory, the runtime tables must
-// have rt's own lengths, and the FRAM task-pointer word the next boot
+// have dev's own lengths, and the FRAM task-pointer word the next boot
 // reads must name one of its tasks (or TaskDone). A mismatch means the
 // checkpoint was not taken under this blueprint; Restore or the first
 // reboot would panic or index out of range.
@@ -154,9 +158,7 @@ func (cp *Checkpoint) Fits(dev *Device, rt Hooks) error {
 			return fmt.Errorf("kernel: checkpoint %s watermark %d, device has %d", b, got, want)
 		}
 	}
-	var own RuntimeState
-	rt.SnapshotState(&own)
-	rs := &cp.Runtime
+	rs, own := &cp.Runtime, &dev.Runtime
 	if len(rs.Slots) != len(own.Slots) || len(rs.TaskInst) != len(own.TaskInst) {
 		return fmt.Errorf("kernel: checkpoint runtime has %d slots and %d tasks, %s has %d and %d",
 			len(rs.Slots), len(rs.TaskInst), rt.Name(), len(own.Slots), len(own.TaskInst))

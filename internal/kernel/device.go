@@ -10,8 +10,11 @@
 // idempotence bugs, unsafe execution) live.
 //
 // Session is the engine's only entry point: it builds the device,
-// attaches the runtime, resets both between runs and resumes restored
-// checkpoints.
+// attaches the runtime, keeps the device's attach image, rewinds the
+// device to it between runs and resumes restored checkpoints. A runtime
+// never resets or snapshots itself: everything of it that outlives a
+// reboot is the device's — durable words in FRAM, and the
+// measurement-side bookkeeping in Device.Runtime.
 package kernel
 
 import (
@@ -44,6 +47,15 @@ type Device struct {
 	// CutSink). Like Tracer it is observation-only state and survives
 	// Reset.
 	Cuts CutSink
+	// Runtime is the attached runtime's measurement-side bookkeeping (see
+	// RuntimeState). The runtime sizes its tables at Attach
+	// (rtbase.Base.Init); Reset clears them and checkpoints carry them.
+	Runtime RuntimeState
+
+	// image is the FRAM prefix the runtime's Attach left below the
+	// high-water mark (see Session.Attach): the durable state every run
+	// starts from, which Reset rewinds memory to.
+	image []uint16
 
 	// randSrc is the reseedable source behind Rand, kept so Reset can
 	// rewind the peripheral randomness without reallocating it and so
@@ -108,16 +120,19 @@ func NewDevice(supply power.Supply, seed int64) *Device {
 	}
 }
 
-// Reset rewinds the device to the state NewDevice(supply, seed) would
-// produce, reusing the existing memory, clock, ledger and randomness
-// allocations. Memory contents are cleared but the allocator watermarks
-// survive, so a runtime attached to this device keeps its addresses
-// valid: re-running an app only requires the runtime to rewrite its
-// initial durable state (see Hooks.Reset).
+// Reset rewinds the device to the state it had right after the runtime
+// attached, for a run with the given supply and seed, reusing the
+// existing memory, clock, ledger and randomness allocations. Memory
+// comes back as the attach image (FRAM) and zero (the volatile banks),
+// the runtime's bookkeeping tables are cleared, and the allocator
+// watermarks survive, so every address the runtime took at Attach stays
+// valid and the next run equals a fresh device's first run.
 func (d *Device) Reset(supply power.Supply, seed int64) {
 	supply.Reset(seed)
 	d.Supply = supply
-	d.Mem.Reset()
+	d.Mem.Reset(d.image)
+	clear(d.Runtime.Slots)
+	clear(d.Runtime.TaskInst)
 	d.Clock.Reset()
 	d.Ledger.Reset()
 	// Reseeding the source puts Rand in exactly the state rand.New would:
@@ -153,40 +168,24 @@ type powerFailure struct{}
 // Hooks is the interface a task-based runtime implements. The kernel
 // calls lifecycle hooks; task bodies reach the data hooks through Ctx.
 //
-// Reset, SnapshotState and RestoreState rest on one contract: every
-// reset or restore is followed by the reboot path, and OnBoot re-derives
-// all attempt-local state (the current task, privatization maps, dirty
-// sets) from durable state. So a reset must only rewrite what Attach
-// wrote, a snapshot must only capture the volatile bookkeeping a reboot
-// does not clear, and a restored checkpoint plus the reboot path is
-// equivalent to a from-boot run.
+// Attach and OnBoot are the only lifecycle hooks. Everything a runtime
+// keeps across a reboot is device state — durable words in FRAM and the
+// bookkeeping in Device.Runtime — so the kernel rewinds it (Device.Reset
+// to the attach image) and checkpoints it (Device.SnapshotInto and
+// Restore) without the runtime's help. Every reset or restore is
+// followed by the reboot path, and OnBoot re-derives all attempt-local
+// state (the current task, privatization maps, dirty sets) from that
+// device state.
 type Hooks interface {
 	// Name identifies the runtime ("Alpaca", "InK", "EaseIO").
 	Name() string
 
 	// Attach instantiates the app on the device: allocate master copies
-	// of task-shared variables and runtime metadata. Called once per
-	// instance, before its first run.
+	// of task-shared variables and runtime metadata, write their initial
+	// FRAM words and size Device.Runtime. Called once per instance,
+	// before its first run; the FRAM it leaves is the image every later
+	// run of the session starts from. It writes no volatile memory.
 	Attach(dev *Device, app *task.App) error
-
-	// Reset returns the attached instance to its post-Attach state on a
-	// device whose memory Device.Reset just cleared: rewrite every
-	// durable word the attach path wrote (variable initial values,
-	// instance counters, the task pointer) and clear the per-run
-	// bookkeeping. Sessions call it between runs instead of re-attaching.
-	Reset(dev *Device) error
-
-	// SnapshotState captures the volatile bookkeeping that survives
-	// reboots (execution counters, completion records) into into,
-	// reusing its slices' storage. The state is independent of the
-	// instance: restoring it into another instance attached to an
-	// equivalently laid-out device is exact.
-	SnapshotState(into *RuntimeState)
-
-	// RestoreState re-establishes a captured state on a device whose
-	// memory was restored to the matching checkpoint. The state is copied,
-	// never aliased, so one state restores any number of times.
-	RestoreState(dev *Device, s *RuntimeState)
 
 	// OnBoot runs the runtime's recovery path after (re)boot.
 	OnBoot(c *Ctx)

@@ -23,40 +23,36 @@ type testRT struct {
 	ptr   mem.Addr
 	cur   int
 
+	// mark, when non-zero, is written at Attach to a durable word outside
+	// any variable, at markAddr; scratchAddr follows it, unwritten.
+	mark        uint16
+	markAddr    mem.Addr
+	scratchAddr mem.Addr
+
 	boots      int
 	beginTasks int
 }
 
 func (r *testRT) Name() string { return "test" }
 
+// Attach allocates the variables and the task pointer and writes their
+// initial values — the durable words every run starts from.
 func (r *testRT) Attach(dev *Device, app *task.App) error {
 	r.dev, r.app = dev, app
 	r.addrs = map[*task.NVVar]mem.Addr{}
 	for _, v := range app.Vars {
 		r.addrs[v] = dev.Mem.Alloc(mem.FRAM, v.Words)
+		dev.Mem.WriteBlock(r.addrs[v], v.Init, len(v.Init))
 	}
 	r.ptr = dev.Mem.Alloc(mem.FRAM, 1)
-	return r.Reset(dev)
-}
-
-// Reset rewrites the durable words Attach owns: variable initial values
-// and the task pointer at the entry task.
-func (r *testRT) Reset(dev *Device) error {
-	r.dev = dev
-	for v, a := range r.addrs {
-		for i, w := range v.Init {
-			dev.Mem.Write(a.Add(i), w)
-		}
+	dev.Mem.Write(r.ptr, uint16(app.Entry().ID))
+	if r.mark != 0 {
+		r.markAddr = dev.Mem.Alloc(mem.FRAM, 1)
+		dev.Mem.Write(r.markAddr, r.mark)
+		r.scratchAddr = dev.Mem.Alloc(mem.FRAM, 1)
 	}
-	dev.Mem.Write(r.ptr, uint16(r.app.Entry().ID))
 	return nil
 }
-
-// SnapshotState has nothing to capture: every reboot-surviving word of
-// testRT is durable memory, which the device checkpoint holds.
-func (r *testRT) SnapshotState(*RuntimeState) {}
-
-func (r *testRT) RestoreState(dev *Device, _ *RuntimeState) { r.dev = dev }
 
 func (r *testRT) OnBoot(c *Ctx) {
 	r.boots++

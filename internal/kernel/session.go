@@ -10,7 +10,9 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"easeio/internal/mem"
 	"easeio/internal/power"
 	"easeio/internal/stats"
 	"easeio/internal/task"
@@ -18,9 +20,9 @@ import (
 
 // Session runs one app under one runtime instance many times, reusing the
 // device between runs: the first run attaches the runtime to a fresh
-// device, every later run resets the device and runtime in place (no
-// reallocation, no re-attach). A one-shot run is a new Session's first
-// Run.
+// device, every later run rewinds the device to the state that attach
+// left (no reallocation, no re-attach). A one-shot run is a new
+// Session's first Run.
 type Session struct {
 	rt     Hooks
 	app    *task.App
@@ -50,10 +52,12 @@ func (s *Session) Device() *Device { return s.dev }
 func (s *Session) Runtime() Hooks { return s.rt }
 
 // Attach attaches the runtime to a fresh device built for seed, unless
-// the session already has a device, in which case it does nothing. Run
-// attaches on its own; Attach is for callers that need the device before
-// their first Resume (Checkpoint.Fits reads it) or again after a run
-// that errored.
+// the session already has a device, in which case it does nothing, and
+// keeps the device's attach image: the FRAM words below the high-water
+// mark that Attach left, which Device.Reset rewinds every later run to.
+// Run attaches on its own; Attach is for callers that need the device
+// before their first Resume (Checkpoint.Fits reads it) or again after a
+// run that errored.
 func (s *Session) Attach(seed int64) error {
 	if s.dev != nil {
 		return nil
@@ -67,14 +71,19 @@ func (s *Session) Attach(seed int64) error {
 	if err := s.rt.Attach(dev, s.app); err != nil {
 		return fmt.Errorf("kernel: attach %s to %s: %w", s.app.Name, s.rt.Name(), err)
 	}
+	if dev.Mem.HighWater(mem.SRAM) > 0 || dev.Mem.HighWater(mem.LEARAM) > 0 {
+		return fmt.Errorf("kernel: attach %s to %s wrote volatile memory", s.app.Name, s.rt.Name())
+	}
+	dev.image = slices.Clone(dev.Mem.Span(mem.Addr{Bank: mem.FRAM}, dev.Mem.HighWater(mem.FRAM)))
 	s.dev = dev
 	return nil
 }
 
 // Run executes the app once with the given seed and returns the run's
 // statistics. The first run attaches the runtime to a fresh device; later
-// runs reset it in place, which reproduces exactly the run a fresh
-// device and attach would have produced for the same seed. A structural
+// runs rewind the device to its attach image (Device.Reset), which
+// reproduces exactly the run a fresh device and attach would have
+// produced for the same seed. A structural
 // error (attach failure, a task that does not transition,
 // non-termination, a panic in app or runtime code) discards the device
 // so the next call starts from a clean attach; power failures are not
@@ -92,10 +101,6 @@ func (s *Session) Run(seed int64) (_ *stats.Run, err error) {
 		s.dev.Tracer = s.Tracer
 		s.dev.Cuts = s.Cuts
 		s.dev.Reset(s.supply, seed)
-		if err := s.rt.Reset(s.dev); err != nil {
-			s.dev = nil
-			return nil, err
-		}
 	}
 	s.dev.Run.App = s.app.Name
 	s.dev.Run.Runtime = s.rt.Name()
@@ -132,7 +137,7 @@ func (s *Session) Resume(cp *Checkpoint) (_ *stats.Run, err error) {
 	}
 	s.dev.Tracer = s.Tracer
 	s.dev.Cuts = s.Cuts
-	s.dev.Restore(cp, s.rt)
+	s.dev.Restore(cp)
 	return s.loop(true)
 }
 

@@ -28,7 +28,7 @@ type snapOnce struct {
 
 func (s *snapOnce) NoteCut(onTime time.Duration) {
 	if onTime == s.at {
-		s.cp = s.sess.Device().SnapshotInto(&Checkpoint{}, s.sess.Runtime())
+		s.cp = s.sess.Device().SnapshotInto(&Checkpoint{})
 	}
 }
 
@@ -91,6 +91,45 @@ func TestSessionAttachKeepsDevice(t *testing.T) {
 	if dev.Run.TaskCommits != 2 || dev.Run.Seed != 1 {
 		t.Errorf("Attach on an attached session touched the run: %d commits, seed %d",
 			dev.Run.TaskCommits, dev.Run.Seed)
+	}
+}
+
+// TestPooledRunStartsFromAttachImage pins reset-equals-rebuild for a
+// durable word the runtime's Attach writes outside any variable (as
+// EaseIO's instance counters are): a run overwrites it and writes a word
+// past the attach high-water mark, and every later pooled run must still
+// start from the attach value and a zero word, at the attach mark.
+func TestPooledRunStartsFromAttachImage(t *testing.T) {
+	rt := &testRT{mark: 0x5a5a}
+	type start struct {
+		mark, scratch uint16
+		highWater     int
+	}
+	var got []start
+	app := simpleApp(func(e task.Exec) {
+		m := rt.dev.Mem
+		got = append(got, start{m.Read(rt.markAddr), m.Read(rt.scratchAddr), m.HighWater(mem.FRAM)})
+		m.Write(rt.markAddr, 0x1111)
+		m.Write(rt.scratchAddr, 7)
+		e.Done()
+	})
+	sess := NewSession(rt, app, power.Continuous{})
+	for seed := int64(1); seed <= 3; seed++ {
+		if _, err := sess.Run(seed); err != nil {
+			t.Fatal(err)
+		}
+		if w := sess.Device().Mem.Read(rt.markAddr); w != 0x1111 {
+			t.Fatalf("run %d left the marked word at %#x, want the run's 0x1111", seed, w)
+		}
+	}
+	want := start{0x5a5a, 0, rt.markAddr.Word + 1}
+	for i, g := range got {
+		if g != want {
+			t.Errorf("run %d started from %+v, want %+v", i+1, g, want)
+		}
+	}
+	if len(got) != 3 {
+		t.Errorf("%d runs reached the task body, want 3", len(got))
 	}
 }
 
@@ -196,7 +235,7 @@ func TestRestoreLeavesSupplyAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	remaining, fireAt := sch.Remaining(), sch.FireAt()
-	sess.Device().Restore(snap.cp, sess.Runtime())
+	sess.Device().Restore(snap.cp)
 	if sch.Remaining() != remaining || sch.FireAt() != fireAt {
 		t.Errorf("Restore moved the supply: %d remaining, fires at %v; want %d, %v",
 			sch.Remaining(), sch.FireAt(), remaining, fireAt)

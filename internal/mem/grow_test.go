@@ -220,7 +220,7 @@ func (g *growOps) step() {
 		g.apply(desc, func(m *Memory) any { m.PowerFailure(); return nil })
 	case 10:
 		desc = "Reset"
-		g.apply(desc, func(m *Memory) any { m.Reset(); return nil })
+		g.apply(desc, func(m *Memory) any { m.Reset(nil); return nil })
 	case 11:
 		a, n := g.addr(), int(g.next()%24)
 		want := make([]uint16, n)

@@ -22,7 +22,9 @@
 // a bank's mark is zero. Reset, PowerFailure, snapshots and restores
 // therefore touch only the words below the mark — the words a run wrote
 // — and a snapshot's prefix length is the mark: an allocation a run
-// barely writes costs its snapshots nothing past what it wrote.
+// barely writes costs its snapshots nothing past what it wrote. Reset
+// rewinds the memory in one pass to an image: the FRAM a runtime's
+// attach left.
 //
 // A snapshot (DeviceSnapshot) is a table of PageWords-word pages. Pages
 // live in a page store owned by the memory that took them, and a page is
@@ -355,14 +357,21 @@ func (w *CopyWindow) MoveN(i, n int) {
 	copy(w.dst[i:i+n], w.src[i:i+n])
 }
 
-// Reset clears all memory contents and high-water marks while preserving
-// the allocator watermarks, so a runtime attached to this memory keeps
-// its addresses valid across runs. Only the words below each bank's
-// high-water mark can have been written, so clearing them restores the
-// bank to its as-new all-zero state. It also stops page marking until
-// the next snapshot or restore, which then copies every page.
-func (m *Memory) Reset() {
-	for b := Bank(0); b < numBanks; b++ {
+// Reset rewinds the memory to image, the FRAM prefix below the mark
+// right after a runtime attached: FRAM becomes image followed by zeros,
+// with len(image) as its mark, and the volatile banks are cleared. Only
+// words below the old marks can be non-zero, so one pass does it; the
+// allocator watermarks survive, keeping attached addresses valid, and a
+// nil image clears FRAM. Reset also stops page marking until the next
+// snapshot or restore, which then copies every page.
+func (m *Memory) Reset(image []uint16) {
+	fram := m.banks[FRAM]
+	copy(fram[:len(image)], image)
+	if h := m.highWater[FRAM]; h > len(image) {
+		clear(fram[len(image):h])
+	}
+	m.highWater[FRAM] = len(image)
+	for b := SRAM; b < numBanks; b++ {
 		clear(m.banks[b][:m.highWater[b]])
 		m.highWater[b] = 0
 	}

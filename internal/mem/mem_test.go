@@ -102,6 +102,31 @@ func TestPowerFailureClearsOnlyVolatile(t *testing.T) {
 	}
 }
 
+// TestResetRewindsToImage pins Reset's contract: FRAM comes back as the
+// image followed by zeros, with the image's length as its mark, the
+// volatile banks come back cleared, and the allocator watermarks stay.
+func TestResetRewindsToImage(t *testing.T) {
+	m := New()
+	a := m.Alloc(FRAM, 8)
+	m.WriteBlock(a, []uint16{1, 2, 3}, 3)
+	m.Write(a, 9)
+	m.Write(a.Add(6), 7)
+	m.Write(Addr{SRAM, 4}, 5)
+	m.Reset([]uint16{1, 2, 3})
+	if got, want := m.Span(a, 8), []uint16{1, 2, 3, 0, 0, 0, 0, 0}; !Equal(got, want) {
+		t.Errorf("FRAM after Reset = %v, want %v", got, want)
+	}
+	if got := m.Read(Addr{SRAM, 4}); got != 0 {
+		t.Errorf("SRAM survived Reset: %d", got)
+	}
+	if hf, hs := m.HighWater(FRAM), m.HighWater(SRAM); hf != 3 || hs != 0 {
+		t.Errorf("high-water marks FRAM %d, SRAM %d; want 3, 0", hf, hs)
+	}
+	if got := m.Allocated(FRAM); got != 8 {
+		t.Errorf("FRAM watermark %d after Reset, want 8", got)
+	}
+}
+
 func TestBlockTransfer(t *testing.T) {
 	m := New()
 	src := []uint16{1, 2, 3, 4, 5}

@@ -150,12 +150,20 @@ func (g *pageOps) step() {
 			clear(f.banks[b][:f.hw[b]])
 		}
 	case 5:
-		desc = "Reset"
-		m.Reset()
+		// An attach image: a prefix of FRAM no longer than the mark, so
+		// the backing store holds it, with words of its own.
+		image := make([]uint16, int(g.next())*f.hw[FRAM]/255)
+		for j := range image {
+			image[j] = uint16(g.word())
+		}
+		desc = fmt.Sprintf("Reset(%d-word image)", len(image))
+		m.Reset(image)
 		for b := range f.banks {
 			clear(f.banks[b])
 			f.hw[b] = 0
 		}
+		copy(f.banks[FRAM], image)
+		f.hw[FRAM] = len(image)
 	case 6, 7:
 		desc = fmt.Sprintf("snapshot of memory %d", i)
 		g.takeSnapshot(i)

@@ -26,14 +26,14 @@ type cutSnapshot struct {
 func (c *cutSnapshot) NoteCut(time.Duration) {
 	c.seen++
 	if c.seen == c.n {
-		c.sess.Device().SnapshotInto(&c.cp, c.sess.Runtime())
+		c.sess.Device().SnapshotInto(&c.cp)
 		c.taken = true
 	}
 }
 
 // resume attaches a fresh EaseIO instance to app, restores cp into it and
 // runs the remaining suffix after a power failure at the checkpoint.
-func resume(t *testing.T, app *task.App, cp *kernel.Checkpoint) (*kernel.Device, kernel.Hooks) {
+func resume(t *testing.T, app *task.App, cp *kernel.Checkpoint) *kernel.Device {
 	t.Helper()
 	sess := kernel.NewSession(core.New(), app, power.Continuous{})
 	if err := sess.Attach(7); err != nil {
@@ -42,10 +42,13 @@ func resume(t *testing.T, app *task.App, cp *kernel.Checkpoint) (*kernel.Device,
 	if err := cp.Fits(sess.Device(), sess.Runtime()); err != nil {
 		t.Fatal(err)
 	}
+	if avg := testing.AllocsPerRun(10, func() { _ = cp.Fits(sess.Device(), sess.Runtime()) }); avg > 0 {
+		t.Errorf("Fits allocates %.1f times, want 0", avg)
+	}
 	if _, err := sess.Resume(cp); err != nil {
 		t.Fatal(err)
 	}
-	return sess.Device(), sess.Runtime()
+	return sess.Device()
 }
 
 // TestRuntimeStateRestoresIntoRebuiltApp checks that the I/O slot
@@ -84,20 +87,17 @@ func TestRuntimeStateRestoresIntoRebuiltApp(t *testing.T) {
 		t.Fatalf("checkpoint has %d executed slots, want the 4 I/O instances and a DMA", executed)
 	}
 
-	sameDev, sameRT := resume(t, app, &snap.cp)
-	rebuiltDev, rebuiltRT := resume(t, rtbase.SlotApp(t), &snap.cp)
+	sameDev := resume(t, app, &snap.cp)
+	rebuiltDev := resume(t, rtbase.SlotApp(t), &snap.cp)
 	if !reflect.DeepEqual(rebuiltDev.Run, sameDev.Run) {
 		t.Errorf("resumed run differs:\nrebuilt %+v\nsame    %+v", rebuiltDev.Run, sameDev.Run)
 	}
-	var sameSt, rebuiltSt kernel.RuntimeState
-	sameRT.SnapshotState(&sameSt)
-	rebuiltRT.SnapshotState(&rebuiltSt)
-	if !reflect.DeepEqual(rebuiltSt, sameSt) {
-		t.Errorf("final runtime state differs:\nrebuilt %+v\nsame    %+v", rebuiltSt, sameSt)
+	if !reflect.DeepEqual(rebuiltDev.Runtime, sameDev.Runtime) {
+		t.Errorf("final runtime state differs:\nrebuilt %+v\nsame    %+v", rebuiltDev.Runtime, sameDev.Runtime)
 	}
 	var sameMem, rebuiltMem kernel.Checkpoint
-	sameDev.SnapshotInto(&sameMem, sameRT)
-	rebuiltDev.SnapshotInto(&rebuiltMem, rebuiltRT)
+	sameDev.SnapshotInto(&sameMem)
+	rebuiltDev.SnapshotInto(&rebuiltMem)
 	for b := mem.Bank(0); b < mem.Bank(mem.NumBanks); b++ {
 		if !reflect.DeepEqual(rebuiltMem.Mem.Words(b), sameMem.Mem.Words(b)) {
 			t.Errorf("final %v differs between the rebuilt and the original app", b)

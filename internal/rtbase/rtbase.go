@@ -27,14 +27,14 @@ import (
 
 // Base is embedded by each runtime implementation. It reads the
 // front-end's output straight off the analyzed blueprint (Task.Meta and
-// the sites' annotations); all per-run state is held in flat slices
-// indexed by the dense IDs the builder assigned at declaration and sized
-// once at Init (variable count, task count, I/O slot count). Reset clears
-// those prefixes in place and never reallocates. Base implements the
-// kernel.Hooks lifecycle trio — Reset, SnapshotState, RestoreState — for
-// every runtime that embeds it, and the hooks whose behaviour no shipped
-// runtime varies or only one overrides: CurrentTask, TaskPointer,
-// Compute, AddrOf (InK overrides it) and IOBlock (EaseIO overrides it).
+// the sites' annotations); its layout is held in flat slices indexed by
+// the dense IDs the builder assigned at declaration and sized once at
+// Init. Its reboot-surviving state is device state: the task pointer in
+// FRAM and the I/O bookkeeping in Device.Runtime, which Init sizes and
+// the kernel resets and checkpoints. Base implements the kernel.Hooks
+// whose behaviour no shipped runtime varies or only one overrides:
+// CurrentTask, TaskPointer, Compute, AddrOf (InK overrides it) and
+// IOBlock (EaseIO overrides it).
 type Base struct {
 	Dev *kernel.Device
 	App *task.App
@@ -48,17 +48,8 @@ type Base struct {
 
 	// cur caches the persistent task pointer (a task ID, or
 	// kernel.TaskDone). It is volatile: LoadBoot re-reads it at every
-	// boot, so a checkpoint does not carry it.
+	// boot, so neither a reset nor a checkpoint carries it.
 	cur int
-
-	// st is the checkpointable bookkeeping: the measurement-world
-	// records (never charged). Slots are held in a flat array indexed by
-	// the slot numbering Init computes; a task must commit (bumping its
-	// instance counter) before any other task can run, so a slot whose
-	// version tag is stale can never be read again — it is reset in place
-	// on the next touch. This makes the fixed-size array observationally
-	// equivalent to an unbounded (site, idx, task, instance)-keyed map.
-	st kernel.RuntimeState
 }
 
 // Device returns the device the runtime is attached to, or nil before
@@ -66,13 +57,22 @@ type Base struct {
 // DeviceHolder interface for post-run memory inspection.
 func (b *Base) Device() *kernel.Device { return b.Dev }
 
-// Init allocates the master copies and the persistent task pointer, and
-// numbers the I/O bookkeeping slots: dynamic instance idx of a site uses
-// slot base+idx, where a site's base is the running total of Instances
-// over the sites declared before it, and the DMA sites (one slot each)
-// follow all I/O slots in declaration order. The numbering depends only
-// on the blueprint, so a kernel.RuntimeState captured from one instance
-// restores into any instance of an equivalently built app.
+// Init allocates the master copies and the persistent task pointer,
+// writes their initial values, and sizes the device's runtime
+// bookkeeping (Device.Runtime): one instance counter per task and one
+// I/O slot per dynamic I/O or DMA site instance. Dynamic instance idx of
+// a site uses slot base+idx, where a site's base is the running total of
+// Instances over the sites declared before it, and the DMA sites (one
+// slot each) follow all I/O slots in declaration order. The numbering
+// depends only on the blueprint, so a kernel.RuntimeState captured under
+// one instance restores into any instance of an equivalently built app.
+//
+// A slot is versioned by the task instance that last touched it: a task
+// must commit (bumping its instance counter) before any other task can
+// run, so a slot whose version is stale can never be read again — it is
+// reset in place on the next touch. This makes the fixed-size table
+// observationally equivalent to an unbounded (site, idx, task,
+// instance)-keyed map.
 func (b *Base) Init(dev *kernel.Device, app *task.App) error {
 	if err := app.Validate(); err != nil {
 		return err
@@ -90,61 +90,17 @@ func (b *Base) Init(dev *kernel.Device, app *task.App) error {
 		slots += s.Instances
 	}
 	b.dmaSlot = slots
-	b.st.Slots = make([]kernel.IOSlot, slots+len(app.DMAs))
-	b.st.TaskInst = make([]int32, len(app.Tasks))
+	dev.Runtime.Slots = make([]kernel.IOSlot, slots+len(app.DMAs))
+	dev.Runtime.TaskInst = make([]int32, len(app.Tasks))
 	for i, v := range app.Vars {
 		b.addrs[i] = dev.Mem.Alloc(mem.FRAM, v.Words)
+		dev.Mem.WriteBlock(b.addrs[i], v.Init, len(v.Init))
 	}
 	b.taskPtr = dev.Mem.Alloc(mem.FRAM, 1)
-	b.writeInitial()
-	return nil
-}
-
-// writeInitial writes the durable words the attach path owns: variable
-// initial values and the task pointer at the entry task.
-func (b *Base) writeInitial() {
-	for i, v := range b.App.Vars {
-		b.Dev.Mem.WriteBlock(b.addrs[i], v.Init, len(v.Init))
-	}
-	entry := b.App.Entry()
-	b.Dev.Mem.Write(b.taskPtr, uint16(entry.ID))
+	entry := app.Entry()
+	dev.Mem.Write(b.taskPtr, uint16(entry.ID))
 	b.cur = entry.ID
-}
-
-// Reset implements kernel.Hooks: it returns the base to its post-Init
-// state on a device whose memory was just cleared by Device.Reset. The
-// watermarked bookkeeping prefixes (sized once at Init) are cleared in
-// place and the initial durable words are rewritten at their existing
-// addresses. Runtime-specific attempt state needs no clearing: the run
-// starts through OnBoot, which re-derives it.
-func (b *Base) Reset(dev *kernel.Device) error {
-	b.Dev = dev
-	clear(b.st.Slots)
-	clear(b.st.TaskInst)
-	b.writeInitial()
 	return nil
-}
-
-// SnapshotState implements kernel.Hooks: it copies the base's
-// bookkeeping into into, reusing its slices — a reused state captured
-// from the same app is a pure slice copy with no allocation (the
-// failure-point checker takes thousands of these per run). Addresses
-// (addrs, taskPtr) are layout, not state: each instance's own attach
-// established them identically.
-func (b *Base) SnapshotState(into *kernel.RuntimeState) {
-	into.Slots = append(into.Slots[:0], b.st.Slots...)
-	into.TaskInst = append(into.TaskInst[:0], b.st.TaskInst...)
-}
-
-// RestoreState implements kernel.Hooks: it re-establishes a captured
-// state on a device whose memory has been restored to the matching
-// checkpoint. The state is copied, never aliased, so one checkpoint
-// restores any number of times. The task pointer comes back with the
-// memory, and the reboot that follows every restore re-reads it.
-func (b *Base) RestoreState(dev *kernel.Device, s *kernel.RuntimeState) {
-	b.Dev = dev
-	b.st.Slots = append(b.st.Slots[:0], s.Slots...)
-	b.st.TaskInst = append(b.st.TaskInst[:0], s.TaskInst...)
 }
 
 // Compute charges application CPU work straight through — the default
@@ -196,7 +152,7 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 	if extra != nil {
 		extra()
 	}
-	b.st.TaskInst[b.cur]++
+	b.Dev.Runtime.TaskInst[b.cur]++
 	id := kernel.TaskDone
 	if next != nil {
 		id = next.ID
@@ -213,17 +169,7 @@ func (b *Base) CommitTransition(c *kernel.Ctx, next *task.Task, extra func()) {
 // statistic.
 func (b *Base) noteIO(s *task.IOSite, idx int) (slot int, redundant bool) {
 	slot = b.siteSlot[s.ID] + idx
-	sl := &b.st.Slots[slot]
-	cur, inst := int32(b.cur), b.st.TaskInst[b.cur]
-	if sl.TaskID != cur || sl.TaskInst != inst {
-		*sl = kernel.IOSlot{TaskID: cur, TaskInst: inst}
-	}
-	sl.ExecCount++
-	b.Dev.Run.IOExecs++
-	if sl.ExecCount > 1 {
-		b.Dev.Run.IORepeats++
-	}
-	return slot, sl.Completed
+	return slot, b.note(slot, &b.Dev.Run.IOExecs, &b.Dev.Run.IORepeats)
 }
 
 // NoteIOSkip records that the runtime avoided re-executing site s.
@@ -237,17 +183,27 @@ func (b *Base) NoteIOSkip(s *task.IOSite) {
 // noteDMA records a DMA execution attempt (see noteIO).
 func (b *Base) noteDMA(d *task.DMASite) (slot int, redundant bool) {
 	slot = b.dmaSlot + d.ID
-	sl := &b.st.Slots[slot]
-	cur, inst := int32(b.cur), b.st.TaskInst[b.cur]
+	return slot, b.note(slot, &b.Dev.Run.DMAExecs, &b.Dev.Run.DMARepeats)
+}
+
+// note counts one execution attempt of slot in the current task
+// instance, resetting the slot first when another instance last touched
+// it (see Init), and bumps the run's execs counter and, for a repeat,
+// its repeats counter. It reports whether the slot's operation already
+// completed.
+func (b *Base) note(slot int, execs, repeats *int) bool {
+	rs := &b.Dev.Runtime
+	sl := &rs.Slots[slot]
+	cur, inst := int32(b.cur), rs.TaskInst[b.cur]
 	if sl.TaskID != cur || sl.TaskInst != inst {
 		*sl = kernel.IOSlot{TaskID: cur, TaskInst: inst}
 	}
 	sl.ExecCount++
-	b.Dev.Run.DMAExecs++
+	*execs++
 	if sl.ExecCount > 1 {
-		b.Dev.Run.DMARepeats++
+		*repeats++
 	}
-	return slot, sl.Completed
+	return sl.Completed
 }
 
 // NoteDMASkip records an avoided DMA re-execution.
@@ -273,7 +229,7 @@ func (b *Base) ExecIO(c *kernel.Ctx, s *task.IOSite, idx int) uint16 {
 	if redundant {
 		c.PopWasted()
 	}
-	b.st.Slots[slot].Completed = true
+	b.Dev.Runtime.Slots[slot].Completed = true
 	// A physical execution refreshes the site's sample clock; skipped
 	// re-executions (which never reach ExecIO) keep the old timestamp —
 	// exactly the staleness the freshness oracle measures.
@@ -296,5 +252,5 @@ func (b *Base) ExecDMA(c *kernel.Ctx, d *task.DMASite, src, dst mem.Addr, words 
 	if redundant {
 		c.PopWasted()
 	}
-	b.st.Slots[slot].Completed = true
+	b.Dev.Runtime.Slots[slot].Completed = true
 }

@@ -117,7 +117,7 @@ func slotApp(t *testing.T) *task.App {
 }
 
 // TestSlotNumbering pins the I/O slot numbering Init computes — the
-// layout kernel.RuntimeState and its wire encoding are indexed by: a
+// layout of the device's kernel.RuntimeState and its wire encoding: a
 // site's instances start at the running total of Instances over the
 // sites declared before it, and the DMA sites follow all I/O slots in
 // declaration order.
@@ -148,8 +148,7 @@ func TestSlotNumbering(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("slots = %v, want %v", got, want)
 	}
-	var st kernel.RuntimeState
-	b.SnapshotState(&st)
+	st := dev.Runtime
 	if len(st.Slots) != len(want) {
 		t.Fatalf("RuntimeState has %d slots, want %d", len(st.Slots), len(want))
 	}
@@ -241,11 +240,11 @@ func TestTaskPointerPersists(t *testing.T) {
 	}
 }
 
-// TestSnapshotBaseIntoNoAlloc pins that SnapshotState with a reused
-// state is a pure slice copy: the flat ID-indexed state made the
-// snapshot a fixed-shape copy, and this keeps it that way (the original
-// map-based state allocated three maps per snapshot even when prev was
-// supplied).
+// TestSnapshotBaseIntoNoAlloc pins that snapshotting the runtime
+// bookkeeping Init sized on the device into a reused checkpoint is a
+// pure slice copy: the flat ID-indexed state made the snapshot a
+// fixed-shape copy, and this keeps it that way (the original map-based
+// state allocated three maps per snapshot even when prev was supplied).
 func TestSnapshotBaseIntoNoAlloc(t *testing.T) {
 	a := twoTaskApp(t)
 	dev := kernel.NewDevice(power.Continuous{}, 1)
@@ -253,13 +252,13 @@ func TestSnapshotBaseIntoNoAlloc(t *testing.T) {
 	if err := b.Init(dev, a); err != nil {
 		t.Fatal(err)
 	}
-	var reused, got kernel.RuntimeState
-	b.SnapshotState(&reused) // sizes the slices
-	if avg := testing.AllocsPerRun(20, func() { b.SnapshotState(&reused) }); avg > 0 {
-		t.Errorf("reused SnapshotState allocates %.1f times, want 0", avg)
+	var reused, got kernel.Checkpoint
+	dev.SnapshotInto(&reused) // sizes the slices
+	if avg := testing.AllocsPerRun(20, func() { dev.SnapshotInto(&reused) }); avg > 0 {
+		t.Errorf("reused SnapshotInto allocates %.1f times, want 0", avg)
 	}
-	b.SnapshotState(&got)
-	if !reflect.DeepEqual(got, reused) {
-		t.Errorf("reused snapshot diverged: %+v vs %+v", reused, got)
+	dev.SnapshotInto(&got)
+	if !reflect.DeepEqual(got.Runtime, reused.Runtime) {
+		t.Errorf("reused snapshot diverged: %+v vs %+v", reused.Runtime, got.Runtime)
 	}
 }

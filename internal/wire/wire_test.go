@@ -38,7 +38,7 @@ func captureOn(t testing.TB, supply power.Supply, seed int64, kind experiments.R
 	if _, err := sess.Run(seed); err != nil {
 		t.Fatal(err)
 	}
-	return append(sink.cps, sess.Device().SnapshotInto(&kernel.Checkpoint{}, sess.Runtime()))
+	return append(sink.cps, sess.Device().SnapshotInto(&kernel.Checkpoint{}))
 }
 
 type snapSink struct {
@@ -50,7 +50,7 @@ type snapSink struct {
 
 func (s *snapSink) NoteCut(time.Duration) {
 	if s.n++; s.n%s.stride == 0 {
-		s.cps = append(s.cps, s.sess.Device().SnapshotInto(&kernel.Checkpoint{}, s.sess.Runtime()))
+		s.cps = append(s.cps, s.sess.Device().SnapshotInto(&kernel.Checkpoint{}))
 	}
 }
 
@@ -113,9 +113,9 @@ func TestCheckpointRestoreFidelity(t *testing.T) {
 			if err := sess.Attach(42); err != nil {
 				t.Fatal(err)
 			}
-			dev, rt := sess.Device(), sess.Runtime()
-			dev.Restore(from, rt)
-			return AppendCheckpoint(nil, dev.SnapshotInto(&kernel.Checkpoint{}, rt))
+			dev := sess.Device()
+			dev.Restore(from)
+			return AppendCheckpoint(nil, dev.SnapshotInto(&kernel.Checkpoint{}))
 		}
 
 		if local, far := restoreState(cp), restoreState(remote); !bytes.Equal(local, far) {
